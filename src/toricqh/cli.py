@@ -20,6 +20,7 @@ from . import monoid as mo
 from . import presentation as pr
 from . import topology as tp
 from .errors import PreconditionError, SchemaError, VerificationError
+from .linalg import is_prime
 from .polyhedra import (check_delzant, check_vertex_and_splitting, is_compact,
                         monotone_normalization, parse_polyhedron,
                         polyhedron_to_json)
@@ -62,8 +63,8 @@ def _parse_ring(text: str):
     if t == "q":
         return "Q", None
     if t.startswith("fp:"):
-        p = int(t[3:])
-        if p < 2:
+        p = int(t[3:]) if t[3:].isdigit() else 0
+        if not is_prime(p):
             raise SchemaError(f"bad prime in --ring {text!r}")
         return f"F{p}", p
     raise SchemaError(f"unknown ring {text!r} (expected z, q, or fp:P)")
@@ -84,8 +85,11 @@ def _parse_bfield(text: str | None, nfacets: int):
 def _load_perturbations(path: str | None, P):
     if path is None:
         return None
-    with open(path) as fh:
-        data = json.load(fh)
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise SchemaError(f"cannot read --perturb {path}: {exc}") from exc
     if isinstance(data, dict):
         data = data.get("perturbations")
     if not isinstance(data, list) or len(data) != P.nfacets:
@@ -95,9 +99,11 @@ def _load_perturbations(path: str | None, P):
     return [mo.filtered_from_json(ctx, item) for item in data]
 
 
-def _poly_str(poly, unit):
-    return pr.tpoly_str(tuple(str(c) if isinstance(c, Fraction) and
-                              c.denominator != 1 else c for c in poly), unit)
+def _parse_cutoff(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise SchemaError(f"bad --cutoff {text!r}: {exc}") from exc
 
 
 def _as_poly(entry):
@@ -254,6 +260,8 @@ def _match_generator(coords, reductions):
 
 
 def cmd_quantum(P, args):
+    if args.margin < 0:
+        raise SchemaError(f"--margin must be non-negative, got {args.margin}")
     rho = _parse_bfield(args.bfield, P.nfacets)
     Q = pr.quantum_presentation(P, margin=args.margin, _rho=rho)
     names = Q.basis_names()
@@ -310,7 +318,7 @@ def cmd_jacobian(P, args):
         p = None  # freeness over a field; default to Q
     rho = _parse_bfield(args.bfield, P.nfacets)
     perts = _load_perturbations(args.perturb, P)
-    g = Fraction(args.cutoff)
+    g = _parse_cutoff(args.cutoff)
     rep = jc.jacobian_freeness(P, perturbations=perts, rho=rho, g=g, p=p)
     report = {
         "command": "jacobian",

@@ -4,14 +4,23 @@ Matrices are plain lists of lists; integer matrices hold Python ints
 (arbitrary precision), rational ones hold fractions.Fraction.  Everything is
 exact: no floats appear anywhere in this package.
 
-The normal-form routines use naive pivoting on a smallest-nonzero-entry rule,
-which keeps coefficient growth acceptable at the desk scale this package
-targets (matrices of at most a few hundred rows).
+``Eliminator`` is the one sparse elimination engine behind every graded
+quotient of the package.  Over Z it pivots only on entries +-1, so an
+elimination in which every pivot is a unit certifies a free quotient; only
+a residual block with no unit entry goes to the dense Smith form.  It then
+reads off the coordinates of any vector in the quotient.  Over Q and F_p it
+is an incremental rank engine.
+
+The dense normal forms (Hermite, Smith) pivot naively on a smallest-nonzero
+entry.  They serve the residual blocks of ``Eliminator``, ``integer_kernel``
+and small square matrices, where that naive pivoting is cheap.
 """
 
 from __future__ import annotations
 
+import heapq
 from fractions import Fraction
+from math import gcd, isqrt, lcm
 
 IntMatrix = list[list[int]]
 
@@ -150,12 +159,6 @@ def smith_normal_form(M: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     return S, U, V
 
 
-def invariant_factors(M: IntMatrix) -> list[int]:
-    """Nonzero diagonal entries of the Smith normal form."""
-    S, _, _ = smith_normal_form(M)
-    return [S[i][i] for i in range(min(len(S), len(S[0]) if S else 0)) if S[i][i] != 0]
-
-
 def determinant(M: IntMatrix) -> int:
     """Exact determinant by fraction-free Bareiss elimination."""
     n = len(M)
@@ -228,24 +231,46 @@ def integer_kernel(M: IntMatrix) -> list[list[int]]:
 
 
 class Eliminator:
-    """Incremental sparse Gaussian elimination over Q or over F_p.
+    """Sparse exact row echelon over Q, F_p or Z (``integral``), grown one
+    row at a time.
 
-    Rows over Q are scaled to integers and combined fraction-free (with gcd
-    normalization), which keeps arithmetic in fast machine integers for the
-    very sparse matrices this package produces.  ``add_row`` reduces the new
-    row against the current echelon and reports whether the rank grew;
-    ``fork`` snapshots the state so several extensions can share one base
-    elimination.
+    Rows are sparse dicts {column: value} or dense lists, with int or
+    Fraction values; over Q they are scaled to integers.  ``add_row``
+    reduces a row against every pivot row, in the order the pivots were
+    made, and reports whether it became a pivot row.  Its pivot is its
+    smallest column holding +-1, so reduction steps stay exact.  Over Q a row
+    without such an entry pivots on its smallest column and is combined
+    fraction-free, over F_p every entry is a unit.  ``fork`` snapshots the
+    state so several extensions can share one base elimination.
+
+    Over Z a row without a unit entry waits in a residual block instead;
+    ``settle`` retries it against the later pivots and hands what is still
+    stuck to the Smith form.  The quotient Z^ncols / L by the row lattice is
+    certified free by unit pivots alone when the residual block ends empty,
+    and otherwise by the Smith form (Dumas, Saunders and Villard, J. Symb.
+    Comput. 32, 2001).
+
+    After ``settle(ncols)``, ``reduce`` maps a vector to its coordinates in
+    the quotient (Z^dim, Q^dim or F_p^dim, dim = ncols - rank): a free column
+    is one coordinate, and a pivot column's image is read off its pivot row
+    by back substitution, last pivot first.
     """
 
-    def __init__(self, p: int | None = None):
+    def __init__(self, p: int | None = None, integral: bool = False):
         self.p = p
+        self.integral = integral
         self.pivots: dict[int, dict[int, int]] = {}  # pivot column -> row
+        self.order: dict[int, int] = {}   # pivot column -> creation index
+        self.residual: list[dict[int, int]] = []
         self.rank = 0
+        self.dim = 0
+        self.images: dict[int, list] = {}
 
     def fork(self) -> "Eliminator":
-        other = Eliminator(self.p)
+        other = Eliminator(self.p, self.integral)
         other.pivots = dict(self.pivots)
+        other.order = dict(self.order)
+        other.residual = list(self.residual)
         other.rank = self.rank
         return other
 
@@ -253,22 +278,12 @@ class Eliminator:
         items = row.items() if isinstance(row, dict) else enumerate(row)
         p = self.p
         if p is None:
-            d: dict[int, int] = {}
-            scale = 1
-            for c, v in items:
-                if isinstance(v, Fraction):
-                    if v.denominator != 1:
-                        lcm = v.denominator // gcd_int(scale, v.denominator)
-                        if lcm != 1:
-                            for k in d:
-                                d[k] *= lcm
-                            scale *= lcm
-                    v = int(v * scale)
-                else:
-                    v = v * scale
-                if v:
-                    d[c] = v
-            return d
+            nonzero = [(c, v) for c, v in items if v]
+            scale = lcm(*(v.denominator for _, v in nonzero))
+            if self.integral and scale != 1:
+                raise ValueError("non-integral entry in a row over Z")
+            return {c: v.numerator * (scale // v.denominator)
+                    for c, v in nonzero}
         d = {}
         for c, v in items:
             if isinstance(v, Fraction):
@@ -283,53 +298,119 @@ class Eliminator:
         return d
 
     def add_row(self, row) -> bool:
-        cur = self._normalize(row)
-        p = self.p
-        while cur:
-            c0 = min(cur)
-            piv_row = self.pivots.get(c0)
-            if piv_row is None:
-                g = 0
-                for v in cur.values():
-                    g = gcd_int(g, v)
-                if p is None and g not in (0, 1):
-                    cur = {c: v // g for c, v in cur.items()}
-                self.pivots[c0] = cur
-                self.rank += 1
-                return True
-            if p is None:
-                a, b = piv_row[c0], cur[c0]
-                new = {c: a * v for c, v in cur.items()}
-                for c, v in piv_row.items():
-                    x = new.get(c, 0) - b * v
-                    if x:
-                        new[c] = x
-                    else:
-                        new.pop(c, None)
-                g = 0
-                for v in new.values():
-                    g = gcd_int(g, v)
-                if g not in (0, 1):
-                    new = {c: v // g for c, v in new.items()}
-                cur = new
-            else:
-                f = cur[c0] * pow(piv_row[c0], -1, p) % p
-                new = dict(cur)
-                for c, v in piv_row.items():
-                    x = (new.get(c, 0) - f * v) % p
-                    if x:
-                        new[c] = x
-                    else:
-                        new.pop(c, None)
-                cur = new
-        return False
+        return self._insert(self._normalize(row))
 
+    def _insert(self, cur: dict[int, int]) -> bool:
+        pivots, order, p = self.pivots, self.order, self.p
+        # Eliminate the pivot columns in the order the pivots were made: a
+        # pivot row is zero on every earlier pivot column.
+        heap = [(order[c], c) for c in cur if c in pivots]
+        heapq.heapify(heap)
+        while heap:
+            c0 = heapq.heappop(heap)[1]
+            f = cur.get(c0)
+            if not f:
+                continue
+            piv = pivots[c0]
+            a = piv[c0]
+            if a != 1:  # a non-unit pivot over Q: combine fraction-free
+                for c in cur:
+                    cur[c] *= a
+            for c, v in piv.items():
+                x = cur.get(c, 0) - f * v
+                if p is not None:
+                    x %= p
+                if not x:
+                    del cur[c]
+                    continue
+                if c not in cur and c in pivots:
+                    heapq.heappush(heap, (order[c], c))
+                cur[c] = x
+        if not cur:
+            return False
+        if p is None and not self.integral:
+            g = gcd(*cur.values())
+            if g > 1:
+                cur = {c: v // g for c, v in cur.items()}
+        col = min((c for c, v in cur.items() if v == 1 or v == -1),
+                  default=None)
+        if col is None:
+            if self.integral:
+                self.residual.append(cur)
+                return False
+            col = min(cur)
+        a = cur[col]
+        if p is not None and a != 1:
+            inv = pow(a, -1, p)
+            cur = {c: v * inv % p for c, v in cur.items()}
+        elif a == -1:
+            cur = {c: -v for c, v in cur.items()}
+        pivots[col] = cur
+        order[col] = len(order)
+        self.rank += 1
+        return True
 
-def gcd_int(a, b):
-    a, b = abs(a), abs(b)
-    while b:
-        a, b = b, a % b
-    return a
+    def settle(self, ncols: int) -> bool:
+        """Finish the echelon on columns 0..ncols-1 after the last row.
+
+        Returns the freeness certificate of the quotient (always True over
+        a field) and, when it holds, prepares ``reduce``.
+        """
+        smith_cols, V, s = [], [], 0
+        if self.integral:
+            while self.residual:
+                rows, self.residual = self.residual, []
+                if not any([self._insert(row) for row in rows]):
+                    break
+            if self.residual:
+                smith_cols = sorted({c for row in self.residual for c in row})
+                S, _, V = smith_normal_form(
+                    [[row.get(c, 0) for c in smith_cols]
+                     for row in self.residual])
+                diag = [S[i][i] for i in range(min(len(S), len(smith_cols)))
+                        if S[i][i]]
+                if any(d != 1 for d in diag):
+                    return False
+                s = len(diag)
+                self.rank += s
+        self.dim = r = ncols - self.rank
+        skip = set(smith_cols)
+        free = [c for c in range(ncols) if c not in self.pivots
+                and c not in skip]
+        images = {c: [int(k == t) for t in range(r)]
+                  for k, c in enumerate(free)}
+        for i, c in enumerate(smith_cols):
+            images[c] = [0] * len(free) + V[i][s:]
+        for c in sorted(self.pivots, key=self.order.__getitem__,
+                        reverse=True):
+            row = self.pivots[c]
+            acc = [0] * r
+            for d, v in row.items():
+                if d != c:
+                    for t, x in enumerate(images[d]):
+                        if x:
+                            acc[t] -= v * x
+            a = row[c]
+            if self.p is not None:
+                acc = [x % self.p for x in acc]
+            elif a != 1:
+                acc = [Fraction(x) / a for x in acc]
+            images[c] = acc
+        self.images = images
+        return True
+
+    def reduce(self, vec: dict) -> list:
+        """Coordinates in the quotient of a sparse vector {column: value}
+        over the settled columns."""
+        out = [0] * self.dim
+        for c, v in vec.items():
+            if v:
+                for t, x in enumerate(self.images[c]):
+                    if x:
+                        out[t] += v * x
+        if self.p is not None:
+            out = [x % self.p for x in out]
+        return out
 
 
 def rank(rows, p: int | None = None) -> int:
@@ -342,3 +423,50 @@ def rank(rows, p: int | None = None) -> int:
     for row in rows:
         elim.add_row(row)
     return elim.rank
+
+
+def extend_to_basis(vectors, r: int, integral: bool = True):
+    """Greedy basis completion in Z^r (integral) or Q^r.
+
+    Scans ``vectors`` in order and keeps each one that, together with the
+    ones kept before, still extends to a basis: its image modulo the kept
+    vectors must be nonzero and, over Z, primitive.  Stops once r are kept.
+    Returns the kept indices and the columns of T with B * T = identity for
+    B the kept vectors as rows, so x * T are the coordinates of x on them.
+
+    T is built by column operations: after k vectors are kept they map to
+    the first k unit vectors, and columns k.. span their quotient.
+    """
+    cols = [[int(i == j) for i in range(r)] for j in range(r)]
+    kept = []
+    for idx, v in enumerate(vectors):
+        k = len(kept)
+        if k == r:
+            break
+        w = [sum(a * b for a, b in zip(v, col)) for col in cols]
+        tail = [j for j in range(k, r) if w[j]]
+        if not tail or (integral and gcd(*(w[j] for j in tail)) != 1):
+            continue
+        while integral and len(tail) > 1:  # Euclid on the columns
+            i = min(tail, key=lambda j: abs(w[j]))
+            for j in tail:
+                if j != i:
+                    q = w[j] // w[i]
+                    w[j] -= q * w[i]
+                    cols[j] = [a - q * b for a, b in zip(cols[j], cols[i])]
+            tail = [j for j in tail if w[j]]
+        t = tail[0]
+        cols[t] = [a * w[t] if integral else Fraction(a) / w[t]
+                   for a in cols[t]]
+        w[t] = 1
+        cols[k], cols[t] = cols[t], cols[k]
+        w[k], w[t] = w[t], w[k]
+        for j in range(r):
+            if j != k and w[j]:
+                cols[j] = [a - w[j] * b for a, b in zip(cols[j], cols[k])]
+        kept.append(idx)
+    return kept, cols
+
+
+def is_prime(p: int) -> bool:
+    return p >= 2 and all(p % d for d in range(2, isqrt(p) + 1))

@@ -2,15 +2,22 @@
 quantum Stanley-Reisner relations, divisor-inverse certificates, unit
 (B-field) deformations and the basis-independence audit.
 
-All graded verification is done over the integers: every graded quotient is
-checked to be torsion-free via Smith forms, so that ranks and structure
-constants are simultaneously valid over any coefficient ring.  Torsion is a
-hard error; it would contradict the freeness facts these presentations rest
-on and therefore signals invalid input or an implementation bug.
+All graded verification is done over the integers: each graded quotient is
+eliminated once by ``linalg.Eliminator``, whose unit pivots certify it
+torsion-free (a Smith form decides a residual block without unit entries),
+so that ranks and structure constants are simultaneously valid over any
+coefficient ring.  Torsion is a hard error; it would contradict the
+freeness facts these presentations rest on and therefore signals invalid
+input or an implementation bug.  With non-unit B-field rescalings the same
+elimination runs over Q.
 
 Basis convention: within each degree, monomials are scanned in ascending
 graded-lexicographic order on exponent vectors and picked greedily so that
-the picked classes extend to a free basis of the graded quotient.
+the picked classes extend to a free basis of the graded quotient.  The
+greedy rule runs on the images of the monomials in the quotient Z^r (r a
+Betti number); the inverse of the picked r x r matrix turns quotient
+coordinates into coefficients on the basis, so each structure constant is
+one sparse reduction.
 """
 
 from __future__ import annotations
@@ -70,40 +77,63 @@ def _require_delzant(P: DelzantPolyhedron) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Integer lattice helpers
+# Graded quotients
 
-def _densify(row, ncols):
-    if isinstance(row, dict):
-        out = [0] * ncols
-        for c, v in row.items():
-            out[c] = v
-        return out
-    return list(row)
+@dataclass(frozen=True)
+class QuotientLayer:
+    """One graded piece: a monomial slice modulo the linear-form images.
 
-
-def _row_basis(rows, ncols) -> list[list[int]]:
-    """Nonzero rows of the Hermite form: a basis of the row lattice."""
-    dense = [_densify(row, ncols) for row in rows]
-    if not dense:
-        return []
-    H, _ = linalg.hermite_normal_form(dense)
-    return [r for r in H if any(r)]
-
-
-def _is_free_quotient(lattice_rows, ncols) -> bool:
-    """Is Z^ncols modulo the row lattice torsion-free?
-
-    Fast path: if the Hermite form has all pivots equal to 1 the quotient is
-    visibly free; otherwise fall back to the Smith form.
+    ``echelon`` is the settled elimination of the relation rows; the basis
+    classes sit at ``basis_cols`` and carry the global basis indices
+    ``basis_idx``; ``inverse`` holds the columns of the inverse of their
+    quotient coordinates, so a vector's coefficients on the basis are its
+    quotient coordinates times ``inverse``.
     """
-    if not lattice_rows:
-        return True
-    hnf = _row_basis(lattice_rows, ncols)
-    if all(next(x for x in row if x) == 1 for row in hnf):
-        return True
-    S, _, _ = linalg.smith_normal_form(hnf)
-    k = min(len(S), ncols)
-    return all(S[i][i] in (0, 1) for i in range(k))
+    index: dict                             # slice monomial -> column
+    echelon: linalg.Eliminator
+    basis_cols: tuple[int, ...]
+    basis_idx: tuple[int, ...]
+    inverse: tuple
+
+    def coords(self, vec) -> dict:
+        """Nonzero coefficients {global basis index: c} of a slice vector
+        (sparse dict column -> value) on the basis classes."""
+        y = self.echelon.reduce(vec)
+        out = {}
+        for g, col in zip(self.basis_idx, self.inverse):
+            c = sum(a * b for a, b in zip(y, col))
+            if c:
+                out[g] = c
+        return out
+
+
+def _graded_layer(index, rows, integral, where, claimed=None,
+                  first_idx=0) -> QuotientLayer:
+    """Eliminate the relation rows of one slice and fix its basis.
+
+    Without ``claimed`` the basis is picked greedily: the first columns, in
+    slice order, whose classes extend to a free basis of the quotient (over
+    Z) or to a basis (over Q).  With ``claimed`` those columns must be such
+    a basis.  ``first_idx`` is the global index of the first basis element;
+    ``where`` names the slice in error messages.
+    """
+    elim = linalg.Eliminator(integral=integral)
+    for row in rows:
+        elim.add_row(row)
+    if not elim.settle(len(index)):
+        raise VerificationError(f"torsion in {where}")
+    candidates = range(len(index)) if claimed is None else claimed
+    kept, inverse = linalg.extend_to_basis(
+        (elim.reduce({col: 1}) for col in candidates), elim.dim, integral)
+    if len(kept) != elim.dim or (claimed is not None and
+                                 len(claimed) != elim.dim):
+        raise VerificationError(f"the {'claimed' if claimed else 'slice'} "
+                                f"monomials hold no basis of {where} (rank "
+                                f"{elim.dim})")
+    return QuotientLayer(index, elim,
+                         tuple(candidates[i] for i in kept),
+                         tuple(range(first_idx, first_idx + len(kept))),
+                         tuple(map(tuple, inverse)))
 
 
 # ---------------------------------------------------------------------------
@@ -130,56 +160,6 @@ class RingPresentation:
 
     def basis_names(self) -> tuple[str, ...]:
         return tuple(format_monomial(Fraction(0), e) for e in self.basis)
-
-
-def _classical_lattice_rows(P, prev_monomials, index, rho):
-    """Images of c_i * (degree d-1 monomials) inside degree d, as sparse rows.
-
-    Products whose support is not a face acquire positive height and are
-    dropped: that is reduction modulo the positive-height part.
-    """
-    n = P.dim
-    rows = []
-    for m in prev_monomials:
-        for i in range(n):
-            row = {}
-            for j in range(P.nfacets):
-                coeff = P.normals[j][i] * rho[j]
-                if not coeff:
-                    continue
-                bumped = m[:j] + (m[j] + 1,) + m[j + 1:]
-                col = index.get(bumped)
-                if col is not None:
-                    row[col] = row.get(col, 0) + coeff
-            if row:
-                rows.append(row)
-    return rows
-
-
-def _greedy_free_basis(lattice_rows, monomials, expected_rank):
-    """Pick monomials, in the given order, whose classes form a free basis of
-    the quotient of Z^len(monomials) by the row lattice."""
-    ncols = len(monomials)
-    current = [r[:] for r in lattice_rows]
-    chosen = []
-    rank_now = linalg.rank(current) if current else 0
-    for pos, m in enumerate(monomials):
-        if len(chosen) == expected_rank:
-            break
-        unit = [0] * ncols
-        unit[pos] = 1
-        trial = current + [unit]
-        if linalg.rank(trial) == rank_now and current:
-            continue
-        if not _is_free_quotient(trial, ncols):
-            continue
-        current = _row_basis(trial, ncols)
-        rank_now += 1
-        chosen.append(pos)
-    if len(chosen) != expected_rank or rank_now != ncols:
-        raise VerificationError("greedy basis selection failed to produce a "
-                                "unimodular complement; input is inconsistent")
-    return chosen
 
 
 _classical_cache: dict = {}
@@ -209,34 +189,28 @@ def _classical_presentation_impl(P, ring, _rho):
     rho = _rho if _rho is not None else (1,) * P.nfacets
     integral = all(r in (1, -1) for r in rho)
     K = topology.build_nerve(P)
-    n = P.dim
+    n, N = P.dim, P.nfacets
+    steps = [tuple(int(k == j) for k in range(N)) for j in range(N)]
+    weights = [[c * r for c in nu] for nu, r in zip(P.normals, rho)]
 
-    layers = []  # per degree: (monomials, index, lattice row basis, chosen positions)
-    prev = topology.sr_monomials(K, 0)
-    layers.append((prev, {prev[0]: 0}, [], [0]))
-    for d in range(1, 2 * n + 1):
+    layers = []
+    basis = []
+    prev = []
+    for d in range(2 * n + 1):
         cur = topology.sr_monomials(K, d)
         index = {m: i for i, m in enumerate(cur)}
-        rows = _classical_lattice_rows(P, prev, index, rho)
-        if integral:
-            lattice = _row_basis(rows, len(cur))
-            if not _is_free_quotient(lattice, len(cur)):
-                raise VerificationError(f"torsion in the classical quotient at "
-                                        f"degree {d}; input is not a valid "
-                                        f"Delzant polyhedron")
-            qrank = len(cur) - len(lattice)
-        else:
-            lattice = [_densify(r, len(cur)) for r in rows]
-            qrank = len(cur) - linalg.rank(lattice)
-        if d > n and qrank != 0:
+        rows = topology.linear_form_rows(prev, index, steps, weights)
+        layer = _graded_layer(index, rows, integral,
+                              f"the classical quotient at degree {d}",
+                              first_idx=len(basis))
+        if d > n and layer.basis_cols:
             raise VerificationError(f"classical cohomology does not vanish in "
                                     f"degree {d} > {n}")
-        chosen = (_greedy_free_basis(lattice, cur, qrank) if integral
-                  else _greedy_field_basis(lattice, cur, qrank))
-        layers.append((cur, index, lattice, chosen))
+        layers.append(layer)
+        basis.extend(cur[col] for col in layer.basis_cols)
         prev = cur
 
-    ranks = tuple(len(layers[d][3]) for d in range(n + 1))
+    ranks = tuple(len(layers[d].basis_cols) for d in range(n + 1))
     nvertices = len(enumerate_vertices(P))
     if sum(ranks) != nvertices:
         raise VerificationError(f"total rank {sum(ranks)} != number of vertices "
@@ -245,99 +219,35 @@ def _classical_presentation_impl(P, ring, _rho):
         raise VerificationError(f"degree-1 rank {ranks[1]} != N - n = "
                                 f"{P.nfacets - n}")
 
-    basis = []
-    basis_pos = []  # (degree, position-in-degree-basis) per global basis index
-    for d in range(n + 1):
-        monomials, _, _, chosen = layers[d]
-        for local, pos in enumerate(chosen):
-            basis.append(monomials[pos])
-            basis_pos.append((d, local))
-
-    structure = _classical_structure(P, layers, basis, basis_pos, ring)
+    structure = _classical_structure(K, layers, basis, ring)
     linear = tuple(tuple(P.normals[j][i] * rho[j] for j in range(P.nfacets))
                    for i in range(n))
     return RingPresentation(ring, n, P.nfacets, nvertices, linear,
                             minimal_nonfaces(P), ranks, tuple(basis), structure)
 
 
-def _greedy_field_basis(lattice_rows, monomials, expected_rank):
-    ncols = len(monomials)
-    current = list(lattice_rows)
-    chosen = []
-    rank_now = linalg.rank(current) if current else 0
-    for pos in range(ncols):
-        if len(chosen) == expected_rank:
-            break
-        unit = {pos: 1}
-        if linalg.rank(current + [unit]) > rank_now:
-            current.append(unit)
-            rank_now += 1
-            chosen.append(pos)
-    if len(chosen) != expected_rank:
-        raise VerificationError("field basis selection failed")
-    return chosen
-
-
-def _reduce_in_degree(vec, layer):
-    """Coordinates of a degree-d vector on the chosen basis classes.
-
-    Solves vec = sum coeff_i * basis_i + (row lattice element); the basis
-    coordinates are unique because the classes are a basis of the quotient.
-    """
-    monomials, _, lattice, chosen = layer
-    ncols = len(monomials)
-    cols = []
-    for pos in chosen:
-        unit = [Fraction(0)] * ncols
-        unit[pos] = Fraction(1)
-        cols.append(unit)
-    cols.extend([Fraction(x) for x in _densify(row, ncols)] for row in lattice)
-    if not cols:
-        if any(vec):
-            raise VerificationError("nonzero vector in zero quotient")
-        return []
-    A = [[cols[k][i] for k in range(len(cols))] for i in range(ncols)]
-    sol = linalg.solve_rational(A, vec)
-    if sol is None:
-        raise VerificationError("reduction failed: vector outside the span of "
-                                "basis and relations")
-    return sol[:len(chosen)]
-
-
-def _classical_structure(P, layers, basis, basis_pos, ring):
-    n = P.dim
-    K_nerve = topology.build_nerve(P)
+def _classical_structure(K, layers, basis, ring):
     table = []
-    for a, ea in enumerate(basis):
+    for ea in basis:
         row_tab = []
-        for b, eb in enumerate(basis):
+        for eb in basis:
             m = tuple(x + y for x, y in zip(ea, eb))
             d = sum(m)
             coeffs = [0] * len(basis)
             support = frozenset(j + 1 for j, t in enumerate(m) if t)
-            if d <= 2 * n and K_nerve.is_face(support):
+            if d < len(layers) and K.is_face(support):
                 layer = layers[d]
-                vec = [0] * len(layer[0])
-                vec[layer[1][m]] = 1
-                local = _reduce_in_degree(vec, layer)
-                for (deg, lpos), gidx in _basis_slots(basis_pos, d):
-                    coeffs[gidx] = local[lpos]
+                for g, c in layer.coords({layer.index[m]: 1}).items():
+                    coeffs[g] = c
             row_tab.append(tuple(_coerce_ring(c, ring) for c in coeffs))
         table.append(tuple(row_tab))
     return tuple(table)
 
 
-def _basis_slots(basis_pos, degree):
-    return [((deg, lpos), gidx) for gidx, (deg, lpos) in enumerate(basis_pos)
-            if deg == degree]
-
-
 def _coerce_ring(c, ring):
     if ring == "Z":
-        if isinstance(c, Fraction):
-            if c.denominator != 1:
-                raise VerificationError(f"non-integral coefficient {c} over Z")
-            return int(c)
+        if c.denominator != 1:
+            raise VerificationError(f"non-integral coefficient {c} over Z")
         return int(c)
     if ring == "Q":
         return Fraction(c)
@@ -352,10 +262,9 @@ def _normalize_ring(ring) -> str:
     if ring in ("Q", "q"):
         return "Q"
     if isinstance(ring, str) and ring.lower().startswith("f"):
-        p = int(ring[1:])
-        if p < 2:
-            raise PreconditionError(f"bad prime {p}")
-        return f"F{p}"
+        if not ring[1:].isdigit() or not linalg.is_prime(int(ring[1:])):
+            raise PreconditionError(f"bad prime in coefficient ring {ring!r}")
+        return f"F{int(ring[1:])}"
     raise PreconditionError(f"unknown coefficient ring {ring!r}")
 
 
@@ -398,14 +307,6 @@ def quantum_sr_relations(P: DelzantPolyhedron) -> tuple[QuantumSRRelation, ...]:
 # Quantum presentation (monotone case)
 
 @dataclass(frozen=True)
-class QuantumLayer:
-    nus: tuple[tuple[int, ...], ...]        # slice monomials, ascending lex on nu
-    lattice: tuple[tuple, ...]              # row basis of the relation lattice
-    basis_cols: tuple[int, ...]             # columns of T^(k-deg) * e_i
-    basis_idx: tuple[int, ...]              # global basis indices present here
-
-
-@dataclass(frozen=True)
 class QuantumPresentation:
     source: DelzantPolyhedron
     normalized: DelzantPolyhedron
@@ -421,7 +322,7 @@ class QuantumPresentation:
     basis_degrees: tuple[int, ...]
     verified_ranks: tuple[int, ...]
     structure: tuple                         # structure[a][b][i] = TPoly
-    layers: tuple[QuantumLayer, ...]
+    layers: tuple[QuotientLayer, ...]      # one per T-degree 0..degree_bound
 
     def basis_names(self) -> tuple[str, ...]:
         return tuple(format_monomial(Fraction(0), e) for e in self.basis)
@@ -455,6 +356,8 @@ def _quantum_presentation_impl(P, margin, _rho):
     if norm is None:
         raise PreconditionError("polyhedron is not monotone: the offsets cannot "
                                 "be equalized by a translation")
+    if margin < 0:
+        raise PreconditionError("margin must be non-negative")
     Pn = norm.rescaled
     N, n = Pn.nfacets, Pn.dim
     rho = tuple(Fraction(r) for r in (_rho if _rho is not None else (1,) * N))
@@ -472,110 +375,44 @@ def _quantum_presentation_impl(P, margin, _rho):
                       for i in range(n)) for e in basis]
 
     bound = 2 * n + margin
-    layers = [QuantumLayer(((0,) * n,), (), (0,), (0,))]
-    verified = [1]
-    prev_nus = [(0,) * n]
-    for k in range(1, bound + 1):
+    weights = [[r * c for c in nu] for nu, r in zip(Pn.normals, rho_coeff)]
+    layers = []
+    prev_nus = []
+    for k in range(bound + 1):
         nus = [m.nu for m in enumerate_gamma_degree(Pn, k)]
         index = {nu: i for i, nu in enumerate(nus)}
-        rows = []
-        for nu in prev_nus:
-            for i in range(n):
-                row = {}
-                for j in range(N):
-                    coeff = rho_coeff[j] * Pn.normals[j][i]
-                    if coeff:
-                        col = index[tuple(a + b for a, b in zip(nu, Pn.normals[j]))]
-                        row[col] = row.get(col, 0) + coeff
-                if row:
-                    rows.append(row)
-        expected_idx = tuple(g for g, d in enumerate(degs) if d <= k)
-        if integral:
-            lattice = _row_basis(rows, len(nus))
-            if not _is_free_quotient(lattice, len(nus)):
-                raise VerificationError(f"torsion in the quantum quotient at "
-                                        f"T-degree {k}")
-            qrank = len(nus) - len(lattice)
-        else:
-            lattice = [_densify(r, len(nus)) for r in rows]
-            qrank = len(nus) - linalg.rank(lattice)
-        if qrank != len(expected_idx):
-            raise VerificationError(f"quantum quotient at T-degree {k} has rank "
-                                    f"{qrank}, expected {len(expected_idx)}")
-        basis_cols = tuple(index[basis_nu[g]] for g in expected_idx)
-        stacked = list(lattice)
-        for col in basis_cols:
-            unit = [0] * len(nus)
-            unit[col] = 1
-            stacked.append(unit)
-        if integral:
-            if not _is_free_quotient(stacked, len(nus)) or \
-                    linalg.rank(stacked) != len(nus):
-                raise VerificationError(f"claimed quantum basis fails to span "
-                                        f"the degree-{k} slice over Z")
-        else:
-            if linalg.rank(stacked) != len(nus):
-                raise VerificationError(f"claimed quantum basis fails to span "
-                                        f"the degree-{k} slice")
-        layers.append(QuantumLayer(tuple(nus), tuple(tuple(r) for r in lattice),
-                                   basis_cols, expected_idx))
-        verified.append(qrank)
+        rows = topology.linear_form_rows(prev_nus, index, Pn.normals, weights)
+        # the basis is sorted by degree, so T^(k - deg e_g) * e_g for the
+        # first len(claimed) indices g
+        claimed = [index[nu] for nu, d in zip(basis_nu, degs) if d <= k]
+        layer = _graded_layer(index, rows, integral,
+                              f"the quantum quotient at T-degree {k}", claimed)
+        layers.append(layer)
         prev_nus = nus
 
     qp = QuantumPresentation(
         P, Pn, norm.translation, norm.offset, ring, rho, bound, classical,
         classical.linear_relations, quantum_sr_relations(Pn), basis, degs,
-        tuple(verified), (), tuple(layers))
-    structure = _quantum_structure(qp)
+        tuple(len(layer.basis_cols) for layer in layers), (), tuple(layers))
+    structure = _quantum_structure(qp, basis_nu)
     object.__setattr__(qp, "structure", structure)
     return qp
 
 
-def _reduce_slice_vector(Q: QuantumPresentation, k: int, vec):
-    """Coordinates of a degree-k slice vector on the claimed basis classes."""
-    layer = Q.layers[k]
-    ncols = len(layer.nus)
-    cols = []
-    for col in layer.basis_cols:
-        unit = [Fraction(0)] * ncols
-        unit[col] = Fraction(1)
-        cols.append(unit)
-    cols.extend([Fraction(x) for x in row] for row in layer.lattice)
-    A = [[cols[t][i] for t in range(len(cols))] for i in range(ncols)]
-    sol = linalg.solve_rational(A, vec)
-    if sol is None:
-        raise VerificationError(f"reduction failed in T-degree {k}")
-    return {g: sol[t] for t, g in enumerate(layer.basis_idx) if sol[t]}
-
-
-def _quantum_structure(Q: QuantumPresentation):
+def _quantum_structure(Q: QuantumPresentation, basis_nu):
     table = []
-    for a, ea in enumerate(Q.basis):
+    for a, da in enumerate(Q.basis_degrees):
         row_tab = []
-        da = Q.basis_degrees[a]
-        for b, eb in enumerate(Q.basis):
-            k = da + Q.basis_degrees[b]
-            nu = tuple(x + y for x, y in zip(
-                _basis_nu(Q, a), _basis_nu(Q, b)))
+        for b, db in enumerate(Q.basis_degrees):
+            k = da + db
             layer = Q.layers[k]
-            vec = [0] * len(layer.nus)
-            vec[layer.nus.index(nu)] = 1
-            coords = _reduce_slice_vector(Q, k, vec)
-            polys = []
-            for g in range(len(Q.basis)):
-                c = coords.get(g, 0)
-                c = _coerce_ring(c, Q.ring) if c else 0
-                polys.append(_tpoly([(k - Q.basis_degrees[g], c)]) if c else ())
-            row_tab.append(tuple(polys))
+            nu = tuple(x + y for x, y in zip(basis_nu[a], basis_nu[b]))
+            coords = layer.coords({layer.index[nu]: 1})
+            row_tab.append(tuple(
+                _tpoly([(k - dg, _coerce_ring(coords[g], Q.ring))])
+                if g in coords else () for g, dg in enumerate(Q.basis_degrees)))
         table.append(tuple(row_tab))
     return tuple(table)
-
-
-def _basis_nu(Q: QuantumPresentation, g: int) -> tuple[int, ...]:
-    e = Q.basis[g]
-    n = Q.normalized.dim
-    return tuple(sum(t * Q.normalized.normals[j][i] for j, t in enumerate(e))
-                 for i in range(n))
 
 
 def reduce_to_basis(x: FilteredElement, Q: QuantumPresentation):
@@ -597,11 +434,8 @@ def reduce_to_basis(x: FilteredElement, Q: QuantumPresentation):
     pairs = [[] for _ in Q.basis]
     for k, terms in sorted(by_degree.items()):
         layer = Q.layers[k]
-        vec = [Fraction(0)] * len(layer.nus)
-        for nu, c in terms.items():
-            vec[layer.nus.index(nu)] = c
-        coords = _reduce_slice_vector(Q, k, vec)
-        for g, c in coords.items():
+        vec = {layer.index[nu]: c for nu, c in terms.items()}
+        for g, c in layer.coords(vec).items():
             pairs[g].append((k - Q.basis_degrees[g], c))
     return [_tpoly(p) for p in pairs]
 

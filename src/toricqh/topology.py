@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import comb
+from operator import add
 
 from . import linalg
 from .errors import PreconditionError
@@ -212,6 +212,31 @@ def sr_hilbert_function(P: DelzantPolyhedron, maxdeg: int) -> list[int]:
     return values
 
 
+def linear_form_rows(prev, index, steps, weights) -> list[dict[int, int]]:
+    """Images of the linear forms c_i = sum_j weights[j][i] Z_j times each
+    monomial of ``prev``, as sparse rows over the columns ``index``.
+
+    A monomial is keyed by a vector and Z_j moves it by ``steps[j]``.
+    Products missing from ``index`` are dropped: their support is not a
+    face, so they have positive height and vanish in the graded piece.
+    """
+    n = len(weights[0]) if weights else 0
+    rows = []
+    for m in prev:
+        cols = [(j, index.get(tuple(map(add, m, step))))
+                for j, step in enumerate(steps)]
+        cols = [(j, col) for j, col in cols if col is not None]
+        for i in range(n):
+            row = {}
+            for j, col in cols:
+                coeff = weights[j][i]
+                if coeff:
+                    row[col] = row.get(col, 0) + coeff
+            if row:
+                rows.append(row)
+    return rows
+
+
 @dataclass(frozen=True)
 class RegSeqReport:
     passed: bool
@@ -241,25 +266,13 @@ def regular_sequence_check(P: DelzantPolyhedron, p: int | None = None,
         expected.append(sum((-1) ** k * comb(n, k) * hilbert[d - k]
                             for k in range(0, min(d, n) + 1)))
 
-    dims = [1]
-    prev = sr_monomials(K, 0)
-    for d in range(1, maxdeg + 1):
+    steps = [tuple(int(k == j) for k in range(N)) for j in range(N)]
+    dims = []
+    prev = []
+    for d in range(maxdeg + 1):
         cur = sr_monomials(K, d)
         index = {m: i for i, m in enumerate(cur)}
-        rows = []
-        for m in prev:
-            for i in range(n):
-                row: dict[int, Fraction | int] = {}
-                for j in range(N):
-                    coeff = P.normals[j][i]
-                    if coeff == 0:
-                        continue
-                    bumped = m[:j] + (m[j] + 1,) + m[j + 1:]
-                    col = index.get(bumped)
-                    if col is not None:
-                        row[col] = row.get(col, 0) + coeff
-                if row:
-                    rows.append(row)
+        rows = linear_form_rows(prev, index, steps, P.normals)
         dims.append(len(cur) - linalg.rank(rows, p))
         prev = cur
     field = "Q" if p is None else f"F{p}"

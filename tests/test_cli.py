@@ -1,5 +1,8 @@
+import hashlib
 import json
 from importlib import resources
+
+import pytest
 
 from toricqh import cli
 
@@ -129,6 +132,33 @@ def test_jacobian_bfield(capsys):
     assert "free: True" in out
 
 
+# Bad command lines: each exits with its documented code and a one-line
+# error, never a traceback.
+BAD_ARGUMENTS = [
+    ("cp1", "jacobian", ("--cutoff", "abc"), 2),
+    ("cp1", "jacobian", ("--cutoff", "1/0"), 2),
+    ("cp2", "cm", ("--ring", "fp:x"), 2),
+    ("cp2", "cm", ("--ring", "fp:4"), 2),
+    ("cp2", "classical", ("--ring", "fp:6"), 2),
+    ("cp1", "jacobian", ("--ring", "fp:1"), 2),
+    ("cp1", "jacobian", ("--perturb", "/nonexistent/perturbation.json"), 2),
+    ("cp2", "quantum", ("--margin", "-5"), 2),
+    ("cp1", "jacobian", ("--bfield", "2"), 2),
+    ("cp1", "jacobian", ("--bfield=1,x",), 2),
+    ("hirzebruch_f2", "quantum", (), 3),
+    ("o_minus_1", "invert", (), 3),
+]
+
+
+@pytest.mark.parametrize("name,command,args,expected", BAD_ARGUMENTS)
+def test_bad_arguments_exit_codes(capsys, name, command, args, expected):
+    code, out, err = run(capsys, "--input", data_path(name),
+                         "--command", command, *args)
+    assert code == expected
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_bfield_wrong_length(capsys):
     code, _, err = run(capsys, "--input", data_path("cp1"),
                        "--command", "jacobian", "--bfield", "2")
@@ -163,6 +193,53 @@ def test_json_round_trip_input(tmp_path, capsys):
     assert out1 == out2
 
 
+# sha256 of every JSON report of the sweep below.  The reports are meant to be
+# byte-identical across refactors of the elimination engine; a changed digest
+# means a changed basis, structure constant or rank.
+SWEEP_DIGESTS = {
+    ("c1", "validate"): "63bc95a14f6140d8266c8394b1f97af4338bc423949ed24bcfbe38e1c09a522d",
+    ("c1", "classical"): "cc16a563fdae71906e3450913b1a446f4c7c390937bc51d9ee2d3b1915c8dfc4",
+    ("c1", "cm"): "fd422dc57d889ebbb7cbc5c3f45b7bddca508ce138c7f5fe62b0400c8ce313df",
+    ("c1", "quantum"): "1b0537f5fd7ba7bc6bb6c64b425fba1ee21c5985f071d2d24c44c26f48c455b1",
+    ("c2", "validate"): "242de5e0da2f519aca118b1c66e5a863f91cafa5884d013a8d72222a48164b5c",
+    ("c2", "classical"): "80b41411b202f22b8c5ef84f580e23046553cba144ef2fb3ea67c8569b8cd83a",
+    ("c2", "cm"): "6fe7bf1bdff6b87784f8686a243f68a27c8c7594bdeffeea6c0e6da90547c4a9",
+    ("c2", "quantum"): "25228527a495f964edbfd26e011e483aaee172f178641bc67bd1b7d45d1a8594",
+    ("c3", "validate"): "7bf79eb60afff740b655ac7791ebe88fcee97816eeec588ca39287d36dfba130",
+    ("c3", "classical"): "c7e24b293674cea7495af56982300455f7685c105e497018bf951d280efd46ca",
+    ("c3", "cm"): "88fe573d265dec0af4febf6910f84b399f084cbd881b37b78c33fba5b3818d5b",
+    ("c3", "quantum"): "8f814b12520f792063d3ad552210cc64ba1d195394e98f622dcea8b11b8ed69f",
+    ("cp1", "validate"): "68bf1cabf642943ae4064bfd9596d1d9928b5b52d0f1bc24bd3918984b0b2722",
+    ("cp1", "classical"): "a7b51fe8ebdd52b7223c3e9cd20a70bcdd3a8c2318635f15bb2c83a9e79e70be",
+    ("cp1", "cm"): "9288e997fbe605f462587a2c5c348bc63792efa858ed096c0963b4c1d50ac996",
+    ("cp1", "quantum"): "b756f3a7282b6e8dbac36b97accea413989a4f21b21a572fb8991e0b61b48a06",
+    ("cp1", "invert"): "302d1be3c15ca195bb17db6aecf7729928ea163bc6019c4cc976d7aab88d3939",
+    ("cp2", "validate"): "66dc95e2e0a692f3705839cc66db061f8d6a9ba357ffc23b7b5d518407f7d226",
+    ("cp2", "classical"): "fe6ed184f2cc1b5421b17bc4957f704fd9eac538fe80aa1a670c3b8b722c5640",
+    ("cp2", "cm"): "eb140f3edd2e802d3e38e279a49b86e08dda061604183cfb8b8c9993e2ac8cb6",
+    ("cp2", "quantum"): "546c3e01ffab4233ea32536946e3716d389fb29da955bc739c583065a26c4701",
+    ("cp2", "invert"): "4ccb5632df437baf11a4db90a6db5a498be7d6731b8239a3b8ac5455877b4dba",
+    ("cp3", "validate"): "09d2ca30710fcdb88a1e982ef1bc74d4dfba3132df9a256d39c32ecb273a20ff",
+    ("cp3", "classical"): "c11778a6e19e67127ecaec069be555870e43d0905369d59ff59a32b24cda9efd",
+    ("cp3", "cm"): "4237ea486e825e15d349a0eba4b2dcc843438dbe4286cd39b97bd38967e82356",
+    ("cp3", "quantum"): "c2b5545742f48cd2e28cd5581ec271de769806f7427a8187fa695807c28dc1ba",
+    ("cp3", "invert"): "4cb613625ad8c25e215368f1724c7200b15caca6bcf3169228659899bc8334d2",
+    ("cp1xcp1", "validate"): "04a039857a4765243cec6030cc578d94baf5fd96073cee3c0bd02dbefc57627d",
+    ("cp1xcp1", "classical"): "0cbe04504d134a3902bbd329870b173d2da1bd43bbaf1dbd84cb1457937a1658",
+    ("cp1xcp1", "cm"): "ae927090c5ce0390565556511d79173ac81ba68586c0ed33efc3d75d0f39fa87",
+    ("cp1xcp1", "quantum"): "0908afe4910860f2d3ab3eb508a439704bd72f63ed203eb8f0889d3a358652c8",
+    ("cp1xcp1", "invert"): "e8457e8ddc11843deaaba9b6a002d908ad33b94a77c510314662a16a5ca049a8",
+    ("o_minus_1", "validate"): "5df9ba0effd5d58c3409ea263539aadf4466b3199b0c5828ecc1ac324f17f801",
+    ("o_minus_1", "classical"): "61819a5485d5131df8f0ea7e8b73f53d4bd98b68ee384c7bb1f630ebef19c92f",
+    ("o_minus_1", "cm"): "1c02aee77822187d43f977d08bb8a7131b872ee97bf3455fbd3d856f30a2e9d5",
+    ("o_minus_1", "quantum"): "959468f6eaef0bfd998cd0738f33b49d3103d735de7cc70bbacd468149758a12",
+    ("hirzebruch_f2", "validate"): "f942079d2fd27774ec63a89844486fc540f4c70b9d031bcdd935b87995322c0c",
+    ("hirzebruch_f2", "classical"): "a00db8eab49cff108f1bdd4339f653ec0e667177200a3860d5aa50614acd9df9",
+    ("hirzebruch_f2", "cm"): "2a8a0891423c03d30135e7d6e2749561c4f245bc2260d2235898e1226416f027",
+    ("hirzebruch_f2", "invert"): "701c7e3a05280363981b228037b432d798c34c1676fd8f7dd83f0ef9f0e7fc56",
+}
+
+
 def test_sweep_all_examples(capsys):
     from toricqh import catalog
     from toricqh.polyhedra import is_compact, monotone_normalization
@@ -178,6 +255,8 @@ def test_sweep_all_examples(capsys):
                                  "--command", command, "--format", "json")
             assert code == 0, (name, command, err)
             json.loads(out)
+            digest = hashlib.sha256(out.encode()).hexdigest()
+            assert digest == SWEEP_DIGESTS[name, command], (name, command)
 
 
 def test_quantum_margin_flag(capsys):

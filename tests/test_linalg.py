@@ -140,3 +140,68 @@ def test_rank_rational_and_mod_p():
     # 2 == 0 mod 2 changes the rank
     assert linalg.rank([[2, 1], [0, 3]], p=2) == 1
     assert linalg.rank([[2, 1], [0, 3]]) == 2
+
+
+@pytest.mark.parametrize("row,free", [([2, 3], True), ([2, 4], False)])
+def test_integral_certificate_smith_fallback(row, free):
+    # No entry is a unit, so the row waits in the residual block and the
+    # Smith form decides: Z^2 / (2, 3) is free, Z^2 / (2, 4) has torsion.
+    elim = linalg.Eliminator(integral=True)
+    assert not elim.add_row(row)
+    assert elim.settle(2) is free
+    S, _, _ = linalg.smith_normal_form([row])
+    assert (S[0][0] == 1) is free
+    if free:
+        assert (elim.rank, elim.dim) == (1, 1)
+        assert elim.reduce(dict(enumerate(row))) == [0]
+        images = {abs(elim.reduce({c: 1})[0]) for c in range(2)}
+        assert images == {2, 3}
+
+
+@pytest.mark.parametrize("row,free", [([2, 3], True), ([2, 4], False)])
+def test_integral_certificate_matches_sympy(row, free):
+    normalforms = pytest.importorskip("sympy.matrices.normalforms")
+    from sympy import ZZ, Matrix
+    S = normalforms.smith_normal_form(Matrix([row]), domain=ZZ)
+    elim = linalg.Eliminator(integral=True)
+    elim.add_row(row)
+    assert elim.settle(2) is (S[0, 0] == 1)
+
+
+def test_extend_to_basis_over_z_and_q():
+    # 2 and 3 span Q^1 but are not primitive in Z^1; 1 is.
+    kept, T = linalg.extend_to_basis([[2], [3], [1]], 1, integral=True)
+    assert kept == [2] and T == [[1]]
+    kept, T = linalg.extend_to_basis([[2], [3], [1]], 1, integral=False)
+    assert kept == [0] and T == [[Fraction(1, 2)]]
+    # (2, 3) is primitive without a unit entry; B * T is the identity
+    kept, T = linalg.extend_to_basis([[2, 3], [4, 6], [1, 1]], 2)
+    assert kept == [0, 2]
+    B = [[2, 3], [1, 1]]
+    assert linalg.mat_mul(B, linalg.transpose(T)) == linalg.identity(2)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_integral_rank_matches_prime_fields(seed):
+    # On the lattices of the classical quotients, a free Z-quotient means
+    # the rank is the same over Q and over every prime field.
+    from toricqh import catalog, topology
+    rng = random.Random(300 + seed)
+    dim = 2 + seed % 2
+    P = catalog.random_delzant(rng, dim, dim + 4)
+    K = topology.build_nerve(P)
+    N = P.nfacets
+    steps = [tuple(int(k == j) for k in range(N)) for j in range(N)]
+    prev = []
+    for d in range(dim + 2):
+        cur = topology.sr_monomials(K, d)
+        index = {m: i for i, m in enumerate(cur)}
+        rows = topology.linear_form_rows(prev, index, steps, P.normals)
+        elim = linalg.Eliminator(integral=True)
+        for row in rows:
+            elim.add_row(row)
+        assert elim.settle(len(cur))
+        for p in (None, 2, 3, 32003):
+            assert linalg.rank(rows, p) == elim.rank, (d, p)
+        assert all(not any(elim.reduce(row)) for row in rows)
+        prev = cur

@@ -40,6 +40,15 @@ def test_classical_cp2(cp2):
     assert cp.structure[1][1] == (0, 0, 1)
 
 
+def test_classical_basis_hirzebruch_f2(corpus):
+    # Over Z the greedy rule must skip v4^2: its class has index 2 in the
+    # degree-2 quotient, so v3*v4 is the first free generator.  A rank test
+    # over a field would pick v4^2.
+    cp = pr.classical_presentation(corpus["hirzebruch_f2"])
+    assert cp.ranks == (1, 2, 1)
+    assert [e for e in cp.basis if sum(e) == 2] == [(0, 0, 1, 1)]
+
+
 def test_classical_rank_formulas(corpus):
     for name, P in corpus.items():
         cp = pr.classical_presentation(P)
@@ -53,6 +62,9 @@ def test_classical_over_fields(o_minus_1):
         cp = pr.classical_presentation(o_minus_1, ring)
         assert cp.ranks == (1, 1, 0)
         assert cp.ring == ring
+    for ring in ("F4", "F6", "F1", "Fx"):  # F_p needs a prime p
+        with pytest.raises(PreconditionError):
+            pr.classical_presentation(o_minus_1, ring)
 
 
 def test_classical_requires_vertex():
