@@ -11,19 +11,29 @@ T^gamma * e_i independent.
 S itself is infinite-dimensional (every height-zero monomial survives), so
 the computation works on a finite slice: monomials whose T-weight (the
 exponent lambda of T) is at most a cap chosen large enough for all
-reductions to close.  The cap is recorded in the report and escalated
-automatically if the first attempt fails to confirm freeness, so a "not
-free" verdict is never an artifact of too small a slice.
+reductions to close.  The cap is recorded in the report.  If an attempt
+fails to confirm freeness the cap is escalated, at most twice; when the last
+attempt still fails the report says not free.  Such a verdict can therefore
+be an artifact of too small a slice: ``escalations == 2`` together with
+``free == False`` means "not confirmed at this cap", not a proof of
+non-freeness.
+
+The slice runs in integers: every weight and height is scaled by one common
+denominator, monomials are keyed by (scaled lam, nu), and the height of a
+product is read off the summed integer theta vectors of its factors.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import add
 
 from . import linalg, topology
 from .errors import PreconditionError
-from .monoid import build_height_monoid, element_from_monomial, monoid_for
+from .monoid import (build_height_monoid, element_from_monomial, monoid_for,
+                     scaled)
 from .polyhedra import DelzantPolyhedron
 from .presentation import _require_delzant, classical_presentation
 
@@ -63,6 +73,11 @@ def jacobian_freeness(P: DelzantPolyhedron, perturbations=None, rho=None,
     rho = tuple(Fraction(r) for r in (rho if rho is not None else (1,) * N))
     if len(rho) != N or any(r == 0 for r in rho):
         raise PreconditionError("need one nonzero unit per facet")
+    if p is not None:
+        for j, r in enumerate(rho, start=1):
+            if r.numerator % p == 0 or r.denominator % p == 0:
+                raise PreconditionError(f"B-field entry {j} ({r}) is not a "
+                                        f"unit modulo {p}")
 
     if perturbations is None:
         perturbations = [ctx.zero()] * N
@@ -77,6 +92,10 @@ def jacobian_freeness(P: DelzantPolyhedron, perturbations=None, rho=None,
         if pert.monoid is not ctx:
             raise PreconditionError("perturbations must live over this "
                                     "polyhedron's monoid")
+        if p is not None and any(c.denominator % p == 0
+                                 for c in pert.terms.values()):
+            raise PreconditionError(f"perturbation {j + 1} has a coefficient "
+                                    f"with denominator divisible by {p}")
         h = pert.height()
         if h <= 0:
             raise PreconditionError(f"perturbation {j + 1} has height {h}; the "
@@ -129,14 +148,15 @@ def jacobian_freeness(P: DelzantPolyhedron, perturbations=None, rho=None,
                           dim_r, m, dim_s, dim_quotient, basis, free, note)
 
 
-def _intersecting_exponents(P: DelzantPolyhedron, nerve, budget: Fraction):
-    """All exponent vectors supported on a face with total T-weight <= budget."""
+def _intersecting_exponents(P: DelzantPolyhedron, nerve, weights, budget: int):
+    """All exponent vectors supported on a face with total weight <= budget,
+    for integer facet weights (weights[j - 1] for label j)."""
     out = [(0,) * P.nfacets]
     for face in sorted(nerve.faces(), key=lambda f: (len(f), sorted(f))):
         if not face:
             continue
         labels = sorted(face)
-        weights = [P.offset(j) for j in labels]
+        face_weights = [weights[j - 1] for j in labels]
 
         def rec(pos, remaining, acc):
             if pos == len(labels):
@@ -145,7 +165,7 @@ def _intersecting_exponents(P: DelzantPolyhedron, nerve, budget: Fraction):
                     t[lbl - 1] = e
                 out.append(tuple(t))
                 return
-            w = weights[pos]
+            w = face_weights[pos]
             e = 1
             while e * w <= remaining:
                 rec(pos + 1, remaining - e * w, acc + [e])
@@ -156,31 +176,54 @@ def _intersecting_exponents(P: DelzantPolyhedron, nerve, budget: Fraction):
 
 
 def _attempt(P, ctx, levels, g, relations, cap, inner_cap, basis, p):
+    """One elimination on the slice of T-weight <= cap.
+
+    Everything is scaled by one integer D' (``scale``): a monomial is carried
+    as (height * D', lam * D', nu) with its integer vector of theta_v * D'.
+    theta_v is linear, so the height of a product is the least entry of the
+    summed vectors, and products never need a decomposition of their own.
+    """
     nerve = topology.build_nerve(P)
+    rel_weight = max((mm.lam for rel in relations for mm in rel.terms),
+                     default=Fraction(0))
+    scale = lcm(ctx.scale, g.denominator, cap.denominator,
+                inner_cap.denominator, *(x.denominator for x in levels),
+                *(mm.lam.denominator for rel in relations for mm in rel.terms))
+    k = scale // ctx.scale
+
+    def carry(mono):  # (lam * D', nu, theta_v * D' for every vertex v)
+        w = scaled(mono.lam, scale)
+        return w, mono.nu, [w + k * x for x in ctx.pairings(mono.nu)]
+
+    weights = [k * w for w in ctx.scaled_offsets]
     monomials = []
     for gamma in levels:
-        for t in _intersecting_exponents(P, nerve, cap - gamma):
-            monomials.append(ctx.from_exponents(t, height=gamma))
-    monomials.sort(key=lambda m: (m.height, m.lam, m.nu))
-    index = {(m.lam, m.nu): i for i, m in enumerate(monomials)}
+        for t in _intersecting_exponents(P, nerve, weights,
+                                         scaled(cap - gamma, scale)):
+            # built once through the monoid, which certifies the point
+            w, nu, th = carry(ctx.from_exponents(t, height=gamma))
+            monomials.append((min(th), w, nu, th))
+    monomials.sort(key=lambda x: x[:3])
+    index = {(w, nu): i for i, (_, w, nu, _) in enumerate(monomials)}
     # canonical decompositions are unique, so (level, exponents) pairs cannot
     # collide on the same monomial
     assert len(index) == len(monomials)
 
-    rel_weight = max((mm.lam for rel in relations for mm in rel.terms),
-                     default=Fraction(0))
+    g_s = scaled(g, scale)
+    w_max = scaled(cap - rel_weight, scale)
     rows = []
     for rel in relations:
-        for x in monomials:
-            if x.lam > cap - rel_weight:
+        terms = [(*carry(mm), c) for mm, c in rel.terms.items()]
+        for _, w, nu, th in monomials:
+            if w > w_max:
                 continue
             row = {}
-            for mm, c in rel.terms.items():
-                prod = mm * x
-                if prod.height >= g:
+            for w1, nu1, th1, c in terms:
+                if min(map(add, th, th1)) >= g_s:
                     continue
-                col = index[(prod.lam, prod.nu)]
-                val = row.get(col, Fraction(0)) + c
+                col = index[(w + w1, tuple(map(add, nu, nu1)))]
+                val = row.get(col)
+                val = c if val is None else val + c
                 if val:
                     row[col] = val
                 else:
@@ -195,8 +238,9 @@ def _attempt(P, ctx, levels, g, relations, cap, inner_cap, basis, p):
     # The quotient dimension is measured on the inner window only: monomials
     # near the outer cap lack the products that would reduce them and must
     # not be counted.
-    inner_units = [{i: 1} for i, mono in enumerate(monomials)
-                   if mono.lam <= inner_cap]
+    inner_w = scaled(inner_cap, scale)
+    inner_units = [{i: 1} for i, (_, w, _, _) in enumerate(monomials)
+                   if w <= inner_w]
     dim_s = len(inner_units)
     window = elim.fork()
     dim_quotient = sum(window.add_row(u) for u in inner_units)
@@ -206,7 +250,8 @@ def _attempt(P, ctx, levels, g, relations, cap, inner_cap, basis, p):
     for gamma in levels:
         for e in basis:
             mono = ctx.from_exponents(e, height=gamma)
-            assert mono.lam <= inner_cap
-            if not with_basis.add_row({index[(mono.lam, mono.nu)]: 1}):
+            w = scaled(mono.lam, scale)
+            assert w <= inner_w
+            if not with_basis.add_row({index[(w, mono.nu)]: 1}):
                 independent = False
     return dim_s, dim_quotient, independent

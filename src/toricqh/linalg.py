@@ -182,6 +182,16 @@ def determinant(M: IntMatrix) -> int:
     return sign * A[n - 1][n - 1]
 
 
+def adjugate(M: IntMatrix) -> IntMatrix:
+    """Integer adjugate of a square matrix: M * adjugate(M) = det(M) * I."""
+    n = len(M)
+    if n == 1:
+        return [[1]]
+    return [[(-1) ** (i + j) * determinant(
+        [row[:i] + row[i + 1:] for k, row in enumerate(M) if k != j])
+        for j in range(n)] for i in range(n)]
+
+
 def solve_rational(A, b) -> list[Fraction] | None:
     """Solve A*x = b exactly over the rationals.
 

@@ -12,6 +12,14 @@ Monomial identity is the pair (lam, nu), never the exponent vector that
 happens to express it: two products of generators landing on the same cone
 point are the same monomial, which is precisely how quantum Stanley-Reisner
 relations arise.
+
+The cone arithmetic runs in integers.  Each :class:`ConeMonoid` scales the
+vertex coordinates and the offsets by their common denominator D once, so
+theta_v(lam, nu) * D = lam * D + <v * D, nu> with an integer pairing, and
+keeps for every vertex the integer adjugate and determinant of the normals
+it expresses in; a decomposition then costs integer dot products and one
+d x d integer matrix-vector product.  Public values (``lam``, ``height``)
+stay exact fractions.
 """
 
 from __future__ import annotations
@@ -20,17 +28,24 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
+from operator import mul
 
 from . import linalg, lp
 from .errors import LatticeError, PreconditionError, SchemaError
 from .polyhedra import DelzantPolyhedron, Vertex, enumerate_vertices
 
 
+def scaled(x: Fraction, D: int) -> int:
+    """x * D for a fraction x whose denominator divides D."""
+    return x.numerator * (D // x.denominator)
+
+
 def _lam_nu(c):
     if isinstance(c, Monomial):
         return c.lam, c.nu
     lam, nu = c
-    return Fraction(lam), tuple(nu)
+    return lam if type(lam) is Fraction else Fraction(lam), tuple(nu)
 
 
 def theta(v: Vertex, c) -> Fraction:
@@ -81,7 +96,16 @@ def format_monomial(height, exponents) -> str:
 
 
 class ConeMonoid:
-    """Cone membership, heights and decompositions for one polyhedron."""
+    """Cone membership, heights and decompositions for one polyhedron.
+
+    Construction computes, once and in integers: the common denominator
+    ``scale`` (D) of the offsets and the vertex coordinates, the scaled
+    vertex points v * D (``scaled_points``) and offsets lambda_j * D
+    (``scaled_offsets``), and for each vertex the d incident labels a
+    decomposition expresses in (the sorted incident labels, or the first
+    d-subset of them with independent normals), with the integer adjugate
+    and determinant of their normal matrix.
+    """
 
     def __init__(self, P: DelzantPolyhedron):
         self.P = P
@@ -90,15 +114,39 @@ class ConeMonoid:
             raise PreconditionError("polyhedron has no vertex; the cone machinery "
                                     "needs the standing vertex assumption")
         self._monomials: dict[tuple[Fraction, tuple[int, ...]], Monomial] = {}
+        self.scale = D = lcm(*(lam.denominator for lam in P.offsets),
+                             *(x.denominator for v in self.vertices
+                               for x in v.point))
+        self.scaled_points = [tuple(scaled(x, D) for x in v.point)
+                              for v in self.vertices]
+        self.scaled_offsets = tuple(scaled(lam, D) for lam in P.offsets)
+        self._bases = [self._vertex_basis(v) for v in self.vertices]
+        self._normal_columns = list(zip(*P.normals))
+
+    def _vertex_basis(self, v: Vertex):
+        """(0-based labels, adjugate, determinant) of the normals at v."""
+        n = self.P.dim
+        labels = sorted(v.incident)
+        if len(labels) > n:
+            labels = next(
+                sub for sub in itertools.combinations(labels, n)
+                if linalg.determinant([list(self.P.normal(j)) for j in sub]))
+        A = [[self.P.normal(j)[i] for j in labels] for i in range(n)]
+        return ([j - 1 for j in labels], linalg.adjugate(A),
+                linalg.determinant(A))
 
     def thetas(self, c) -> list[Fraction]:
         return [theta(v, c) for v in self.vertices]
+
+    def pairings(self, nu) -> list[int]:
+        """<v * D, nu> for every vertex v, so theta_v = lam + pairing / D."""
+        return [sum(map(mul, pt, nu)) for pt in self.scaled_points]
 
     def contains(self, c) -> bool:
         """Membership in the cone: all theta_v non-negative and nu a
         non-negative rational combination of the facet normals."""
         lam, nu = _lam_nu(c)
-        if any(t < 0 for t in self.thetas((lam, nu))):
+        if lam * self.scale + min(self.pairings(nu)) < 0:
             return False
         return lp.nonnegative_combination_exists(
             [list(n) for n in self.P.normals], list(nu))
@@ -111,42 +159,42 @@ class ConeMonoid:
         """Canonical intersecting sum (s, t): s is the height, the support of
         t meets in a common face, and the reconstruction is exact.
 
-        A successful expression is itself a membership certificate, so the
+        The expression is taken at the first vertex of least theta_v.  A
+        successful expression is itself a membership certificate, so the
         cone-membership LP only runs on the error path, to tell apart
         "outside the cone" from a lattice failure (non-Delzant input).
         """
         lam, nu = _lam_nu(c)
-        ths = self.thetas((lam, nu))
-        if any(t < 0 for t in ths):
+        D = self.scale
+        dots = self.pairings(nu)
+        low = min(dots)
+        s = Fraction(lam.numerator * D + low * lam.denominator,
+                     lam.denominator * D)
+        if s < 0:
             raise PreconditionError(f"({lam}, {nu}) is not in the cone")
-        s = min(ths)
-        v = self.vertices[ths.index(s)]
-        t = self._express_at_vertex(v, nu)
+        k = dots.index(low)
+        t = self._express_at_vertex(k, nu)
         if t is None:
             if self.contains((lam, nu)):
                 raise LatticeError(
                     f"no non-negative integral expression of {nu} in the normals "
-                    f"incident to vertex {v.point}; the input is not Delzant")
+                    f"incident to vertex {self.vertices[k].point}; the input is "
+                    f"not Delzant")
             raise PreconditionError(f"({lam}, {nu}) is not in the cone")
-        assert lam - s == sum(ti * lamj for ti, lamj in zip(t, self.P.offsets))
+        # lam - s = sum_j t_j * lambda_j, scaled by D
+        assert -low == sum(map(mul, t, self.scaled_offsets))
         return s, t
 
-    def _express_at_vertex(self, v: Vertex, nu) -> tuple[int, ...] | None:
-        labels = sorted(v.incident)
-        cols = [self.P.normal(j) for j in labels]
-        if len(labels) > self.P.dim:
-            for sub in itertools.combinations(range(len(labels)), self.P.dim):
-                if linalg.determinant([list(cols[i]) for i in sub]) != 0:
-                    labels = [labels[i] for i in sub]
-                    cols = [self.P.normal(j) for j in labels]
-                    break
-        A = [[col[i] for col in cols] for i in range(self.P.dim)]
-        sol = linalg.solve_rational(A, list(nu))
-        if sol is None or any(x.denominator != 1 or x < 0 for x in sol):
-            return None
+    def _express_at_vertex(self, k: int, nu) -> tuple[int, ...] | None:
+        """Non-negative integer exponents of nu on the normals of vertex k,
+        or None: x = adjugate * nu / det must be integral and >= 0."""
+        labels, adj, det = self._bases[k]
         t = [0] * self.P.nfacets
-        for x, j in zip(sol, labels):
-            t[j - 1] = int(x)
+        for j, row in zip(labels, adj):
+            x, r = divmod(sum(map(mul, row, nu)), det)
+            if r or x < 0:
+                return None
+            t[j] = x
         return tuple(t)
 
     def monomial(self, lam, nu) -> Monomial:
@@ -175,11 +223,12 @@ class ConeMonoid:
         return self.monomial(q, (0,) * self.P.dim)
 
     def from_exponents(self, t, height=0) -> Monomial:
-        lam = Fraction(height) + sum(Fraction(ti) * lamj
-                                     for ti, lamj in zip(t, self.P.offsets))
-        nu = tuple(sum(ti * nuj[i] for ti, nuj in zip(t, self.P.normals))
-                   for i in range(self.P.dim))
-        return self.monomial(lam, nu)
+        h = height if type(height) is Fraction else Fraction(height)
+        w = sum(map(mul, t, self.scaled_offsets))
+        lam = Fraction(h.numerator * self.scale + w * h.denominator,
+                       h.denominator * self.scale)
+        return self.monomial(lam, tuple(sum(map(mul, t, col))
+                                        for col in self._normal_columns))
 
     def zero(self) -> "FilteredElement":
         return FilteredElement(self, {})

@@ -147,11 +147,22 @@ BAD_ARGUMENTS = [
     ("cp1", "jacobian", ("--bfield=1,x",), 2),
     ("hirzebruch_f2", "quantum", (), 3),
     ("o_minus_1", "invert", (), 3),
+    ("cp1", "jacobian", ("--ring", "fp:3", "--bfield=1/3,1"), 3),
+    ("cp1", "jacobian", ("--ring", "fp:3", "--bfield=3,1"), 3),
+    ("cp1", "jacobian", ("--ring", "fp:3", "--perturb", "THIRD"), 3),
 ]
+
+# A perturbation of cp1 with coefficient 1/3, undefined modulo 3; "THIRD" in
+# a row above stands for a file holding it.
+THIRD = [[{"lambda": "2", "nu": [0], "coeff": "1/3"}], []]
 
 
 @pytest.mark.parametrize("name,command,args,expected", BAD_ARGUMENTS)
-def test_bad_arguments_exit_codes(capsys, name, command, args, expected):
+def test_bad_arguments_exit_codes(tmp_path, capsys, name, command, args,
+                                  expected):
+    pfile = tmp_path / "third.json"
+    pfile.write_text(json.dumps(THIRD))
+    args = [str(pfile) if a == "THIRD" else a for a in args]
     code, out, err = run(capsys, "--input", data_path(name),
                          "--command", command, *args)
     assert code == expected

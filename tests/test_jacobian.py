@@ -135,3 +135,23 @@ def test_multi_term_fractional_perturbation(corpus):
     assert rep.free
     assert rep.levels == (0, Fraction(1, 2), 1, Fraction(3, 2))
     assert rep.dim_quotient == rep.rank * rep.dim_r == 16
+
+
+def test_escalation_path_hirzebruch_f2(corpus):
+    # the first slice does not close at g = 3; one escalation confirms
+    rep = jacobian_freeness(corpus["hirzebruch_f2"], g=3)
+    assert rep.escalations == 1
+    assert rep.weight_cap == 20
+    assert rep.dim_quotient == 12
+    assert rep.free
+
+
+def test_rational_and_prime_field_agree(corpus):
+    units = (2, -1, Fraction(1, 3), 1, Fraction(-3, 2))
+    for name, P in corpus.items():
+        rho = [units[j % len(units)] for j in range(P.nfacets)]
+        over_q = jacobian_freeness(P, rho=rho, g=2)
+        over_p = jacobian_freeness(P, rho=rho, g=2, p=32003)
+        assert over_p.field == "F32003"
+        assert (over_q.dim_s, over_q.dim_quotient, over_q.free) == \
+            (over_p.dim_s, over_p.dim_quotient, over_p.free), name

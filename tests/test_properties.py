@@ -1,0 +1,69 @@
+"""Property tests over seeded random Delzant polyhedra (hypothesis).
+
+The integer ``ConeMonoid.decompose`` is checked against a rational
+reference: ``linalg.solve_rational`` on the incident normals at the first
+vertex of least theta_v.
+"""
+
+import random
+from fractions import Fraction
+from functools import cache
+
+import pytest
+
+from toricqh import catalog, linalg
+from toricqh import monoid as mo
+
+hypothesis = pytest.importorskip("hypothesis")
+st = hypothesis.strategies
+
+
+@cache
+def cone_monoid(seed, dim):
+    return mo.ConeMonoid(catalog.random_delzant(random.Random(seed), dim,
+                                                dim + 3))
+
+
+def reference_decompose(ctx, lam, nu):
+    P = ctx.P
+    ths = [mo.theta(v, (lam, nu)) for v in ctx.vertices]
+    v = ctx.vertices[ths.index(min(ths))]
+    labels = sorted(v.incident)  # Delzant: exactly dim of them
+    A = [[P.normal(j)[i] for j in labels] for i in range(P.dim)]
+    x = linalg.solve_rational(A, list(nu))
+    t = [0] * P.nfacets
+    for xj, j in zip(x, labels):
+        assert xj.denominator == 1 and xj >= 0
+        t[j - 1] = int(xj)
+    return min(ths), tuple(t)
+
+
+@st.composite
+def cone_points(draw, P):
+    """A point h*(1, 0) + sum_j t_j*(lambda_j, nu_j) of the integral monoid."""
+    t = draw(st.lists(st.integers(0, 3), min_size=P.nfacets,
+                      max_size=P.nfacets))
+    h = draw(st.fractions(0, 4, max_denominator=6))
+    lam = h + sum(tj * lj for tj, lj in zip(t, P.offsets))
+    nu = tuple(sum(tj * n[i] for tj, n in zip(t, P.normals))
+               for i in range(P.dim))
+    return lam, nu
+
+
+@hypothesis.settings(derandomize=True, database=None, max_examples=40,
+                     deadline=None)
+@hypothesis.given(seed=st.integers(0, 7), dim=st.integers(2, 4),
+                  data=st.data())
+def test_integer_decompose_matches_rational_reference(seed, dim, data):
+    ctx = cone_monoid(seed, dim)
+    P = ctx.P
+    lam, nu = data.draw(cone_points(P))
+    s, t = ctx.decompose((lam, nu))
+    assert (s, t) == reference_decompose(ctx, lam, nu)
+    assert s == min(ctx.thetas((lam, nu)))
+    assert isinstance(s, Fraction)
+    # theta_v is linear, so a product's height is the least summed theta
+    m1 = ctx.monomial(lam, nu)
+    m2 = ctx.monomial(*data.draw(cone_points(P)))
+    assert (m1 * m2).height == min(
+        a + b for a, b in zip(ctx.thetas(m1), ctx.thetas(m2)))
