@@ -33,7 +33,8 @@ from operator import mul
 
 from . import linalg, lp
 from .errors import LatticeError, PreconditionError, SchemaError
-from .polyhedra import DelzantPolyhedron, Vertex, enumerate_vertices
+from .polyhedra import (DelzantPolyhedron, Vertex, enumerate_vertices,
+                        exact_fraction, is_integer)
 
 
 def scaled(x: Fraction, D: int) -> int:
@@ -464,12 +465,12 @@ def filtered_from_json(ctx: ConeMonoid, data) -> FilteredElement:
     terms: dict[Monomial, Fraction] = {}
     for item in data:
         try:
-            lam = Fraction(item["lambda"])
+            lam = exact_fraction(item["lambda"], "lambda")
             nu = tuple(item["nu"])
-            coeff = Fraction(item["coeff"])
-        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+            coeff = exact_fraction(item["coeff"], "coeff")
+        except (KeyError, TypeError, SchemaError) as exc:
             raise SchemaError(f"bad term {item!r}: {exc}") from exc
-        if not all(isinstance(v, int) for v in nu) or len(nu) != ctx.P.dim:
+        if not all(is_integer(v) for v in nu) or len(nu) != ctx.P.dim:
             raise SchemaError(f"bad nu vector in term {item!r}")
         m = ctx.monomial(lam, nu)
         if m in terms:

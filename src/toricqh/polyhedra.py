@@ -49,27 +49,47 @@ class DelzantPolyhedron:
         return [(list(nu), -lam) for nu, lam in zip(self.normals, self.offsets)]
 
 
+def is_integer(x) -> bool:
+    """An int that is not a bool (JSON ``true`` parses as the int 1)."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def exact_fraction(value, what: str) -> Fraction:
+    """An int, Fraction or fraction string as a Fraction.
+
+    Floats and bools raise SchemaError: neither is an exact input.
+    """
+    if isinstance(value, (float, bool)):
+        raise SchemaError(f"{what} must be exact (int or fraction string), "
+                          f"got {value!r}")
+    try:
+        return Fraction(value)
+    except (ValueError, TypeError, ZeroDivisionError) as exc:
+        raise SchemaError(f"bad {what} {value!r}: {exc}") from exc
+
+
 def polyhedron(dim: int, facets) -> DelzantPolyhedron:
     """Validate raw facet data and build a polyhedron.
 
     ``facets`` is an iterable of (normal, offset) pairs.  Raises SchemaError
-    on any type-level invariant violation: non-primitive or zero normals,
-    non-positive offsets, or a redundant inequality.
+    on any type-level invariant violation: a bool where an integer belongs,
+    a float offset, non-primitive or zero normals, non-positive offsets, or
+    a redundant inequality.
     """
-    if not isinstance(dim, int) or dim < 1:
+    if not is_integer(dim) or dim < 1:
         raise SchemaError(f"dimension must be a positive integer, got {dim!r}")
     normals = []
     offsets = []
     for k, (nu, lam) in enumerate(facets, start=1):
         nu = tuple(nu)
-        if len(nu) != dim or not all(isinstance(x, int) for x in nu):
+        if len(nu) != dim or not all(is_integer(x) for x in nu):
             raise SchemaError(f"facet {k}: normal must be {dim} integers, got {nu!r}")
         g = 0
         for x in nu:
             g = gcd(g, x)
         if g != 1:
             raise SchemaError(f"facet {k}: normal {nu} is not primitive (gcd {g})")
-        lam = Fraction(lam)
+        lam = exact_fraction(lam, f"facet {k}: offset")
         if lam <= 0:
             raise SchemaError(f"facet {k}: offset must be positive, got {lam}")
         normals.append(nu)
@@ -82,12 +102,21 @@ def polyhedron(dim: int, facets) -> DelzantPolyhedron:
 
 
 def _check_irredundant(P: DelzantPolyhedron) -> None:
-    ineqs = P.inequalities()
+    """Raise SchemaError naming the first facet implied by the others.
+
+    Facet j is redundant iff min <nu_j, x> over the other inequalities is at
+    least -lambda_j.  That primal LP is feasible (the origin satisfies it),
+    so by strong duality it is bounded exactly when its dual
+    min sum_{k != j} lambda_k y_k  s.t.  sum y_k nu_k = nu_j, y >= 0
+    is feasible, with the negated optimum.  The dual has dim rows and N-1
+    columns, against N-1 rows and 2*dim+N-1 columns for the primal.
+    """
     for j in range(P.nfacets):
-        others = ineqs[:j] + ineqs[j + 1:]
-        status, value = lp.minimize(list(P.normals[j]), others, [], P.dim)
-        # P contains the origin, so the reduced system is never infeasible.
-        if status == lp.OPTIMAL and value >= -P.offsets[j]:
+        others = [k for k in range(P.nfacets) if k != j]
+        A = [[P.normals[k][i] for k in others] for i in range(P.dim)]
+        c = [P.offsets[k] for k in others]
+        status, value = lp.solve(A, list(P.normals[j]), c)
+        if status == lp.OPTIMAL and value <= P.offsets[j]:
             raise SchemaError(f"facet {j + 1} is redundant: dropping it does not "
                               f"change the polyhedron")
 
@@ -96,14 +125,15 @@ def parse_polyhedron(obj) -> DelzantPolyhedron:
     """Build a polyhedron from the JSON input schema.
 
     Expected shape: {"dim": n, "facets": [{"normal": [int...], "offset": "p/q"}...]}.
-    Offsets must be exact: integers or fraction strings, never floats.
+    Offsets must be exact: integers or fraction strings, never floats; no
+    number may be a bool.
     """
     if not isinstance(obj, dict):
         raise SchemaError("top-level value must be an object")
     if "dim" not in obj or "facets" not in obj:
         raise SchemaError('missing required keys "dim" and "facets"')
     dim = obj["dim"]
-    if not isinstance(dim, int):
+    if not is_integer(dim):
         raise SchemaError(f'"dim" must be an integer, got {dim!r}')
     facets = []
     if not isinstance(obj["facets"], list):
@@ -111,18 +141,10 @@ def parse_polyhedron(obj) -> DelzantPolyhedron:
     for k, f in enumerate(obj["facets"], start=1):
         if not isinstance(f, dict) or "normal" not in f or "offset" not in f:
             raise SchemaError(f'facet {k}: expected {{"normal": ..., "offset": ...}}')
-        off = f["offset"]
-        if isinstance(off, float):
-            raise SchemaError(f"facet {k}: offsets must be exact "
-                              f"(int or fraction string), got float {off}")
-        try:
-            lam = Fraction(off)
-        except (ValueError, TypeError, ZeroDivisionError) as exc:
-            raise SchemaError(f"facet {k}: bad offset {off!r}: {exc}") from exc
         normal = f["normal"]
-        if not isinstance(normal, list) or not all(isinstance(x, int) for x in normal):
+        if not isinstance(normal, list) or not all(is_integer(x) for x in normal):
             raise SchemaError(f"facet {k}: normal must be a list of integers")
-        facets.append((normal, lam))
+        facets.append((normal, f["offset"]))
     return polyhedron(dim, facets)
 
 
@@ -217,15 +239,19 @@ def check_vertex_and_splitting(P: DelzantPolyhedron) -> SplittingReport:
 
 @lru_cache(maxsize=None)
 def is_compact(P: DelzantPolyhedron) -> bool:
-    """True iff the recession cone {x : <x, nu_j> >= 0 for all j} is {0}."""
-    recession = [(list(nu), 0) for nu in P.normals]
-    for i in range(P.dim):
-        for sign in (1, -1):
-            pin = [0] * P.dim
-            pin[i] = sign
-            if lp.feasible(recession, [(pin, 1)], P.dim):
-                return False
-    return True
+    """True iff the recession cone {x : <x, nu_j> >= 0 for all j} is {0}.
+
+    By Stiemke's lemma no x has all <x, nu_j> >= 0 with one of them positive
+    iff sum y_j nu_j = 0 for some y > 0, i.e. (after scaling) some y >= 1.
+    With the normals spanning, that is the whole cone being {0}.  One LP in
+    z = y - 1 >= 0:  sum z_j nu_j = -sum nu_j.
+    """
+    if linalg.rank([list(nu) for nu in P.normals]) < P.dim:
+        return False
+    A = [[nu[i] for nu in P.normals] for i in range(P.dim)]
+    b = [-sum(nu[i] for nu in P.normals) for i in range(P.dim)]
+    status, _ = lp.solve(A, b, [0] * P.nfacets)
+    return status == lp.OPTIMAL
 
 
 def facet_intersection_nonempty(P: DelzantPolyhedron, labels) -> bool:
@@ -245,8 +271,14 @@ def minimal_nonfaces(P: DelzantPolyhedron) -> tuple[tuple[int, ...], ...]:
 
     Breadth-first over subset sizes; a size-k candidate is only tested when
     all of its (k-1)-subsets intersect, which prunes everything that already
-    contains a smaller nonface.
+    contains a smaller nonface.  Every nonempty face of a polyhedron with a
+    vertex contains a vertex, so a facet set meets iff it lies in the
+    incident set of some vertex; no LP is solved.  Raises PreconditionError
+    when P has no vertex.
     """
+    vertices = enumerate_vertices(P)
+    if not vertices:
+        raise PreconditionError("polyhedron has no vertex")
     N = P.nfacets
     faces_prev = {frozenset()}
     result = []
@@ -256,7 +288,7 @@ def minimal_nonfaces(P: DelzantPolyhedron) -> tuple[tuple[int, ...], ...]:
             S = frozenset(J)
             if not all(S - {j} in faces_prev for j in S):
                 continue
-            if facet_intersection_nonempty(P, S):
+            if any(S <= v.incident for v in vertices):
                 faces_here.add(S)
             else:
                 result.append(J)

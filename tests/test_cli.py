@@ -150,20 +150,41 @@ BAD_ARGUMENTS = [
     ("cp1", "jacobian", ("--ring", "fp:3", "--bfield=1/3,1"), 3),
     ("cp1", "jacobian", ("--ring", "fp:3", "--bfield=3,1"), 3),
     ("cp1", "jacobian", ("--ring", "fp:3", "--perturb", "THIRD"), 3),
+    ("BOOL_NORMAL", "validate", (), 2),
+    ("BOOL_DIM", "validate", (), 2),
+    ("BOOL_OFFSET", "validate", (), 2),
+    ("cp1", "jacobian", ("--perturb", "BOOL_NU"), 2),
+    ("cp1", "jacobian", ("--perturb", "FLOAT_LAMBDA"), 2),
+    ("cp1", "jacobian", ("--perturb", "FLOAT_COEFF"), 2),
 ]
 
-# A perturbation of cp1 with coefficient 1/3, undefined modulo 3; "THIRD" in
-# a row above stands for a file holding it.
-THIRD = [[{"lambda": "2", "nu": [0], "coeff": "1/3"}], []]
+# Files written into tmp_path; a row names one by its key, as the input or
+# as an argument.  JSON true is not an integer and floats are not exact.
+SEGMENT = [{"normal": [1], "offset": 1}, {"normal": [-1], "offset": 1}]
+FILES = {
+    # a perturbation of cp1 with coefficient 1/3, undefined modulo 3
+    "THIRD": [[{"lambda": "2", "nu": [0], "coeff": "1/3"}], []],
+    "BOOL_NORMAL": {"dim": 1, "facets": [{"normal": [True], "offset": 1},
+                                         SEGMENT[1]]},
+    "BOOL_DIM": {"dim": True, "facets": SEGMENT},
+    "BOOL_OFFSET": {"dim": 1, "facets": [{"normal": [1], "offset": True},
+                                         SEGMENT[1]]},
+    "BOOL_NU": [[{"lambda": "2", "nu": [True], "coeff": "1"}], []],
+    "FLOAT_LAMBDA": [[{"lambda": 2.5, "nu": [0], "coeff": "1"}], []],
+    "FLOAT_COEFF": [[{"lambda": "2", "nu": [0], "coeff": 0.5}], []],
+}
 
 
 @pytest.mark.parametrize("name,command,args,expected", BAD_ARGUMENTS)
 def test_bad_arguments_exit_codes(tmp_path, capsys, name, command, args,
                                   expected):
-    pfile = tmp_path / "third.json"
-    pfile.write_text(json.dumps(THIRD))
-    args = [str(pfile) if a == "THIRD" else a for a in args]
-    code, out, err = run(capsys, "--input", data_path(name),
+    paths = {}
+    for key, content in FILES.items():
+        paths[key] = str(tmp_path / f"{key.lower()}.json")
+        with open(paths[key], "w") as fh:
+            json.dump(content, fh)
+    args = [paths.get(a, a) for a in args]
+    code, out, err = run(capsys, "--input", paths.get(name) or data_path(name),
                          "--command", command, *args)
     assert code == expected
     assert out == ""

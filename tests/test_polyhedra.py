@@ -1,9 +1,10 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
-from toricqh import catalog
+from toricqh import catalog, lp
 from toricqh.errors import PreconditionError, SchemaError
 from toricqh.polyhedra import (check_delzant, check_vertex_and_splitting,
                                enumerate_vertices, facet_intersection_nonempty,
@@ -108,6 +109,11 @@ def test_minimal_nonfaces(corpus):
     assert minimal_nonfaces(corpus["cp2"]) == ((1, 2, 3),)
     assert minimal_nonfaces(corpus["c3"]) == ()
     assert minimal_nonfaces(corpus["cp1xcp1"]) == ((1, 2), (3, 4))
+
+
+def test_minimal_nonfaces_needs_a_vertex():
+    with pytest.raises(PreconditionError):
+        minimal_nonfaces(catalog.load_example("vertexless"))
 
 
 def test_nonface_partition_exhaustive(corpus):
@@ -235,3 +241,81 @@ def test_random_delzant_rank_formulas(seed):
     cp = classical_presentation(P)
     assert cp.total_rank == len(enumerate_vertices(P))
     assert cp.ranks[1] == P.nfacets - P.dim
+
+
+# Reference forms of the LP questions that polyhedra answers through small
+# dual LPs: the per-facet primal minimum and the 2*dim recession-cone probes.
+
+def _primal_first_redundant(dim, facets):
+    """Label of the first facet whose primal minimum shows it redundant."""
+    ineqs = [(list(nu), -lam) for nu, lam in facets]
+    for j, (nu, lam) in enumerate(facets):
+        others = ineqs[:j] + ineqs[j + 1:]
+        status, value = lp.minimize(list(nu), others, [], dim)
+        if status == lp.OPTIMAL and value >= -lam:
+            return j + 1
+    return None
+
+
+def _primal_is_compact(P):
+    recession = [(list(nu), 0) for nu in P.normals]
+    for i in range(P.dim):
+        for sign in (1, -1):
+            pin = [0] * P.dim
+            pin[i] = sign
+            if lp.feasible(recession, [(pin, 1)], P.dim):
+                return False
+    return True
+
+
+def _random_primitive(rng, dim):
+    while True:
+        nu = [rng.randint(-2, 2) for _ in range(dim)]
+        g = gcd(*nu)
+        if g:
+            return tuple(x // g for x in nu)
+
+
+def test_irredundancy_matches_primal_lp():
+    # One extra inequality at a random position, with an offset beyond,
+    # at or inside the polyhedron's support value in that direction.
+    rng = random.Random(2024)
+    verdicts = {"redundant": 0, "irredundant": 0}
+    for trial in range(48):
+        dim = 1 + trial % 4
+        P = catalog.random_delzant(rng, dim, 3 + dim)
+        nu = _random_primitive(rng, dim)
+        support = -min(sum(a * b for a, b in zip(nu, v.point))
+                       for v in enumerate_vertices(P))
+        kind = rng.choice(["beyond", "touching", "inside"])
+        if support <= 0:
+            lam = Fraction(rng.randint(1, 6), rng.randint(1, 3))
+        elif kind == "beyond":
+            lam = support + Fraction(rng.randint(1, 4), rng.randint(1, 3))
+        elif kind == "touching":
+            lam = support
+        else:
+            lam = support * Fraction(rng.randint(1, 5), 6)
+        facets = list(zip(P.normals, P.offsets))
+        facets.insert(rng.randint(0, len(facets)), (nu, lam))
+        expected = _primal_first_redundant(dim, facets)
+        if expected is None:
+            polyhedron(dim, facets)
+            verdicts["irredundant"] += 1
+        else:
+            with pytest.raises(SchemaError, match=f"^facet {expected} is redundant"):
+                polyhedron(dim, facets)
+            verdicts["redundant"] += 1
+    assert min(verdicts.values()) >= 10, verdicts
+
+
+def test_is_compact_matches_recession_probes(corpus):
+    polys = list(corpus.values()) + [catalog.load_example("vertexless"),
+                                     polyhedron(2, [((1, 0), 1)]),
+                                     polyhedron(1, [((1,), 1), ((-1,), 1)])]
+    rng = random.Random(5)
+    for trial in range(16):
+        polys.append(catalog.random_delzant(rng, 1 + trial % 4, 7))
+    verdicts = [is_compact(P) for P in polys]
+    assert verdicts == [_primal_is_compact(P) for P in polys]
+    assert True in verdicts and False in verdicts
