@@ -16,9 +16,9 @@ from fractions import Fraction
 from importlib import resources
 
 from .errors import SchemaError
+from .linalg import random_unimodular
 from .polyhedra import (DelzantPolyhedron, check_delzant, enumerate_vertices,
-                        parse_polyhedron, polyhedron)
-from .presentation import random_unimodular, relabel_lattice
+                        parse_polyhedron, polyhedron, relabel_lattice)
 
 VALID_EXAMPLES = ("c1", "c2", "c3", "cp1", "cp2", "cp3", "cp1xcp1",
                   "o_minus_1", "hirzebruch_f2")

@@ -11,6 +11,11 @@ a residual block with no unit entry goes to the dense Smith form.  It then
 reads off the coordinates of any vector in the quotient.  Over Q and F_p it
 is an incremental rank engine.
 
+``cramer`` is a fraction-free (Bareiss) solve of a square integer system.
+It runs the vertex solves of ``polyhedra.enumerate_vertices`` and gives
+``determinant``, hence ``adjugate`` for the integer cone bases of
+``monoid`` and the Delzant determinant test.
+
 The dense normal forms (Hermite, Smith) pivot naively on a smallest-nonzero
 entry.  They serve the residual blocks of ``Eliminator``, ``integer_kernel``
 and small square matrices, where that naive pivoting is cheap.
@@ -19,6 +24,7 @@ and small square matrices, where that naive pivoting is cheap.
 from __future__ import annotations
 
 import heapq
+import random
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 
@@ -159,27 +165,48 @@ def smith_normal_form(M: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     return S, U, V
 
 
-def determinant(M: IntMatrix) -> int:
-    """Exact determinant by fraction-free Bareiss elimination."""
-    n = len(M)
-    if n == 0:
-        return 1
-    A = [list(row) for row in M]
+def cramer(A: IntMatrix, b: list[int]) -> tuple[int, list[int] | None]:
+    """Fraction-free Cramer solve of a square integer system.
+
+    Returns (det, y) with det = det(A) and A*y = det*b, all in integers
+    (y = adjugate(A)*b), or (0, None) when A is singular.  One Bareiss
+    elimination of [A | b] (Bareiss, Math. Comp. 22, 1968), whose divisions
+    are exact, then back substitution: det*x is integral, so each of its
+    divisions is exact as well.
+    """
+    n = len(A)
+    M = [list(row) + [bi] for row, bi in zip(A, b)]
     sign = 1
     prev = 1
-    for k in range(n - 1):
-        if A[k][k] == 0:
-            pivot = next((i for i in range(k + 1, n) if A[i][k] != 0), None)
+    for k in range(n):
+        if M[k][k] == 0:
+            pivot = next((i for i in range(k + 1, n) if M[i][k] != 0), None)
             if pivot is None:
-                return 0
-            _swap_rows(A, k, pivot)
+                return 0, None
+            _swap_rows(M, k, pivot)
             sign = -sign
+        rk = M[k]
+        a = rk[k]
         for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                A[i][j] = (A[i][j] * A[k][k] - A[i][k] * A[k][j]) // prev
-            A[i][k] = 0
-        prev = A[k][k]
-    return sign * A[n - 1][n - 1]
+            ri = M[i]
+            f = ri[k]
+            for j in range(k + 1, n + 1):
+                ri[j] = (ri[j] * a - f * rk[j]) // prev
+            ri[k] = 0
+        prev = a
+    y = [0] * n
+    for i in range(n - 1, -1, -1):
+        ri = M[i]
+        s = prev * ri[n] - sum(ri[j] * y[j] for j in range(i + 1, n))
+        y[i] = s // ri[i]
+    if sign < 0:
+        y = [-v for v in y]
+    return sign * prev, y
+
+
+def determinant(M: IntMatrix) -> int:
+    """Exact determinant by fraction-free Bareiss elimination."""
+    return cramer(M, [0] * len(M))[0]
 
 
 def adjugate(M: IntMatrix) -> IntMatrix:
@@ -190,6 +217,24 @@ def adjugate(M: IntMatrix) -> IntMatrix:
     return [[(-1) ** (i + j) * determinant(
         [row[:i] + row[i + 1:] for k, row in enumerate(M) if k != j])
         for j in range(n)] for i in range(n)]
+
+
+def random_unimodular(n: int, rng: random.Random) -> IntMatrix:
+    """Random determinant +-1 matrix from a short word of elementary moves."""
+    U = identity(n)
+    for _ in range(4 * n):
+        kind = rng.randrange(3)
+        i, jj = rng.randrange(n), rng.randrange(n)
+        if kind == 0 and i != jj:
+            f = rng.choice([-2, -1, 1, 2])
+            for col in range(n):
+                U[i][col] += f * U[jj][col]
+        elif kind == 1:
+            U[i], U[jj] = U[jj], U[i]
+        else:
+            U[i] = [-x for x in U[i]]
+    assert determinant(U) in (1, -1)
+    return U
 
 
 def solve_rational(A, b) -> list[Fraction] | None:

@@ -16,7 +16,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 
 from . import linalg, lp
 from .errors import PreconditionError, SchemaError
@@ -148,6 +148,13 @@ def parse_polyhedron(obj) -> DelzantPolyhedron:
     return polyhedron(dim, facets)
 
 
+def relabel_lattice(P: DelzantPolyhedron, U) -> DelzantPolyhedron:
+    """Apply a unimodular change of the ambient lattice basis to all normals."""
+    normals = [tuple(sum(U[i][k] * nu[k] for k in range(P.dim))
+                     for i in range(P.dim)) for nu in P.normals]
+    return polyhedron(P.dim, list(zip(normals, P.offsets)))
+
+
 def polyhedron_to_json(P: DelzantPolyhedron) -> dict:
     return {
         "dim": P.dim,
@@ -160,28 +167,37 @@ def polyhedron_to_json(P: DelzantPolyhedron) -> dict:
 def enumerate_vertices(P: DelzantPolyhedron) -> tuple[Vertex, ...]:
     """All vertices, each listed once, sorted by coordinates.
 
-    Solves the equality system of every dim-subset of facets whose normal
-    submatrix is invertible and keeps solutions satisfying the remaining
-    inequalities.  Incident sets are recomputed from scratch at each point,
-    so degenerate (non-simple) vertices report every active facet.
+    Runs in integers.  With D the common denominator of the offsets and
+    L_j = lambda_j * D, each dim-subset S of facets is solved by one
+    fraction-free Cramer step, A_S * y = det * (-L_S) with det > 0, so the
+    candidate point is y / (det * D) and <nu_j, y> + L_j * det is det * D
+    times its slack in inequality j.  The point is feasible when every slack
+    is >= 0, and its incident set (every facet active at the point, so
+    degenerate vertices report all of them) is where the slack is 0.
+
+    One vertex is kept per incident set: a feasible point found from S has
+    S among its active facets, whose normals have rank dim, so they fix the
+    point.  Distinct points therefore have distinct incident sets, and only
+    the kept vertices build their Fraction coordinates.
     """
-    n, N = P.dim, P.nfacets
-    points = set()
-    for subset in itertools.combinations(range(N), n):
-        A = [list(P.normals[j]) for j in subset]
-        if linalg.determinant(A) == 0:
+    D = lcm(*(lam.denominator for lam in P.offsets))
+    L = [lam.numerator * (D // lam.denominator) for lam in P.offsets]
+    found = {}
+    for subset in itertools.combinations(range(P.nfacets), P.dim):
+        det, y = linalg.cramer([P.normals[j] for j in subset],
+                               [-L[j] for j in subset])
+        if det == 0:
             continue
-        b = [-P.offsets[j] for j in subset]
-        x = linalg.solve_rational(A, b)
-        assert x is not None
-        if all(_pairing(P.normals[j], x) >= -P.offsets[j] for j in range(N)):
-            points.add(tuple(x))
-    vertices = []
-    for pt in sorted(points):
-        active = frozenset(j + 1 for j in range(N)
-                           if _pairing(P.normals[j], pt) == -P.offsets[j])
-        vertices.append(Vertex(pt, active))
-    return tuple(vertices)
+        if det < 0:
+            det, y = -det, [-v for v in y]
+        slack = [_pairing(nu, y) + l * det for nu, l in zip(P.normals, L)]
+        if min(slack) < 0:
+            continue
+        incident = frozenset(j + 1 for j, s in enumerate(slack) if s == 0)
+        if incident not in found:
+            found[incident] = tuple(Fraction(v, det * D) for v in y)
+    return tuple(sorted((Vertex(pt, incident) for incident, pt in found.items()),
+                        key=lambda v: v.point))
 
 
 def _pairing(nu, x):

@@ -32,7 +32,7 @@ from .monoid import (FilteredElement, element_from_monomial,
                      enumerate_gamma_degree, format_monomial, monoid_for)
 from .polyhedra import (DelzantPolyhedron, check_delzant, enumerate_vertices,
                         is_compact, minimal_nonfaces, monotone_normalization,
-                        polyhedron)
+                        relabel_lattice)
 
 TPoly = tuple  # coefficient tuple, index = exponent of T
 
@@ -586,31 +586,6 @@ def _prod(values):
     return out
 
 
-def random_unimodular(n: int, rng: random.Random) -> list[list[int]]:
-    """Random determinant +-1 matrix from a short word of elementary moves."""
-    U = linalg.identity(n)
-    for _ in range(4 * n):
-        kind = rng.randrange(3)
-        i, jj = rng.randrange(n), rng.randrange(n)
-        if kind == 0 and i != jj:
-            f = rng.choice([-2, -1, 1, 2])
-            for col in range(n):
-                U[i][col] += f * U[jj][col]
-        elif kind == 1:
-            U[i], U[jj] = U[jj], U[i]
-        else:
-            U[i] = [-x for x in U[i]]
-    assert linalg.determinant(U) in (1, -1)
-    return U
-
-
-def relabel_lattice(P: DelzantPolyhedron, U) -> DelzantPolyhedron:
-    """Apply a unimodular change of the ambient lattice basis to all normals."""
-    normals = [tuple(sum(U[i][k] * nu[k] for k in range(P.dim))
-                     for i in range(P.dim)) for nu in P.normals]
-    return polyhedron(P.dim, list(zip(normals, P.offsets)))
-
-
 @dataclass(frozen=True)
 class AuditReport:
     passed: bool
@@ -630,7 +605,7 @@ def basis_independence_audit(P: DelzantPolyhedron, seed: int = 0,
     details = []
     ok = True
     for t in range(trials):
-        U = random_unimodular(P.dim, rng)
+        U = linalg.random_unimodular(P.dim, rng)
         P2 = relabel_lattice(P, U)
         cp = classical_presentation(P2)
         if (cp.ranks, cp.basis, cp.structure) != (base.ranks, base.basis,

@@ -253,6 +253,12 @@ def regular_sequence_check(P: DelzantPolyhedron, p: int | None = None,
     For each degree d the quotient of the degree-d slice by the images
     c_i * (degree d-1 slice) must have dimension equal to the d-th
     coefficient of (1-t)^n * H_SR(t).
+
+    Slices are ranked only up to the first degree whose quotient is 0.  The
+    quotient ring is generated in degree 1, so its degree-(d+1) piece is
+    spanned by the products Z_j * (degree-d piece): once a degree is zero,
+    every higher one is zero too.  The expected values are still computed
+    for every degree, so the verdict compares the full sequences.
     """
     if maxdeg is None:
         maxdeg = P.dim + 2
@@ -270,6 +276,9 @@ def regular_sequence_check(P: DelzantPolyhedron, p: int | None = None,
     dims = []
     prev = []
     for d in range(maxdeg + 1):
+        if dims and dims[-1] == 0:
+            dims += [0] * (maxdeg + 1 - d)
+            break
         cur = sr_monomials(K, d)
         index = {m: i for i, m in enumerate(cur)}
         rows = linear_form_rows(prev, index, steps, P.normals)

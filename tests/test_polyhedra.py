@@ -1,17 +1,18 @@
+import itertools
 import random
 from fractions import Fraction
 from math import gcd
 
 import pytest
 
-from toricqh import catalog, lp
+from toricqh import catalog, linalg, lp
 from toricqh.errors import PreconditionError, SchemaError
-from toricqh.polyhedra import (check_delzant, check_vertex_and_splitting,
-                               enumerate_vertices, facet_intersection_nonempty,
-                               is_compact, minimal_nonfaces,
-                               monotone_normalization, parse_polyhedron,
-                               polyhedron)
-from toricqh.presentation import random_unimodular, relabel_lattice
+from toricqh.linalg import random_unimodular
+from toricqh.polyhedra import (Vertex, check_delzant,
+                               check_vertex_and_splitting, enumerate_vertices,
+                               facet_intersection_nonempty, is_compact,
+                               minimal_nonfaces, monotone_normalization,
+                               parse_polyhedron, polyhedron, relabel_lattice)
 
 
 def test_vertices_o_minus_1(o_minus_1):
@@ -40,6 +41,50 @@ def test_vertex_incident_equalities(corpus):
                     assert pairing == -P.offset(j)
                 else:
                     assert pairing > -P.offset(j)
+
+
+def _reference_vertices(P):
+    """Per-subset Fraction enumeration: determinant, solve_rational, then
+    the Fraction pairings for feasibility and incidence."""
+    def pairing(nu, x):
+        return sum(a * b for a, b in zip(nu, x))
+
+    points = set()
+    for subset in itertools.combinations(range(P.nfacets), P.dim):
+        A = [list(P.normals[j]) for j in subset]
+        if linalg.determinant(A) == 0:
+            continue
+        x = linalg.solve_rational(A, [-P.offsets[j] for j in subset])
+        if all(pairing(nu, x) >= -lam for nu, lam in zip(P.normals, P.offsets)):
+            points.add(tuple(x))
+    return tuple(
+        Vertex(pt, frozenset(j + 1 for j in range(P.nfacets)
+                             if pairing(P.normals[j], pt) == -P.offsets[j]))
+        for pt in sorted(points))
+
+
+def test_vertices_match_fraction_reference():
+    signs = [(a, b, c) for a in (1, -1) for b in (1, -1) for c in (1, -1)]
+    octahedron = polyhedron(3, [(s, 1) for s in signs])
+    pyramid = polyhedron(3, [((0, 0, 1), 1), ((-2, 0, -1), 1), ((2, 0, -1), 1),
+                             ((0, -2, -1), 1), ((0, 2, -1), 1)])
+    fractional = polyhedron(2, [((1, 0), Fraction(1, 2)),
+                                ((0, 1), Fraction(2, 3)),
+                                ((-1, -1), Fraction(5, 7))])
+    corpus = [catalog.load_example(name) for name in catalog.example_names()]
+    for P in corpus + [octahedron, pyramid, fractional]:
+        assert enumerate_vertices(P) == _reference_vertices(P), P
+    assert [len(v.incident) for v in enumerate_vertices(octahedron)] == [4] * 6
+    assert [v.point for v in enumerate_vertices(pyramid)
+            if len(v.incident) == 4] == [(0, 0, 1)]
+    rng = random.Random(31)
+    randoms = [catalog.random_delzant(rng, 1 + t % 4, 4 + t % 6,
+                                      allow_noncompact=t % 3 != 0)
+               for t in range(40)]
+    assert {P.dim for P in randoms} == {1, 2, 3, 4}
+    assert {is_compact(P) for P in randoms} == {True, False}
+    for P in randoms:
+        assert enumerate_vertices(P) == _reference_vertices(P), P
 
 
 def test_check_delzant_passes(o_minus_1, cp2):

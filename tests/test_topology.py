@@ -4,7 +4,7 @@ from math import comb
 
 import pytest
 
-from toricqh import catalog
+from toricqh import catalog, linalg
 from toricqh import topology as tp
 from toricqh.errors import PreconditionError
 from toricqh.polyhedra import is_compact, polyhedron
@@ -172,6 +172,39 @@ def test_regular_sequence_all_corpus_two_fields(corpus):
             assert sum(report.quotient_dims) == len(enumerate_vertices(P))
             if P.dim >= 1:
                 assert report.quotient_dims[1] == P.nfacets - P.dim
+
+
+def _reference_regular_sequence(P, p, maxdeg):
+    """Quotient dimensions from ranking every degree, no early stop."""
+    K = tp.build_nerve(P)
+    n, N = P.dim, P.nfacets
+    steps = [tuple(int(k == j) for k in range(N)) for j in range(N)]
+    dims, prev = [], []
+    for d in range(maxdeg + 1):
+        cur = tp.sr_monomials(K, d)
+        index = {m: i for i, m in enumerate(cur)}
+        rows = tp.linear_form_rows(prev, index, steps, P.normals)
+        dims.append(len(cur) - linalg.rank(rows, p))
+        prev = cur
+    hilbert = tp.sr_hilbert_function(P, maxdeg)
+    expected = [sum((-1) ** k * comb(n, k) * hilbert[d - k]
+                    for k in range(min(d, n) + 1)) for d in range(maxdeg + 1)]
+    return tuple(dims), tuple(expected)
+
+
+def test_regular_sequence_early_stop_matches_every_degree(corpus):
+    rng = random.Random(2718)
+    polys = list(corpus.values())
+    polys += [catalog.random_delzant(rng, rng.choice([2, 3]), 7)
+              for _ in range(12)]
+    for P in polys:
+        for p in (None, 2, 3):
+            dims, expected = _reference_regular_sequence(P, p, P.dim + 4)
+            report = tp.regular_sequence_check(P, p, P.dim + 4)
+            assert report.quotient_dims == dims, (P, p)
+            assert report.expected_dims == expected, (P, p)
+            assert report.passed == (dims == expected), (P, p)
+            assert dims[-1] == 0, (P, p)
 
 
 def test_regular_sequence_requires_polyhedron():
