@@ -34,8 +34,8 @@ from . import linalg, topology
 from .errors import PreconditionError
 from .monoid import (build_height_monoid, element_from_monomial, monoid_for,
                      scaled)
-from .polyhedra import DelzantPolyhedron
-from .presentation import _require_delzant, classical_presentation
+from .polyhedra import DelzantPolyhedron, require_delzant
+from .presentation import classical_presentation
 
 
 @dataclass(frozen=True)
@@ -64,7 +64,7 @@ def jacobian_freeness(P: DelzantPolyhedron, perturbations=None, rho=None,
     height, added to the rescaled generators rho_j * v_j.  g: truncation
     cutoff.  p: None for Q, else a prime.
     """
-    _require_delzant(P)
+    require_delzant(P)
     g = Fraction(g)
     if g <= 0:
         raise PreconditionError("cutoff must be positive")
@@ -107,7 +107,7 @@ def jacobian_freeness(P: DelzantPolyhedron, perturbations=None, rho=None,
     levels = G.elements
     dim_r = len(levels)
 
-    cp = classical_presentation(P, "Z")
+    cp = classical_presentation(P)
     basis = cp.basis
     m = len(basis)
 

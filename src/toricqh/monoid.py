@@ -27,14 +27,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from math import lcm
 from operator import mul
 
 from . import linalg, lp
 from .errors import LatticeError, PreconditionError, SchemaError
 from .polyhedra import (DelzantPolyhedron, Vertex, enumerate_vertices,
-                        exact_fraction, is_integer)
+                        exact_fraction, is_integer, memoized)
 
 
 def scaled(x: Fraction, D: int) -> int:
@@ -239,8 +238,10 @@ class ConeMonoid:
         return FilteredElement(self, {m: Fraction(c) for m, c in terms.items() if c})
 
 
-@lru_cache(maxsize=None)
+@memoized
 def monoid_for(P: DelzantPolyhedron) -> ConeMonoid:
+    """The cone monoid of P, built once per polyhedron object and kept on it;
+    a value-equal polyhedron built separately has a monoid of its own."""
     return ConeMonoid(P)
 
 

@@ -12,10 +12,10 @@ inequality is verified exactly at construction time.
 
 from __future__ import annotations
 
+import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd, lcm
 
 from . import linalg, lp
@@ -33,6 +33,8 @@ class DelzantPolyhedron:
     dim: int
     normals: tuple[tuple[int, ...], ...]
     offsets: tuple[Fraction, ...]
+    _memo: dict = field(default_factory=dict, init=False, repr=False,
+                        compare=False)  # filled by ``memoized`` functions
 
     @property
     def nfacets(self) -> int:
@@ -47,6 +49,21 @@ class DelzantPolyhedron:
     def inequalities(self):
         """Pairs (nu_j, -lambda_j) for the LP helpers."""
         return [(list(nu), -lam) for nu, lam in zip(self.normals, self.offsets)]
+
+
+def memoized(fn):
+    """Compute ``fn(P, ...)`` once per polyhedron object and keep it on P,
+    so it is freed with P.  The key is the function and its other arguments
+    as passed: ``f(P)`` and ``f(P, default)`` are separate entries, and a
+    value-equal polyhedron built separately computes its own."""
+    @functools.wraps(fn)
+    def wrapper(P, *args, **kwargs):
+        key = (fn, args, tuple(sorted(kwargs.items())))
+        if key not in P._memo:
+            P._memo[key] = fn(P, *args, **kwargs)
+        return P._memo[key]
+
+    return wrapper
 
 
 def is_integer(x) -> bool:
@@ -163,7 +180,7 @@ def polyhedron_to_json(P: DelzantPolyhedron) -> dict:
     }
 
 
-@lru_cache(maxsize=None)
+@memoized
 def enumerate_vertices(P: DelzantPolyhedron) -> tuple[Vertex, ...]:
     """All vertices, each listed once, sorted by coordinates.
 
@@ -228,6 +245,15 @@ def check_delzant(P: DelzantPolyhedron) -> DelzantReport:
     return DelzantReport(not violations, tuple(violations))
 
 
+def require_delzant(P: DelzantPolyhedron) -> None:
+    """Raise PreconditionError unless P has a vertex and passes check_delzant."""
+    if not enumerate_vertices(P):
+        raise PreconditionError("polyhedron has no vertex")
+    report = check_delzant(P)
+    if not report.passed:
+        raise PreconditionError("Delzant check failed: " + "; ".join(report.violations))
+
+
 def _fmt_point(pt) -> str:
     return "(" + ", ".join(str(x) for x in pt) + ")"
 
@@ -253,7 +279,7 @@ def check_vertex_and_splitting(P: DelzantPolyhedron) -> SplittingReport:
     return SplittingReport(k == 0, k, basis)
 
 
-@lru_cache(maxsize=None)
+@memoized
 def is_compact(P: DelzantPolyhedron) -> bool:
     """True iff the recession cone {x : <x, nu_j> >= 0 for all j} is {0}.
 
@@ -281,7 +307,7 @@ def facet_intersection_nonempty(P: DelzantPolyhedron, labels) -> bool:
     return lp.feasible(P.inequalities(), eqs, P.dim)
 
 
-@lru_cache(maxsize=None)
+@memoized
 def minimal_nonfaces(P: DelzantPolyhedron) -> tuple[tuple[int, ...], ...]:
     """Inclusion-minimal facet subsets with empty common intersection.
 
@@ -327,6 +353,7 @@ def monotone_normalization(P: DelzantPolyhedron) -> MonotoneNormalization | None
 
     On success returns the translate of P by b with all offsets equal,
     rescaled so the common offset is 1 (the scale is recorded in ``offset``).
+    When every offset of P is already 1, ``rescaled`` is P itself.
     """
     A = [[1] + list(nu) for nu in P.normals]
     b = list(P.offsets)
@@ -336,7 +363,6 @@ def monotone_normalization(P: DelzantPolyhedron) -> MonotoneNormalization | None
         x = linalg.solve_rational(A + [[1] + [0] * P.dim], b + [Fraction(1)])
     if x is None or x[0] <= 0:
         return None
-    lam = x[0]
-    translation = tuple(x[1:])
-    rescaled = DelzantPolyhedron(P.dim, P.normals, (Fraction(1),) * P.nfacets)
-    return MonotoneNormalization(translation, lam, rescaled)
+    if set(P.offsets) != {1}:
+        P = DelzantPolyhedron(P.dim, P.normals, (Fraction(1),) * P.nfacets)
+    return MonotoneNormalization(tuple(x[1:]), x[0], P)

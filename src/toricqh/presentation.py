@@ -30,9 +30,9 @@ from . import linalg, topology
 from .errors import PreconditionError, VerificationError
 from .monoid import (FilteredElement, element_from_monomial,
                      enumerate_gamma_degree, format_monomial, monoid_for)
-from .polyhedra import (DelzantPolyhedron, check_delzant, enumerate_vertices,
-                        is_compact, minimal_nonfaces, monotone_normalization,
-                        relabel_lattice)
+from .polyhedra import (DelzantPolyhedron, enumerate_vertices, is_compact,
+                        memoized, minimal_nonfaces, monotone_normalization,
+                        relabel_lattice, require_delzant)
 
 TPoly = tuple  # coefficient tuple, index = exponent of T
 
@@ -66,14 +66,6 @@ def tpoly_str(p: TPoly, unit: str = "") -> str:
         else:
             parts.append(f"{c}*{body}" if body != "1" else f"{c}")
     return " + ".join(parts).replace("+ -", "- ") if parts else "0"
-
-
-def _require_delzant(P: DelzantPolyhedron) -> None:
-    if not enumerate_vertices(P):
-        raise PreconditionError("polyhedron has no vertex")
-    report = check_delzant(P)
-    if not report.passed:
-        raise PreconditionError("Delzant check failed: " + "; ".join(report.violations))
 
 
 # ---------------------------------------------------------------------------
@@ -162,9 +154,7 @@ class RingPresentation:
         return tuple(format_monomial(Fraction(0), e) for e in self.basis)
 
 
-_classical_cache: dict = {}
-
-
+@memoized
 def classical_presentation(P: DelzantPolyhedron, ring: str = "Z",
                            _rho=None) -> RingPresentation:
     """Stanley-Reisner presentation of the classical cohomology.
@@ -175,16 +165,7 @@ def classical_presentation(P: DelzantPolyhedron, ring: str = "Z",
     verified torsion-free over Z; the requested coefficient ring only changes
     how the table is reported.
     """
-    key = (P, ring, tuple(_rho) if _rho is not None else None)
-    if key in _classical_cache:
-        return _classical_cache[key]
-    result = _classical_presentation_impl(P, ring, _rho)
-    _classical_cache[key] = result
-    return result
-
-
-def _classical_presentation_impl(P, ring, _rho):
-    _require_delzant(P)
+    require_delzant(P)
     ring = _normalize_ring(ring)
     rho = _rho if _rho is not None else (1,) * P.nfacets
     integral = all(r in (1, -1) for r in rho)
@@ -257,7 +238,7 @@ def _coerce_ring(c, ring):
 
 
 def _normalize_ring(ring) -> str:
-    if ring in ("Z", "z", int):
+    if ring in ("Z", "z"):
         return "Z"
     if ring in ("Q", "q"):
         return "Q"
@@ -289,7 +270,7 @@ class QuantumSRRelation:
 def quantum_sr_relations(P: DelzantPolyhedron) -> tuple[QuantumSRRelation, ...]:
     """One relation per minimal nonface J: the product of the v_j over J
     equals T^h times the canonical intersecting monomial, h > 0."""
-    _require_delzant(P)
+    require_delzant(P)
     ctx = monoid_for(P)
     out = []
     for J in minimal_nonfaces(P):
@@ -328,9 +309,7 @@ class QuantumPresentation:
         return tuple(format_monomial(Fraction(0), e) for e in self.basis)
 
 
-_quantum_cache: dict = {}
-
-
+@memoized
 def quantum_presentation(P: DelzantPolyhedron, margin: int = 0,
                          _rho=None) -> QuantumPresentation:
     """Monotone quantum cohomology presentation with integer structure
@@ -342,16 +321,7 @@ def quantum_presentation(P: DelzantPolyhedron, margin: int = 0,
     the classical basis elements of degree at most k, with basis
     T^(k - deg e_i) * e_i.  Any torsion or rank mismatch is a hard error.
     """
-    key = (P, margin, tuple(_rho) if _rho is not None else None)
-    if key in _quantum_cache:
-        return _quantum_cache[key]
-    result = _quantum_presentation_impl(P, margin, _rho)
-    _quantum_cache[key] = result
-    return result
-
-
-def _quantum_presentation_impl(P, margin, _rho):
-    _require_delzant(P)
+    require_delzant(P)
     norm = monotone_normalization(P)
     if norm is None:
         raise PreconditionError("polyhedron is not monotone: the offsets cannot "
@@ -492,7 +462,7 @@ def divisor_inverse_certificate(P: DelzantPolyhedron, j: int) -> InverseCertific
     v_j * prod v_k^(m_k - delta_jk) = T^(sum m_k lambda_k) is then verified
     through the canonical decomposition.
     """
-    _require_delzant(P)
+    require_delzant(P)
     if not 1 <= j <= P.nfacets:
         raise PreconditionError(f"no facet labelled {j}")
     if not is_compact(P):

@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 from math import comb
 from operator import add
 
 from . import linalg
 from .errors import PreconditionError
-from .polyhedra import DelzantPolyhedron, check_delzant, enumerate_vertices, is_compact
+from .polyhedra import (DelzantPolyhedron, enumerate_vertices, is_compact,
+                        memoized, require_delzant)
 
 
 @dataclass(frozen=True)
@@ -62,19 +62,17 @@ def make_complex(ground: int, faces) -> NerveComplex:
     return NerveComplex(ground, tuple(canon))
 
 
-@lru_cache(maxsize=None)
+@memoized
 def build_nerve(P: DelzantPolyhedron) -> NerveComplex:
     """Nerve of the facet family: faces are the facet subsets with nonempty
     intersection.
 
     Because the polyhedron is pointed, every nonempty face of the polyhedron
     contains a vertex, so the nerve is the downward closure of the vertex
-    incidence sets.  Requires a passed Delzant check.
+    incidence sets.  Requires a passed Delzant check; built once per
+    polyhedron object and kept on it.
     """
-    if not enumerate_vertices(P):
-        raise PreconditionError("nerve construction needs a vertex")
-    if not check_delzant(P).passed:
-        raise PreconditionError("nerve construction needs a passed Delzant check")
+    require_delzant(P)
     return make_complex(P.nfacets, [v.incident for v in enumerate_vertices(P)])
 
 

