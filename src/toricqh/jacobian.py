@@ -9,14 +9,15 @@ must equal (number of vertices) * dim R, with the shifted basis elements
 T^gamma * e_i independent.
 
 S itself is infinite-dimensional (every height-zero monomial survives), so
-the computation works on a finite slice: monomials whose T-weight (the
-exponent lambda of T) is at most a cap chosen large enough for all
-reductions to close.  The cap is recorded in the report.  If an attempt
-fails to confirm freeness the cap is escalated, at most twice; when the last
-attempt still fails the report says not free.  Such a verdict can therefore
-be an artifact of too small a slice: ``escalations == 2`` together with
-``free == False`` means "not confirmed at this cap", not a proof of
-non-freeness.
+the computation works on a finite slice: the monomials T^gamma * v^t, for
+the admissible levels gamma and the Stanley-Reisner monomials v^t (exactly
+the monomials of height zero), whose T-weight (the exponent lambda of T) is
+at most a cap chosen large enough for all reductions to close.  The cap is
+recorded in the report.  If an attempt fails to confirm freeness the cap is
+escalated, at most twice; when the last attempt still fails the report says
+not free.  Such a verdict can therefore be an artifact of too small a slice:
+``escalations == 2`` together with ``free == False`` means "not confirmed
+at this cap", not a proof of non-freeness.
 
 The slice runs in integers: every weight and height is scaled by one common
 denominator, monomials are keyed by (scaled lam, nu), and the height of a
@@ -28,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from operator import add
+from operator import add, mul
 
 from . import linalg, topology
 from .errors import PreconditionError
@@ -148,35 +149,10 @@ def jacobian_freeness(P: DelzantPolyhedron, perturbations=None, rho=None,
                           dim_r, m, dim_s, dim_quotient, basis, free, note)
 
 
-def _intersecting_exponents(P: DelzantPolyhedron, nerve, weights, budget: int):
-    """All exponent vectors supported on a face with total weight <= budget,
-    for integer facet weights (weights[j - 1] for label j)."""
-    out = [(0,) * P.nfacets]
-    for face in sorted(nerve.faces(), key=lambda f: (len(f), sorted(f))):
-        if not face:
-            continue
-        labels = sorted(face)
-        face_weights = [weights[j - 1] for j in labels]
-
-        def rec(pos, remaining, acc):
-            if pos == len(labels):
-                t = [0] * P.nfacets
-                for lbl, e in zip(labels, acc):
-                    t[lbl - 1] = e
-                out.append(tuple(t))
-                return
-            w = face_weights[pos]
-            e = 1
-            while e * w <= remaining:
-                rec(pos + 1, remaining - e * w, acc + [e])
-                e += 1
-
-        rec(0, budget, [])
-    return out
-
-
 def _attempt(P, ctx, levels, g, relations, cap, inner_cap, basis, p):
-    """One elimination on the slice of T-weight <= cap.
+    """One elimination on the slice of T-weight <= cap: T^gamma * v^t over
+    the levels gamma and the Stanley-Reisner monomials v^t, each asserted to
+    have height zero (which holds exactly when the support of t is a face).
 
     Everything is scaled by one integer D' (``scale``): a monomial is carried
     as (height * D', lam * D', nu) with its integer vector of theta_v * D'.
@@ -191,29 +167,38 @@ def _attempt(P, ctx, levels, g, relations, cap, inner_cap, basis, p):
                 *(mm.lam.denominator for rel in relations for mm in rel.terms))
     k = scale // ctx.scale
 
-    def carry(mono):  # (lam * D', nu, theta_v * D' for every vertex v)
-        w = scaled(mono.lam, scale)
-        return w, mono.nu, [w + k * x for x in ctx.pairings(mono.nu)]
+    def carry(w, nu):  # (lam * D', nu, theta_v * D' for every vertex v)
+        return w, nu, [w + k * x for x in ctx.pairings(nu)]
 
     weights = [k * w for w in ctx.scaled_offsets]
+    columns = list(zip(*P.normals))
+
+    def key(t):  # v^t, straight from its exponent vector
+        return carry(sum(map(mul, t, weights)),
+                     tuple(sum(map(mul, t, col)) for col in columns))
+
+    cap_s = scaled(cap, scale)
+    heights = [scaled(gamma, scale) for gamma in levels]
     monomials = []
-    for gamma in levels:
-        for t in _intersecting_exponents(P, nerve, weights,
-                                         scaled(cap - gamma, scale)):
-            # built once through the monoid, which certifies the point
-            w, nu, th = carry(ctx.from_exponents(t, height=gamma))
-            monomials.append((min(th), w, nu, th))
+    for d in range(cap_s // min(weights) + 1):
+        for t in topology.sr_monomials(nerve, d):
+            w, nu, th = key(t)
+            assert min(th) == 0, f"v^{t} is not of height zero"
+            for h in heights:  # ascending
+                if w + h > cap_s:
+                    break
+                monomials.append((h, w + h, nu, [x + h for x in th]))
     monomials.sort(key=lambda x: x[:3])
     index = {(w, nu): i for i, (_, w, nu, _) in enumerate(monomials)}
-    # canonical decompositions are unique, so (level, exponents) pairs cannot
-    # collide on the same monomial
+    # canonical decompositions are unique: no two (level, t) share a key
     assert len(index) == len(monomials)
 
     g_s = scaled(g, scale)
     w_max = scaled(cap - rel_weight, scale)
-    rows = []
+    elim = linalg.Eliminator(p)
     for rel in relations:
-        terms = [(*carry(mm), c) for mm, c in rel.terms.items()]
+        terms = [(*carry(scaled(mm.lam, scale), mm.nu), c)
+                 for mm, c in rel.terms.items()]
         for _, w, nu, th in monomials:
             if w > w_max:
                 continue
@@ -229,11 +214,7 @@ def _attempt(P, ctx, levels, g, relations, cap, inner_cap, basis, p):
                 else:
                     del row[col]
             if row:
-                rows.append(row)
-
-    elim = linalg.Eliminator(p)
-    for row in rows:
-        elim.add_row(row)
+                elim.add_row(row)
 
     # The quotient dimension is measured on the inner window only: monomials
     # near the outer cap lack the products that would reduce them and must
@@ -245,13 +226,8 @@ def _attempt(P, ctx, levels, g, relations, cap, inner_cap, basis, p):
     window = elim.fork()
     dim_quotient = sum(window.add_row(u) for u in inner_units)
 
+    keys = [(w + h, nu) for h in heights for w, nu, _ in map(key, basis)]
+    assert all(w <= inner_w for w, _ in keys)
     with_basis = elim.fork()
-    independent = True
-    for gamma in levels:
-        for e in basis:
-            mono = ctx.from_exponents(e, height=gamma)
-            w = scaled(mono.lam, scale)
-            assert w <= inner_w
-            if not with_basis.add_row({index[(w, mono.nu)]: 1}):
-                independent = False
+    independent = all(with_basis.add_row({index[c]: 1}) for c in keys)
     return dim_s, dim_quotient, independent

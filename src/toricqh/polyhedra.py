@@ -347,13 +347,15 @@ class MonotoneNormalization:
     rescaled: DelzantPolyhedron        # translated polyhedron, offsets scaled to 1
 
 
+@memoized
 def monotone_normalization(P: DelzantPolyhedron) -> MonotoneNormalization | None:
     """Solve lambda_j = lambda + <b, nu_j>; None when the system has no
     solution with lambda > 0.
 
     On success returns the translate of P by b with all offsets equal,
     rescaled so the common offset is 1 (the scale is recorded in ``offset``).
-    When every offset of P is already 1, ``rescaled`` is P itself.
+    When every offset of P is already 1, ``rescaled`` is P itself.  Kept on
+    P, so all callers share one rescaled polyhedron and what derives from it.
     """
     A = [[1] + list(nu) for nu in P.normals]
     b = list(P.offsets)

@@ -25,11 +25,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from . import linalg, topology
 from .errors import PreconditionError, VerificationError
-from .monoid import (FilteredElement, element_from_monomial,
-                     enumerate_gamma_degree, format_monomial, monoid_for)
+from .monoid import (FilteredElement, element_from_monomial, format_monomial,
+                     monoid_for)
 from .polyhedra import (DelzantPolyhedron, enumerate_vertices, is_compact,
                         memoized, minimal_nonfaces, monotone_normalization,
                         relabel_lattice, require_delzant)
@@ -164,9 +165,14 @@ def classical_presentation(P: DelzantPolyhedron, ring: str = "Z",
     images of the linear forms c_i times degree d-1.  All quotients are
     verified torsion-free over Z; the requested coefficient ring only changes
     how the table is reported.
+
+    Under unit rescalings ``_rho`` the basis of the plain presentation is
+    claimed in every degree and verified: v_j -> rho_j v_j maps the plain
+    quotient onto the deformed one, so the two share their basis.
     """
     require_delzant(P)
     ring = _normalize_ring(ring)
+    plain = None if _rho is None else classical_presentation(P)
     rho = _rho if _rho is not None else (1,) * P.nfacets
     integral = all(r in (1, -1) for r in rho)
     K = topology.build_nerve(P)
@@ -181,9 +187,11 @@ def classical_presentation(P: DelzantPolyhedron, ring: str = "Z",
         cur = topology.sr_monomials(K, d)
         index = {m: i for i, m in enumerate(cur)}
         rows = topology.linear_form_rows(prev, index, steps, weights)
+        claimed = None if plain is None else \
+            [index[e] for e in plain.basis if sum(e) == d]
         layer = _graded_layer(index, rows, integral,
                               f"the classical quotient at degree {d}",
-                              first_idx=len(basis))
+                              claimed, first_idx=len(basis))
         if d > n and layer.basis_cols:
             raise VerificationError(f"classical cohomology does not vanish in "
                                     f"degree {d} > {n}")
@@ -338,19 +346,25 @@ def quantum_presentation(P: DelzantPolyhedron, margin: int = 0,
     # keep the fast integer pipeline when the units are +-1
     rho_coeff = tuple(int(r) if r.denominator == 1 else r for r in rho)
 
-    classical = classical_presentation(Pn, ring, _rho=rho_coeff)
+    classical = classical_presentation(Pn) if _rho is None else \
+        classical_presentation(Pn, ring, _rho=rho_coeff)
     basis = classical.basis
     degs = classical.basis_degrees()
-    basis_nu = [tuple(sum(t * Pn.normals[j][i] for j, t in enumerate(e))
-                      for i in range(n)) for e in basis]
+    columns = list(zip(*Pn.normals))
+    basis_nu = [tuple(sum(map(mul, e, col)) for col in columns) for e in basis]
 
     bound = 2 * n + margin
     weights = [[r * c for c in nu] for nu, r in zip(Pn.normals, rho_coeff)]
+    K = topology.build_nerve(Pn)
     layers = []
     prev_nus = []
     for k in range(bound + 1):
-        nus = [m.nu for m in enumerate_gamma_degree(Pn, k)]
+        # T * (slice k-1) and the height-zero monomials v^t of degree k; by
+        # uniqueness of canonical decompositions no two t share a nu
+        nus = sorted(prev_nus + [tuple(sum(map(mul, t, col)) for col in columns)
+                                 for t in topology.sr_monomials(K, k)])
         index = {nu: i for i, nu in enumerate(nus)}
+        assert len(index) == len(nus)
         rows = topology.linear_form_rows(prev_nus, index, Pn.normals, weights)
         # the basis is sorted by degree, so T^(k - deg e_g) * e_g for the
         # first len(claimed) indices g
@@ -525,7 +539,7 @@ def apply_bfield(P: DelzantPolyhedron, rho) -> BFieldReport:
     ring = "Z" if integral else "Q"
     rho_coeff = tuple(int(r) if r.denominator == 1 else r for r in rho)
 
-    plain = classical_presentation(P, ring)
+    plain = classical_presentation(P)
     deformed = classical_presentation(P, ring, _rho=rho_coeff)
     if deformed.ranks != plain.ranks or deformed.basis != plain.basis:
         raise VerificationError("unit rescaling changed ranks or basis; it must "

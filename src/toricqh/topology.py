@@ -177,7 +177,9 @@ def sphere_or_ball_profile(P: DelzantPolyhedron, p: int | None = None) -> Profil
 def sr_monomials(K: NerveComplex, degree: int) -> list[tuple[int, ...]]:
     """Exponent vectors of total degree ``degree`` whose support is a face,
     sorted in graded lexicographic order.  These are the monomial basis of
-    the Stanley-Reisner ring in that degree."""
+    the Stanley-Reisner ring in that degree, and the one enumerator of slice
+    monomials: the classical, regular-sequence, quantum (the height-zero
+    part of each T-degree) and Jacobian (times T^gamma) slices."""
     if degree == 0:
         return [(0,) * K.ground]
     out = []

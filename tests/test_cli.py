@@ -191,6 +191,22 @@ def test_bad_arguments_exit_codes(tmp_path, capsys, name, command, args,
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_quantum_bfield_keeps_the_basis(tmp_path, capsys):
+    # P(O + O(2)) over the projective plane
+    path = tmp_path / "p_o_o2.json"
+    normals = ([1, 0, 0], [0, 1, 0], [-1, -1, 2], [0, 0, 1], [0, 0, -1])
+    path.write_text(json.dumps(
+        {"dim": 3, "facets": [{"normal": nu, "offset": "1"} for nu in normals]}))
+    bases = []
+    for extra in ((), ("--bfield=2,1,1,1,1",)):
+        code, out, _ = run(capsys, "--input", str(path), "--command",
+                           "quantum", "--format", "json", *extra)
+        assert code == 0
+        bases.append(json.loads(out)["basis"])
+    assert bases[0] == bases[1] == ["1", "v5", "v3", "v3*v5", "v3^2",
+                                    "v3^2*v5"]
+
+
 def test_bfield_wrong_length(capsys):
     code, _, err = run(capsys, "--input", data_path("cp1"),
                        "--command", "jacobian", "--bfield", "2")

@@ -6,7 +6,7 @@ import pytest
 from toricqh import monoid as mo
 from toricqh.errors import PreconditionError
 from toricqh.jacobian import jacobian_freeness
-from toricqh.polyhedra import enumerate_vertices
+from toricqh.polyhedra import enumerate_vertices, polyhedron
 
 
 def test_zero_perturbations_o_minus_1(o_minus_1):
@@ -155,3 +155,21 @@ def test_rational_and_prime_field_agree(corpus):
         assert over_p.field == "F32003"
         assert (over_q.dim_s, over_q.dim_quotient, over_q.free) == \
             (over_p.dim_s, over_p.dim_quotient, over_p.free), name
+
+
+@pytest.mark.parametrize("name, offsets, expected", [
+    ("cp2", (1, 1, 3), ((48, 3, True, 1), (61, 3, True, 1))),
+    ("cp1xcp1", (1, 4, 1, 4), ((72, 4, True, 1), (87, 4, True, 1))),
+    ("hirzebruch_f2", (1, 1, Fraction(5, 2), 1),
+     ((59, 4, True, 1), (122, 8, True, 1))),
+])
+def test_skewed_offsets_slices(corpus, name, offsets, expected):
+    # (dim_s, dim_quotient, free, escalations) at g = 1 and g = 2 on offsets
+    # far apart, where the slice reaches Stanley-Reisner monomials of high
+    # degree in the light generators
+    base = corpus[name]
+    P = polyhedron(base.dim, list(zip(base.normals, offsets)))
+    for g, want in zip((1, 2), expected):
+        rep = jacobian_freeness(P, g=g)
+        assert (rep.dim_s, rep.dim_quotient, rep.free, rep.escalations) == \
+            want, g

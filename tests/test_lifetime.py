@@ -9,9 +9,9 @@ from toricqh import catalog, cli
 from toricqh import presentation as pr
 from toricqh.jacobian import jacobian_freeness
 from toricqh.linalg import random_unimodular
-from toricqh.monoid import monoid_for
+from toricqh.monoid import ConeMonoid, monoid_for
 from toricqh.polyhedra import (DelzantPolyhedron, monotone_normalization,
-                               polyhedron_to_json, relabel_lattice)
+                               polyhedron, polyhedron_to_json, relabel_lattice)
 from toricqh.topology import regular_sequence_check
 
 
@@ -57,6 +57,25 @@ def test_memoized_calls_return_the_same_object():
     assert pr.classical_presentation(P) is pr.classical_presentation(P)
     assert pr.quantum_presentation(P, _rho=(1, -1, 1), margin=1) is \
         pr.quantum_presentation(P, margin=1, _rho=(1, -1, 1))
+
+
+def test_bfield_builds_one_monoid_per_polyhedron(monkeypatch):
+    cp2 = catalog.load_example("cp2")
+    P = polyhedron(2, [(nu, 2) for nu in cp2.normals])
+    assert monotone_normalization(P) is monotone_normalization(P)
+    built = []
+    init = ConeMonoid.__init__
+
+    def counting_init(self, Q):
+        built.append(Q)
+        init(self, Q)
+
+    monkeypatch.setattr(ConeMonoid, "__init__", counting_init)
+    pr.apply_bfield(P, (2, 1, 1))
+    # one for P and one for its normalization, shared by both quantum
+    # presentations
+    assert len(built) == 2
+    assert built[0] is monotone_normalization(P).rescaled and built[1] is P
 
 
 def test_normalization_of_a_normalized_polyhedron_is_itself():

@@ -6,7 +6,8 @@ import pytest
 from toricqh import monoid as mo
 from toricqh import presentation as pr
 from toricqh.errors import PreconditionError
-from toricqh.polyhedra import enumerate_vertices
+from toricqh.polyhedra import (enumerate_vertices, monotone_normalization,
+                               polyhedron)
 
 
 def elem(P, j):
@@ -140,6 +141,27 @@ def test_quantum_cpn_rank_and_top_power(corpus):
         assert len(Q.basis) == n + 1
         assert Q.verified_ranks == tuple(
             min(k + 1, n + 1) for k in range(2 * n + 1))
+
+
+def test_quantum_slices_match_the_monoid_enumeration(corpus):
+    # the columns are built from Stanley-Reisner monomials; the reference
+    # walks the monotone monoid by its definition
+    for name, P in corpus.items():
+        norm = monotone_normalization(P)
+        if norm is None:
+            continue
+        Q = pr.quantum_presentation(P, margin=1)
+        for k in range(2 * P.dim + 2):
+            assert list(Q.layers[k].index) == \
+                [m.nu for m in mo.enumerate_gamma_degree(norm.rescaled, k)], \
+                (name, k)
+
+
+def test_quantum_shares_the_classical_presentation(corpus):
+    for name, P in corpus.items():
+        if set(P.offsets) == {1}:
+            assert pr.quantum_presentation(P).classical is \
+                pr.classical_presentation(P), name
 
 
 def test_quantum_structure_commutative_associative(corpus):
@@ -324,6 +346,25 @@ def test_bfield_signs_over_z(o_minus_1):
     assert rep.ring == "Z"
     assert rep.classical.ranks == (1, 1, 0)
     assert rep.quantum is not None
+
+
+def p_o_plus_o2():
+    """P(O + O(2)) over the projective plane, every offset 1."""
+    return polyhedron(3, [((1, 0, 0), 1), ((0, 1, 0), 1), ((-1, -1, 2), 1),
+                          ((0, 0, 1), 1), ((0, 0, -1), 1)])
+
+
+def test_bfield_keeps_the_plain_basis(corpus):
+    # over Q a greedy pick would take v4 where Z needs v3; the rescaled
+    # quotients share the basis picked over Z
+    P = p_o_plus_o2()
+    rep = pr.apply_bfield(P, (2, 1, 1, 1, 1))
+    names = ("1", "v5", "v3", "v3*v5", "v3^2", "v3^2*v5")
+    assert rep.classical.basis_names() == names
+    assert rep.quantum.basis_names() == names
+    F2 = corpus["hirzebruch_f2"]
+    rep = pr.apply_bfield(F2, (2, 1, 1, 1))
+    assert rep.classical.basis == pr.classical_presentation(F2).basis
 
 
 def test_bfield_rejects_zero(o_minus_1):

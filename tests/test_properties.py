@@ -2,7 +2,8 @@
 
 The integer ``ConeMonoid.decompose`` is checked against a rational
 reference: ``linalg.solve_rational`` on the incident normals at the first
-vertex of least theta_v.
+vertex of least theta_v.  The classical structure constants over Z must
+make a commutative, associative ring with unit e_0.
 """
 
 import random
@@ -12,6 +13,7 @@ from functools import cache
 import pytest
 
 from toricqh import catalog, linalg
+from toricqh import presentation as pr
 from toricqh import monoid as mo
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -67,3 +69,26 @@ def test_integer_decompose_matches_rational_reference(seed, dim, data):
     m2 = ctx.monomial(*data.draw(cone_points(P)))
     assert (m1 * m2).height == min(
         a + b for a, b in zip(ctx.thetas(m1), ctx.thetas(m2)))
+
+
+@cache
+def classical_table(seed, dim):
+    P = catalog.random_delzant(random.Random(seed), dim, dim + 3)
+    return pr.classical_presentation(P).structure
+
+
+@hypothesis.settings(derandomize=True, database=None, max_examples=40,
+                     deadline=None)
+@hypothesis.given(seed=st.integers(0, 39), dim=st.integers(2, 3))
+def test_classical_ring_laws(seed, dim):
+    s = classical_table(seed, dim)
+    idx = range(len(s))
+    for a in idx:
+        assert s[0][a] == s[a][0] == tuple(int(k == a) for k in idx)
+        for b in idx:
+            assert s[a][b] == s[b][a]
+            for c in idx:
+                left = [sum(s[a][b][k] * s[k][c][l] for k in idx) for l in idx]
+                right = [sum(s[a][k][l] * s[b][c][k] for k in idx)
+                         for l in idx]
+                assert left == right, (a, b, c)
