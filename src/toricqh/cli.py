@@ -82,13 +82,20 @@ def _parse_bfield(text: str | None, nfacets: int):
     return rho
 
 
+# What reading a JSON file can raise on bad input: a missing file, bytes
+# that are not UTF-8, malformed JSON, or nesting deeper than the decoder's
+# recursion limit.
+_UNREADABLE = (OSError, UnicodeDecodeError, json.JSONDecodeError,
+               RecursionError)
+
+
 def _load_perturbations(path: str | None, P):
     if path is None:
         return None
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except _UNREADABLE as exc:
         raise SchemaError(f"cannot read --perturb {path}: {exc}") from exc
     if isinstance(data, dict):
         data = data.get("perturbations")
@@ -423,9 +430,9 @@ def _render_text(report) -> str:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        with open(args.input) as fh:
+        with open(args.input, encoding="utf-8") as fh:
             data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except _UNREADABLE as exc:
         print(f"error: cannot read {args.input}: {exc}", file=sys.stderr)
         return EXIT_PARSE
     try:

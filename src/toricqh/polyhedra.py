@@ -7,7 +7,11 @@ labels throughout the public API (label j corresponds to index j-1 in the
 
 Positivity of every offset makes the origin an interior point, so the
 feasible set is always nonempty and full-dimensional; irredundancy of each
-inequality is verified exactly at construction time.
+inequality is verified exactly at construction time.  A facet through a
+simple vertex (exactly dim facets active) is irredundant by that vertex
+alone.  On Delzant input with a vertex every facet contains a vertex and
+every vertex is simple, so no LP is solved; an exact LP decides only the
+facets that meet no simple vertex.
 """
 
 from __future__ import annotations
@@ -121,14 +125,26 @@ def polyhedron(dim: int, facets) -> DelzantPolyhedron:
 def _check_irredundant(P: DelzantPolyhedron) -> None:
     """Raise SchemaError naming the first facet implied by the others.
 
-    Facet j is redundant iff min <nu_j, x> over the other inequalities is at
-    least -lambda_j.  That primal LP is feasible (the origin satisfies it),
-    so by strong duality it is bounded exactly when its dual
+    A facet containing a simple vertex v, where exactly dim facets are
+    active, is irredundant without an LP: their normals have rank dim, so
+    some direction d has <nu_j, d> < 0 and <nu_k, d> = 0 for the other
+    active facets k, and v + eps*d violates facet j alone.
+
+    Every other facet, in label order, is decided by an exact LP.  Facet j
+    is redundant iff min <nu_j, x> over the other inequalities is at least
+    -lambda_j.  That primal LP is feasible (the origin satisfies it), so by
+    strong duality it is bounded exactly when its dual
     min sum_{k != j} lambda_k y_k  s.t.  sum y_k nu_k = nu_j, y >= 0
     is feasible, with the negated optimum.  The dual has dim rows and N-1
     columns, against N-1 rows and 2*dim+N-1 columns for the primal.
     """
+    certified = set()
+    for v in enumerate_vertices(P):
+        if len(v.incident) == P.dim:
+            certified |= v.incident
     for j in range(P.nfacets):
+        if j + 1 in certified:
+            continue
         others = [k for k in range(P.nfacets) if k != j]
         A = [[P.normals[k][i] for k in others] for i in range(P.dim)]
         c = [P.offsets[k] for k in others]

@@ -156,10 +156,16 @@ BAD_ARGUMENTS = [
     ("cp1", "jacobian", ("--perturb", "BOOL_NU"), 2),
     ("cp1", "jacobian", ("--perturb", "FLOAT_LAMBDA"), 2),
     ("cp1", "jacobian", ("--perturb", "FLOAT_COEFF"), 2),
+    ("NOT_UTF8", "validate", (), 2),
+    ("DEEP", "validate", (), 2),
+    ("cp1", "jacobian", ("--perturb", "NOT_UTF8"), 2),
+    ("cp1", "jacobian", ("--perturb", "DEEP"), 2),
 ]
 
 # Files written into tmp_path; a row names one by its key, as the input or
 # as an argument.  JSON true is not an integer and floats are not exact.
+# Bytes are written as they are: not UTF-8, or nested past the decoder's
+# recursion limit.
 SEGMENT = [{"normal": [1], "offset": 1}, {"normal": [-1], "offset": 1}]
 FILES = {
     # a perturbation of cp1 with coefficient 1/3, undefined modulo 3
@@ -172,6 +178,8 @@ FILES = {
     "BOOL_NU": [[{"lambda": "2", "nu": [True], "coeff": "1"}], []],
     "FLOAT_LAMBDA": [[{"lambda": 2.5, "nu": [0], "coeff": "1"}], []],
     "FLOAT_COEFF": [[{"lambda": "2", "nu": [0], "coeff": 0.5}], []],
+    "NOT_UTF8": b"\xff\xfe",
+    "DEEP": b"[" * 100_000 + b"]" * 100_000,
 }
 
 
@@ -180,9 +188,12 @@ def test_bad_arguments_exit_codes(tmp_path, capsys, name, command, args,
                                   expected):
     paths = {}
     for key, content in FILES.items():
-        paths[key] = str(tmp_path / f"{key.lower()}.json")
-        with open(paths[key], "w") as fh:
-            json.dump(content, fh)
+        path = tmp_path / f"{key.lower()}.json"
+        if isinstance(content, bytes):
+            path.write_bytes(content)
+        else:
+            path.write_text(json.dumps(content))
+        paths[key] = str(path)
     args = [paths.get(a, a) for a in args]
     code, out, err = run(capsys, "--input", paths.get(name) or data_path(name),
                          "--command", command, *args)

@@ -63,11 +63,14 @@ def _reference_vertices(P):
         for pt in sorted(points))
 
 
+OCTAHEDRON = [((a, b, c), 1) for a in (1, -1) for b in (1, -1) for c in (1, -1)]
+SQUARE_PYRAMID = [((0, 0, 1), 1), ((-2, 0, -1), 1), ((2, 0, -1), 1),
+                  ((0, -2, -1), 1), ((0, 2, -1), 1)]
+
+
 def test_vertices_match_fraction_reference():
-    signs = [(a, b, c) for a in (1, -1) for b in (1, -1) for c in (1, -1)]
-    octahedron = polyhedron(3, [(s, 1) for s in signs])
-    pyramid = polyhedron(3, [((0, 0, 1), 1), ((-2, 0, -1), 1), ((2, 0, -1), 1),
-                             ((0, -2, -1), 1), ((0, 2, -1), 1)])
+    octahedron = polyhedron(3, OCTAHEDRON)
+    pyramid = polyhedron(3, SQUARE_PYRAMID)
     fractional = polyhedron(2, [((1, 0), Fraction(1, 2)),
                                 ((0, 1), Fraction(2, 3)),
                                 ((-1, -1), Fraction(5, 7))])
@@ -302,6 +305,18 @@ def _primal_first_redundant(dim, facets):
     return None
 
 
+def _assert_irredundancy_matches_primal(dim, facets):
+    """``polyhedron`` accepts the facets, or names the first redundant one,
+    exactly as the primal LPs do; returns that label or None."""
+    expected = _primal_first_redundant(dim, facets)
+    if expected is None:
+        polyhedron(dim, facets)
+    else:
+        with pytest.raises(SchemaError, match=f"^facet {expected} is redundant"):
+            polyhedron(dim, facets)
+    return expected
+
+
 def _primal_is_compact(P):
     recession = [(list(nu), 0) for nu in P.normals]
     for i in range(P.dim):
@@ -343,13 +358,9 @@ def test_irredundancy_matches_primal_lp():
             lam = support * Fraction(rng.randint(1, 5), 6)
         facets = list(zip(P.normals, P.offsets))
         facets.insert(rng.randint(0, len(facets)), (nu, lam))
-        expected = _primal_first_redundant(dim, facets)
-        if expected is None:
-            polyhedron(dim, facets)
+        if _assert_irredundancy_matches_primal(dim, facets) is None:
             verdicts["irredundant"] += 1
         else:
-            with pytest.raises(SchemaError, match=f"^facet {expected} is redundant"):
-                polyhedron(dim, facets)
             verdicts["redundant"] += 1
     assert min(verdicts.values()) >= 10, verdicts
 
@@ -364,3 +375,49 @@ def test_is_compact_matches_recession_probes(corpus):
     verdicts = [is_compact(P) for P in polys]
     assert verdicts == [_primal_is_compact(P) for P in polys]
     assert True in verdicts and False in verdicts
+
+
+# Cases the random insertions above need not reach: no simple vertex (a
+# vertex where exactly dim facets meet) at all, a non-simple apex, a
+# duplicated inequality, no vertex, and a cut of the orthant that misses or
+# meets its corner.
+DUPLICATED = [((1, 0), 1), ((1, 0), 1), ((0, 1), 1), ((-1, -1), 1)]
+VERTEXLESS = catalog.load_example("vertexless")
+STRIP = list(zip(VERTEXLESS.normals, VERTEXLESS.offsets))
+ORTHANT_CUT = [((1, 0), 1), ((0, 1), 1), ((1, 1), 1)]
+ORTHANT_CUT_AT_CORNER = [((1, 0), 1), ((0, 1), 1), ((1, 1), 2)]
+
+
+@pytest.mark.parametrize("dim,facets,expected", [
+    (3, OCTAHEDRON, None),
+    (3, SQUARE_PYRAMID, None),
+    (2, DUPLICATED, 1),
+    (2, STRIP, None),
+    (2, ORTHANT_CUT, None),
+    (2, ORTHANT_CUT_AT_CORNER, 3),
+], ids=["octahedron", "square_pyramid", "duplicated", "strip", "orthant_cut",
+        "orthant_cut_at_corner"])
+def test_irredundancy_beyond_simple_vertices(dim, facets, expected):
+    assert _assert_irredundancy_matches_primal(dim, facets) == expected
+
+
+def test_simple_vertices_spare_the_lp(monkeypatch):
+    calls = []
+    solve = lp.solve
+
+    def counting_solve(*args):
+        calls.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(lp, "solve", counting_solve)
+
+    def lps(build, *args):
+        calls.clear()
+        build(*args)
+        return len(calls)
+
+    for name in catalog.VALID_EXAMPLES + ("non_delzant",):
+        assert lps(catalog.load_example, name) == 0, name
+    assert lps(polyhedron, 3, SQUARE_PYRAMID) == 0
+    assert lps(polyhedron, 3, OCTAHEDRON) == 8
+    assert lps(polyhedron, 2, STRIP) == 2

@@ -3,7 +3,8 @@
 The integer ``ConeMonoid.decompose`` is checked against a rational
 reference: ``linalg.solve_rational`` on the incident normals at the first
 vertex of least theta_v.  The classical structure constants over Z must
-make a commutative, associative ring with unit e_0.
+make a commutative, associative ring with unit e_0, and the classical ranks
+must agree over Z, Q and F_p, since the cohomology is free.
 """
 
 import random
@@ -14,6 +15,7 @@ import pytest
 
 from toricqh import catalog, linalg
 from toricqh import presentation as pr
+from toricqh import topology as tp
 from toricqh import monoid as mo
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -92,3 +94,26 @@ def test_classical_ring_laws(seed, dim):
                 right = [sum(s[a][k][l] * s[b][c][k] for k in idx)
                          for l in idx]
                 assert left == right, (a, b, c)
+
+
+@hypothesis.settings(derandomize=True, database=None, max_examples=20,
+                     deadline=None)
+@hypothesis.given(seed=st.integers(0, 39), dim=st.integers(2, 3))
+def test_classical_ranks_agree_over_every_ring(seed, dim):
+    P = catalog.random_delzant(random.Random(seed), dim, dim + 3)
+    ranks = {ring: pr.classical_presentation(P, ring).ranks
+             for ring in ("Z", "Q", "F3", "F32003")}
+    assert len(set(ranks.values())) == 1, ranks
+    # Each degree over each field: the Stanley-Reisner monomials modulo the
+    # linear forms times the previous degree, ranked by that field alone.
+    K = tp.build_nerve(P)
+    steps = [tuple(int(k == j) for k in range(P.nfacets))
+             for j in range(P.nfacets)]
+    prev = []
+    for d, expected in enumerate(ranks["Z"]):
+        cur = tp.sr_monomials(K, d)
+        rows = tp.linear_form_rows(prev, {m: i for i, m in enumerate(cur)},
+                                   steps, P.normals)
+        for p in (None, 3, 32003):
+            assert len(cur) - linalg.rank(rows, p) == expected, (d, p)
+        prev = cur
