@@ -65,6 +65,7 @@ def jacobian_freeness(P: DelzantPolyhedron, perturbations=None, rho=None,
     height, added to the rescaled generators rho_j * v_j.  g: truncation
     cutoff.  p: None for Q, else a prime.
     """
+    field = topology.field_name(p)
     require_delzant(P)
     g = Fraction(g)
     if g <= 0:
@@ -130,7 +131,6 @@ def jacobian_freeness(P: DelzantPolyhedron, perturbations=None, rho=None,
     cap = inner_cap + (dim_r - 1) * max(Fraction(0), step - lam_min) + \
         max(Fraction(0), pert_weight - lam_min)
 
-    field = "Q" if p is None else f"F{p}"
     escalations = 0
     while True:
         result = _attempt(P, ctx, levels, g, relations, cap, inner_cap, basis, p)

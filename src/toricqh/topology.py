@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from math import comb
 from operator import add
 
@@ -25,6 +26,8 @@ class NerveComplex:
     """Simplicial complex on facet labels 1..ground, stored by maximal faces.
 
     The face family is the downward closure; the empty face always belongs.
+    The complex is immutable, so its face set and sorted face list are
+    built on first use and kept on it.
     """
 
     ground: int
@@ -38,20 +41,33 @@ class NerveComplex:
         J = frozenset(J)
         return any(J <= m for m in self.maximal) or not J
 
-    def faces(self) -> set[frozenset[int]]:
+    @cached_property
+    def _face_set(self) -> frozenset[frozenset[int]]:
         out = {frozenset()}
         for m in self.maximal:
             for k in range(1, len(m) + 1):
                 out.update(map(frozenset, itertools.combinations(sorted(m), k)))
-        return out
+        return frozenset(out)
+
+    @cached_property
+    def sorted_faces(self) -> tuple[tuple[int, ...], ...]:
+        """Every face as a sorted label tuple, ordered by size and then
+        lexicographically, so entry 0 is the empty face.  Cached."""
+        return tuple(sorted((tuple(sorted(f)) for f in self._face_set),
+                            key=lambda f: (len(f), f)))
+
+    def faces(self) -> frozenset[frozenset[int]]:
+        """The face set, empty face included.  Cached: built once per
+        complex, and the same frozenset is returned on every call."""
+        return self._face_set
 
     def faces_by_dim(self) -> list[list[tuple[int, ...]]]:
         """Entry d holds the sorted (d-1)-dimensional faces as sorted tuples,
         so entry 0 is [()] and entry 1 lists the vertices."""
-        by_size: list[set] = [set() for _ in range(self.dim + 2)]
-        for f in self.faces():
-            by_size[len(f)].add(tuple(sorted(f)))
-        return [sorted(s) for s in by_size]
+        by_size: list[list] = [[] for _ in range(self.dim + 2)]
+        for f in self.sorted_faces:
+            by_size[len(f)].append(f)
+        return by_size
 
 
 def make_complex(ground: int, faces) -> NerveComplex:
@@ -76,6 +92,16 @@ def build_nerve(P: DelzantPolyhedron) -> NerveComplex:
     return make_complex(P.nfacets, [v.incident for v in enumerate_vertices(P)])
 
 
+def field_name(p: int | None) -> str:
+    """The report name of the coefficient field: "Q" for p None, else
+    "F{p}".  Raises PreconditionError unless p is None or a prime."""
+    if p is None:
+        return "Q"
+    if not isinstance(p, int) or not linalg.is_prime(p):
+        raise PreconditionError(f"the field size {p!r} is not a prime")
+    return f"F{p}"
+
+
 @dataclass(frozen=True)
 class HomologyProfile:
     """Reduced Betti numbers in degrees -1 .. dim."""
@@ -93,6 +119,7 @@ class HomologyProfile:
 
 def reduced_homology(K: NerveComplex, p: int | None = None) -> HomologyProfile:
     """Reduced simplicial homology ranks over Q (p None) or over F_p."""
+    field_name(p)
     layers = K.faces_by_dim()
     index = [{f: i for i, f in enumerate(layer)} for layer in layers]
     counts = [len(layer) for layer in layers]
@@ -137,14 +164,14 @@ class CMReport:
 def reisner_cm_check(K: NerveComplex, p: int | None = None) -> CMReport:
     """Reisner's criterion: reduced homology of the complex and of every face
     link vanishes in all degrees strictly below the dimension of that complex."""
-    field = "Q" if p is None else f"F{p}"
-    for face in sorted(K.faces(), key=lambda f: (len(f), sorted(f))):
+    field = field_name(p)
+    for face in K.sorted_faces:
         L = link(K, face)
         profile = reduced_homology(L, p)
         for degree, rank in profile.nonzero().items():
             if degree < L.dim:
                 return CMReport(False, field,
-                                f"link of {sorted(face)} has reduced homology of "
+                                f"link of {list(face)} has reduced homology of "
                                 f"rank {rank} in degree {degree} < dim {L.dim}")
     return CMReport(True, field)
 
@@ -179,15 +206,17 @@ def sr_monomials(K: NerveComplex, degree: int) -> list[tuple[int, ...]]:
     sorted in graded lexicographic order.  These are the monomial basis of
     the Stanley-Reisner ring in that degree, and the one enumerator of slice
     monomials: the classical, regular-sequence, quantum (the height-zero
-    part of each T-degree) and Jacobian (times T^gamma) slices."""
+    part of each T-degree) and Jacobian (times T^gamma) slices.
+
+    Walks ``K.sorted_faces``, which the complex builds once and keeps, so
+    repeated calls on one complex do not rebuild its faces."""
     if degree == 0:
         return [(0,) * K.ground]
     out = []
-    for face in sorted(K.faces(), key=lambda f: (len(f), sorted(f))):
-        k = len(face)
+    for labels in K.sorted_faces:
+        k = len(labels)
         if not 1 <= k <= degree:
             continue
-        labels = sorted(face)
         # compositions of `degree` into k positive parts
         for cut in itertools.combinations(range(1, degree), k - 1):
             parts = [b - a for a, b in zip((0,) + cut, cut + (degree,))]
@@ -219,12 +248,13 @@ def linear_form_rows(prev, index, steps, weights) -> list[dict[int, int]]:
     A monomial is keyed by a vector and Z_j moves it by ``steps[j]``.
     Products missing from ``index`` are dropped: their support is not a
     face, so they have positive height and vanish in the graded piece.
+    Only the Z_j with a nonzero weight are stepped.
     """
     n = len(weights[0]) if weights else 0
+    moves = [(j, step) for j, step in enumerate(steps) if any(weights[j])]
     rows = []
     for m in prev:
-        cols = [(j, index.get(tuple(map(add, m, step))))
-                for j, step in enumerate(steps)]
+        cols = [(j, index.get(tuple(map(add, m, step)))) for j, step in moves]
         cols = [(j, col) for j, col in cols if col is not None]
         for i in range(n):
             row = {}
@@ -254,12 +284,26 @@ def regular_sequence_check(P: DelzantPolyhedron, p: int | None = None,
     c_i * (degree d-1 slice) must have dimension equal to the d-th
     coefficient of (1-t)^n * H_SR(t).
 
+    The forms are taken in the lattice basis of the first vertex v, with
+    facets s_1 < ... < s_n.  Delzant makes their normals a basis of Z^n, so
+    C = (N_S^T)^-1 is in GL_n(Z) and the forms C * c are
+    c'_k = Z_{s_k} + sum_{l not in S} w_lk Z_l, where w_l holds the
+    coordinates of nu_l in the basis nu_{s_1}, ..., nu_{s_n}.  They span the
+    same ideal over Z, Q and every F_p, and each has n-1 fewer terms.
+
+    The row c'_k * m is skipped when Z_{s_t} divides m for some t < k (the
+    Koszul criterion of Faugere's F5).  Sound: with m = Z_{s_t} * m',
+      c'_k * m = c'_t * (c'_k * m') - sum_{l not in S} w_lt * c'_k * (Z_l * m'),
+    and Z_l * m' < m in any monomial order ranking Z_S above the other
+    variables, so by induction on (k, m) the kept rows span every degree.
+
     Slices are ranked only up to the first degree whose quotient is 0.  The
     quotient ring is generated in degree 1, so its degree-(d+1) piece is
     spanned by the products Z_j * (degree-d piece): once a degree is zero,
     every higher one is zero too.  The expected values are still computed
     for every degree, so the verdict compares the full sequences.
     """
+    field = field_name(p)
     if maxdeg is None:
         maxdeg = P.dim + 2
     if maxdeg < P.dim:
@@ -272,6 +316,13 @@ def regular_sequence_check(P: DelzantPolyhedron, p: int | None = None,
         expected.append(sum((-1) ** k * comb(n, k) * hilbert[d - k]
                             for k in range(0, min(d, n) + 1)))
 
+    S = sorted(enumerate_vertices(P)[0].incident)
+    A = [[P.normal(s)[i] for s in S] for i in range(n)]  # N_S^T
+    det = linalg.determinant(A)  # +-1, so A^-1 = det * adjugate(A)
+    inverse = [[det * a for a in row] for row in linalg.adjugate(A)]
+    coords = [linalg.mat_vec(inverse, nu) for nu in P.normals]
+    weights = [[[w[k]] for w in coords] for k in range(n)]  # c'_k alone
+
     steps = [tuple(int(k == j) for k in range(N)) for j in range(N)]
     dims = []
     prev = []
@@ -281,9 +332,11 @@ def regular_sequence_check(P: DelzantPolyhedron, p: int | None = None,
             break
         cur = sr_monomials(K, d)
         index = {m: i for i, m in enumerate(cur)}
-        rows = linear_form_rows(prev, index, steps, P.normals)
+        rows, kept = [], prev
+        for s, weight in zip(S, weights):
+            rows += linear_form_rows(kept, index, steps, weight)
+            kept = [m for m in kept if not m[s - 1]]
         dims.append(len(cur) - linalg.rank(rows, p))
         prev = cur
-    field = "Q" if p is None else f"F{p}"
     return RegSeqReport(tuple(dims) == tuple(expected), field,
                         tuple(dims), tuple(expected))

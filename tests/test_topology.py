@@ -7,7 +7,8 @@ import pytest
 from toricqh import catalog, linalg
 from toricqh import topology as tp
 from toricqh.errors import PreconditionError
-from toricqh.polyhedra import is_compact, polyhedron
+from toricqh.jacobian import jacobian_freeness
+from toricqh.polyhedra import is_compact, polyhedron, relabel_lattice
 
 
 def brute_sr_monomial_count(K, d):
@@ -197,6 +198,13 @@ def test_regular_sequence_early_stop_matches_every_degree(corpus):
     polys = list(corpus.values())
     polys += [catalog.random_delzant(rng, rng.choice([2, 3]), 7)
               for _ in range(12)]
+    four = [catalog.random_delzant(rng, 4, 6) for _ in range(4)]
+    assert any(is_compact(P) for P in four)
+    assert any(not is_compact(P) for P in four)  # orthant-based
+    polys += four
+    # relabelled corpus: the first vertex's normals are no longer unit vectors
+    polys += [relabel_lattice(P, linalg.random_unimodular(P.dim, rng))
+              for P in corpus.values()]
     for P in polys:
         for p in (None, 2, 3):
             dims, expected = _reference_regular_sequence(P, p, P.dim + 4)
@@ -205,6 +213,62 @@ def test_regular_sequence_early_stop_matches_every_degree(corpus):
             assert report.expected_dims == expected, (P, p)
             assert report.passed == (dims == expected), (P, p)
             assert dims[-1] == 0, (P, p)
+
+
+def test_regular_sequence_skips_koszul_rows(corpus, monkeypatch):
+    """In every degree d >= 2 the check ranks fewer than the n * |SR_{d-1}|
+    rows of the standard basis, and gets the reference's dimensions."""
+    ranked = []
+
+    def counting_rank(rows, p=None, rank=linalg.rank):
+        ranked.append(len(rows))
+        return rank(rows, p)
+
+    for P in (corpus["cp3"], catalog.random_delzant(random.Random(31), 4, 7)):
+        K = tp.build_nerve(P)
+        for p in (None, 2):
+            ranked.clear()
+            with monkeypatch.context() as m:
+                m.setattr(linalg, "rank", counting_rank)
+                report = tp.regular_sequence_check(P, p, P.dim + 4)
+            dims, _ = _reference_regular_sequence(P, p, P.dim + 4)
+            assert report.quotient_dims == dims, (P, p)
+            assert len(ranked) >= 3
+            for d, count in enumerate(ranked):
+                full = P.dim * len(tp.sr_monomials(K, d - 1)) if d else 0
+                assert count < full if d >= 2 else count <= full, (P, p, d)
+
+
+FIELD_TAKERS = {
+    "reduced_homology": lambda P, p: tp.reduced_homology(tp.build_nerve(P), p),
+    "reisner_cm_check": lambda P, p: tp.reisner_cm_check(tp.build_nerve(P), p),
+    "sphere_or_ball_profile": tp.sphere_or_ball_profile,
+    "regular_sequence_check": tp.regular_sequence_check,
+    "jacobian_freeness": lambda P, p: jacobian_freeness(P, p=p),
+}
+
+
+@pytest.mark.parametrize("p", [4, 1, -3, 0])
+@pytest.mark.parametrize("name", sorted(FIELD_TAKERS))
+def test_field_must_be_prime(cp2, name, p):
+    with pytest.raises(PreconditionError, match="not a prime"):
+        FIELD_TAKERS[name](cp2, p)
+
+
+def test_field_names(cp2):
+    K = tp.build_nerve(cp2)
+    assert [tp.reisner_cm_check(K, p).field for p in (None, 2, 32003)] == \
+        ["Q", "F2", "F32003"]
+    assert tp.regular_sequence_check(cp2, 3).field == "F3"
+
+
+def test_faces_are_cached(cp2):
+    K = tp.build_nerve(cp2)
+    assert K.faces() is K.faces()
+    assert isinstance(K.faces(), frozenset)
+    assert K.sorted_faces[0] == () and len(K.sorted_faces) == len(K.faces())
+    assert K.sorted_faces == tuple(sorted(K.sorted_faces,
+                                          key=lambda f: (len(f), f)))
 
 
 def test_regular_sequence_requires_polyhedron():
