@@ -35,7 +35,7 @@ from . import linalg, topology
 from .errors import PreconditionError
 from .monoid import (build_height_monoid, element_from_monomial, monoid_for,
                      scaled)
-from .polyhedra import DelzantPolyhedron, require_delzant
+from .polyhedra import DelzantPolyhedron, exact_parameter, require_delzant
 from .presentation import classical_presentation
 
 
@@ -67,12 +67,13 @@ def jacobian_freeness(P: DelzantPolyhedron, perturbations=None, rho=None,
     """
     field = topology.field_name(p)
     require_delzant(P)
-    g = Fraction(g)
+    g = exact_parameter(g, "cutoff")
     if g <= 0:
         raise PreconditionError("cutoff must be positive")
     ctx = monoid_for(P)
     N, n = P.nfacets, P.dim
-    rho = tuple(Fraction(r) for r in (rho if rho is not None else (1,) * N))
+    rho = tuple(exact_parameter(r, "B-field entry")
+                for r in (rho if rho is not None else (1,) * N))
     if len(rho) != N or any(r == 0 for r in rho):
         raise PreconditionError("need one nonzero unit per facet")
     if p is not None:

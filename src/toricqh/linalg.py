@@ -13,12 +13,12 @@ is an incremental rank engine.
 
 ``cramer`` is a fraction-free (Bareiss) solve of a square integer system.
 It runs the vertex solves of ``polyhedra.enumerate_vertices`` and gives
-``determinant``, hence ``adjugate`` for the integer cone bases of
-``monoid`` and the Delzant determinant test.
+``determinant`` and, one solve per column, ``adjugate``: the integer
+inverse of a vertex's normals in ``polyhedra.vertex_basis``.
 
-The dense normal forms (Hermite, Smith) pivot naively on a smallest-nonzero
-entry.  They serve the residual blocks of ``Eliminator``, ``integer_kernel``
-and small square matrices, where that naive pivoting is cheap.
+The dense Smith form pivots naively on a smallest-nonzero entry.  It serves
+the residual blocks of ``Eliminator`` and ``integer_kernel``, where that
+naive pivoting is cheap.
 """
 
 from __future__ import annotations
@@ -57,46 +57,6 @@ def _swap_rows(M, i, j):
 
 def _add_multiple_of_row(M, target, source, factor):
     M[target] = [t + factor * s for t, s in zip(M[target], M[source])]
-
-
-def hermite_normal_form(M: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
-    """Row-style Hermite normal form.
-
-    Returns (H, U) with U unimodular, U*M = H, pivots positive, entries above
-    each pivot reduced to lie in [0, pivot).
-    """
-    m = len(M)
-    n = len(M[0]) if m else 0
-    H = [list(row) for row in M]
-    U = identity(m)
-    r = 0
-    for c in range(n):
-        while True:
-            pivots = [i for i in range(r, m) if H[i][c] != 0]
-            if not pivots:
-                break
-            i0 = min(pivots, key=lambda i: abs(H[i][c]))
-            if len(pivots) == 1:
-                _swap_rows(H, r, i0)
-                _swap_rows(U, r, i0)
-                break
-            for i in pivots:
-                if i == i0:
-                    continue
-                q = H[i][c] // H[i0][c]
-                _add_multiple_of_row(H, i, i0, -q)
-                _add_multiple_of_row(U, i, i0, -q)
-        if r < m and H[r][c] != 0:
-            if H[r][c] < 0:
-                H[r] = [-x for x in H[r]]
-                U[r] = [-x for x in U[r]]
-            for i in range(r):
-                q = H[i][c] // H[r][c]
-                if q:
-                    _add_multiple_of_row(H, i, r, -q)
-                    _add_multiple_of_row(U, i, r, -q)
-            r += 1
-    return H, U
 
 
 def smith_normal_form(M: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
@@ -210,13 +170,14 @@ def determinant(M: IntMatrix) -> int:
 
 
 def adjugate(M: IntMatrix) -> IntMatrix:
-    """Integer adjugate of a square matrix: M * adjugate(M) = det(M) * I."""
+    """Integer adjugate of a nonsingular square matrix, so that
+    M * adjugate(M) = det(M) * I.  Column k is the ``cramer`` solve of
+    M * y = det * e_k; a singular M raises ValueError."""
     n = len(M)
-    if n == 1:
-        return [[1]]
-    return [[(-1) ** (i + j) * determinant(
-        [row[:i] + row[i + 1:] for k, row in enumerate(M) if k != j])
-        for j in range(n)] for i in range(n)]
+    cols = [cramer(M, [int(i == k) for i in range(n)])[1] for k in range(n)]
+    if n and cols[0] is None:
+        raise ValueError("a singular matrix has no adjugate here")
+    return transpose(cols)
 
 
 def random_unimodular(n: int, rng: random.Random) -> IntMatrix:
@@ -275,14 +236,13 @@ def solve_rational(A, b) -> list[Fraction] | None:
 def integer_kernel(M: IntMatrix) -> list[list[int]]:
     """Basis of the saturated lattice {x in Z^cols : M*x = 0}.
 
-    Computed from the row Hermite form of the transpose: rows of the
-    transform matrix aligned with zero rows of the form are kernel vectors.
+    Read off the Smith form U*M*V = S: x = V*y is in the kernel iff S*y = 0,
+    i.e. iff y vanishes on the r nonzero diagonal entries, and V is
+    unimodular, so its columns past r = rank(M) are a basis of the lattice.
     """
-    Mt = transpose(M)
-    if not Mt:
-        return []
-    H, U = hermite_normal_form(Mt)
-    return [U[i] for i in range(len(H)) if all(x == 0 for x in H[i])]
+    S, _, V = smith_normal_form(M)
+    r = sum(1 for i in range(min(len(S), len(V))) if S[i][i])
+    return transpose(V)[r:]
 
 
 class Eliminator:

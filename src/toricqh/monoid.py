@@ -16,24 +16,25 @@ relations arise.
 The cone arithmetic runs in integers.  Each :class:`ConeMonoid` scales the
 vertex coordinates and the offsets by their common denominator D once, so
 theta_v(lam, nu) * D = lam * D + <v * D, nu> with an integer pairing, and
-keeps for every vertex the integer adjugate and determinant of the normals
-it expresses in; a decomposition then costs integer dot products and one
-d x d integer matrix-vector product.  Public values (``lam``, ``height``)
-stay exact fractions.
+takes the basis of each vertex from ``polyhedra.vertex_basis`` (the labels,
+integer adjugate and determinant of the normals it expresses in); a
+decomposition then costs integer dot products and one d x d integer
+matrix-vector product.  Public values (``lam``, ``height``) stay exact
+fractions.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 from operator import mul
 
-from . import linalg, lp
+from . import lp
 from .errors import LatticeError, PreconditionError, SchemaError
 from .polyhedra import (DelzantPolyhedron, Vertex, enumerate_vertices,
-                        exact_fraction, is_integer, memoized)
+                        exact_fraction, exact_parameter, is_integer, memoized,
+                        vertex_basis)
 
 
 def scaled(x: Fraction, D: int) -> int:
@@ -101,10 +102,9 @@ class ConeMonoid:
     Construction computes, once and in integers: the common denominator
     ``scale`` (D) of the offsets and the vertex coordinates, the scaled
     vertex points v * D (``scaled_points``) and offsets lambda_j * D
-    (``scaled_offsets``), and for each vertex the d incident labels a
-    decomposition expresses in (the sorted incident labels, or the first
-    d-subset of them with independent normals), with the integer adjugate
-    and determinant of their normal matrix.
+    (``scaled_offsets``), and for each vertex the lattice basis a
+    decomposition expresses in: ``polyhedra.vertex_basis``, the incident
+    labels with the integer adjugate and determinant of their normals.
     """
 
     def __init__(self, P: DelzantPolyhedron):
@@ -120,20 +120,8 @@ class ConeMonoid:
         self.scaled_points = [tuple(scaled(x, D) for x in v.point)
                               for v in self.vertices]
         self.scaled_offsets = tuple(scaled(lam, D) for lam in P.offsets)
-        self._bases = [self._vertex_basis(v) for v in self.vertices]
+        self._bases = [vertex_basis(P, k) for k in range(len(self.vertices))]
         self._normal_columns = list(zip(*P.normals))
-
-    def _vertex_basis(self, v: Vertex):
-        """(0-based labels, adjugate, determinant) of the normals at v."""
-        n = self.P.dim
-        labels = sorted(v.incident)
-        if len(labels) > n:
-            labels = next(
-                sub for sub in itertools.combinations(labels, n)
-                if linalg.determinant([list(self.P.normal(j)) for j in sub]))
-        A = [[self.P.normal(j)[i] for j in labels] for i in range(n)]
-        return ([j - 1 for j in labels], linalg.adjugate(A),
-                linalg.determinant(A))
 
     def thetas(self, c) -> list[Fraction]:
         return [theta(v, c) for v in self.vertices]
@@ -194,7 +182,7 @@ class ConeMonoid:
             x, r = divmod(sum(map(mul, row, nu)), det)
             if r or x < 0:
                 return None
-            t[j] = x
+            t[j - 1] = x
         return tuple(t)
 
     def monomial(self, lam, nu) -> Monomial:
@@ -379,7 +367,7 @@ def multiply(x: FilteredElement, y: FilteredElement) -> FilteredElement:
 
 def truncate(x: FilteredElement, g) -> FilteredElement:
     """Drop all monomials of height >= g."""
-    g = Fraction(g)
+    g = exact_parameter(g, "truncation cutoff")
     if g <= 0:
         raise PreconditionError("truncation cutoff must be positive")
     return FilteredElement(x.monoid,
@@ -402,10 +390,10 @@ class HeightMonoid:
 def build_height_monoid(P: DelzantPolyhedron, extra, g) -> HeightMonoid:
     """Monoid generated by all values theta_v(lambda_j, nu_j) plus the given
     extra heights, enumerated on [0, g)."""
-    g = Fraction(g)
+    g = exact_parameter(g, "cutoff")
     if g <= 0:
         raise PreconditionError("cutoff must be positive")
-    extra = [Fraction(x) for x in extra]
+    extra = [exact_parameter(x, "extra height") for x in extra]
     if any(x < 0 for x in extra):
         raise PreconditionError("extra heights must be non-negative")
     ctx = monoid_for(P)

@@ -89,6 +89,17 @@ def exact_fraction(value, what: str) -> Fraction:
         raise SchemaError(f"bad {what} {value!r}: {exc}") from exc
 
 
+def exact_parameter(value, what: str) -> Fraction:
+    """A library parameter as a Fraction.
+
+    Floats and bools raise PreconditionError: neither is an exact input.
+    """
+    if isinstance(value, (float, bool)):
+        raise PreconditionError(f"{what} must be exact (int, Fraction or "
+                                f"fraction string), got {value!r}")
+    return Fraction(value)
+
+
 def polyhedron(dim: int, facets) -> DelzantPolyhedron:
     """Validate raw facet data and build a polyhedron.
 
@@ -237,15 +248,37 @@ def _pairing(nu, x):
     return sum(a * b for a, b in zip(nu, x))
 
 
+@memoized
+def vertex_basis(P: DelzantPolyhedron, k: int):
+    """(labels, adjugate, det) of the normals at vertex k of
+    ``enumerate_vertices(P)``.
+
+    labels are the sorted incident labels, or at a degenerate vertex the
+    first dim-subset of them with independent normals.  adjugate and det
+    belong to A, the matrix whose columns are their normals, so the
+    coordinates of nu in that basis are adjugate * nu / det.  On Delzant
+    input det is +-1, and det * adjugate is A^-1 in GL_n(Z).
+    """
+    labels = sorted(enumerate_vertices(P)[k].incident)
+    if len(labels) > P.dim:
+        labels = next(
+            sub for sub in itertools.combinations(labels, P.dim)
+            if linalg.determinant([list(P.normal(j)) for j in sub]))
+    A = [[P.normal(j)[i] for j in labels] for i in range(P.dim)]
+    return tuple(labels), linalg.adjugate(A), linalg.determinant(A)
+
+
 @dataclass(frozen=True)
 class DelzantReport:
     passed: bool
     violations: tuple[str, ...]
 
 
+@memoized
 def check_delzant(P: DelzantPolyhedron) -> DelzantReport:
     """Delzant condition at every vertex: exactly dim incident facets whose
-    normals have determinant +-1.  Never raises; returns a structured report.
+    normals have determinant +-1.  Never raises; returns a structured report,
+    kept on P (``require_delzant`` asks for it on every public entry).
     """
     violations = []
     for v in enumerate_vertices(P):

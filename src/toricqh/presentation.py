@@ -31,8 +31,9 @@ from . import linalg, topology
 from .errors import PreconditionError, VerificationError
 from .monoid import (FilteredElement, element_from_monomial, format_monomial,
                      monoid_for)
-from .polyhedra import (DelzantPolyhedron, enumerate_vertices, is_compact,
-                        memoized, minimal_nonfaces, monotone_normalization,
+from .polyhedra import (DelzantPolyhedron, enumerate_vertices,
+                        exact_parameter, is_compact, memoized,
+                        minimal_nonfaces, monotone_normalization,
                         relabel_lattice, require_delzant)
 
 TPoly = tuple  # coefficient tuple, index = exponent of T
@@ -160,11 +161,13 @@ def classical_presentation(P: DelzantPolyhedron, ring: str = "Z",
                            _rho=None) -> RingPresentation:
     """Stanley-Reisner presentation of the classical cohomology.
 
-    Works degree by degree up to 2*dim (structure constants need products of
-    two basis elements): the degree-d monomials with face support, modulo the
-    images of the linear forms c_i times degree d-1.  All quotients are
-    verified torsion-free over Z; the requested coefficient ring only changes
-    how the table is reported.
+    Works degree by degree up to dim+1: the degree-d monomials with face
+    support, modulo the images of the linear forms c_i times degree d-1.
+    The quotient at degree dim+1 is verified to be 0.  The quotient ring is
+    generated in degree 1, so every higher degree is 0 as well, and a
+    product of two basis elements past degree dim+1 has structure constants
+    0 without a slice.  All quotients are verified torsion-free over Z; the
+    requested coefficient ring only changes how the table is reported.
 
     Under unit rescalings ``_rho`` the basis of the plain presentation is
     claimed in every degree and verified: v_j -> rho_j v_j maps the plain
@@ -183,7 +186,7 @@ def classical_presentation(P: DelzantPolyhedron, ring: str = "Z",
     layers = []
     basis = []
     prev = []
-    for d in range(2 * n + 1):
+    for d in range(n + 2):
         cur = topology.sr_monomials(K, d)
         index = {m: i for i, m in enumerate(cur)}
         rows = topology.linear_form_rows(prev, index, steps, weights)
@@ -530,7 +533,7 @@ def apply_bfield(P: DelzantPolyhedron, rho) -> BFieldReport:
     prod_(j in J) rho_j / prod_j rho_j^(t_j) when written in the rescaled
     generators.
     """
-    rho = tuple(Fraction(r) for r in rho)
+    rho = tuple(exact_parameter(r, "unit coefficient") for r in rho)
     if len(rho) != P.nfacets:
         raise PreconditionError(f"expected {P.nfacets} unit coefficients")
     if any(r == 0 for r in rho):

@@ -18,7 +18,7 @@ from operator import add
 from . import linalg
 from .errors import PreconditionError
 from .polyhedra import (DelzantPolyhedron, enumerate_vertices, is_compact,
-                        memoized, require_delzant)
+                        memoized, require_delzant, vertex_basis)
 
 
 @dataclass(frozen=True)
@@ -285,8 +285,9 @@ def regular_sequence_check(P: DelzantPolyhedron, p: int | None = None,
     coefficient of (1-t)^n * H_SR(t).
 
     The forms are taken in the lattice basis of the first vertex v, with
-    facets s_1 < ... < s_n.  Delzant makes their normals a basis of Z^n, so
-    C = (N_S^T)^-1 is in GL_n(Z) and the forms C * c are
+    facets s_1 < ... < s_n (``polyhedra.vertex_basis(P, 0)``).  Delzant
+    makes their normals a basis of Z^n, so C = (N_S^T)^-1 is in GL_n(Z),
+    read off the basis as det * adjugate, and the forms C * c are
     c'_k = Z_{s_k} + sum_{l not in S} w_lk Z_l, where w_l holds the
     coordinates of nu_l in the basis nu_{s_1}, ..., nu_{s_n}.  They span the
     same ideal over Z, Q and every F_p, and each has n-1 fewer terms.
@@ -316,11 +317,8 @@ def regular_sequence_check(P: DelzantPolyhedron, p: int | None = None,
         expected.append(sum((-1) ** k * comb(n, k) * hilbert[d - k]
                             for k in range(0, min(d, n) + 1)))
 
-    S = sorted(enumerate_vertices(P)[0].incident)
-    A = [[P.normal(s)[i] for s in S] for i in range(n)]  # N_S^T
-    det = linalg.determinant(A)  # +-1, so A^-1 = det * adjugate(A)
-    inverse = [[det * a for a in row] for row in linalg.adjugate(A)]
-    coords = [linalg.mat_vec(inverse, nu) for nu in P.normals]
+    S, adj, det = vertex_basis(P, 0)  # det = +-1: C = det * adjugate
+    coords = [[det * x for x in linalg.mat_vec(adj, nu)] for nu in P.normals]
     weights = [[[w[k]] for w in coords] for k in range(n)]  # c'_k alone
 
     steps = [tuple(int(k == j) for k in range(N)) for j in range(N)]

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from toricqh import monoid as mo
+from toricqh import presentation as pr
 from toricqh.errors import PreconditionError
 from toricqh.jacobian import jacobian_freeness
 from toricqh.polyhedra import enumerate_vertices, polyhedron
@@ -15,6 +16,38 @@ def test_zero_perturbations_o_minus_1(o_minus_1):
     assert rep.dim_r == 3
     assert rep.rank == 2
     assert rep.dim_quotient == 6
+
+
+INEXACT_PARAMETERS = {
+    "jacobian_g_float": lambda P: jacobian_freeness(P, g=0.1),
+    "jacobian_g_bool": lambda P: jacobian_freeness(P, g=True),
+    "jacobian_rho_float": lambda P: jacobian_freeness(P, rho=(0.1, 1)),
+    "jacobian_rho_bool": lambda P: jacobian_freeness(P, rho=(1, True)),
+    "bfield_rho_float": lambda P: pr.apply_bfield(P, (0.5, 1)),
+    "bfield_rho_bool": lambda P: pr.apply_bfield(P, (False, 1)),
+    "height_monoid_g_float": lambda P: mo.build_height_monoid(P, [], 1.5),
+    "height_monoid_g_bool": lambda P: mo.build_height_monoid(P, [], True),
+    "height_monoid_extra_float":
+        lambda P: mo.build_height_monoid(P, [0.5], 2),
+    "height_monoid_extra_bool":
+        lambda P: mo.build_height_monoid(P, [True], 2),
+    "truncate_g_float": lambda P: mo.truncate(mo.monoid_for(P).zero(), 0.5),
+    "truncate_g_bool": lambda P: mo.truncate(mo.monoid_for(P).zero(), True),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INEXACT_PARAMETERS))
+def test_inexact_parameters_rejected(name, cp1):
+    # a float would be taken as its binary fraction and a bool as 0 or 1
+    with pytest.raises(PreconditionError, match="must be exact"):
+        INEXACT_PARAMETERS[name](cp1)
+
+
+def test_exact_parameters_accepted(cp1):
+    reports = [jacobian_freeness(cp1, g=g, rho=rho) for g, rho in
+               [(1, (1, 1)), (Fraction(1), (Fraction(1), 1)), ("1", ("1", 1))]]
+    assert reports[0] == reports[1] == reports[2]
+    assert mo.build_height_monoid(cp1, ["1/2"], "2").cutoff == 2
 
 
 def test_tiny_cutoff_reduces_to_classical(corpus):

@@ -6,27 +6,6 @@ import pytest
 from toricqh import linalg
 
 
-def test_hnf_identity():
-    H, U = linalg.hermite_normal_form([[1, 0], [0, 1]])
-    assert H == [[1, 0], [0, 1]]
-    assert U == [[1, 0], [0, 1]]
-
-
-def test_hnf_recomposition():
-    M = [[2, 4], [1, 3]]
-    H, U = linalg.hermite_normal_form(M)
-    assert linalg.mat_mul(U, M) == H
-    assert abs(linalg.determinant(H)) == abs(linalg.determinant(M)) == 2
-    # row-style normal form: pivots positive, entries above reduced
-    assert H[0][0] > 0 and H[1][0] == 0
-
-
-def test_hnf_zero_matrix():
-    H, U = linalg.hermite_normal_form([[0, 0], [0, 0]])
-    assert H == [[0, 0], [0, 0]]
-    assert U == [[1, 0], [0, 1]]
-
-
 def test_snf_identity():
     S, U, V = linalg.smith_normal_form([[1, 0], [0, 1]])
     assert S == [[1, 0], [0, 1]]
@@ -50,9 +29,6 @@ def test_normal_forms_random_recomposition(seed):
     rng = random.Random(seed)
     m, n = rng.randrange(1, 5), rng.randrange(1, 5)
     M = [[rng.randrange(-9, 10) for _ in range(n)] for _ in range(m)]
-    H, U = linalg.hermite_normal_form(M)
-    assert linalg.mat_mul(U, M) == H
-    assert abs(linalg.determinant(U)) == 1
     S, U2, V = linalg.smith_normal_form(M)
     assert linalg.mat_mul(linalg.mat_mul(U2, M), V) == S
     assert abs(linalg.determinant(U2)) == 1
@@ -131,6 +107,24 @@ def test_integer_kernel_saturated(seed):
     if basis:
         S, _, _ = linalg.smith_normal_form(basis)
         assert all(S[i][i] == 1 for i in range(len(basis)))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_adjugate_matches_cofactors(seed):
+    rng = random.Random(400 + seed)
+    n = 1 + seed % 4
+    M = [[0] * n]
+    while not linalg.determinant(M):
+        M = [[rng.randrange(-4, 5) for _ in range(n)] for _ in range(n)]
+    cofactors = [[(-1) ** (i + j) * linalg.determinant(
+        [row[:i] + row[i + 1:] for k, row in enumerate(M) if k != j])
+        for j in range(n)] for i in range(n)]
+    assert linalg.adjugate(M) == cofactors
+
+
+def test_adjugate_rejects_a_singular_matrix():
+    with pytest.raises(ValueError):
+        linalg.adjugate([[1, 2], [2, 4]])
 
 
 def test_rank_rational_and_mod_p():

@@ -12,7 +12,8 @@ from toricqh.polyhedra import (Vertex, check_delzant,
                                check_vertex_and_splitting, enumerate_vertices,
                                facet_intersection_nonempty, is_compact,
                                minimal_nonfaces, monotone_normalization,
-                               parse_polyhedron, polyhedron, relabel_lattice)
+                               parse_polyhedron, polyhedron, relabel_lattice,
+                               vertex_basis)
 
 
 def test_vertices_o_minus_1(o_minus_1):
@@ -108,6 +109,29 @@ def test_check_delzant_non_delzant_example():
     assert not report.passed
 
 
+def test_vertex_basis(corpus):
+    # The incident labels of each vertex (at the degenerate apex of the
+    # pyramid, the first dim of them with independent normals), with the
+    # adjugate and determinant of their normals; kept on the polyhedron.
+    pyramid = polyhedron(3, SQUARE_PYRAMID)
+    for P in [*corpus.values(), pyramid]:
+        for k, v in enumerate(enumerate_vertices(P)):
+            labels, adj, det = vertex_basis(P, k)
+            first = next(sub for sub in itertools.combinations(
+                sorted(v.incident), P.dim) if linalg.determinant(
+                    [list(P.normal(j)) for j in sub]))
+            assert labels == first
+            A = [[P.normal(j)[i] for j in labels] for i in range(P.dim)]
+            assert det == linalg.determinant(A)
+            assert linalg.mat_mul(A, adj) == [
+                [det * (i == j) for j in range(P.dim)] for i in range(P.dim)]
+            if P is not pyramid:
+                assert det in (1, -1)
+            assert vertex_basis(P, k) is vertex_basis(P, k)
+    assert len(max((v.incident for v in enumerate_vertices(pyramid)),
+                   key=len)) == 4
+
+
 def test_splitting_o_minus_1(o_minus_1):
     rep = check_vertex_and_splitting(o_minus_1)
     assert rep.has_vertex and rep.split_rank == 0
@@ -121,6 +145,25 @@ def test_splitting_vertexless():
     (basis_vec,) = rep.annihilator_basis
     assert basis_vec in ((0, 1), (0, -1))
     assert enumerate_vertices(P) == ()
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_splitting_basis_of_relabelled_strips_and_slabs(seed):
+    # The annihilator basis is a saturated basis of the kernel lattice of
+    # the normals, whatever unimodular frame the input is written in.
+    rng = random.Random(500 + seed)
+    dim = 2 + seed % 2
+    facets = [((1,) + (0,) * (dim - 1), 1), ((-1,) + (0,) * (dim - 1), 2)]
+    if dim == 3 and seed > 2:  # a half-slab times a line: split rank 1
+        facets.append(((0, 1, 0), 1))
+    P = relabel_lattice(polyhedron(dim, facets), random_unimodular(dim, rng))
+    rep = check_vertex_and_splitting(P)
+    k = dim - linalg.rank([list(nu) for nu in P.normals])
+    assert k > 0 and (rep.has_vertex, rep.split_rank) == (False, k)
+    for x in rep.annihilator_basis:
+        assert all(sum(a * b for a, b in zip(nu, x)) == 0 for nu in P.normals)
+    S, _, _ = linalg.smith_normal_form([list(x) for x in rep.annihilator_basis])
+    assert all(S[i][i] == 1 for i in range(k))
 
 
 def test_splitting_single_normal():

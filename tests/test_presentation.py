@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from toricqh import catalog, linalg, topology
 from toricqh import monoid as mo
 from toricqh import presentation as pr
 from toricqh.errors import PreconditionError
@@ -56,6 +57,24 @@ def test_classical_rank_formulas(corpus):
         assert cp.total_rank == len(enumerate_vertices(P)), name
         if P.dim >= 1:
             assert cp.ranks[1] == P.nfacets - P.dim, name
+
+
+def test_classical_quotient_vanishes_past_dim_plus_one(corpus):
+    # classical_presentation stops at degree n+1; every degree up to 2n,
+    # where products of two basis elements land, is 0 over Q as well.
+    rng = random.Random(23)
+    randoms = [catalog.random_delzant(rng, dim, dim + 3) for dim in (2, 3, 3, 4)]
+    for P in [*corpus.values(), *randoms]:
+        K = topology.build_nerve(P)
+        n, N = P.dim, P.nfacets
+        steps = [tuple(int(k == j) for k in range(N)) for j in range(N)]
+        prev = topology.sr_monomials(K, n)
+        for d in range(n + 1, 2 * n + 1):
+            cur = topology.sr_monomials(K, d)
+            index = {m: i for i, m in enumerate(cur)}
+            rows = topology.linear_form_rows(prev, index, steps, P.normals)
+            assert linalg.rank(rows) == len(cur), (P, d)
+            prev = cur
 
 
 def test_classical_over_fields(o_minus_1):
