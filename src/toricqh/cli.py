@@ -5,13 +5,15 @@ or text.  Output is deterministic: identical configuration produces
 byte-identical output.
 
 Exit codes: 0 success, 2 input/schema error, 3 precondition violation,
-4 verified-property failure.
+4 verified-property failure.  A reader that closes stdout before the report
+is written does not change the exit code.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -449,10 +451,19 @@ def main(argv=None) -> int:
         return EXIT_PROPERTY
 
     report["input"] = polyhedron_to_json(P)
-    if args.format == "json":
-        print(json.dumps(_stringify(report), indent=2, sort_keys=True))
-    else:
-        print(_render_text(report), end="")
+    try:
+        if args.format == "json":
+            print(json.dumps(_stringify(report), indent=2, sort_keys=True))
+        else:
+            print(_render_text(report), end="")
+        if sys.stdout is not None:
+            sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader has gone: the report is lost but the verdict stands.
+        # Point stdout at the null device so the flush at exit cannot fail.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return code
 
 

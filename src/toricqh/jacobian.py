@@ -21,7 +21,42 @@ at this cap", not a proof of non-freeness.
 
 The slice runs in integers: every weight and height is scaled by one common
 denominator, monomials are keyed by (scaled lam, nu), and the height of a
-product is read off the summed integer theta vectors of its factors.
+product is read off the summed integer theta vectors of its factors.  The
+slice is enumerated by ``topology.sr_walk``, which sums the generators'
+integer (weight, nu, theta) vectors face by face and stops at the cap.
+
+Relation rows.  With h_j = rho_j v_j + perturbation_j the relations are
+written in the lattice basis of the first vertex v0, whose facets are
+s_1 < ... < s_n (``polyhedra.vertex_coordinates(P, 0)``):
+
+    c'_k = h_{s_k} + sum_{l not in S} w_lk h_l,
+
+with w_l the integer coordinates of nu_l in the basis nu_{s_1..s_n}.  The
+change of basis lies in GL_n(Z), so the c'_k generate the same ideal as the
+n components of sum_j nu_j h_j, over Z, Q and every F_p, and have the same
+monomials: rel_weight, the largest T-weight of a relation term, is
+unchanged.  Every row c'_k * m with w(m) <= w_max = cap - rel_weight would
+span the relations inside the slice; the rows that can only repeat others
+are skipped (the Koszul criterion of Faugere's F5, ISSAC 2002, as in
+``topology.regular_sequence_check``), but only where the identity behind
+the skip stays inside that window.  The row c'_k * m is skipped when, for
+some t < k, v_{s_t} divides m (the Stanley-Reisner exponent e of m has
+e[s_t] > 0) and w(m) - lambda_{s_t} + rel_weight <= w_max.  Sound: write
+c'_t = rho_{s_t} v_{s_t} + r_t and m = v_{s_t} m'.  Then
+
+    rho_{s_t} * c'_k * m = c'_t * (c'_k m') - c'_k * (r_t m').
+
+Every row on the right is a relation times a monomial of weight at most
+w(m') + rel_weight = w(m) - lambda_{s_t} + rel_weight, so the window
+condition keeps all of them among the rows of the slice.  The rows c'_t * x
+have t < k; the rows c'_k * y have theta_{v0}(y) > theta_{v0}(m), because
+theta_{v0}(v_l) > 0 for l not in S and every perturbation term has positive
+height while theta_{v0}(v_{s_t}) = 0.  So induction on (k, -theta_{v0})
+puts every skipped row in the span of the kept ones.  Truncation at height
+g is a ring quotient, so the identity survives it, and rho_{s_t} is a unit
+over Q and, as checked on entry, modulo p.  Each relation is normalized
+once (scaled to integers over Q, reduced to residues over F_p) and its rows
+go to the eliminator as they are.
 """
 
 from __future__ import annotations
@@ -29,13 +64,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from operator import add, mul
+from operator import add
 
 from . import linalg, topology
 from .errors import PreconditionError
 from .monoid import (build_height_monoid, element_from_monomial, monoid_for,
                      scaled)
-from .polyhedra import DelzantPolyhedron, exact_parameter, require_delzant
+from .polyhedra import (DelzantPolyhedron, exact_parameter, require_delzant,
+                        vertex_coordinates)
 from .presentation import classical_presentation
 
 
@@ -114,15 +150,15 @@ def jacobian_freeness(P: DelzantPolyhedron, perturbations=None, rho=None,
     basis = cp.basis
     m = len(basis)
 
-    relations = []
-    for i in range(n):
+    hs = [element_from_monomial(ctx.generator(j + 1)) * rho[j]
+          + perturbations[j] for j in range(N)]
+    _, coords = vertex_coordinates(P, 0)
+    relations = []  # c'_k in the basis of the first vertex
+    for k in range(n):
         rel = ctx.zero()
-        for j in range(N):
-            coeff = P.normals[j][i]
-            if coeff:
-                hj = element_from_monomial(ctx.generator(j + 1)) * rho[j] \
-                    + perturbations[j]
-                rel = rel + hj * Fraction(coeff)
+        for h, w in zip(hs, coords):
+            if w[k]:
+                rel = rel + h * w[k]
         relations.append(rel)
 
     lam_max = max(P.offsets)
@@ -154,6 +190,8 @@ def _attempt(P, ctx, levels, g, relations, cap, inner_cap, basis, p):
     """One elimination on the slice of T-weight <= cap: T^gamma * v^t over
     the levels gamma and the Stanley-Reisner monomials v^t, each asserted to
     have height zero (which holds exactly when the support of t is a face).
+    ``relations`` are the c'_k of the first vertex's basis, in order; the
+    Koszul skip of the module docstring needs that basis.
 
     Everything is scaled by one integer D' (``scale``): a monomial is carried
     as (height * D', lam * D', nu) with its integer vector of theta_v * D'.
@@ -167,68 +205,82 @@ def _attempt(P, ctx, levels, g, relations, cap, inner_cap, basis, p):
                 inner_cap.denominator, *(x.denominator for x in levels),
                 *(mm.lam.denominator for rel in relations for mm in rel.terms))
     k = scale // ctx.scale
+    n = P.dim
 
     def carry(w, nu):  # (lam * D', nu, theta_v * D' for every vertex v)
         return w, nu, [w + k * x for x in ctx.pairings(nu)]
 
-    weights = [k * w for w in ctx.scaled_offsets]
-    columns = list(zip(*P.normals))
-
-    def key(t):  # v^t, straight from its exponent vector
-        return carry(sum(map(mul, t, weights)),
-                     tuple(sum(map(mul, t, col)) for col in columns))
-
+    # generator v_j as one integer vector (lam, nu, theta_v for every v) * D'
+    vectors = [(w, *nu, *th) for w, nu, th in
+               (carry(k * lam, nu) for lam, nu in
+                zip(ctx.scaled_offsets, P.normals))]
     cap_s = scaled(cap, scale)
+    rel_w = scaled(rel_weight, scale)
+    w_max = cap_s - rel_w
+    # (t, s_t - 1, lambda_{s_t} * D') for the facets s_t of the first vertex
+    labels = [(i, s - 1, vectors[s - 1][0])
+              for i, s in enumerate(vertex_coordinates(P, 0)[0])]
     heights = [scaled(gamma, scale) for gamma in levels]
-    monomials = []
-    for d in range(cap_s // min(weights) + 1):
-        for t in topology.sr_monomials(nerve, d):
-            w, nu, th = key(t)
-            assert min(th) == 0, f"v^{t} is not of height zero"
-            for h in heights:  # ascending
-                if w + h > cap_s:
-                    break
-                monomials.append((h, w + h, nu, [x + h for x in th]))
+    monomials = []  # (height, lam, nu, theta, relations with a row here)
+    for t, vec in topology.sr_walk(nerve, vectors, cap_s):
+        w, nu, th = vec[0], tuple(vec[1:n + 1]), vec[n + 1:]
+        assert min(th) == 0, f"v^{t} is not of height zero"
+        for h in heights:  # ascending
+            if w + h > cap_s:
+                break
+            built = 0 if w + h > w_max else next(
+                (i + 1 for i, j, lam in labels
+                 if t[j] and w + h - lam + rel_w <= w_max), n)
+            monomials.append((h, w + h, nu, [x + h for x in th], built))
     monomials.sort(key=lambda x: x[:3])
-    index = {(w, nu): i for i, (_, w, nu, _) in enumerate(monomials)}
+    index = {(w, nu): i for i, (_, w, nu, _, _) in enumerate(monomials)}
     # canonical decompositions are unique: no two (level, t) share a key
     assert len(index) == len(monomials)
 
     g_s = scaled(g, scale)
-    w_max = scaled(cap - rel_weight, scale)
     elim = linalg.Eliminator(p)
-    for rel in relations:
+    for i, rel in enumerate(relations):
+        # distinct terms times one monomial land in distinct columns, so each
+        # normalized coefficient is a row entry as it is
         terms = [(*carry(scaled(mm.lam, scale), mm.nu), c)
-                 for mm, c in rel.terms.items()]
-        for _, w, nu, th in monomials:
-            if w > w_max:
+                 for mm, c in _normalized(rel, p)]
+        for _, w, nu, th, built in monomials:
+            if i >= built:
                 continue
-            row = {}
-            for w1, nu1, th1, c in terms:
-                if min(map(add, th, th1)) >= g_s:
-                    continue
-                col = index[(w + w1, tuple(map(add, nu, nu1)))]
-                val = row.get(col)
-                val = c if val is None else val + c
-                if val:
-                    row[col] = val
-                else:
-                    del row[col]
+            row = {index[(w + w1, tuple(map(add, nu, nu1)))]: c
+                   for w1, nu1, th1, c in terms
+                   if min(map(add, th, th1)) < g_s}
             if row:
-                elim.add_row(row)
+                elim.add_row(row, normalized=True)
 
     # The quotient dimension is measured on the inner window only: monomials
     # near the outer cap lack the products that would reduce them and must
     # not be counted.
     inner_w = scaled(inner_cap, scale)
-    inner_units = [{i: 1} for i, (_, w, _, _) in enumerate(monomials)
+    inner_units = [{i: 1} for i, (_, w, _, _, _) in enumerate(monomials)
                    if w <= inner_w]
     dim_s = len(inner_units)
     window = elim.fork()
-    dim_quotient = sum(window.add_row(u) for u in inner_units)
+    dim_quotient = sum(window.add_row(u, normalized=True)
+                       for u in inner_units)
 
-    keys = [(w + h, nu) for h in heights for w, nu, _ in map(key, basis)]
+    sums = [[sum(e * x for e, x in zip(t, col)) for col in zip(*vectors)]
+            for t in basis]
+    keys = [(v[0] + h, tuple(v[1:n + 1])) for h in heights for v in sums]
     assert all(w <= inner_w for w, _ in keys)
     with_basis = elim.fork()
-    independent = all(with_basis.add_row({index[c]: 1}) for c in keys)
+    independent = all(with_basis.add_row({index[c]: 1}, normalized=True)
+                      for c in keys)
     return dim_s, dim_quotient, independent
+
+
+def _normalized(rel, p):
+    """The terms of a relation as (monomial, int): over Q scaled by the lcm
+    of the denominators, over F_p reduced to nonzero residues."""
+    if p is None:
+        d = lcm(*(c.denominator for c in rel.terms.values()))
+        return [(mm, c.numerator * (d // c.denominator))
+                for mm, c in rel.terms.items()]
+    out = [(mm, c.numerator * pow(c.denominator, -1, p) % p)
+           for mm, c in rel.terms.items()]
+    return [(mm, c) for mm, c in out if c]

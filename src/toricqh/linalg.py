@@ -250,7 +250,8 @@ class Eliminator:
     row at a time.
 
     Rows are sparse dicts {column: value} or dense lists, with int or
-    Fraction values; over Q they are scaled to integers.  ``add_row``
+    Fraction values; over Q they are scaled to integers, over F_p reduced
+    to residues, unless ``add_row`` is told they already are.  ``add_row``
     reduces a row against every pivot row, in the order the pivots were
     made, and reports whether it became a pivot row.  Its pivot is its
     smallest column holding +-1, so reduction steps stay exact.  Over Q a row
@@ -312,8 +313,16 @@ class Eliminator:
                 d[c] = v
         return d
 
-    def add_row(self, row) -> bool:
-        return self._insert(self._normalize(row))
+    def add_row(self, row, normalized: bool = False) -> bool:
+        """Reduce ``row`` and report whether it became a pivot row.
+
+        A ``normalized`` row skips the scaling to integers: it must be a
+        dict of nonzero ints, over F_p residues in 1..p-1, and the
+        eliminator takes it over, so the caller must not reuse it.  A
+        caller that builds many rows from a few fixed coefficient vectors
+        normalizes those once instead of every row.
+        """
+        return self._insert(row if normalized else self._normalize(row))
 
     def _insert(self, cur: dict[int, int]) -> bool:
         pivots, order, p = self.pivots, self.order, self.p

@@ -268,6 +268,21 @@ def vertex_basis(P: DelzantPolyhedron, k: int):
     return tuple(labels), linalg.adjugate(A), linalg.determinant(A)
 
 
+@memoized
+def vertex_coordinates(P: DelzantPolyhedron, k: int):
+    """(labels, coords) at vertex k: the labels of ``vertex_basis(P, k)``
+    and, for every facet j in order, the integer coordinates w_j of nu_j in
+    the basis of their normals, read off as det * adjugate * nu_j.
+
+    That is the inverse of the basis matrix only when det is +-1, as on
+    Delzant input; the callers require it.  Then w_{s_k} is the k-th unit
+    vector for the k-th label s_k.
+    """
+    labels, adj, det = vertex_basis(P, k)
+    return labels, tuple(tuple(det * x for x in linalg.mat_vec(adj, nu))
+                         for nu in P.normals)
+
+
 @dataclass(frozen=True)
 class DelzantReport:
     passed: bool

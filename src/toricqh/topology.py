@@ -18,7 +18,7 @@ from operator import add
 from . import linalg
 from .errors import PreconditionError
 from .polyhedra import (DelzantPolyhedron, enumerate_vertices, is_compact,
-                        memoized, require_delzant, vertex_basis)
+                        memoized, require_delzant, vertex_coordinates)
 
 
 @dataclass(frozen=True)
@@ -204,9 +204,11 @@ def sphere_or_ball_profile(P: DelzantPolyhedron, p: int | None = None) -> Profil
 def sr_monomials(K: NerveComplex, degree: int) -> list[tuple[int, ...]]:
     """Exponent vectors of total degree ``degree`` whose support is a face,
     sorted in graded lexicographic order.  These are the monomial basis of
-    the Stanley-Reisner ring in that degree, and the one enumerator of slice
-    monomials: the classical, regular-sequence, quantum (the height-zero
-    part of each T-degree) and Jacobian (times T^gamma) slices.
+    the Stanley-Reisner ring in that degree, and the enumerator of the
+    degree-graded slices: the classical, regular-sequence and quantum (the
+    height-zero part of each T-degree) slices.  The Jacobian slice, bounded
+    by weight instead of degree, comes from ``sr_walk``; the two are the
+    only enumerators of slice monomials.
 
     Walks ``K.sorted_faces``, which the complex builds once and keeps, so
     repeated calls on one complex do not rebuild its faces."""
@@ -225,6 +227,41 @@ def sr_monomials(K: NerveComplex, degree: int) -> list[tuple[int, ...]]:
                 expo[lbl - 1] = e
             out.append(tuple(expo))
     return sorted(out)
+
+
+def sr_walk(K: NerveComplex, vectors, cap: int):
+    """Yield every exponent vector t whose support is a face and whose
+    weight sum_j t_j * vectors[j][0] is at most ``cap``, paired with the
+    summed vector sum_j t_j * vectors[j] as a list.
+
+    ``vectors[j]`` is an integer vector for label j + 1 whose first entry,
+    the weight, is positive.  One walk per face of ``K.sorted_faces``
+    starts at the sum of the face's vectors (every exponent on the face at
+    least 1) and raises one exponent at a time, never at an earlier label
+    than the last one raised, so each t is reached once, by one vector
+    addition, and the walk stops where the weight passes the cap.  The
+    order is by face and then by the walk; callers sort what they need.
+    """
+    width = len(vectors[0])
+    for labels in K.sorted_faces:
+        t = [0] * K.ground
+        acc = [0] * width
+        for lbl in labels:
+            t[lbl - 1] = 1
+            acc = list(map(add, acc, vectors[lbl - 1]))
+        if acc[0] > cap:
+            continue
+        stack = [(t, acc, 0)]
+        while stack:
+            t, acc, first = stack.pop()
+            yield tuple(t), acc
+            for pos in range(first, len(labels)):
+                j = labels[pos] - 1
+                nxt = list(map(add, acc, vectors[j]))
+                if nxt[0] <= cap:
+                    t2 = list(t)
+                    t2[j] += 1
+                    stack.append((t2, nxt, pos))
 
 
 def sr_hilbert_function(P: DelzantPolyhedron, maxdeg: int) -> list[int]:
@@ -285,9 +322,9 @@ def regular_sequence_check(P: DelzantPolyhedron, p: int | None = None,
     coefficient of (1-t)^n * H_SR(t).
 
     The forms are taken in the lattice basis of the first vertex v, with
-    facets s_1 < ... < s_n (``polyhedra.vertex_basis(P, 0)``).  Delzant
-    makes their normals a basis of Z^n, so C = (N_S^T)^-1 is in GL_n(Z),
-    read off the basis as det * adjugate, and the forms C * c are
+    facets s_1 < ... < s_n (``polyhedra.vertex_coordinates(P, 0)``).
+    Delzant makes their normals a basis of Z^n, so C = (N_S^T)^-1 is in
+    GL_n(Z), and the forms C * c are
     c'_k = Z_{s_k} + sum_{l not in S} w_lk Z_l, where w_l holds the
     coordinates of nu_l in the basis nu_{s_1}, ..., nu_{s_n}.  They span the
     same ideal over Z, Q and every F_p, and each has n-1 fewer terms.
@@ -317,8 +354,7 @@ def regular_sequence_check(P: DelzantPolyhedron, p: int | None = None,
         expected.append(sum((-1) ** k * comb(n, k) * hilbert[d - k]
                             for k in range(0, min(d, n) + 1)))
 
-    S, adj, det = vertex_basis(P, 0)  # det = +-1: C = det * adjugate
-    coords = [[det * x for x in linalg.mat_vec(adj, nu)] for nu in P.normals]
+    S, coords = vertex_coordinates(P, 0)
     weights = [[[w[k]] for w in coords] for k in range(n)]  # c'_k alone
 
     steps = [tuple(int(k == j) for k in range(N)) for j in range(N)]

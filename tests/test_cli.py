@@ -1,6 +1,10 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -323,3 +327,27 @@ def test_quantum_margin_flag(capsys):
                        "--command", "quantum", "--margin", "2")
     assert code == 0
     assert "verified_ranks_by_t_degree: 1, 2, 2, 2, 2" in out
+
+
+@pytest.mark.parametrize("name, command, fmt, expected", [
+    ("cp2", "quantum", "json", 0),
+    ("cp2", "cm", "text", 0),
+    ("non_delzant", "validate", "json", 4),
+])
+def test_closed_stdout_keeps_the_exit_code(name, command, fmt, expected):
+    # as in `toricqh ... | true`: the reader is gone before the report is
+    # written, which must neither change the exit code nor print a traceback
+    import toricqh
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(toricqh.__file__).resolve().parents[1]))
+    r, w = os.pipe()
+    os.close(r)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "toricqh", "--input", data_path(name),
+             "--command", command, "--format", fmt],
+            stdout=w, stderr=subprocess.PIPE, env=env, timeout=120)
+    finally:
+        os.close(w)
+    assert proc.returncode == expected
+    assert proc.stderr == b""

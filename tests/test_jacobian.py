@@ -1,12 +1,17 @@
 import random
 from fractions import Fraction
+from math import lcm
+from operator import add, mul
+from types import SimpleNamespace
 
 import pytest
 
+from toricqh import jacobian, linalg, topology
 from toricqh import monoid as mo
 from toricqh import presentation as pr
 from toricqh.errors import PreconditionError
 from toricqh.jacobian import jacobian_freeness
+from toricqh.monoid import scaled
 from toricqh.polyhedra import enumerate_vertices, polyhedron
 
 
@@ -206,3 +211,182 @@ def test_skewed_offsets_slices(corpus, name, offsets, expected):
         rep = jacobian_freeness(P, g=g)
         assert (rep.dim_s, rep.dim_quotient, rep.free, rep.escalations) == \
             want, g
+
+
+def _definition_relations(P, rho, perturbations):
+    """The n components of sum_j nu_j * (rho_j v_j + perturbation_j)."""
+    ctx = mo.monoid_for(P)
+    rho = rho or (1,) * P.nfacets
+    perturbations = perturbations or [ctx.zero()] * P.nfacets
+    relations = []
+    for i in range(P.dim):
+        rel = ctx.zero()
+        for j, nu in enumerate(P.normals):
+            if nu[i]:
+                hj = mo.element_from_monomial(ctx.generator(j + 1)) \
+                    * Fraction(rho[j]) + perturbations[j]
+                rel = rel + hj * nu[i]
+        relations.append(rel)
+    return relations
+
+
+def _reference_attempt(P, ctx, levels, g, relations, cap, inner_cap, basis,
+                       p):
+    """Every row rel_i * m with w(m) <= w_max, the slice from the
+    degree-by-degree Stanley-Reisner enumeration filtered by weight.
+    Returns (dim_s, dim_quotient, independent), the rank of the relation
+    rows and their number."""
+    nerve = topology.build_nerve(P)
+    rel_weight = max((mm.lam for rel in relations for mm in rel.terms),
+                     default=Fraction(0))
+    scale = lcm(ctx.scale, g.denominator, cap.denominator,
+                inner_cap.denominator, *(x.denominator for x in levels),
+                *(mm.lam.denominator for rel in relations for mm in rel.terms))
+    k = scale // ctx.scale
+
+    def carry(w, nu):
+        return w, nu, [w + k * x for x in ctx.pairings(nu)]
+
+    weights = [k * w for w in ctx.scaled_offsets]
+    columns = list(zip(*P.normals))
+
+    def key(t):
+        return carry(sum(map(mul, t, weights)),
+                     tuple(sum(map(mul, t, col)) for col in columns))
+
+    cap_s = scaled(cap, scale)
+    heights = [scaled(gamma, scale) for gamma in levels]
+    monomials = []
+    for d in range(cap_s // min(weights) + 1):
+        for t in topology.sr_monomials(nerve, d):
+            w, nu, th = key(t)
+            assert min(th) == 0
+            for h in heights:
+                if w + h <= cap_s:
+                    monomials.append((h, w + h, nu, [x + h for x in th]))
+    monomials.sort(key=lambda x: x[:3])
+    index = {(w, nu): i for i, (_, w, nu, _) in enumerate(monomials)}
+    assert len(index) == len(monomials)
+
+    g_s = scaled(g, scale)
+    w_max = scaled(cap - rel_weight, scale)
+    elim = linalg.Eliminator(p)
+    built = 0
+    for rel in relations:
+        terms = [(*carry(scaled(mm.lam, scale), mm.nu), c)
+                 for mm, c in rel.terms.items()]
+        for _, w, nu, th in monomials:
+            if w > w_max:
+                continue
+            row = {}
+            for w1, nu1, th1, c in terms:
+                if min(map(add, th, th1)) < g_s:
+                    col = index[(w + w1, tuple(map(add, nu, nu1)))]
+                    row[col] = row.get(col, 0) + c
+            row = {col: c for col, c in row.items() if c}
+            if row:
+                elim.add_row(row)
+                built += 1
+
+    inner_w = scaled(inner_cap, scale)
+    inner = [i for i, (_, w, _, _) in enumerate(monomials) if w <= inner_w]
+    window = elim.fork()
+    dim_quotient = sum(window.add_row({i: 1}) for i in inner)
+    keys = [(w + h, nu) for h in heights for w, nu, _ in map(key, basis)]
+    with_basis = elim.fork()
+    independent = all(with_basis.add_row({index[c]: 1}) for c in keys)
+    return (len(inner), dim_quotient, independent), elim.rank, built
+
+
+def _against_every_row(monkeypatch, P, g, rho=None, perturbations=None,
+                       p=None):
+    """Run ``jacobian_freeness`` with each slice attempt checked against
+    ``_reference_attempt`` on the relations as defined: the same
+    (dim_s, dim_quotient, independent) and the same rank of the relation
+    rows.  Returns the report and the relation rows built by each side."""
+    fast = jacobian._attempt
+    original = _definition_relations(P, rho, perturbations)
+    rows = [0, 0]
+
+    class Counting(linalg.Eliminator):  # forks stay plain Eliminators
+        def add_row(self, row, normalized=False):
+            rows[0] += 1
+            Counting.last = self
+            return super().add_row(row, normalized)
+
+    def both(P_, ctx, levels, g_, relations, cap, inner_cap, basis, p_):
+        got = fast(P_, ctx, levels, g_, relations, cap, inner_cap, basis, p_)
+        want, rank, built = _reference_attempt(
+            P_, ctx, levels, g_, original, cap, inner_cap, basis, p_)
+        assert got == want, (cap, got, want)
+        assert Counting.last.rank == rank
+        rows[1] += built
+        return got
+
+    with monkeypatch.context() as patch:
+        patch.setattr(jacobian, "_attempt", both)
+        patch.setattr(jacobian, "linalg", SimpleNamespace(Eliminator=Counting))
+        report = jacobian_freeness(P, perturbations=perturbations, rho=rho,
+                                   g=g, p=p)
+    return report, rows[0], rows[1]
+
+
+def _random_perturbations(P, rng):
+    ctx = mo.monoid_for(P)
+    perts = []
+    for _ in range(P.nfacets):
+        if rng.random() < 0.5:
+            perts.append(ctx.zero())
+            continue
+        t = [0] * P.nfacets
+        for _ in range(rng.randrange(1, 3)):
+            t[rng.randrange(P.nfacets)] += 1
+        m = ctx.from_exponents(t, height=rng.randrange(1, 3))
+        coeff = Fraction(rng.randrange(-5, 6) or 1, rng.randrange(1, 4))
+        perts.append(mo.element_from_monomial(m) * coeff)
+    return perts
+
+
+def test_koszul_rows_match_every_row_on_the_corpus(corpus, monkeypatch):
+    skipped = {}
+    for name, P in corpus.items():
+        for g in (1, 2, 3):
+            _, fast, full = _against_every_row(monkeypatch, P, g)
+            assert fast <= full, (name, g)
+            skipped[name, g] = full - fast
+    # the skip fires wherever a first-vertex facet can divide a monomial
+    # inside the window
+    assert all(skipped[name, 3] > 0 for name in ("cp2", "cp3", "cp1xcp1",
+                                                 "hirzebruch_f2"))
+
+
+def test_koszul_rows_match_every_row_perturbed(corpus, monkeypatch):
+    rng = random.Random(4242)
+    for name in ("o_minus_1", "cp1", "cp2", "cp1xcp1", "hirzebruch_f2",
+                 "c2"):
+        P = corpus[name]
+        for _ in range(3):
+            perts = _random_perturbations(P, rng)
+            g = rng.choice((2, 3))
+            _against_every_row(monkeypatch, P, g, perturbations=perts)
+
+
+def test_koszul_rows_match_every_row_bfields(corpus, monkeypatch):
+    rng = random.Random(77)
+    units = (1, -1, 2, Fraction(1, 3))
+    for name, P in corpus.items():
+        rho = [rng.choice(units) for _ in range(P.nfacets)]
+        _against_every_row(monkeypatch, P, 2, rho=rho)
+
+
+def test_koszul_rows_match_every_row_mod_p(corpus, monkeypatch):
+    rng = random.Random(5)
+    for name in ("o_minus_1", "cp2", "cp1xcp1", "hirzebruch_f2", "c3"):
+        P = corpus[name]
+        for p in (2, 1000003):
+            _against_every_row(monkeypatch, P, 2, p=p)
+        perts = _random_perturbations(P, rng)
+        rho = [rng.choice((1, -1, 2, Fraction(1, 3)))
+               for _ in range(P.nfacets)]
+        _against_every_row(monkeypatch, P, 3, rho=rho, perturbations=perts,
+                           p=1000003)

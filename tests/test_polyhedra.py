@@ -13,7 +13,7 @@ from toricqh.polyhedra import (Vertex, check_delzant,
                                facet_intersection_nonempty, is_compact,
                                minimal_nonfaces, monotone_normalization,
                                parse_polyhedron, polyhedron, relabel_lattice,
-                               vertex_basis)
+                               vertex_basis, vertex_coordinates)
 
 
 def test_vertices_o_minus_1(o_minus_1):
@@ -130,6 +130,23 @@ def test_vertex_basis(corpus):
             assert vertex_basis(P, k) is vertex_basis(P, k)
     assert len(max((v.incident for v in enumerate_vertices(pyramid)),
                    key=len)) == 4
+
+
+def test_vertex_coordinates(corpus):
+    # w_j holds the coordinates of nu_j in the basis of vertex k's normals:
+    # unit vectors on the basis facets, and sum_k w_jk nu_{s_k} = nu_j
+    for P in corpus.values():
+        for k in range(len(enumerate_vertices(P))):
+            labels, coords = vertex_coordinates(P, k)
+            assert labels == vertex_basis(P, k)[0]
+            for pos, s in enumerate(labels):
+                assert coords[s - 1] == tuple(int(i == pos)
+                                              for i in range(P.dim))
+            for nu, w in zip(P.normals, coords):
+                assert tuple(sum(x * P.normal(s)[i] for x, s in
+                                 zip(w, labels))
+                             for i in range(P.dim)) == nu
+            assert vertex_coordinates(P, k) is vertex_coordinates(P, k)
 
 
 def test_splitting_o_minus_1(o_minus_1):

@@ -1,6 +1,7 @@
 import itertools
 import random
-from math import comb
+from math import comb, lcm
+from operator import mul
 
 import pytest
 
@@ -149,6 +150,37 @@ def test_sr_monomials_match_hilbert(corpus):
         values = tp.sr_hilbert_function(P, 3)
         for d in range(4):
             assert len(tp.sr_monomials(K, d)) == values[d]
+
+
+def test_sr_walk_matches_the_degree_enumeration(corpus):
+    # the weight-bounded walk yields exactly the Stanley-Reisner exponents
+    # of weight <= cap that the degree loop and a weight filter yield, each
+    # once, with the summed generator vectors; the corpus includes the
+    # non-compact c1-c3 and o_minus_1
+    rng = random.Random(1618)
+    polys = list(corpus.items()) + [
+        (f"random{i}", catalog.random_delzant(rng, rng.choice([2, 3]), 7))
+        for i in range(8)]
+    for name, P in polys:
+        K = tp.build_nerve(P)
+        D = lcm(*(lam.denominator for lam in P.offsets))
+        vectors = [(int(lam * D), *nu, j)
+                   for j, (lam, nu) in enumerate(zip(P.offsets, P.normals))]
+        least = min(v[0] for v in vectors)
+        for cap in (0, least - 1, least, 3 * least + 1, 5 * max(
+                v[0] for v in vectors)):
+            walked = list(tp.sr_walk(K, vectors, cap))
+            found = {}
+            for t, acc in walked:
+                assert t not in found, (name, cap, t)
+                found[t] = acc
+            want = {t for d in range(cap // least + 1)
+                    for t in tp.sr_monomials(K, d)
+                    if sum(map(mul, t, (v[0] for v in vectors))) <= cap}
+            assert set(found) == want, (name, cap)
+            for t, acc in found.items():
+                assert acc == [sum(map(mul, t, col))
+                               for col in zip(*vectors)], (name, t)
 
 
 def test_regular_sequence_o_minus_1(o_minus_1):
