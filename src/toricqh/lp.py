@@ -7,8 +7,9 @@ columns), so there is no attempt at revised-simplex sophistication.
 The package calls ``solve`` directly, in the small dual forms with dim rows:
 ``polyhedra._check_irredundant`` (one LP per facet that meets no simple
 vertex, none on Delzant input with a vertex), ``polyhedra.is_compact`` (one
-LP) and, through ``nonnegative_combination_exists``, cone membership in
-``monoid``.  Facet intersections are read off the vertices instead.
+LP, only on input with a non-simple vertex or none) and, through
+``nonnegative_combination_exists``, cone membership in ``monoid``.  Facet
+intersections are read off the vertices instead.
 ``feasible`` and ``minimize`` take systems in free variables; they back the
 public ``polyhedra.facet_intersection_nonempty`` and serve the tests as the
 primal reference.

@@ -11,7 +11,9 @@ inequality is verified exactly at construction time.  A facet through a
 simple vertex (exactly dim facets active) is irredundant by that vertex
 alone.  On Delzant input with a vertex every facet contains a vertex and
 every vertex is simple, so no LP is solved; an exact LP decides only the
-facets that meet no simple vertex.
+facets that meet no simple vertex.  ``is_compact`` likewise reads
+boundedness off the edges of simple vertices and solves its LP only on
+input with a non-simple vertex or none.
 """
 
 from __future__ import annotations
@@ -347,11 +349,32 @@ def check_vertex_and_splitting(P: DelzantPolyhedron) -> SplittingReport:
 def is_compact(P: DelzantPolyhedron) -> bool:
     """True iff the recession cone {x : <x, nu_j> >= 0 for all j} is {0}.
 
-    By Stiemke's lemma no x has all <x, nu_j> >= 0 with one of them positive
-    iff sum y_j nu_j = 0 for some y > 0, i.e. (after scaling) some y >= 1.
-    With the normals spanning, that is the whole cone being {0}.  One LP in
-    z = y - 1 >= 0:  sum z_j nu_j = -sum nu_j.
+    When P has a vertex and every vertex is simple (exactly dim facets
+    active), boundedness is read off the edges.  At a simple vertex v the
+    facets I_v - {j} have independent normals, so they cut out a line
+    through v, and P meets it in an edge that leaves v: a segment or a ray.
+    A segment ends at another vertex w, whose incident set contains
+    I_v - {j}; conversely such a w is a vertex on the line, and a vertex
+    cannot lie inside an edge, so the edge is the segment [v, w].  P is
+    bounded iff no edge is a ray: maximizing a recession direction by the
+    simplex method along the edges from any vertex must leave by a ray when
+    P is unbounded (every vertex reached is better than the last, and a
+    simple vertex without an improving edge would be optimal).  So P is
+    compact iff every set I_v - {j} lies in two vertices' incident sets.
+
+    Otherwise, by Stiemke's lemma no x has all <x, nu_j> >= 0 with one of
+    them positive iff sum y_j nu_j = 0 for some y > 0, i.e. (after scaling)
+    some y >= 1.  With the normals spanning, that is the whole cone being
+    {0}.  One LP in z = y - 1 >= 0:  sum z_j nu_j = -sum nu_j.
     """
+    vertices = enumerate_vertices(P)
+    if vertices and all(len(v.incident) == P.dim for v in vertices):
+        ends = {}
+        for v in vertices:
+            for j in v.incident:
+                edge = v.incident - {j}
+                ends[edge] = ends.get(edge, 0) + 1
+        return min(ends.values()) == 2
     if linalg.rank([list(nu) for nu in P.normals]) < P.dim:
         return False
     A = [[nu[i] for nu in P.normals] for i in range(P.dim)]

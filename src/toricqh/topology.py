@@ -1,10 +1,12 @@
 """Nerve complexes, simplicial homology, the Cohen-Macaulay criterion and the
 regular-sequence verification.
 
-Homology is computed over Q or over a prime field, via exact ranks of
-boundary matrices.  The Cohen-Macaulay check is Reisner's: reduced homology
-of the complex and of every face link must vanish below the dimension of the
-respective complex.
+Homology is computed over Q or over a prime field from the ranks of the
+boundary maps.  The two lowest ranks are read off the complex (a vertex
+exists; the 1-skeleton's components), and only the boundary maps of
+triangles and higher faces are ranked by exact elimination.  The
+Cohen-Macaulay check is Reisner's: reduced homology of the complex and of
+every face link must vanish below the dimension of the respective complex.
 """
 
 from __future__ import annotations
@@ -120,30 +122,57 @@ class HomologyProfile:
 def reduced_homology(K: NerveComplex, p: int | None = None) -> HomologyProfile:
     """Reduced simplicial homology ranks over Q (p None) or over F_p."""
     field_name(p)
-    layers = K.faces_by_dim()
-    index = [{f: i for i, f in enumerate(layer)} for layer in layers]
-    counts = [len(layer) for layer in layers]
+    return HomologyProfile(K.dim, _reduced_betti(K.faces_by_dim(), p))
 
-    def boundary_rank(d):
-        # rank of the boundary map from (d-1)-dimensional to (d-2)-dimensional
-        # faces; d indexes layers by face cardinality.
-        if d <= 0 or d >= len(layers) or not layers[d]:
-            return 0
+
+def _reduced_betti(layers, p) -> tuple[int, ...]:
+    """Reduced Betti numbers in degrees -1 .. len(layers) - 2 of the complex
+    whose faces of size d, as sorted tuples, are ``layers[d]``.
+
+    The Betti number in degree d - 1 is |layers[d]| minus the ranks of the
+    boundary maps out of and into layer d.  Rank d below is that of the map
+    from layer d to layer d - 1:
+      * rank 1 is 1 when a vertex exists: every vertex maps to the empty face;
+      * rank 2 is #vertices - #components of the 1-skeleton, by union-find.
+        The rows of a spanning forest are independent over every field (a
+        leaf's edge is the only row that is nonzero on the leaf), and every
+        other edge's row is the signed sum of the forest path between its
+        ends, so the incidence matrix of a graph has that rank over Q and
+        over every F_p alike;
+      * ranks 3 and higher are exact ranks of the boundary matrices.
+    """
+    branks = [0] * (len(layers) + 1)
+    if len(layers) > 1 and layers[1]:
+        branks[1] = 1
+    if len(layers) > 2:
+        root = {v: v for (v,) in layers[1]}
+
+        def find(v):
+            while root[v] != v:
+                root[v] = v = root[root[v]]
+            return v
+
+        for a, b in layers[2]:
+            a, b = find(a), find(b)
+            if a != b:
+                root[a] = b
+                branks[2] += 1
+    for d in range(3, len(layers)):
+        index = {f: i for i, f in enumerate(layers[d - 1])}
         rows = []
         for f in layers[d]:
-            row = {}
-            for i in range(len(f)):
-                sub = f[:i] + f[i + 1:]
-                row[index[d - 1][sub]] = (-1) ** i
-            rows.append(row)
-        return linalg.rank(rows, p)
+            rows.append({index[f[:i] + f[i + 1:]]: (-1) ** i
+                         for i in range(len(f))})
+        branks[d] = linalg.rank(rows, p)
+    return tuple(len(layer) - branks[d] - branks[d + 1]
+                 for d, layer in enumerate(layers))
 
-    branks = [boundary_rank(d) for d in range(len(layers) + 1)]
-    ranks = []
-    for d in range(len(layers)):
-        next_rank = branks[d + 1] if d + 1 < len(branks) else 0
-        ranks.append(counts[d] - branks[d] - next_rank)
-    return HomologyProfile(K.dim, tuple(ranks))
+
+def _link_faces(K: NerveComplex, J: frozenset) -> list[tuple[int, ...]]:
+    """G - J as a sorted tuple for every face G containing J, in the order
+    of ``K.sorted_faces`` (so by size, the empty face first)."""
+    return [tuple(x for x in G if x not in J)
+            for G in K.sorted_faces if J.issubset(G)]
 
 
 def link(K: NerveComplex, J) -> NerveComplex:
@@ -151,7 +180,7 @@ def link(K: NerveComplex, J) -> NerveComplex:
     J = frozenset(J)
     if not K.is_face(J):
         raise PreconditionError(f"{sorted(J)} is not a face of the complex")
-    return make_complex(K.ground, [m - J for m in K.maximal if J <= m])
+    return make_complex(K.ground, _link_faces(K, J))
 
 
 @dataclass(frozen=True)
@@ -163,16 +192,36 @@ class CMReport:
 
 def reisner_cm_check(K: NerveComplex, p: int | None = None) -> CMReport:
     """Reisner's criterion: reduced homology of the complex and of every face
-    link vanishes in all degrees strictly below the dimension of that complex."""
+    link vanishes in all degrees strictly below the dimension of that complex.
+
+    The link of F has dimension max |M| - |F| - 1 over the maximal faces M
+    containing F, read off ``K.maximal``.  Links of dimension <= 0 cannot
+    fail, so they are not built.  Reduced homology starts in degree -1, so
+    a (-1)-dimensional link has no degree below its dimension.  A
+    0-dimensional link has only degree -1 below it, and that group is
+    nonzero only for the complex {empty face}, while the link has a vertex.
+    Every other link is listed straight from ``K.sorted_faces`` (G
+    containing F gives G - F) and ranked by the routine behind
+    ``reduced_homology``.
+    Faces are visited in ``K.sorted_faces`` order and degrees upwards, so
+    the witness is the first failure in that order.
+    """
     field = field_name(p)
     for face in K.sorted_faces:
-        L = link(K, face)
-        profile = reduced_homology(L, p)
-        for degree, rank in profile.nonzero().items():
-            if degree < L.dim:
+        J = frozenset(face)
+        dim = max((len(m) for m in K.maximal if J <= m), default=0) \
+            - len(face) - 1
+        if dim <= 0:
+            continue
+        layers = [[] for _ in range(dim + 2)]
+        for f in _link_faces(K, J):
+            layers[len(f)].append(f)
+        for degree, rank in enumerate(_reduced_betti(layers, p)[:dim + 1],
+                                      start=-1):
+            if rank:
                 return CMReport(False, field,
                                 f"link of {list(face)} has reduced homology of "
-                                f"rank {rank} in degree {degree} < dim {L.dim}")
+                                f"rank {rank} in degree {degree} < dim {dim}")
     return CMReport(True, field)
 
 
@@ -278,14 +327,20 @@ def sr_hilbert_function(P: DelzantPolyhedron, maxdeg: int) -> list[int]:
     return values
 
 
-def linear_form_rows(prev, index, steps, weights) -> list[dict[int, int]]:
+def linear_form_rows(prev, index, steps, weights,
+                     koszul=None) -> list[dict[int, int]]:
     """Images of the linear forms c_i = sum_j weights[j][i] Z_j times each
     monomial of ``prev``, as sparse rows over the columns ``index``.
 
     A monomial is keyed by a vector and Z_j moves it by ``steps[j]``.
     Products missing from ``index`` are dropped: their support is not a
     face, so they have positive height and vanish in the graded piece.
-    Only the Z_j with a nonzero weight are stepped.
+    Only the Z_j with a nonzero weight are stepped, and each monomial's
+    products are looked up once for all its forms.
+
+    ``koszul``, a sequence of key positions, limits the forms per monomial:
+    c_i * m is left out when m's key is nonzero at ``koszul[t]`` for some
+    t < i, so m keeps c_0 .. c_t for the first such t, or every form.
     """
     n = len(weights[0]) if weights else 0
     moves = [(j, step) for j, step in enumerate(steps) if any(weights[j])]
@@ -293,7 +348,10 @@ def linear_form_rows(prev, index, steps, weights) -> list[dict[int, int]]:
     for m in prev:
         cols = [(j, index.get(tuple(map(add, m, step)))) for j, step in moves]
         cols = [(j, col) for j, col in cols if col is not None]
-        for i in range(n):
+        forms = n
+        if koszul is not None:
+            forms = next((t + 1 for t, pos in enumerate(koszul) if m[pos]), n)
+        for i in range(forms):
             row = {}
             for j, col in cols:
                 coeff = weights[j][i]
@@ -330,10 +388,14 @@ def regular_sequence_check(P: DelzantPolyhedron, p: int | None = None,
     same ideal over Z, Q and every F_p, and each has n-1 fewer terms.
 
     The row c'_k * m is skipped when Z_{s_t} divides m for some t < k (the
-    Koszul criterion of Faugere's F5).  Sound: with m = Z_{s_t} * m',
+    Koszul criterion of Faugere's F5, the ``koszul`` limit of
+    ``linear_form_rows``).  Sound: with m = Z_{s_t} * m',
       c'_k * m = c'_t * (c'_k * m') - sum_{l not in S} w_lt * c'_k * (Z_l * m'),
     and Z_l * m' < m in any monomial order ranking Z_S above the other
     variables, so by induction on (k, m) the kept rows span every degree.
+    The coefficients w_lk are reduced mod p once, zeros dropped, and each
+    Z_j moves m to its own column, so no two entries of a row add up and
+    the rows go to the eliminator already normalized.
 
     Slices are ranked only up to the first degree whose quotient is 0.  The
     quotient ring is generated in degree 1, so its degree-(d+1) piece is
@@ -355,7 +417,8 @@ def regular_sequence_check(P: DelzantPolyhedron, p: int | None = None,
                             for k in range(0, min(d, n) + 1)))
 
     S, coords = vertex_coordinates(P, 0)
-    weights = [[[w[k]] for w in coords] for k in range(n)]  # c'_k alone
+    weights = coords if p is None else [[x % p for x in w] for w in coords]
+    koszul = [s - 1 for s in S]
 
     steps = [tuple(int(k == j) for k in range(N)) for j in range(N)]
     dims = []
@@ -366,11 +429,10 @@ def regular_sequence_check(P: DelzantPolyhedron, p: int | None = None,
             break
         cur = sr_monomials(K, d)
         index = {m: i for i, m in enumerate(cur)}
-        rows, kept = [], prev
-        for s, weight in zip(S, weights):
-            rows += linear_form_rows(kept, index, steps, weight)
-            kept = [m for m in kept if not m[s - 1]]
-        dims.append(len(cur) - linalg.rank(rows, p))
+        elim = linalg.Eliminator(p)
+        for row in linear_form_rows(prev, index, steps, weights, koszul):
+            elim.add_row(row, normalized=True)
+        dims.append(len(cur) - elim.rank)
         prev = cur
     return RegSeqReport(tuple(dims) == tuple(expected), field,
                         tuple(dims), tuple(expected))

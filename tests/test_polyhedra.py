@@ -378,14 +378,14 @@ def _assert_irredundancy_matches_primal(dim, facets):
 
 
 def _primal_is_compact(P):
+    """No nonzero x with every <x, nu_j> >= 0.  With the normals spanning,
+    such an x has some <x, nu_j> > 0, so it scales to sum_j <x, nu_j> = 1:
+    one primal feasibility LP over the recession cone."""
+    if linalg.rank([list(nu) for nu in P.normals]) < P.dim:
+        return False
     recession = [(list(nu), 0) for nu in P.normals]
-    for i in range(P.dim):
-        for sign in (1, -1):
-            pin = [0] * P.dim
-            pin[i] = sign
-            if lp.feasible(recession, [(pin, 1)], P.dim):
-                return False
-    return True
+    total = [sum(column) for column in zip(*P.normals)]
+    return not lp.feasible(recession, [(total, 1)], P.dim)
 
 
 def _random_primitive(rng, dim):
@@ -425,16 +425,38 @@ def test_irredundancy_matches_primal_lp():
     assert min(verdicts.values()) >= 10, verdicts
 
 
-def test_is_compact_matches_recession_probes(corpus):
-    polys = list(corpus.values()) + [catalog.load_example("vertexless"),
-                                     polyhedron(2, [((1, 0), 1)]),
-                                     polyhedron(1, [((1,), 1), ((-1,), 1)])]
+def test_is_compact_matches_recession_probes(corpus, monkeypatch):
+    # Simple vertices decide without an LP, Delzant input among them; a
+    # non-simple apex (the square pyramid, bounded or not) keeps the
+    # Stiemke LP, and vertexless input is decided by the normals' rank.
+    polys = list(corpus.values()) + [
+        catalog.load_example("vertexless"), catalog.load_example("non_delzant"),
+        polyhedron(3, SQUARE_PYRAMID), polyhedron(3, SQUARE_PYRAMID[1:]),
+        polyhedron(3, OCTAHEDRON), polyhedron(2, [((1, 0), 1)]),
+        polyhedron(1, [((1,), 1), ((-1,), 1)])]
     rng = random.Random(5)
-    for trial in range(16):
+    for trial in range(200):
         polys.append(catalog.random_delzant(rng, 1 + trial % 4, 7))
-    verdicts = [is_compact(P) for P in polys]
+    calls = []
+    solve = lp.solve
+
+    def counting_solve(*args):
+        calls.append(args)
+        return solve(*args)
+
+    verdicts = []
+    with monkeypatch.context() as m:
+        m.setattr(lp, "solve", counting_solve)
+        for P in polys:
+            calls.clear()
+            verdicts.append(is_compact(P))
+            vertices = enumerate_vertices(P)
+            simple = all(len(v.incident) == P.dim for v in vertices)
+            assert len(calls) == (bool(vertices) and not simple), P
+            if vertices and check_delzant(P).passed:
+                assert not calls, P
     assert verdicts == [_primal_is_compact(P) for P in polys]
-    assert True in verdicts and False in verdicts
+    assert min(verdicts.count(True), verdicts.count(False)) >= 50
 
 
 # Cases the random insertions above need not reach: no simple vertex (a

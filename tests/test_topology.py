@@ -249,19 +249,28 @@ def test_regular_sequence_early_stop_matches_every_degree(corpus):
 
 def test_regular_sequence_skips_koszul_rows(corpus, monkeypatch):
     """In every degree d >= 2 the check ranks fewer than the n * |SR_{d-1}|
-    rows of the standard basis, and gets the reference's dimensions."""
-    ranked = []
+    rows of the standard basis, and gets the reference's dimensions.
 
-    def counting_rank(rows, p=None, rank=linalg.rank):
-        ranked.append(len(rows))
-        return rank(rows, p)
+    The check makes one eliminator per degree and hands it every row of
+    that degree, so the rows are counted per eliminator."""
+    ranked = []
+    init, add_row = linalg.Eliminator.__init__, linalg.Eliminator.add_row
+
+    def counting_init(self, *args, **kwargs):
+        ranked.append(0)
+        init(self, *args, **kwargs)
+
+    def counting_add_row(self, row, normalized=False):
+        ranked[-1] += 1
+        return add_row(self, row, normalized)
 
     for P in (corpus["cp3"], catalog.random_delzant(random.Random(31), 4, 7)):
         K = tp.build_nerve(P)
         for p in (None, 2):
             ranked.clear()
             with monkeypatch.context() as m:
-                m.setattr(linalg, "rank", counting_rank)
+                m.setattr(linalg.Eliminator, "__init__", counting_init)
+                m.setattr(linalg.Eliminator, "add_row", counting_add_row)
                 report = tp.regular_sequence_check(P, p, P.dim + 4)
             dims, _ = _reference_regular_sequence(P, p, P.dim + 4)
             assert report.quotient_dims == dims, (P, p)
@@ -269,6 +278,26 @@ def test_regular_sequence_skips_koszul_rows(corpus, monkeypatch):
             for d, count in enumerate(ranked):
                 full = P.dim * len(tp.sr_monomials(K, d - 1)) if d else 0
                 assert count < full if d >= 2 else count <= full, (P, p, d)
+
+
+def test_koszul_limit_keeps_a_prefix_of_the_forms():
+    # Over three variables with every weight nonzero and Koszul positions
+    # (1, 0, 2): Z_2 keeps c_0 only, Z_1 keeps c_0 and c_1, Z_3 keeps all
+    # three, and the empty monomial keeps all three.
+    prev = [(0, 0, 0), (0, 1, 0), (1, 0, 0), (0, 0, 1)]
+    steps = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    cur = sorted({tuple(map(sum, zip(m, s))) for m in prev for s in steps})
+    index = {m: i for i, m in enumerate(cur)}
+    weights = [[1, 2, 3], [4, 5, 6], [7, 8, 9]]
+    rows = tp.linear_form_rows(prev, index, steps, weights, koszul=(1, 0, 2))
+    want = []
+    for m, forms in zip(prev, (3, 1, 2, 3)):
+        want += tp.linear_form_rows([m], index, steps, weights)[:forms]
+    assert rows == want
+    assert len(rows) == 9
+    assert tp.linear_form_rows(prev, index, steps, weights) == [
+        row for m in prev
+        for row in tp.linear_form_rows([m], index, steps, weights)]
 
 
 FIELD_TAKERS = {
@@ -316,3 +345,97 @@ def test_reisner_random_delzant(seed):
     K = tp.build_nerve(P)
     assert tp.reisner_cm_check(K).passed
     assert tp.sphere_or_ball_profile(P).match
+
+
+def _boundary_rank_homology(K, p=None):
+    """Reduced Betti numbers from the exact rank of every boundary matrix."""
+    layers = K.faces_by_dim()
+    index = [{f: i for i, f in enumerate(layer)} for layer in layers]
+    branks = [0] * (len(layers) + 1)
+    for d in range(1, len(layers)):
+        branks[d] = linalg.rank(
+            [{index[d - 1][f[:i] + f[i + 1:]]: (-1) ** i for i in range(len(f))}
+             for f in layers[d]], p)
+    return tuple(len(layer) - branks[d] - branks[d + 1]
+                 for d, layer in enumerate(layers))
+
+
+def _reference_reisner(K, p=None):
+    """Reisner's criterion face by face: build every link from the maximal
+    faces and rank all of its boundary matrices."""
+    field = tp.field_name(p)
+    for face in K.sorted_faces:
+        J = frozenset(face)
+        L = tp.make_complex(K.ground, [m - J for m in K.maximal if J <= m])
+        ranks = _boundary_rank_homology(L, p)
+        for degree, rank in enumerate(ranks, start=-1):
+            if rank and degree < L.dim:
+                return tp.CMReport(False, field,
+                                   f"link of {list(face)} has reduced homology "
+                                   f"of rank {rank} in degree {degree} < dim "
+                                   f"{L.dim}")
+    return tp.CMReport(True, field)
+
+
+# The six-vertex real projective plane: acyclic over Q, not over F_2.
+RP2 = [{1, 2, 3}, {1, 3, 4}, {1, 4, 5}, {1, 5, 6}, {1, 2, 6}, {2, 3, 5},
+       {3, 4, 6}, {2, 4, 5}, {3, 5, 6}, {2, 4, 6}]
+
+
+def _cone(K):
+    apex = K.ground + 1
+    return tp.make_complex(apex, [m | {apex} for m in K.maximal])
+
+
+def _suspension(K):
+    a, b = K.ground + 1, K.ground + 2
+    return tp.make_complex(b, [m | {c} for m in K.maximal for c in (a, b)])
+
+
+def _random_complex(rng):
+    """Random maximal faces, possibly non-pure or disconnected, then as it
+    is, coned or suspended."""
+    ground = rng.randint(1, 7)
+    faces = [rng.sample(range(1, ground + 1), rng.randint(1, min(4, ground)))
+             for _ in range(rng.randint(1, 6))]
+    K = tp.make_complex(ground, faces)
+    return rng.choice([lambda K: K, lambda K: K, _cone, _suspension])(K)
+
+
+def _reisner_cases():
+    rng = random.Random(4242)
+    cases = [_random_complex(rng) for _ in range(320)]
+    projective = tp.make_complex(6, RP2)
+    cases += [projective, _cone(projective), _suspension(projective),
+              tp.make_complex(3, [frozenset()]), tp.NerveComplex(2, ()),
+              tp.make_complex(4, [{1, 2}, {3, 4}])]
+    cases += [tp.build_nerve(P) for P in catalog.load_valid_examples().values()]
+    cases += [tp.build_nerve(catalog.random_delzant(rng, dim, 8))
+              for dim in (2, 3, 4) for _ in range(8)]
+    return cases
+
+
+def test_reisner_matches_the_link_by_link_reference():
+    verdicts = {}
+    for K in _reisner_cases():
+        for p in (None, 2, 3):
+            report = tp.reisner_cm_check(K, p)
+            assert report == _reference_reisner(K, p), (K, p)
+            verdicts[report.passed] = verdicts.get(report.passed, 0) + 1
+    assert min(verdicts.values()) >= 100, verdicts
+    projective = tp.make_complex(6, RP2)
+    assert tp.reisner_cm_check(projective).passed
+    assert tp.reisner_cm_check(projective, 3).passed
+    assert tp.reisner_cm_check(projective, 2).witness == \
+        "link of [] has reduced homology of rank 1 in degree 1 < dim 2"
+
+
+def test_betti_numbers_match_the_boundary_ranks():
+    for K in _reisner_cases():
+        for p in (None, 2):
+            profile = tp.reduced_homology(K, p)
+            assert profile == tp.HomologyProfile(
+                K.dim, _boundary_rank_homology(K, p)), (K, p)
+    projective = tp.make_complex(6, RP2)
+    assert tp.reduced_homology(projective).nonzero() == {}
+    assert tp.reduced_homology(projective, 2).nonzero() == {1: 1, 2: 1}
