@@ -4,6 +4,12 @@ One invocation processes one polyhedron file and emits one report, as JSON
 or text.  Output is deterministic: identical configuration produces
 byte-identical output.
 
+The command line is read against one option table, ``OPTIONS``: options
+are ``--name value`` or ``--name=value`` with the name spelled in full, a
+value may start with ``-`` (``--bfield -1,2,1``), and ``-h``/``--help``
+prints the usage text built from the table.  A bad command line is an input
+error like any other: one ``error:`` line on stderr and exit 2.
+
 Exit codes: 0 success, 2 input/schema error, 3 precondition violation,
 4 verified-property failure.  A reader that closes stdout before the report
 is written does not change the exit code.
@@ -11,11 +17,11 @@ is written does not change the exit code.
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 from . import jacobian as jc
 from . import monoid as mo
@@ -36,25 +42,74 @@ COMMANDS = ("validate", "classical", "quantum", "cm", "jacobian", "invert",
             "audit")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
-        prog="toricqh",
-        description="Exact cohomology presentations of toric varieties from "
-                    "Delzant polyhedra.")
-    ap.add_argument("--input", required=True, help="polyhedron JSON file")
-    ap.add_argument("--command", required=True, choices=COMMANDS)
-    ap.add_argument("--ring", default="z",
-                    help="coefficient ring: z, q, or fp:P (default z)")
-    ap.add_argument("--cutoff", default="1",
-                    help="truncation cutoff g as an exact fraction (jacobian)")
-    ap.add_argument("--margin", type=int, default=0,
-                    help="extra T-degrees checked beyond 2*dim (quantum)")
-    ap.add_argument("--bfield", default=None,
-                    help="comma-separated unit rescalings, one per facet")
-    ap.add_argument("--perturb", default=None,
-                    help="JSON file with one perturbation per facet (jacobian)")
-    ap.add_argument("--format", default="text", choices=("json", "text"))
-    return ap
+# The command line: option name -> (default, allowed values or None, help
+# line).  An option whose default is REQUIRED must be given, and one whose
+# default is an int takes an integer.
+REQUIRED = object()
+OPTIONS = {
+    "input": (REQUIRED, None, "polyhedron JSON file"),
+    "command": (REQUIRED, COMMANDS, "what to compute"),
+    "ring": ("z", None, "coefficient ring: z, q, or fp:P"),
+    "cutoff": ("1", None, "jacobian: truncation cutoff g as an exact fraction"),
+    "margin": (0, None, "quantum: extra T-degrees checked beyond 2*dim"),
+    "bfield": (None, None, "comma-separated unit rescalings, one per facet"),
+    "perturb": (None, None,
+                "jacobian: JSON file with one perturbation per facet"),
+    "format": ("text", ("json", "text"), "report format"),
+}
+
+
+def usage() -> str:
+    """The ``--help`` text: one entry per option of ``OPTIONS``."""
+    lines = ["usage: toricqh --input FILE --command NAME [options]", "",
+             "Exact cohomology presentations of toric varieties from "
+             "Delzant polyhedra.", ""]
+    for name, (default, choices, text) in OPTIONS.items():
+        if default is REQUIRED:
+            text += " (required)"
+        elif default is not None:
+            text += f" (default {default})"
+        lines.append(f"  --{name:<9} {text}")
+        if choices:
+            lines.append(f"  {'':<11} {' | '.join(choices)}")
+    lines.append(f"  {'-h, --help':<11} show this help and exit")
+    return "\n".join(lines) + "\n"
+
+
+def parse_args(argv):
+    """Reads ``--name value`` and ``--name=value`` for the options of
+    ``OPTIONS``; names are spelled in full, a value may start with ``-``,
+    and the last of repeated options wins.  Returns a namespace with one
+    attribute per option, or None when ``-h`` or ``--help`` is given.
+    Raises SchemaError on any other bad command line."""
+    values = {}
+    args = iter(argv)
+    for arg in args:
+        if arg in ("-h", "--help"):
+            return None
+        flag, attached, value = arg.partition("=")
+        name = flag[2:]
+        if not flag.startswith("--") or name not in OPTIONS:
+            raise SchemaError(f"unrecognized argument {arg!r}")
+        if not attached:
+            value = next(args, None)
+            if value is None:
+                raise SchemaError(f"{flag} expects a value")
+        values[name] = value
+    for name, (default, choices, _) in OPTIONS.items():
+        value = values.setdefault(name, default)
+        if value is REQUIRED:
+            raise SchemaError(f"--{name} is required")
+        if choices and value not in choices:
+            raise SchemaError(f"--{name} must be one of {', '.join(choices)}, "
+                              f"got {value!r}")
+        if isinstance(default, int) and isinstance(value, str):
+            try:
+                values[name] = int(value)
+            except ValueError:
+                raise SchemaError(f"--{name} expects an integer, "
+                                  f"got {value!r}") from None
+    return SimpleNamespace(**values)
 
 
 def _parse_ring(text: str):
@@ -91,14 +146,18 @@ _UNREADABLE = (OSError, UnicodeDecodeError, json.JSONDecodeError,
                RecursionError)
 
 
+def _read_json(path: str, option: str):
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except _UNREADABLE as exc:
+        raise SchemaError(f"cannot read {option} {path}: {exc}") from exc
+
+
 def _load_perturbations(path: str | None, P):
     if path is None:
         return None
-    try:
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
-    except _UNREADABLE as exc:
-        raise SchemaError(f"cannot read --perturb {path}: {exc}") from exc
+    data = _read_json(path, "--perturb")
     if isinstance(data, dict):
         data = data.get("perturbations")
     if not isinstance(data, list) or len(data) != P.nfacets:
@@ -430,15 +489,11 @@ def _render_text(report) -> str:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        with open(args.input, encoding="utf-8") as fh:
-            data = json.load(fh)
-    except _UNREADABLE as exc:
-        print(f"error: cannot read {args.input}: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    try:
-        P = parse_polyhedron(data)
+        args = parse_args(sys.argv[1:] if argv is None else argv)
+        if args is None:
+            return _emit(usage(), EXIT_OK)
+        P = parse_polyhedron(_read_json(args.input, "--input"))
         report, code = _DISPATCH[args.command](P, args)
     except SchemaError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -451,15 +506,22 @@ def main(argv=None) -> int:
         return EXIT_PROPERTY
 
     report["input"] = polyhedron_to_json(P)
+    if args.format == "json":
+        text = json.dumps(_stringify(report), indent=2, sort_keys=True) + "\n"
+    else:
+        text = _render_text(report)
+    return _emit(text, code)
+
+
+def _emit(text: str, code: int) -> int:
+    """Writes ``text`` to stdout and returns ``code``, which a reader that
+    has closed stdout does not change."""
     try:
-        if args.format == "json":
-            print(json.dumps(_stringify(report), indent=2, sort_keys=True))
-        else:
-            print(_render_text(report), end="")
+        print(text, end="")
         if sys.stdout is not None:
             sys.stdout.flush()
     except BrokenPipeError:
-        # The reader has gone: the report is lost but the verdict stands.
+        # The reader has gone: the text is lost but the verdict stands.
         # Point stdout at the null device so the flush at exit cannot fail.
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())

@@ -6,7 +6,8 @@ VerificationError -> 4.
 
 
 class SchemaError(ValueError):
-    """Input data violates the polyhedron or perturbation file schema."""
+    """Input data violates the polyhedron or perturbation file schema, or
+    the command line is malformed."""
 
 
 class PreconditionError(ValueError):

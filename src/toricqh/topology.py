@@ -168,19 +168,33 @@ def _reduced_betti(layers, p) -> tuple[int, ...]:
                  for d, layer in enumerate(layers))
 
 
-def _link_faces(K: NerveComplex, J: frozenset) -> list[tuple[int, ...]]:
-    """G - J as a sorted tuple for every face G containing J, in the order
-    of ``K.sorted_faces`` (so by size, the empty face first)."""
-    return [tuple(x for x in G if x not in J)
-            for G in K.sorted_faces if J.issubset(G)]
+def _stars(K: NerveComplex, wanted) -> dict[tuple[int, ...], list]:
+    """The link faces of every face F in ``wanted`` (sorted label tuples):
+    G - F as a sorted tuple for every face G containing F, in the order of
+    ``K.sorted_faces`` (so by size, the empty face first).
+
+    One walk over ``K.sorted_faces`` splits each face G into its subsets F
+    and their complements, sum of 2^|G| steps for all stars at once.
+    """
+    stars = {F: [] for F in wanted}
+    for G in K.sorted_faces:
+        splits = [((), ())]
+        for x in G:
+            splits = ([(F + (x,), R) for F, R in splits]
+                      + [(F, R + (x,)) for F, R in splits])
+        for F, R in splits:
+            star = stars.get(F)
+            if star is not None:
+                star.append(R)
+    return stars
 
 
 def link(K: NerveComplex, J) -> NerveComplex:
     """The link of a face: all faces disjoint from J whose union with J is a face."""
-    J = frozenset(J)
+    J = tuple(sorted(set(J)))
     if not K.is_face(J):
-        raise PreconditionError(f"{sorted(J)} is not a face of the complex")
-    return make_complex(K.ground, _link_faces(K, J))
+        raise PreconditionError(f"{list(J)} is not a face of the complex")
+    return make_complex(K.ground, _stars(K, [J])[J])
 
 
 @dataclass(frozen=True)
@@ -200,21 +214,26 @@ def reisner_cm_check(K: NerveComplex, p: int | None = None) -> CMReport:
     a (-1)-dimensional link has no degree below its dimension.  A
     0-dimensional link has only degree -1 below it, and that group is
     nonzero only for the complex {empty face}, while the link has a vertex.
-    Every other link is listed straight from ``K.sorted_faces`` (G
-    containing F gives G - F) and ranked by the routine behind
-    ``reduced_homology``.
+    The other links are listed together by one walk over
+    ``K.sorted_faces`` (G containing F gives G - F) and ranked by the
+    routine behind ``reduced_homology``.
     Faces are visited in ``K.sorted_faces`` order and degrees upwards, so
     the witness is the first failure in that order.
     """
     field = field_name(p)
+    dims = {}
+    for m in K.maximal:
+        m = sorted(m)
+        for size in range(len(m) - 1):
+            for face in itertools.combinations(m, size):
+                dims[face] = max(dims.get(face, 0), len(m) - size - 1)
+    stars = _stars(K, dims)
     for face in K.sorted_faces:
-        J = frozenset(face)
-        dim = max((len(m) for m in K.maximal if J <= m), default=0) \
-            - len(face) - 1
-        if dim <= 0:
+        dim = dims.get(face)
+        if dim is None:
             continue
         layers = [[] for _ in range(dim + 2)]
-        for f in _link_faces(K, J):
+        for f in stars[face]:
             layers[len(f)].append(f)
         for degree, rank in enumerate(_reduced_betti(layers, p)[:dim + 1],
                                       start=-1):

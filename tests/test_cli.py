@@ -164,6 +164,12 @@ BAD_ARGUMENTS = [
     ("DEEP", "validate", (), 2),
     ("cp1", "jacobian", ("--perturb", "NOT_UTF8"), 2),
     ("cp1", "jacobian", ("--perturb", "DEEP"), 2),
+    ("cp2", "bogus", (), 2),
+    ("cp2", "validate", ("--format", "xml"), 2),
+    ("cp2", "quantum", ("--margin", "abc"), 2),
+    ("cp2", "quantum", ("--margin",), 2),
+    ("cp2", "validate", ("--extra", "1"), 2),
+    ("cp1", "jacobian", ("--cut", "2"), 2),
 ]
 
 # Files written into tmp_path; a row names one by its key, as the input or
@@ -204,6 +210,52 @@ def test_bad_arguments_exit_codes(tmp_path, capsys, name, command, args,
     assert code == expected
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [[], ["--input", data_path("cp1")]])
+def test_missing_required_option(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_bfield_value_may_start_with_a_minus(capsys):
+    outs = []
+    for bfield in (("--bfield", "-1,2"), ("--bfield=-1,2",)):
+        code, out, _ = run(capsys, "--input", data_path("cp1"),
+                           "--command", "jacobian", *bfield)
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1]
+    assert "rho: -1, 2" in outs[0]
+
+
+def test_help_names_every_option_and_command(capsys):
+    code, out, err = run(capsys, "--help")
+    assert code == 0
+    assert err == ""
+    for name in cli.OPTIONS:
+        assert f"--{name}" in out
+    for command in cli.COMMANDS:
+        assert command in out
+
+
+def test_cli_does_not_import_argparse():
+    # parsing the command line must not pull in argparse, nor gettext
+    # (which imports locale) through it
+    import toricqh
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(toricqh.__file__).resolve().parents[1]))
+    code = ("import contextlib, io, sys\n"
+            "from toricqh import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    code = cli.main(['--input', {data_path('cp1')!r}, "
+            "'--command', 'validate'])\n"
+            "print(code, sorted({'argparse', 'gettext'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.stdout == "0 []\n", proc.stderr
 
 
 def test_quantum_bfield_keeps_the_basis(tmp_path, capsys):
