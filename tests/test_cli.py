@@ -231,6 +231,13 @@ def test_bfield_value_may_start_with_a_minus(capsys):
     assert "rho: -1, 2" in outs[0]
 
 
+def test_last_repeated_option_wins(capsys):
+    code, out, _ = run(capsys, "--input", data_path("cp1"), "--command",
+                       "validate", "--format", "text", "--format=json")
+    assert code == 0
+    assert json.loads(out)["command"] == "validate"
+
+
 def test_help_names_every_option_and_command(capsys):
     code, out, err = run(capsys, "--help")
     assert code == 0
