@@ -31,7 +31,7 @@ from .errors import PreconditionError, SchemaError, VerificationError
 from .linalg import is_prime
 from .polyhedra import (check_delzant, check_vertex_and_splitting, is_compact,
                         monotone_normalization, parse_polyhedron,
-                        polyhedron_to_json)
+                        polyhedron_to_json, require_delzant)
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -163,6 +163,7 @@ def _load_perturbations(path: str | None, P):
     if not isinstance(data, list) or len(data) != P.nfacets:
         raise SchemaError(f"perturbation file must hold a list of "
                           f"{P.nfacets} filtered elements")
+    require_delzant(P)  # the terms decode through the cone monoid
     ctx = mo.monoid_for(P)
     return [mo.filtered_from_json(ctx, item) for item in data]
 
@@ -385,8 +386,8 @@ def cmd_jacobian(P, args):
     if label == "Z":
         p = None  # freeness over a field; default to Q
     rho = _parse_bfield(args.bfield, P.nfacets)
-    perts = _load_perturbations(args.perturb, P)
     g = _parse_cutoff(args.cutoff)
+    perts = _load_perturbations(args.perturb, P)
     rep = jc.jacobian_freeness(P, perturbations=perts, rho=rho, g=g, p=p)
     report = {
         "command": "jacobian",

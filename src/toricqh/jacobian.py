@@ -36,27 +36,19 @@ change of basis lies in GL_n(Z), so the c'_k generate the same ideal as the
 n components of sum_j nu_j h_j, over Z, Q and every F_p, and have the same
 monomials: rel_weight, the largest T-weight of a relation term, is
 unchanged.  Every row c'_k * m with w(m) <= w_max = cap - rel_weight would
-span the relations inside the slice; the rows that can only repeat others
-are skipped (the Koszul criterion of Faugere's F5, ISSAC 2002, as in
-``topology.regular_sequence_check``), but only where the identity behind
-the skip stays inside that window.  The row c'_k * m is skipped when, for
-some t < k, v_{s_t} divides m (the Stanley-Reisner exponent e of m has
-e[s_t] > 0) and w(m) - lambda_{s_t} + rel_weight <= w_max.  Sound: write
-c'_t = rho_{s_t} v_{s_t} + r_t and m = v_{s_t} m'.  Then
-
-    rho_{s_t} * c'_k * m = c'_t * (c'_k m') - c'_k * (r_t m').
-
-Every row on the right is a relation times a monomial of weight at most
-w(m') + rel_weight = w(m) - lambda_{s_t} + rel_weight, so the window
-condition keeps all of them among the rows of the slice.  The rows c'_t * x
-have t < k; the rows c'_k * y have theta_{v0}(y) > theta_{v0}(m), because
-theta_{v0}(v_l) > 0 for l not in S and every perturbation term has positive
-height while theta_{v0}(v_{s_t}) = 0.  So induction on (k, -theta_{v0})
-puts every skipped row in the span of the kept ones.  Truncation at height
-g is a ring quotient, so the identity survives it, and rho_{s_t} is a unit
-over Q and, as checked on entry, modulo p.  Each relation is normalized
-once (scaled to integers over Q, reduced to residues over F_p) and its rows
-go to the eliminator as they are.
+span the relations inside the slice.  Rows are skipped by the Koszul rule
+of ``topology.graded_rows`` (c'_k * m when v_{s_t} divides m for some
+t < k), whose identity and induction on (k, -theta_{v0}) carry over with
+c'_t = rho_{s_t} v_{s_t} + r_t: every perturbation term has positive
+height, so theta_{v0} still grows on the rows c'_k * y.  This slice is
+bounded by weight, not by degree, so a row is skipped only where the
+identity stays inside the window: its rows are relations times monomials
+of weight at most w(m) - lambda_{s_t} + rel_weight, which must be at most
+w_max.  Truncation at height g is a ring quotient, so the identity
+survives it, and rho_{s_t} is a unit over Q and, as checked on entry,
+modulo p.  Each relation is normalized once (scaled to integers over Q,
+reduced to residues over F_p) and its rows go to the eliminator as they
+are.
 """
 
 from __future__ import annotations

@@ -33,8 +33,8 @@ from operator import mul
 from . import lp
 from .errors import LatticeError, PreconditionError, SchemaError
 from .polyhedra import (DelzantPolyhedron, Vertex, enumerate_vertices,
-                        exact_fraction, exact_parameter, is_integer, memoized,
-                        vertex_basis)
+                        exact_fraction, exact_parameter, format_point,
+                        is_integer, memoized, vertex_basis)
 
 
 def scaled(x: Fraction, D: int) -> int:
@@ -166,8 +166,8 @@ class ConeMonoid:
             if self.contains((lam, nu)):
                 raise LatticeError(
                     f"no non-negative integral expression of {nu} in the normals "
-                    f"incident to vertex {self.vertices[k].point}; the input is "
-                    f"not Delzant")
+                    f"incident to vertex {format_point(self.vertices[k].point)}; "
+                    f"the input is not Delzant")
             raise PreconditionError(f"({lam}, {nu}) is not in the cone")
         # lam - s = sum_j t_j * lambda_j, scaled by D
         assert -low == sum(map(mul, t, self.scaled_offsets))

@@ -301,12 +301,12 @@ def check_delzant(P: DelzantPolyhedron) -> DelzantReport:
     for v in enumerate_vertices(P):
         labels = sorted(v.incident)
         if len(labels) != P.dim:
-            violations.append(f"vertex {_fmt_point(v.point)}: {len(labels)} facets "
+            violations.append(f"vertex {format_point(v.point)}: {len(labels)} facets "
                               f"meet (expected {P.dim})")
             continue
         det = linalg.determinant([list(P.normal(j)) for j in labels])
         if det not in (1, -1):
-            violations.append(f"vertex {_fmt_point(v.point)}: normal determinant "
+            violations.append(f"vertex {format_point(v.point)}: normal determinant "
                               f"{det} is not a unit")
     return DelzantReport(not violations, tuple(violations))
 
@@ -320,7 +320,7 @@ def require_delzant(P: DelzantPolyhedron) -> None:
         raise PreconditionError("Delzant check failed: " + "; ".join(report.violations))
 
 
-def _fmt_point(pt) -> str:
+def format_point(pt) -> str:
     return "(" + ", ".join(str(x) for x in pt) + ")"
 
 

@@ -9,7 +9,9 @@ so that ranks and structure constants are simultaneously valid over any
 coefficient ring.  Torsion is a hard error; it would contradict the
 freeness facts these presentations rest on and therefore signals invalid
 input or an implementation bug.  With non-unit B-field rescalings the same
-elimination runs over Q.
+elimination runs over Q.  The relation rows come from
+``topology.graded_rows`` in the lattice basis of the first vertex, so they,
+and their cost, do not depend on the lattice basis of the input.
 
 Basis convention: within each degree, monomials are scanned in ascending
 graded-lexicographic order on exponent vectors and picked greedily so that
@@ -25,6 +27,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from operator import mul
 
 from . import linalg, topology
@@ -34,7 +37,7 @@ from .monoid import (FilteredElement, element_from_monomial, format_monomial,
 from .polyhedra import (DelzantPolyhedron, enumerate_vertices,
                         exact_parameter, is_compact, memoized,
                         minimal_nonfaces, monotone_normalization,
-                        relabel_lattice, require_delzant)
+                        relabel_lattice, require_delzant, vertex_coordinates)
 
 TPoly = tuple  # coefficient tuple, index = exponent of T
 
@@ -181,15 +184,14 @@ def classical_presentation(P: DelzantPolyhedron, ring: str = "Z",
     K = topology.build_nerve(P)
     n, N = P.dim, P.nfacets
     steps = [tuple(int(k == j) for k in range(N)) for j in range(N)]
-    weights = [[c * r for c in nu] for nu, r in zip(P.normals, rho)]
+    S, coords = vertex_coordinates(P, 0)
+    weights = [[c * r for c in w] for w, r in zip(coords, rho)]
+    slices = [topology.sr_monomials(K, d) for d in range(n + 2)]
 
     layers = []
     basis = []
-    prev = []
-    for d in range(n + 2):
-        cur = topology.sr_monomials(K, d)
-        index = {m: i for i, m in enumerate(cur)}
-        rows = topology.linear_form_rows(prev, index, steps, weights)
+    for d, (index, rows) in enumerate(topology.graded_rows(
+            slices, steps, weights, [s - 1 for s in S])):
         claimed = None if plain is None else \
             [index[e] for e in plain.basis if sum(e) == d]
         layer = _graded_layer(index, rows, integral,
@@ -199,8 +201,7 @@ def classical_presentation(P: DelzantPolyhedron, ring: str = "Z",
             raise VerificationError(f"classical cohomology does not vanish in "
                                     f"degree {d} > {n}")
         layers.append(layer)
-        basis.extend(cur[col] for col in layer.basis_cols)
-        prev = cur
+        basis.extend(slices[d][col] for col in layer.basis_cols)
 
     ranks = tuple(len(layers[d].basis_cols) for d in range(n + 1))
     nvertices = len(enumerate_vertices(P))
@@ -357,25 +358,24 @@ def quantum_presentation(P: DelzantPolyhedron, margin: int = 0,
     basis_nu = [tuple(sum(map(mul, e, col)) for col in columns) for e in basis]
 
     bound = 2 * n + margin
-    weights = [[r * c for c in nu] for nu, r in zip(Pn.normals, rho_coeff)]
+    S, coords = vertex_coordinates(Pn, 0)
+    weights = [[r * c for c in w] for w, r in zip(coords, rho_coeff)]
     K = topology.build_nerve(Pn)
+    # T * (slice k-1) and the height-zero monomials v^t of degree k; by
+    # uniqueness of canonical decompositions no two t share a nu
+    slices = accumulate(([tuple(sum(map(mul, t, col)) for col in columns)
+                          for t in topology.sr_monomials(K, k)]
+                         for k in range(bound + 1)),
+                        lambda nus, new: sorted(nus + new))
     layers = []
-    prev_nus = []
-    for k in range(bound + 1):
-        # T * (slice k-1) and the height-zero monomials v^t of degree k; by
-        # uniqueness of canonical decompositions no two t share a nu
-        nus = sorted(prev_nus + [tuple(sum(map(mul, t, col)) for col in columns)
-                                 for t in topology.sr_monomials(K, k)])
-        index = {nu: i for i, nu in enumerate(nus)}
-        assert len(index) == len(nus)
-        rows = topology.linear_form_rows(prev_nus, index, Pn.normals, weights)
+    for k, (index, rows) in enumerate(topology.graded_rows(
+            slices, Pn.normals, weights, [s - 1 for s in S])):
         # the basis is sorted by degree, so T^(k - deg e_g) * e_g for the
         # first len(claimed) indices g
         claimed = [index[nu] for nu, d in zip(basis_nu, degs) if d <= k]
         layer = _graded_layer(index, rows, integral,
                               f"the quantum quotient at T-degree {k}", claimed)
         layers.append(layer)
-        prev_nus = nus
 
     qp = QuantumPresentation(
         P, Pn, norm.translation, norm.offset, ring, rho, bound, classical,

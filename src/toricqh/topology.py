@@ -271,15 +271,12 @@ def sphere_or_ball_profile(P: DelzantPolyhedron, p: int | None = None) -> Profil
 
 def sr_monomials(K: NerveComplex, degree: int) -> list[tuple[int, ...]]:
     """Exponent vectors of total degree ``degree`` whose support is a face,
-    sorted in graded lexicographic order.  These are the monomial basis of
-    the Stanley-Reisner ring in that degree, and the enumerator of the
-    degree-graded slices: the classical, regular-sequence and quantum (the
-    height-zero part of each T-degree) slices.  The Jacobian slice, bounded
-    by weight instead of degree, comes from ``sr_walk``; the two are the
-    only enumerators of slice monomials.
-
-    Walks ``K.sorted_faces``, which the complex builds once and keeps, so
-    repeated calls on one complex do not rebuild its faces."""
+    sorted in graded lexicographic order: the monomial basis of the
+    Stanley-Reisner ring in that degree, and the slices that the classical,
+    regular-sequence and quantum (its height-zero part) quotients walk with
+    ``graded_rows``.  The Jacobian slice, bounded by weight instead of
+    degree, comes from ``sr_walk``; the two are the only enumerators of
+    slice monomials.  Walks ``K.sorted_faces``, which the complex keeps."""
     if degree == 0:
         return [(0,) * K.ground]
     out = []
@@ -346,39 +343,59 @@ def sr_hilbert_function(P: DelzantPolyhedron, maxdeg: int) -> list[int]:
     return values
 
 
-def linear_form_rows(prev, index, steps, weights,
-                     koszul=None) -> list[dict[int, int]]:
-    """Images of the linear forms c_i = sum_j weights[j][i] Z_j times each
-    monomial of ``prev``, as sparse rows over the columns ``index``.
+def graded_rows(slices, steps, weights, leads=()):
+    """Yield, slice by slice, the column index {key: column} of the slice
+    and the rows c_k * m over it, for the forms c_k = sum_j weights[j][k] Z_j
+    and the monomials m of the slice before (none for the first).
 
-    A monomial is keyed by a vector and Z_j moves it by ``steps[j]``.
-    Products missing from ``index`` are dropped: their support is not a
-    face, so they have positive height and vanish in the graded piece.
-    Only the Z_j with a nonzero weight are stepped, and each monomial's
-    products are looked up once for all its forms.
+    Keys are vectors in column order; Z_j moves a key by ``steps[j]``, and
+    the steps are distinct, so no two entries of a row add up.  Products
+    missing from the next slice are 0 there and dropped.
 
-    ``koszul``, a sequence of key positions, limits the forms per monomial:
-    c_i * m is left out when m's key is nonzero at ``koszul[t]`` for some
-    t < i, so m keeps c_0 .. c_t for the first such t, or every form.
+    Koszul rule (Faugere's F5, ISSAC 2002).  ``leads`` are the variables
+    s_0, s_1, ... of a vertex basis S, in which the forms read
+    c_k = rho_k Z_{s_k} + sum_{l not in S} w_lk Z_l with rho_k a unit
+    (+-1 over Z).  The row c_k * m is skipped when Z_{s_t} divides m for
+    some t < k; with no leads every row is kept.  m is divisible by Z_{s_t}
+    exactly when a monomial of the slice before reaches it by step s_t, so
+    the walk records that while it builds the rows into a slice.  This
+    needs slices closed under division, as the Stanley-Reisner slices and
+    the monotone T-degree slices are, keyed by exponents or by nu alike.
+
+    Sound: with m = Z_{s_t} * m',
+      rho_t c_k m = c_t (c_k m') - sum_{l not in S} w_lt c_k (Z_l m').
+    The first term is a sum of rows c_t * x with t < k.  The others are rows
+    c_k * y with theta(y) > theta(m), for theta = theta_{v0}, the pairing
+    with the first vertex: 0 on Z_S and positive on every other Z_l.  So
+    induction on (k, -theta) puts every skipped row in the span of the kept
+    ones, over Z, Q and F_p, in the Stanley-Reisner ring and in the
+    monotone monoid ring alike.
     """
-    n = len(weights[0]) if weights else 0
-    moves = [(j, step) for j, step in enumerate(steps) if any(weights[j])]
-    rows = []
-    for m in prev:
-        cols = [(j, index.get(tuple(map(add, m, step)))) for j, step in moves]
-        cols = [(j, col) for j, col in cols if col is not None]
-        forms = n
-        if koszul is not None:
-            forms = next((t + 1 for t, pos in enumerate(koszul) if m[pos]), n)
-        for i in range(forms):
-            row = {}
-            for j, col in cols:
-                coeff = weights[j][i]
-                if coeff:
-                    row[col] = row.get(col, 0) + coeff
-            if row:
-                rows.append(row)
-    return rows
+    n = len(weights[0])
+    assert len(set(steps)) == len(steps)
+    lead = {j: t + 1 for t, j in enumerate(leads)}
+    moves = [(step, weights[j], lead.get(j, n))
+             for j, step in enumerate(steps) if any(weights[j])]
+    prev = {}  # key of the slice before -> number of forms it keeps
+    for keys in slices:
+        index = {m: i for i, m in enumerate(keys)}
+        assert len(index) == len(keys)
+        forms = [n] * len(keys)
+        rows = []
+        for m, kept in prev.items():
+            cols = []
+            for step, w, limit in moves:
+                col = index.get(tuple(map(add, m, step)))
+                if col is not None:
+                    cols.append((col, w))
+                    if limit < forms[col]:
+                        forms[col] = limit
+            for i in range(kept):
+                row = {col: w[i] for col, w in cols if w[i]}
+                if row:
+                    rows.append(row)
+        yield index, rows
+        prev = dict(zip(keys, forms))
 
 
 @dataclass(frozen=True)
@@ -398,23 +415,11 @@ def regular_sequence_check(P: DelzantPolyhedron, p: int | None = None,
     c_i * (degree d-1 slice) must have dimension equal to the d-th
     coefficient of (1-t)^n * H_SR(t).
 
-    The forms are taken in the lattice basis of the first vertex v, with
-    facets s_1 < ... < s_n (``polyhedra.vertex_coordinates(P, 0)``).
-    Delzant makes their normals a basis of Z^n, so C = (N_S^T)^-1 is in
-    GL_n(Z), and the forms C * c are
-    c'_k = Z_{s_k} + sum_{l not in S} w_lk Z_l, where w_l holds the
-    coordinates of nu_l in the basis nu_{s_1}, ..., nu_{s_n}.  They span the
-    same ideal over Z, Q and every F_p, and each has n-1 fewer terms.
-
-    The row c'_k * m is skipped when Z_{s_t} divides m for some t < k (the
-    Koszul criterion of Faugere's F5, the ``koszul`` limit of
-    ``linear_form_rows``).  Sound: with m = Z_{s_t} * m',
-      c'_k * m = c'_t * (c'_k * m') - sum_{l not in S} w_lt * c'_k * (Z_l * m'),
-    and Z_l * m' < m in any monomial order ranking Z_S above the other
-    variables, so by induction on (k, m) the kept rows span every degree.
-    The coefficients w_lk are reduced mod p once, zeros dropped, and each
-    Z_j moves m to its own column, so no two entries of a row add up and
-    the rows go to the eliminator already normalized.
+    The rows come from ``graded_rows``, in the lattice basis of the first
+    vertex (``polyhedra.vertex_coordinates(P, 0)``): Delzant makes the
+    change of basis unimodular, so the forms span the same ideal over Z, Q
+    and every F_p.  The coefficients are reduced mod p once, so the rows go
+    to the eliminator already normalized.
 
     Slices are ranked only up to the first degree whose quotient is 0.  The
     quotient ring is generated in degree 1, so its degree-(d+1) piece is
@@ -430,28 +435,22 @@ def regular_sequence_check(P: DelzantPolyhedron, p: int | None = None,
     K = build_nerve(P)
     n, N = P.dim, P.nfacets
     hilbert = sr_hilbert_function(P, maxdeg)
-    expected = []
-    for d in range(maxdeg + 1):
-        expected.append(sum((-1) ** k * comb(n, k) * hilbert[d - k]
-                            for k in range(0, min(d, n) + 1)))
+    expected = tuple(sum((-1) ** k * comb(n, k) * hilbert[d - k]
+                         for k in range(min(d, n) + 1))
+                     for d in range(maxdeg + 1))
 
     S, coords = vertex_coordinates(P, 0)
     weights = coords if p is None else [[x % p for x in w] for w in coords]
-    koszul = [s - 1 for s in S]
-
     steps = [tuple(int(k == j) for k in range(N)) for j in range(N)]
+    slices = (sr_monomials(K, d) for d in range(maxdeg + 1))
     dims = []
-    prev = []
-    for d in range(maxdeg + 1):
-        if dims and dims[-1] == 0:
-            dims += [0] * (maxdeg + 1 - d)
-            break
-        cur = sr_monomials(K, d)
-        index = {m: i for i, m in enumerate(cur)}
+    for index, rows in graded_rows(slices, steps, weights,
+                                   [s - 1 for s in S]):
         elim = linalg.Eliminator(p)
-        for row in linear_form_rows(prev, index, steps, weights, koszul):
+        for row in rows:
             elim.add_row(row, normalized=True)
-        dims.append(len(cur) - elim.rank)
-        prev = cur
-    return RegSeqReport(tuple(dims) == tuple(expected), field,
-                        tuple(dims), tuple(expected))
+        dims.append(len(index) - elim.rank)
+        if dims[-1] == 0:
+            break
+    dims += [0] * (maxdeg + 1 - len(dims))
+    return RegSeqReport(tuple(dims) == expected, field, tuple(dims), expected)

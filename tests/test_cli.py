@@ -170,6 +170,7 @@ BAD_ARGUMENTS = [
     ("cp2", "quantum", ("--margin",), 2),
     ("cp2", "validate", ("--extra", "1"), 2),
     ("cp1", "jacobian", ("--cut", "2"), 2),
+    ("non_delzant", "jacobian", ("--perturb", "NU_DOWN"), 3),
 ]
 
 # Files written into tmp_path; a row names one by its key, as the input or
@@ -188,6 +189,8 @@ FILES = {
     "BOOL_NU": [[{"lambda": "2", "nu": [True], "coeff": "1"}], []],
     "FLOAT_LAMBDA": [[{"lambda": 2.5, "nu": [0], "coeff": "1"}], []],
     "FLOAT_COEFF": [[{"lambda": "2", "nu": [0], "coeff": 0.5}], []],
+    # a perturbation of non_delzant whose nu no vertex cone spans over Z
+    "NU_DOWN": [[{"lambda": "2", "nu": [0, -1], "coeff": "1"}], [], []],
     "NOT_UTF8": b"\xff\xfe",
     "DEEP": b"[" * 100_000 + b"]" * 100_000,
 }

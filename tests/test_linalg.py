@@ -186,16 +186,14 @@ def test_integral_rank_matches_prime_fields(seed):
     K = topology.build_nerve(P)
     N = P.nfacets
     steps = [tuple(int(k == j) for k in range(N)) for j in range(N)]
-    prev = []
-    for d in range(dim + 2):
-        cur = topology.sr_monomials(K, d)
-        index = {m: i for i, m in enumerate(cur)}
-        rows = topology.linear_form_rows(prev, index, steps, P.normals)
+    slices = (topology.sr_monomials(K, d) for d in range(dim + 2))
+    # no leads: every row of every degree
+    for d, (index, rows) in enumerate(
+            topology.graded_rows(slices, steps, P.normals)):
         elim = linalg.Eliminator(integral=True)
         for row in rows:
             elim.add_row(row)
-        assert elim.settle(len(cur))
+        assert elim.settle(len(index))
         for p in (None, 2, 3, 32003):
             assert linalg.rank(rows, p) == elim.rank, (d, p)
         assert all(not any(elim.reduce(row)) for row in rows)
-        prev = cur

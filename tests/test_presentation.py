@@ -8,7 +8,7 @@ from toricqh import monoid as mo
 from toricqh import presentation as pr
 from toricqh.errors import PreconditionError
 from toricqh.polyhedra import (enumerate_vertices, monotone_normalization,
-                               polyhedron)
+                               polyhedron, relabel_lattice)
 
 
 def elem(P, j):
@@ -68,13 +68,12 @@ def test_classical_quotient_vanishes_past_dim_plus_one(corpus):
         K = topology.build_nerve(P)
         n, N = P.dim, P.nfacets
         steps = [tuple(int(k == j) for k in range(N)) for j in range(N)]
-        prev = topology.sr_monomials(K, n)
-        for d in range(n + 1, 2 * n + 1):
-            cur = topology.sr_monomials(K, d)
-            index = {m: i for i, m in enumerate(cur)}
-            rows = topology.linear_form_rows(prev, index, steps, P.normals)
-            assert linalg.rank(rows) == len(cur), (P, d)
-            prev = cur
+        slices = (topology.sr_monomials(K, d) for d in range(n, 2 * n + 1))
+        # no leads: every row; the degree-n slice comes first, with none
+        walk = topology.graded_rows(slices, steps, P.normals)
+        next(walk)
+        for d, (index, rows) in enumerate(walk, start=n + 1):
+            assert linalg.rank(rows) == len(index), (P, d)
 
 
 def test_classical_over_fields(o_minus_1):
@@ -174,6 +173,72 @@ def test_quantum_slices_match_the_monoid_enumeration(corpus):
             assert list(Q.layers[k].index) == \
                 [m.nu for m in mo.enumerate_gamma_degree(norm.rescaled, k)], \
                 (name, k)
+
+
+def _relabelled_cube():
+    """(CP^1)^3 in a lattice basis whose normals are far from unit vectors."""
+    return polyhedron(3, [(tuple(s * x for x in nu), 3)
+                          for nu in ((2, -2, 3), (5, -3, 4), (1, 0, 0))
+                          for s in (1, -1)])
+
+
+def _simplex(n):
+    return polyhedron(n, [(tuple(int(i == j) for i in range(n)), 1)
+                          for j in range(n)] + [((-1,) * n, 1)])
+
+
+def test_quantum_koszul_rows_span_every_row(monkeypatch):
+    # Every walk the presentations make (the quantum slices and the
+    # classical ones under them) is checked against the walk without leads:
+    # per slice the kept rows have the rank of every row over Q and F_2,
+    # and from degree 2 on there are fewer of them, wherever there are two
+    # forms to skip between.
+    real = topology.graded_rows
+    walks = []
+
+    def checked(slices, steps, weights, leads=()):
+        slices = list(slices)
+        every = real(slices, steps, weights)
+        walks.append(len(slices))
+        for d, ((index, rows), (_, full)) in enumerate(
+                zip(real(slices, steps, weights, leads), every)):
+            for p in (None, 2):
+                assert linalg.rank(rows, p) == linalg.rank(full, p), (d, p)
+            if d >= 2 and len(leads) >= 2:
+                assert len(rows) < len(full), d
+            yield index, rows
+
+    polys = [catalog.load_example(name) for name in catalog.VALID_EXAMPLES]
+    polys = [P for P in polys if monotone_normalization(P) is not None]
+    polys += [_simplex(4), _relabelled_cube()]
+    monkeypatch.setattr(topology, "graded_rows", checked)
+    for P in polys:
+        walks.clear()
+        Q = pr.quantum_presentation(P)
+        assert walks == [P.dim + 2, Q.degree_bound + 1], P
+
+
+def test_relabelling_needs_no_smith_fallback(monkeypatch):
+    # The rows come from the first vertex's basis, so a relabelling of the
+    # lattice does not change them: on the corpus and on relabellings of it
+    # no residual block is left for the Smith form (the relabelled cube
+    # needed it 14 times with the rows of the ambient normals).
+    calls = []
+    real = linalg.smith_normal_form
+    monkeypatch.setattr(linalg, "smith_normal_form",
+                        lambda M: calls.append(M) or real(M))
+    rng = random.Random(61)
+    polys = [catalog.load_example(name) for name in catalog.VALID_EXAMPLES]
+    polys.append(_relabelled_cube())
+    for name in ("cp1xcp1", "cp3", "o_minus_1", None):
+        P = _relabelled_cube() if name is None else catalog.load_example(name)
+        polys += [relabel_lattice(P, linalg.random_unimodular(P.dim, rng))
+                  for _ in range(3)]
+    for P in polys:
+        pr.classical_presentation(P)
+        if monotone_normalization(P) is not None:
+            pr.quantum_presentation(P)
+        assert not calls, P
 
 
 def test_quantum_shares_the_classical_presentation(corpus):

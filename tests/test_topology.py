@@ -212,13 +212,10 @@ def _reference_regular_sequence(P, p, maxdeg):
     K = tp.build_nerve(P)
     n, N = P.dim, P.nfacets
     steps = [tuple(int(k == j) for k in range(N)) for j in range(N)]
-    dims, prev = [], []
-    for d in range(maxdeg + 1):
-        cur = tp.sr_monomials(K, d)
-        index = {m: i for i, m in enumerate(cur)}
-        rows = tp.linear_form_rows(prev, index, steps, P.normals)
-        dims.append(len(cur) - linalg.rank(rows, p))
-        prev = cur
+    slices = (tp.sr_monomials(K, d) for d in range(maxdeg + 1))
+    # no leads: every row, in the ambient basis of the normals
+    dims = [len(index) - linalg.rank(rows, p)
+            for index, rows in tp.graded_rows(slices, steps, P.normals)]
     hilbert = tp.sr_hilbert_function(P, maxdeg)
     expected = [sum((-1) ** k * comb(n, k) * hilbert[d - k]
                     for k in range(min(d, n) + 1)) for d in range(maxdeg + 1)]
@@ -280,24 +277,40 @@ def test_regular_sequence_skips_koszul_rows(corpus, monkeypatch):
                 assert count < full if d >= 2 else count <= full, (P, p, d)
 
 
+def _prefix_rows(slices, steps, weights, leads, forms):
+    """The rows of the walk with ``leads`` are, slice by slice, the first
+    ``forms[d][i]`` of the rows of the walk without leads out of the i-th
+    monomial of slice d - 1; every product is in its slice, so each
+    monomial has one row per form."""
+    n = len(weights[0])
+    kept = list(tp.graded_rows(slices, steps, weights, leads))
+    every = list(tp.graded_rows(slices, steps, weights))
+    assert [index for index, _ in kept] == [index for index, _ in every]
+    for (_, rows), (_, full), counts in zip(kept, every, forms):
+        assert len(full) == n * len(counts)
+        assert rows == [row for i, c in enumerate(counts)
+                        for row in full[n * i:n * i + c]]
+
+
 def test_koszul_limit_keeps_a_prefix_of_the_forms():
-    # Over three variables with every weight nonzero and Koszul positions
-    # (1, 0, 2): Z_2 keeps c_0 only, Z_1 keeps c_0 and c_1, Z_3 keeps all
-    # three, and the empty monomial keeps all three.
-    prev = [(0, 0, 0), (0, 1, 0), (1, 0, 0), (0, 0, 1)]
+    # Over three variables with every weight nonzero and leads (1, 0, 2):
+    # Z_2 keeps c_0 only, Z_1 keeps c_0 and c_1, Z_3 keeps all three, and
+    # the empty monomial keeps all three.
     steps = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
-    cur = sorted({tuple(map(sum, zip(m, s))) for m in prev for s in steps})
-    index = {m: i for i, m in enumerate(cur)}
+    slices = [[(0, 0, 0)], [(0, 0, 1), (0, 1, 0), (1, 0, 0)],
+              sorted({tuple(map(sum, zip(a, b))) for a in steps for b in steps})]
     weights = [[1, 2, 3], [4, 5, 6], [7, 8, 9]]
-    rows = tp.linear_form_rows(prev, index, steps, weights, koszul=(1, 0, 2))
-    want = []
-    for m, forms in zip(prev, (3, 1, 2, 3)):
-        want += tp.linear_form_rows([m], index, steps, weights)[:forms]
-    assert rows == want
-    assert len(rows) == 9
-    assert tp.linear_form_rows(prev, index, steps, weights) == [
-        row for m in prev
-        for row in tp.linear_form_rows([m], index, steps, weights)]
+    _prefix_rows(slices, steps, weights, (1, 0, 2), [[], [3], [3, 1, 2]])
+    assert sum(len(rows) for _, rows in
+               tp.graded_rows(slices, steps, weights, (1, 0, 2))) == 9
+    # nu keys: the monotone T-degree slices of CP^2, stepped by the normals
+    # and with the forms of the vertex at facets 1, 2.  Slice 1 holds T (nu
+    # 0) and v_1, v_2, v_3; v_1 keeps c_0 only, the others keep both.
+    normals = [(1, 0), (0, 1), (-1, -1)]
+    slices = [[(0, 0)], [(-1, -1), (0, 0), (0, 1), (1, 0)],
+              sorted({(0, 0), *normals, *(tuple(map(sum, zip(a, b)))
+                                          for a in normals for b in normals)})]
+    _prefix_rows(slices, normals, normals, (0, 1), [[], [2], [2, 2, 2, 1]])
 
 
 FIELD_TAKERS = {
