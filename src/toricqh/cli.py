@@ -120,7 +120,8 @@ def _parse_ring(text: str):
     if t == "q":
         return "Q", None
     if t.startswith("fp:"):
-        p = int(t[3:]) if t[3:].isdigit() else 0
+        digits = t[3:]
+        p = int(digits) if digits.isascii() and digits.isdigit() else 0
         if not is_prime(p):
             raise SchemaError(f"bad prime in --ring {text!r}")
         return f"F{p}", p

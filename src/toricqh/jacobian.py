@@ -46,9 +46,9 @@ identity stays inside the window: its rows are relations times monomials
 of weight at most w(m) - lambda_{s_t} + rel_weight, which must be at most
 w_max.  Truncation at height g is a ring quotient, so the identity
 survives it, and rho_{s_t} is a unit over Q and, as checked on entry,
-modulo p.  Each relation is normalized once (scaled to integers over Q,
-reduced to residues over F_p) and its rows go to the eliminator as they
-are.
+modulo p.  Each relation is normalized once by ``linalg.normalize``
+(scaled to integers over Q, reduced to residues over F_p) and its rows go
+to the eliminator as they are.
 """
 
 from __future__ import annotations
@@ -235,7 +235,7 @@ def _attempt(P, ctx, levels, g, relations, cap, inner_cap, basis, p):
         # distinct terms times one monomial land in distinct columns, so each
         # normalized coefficient is a row entry as it is
         terms = [(*carry(scaled(mm.lam, scale), mm.nu), c)
-                 for mm, c in _normalized(rel, p)]
+                 for mm, c in linalg.normalize(rel.terms, p).items()]
         for _, w, nu, th, built in monomials:
             if i >= built:
                 continue
@@ -243,7 +243,7 @@ def _attempt(P, ctx, levels, g, relations, cap, inner_cap, basis, p):
                    for w1, nu1, th1, c in terms
                    if min(map(add, th, th1)) < g_s}
             if row:
-                elim.add_row(row, normalized=True)
+                elim.add_row(row)
 
     # The quotient dimension is measured on the inner window only: monomials
     # near the outer cap lack the products that would reduce them and must
@@ -253,26 +253,13 @@ def _attempt(P, ctx, levels, g, relations, cap, inner_cap, basis, p):
                    if w <= inner_w]
     dim_s = len(inner_units)
     window = elim.fork()
-    dim_quotient = sum(window.add_row(u, normalized=True)
-                       for u in inner_units)
+    dim_quotient = sum(window.add_row(u) for u in inner_units)
 
     sums = [[sum(e * x for e, x in zip(t, col)) for col in zip(*vectors)]
             for t in basis]
     keys = [(v[0] + h, tuple(v[1:n + 1])) for h in heights for v in sums]
     assert all(w <= inner_w for w, _ in keys)
     with_basis = elim.fork()
-    independent = all(with_basis.add_row({index[c]: 1}, normalized=True)
-                      for c in keys)
+    independent = all(with_basis.add_row({index[c]: 1}) for c in keys)
     return dim_s, dim_quotient, independent
 
-
-def _normalized(rel, p):
-    """The terms of a relation as (monomial, int): over Q scaled by the lcm
-    of the denominators, over F_p reduced to nonzero residues."""
-    if p is None:
-        d = lcm(*(c.denominator for c in rel.terms.values()))
-        return [(mm, c.numerator * (d // c.denominator))
-                for mm, c in rel.terms.items()]
-    out = [(mm, c.numerator * pow(c.denominator, -1, p) % p)
-           for mm, c in rel.terms.items()]
-    return [(mm, c) for mm, c in out if c]

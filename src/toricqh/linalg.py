@@ -249,15 +249,14 @@ class Eliminator:
     """Sparse exact row echelon over Q, F_p or Z (``integral``), grown one
     row at a time.
 
-    Rows are sparse dicts {column: value} or dense lists, with int or
-    Fraction values; over Q they are scaled to integers, over F_p reduced
-    to residues, unless ``add_row`` is told they already are.  ``add_row``
-    reduces a row against every pivot row, in the order the pivots were
-    made, and reports whether it became a pivot row.  Its pivot is its
-    smallest column holding +-1, so reduction steps stay exact.  Over Q a row
-    without such an entry pivots on its smallest column and is combined
-    fraction-free, over F_p every entry is a unit.  ``fork`` snapshots the
-    state so several extensions can share one base elimination.
+    ``add_row`` takes rows as ``normalize`` returns them: sparse dicts of
+    nonzero ints, over F_p residues in 1..p-1.  It reduces a row against
+    every pivot row, in the order the pivots were made, and reports whether
+    it became a pivot row.  Its pivot is its smallest column holding +-1,
+    so reduction steps stay exact.  Over Q a row without such an entry
+    pivots on its smallest column and is combined fraction-free, over F_p
+    every entry is a unit.  ``fork`` snapshots the state so several
+    extensions can share one base elimination.
 
     Over Z a row without a unit entry waits in a residual block instead;
     ``settle`` retries it against the later pivots and hands what is still
@@ -290,39 +289,10 @@ class Eliminator:
         other.rank = self.rank
         return other
 
-    def _normalize(self, row) -> dict[int, int]:
-        items = row.items() if isinstance(row, dict) else enumerate(row)
-        p = self.p
-        if p is None:
-            nonzero = [(c, v) for c, v in items if v]
-            scale = lcm(*(v.denominator for _, v in nonzero))
-            if self.integral and scale != 1:
-                raise ValueError("non-integral entry in a row over Z")
-            return {c: v.numerator * (scale // v.denominator)
-                    for c, v in nonzero}
-        d = {}
-        for c, v in items:
-            if isinstance(v, Fraction):
-                den = v.denominator % p
-                if den == 0:
-                    raise ZeroDivisionError(
-                        f"denominator divisible by {p} in mod-{p} reduction")
-                v = v.numerator * pow(den, -1, p)
-            v %= p
-            if v:
-                d[c] = v
-        return d
-
-    def add_row(self, row, normalized: bool = False) -> bool:
-        """Reduce ``row`` and report whether it became a pivot row.
-
-        A ``normalized`` row skips the scaling to integers: it must be a
-        dict of nonzero ints, over F_p residues in 1..p-1, and the
-        eliminator takes it over, so the caller must not reuse it.  A
-        caller that builds many rows from a few fixed coefficient vectors
-        normalizes those once instead of every row.
-        """
-        return self._insert(row if normalized else self._normalize(row))
+    def add_row(self, row: dict[int, int]) -> bool:
+        """Reduce a normalized row (see ``normalize``), which the
+        eliminator takes over, and report whether it became a pivot row."""
+        return self._insert(row)
 
     def _insert(self, cur: dict[int, int]) -> bool:
         pivots, order, p = self.pivots, self.order, self.p
@@ -437,6 +407,39 @@ class Eliminator:
         return out
 
 
+def normalize(row, p: int | None = None,
+              integral: bool = False) -> dict[int, int]:
+    """A row as ``Eliminator.add_row`` takes it: a new sparse dict of the
+    nonzero entries, over Q scaled by the lcm of the denominators to
+    integers, over F_p reduced to residues in 1..p-1.
+
+    ``row`` is a dict {column: value} or a dense list, with int or
+    Fraction values.  Over Z (``integral``) an entry with a denominator
+    raises ValueError; over F_p a denominator divisible by p raises
+    ZeroDivisionError.  A caller that builds many rows from a few fixed
+    coefficient vectors normalizes those once instead of every row.
+    """
+    items = row.items() if isinstance(row, dict) else enumerate(row)
+    if p is None:
+        nonzero = [(c, v) for c, v in items if v]
+        scale = lcm(*(v.denominator for _, v in nonzero))
+        if integral and scale != 1:
+            raise ValueError("non-integral entry in a row over Z")
+        return {c: v.numerator * (scale // v.denominator) for c, v in nonzero}
+    out = {}
+    for c, v in items:
+        if isinstance(v, Fraction):
+            den = v.denominator % p
+            if den == 0:
+                raise ZeroDivisionError(
+                    f"denominator divisible by {p} in mod-{p} reduction")
+            v = v.numerator * pow(den, -1, p)
+        v %= p
+        if v:
+            out[c] = v
+    return out
+
+
 def rank(rows, p: int | None = None) -> int:
     """Exact matrix rank over Q (p None) or over the field with p elements.
 
@@ -445,7 +448,7 @@ def rank(rows, p: int | None = None) -> int:
     """
     elim = Eliminator(p)
     for row in rows:
-        elim.add_row(row)
+        elim.add_row(normalize(row, p))
     return elim.rank
 
 

@@ -417,7 +417,7 @@ def build_height_monoid(P: DelzantPolyhedron, extra, g) -> HeightMonoid:
 def enumerate_gamma_degree(P: DelzantPolyhedron, k: int) -> list[Monomial]:
     """All monomials (k, nu) of the monotone monoid, sorted lexicographically
     by nu.  Requires all offsets equal to 1.  The definitional reference for
-    the quantum slices, which are built from ``topology.sr_monomials``."""
+    the quantum slices, which are built from ``topology.sr_slices``."""
     if any(lam != 1 for lam in P.offsets):
         raise PreconditionError("degree slices need a normalized monotone "
                                 "polyhedron (all offsets 1)")

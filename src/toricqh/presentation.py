@@ -9,9 +9,11 @@ so that ranks and structure constants are simultaneously valid over any
 coefficient ring.  Torsion is a hard error; it would contradict the
 freeness facts these presentations rest on and therefore signals invalid
 input or an implementation bug.  With non-unit B-field rescalings the same
-elimination runs over Q.  The relation rows come from
-``topology.graded_rows`` in the lattice basis of the first vertex, so they,
-and their cost, do not depend on the lattice basis of the input.
+elimination runs over Q.  The slices come from ``topology.sr_slices`` and
+the relation rows from ``topology.graded_rows`` in the lattice basis of the
+first vertex, so they, and their cost, do not depend on the lattice basis
+of the input.  Over Z the rows are nonzero ints and go to the eliminator as
+they are; over Q they are scaled to integers by ``linalg.normalize``.
 
 Basis convention: within each degree, monomials are scanned in ascending
 graded-lexicographic order on exponent vectors and picked greedily so that
@@ -116,7 +118,7 @@ def _graded_layer(index, rows, integral, where, claimed=None,
     """
     elim = linalg.Eliminator(integral=integral)
     for row in rows:
-        elim.add_row(row)
+        elim.add_row(row if integral else linalg.normalize(row))
     if not elim.settle(len(index)):
         raise VerificationError(f"torsion in {where}")
     candidates = range(len(index)) if claimed is None else claimed
@@ -177,7 +179,7 @@ def classical_presentation(P: DelzantPolyhedron, ring: str = "Z",
     quotient onto the deformed one, so the two share their basis.
     """
     require_delzant(P)
-    ring = _normalize_ring(ring)
+    ring = _ring_label(ring)
     plain = None if _rho is None else classical_presentation(P)
     rho = _rho if _rho is not None else (1,) * P.nfacets
     integral = all(r in (1, -1) for r in rho)
@@ -186,7 +188,7 @@ def classical_presentation(P: DelzantPolyhedron, ring: str = "Z",
     steps = [tuple(int(k == j) for k in range(N)) for j in range(N)]
     S, coords = vertex_coordinates(P, 0)
     weights = [[c * r for c in w] for w, r in zip(coords, rho)]
-    slices = [topology.sr_monomials(K, d) for d in range(n + 2)]
+    slices = topology.sr_slices(K, steps, n + 1)
 
     layers = []
     basis = []
@@ -249,15 +251,17 @@ def _coerce_ring(c, ring):
     return c.numerator * pow(c.denominator, -1, p) % p
 
 
-def _normalize_ring(ring) -> str:
+def _ring_label(ring) -> str:
     if ring in ("Z", "z"):
         return "Z"
     if ring in ("Q", "q"):
         return "Q"
     if isinstance(ring, str) and ring.lower().startswith("f"):
-        if not ring[1:].isdigit() or not linalg.is_prime(int(ring[1:])):
+        digits = ring[1:]
+        if not (digits.isascii() and digits.isdigit()) \
+                or not linalg.is_prime(int(digits)):
             raise PreconditionError(f"bad prime in coefficient ring {ring!r}")
-        return f"F{int(ring[1:])}"
+        return f"F{int(digits)}"
     raise PreconditionError(f"unknown coefficient ring {ring!r}")
 
 
@@ -354,18 +358,16 @@ def quantum_presentation(P: DelzantPolyhedron, margin: int = 0,
         classical_presentation(Pn, ring, _rho=rho_coeff)
     basis = classical.basis
     degs = classical.basis_degrees()
-    columns = list(zip(*Pn.normals))
-    basis_nu = [tuple(sum(map(mul, e, col)) for col in columns) for e in basis]
+    basis_nu = [tuple(sum(map(mul, e, col)) for col in zip(*Pn.normals))
+                for e in basis]
 
     bound = 2 * n + margin
     S, coords = vertex_coordinates(Pn, 0)
     weights = [[r * c for c in w] for w, r in zip(coords, rho_coeff)]
     K = topology.build_nerve(Pn)
-    # T * (slice k-1) and the height-zero monomials v^t of degree k; by
-    # uniqueness of canonical decompositions no two t share a nu
-    slices = accumulate(([tuple(sum(map(mul, t, col)) for col in columns)
-                          for t in topology.sr_monomials(K, k)]
-                         for k in range(bound + 1)),
+    # T * (slice k-1) and the height-zero monomials v^t of degree k, keyed
+    # by nu; by uniqueness of canonical decompositions no two t share a nu
+    slices = accumulate(topology.sr_slices(K, Pn.normals, bound),
                         lambda nus, new: sorted(nus + new))
     layers = []
     for k, (index, rows) in enumerate(topology.graded_rows(

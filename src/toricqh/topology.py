@@ -18,7 +18,7 @@ from math import comb
 from operator import add
 
 from . import linalg
-from .errors import PreconditionError
+from .errors import PreconditionError, VerificationError
 from .polyhedra import (DelzantPolyhedron, enumerate_vertices, is_compact,
                         memoized, require_delzant, vertex_coordinates)
 
@@ -269,42 +269,22 @@ def sphere_or_ball_profile(P: DelzantPolyhedron, p: int | None = None) -> Profil
     return ProfileReport(compact, expected, ok, profile.ranks)
 
 
-def sr_monomials(K: NerveComplex, degree: int) -> list[tuple[int, ...]]:
-    """Exponent vectors of total degree ``degree`` whose support is a face,
-    sorted in graded lexicographic order: the monomial basis of the
-    Stanley-Reisner ring in that degree, and the slices that the classical,
-    regular-sequence and quantum (its height-zero part) quotients walk with
-    ``graded_rows``.  The Jacobian slice, bounded by weight instead of
-    degree, comes from ``sr_walk``; the two are the only enumerators of
-    slice monomials.  Walks ``K.sorted_faces``, which the complex keeps."""
-    if degree == 0:
-        return [(0,) * K.ground]
-    out = []
-    for labels in K.sorted_faces:
-        k = len(labels)
-        if not 1 <= k <= degree:
-            continue
-        # compositions of `degree` into k positive parts
-        for cut in itertools.combinations(range(1, degree), k - 1):
-            parts = [b - a for a, b in zip((0,) + cut, cut + (degree,))]
-            expo = [0] * K.ground
-            for lbl, e in zip(labels, parts):
-                expo[lbl - 1] = e
-            out.append(tuple(expo))
-    return sorted(out)
-
-
 def sr_walk(K: NerveComplex, vectors, cap: int):
     """Yield every exponent vector t whose support is a face and whose
     weight sum_j t_j * vectors[j][0] is at most ``cap``, paired with the
     summed vector sum_j t_j * vectors[j] as a list.
+
+    This is the one enumerator of Stanley-Reisner monomials: the degree
+    slices of the classical, regular-sequence and quantum quotients come
+    from it through ``sr_slices`` (weight 1 per label), and the Jacobian
+    slice, bounded by T-weight, directly.
 
     ``vectors[j]`` is an integer vector for label j + 1 whose first entry,
     the weight, is positive.  One walk per face of ``K.sorted_faces``
     starts at the sum of the face's vectors (every exponent on the face at
     least 1) and raises one exponent at a time, never at an earlier label
     than the last one raised, so each t is reached once, by one vector
-    addition, and the walk stops where the weight passes the cap.  The
+    addition, made only when the raised weight stays within the cap.  The
     order is by face and then by the walk; callers sort what they need.
     """
     width = len(vectors[0])
@@ -320,13 +300,27 @@ def sr_walk(K: NerveComplex, vectors, cap: int):
         while stack:
             t, acc, first = stack.pop()
             yield tuple(t), acc
+            room = cap - acc[0]
             for pos in range(first, len(labels)):
                 j = labels[pos] - 1
-                nxt = list(map(add, acc, vectors[j]))
-                if nxt[0] <= cap:
+                if vectors[j][0] <= room:
                     t2 = list(t)
                     t2[j] += 1
-                    stack.append((t2, nxt, pos))
+                    stack.append((t2, list(map(add, acc, vectors[j])), pos))
+
+
+def sr_slices(K: NerveComplex, vectors, top: int) -> list[list[tuple]]:
+    """The degree slices 0..top of the Stanley-Reisner ring, keyed by
+    vectors: entry d holds the keys sum_j t_j * vectors[j], sorted, for the
+    exponent vectors t of degree d whose support is a face.
+
+    Unit vectors key a slice by the exponents themselves, in lexicographic
+    order.  One ``sr_walk`` with weight 1 per label covers every degree.
+    """
+    slices = [[] for _ in range(top + 1)]
+    for _, acc in sr_walk(K, [(1, *v) for v in vectors], top):
+        slices[acc[0]].append(tuple(acc[1:]))
+    return [sorted(keys) for keys in slices]
 
 
 def sr_hilbert_function(P: DelzantPolyhedron, maxdeg: int) -> list[int]:
@@ -421,11 +415,16 @@ def regular_sequence_check(P: DelzantPolyhedron, p: int | None = None,
     and every F_p.  The coefficients are reduced mod p once, so the rows go
     to the eliminator already normalized.
 
-    Slices are ranked only up to the first degree whose quotient is 0.  The
-    quotient ring is generated in degree 1, so its degree-(d+1) piece is
-    spanned by the products Z_j * (degree-d piece): once a degree is zero,
-    every higher one is zero too.  The expected values are still computed
-    for every degree, so the verdict compares the full sequences.
+    No slice past degree n+1 is ranked, for any ``maxdeg``.  On Delzant
+    input the normals at every vertex form a Z-basis, so over Q and over
+    every F_p the forms are a linear system of parameters (Kind and
+    Kleinschmidt, Math. Z. 167, 1979), and the quotient is spanned by the
+    face monomials, of degree at most n.  So the quotient vanishes in
+    degree n+1; if it does not, VerificationError is raised.  The quotient
+    ring is generated in degree 1, so once a degree is zero every higher
+    one is, and slices are ranked only up to the first such degree.  The
+    expected values are computed for every degree up to ``maxdeg``, so the
+    verdict compares the full sequences.
     """
     field = field_name(p)
     if maxdeg is None:
@@ -442,15 +441,18 @@ def regular_sequence_check(P: DelzantPolyhedron, p: int | None = None,
     S, coords = vertex_coordinates(P, 0)
     weights = coords if p is None else [[x % p for x in w] for w in coords]
     steps = [tuple(int(k == j) for k in range(N)) for j in range(N)]
-    slices = (sr_monomials(K, d) for d in range(maxdeg + 1))
+    slices = sr_slices(K, steps, min(maxdeg, n + 1))
     dims = []
     for index, rows in graded_rows(slices, steps, weights,
                                    [s - 1 for s in S]):
         elim = linalg.Eliminator(p)
         for row in rows:
-            elim.add_row(row, normalized=True)
+            elim.add_row(row)
         dims.append(len(index) - elim.rank)
         if dims[-1] == 0:
             break
+    if len(dims) > n + 1 and dims[-1]:
+        raise VerificationError(f"the regular-sequence quotient over {field} "
+                                f"does not vanish in degree {n + 1}")
     dims += [0] * (maxdeg + 1 - len(dims))
     return RegSeqReport(tuple(dims) == expected, field, tuple(dims), expected)

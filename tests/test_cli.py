@@ -171,6 +171,7 @@ BAD_ARGUMENTS = [
     ("cp2", "validate", ("--extra", "1"), 2),
     ("cp1", "jacobian", ("--cut", "2"), 2),
     ("non_delzant", "jacobian", ("--perturb", "NU_DOWN"), 3),
+    ("cp2", "cm", ("--ring", "fp:²"), 2),
 ]
 
 # Files written into tmp_path; a row names one by its key, as the input or

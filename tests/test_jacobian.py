@@ -257,8 +257,10 @@ def _reference_attempt(P, ctx, levels, g, relations, cap, inner_cap, basis,
     cap_s = scaled(cap, scale)
     heights = [scaled(gamma, scale) for gamma in levels]
     monomials = []
-    for d in range(cap_s // min(weights) + 1):
-        for t in topology.sr_monomials(nerve, d):
+    units = [tuple(int(i == j) for i in range(P.nfacets))
+             for j in range(P.nfacets)]
+    for keys in topology.sr_slices(nerve, units, cap_s // min(weights)):
+        for t in keys:
             w, nu, th = key(t)
             assert min(th) == 0
             for h in heights:
@@ -285,7 +287,7 @@ def _reference_attempt(P, ctx, levels, g, relations, cap, inner_cap, basis,
                     row[col] = row.get(col, 0) + c
             row = {col: c for col, c in row.items() if c}
             if row:
-                elim.add_row(row)
+                elim.add_row(linalg.normalize(row, p))
                 built += 1
 
     inner_w = scaled(inner_cap, scale)
@@ -309,10 +311,10 @@ def _against_every_row(monkeypatch, P, g, rho=None, perturbations=None,
     rows = [0, 0]
 
     class Counting(linalg.Eliminator):  # forks stay plain Eliminators
-        def add_row(self, row, normalized=False):
+        def add_row(self, row):
             rows[0] += 1
             Counting.last = self
-            return super().add_row(row, normalized)
+            return super().add_row(row)
 
     def both(P_, ctx, levels, g_, relations, cap, inner_cap, basis, p_):
         got = fast(P_, ctx, levels, g_, relations, cap, inner_cap, basis, p_)
@@ -325,7 +327,8 @@ def _against_every_row(monkeypatch, P, g, rho=None, perturbations=None,
 
     with monkeypatch.context() as patch:
         patch.setattr(jacobian, "_attempt", both)
-        patch.setattr(jacobian, "linalg", SimpleNamespace(Eliminator=Counting))
+        patch.setattr(jacobian, "linalg", SimpleNamespace(
+            Eliminator=Counting, normalize=linalg.normalize))
         report = jacobian_freeness(P, perturbations=perturbations, rho=rho,
                                    g=g, p=p)
     return report, rows[0], rows[1]

@@ -68,7 +68,7 @@ def test_classical_quotient_vanishes_past_dim_plus_one(corpus):
         K = topology.build_nerve(P)
         n, N = P.dim, P.nfacets
         steps = [tuple(int(k == j) for k in range(N)) for j in range(N)]
-        slices = (topology.sr_monomials(K, d) for d in range(n, 2 * n + 1))
+        slices = topology.sr_slices(K, steps, 2 * n)[n:]
         # no leads: every row; the degree-n slice comes first, with none
         walk = topology.graded_rows(slices, steps, P.normals)
         next(walk)
@@ -83,6 +83,14 @@ def test_classical_over_fields(o_minus_1):
         assert cp.ring == ring
     # F_p needs a prime p, and a ring is named by a string, never a type
     for ring in ("F4", "F6", "F1", "Fx", int):
+        with pytest.raises(PreconditionError):
+            pr.classical_presentation(o_minus_1, ring)
+
+
+def test_ring_name_needs_ascii_digits(o_minus_1):
+    # str.isdigit accepts "²" (which int() cannot read) and "٣" (which it
+    # reads as 3); a prime is written in ASCII digits only
+    for ring in ("F²", "F٣"):
         with pytest.raises(PreconditionError):
             pr.classical_presentation(o_minus_1, ring)
 

@@ -109,7 +109,7 @@ def test_classical_ranks_agree_over_every_ring(seed, dim):
     K = tp.build_nerve(P)
     steps = [tuple(int(k == j) for k in range(P.nfacets))
              for j in range(P.nfacets)]
-    slices = (tp.sr_monomials(K, d) for d in range(len(ranks["Z"])))
+    slices = tp.sr_slices(K, steps, len(ranks["Z"]) - 1)
     # no leads: every row of every degree
     walk = tp.graded_rows(slices, steps, P.normals)
     for d, (expected, (index, rows)) in enumerate(zip(ranks["Z"], walk)):

@@ -1,29 +1,27 @@
 import itertools
 import random
+from importlib import resources
 from math import comb, lcm
 from operator import mul
 
 import pytest
 
-from toricqh import catalog, linalg
+from toricqh import catalog, cli, linalg
 from toricqh import topology as tp
-from toricqh.errors import PreconditionError
+from toricqh.errors import PreconditionError, VerificationError
 from toricqh.jacobian import jacobian_freeness
 from toricqh.polyhedra import is_compact, polyhedron, relabel_lattice
 
 
-def brute_sr_monomial_count(K, d):
-    """Count degree-d exponent vectors with face support by full enumeration."""
-    if d == 0:
-        return 1
-    count = 0
-    for expo in itertools.product(range(d + 1), repeat=K.ground):
-        if sum(expo) != d:
-            continue
-        support = {j + 1 for j, e in enumerate(expo) if e}
-        if K.is_face(support):
-            count += 1
-    return count
+def brute_sr_monomials(K, d):
+    """Every exponent vector of degree d whose support is a face of K, by
+    brute force: every multiset of d labels inside some maximal face, once.
+    Independent of ``K.sorted_faces``, which the walk uses."""
+    out = set()
+    for m in K.maximal:
+        for labels in itertools.combinations_with_replacement(sorted(m), d):
+            out.add(tuple(labels.count(j + 1) for j in range(K.ground)))
+    return sorted(out)
 
 
 def test_nerve_o_minus_1(o_minus_1):
@@ -141,15 +139,39 @@ def test_sr_hilbert_brute_force(corpus):
         K = tp.build_nerve(P)
         values = tp.sr_hilbert_function(P, 4)
         for d in range(5):
-            assert values[d] == brute_sr_monomial_count(K, d), (name, d)
+            assert values[d] == len(brute_sr_monomials(K, d)), (name, d)
 
 
 def test_sr_monomials_match_hilbert(corpus):
     for P in corpus.values():
         K = tp.build_nerve(P)
         values = tp.sr_hilbert_function(P, 3)
-        for d in range(4):
-            assert len(tp.sr_monomials(K, d)) == values[d]
+        units = [tuple(int(i == j) for i in range(P.nfacets))
+                 for j in range(P.nfacets)]
+        assert [len(keys) for keys in tp.sr_slices(K, units, 3)] == values
+
+
+def test_sr_slices_match_brute_force(corpus):
+    # unit keys are the exponent vectors in lexicographic order, nu keys
+    # their sums of normals, sorted; the corpus includes the non-compact
+    # c1-c3 and o_minus_1
+    rng = random.Random(1729)
+    polys = list(corpus.items()) + [
+        (f"random{i}", catalog.random_delzant(rng, rng.choice([2, 3]), 6))
+        for i in range(6)]
+    for name, P in polys:
+        K = tp.build_nerve(P)
+        N, n = P.nfacets, P.dim
+        units = [tuple(int(i == j) for i in range(N)) for j in range(N)]
+        by_unit = tp.sr_slices(K, units, n + 2)
+        by_nu = tp.sr_slices(K, P.normals, n + 2)
+        assert len(by_unit) == len(by_nu) == n + 3
+        for d in range(n + 3):
+            brute = brute_sr_monomials(K, d)
+            assert by_unit[d] == sorted(brute), (name, d)
+            assert by_nu[d] == sorted(
+                tuple(sum(map(mul, t, col)) for col in zip(*P.normals))
+                for t in brute), (name, d)
 
 
 def test_sr_walk_matches_the_degree_enumeration(corpus):
@@ -167,16 +189,19 @@ def test_sr_walk_matches_the_degree_enumeration(corpus):
         vectors = [(int(lam * D), *nu, j)
                    for j, (lam, nu) in enumerate(zip(P.offsets, P.normals))]
         least = min(v[0] for v in vectors)
-        for cap in (0, least - 1, least, 3 * least + 1, 5 * max(
-                v[0] for v in vectors)):
+        caps = (0, least - 1, least, 3 * least + 1,
+                5 * max(v[0] for v in vectors))
+        # (weight, t) for every face-supported t of degree <= max(caps) / least
+        brute = [(sum(map(mul, t, (v[0] for v in vectors))), t)
+                 for d in range(max(caps) // least + 1)
+                 for t in brute_sr_monomials(K, d)]
+        for cap in caps:
             walked = list(tp.sr_walk(K, vectors, cap))
             found = {}
             for t, acc in walked:
                 assert t not in found, (name, cap, t)
                 found[t] = acc
-            want = {t for d in range(cap // least + 1)
-                    for t in tp.sr_monomials(K, d)
-                    if sum(map(mul, t, (v[0] for v in vectors))) <= cap}
+            want = {t for w, t in brute if w <= cap}
             assert set(found) == want, (name, cap)
             for t, acc in found.items():
                 assert acc == [sum(map(mul, t, col))
@@ -212,7 +237,7 @@ def _reference_regular_sequence(P, p, maxdeg):
     K = tp.build_nerve(P)
     n, N = P.dim, P.nfacets
     steps = [tuple(int(k == j) for k in range(N)) for j in range(N)]
-    slices = (tp.sr_monomials(K, d) for d in range(maxdeg + 1))
+    slices = tp.sr_slices(K, steps, maxdeg)
     # no leads: every row, in the ambient basis of the normals
     dims = [len(index) - linalg.rank(rows, p)
             for index, rows in tp.graded_rows(slices, steps, P.normals)]
@@ -257,12 +282,15 @@ def test_regular_sequence_skips_koszul_rows(corpus, monkeypatch):
         ranked.append(0)
         init(self, *args, **kwargs)
 
-    def counting_add_row(self, row, normalized=False):
+    def counting_add_row(self, row):
         ranked[-1] += 1
-        return add_row(self, row, normalized)
+        return add_row(self, row)
 
     for P in (corpus["cp3"], catalog.random_delzant(random.Random(31), 4, 7)):
         K = tp.build_nerve(P)
+        units = [tuple(int(i == j) for i in range(P.nfacets))
+                 for j in range(P.nfacets)]
+        slices = tp.sr_slices(K, units, P.dim + 1)
         for p in (None, 2):
             ranked.clear()
             with monkeypatch.context() as m:
@@ -272,9 +300,37 @@ def test_regular_sequence_skips_koszul_rows(corpus, monkeypatch):
             dims, _ = _reference_regular_sequence(P, p, P.dim + 4)
             assert report.quotient_dims == dims, (P, p)
             assert len(ranked) >= 3
+            # no slice past degree n + 1, although maxdeg is n + 4
+            assert len(ranked) <= P.dim + 2
             for d, count in enumerate(ranked):
-                full = P.dim * len(tp.sr_monomials(K, d - 1)) if d else 0
+                full = P.dim * len(slices[d - 1]) if d else 0
                 assert count < full if d >= 2 else count <= full, (P, p, d)
+
+
+def test_regular_sequence_raises_if_degree_n_plus_1_survives(
+        corpus, monkeypatch, capsys):
+    """Without the rows into degree n + 1 the quotient there is the whole
+    slice; the check ranks no further degree and raises, and ``cm`` exits 4
+    with one error line."""
+    walk = tp.graded_rows
+
+    def dropping(slices, steps, weights, leads=()):
+        n = len(weights[0])
+        for d, (index, rows) in enumerate(walk(slices, steps, weights, leads)):
+            yield index, ([] if d == n + 1 else rows)
+
+    monkeypatch.setattr(tp, "graded_rows", dropping)
+    for name in ("cp2", "cp3", "hirzebruch_f2"):
+        P = corpus[name]
+        path = str(resources.files("toricqh").joinpath("data", f"{name}.json"))
+        for p, ring in ((None, "q"), (2, "fp:2")):
+            with pytest.raises(VerificationError, match=f"degree {P.dim + 1}"):
+                tp.regular_sequence_check(P, p, P.dim + 4)
+            code = cli.main(["--input", path, "--command", "cm",
+                             "--ring", ring])
+            out, err = capsys.readouterr()
+            assert code == 4 and out == ""
+            assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def _prefix_rows(slices, steps, weights, leads, forms):
