@@ -28,7 +28,6 @@ from . import monoid as mo
 from . import presentation as pr
 from . import topology as tp
 from .errors import PreconditionError, SchemaError, VerificationError
-from .linalg import is_prime
 from .polyhedra import (check_delzant, check_vertex_and_splitting, is_compact,
                         monotone_normalization, parse_polyhedron,
                         polyhedron_to_json, require_delzant)
@@ -120,11 +119,11 @@ def _parse_ring(text: str):
     if t == "q":
         return "Q", None
     if t.startswith("fp:"):
-        digits = t[3:]
-        p = int(digits) if digits.isascii() and digits.isdigit() else 0
-        if not is_prime(p):
-            raise SchemaError(f"bad prime in --ring {text!r}")
-        return f"F{p}", p
+        try:
+            label = pr._ring_label("F" + t[3:])
+        except PreconditionError:
+            raise SchemaError(f"bad prime in --ring {text!r}") from None
+        return label, int(label[1:])
     raise SchemaError(f"unknown ring {text!r} (expected z, q, or fp:P)")
 
 

@@ -407,15 +407,13 @@ class Eliminator:
         return out
 
 
-def normalize(row, p: int | None = None,
-              integral: bool = False) -> dict[int, int]:
+def normalize(row, p: int | None = None) -> dict[int, int]:
     """A row as ``Eliminator.add_row`` takes it: a new sparse dict of the
     nonzero entries, over Q scaled by the lcm of the denominators to
     integers, over F_p reduced to residues in 1..p-1.
 
     ``row`` is a dict {column: value} or a dense list, with int or
-    Fraction values.  Over Z (``integral``) an entry with a denominator
-    raises ValueError; over F_p a denominator divisible by p raises
+    Fraction values.  Over F_p a denominator divisible by p raises
     ZeroDivisionError.  A caller that builds many rows from a few fixed
     coefficient vectors normalizes those once instead of every row.
     """
@@ -423,8 +421,6 @@ def normalize(row, p: int | None = None,
     if p is None:
         nonzero = [(c, v) for c, v in items if v]
         scale = lcm(*(v.denominator for _, v in nonzero))
-        if integral and scale != 1:
-            raise ValueError("non-integral entry in a row over Z")
         return {c: v.numerator * (scale // v.denominator) for c, v in nonzero}
     out = {}
     for c, v in items:

@@ -188,6 +188,9 @@ def classical_presentation(P: DelzantPolyhedron, ring: str = "Z",
     steps = [tuple(int(k == j) for k in range(N)) for j in range(N)]
     S, coords = vertex_coordinates(P, 0)
     weights = [[c * r for c in w] for w, r in zip(coords, rho)]
+    # rows over Z go to the eliminator unnormalized, so their entries (here
+    # and in quantum_presentation, which uses the same weights) are ints
+    assert not integral or all(type(c) is int for w in weights for c in w)
     slices = topology.sr_slices(K, steps, n + 1)
 
     layers = []
@@ -358,8 +361,8 @@ def quantum_presentation(P: DelzantPolyhedron, margin: int = 0,
         classical_presentation(Pn, ring, _rho=rho_coeff)
     basis = classical.basis
     degs = classical.basis_degrees()
-    basis_nu = [tuple(sum(map(mul, e, col)) for col in zip(*Pn.normals))
-                for e in basis]
+    columns = list(zip(*Pn.normals))
+    basis_nu = [tuple(sum(map(mul, e, col)) for col in columns) for e in basis]
 
     bound = 2 * n + margin
     S, coords = vertex_coordinates(Pn, 0)
