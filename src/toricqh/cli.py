@@ -121,8 +121,8 @@ def _parse_ring(text: str):
     if t.startswith("fp:"):
         try:
             label = pr._ring_label("F" + t[3:])
-        except PreconditionError:
-            raise SchemaError(f"bad prime in --ring {text!r}") from None
+        except PreconditionError as exc:
+            raise SchemaError(f"--ring: {exc}") from None
         return label, int(label[1:])
     raise SchemaError(f"unknown ring {text!r} (expected z, q, or fp:P)")
 

@@ -23,7 +23,9 @@ The slice runs in integers: every weight and height is scaled by one common
 denominator, monomials are keyed by (scaled lam, nu), and the height of a
 product is read off the summed integer theta vectors of its factors.  The
 slice is enumerated by ``topology.sr_walk``, which sums the generators'
-integer (weight, nu, theta) vectors face by face and stops at the cap.
+integer (weight, nu, theta) vectors face by face and stops at the cap; unit
+entries for the facets of the first vertex carry the exponents that the
+Koszul skip below reads.
 
 Relation rows.  With h_j = rho_j v_j + perturbation_j the relations are
 written in the lattice basis of the first vertex v0, whose facets are
@@ -209,20 +211,24 @@ def _attempt(P, ctx, levels, g, relations, cap, inner_cap, basis, p):
     cap_s = scaled(cap, scale)
     rel_w = scaled(rel_weight, scale)
     w_max = cap_s - rel_w
-    # (t, s_t - 1, lambda_{s_t} * D') for the facets s_t of the first vertex
-    labels = [(i, s - 1, vectors[s - 1][0])
-              for i, s in enumerate(vertex_coordinates(P, 0)[0])]
+    # the walk also sums the exponents t_{s_1..s_n} of the facets s_t of
+    # the first vertex, from unit entries after the theta block
+    lead = vertex_coordinates(P, 0)[0]
+    width = len(vectors[0])
+    labels = [(i, width + i, vectors[s - 1][0]) for i, s in enumerate(lead)]
     heights = [scaled(gamma, scale) for gamma in levels]
     monomials = []  # (height, lam, nu, theta, relations with a row here)
-    for t, vec in topology.sr_walk(nerve, vectors, cap_s):
-        w, nu, th = vec[0], tuple(vec[1:n + 1]), vec[n + 1:]
-        assert min(th) == 0, f"v^{t} is not of height zero"
+    for vec in topology.sr_walk(
+            nerve, [(*v, *(int(s == j + 1) for s in lead))
+                    for j, v in enumerate(vectors)], cap_s):
+        w, nu, th = vec[0], tuple(vec[1:n + 1]), vec[n + 1:width]
+        assert min(th) == 0, f"a monomial of nu {nu} is not of height zero"
         for h in heights:  # ascending
             if w + h > cap_s:
                 break
             built = 0 if w + h > w_max else next(
-                (i + 1 for i, j, lam in labels
-                 if t[j] and w + h - lam + rel_w <= w_max), n)
+                (i + 1 for i, pos, lam in labels
+                 if vec[pos] and w + h - lam + rel_w <= w_max), n)
             monomials.append((h, w + h, nu, [x + h for x in th], built))
     monomials.sort(key=lambda x: x[:3])
     index = {(w, nu): i for i, (_, w, nu, _, _) in enumerate(monomials)}

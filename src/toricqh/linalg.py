@@ -26,21 +26,13 @@ from __future__ import annotations
 import heapq
 import random
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import gcd, lcm
 
 IntMatrix = list[list[int]]
 
 
 def identity(k: int) -> IntMatrix:
     return [[1 if i == j else 0 for j in range(k)] for i in range(k)]
-
-
-def mat_mul(A, B):
-    """Product of two matrices (entries int or Fraction)."""
-    rows, inner, cols = len(A), len(B), len(B[0]) if B else 0
-    assert all(len(r) == inner for r in A) or inner == 0
-    return [[sum(A[i][k] * B[k][j] for k in range(inner)) for j in range(cols)]
-            for i in range(rows)]
 
 
 def mat_vec(A, x):
@@ -491,5 +483,39 @@ def extend_to_basis(vectors, r: int, integral: bool = True):
     return kept, cols
 
 
+# Miller-Rabin with the 13 primes 2..41 as bases decides primality exactly
+# below MILLER_RABIN_LIMIT (Sorenson and Webster, Math. Comp. 86, 2017).
+# Prime fields are accepted up to PRIME_DIGITS decimal digits, below it.
+MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MILLER_RABIN_LIMIT = 3317044064679887385961981
+PRIME_DIGITS = 24
+
+
 def is_prime(p: int) -> bool:
-    return p >= 2 and all(p % d for d in range(2, isqrt(p) + 1))
+    """Deterministic primality of p < MILLER_RABIN_LIMIT by the Miller-Rabin
+    test with ``MILLER_RABIN_BASES``.  The bases are proven exact only
+    below that limit, so a larger p without a factor among them raises
+    ValueError."""
+    if p < 2:
+        return False
+    for a in MILLER_RABIN_BASES:
+        if p % a == 0:
+            return p == a
+    if p >= MILLER_RABIN_LIMIT:
+        raise ValueError("primality at or above MILLER_RABIN_LIMIT is not "
+                         "decided exactly")
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in MILLER_RABIN_BASES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
+            return False
+    return True

@@ -12,8 +12,12 @@ input or an implementation bug.  With non-unit B-field rescalings the same
 elimination runs over Q.  The slices come from ``topology.sr_slices`` and
 the relation rows from ``topology.graded_rows`` in the lattice basis of the
 first vertex, so they, and their cost, do not depend on the lattice basis
-of the input.  Over Z the rows are nonzero ints and go to the eliminator as
-they are; over Q they are scaled to integers by ``linalg.normalize``.
+of the input.  A slice monomial is keyed by an integer of
+``topology.SRKeys``, which encodes its exponent vector (classical) or its
+nu (quantum) and sorts as that vector does lexicographically; each layer
+keeps its ``SRKeys`` to find the column of a vector.  Over Z the rows are
+nonzero ints and go to the eliminator as they are; over Q they are scaled
+to integers by ``linalg.normalize``.
 
 Basis convention: within each degree, monomials are scanned in ascending
 graded-lexicographic order on exponent vectors and picked greedily so that
@@ -82,17 +86,23 @@ def tpoly_str(p: TPoly, unit: str = "") -> str:
 class QuotientLayer:
     """One graded piece: a monomial slice modulo the linear-form images.
 
-    ``echelon`` is the settled elimination of the relation rows; the basis
-    classes sit at ``basis_cols`` and carry the global basis indices
-    ``basis_idx``; ``inverse`` holds the columns of the inverse of their
-    quotient coordinates, so a vector's coefficients on the basis are its
-    quotient coordinates times ``inverse``.
+    ``index`` maps the integer key of each slice monomial (see ``keys``)
+    to its column.  ``echelon`` is the settled elimination of the relation
+    rows; the basis classes sit at ``basis_cols`` and carry the global
+    basis indices ``basis_idx``; ``inverse`` holds the columns of the
+    inverse of their quotient coordinates, so a vector's coefficients on
+    the basis are its quotient coordinates times ``inverse``.
     """
-    index: dict                             # slice monomial -> column
+    index: dict                             # slice monomial key -> column
+    keys: topology.SRKeys
     echelon: linalg.Eliminator
     basis_cols: tuple[int, ...]
     basis_idx: tuple[int, ...]
     inverse: tuple
+
+    def column(self, vec) -> int:
+        """The column of the slice monomial keyed by the vector ``vec``."""
+        return self.index[self.keys.encode(vec)]
 
     def coords(self, vec) -> dict:
         """Nonzero coefficients {global basis index: c} of a slice vector
@@ -106,7 +116,7 @@ class QuotientLayer:
         return out
 
 
-def _graded_layer(index, rows, integral, where, claimed=None,
+def _graded_layer(index, keys, rows, integral, where, claimed=None,
                   first_idx=0) -> QuotientLayer:
     """Eliminate the relation rows of one slice and fix its basis.
 
@@ -129,7 +139,7 @@ def _graded_layer(index, rows, integral, where, claimed=None,
         raise VerificationError(f"the {'claimed' if claimed else 'slice'} "
                                 f"monomials hold no basis of {where} (rank "
                                 f"{elim.dim})")
-    return QuotientLayer(index, elim,
+    return QuotientLayer(index, keys, elim,
                          tuple(candidates[i] for i in kept),
                          tuple(range(first_idx, first_idx + len(kept))),
                          tuple(map(tuple, inverse)))
@@ -185,28 +195,29 @@ def classical_presentation(P: DelzantPolyhedron, ring: str = "Z",
     integral = all(r in (1, -1) for r in rho)
     K = topology.build_nerve(P)
     n, N = P.dim, P.nfacets
-    steps = [tuple(int(k == j) for k in range(N)) for j in range(N)]
+    keys = topology.SRKeys([tuple(int(k == j) for k in range(N))
+                            for j in range(N)], n + 1)
     S, coords = vertex_coordinates(P, 0)
     weights = [[c * r for c in w] for w, r in zip(coords, rho)]
     # rows over Z go to the eliminator unnormalized, so their entries (here
     # and in quantum_presentation, which uses the same weights) are ints
     assert not integral or all(type(c) is int for w in weights for c in w)
-    slices = topology.sr_slices(K, steps, n + 1)
+    slices = topology.sr_slices(K, keys)
 
     layers = []
     basis = []
     for d, (index, rows) in enumerate(topology.graded_rows(
-            slices, steps, weights, [s - 1 for s in S])):
+            slices, keys.steps, weights, [s - 1 for s in S])):
         claimed = None if plain is None else \
-            [index[e] for e in plain.basis if sum(e) == d]
-        layer = _graded_layer(index, rows, integral,
+            [index[keys.encode(e)] for e in plain.basis if sum(e) == d]
+        layer = _graded_layer(index, keys, rows, integral,
                               f"the classical quotient at degree {d}",
                               claimed, first_idx=len(basis))
         if d > n and layer.basis_cols:
             raise VerificationError(f"classical cohomology does not vanish in "
                                     f"degree {d} > {n}")
         layers.append(layer)
-        basis.extend(slices[d][col] for col in layer.basis_cols)
+        basis.extend(keys.decode(slices[d][col]) for col in layer.basis_cols)
 
     ranks = tuple(len(layers[d].basis_cols) for d in range(n + 1))
     nvertices = len(enumerate_vertices(P))
@@ -235,7 +246,7 @@ def _classical_structure(K, layers, basis, ring):
             support = frozenset(j + 1 for j, t in enumerate(m) if t)
             if d < len(layers) and K.is_face(support):
                 layer = layers[d]
-                for g, c in layer.coords({layer.index[m]: 1}).items():
+                for g, c in layer.coords({layer.column(m): 1}).items():
                     coeffs[g] = c
             row_tab.append(tuple(_coerce_ring(c, ring) for c in coeffs))
         table.append(tuple(row_tab))
@@ -261,10 +272,18 @@ def _ring_label(ring) -> str:
         return "Q"
     if isinstance(ring, str) and ring.lower().startswith("f"):
         digits = ring[1:]
-        if not (digits.isascii() and digits.isdigit()) \
-                or not linalg.is_prime(int(digits)):
+        if not (digits.isascii() and digits.isdigit()):
             raise PreconditionError(f"bad prime in coefficient ring {ring!r}")
-        return f"F{int(digits)}"
+        # count the digits before int() reads them: it is slow on long
+        # strings and refuses very long ones
+        digits = digits.lstrip("0") or "0"
+        if len(digits) > linalg.PRIME_DIGITS:
+            raise PreconditionError(
+                f"the prime of coefficient ring {ring[:12]}... is too large: "
+                f"{len(digits)} digits, at most {linalg.PRIME_DIGITS}")
+        if not linalg.is_prime(int(digits)):
+            raise PreconditionError(f"bad prime in coefficient ring {ring!r}")
+        return f"F{digits}"
     raise PreconditionError(f"unknown coefficient ring {ring!r}")
 
 
@@ -368,17 +387,19 @@ def quantum_presentation(P: DelzantPolyhedron, margin: int = 0,
     S, coords = vertex_coordinates(Pn, 0)
     weights = [[r * c for c in w] for w, r in zip(coords, rho_coeff)]
     K = topology.build_nerve(Pn)
+    keys = topology.SRKeys(Pn.normals, bound)
     # T * (slice k-1) and the height-zero monomials v^t of degree k, keyed
     # by nu; by uniqueness of canonical decompositions no two t share a nu
-    slices = accumulate(topology.sr_slices(K, Pn.normals, bound),
+    slices = accumulate(topology.sr_slices(K, keys),
                         lambda nus, new: sorted(nus + new))
     layers = []
     for k, (index, rows) in enumerate(topology.graded_rows(
-            slices, Pn.normals, weights, [s - 1 for s in S])):
+            slices, keys.steps, weights, [s - 1 for s in S])):
         # the basis is sorted by degree, so T^(k - deg e_g) * e_g for the
         # first len(claimed) indices g
-        claimed = [index[nu] for nu, d in zip(basis_nu, degs) if d <= k]
-        layer = _graded_layer(index, rows, integral,
+        claimed = [index[keys.encode(nu)]
+                   for nu, d in zip(basis_nu, degs) if d <= k]
+        layer = _graded_layer(index, keys, rows, integral,
                               f"the quantum quotient at T-degree {k}", claimed)
         layers.append(layer)
 
@@ -399,7 +420,7 @@ def _quantum_structure(Q: QuantumPresentation, basis_nu):
             k = da + db
             layer = Q.layers[k]
             nu = tuple(x + y for x, y in zip(basis_nu[a], basis_nu[b]))
-            coords = layer.coords({layer.index[nu]: 1})
+            coords = layer.coords({layer.column(nu): 1})
             row_tab.append(tuple(
                 _tpoly([(k - dg, _coerce_ring(coords[g], Q.ring))])
                 if g in coords else () for g, dg in enumerate(Q.basis_degrees)))
@@ -426,22 +447,10 @@ def reduce_to_basis(x: FilteredElement, Q: QuantumPresentation):
     pairs = [[] for _ in Q.basis]
     for k, terms in sorted(by_degree.items()):
         layer = Q.layers[k]
-        vec = {layer.index[nu]: c for nu, c in terms.items()}
+        vec = {layer.column(nu): c for nu, c in terms.items()}
         for g, c in layer.coords(vec).items():
             pairs[g].append((k - Q.basis_degrees[g], c))
     return [_tpoly(p) for p in pairs]
-
-
-def recompose_from_basis(coords, Q: QuantumPresentation) -> FilteredElement:
-    """Inverse of reduce_to_basis up to an element of the relation lattice."""
-    ctx = monoid_for(Q.normalized)
-    out = ctx.zero()
-    for g, poly in enumerate(coords):
-        e = ctx.from_exponents(Q.basis[g])
-        for exp, c in enumerate(poly):
-            if c:
-                out = out + element_from_monomial(ctx.t_power(exp) * e) * Fraction(c)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -479,10 +488,15 @@ class InverseCertificate:
 def divisor_inverse_certificate(P: DelzantPolyhedron, j: int) -> InverseCertificate:
     """A monoid identity certifying that v_j divides a power of T.
 
-    Searches exponent vectors m of growing total degree with m_j >= 1 and
-    sum m_k nu_k = 0; compactness guarantees one exists.  The identity
-    v_j * prod v_k^(m_k - delta_jk) = T^(sum m_k lambda_k) is then verified
-    through the canonical decomposition.
+    The certificate is the multiplicity vector m with m_j >= 1 and
+    sum m_k nu_k = 0 whose (total degree, m) is least, m compared
+    lexicographically: the first one a search through the weak compositions
+    of total 2, 3, ... in lexicographic order meets.  Compactness guarantees
+    one exists; totals of 40 * N and more are not searched.  The vectors of
+    all facets come from one solve in the lattice basis of the first vertex,
+    kept on P (``_inverse_multiplicities``), which finds the same vectors.
+    The identity v_j * prod v_k^(m_k - delta_jk) = T^(sum m_k lambda_k) is
+    then verified through the canonical decomposition.
     """
     require_delzant(P)
     if not 1 <= j <= P.nfacets:
@@ -491,33 +505,72 @@ def divisor_inverse_certificate(P: DelzantPolyhedron, j: int) -> InverseCertific
         raise PreconditionError(
             "polyhedron is not compact: the toric divisor classes generate a "
             "proper subring and no inverse certificate exists")
-    N, n = P.nfacets, P.dim
-    for total in range(2, 40 * N):
-        for m in _compositions(total, N):
-            if m[j - 1] < 1:
+    m = _inverse_multiplicities(P)[j - 1]
+    if m is None:
+        raise VerificationError(f"no inverse certificate found for facet {j} "
+                                f"within the search bound; input inconsistent "
+                                f"with compactness")
+    exponent = sum((mk * lam for mk, lam in zip(m, P.offsets)), Fraction(0))
+    s, t = monoid_for(P).decompose((exponent, (0,) * P.dim))
+    if s != exponent or any(t):
+        raise VerificationError("certificate failed to verify as a monoid "
+                                "identity")
+    return InverseCertificate(j, m, exponent)
+
+
+@memoized
+def _inverse_multiplicities(P: DelzantPolyhedron):
+    """For every facet j, the least (total, m) of ``divisor_inverse_certificate``
+    with total below 40 * N, as m alone, or None where there is none.
+
+    The solve is in the basis of the first vertex, with facets S = (s_1, ...,
+    s_n) and w_l the coordinates of nu_l (``vertex_coordinates(P, 0)``), in
+    which w_{s_k} is the k-th unit vector.  So sum m_k nu_k = 0 exactly when
+    m_S = -sum_{l not in S} m_l w_l: the N - n free multiplicities fix m,
+    and m is a solution when that m_S is non-negative.  The free parts are
+    enumerated by exact sum B = 0, 1, ..., and each facet keeps its least
+    (total, m) over the solutions met.  A solution of total T has free sum
+    at most T, so once every facet's best total is at most B, no solution
+    not yet met can beat it, and the search stops: each facet gets the
+    vector the composition search finds.  Compact input has N > n.
+    """
+    N = P.nfacets
+    S, coords = vertex_coordinates(P, 0)
+    free = [l for l in range(N) if l + 1 not in S]
+    order = free + [s - 1 for s in S]
+    minus_w = [[-x for x in coords[l]] for l in free]
+    best = [None] * N
+    need = 40 * N - 1  # no facet can use a larger total
+    for free_sum in range(40 * N):
+        for parts, m_lead in _weighted_compositions(free_sum, minus_w):
+            total = free_sum + sum(m_lead)
+            if total > need or min(m_lead) < 0:
                 continue
-            if all(sum(mk * P.normals[k][i] for k, mk in enumerate(m)) == 0
-                   for i in range(n)):
-                exponent = sum((mk * lam for mk, lam in zip(m, P.offsets)),
-                               Fraction(0))
-                s, t = monoid_for(P).decompose((exponent, (0,) * n))
-                if s != exponent or any(t):
-                    raise VerificationError("certificate failed to verify as a "
-                                            "monoid identity")
-                return InverseCertificate(j, tuple(m), exponent)
-    raise VerificationError(f"no inverse certificate found for facet {j} within "
-                            f"the search bound; input inconsistent with "
-                            f"compactness")
+            m = [0] * N
+            for l, x in zip(order, parts + tuple(m_lead)):
+                m[l] = x
+            found = (total, tuple(m))
+            for k, mk in enumerate(m):
+                if mk and (best[k] is None or found < best[k]):
+                    best[k] = found
+        if None not in best:
+            need = max(b[0] for b in best)
+            if need <= free_sum:
+                break
+    return tuple(b and b[1] for b in best)
 
 
-def _compositions(total, parts):
-    """Weak compositions of `total` into `parts` parts, lexicographically."""
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+def _weighted_compositions(total, vectors):
+    """The pairs (c, sum_i c_i * vectors[i]) over the weak compositions c
+    of ``total`` into len(vectors) >= 1 parts, c a tuple, built part by
+    part for all compositions at once."""
+    level = [((), [0] * len(vectors[0]), total)]
+    for v in vectors[:-1]:
+        level = [(parts + (c,), [a + c * x for a, x in zip(acc, v)], left - c)
+                 for parts, acc, left in level for c in range(left + 1)]
+    last = vectors[-1]
+    return [(parts + (left,), [a + left * x for a, x in zip(acc, last)])
+            for parts, acc, left in level]
 
 
 @dataclass(frozen=True)

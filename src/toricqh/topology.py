@@ -7,6 +7,12 @@ exists; the 1-skeleton's components), and only the boundary maps of
 triangles and higher faces are ranked by exact elimination.  The
 Cohen-Macaulay check is Reisner's: reduced homology of the complex and of
 every face link must vanish below the dimension of the respective complex.
+
+The Stanley-Reisner monomials are enumerated by ``sr_walk`` alone.  Its
+degree slices (``sr_slices``) key each monomial by one integer of
+``SRKeys``, linear in the exponents, and ``graded_rows`` builds the
+"linear form times monomial" rows over them for the classical, quantum and
+regular-sequence quotients.
 """
 
 from __future__ import annotations
@@ -96,9 +102,14 @@ def build_nerve(P: DelzantPolyhedron) -> NerveComplex:
 
 def field_name(p: int | None) -> str:
     """The report name of the coefficient field: "Q" for p None, else
-    "F{p}".  Raises PreconditionError unless p is None or a prime."""
+    "F{p}".  Raises PreconditionError unless p is None or a prime of at
+    most ``linalg.PRIME_DIGITS`` digits."""
     if p is None:
         return "Q"
+    if isinstance(p, int) and p >= 10 ** linalg.PRIME_DIGITS:
+        raise PreconditionError(f"the field size is too large: primes of "
+                                f"more than {linalg.PRIME_DIGITS} digits are "
+                                f"not supported")
     if not isinstance(p, int) or not linalg.is_prime(p):
         raise PreconditionError(f"the field size {p!r} is not a prime")
     return f"F{p}"
@@ -110,10 +121,6 @@ class HomologyProfile:
 
     dim: int
     ranks: tuple[int, ...]  # ranks[i] is the reduced Betti number in degree i-1
-
-    def betti(self, degree: int) -> int:
-        idx = degree + 1
-        return self.ranks[idx] if 0 <= idx < len(self.ranks) else 0
 
     def nonzero(self) -> dict[int, int]:
         return {i - 1: r for i, r in enumerate(self.ranks) if r}
@@ -270,14 +277,15 @@ def sphere_or_ball_profile(P: DelzantPolyhedron, p: int | None = None) -> Profil
 
 
 def sr_walk(K: NerveComplex, vectors, cap: int):
-    """Yield every exponent vector t whose support is a face and whose
-    weight sum_j t_j * vectors[j][0] is at most ``cap``, paired with the
-    summed vector sum_j t_j * vectors[j] as a list.
+    """Yield, for every exponent vector t whose support is a face and whose
+    weight sum_j t_j * vectors[j][0] is at most ``cap``, the summed vector
+    sum_j t_j * vectors[j] as a new list.
 
     This is the one enumerator of Stanley-Reisner monomials: the degree
     slices of the classical, regular-sequence and quantum quotients come
     from it through ``sr_slices`` (weight 1 per label), and the Jacobian
-    slice, bounded by T-weight, directly.
+    slice, bounded by T-weight, directly.  A caller that needs some
+    exponents of t puts unit entries for their labels into the vectors.
 
     ``vectors[j]`` is an integer vector for label j + 1 whose first entry,
     the weight, is positive.  One walk per face of ``K.sorted_faces``
@@ -289,38 +297,91 @@ def sr_walk(K: NerveComplex, vectors, cap: int):
     """
     width = len(vectors[0])
     for labels in K.sorted_faces:
-        t = [0] * K.ground
+        face = [vectors[lbl - 1] for lbl in labels]
         acc = [0] * width
-        for lbl in labels:
-            t[lbl - 1] = 1
-            acc = list(map(add, acc, vectors[lbl - 1]))
+        for v in face:
+            acc = list(map(add, acc, v))
         if acc[0] > cap:
             continue
-        stack = [(t, acc, 0)]
+        stack = [(acc, 0)]
         while stack:
-            t, acc, first = stack.pop()
-            yield tuple(t), acc
+            acc, first = stack.pop()
+            yield acc
             room = cap - acc[0]
-            for pos in range(first, len(labels)):
-                j = labels[pos] - 1
-                if vectors[j][0] <= room:
-                    t2 = list(t)
-                    t2[j] += 1
-                    stack.append((t2, list(map(add, acc, vectors[j])), pos))
+            for pos in range(first, len(face)):
+                if face[pos][0] <= room:
+                    stack.append((list(map(add, acc, face[pos])), pos))
 
 
-def sr_slices(K: NerveComplex, vectors, top: int) -> list[list[tuple]]:
-    """The degree slices 0..top of the Stanley-Reisner ring, keyed by
-    vectors: entry d holds the keys sum_j t_j * vectors[j], sorted, for the
-    exponent vectors t of degree d whose support is a face.
+class SRKeys:
+    """Linear integer keys for the Stanley-Reisner monomials of degree at
+    most ``top``: the monomial v^t is keyed by the integer vector
+    sum_j t_j * vectors[j], written as the integer sum_j t_j * steps[j].
 
-    Unit vectors key a slice by the exponents themselves, in lexicographic
-    order.  One ``sr_walk`` with weight 1 per label covers every degree.
+    Coordinate i of such a vector lies in the window [low_i, low_i + base),
+    fixed by ``top`` (taken as at least 1) and the signs of the entries of
+    the vectors, and the key reads the vector as base-``base`` digits, the
+    first coordinate most significant:
+    key = sum_i x_i * base^(width - 1 - i).  On vectors within the windows
+    this is injective and keeps their lexicographic order, so sorting keys
+    sorts the vectors; it is linear, so multiplying by Z_j adds ``steps[j]``
+    to every key.  ``encode`` and ``decode`` convert between vectors and
+    keys; nothing outside this class knows the format.
     """
-    slices = [[] for _ in range(top + 1)]
-    for _, acc in sr_walk(K, [(1, *v) for v in vectors], top):
-        slices[acc[0]].append(tuple(acc[1:]))
-    return [sorted(keys) for keys in slices]
+
+    def __init__(self, vectors, top: int):
+        # the steps are keys of degree 1, so the windows hold degree 1 too
+        reach = max(top, 1)
+        columns = list(zip(*vectors))
+        self.top = top
+        self.low = tuple(reach * min(0, *col) for col in columns)
+        self.base = 1 + max(reach * max(0, *col) - lo
+                            for col, lo in zip(columns, self.low))
+        self.steps = tuple(map(self._horner, vectors))
+
+    def _horner(self, vec) -> int:
+        key = 0
+        for x in vec:
+            key = key * self.base + x
+        return key
+
+    def encode(self, vec) -> int:
+        """The key of an integer vector; ValueError outside the windows,
+        where keys would no longer be unique."""
+        if len(vec) != len(self.low) or not all(
+                0 <= x - lo < self.base for x, lo in zip(vec, self.low)):
+            raise ValueError(f"{tuple(vec)} is outside the key windows")
+        return self._horner(vec)
+
+    def decode(self, key: int) -> tuple[int, ...]:
+        """The vector of a key, as a tuple."""
+        rest = key - self._horner(self.low)
+        digits = []
+        for lo in reversed(self.low):
+            rest, digit = divmod(rest, self.base)
+            digits.append(lo + digit)
+        if rest:
+            raise ValueError(f"{key} is not a key of these windows")
+        return tuple(reversed(digits))
+
+
+def sr_slices(K: NerveComplex, keys: SRKeys) -> list[list[int]]:
+    """The degree slices 0..keys.top of the Stanley-Reisner ring: entry d
+    holds, sorted, the keys of the exponent vectors t of degree d whose
+    support is a face.
+
+    Sorted keys are the vectors sum_j t_j * vectors[j] in lexicographic
+    order; unit vectors give the exponent vectors themselves.  One
+    ``sr_walk`` with weight 1 per label covers every degree, and it adds
+    two integers per monomial.
+    """
+    slices = [[] for _ in range(keys.top + 1)]
+    for degree, key in sr_walk(K, [(1, step) for step in keys.steps],
+                               keys.top):
+        slices[degree].append(key)
+    for keyed in slices:
+        keyed.sort()
+    return slices
 
 
 def sr_hilbert_function(P: DelzantPolyhedron, maxdeg: int) -> list[int]:
@@ -342,9 +403,12 @@ def graded_rows(slices, steps, weights, leads=()):
     and the rows c_k * m over it, for the forms c_k = sum_j weights[j][k] Z_j
     and the monomials m of the slice before (none for the first).
 
-    Keys are vectors in column order; Z_j moves a key by ``steps[j]``, and
-    the steps are distinct, so no two entries of a row add up.  Products
-    missing from the next slice are 0 there and dropped.
+    Keys are the integers of ``SRKeys`` and each slice lists them in column
+    order, so the column order is the key order.  Z_j adds ``steps[j]`` to
+    a key, and the steps are distinct, so no two entries of a row add up.
+    Products missing from the next slice are 0 there and dropped.  Rows
+    come monomial by monomial in the order of the slice before, and for
+    each monomial form by form.
 
     Koszul rule (Faugere's F5, ISSAC 2002).  ``leads`` are the variables
     s_0, s_1, ... of a vertex basis S, in which the forms read
@@ -379,7 +443,7 @@ def graded_rows(slices, steps, weights, leads=()):
         for m, kept in prev.items():
             cols = []
             for step, w, limit in moves:
-                col = index.get(tuple(map(add, m, step)))
+                col = index.get(m + step)
                 if col is not None:
                     cols.append((col, w))
                     if limit < forms[col]:
@@ -415,6 +479,19 @@ def regular_sequence_check(P: DelzantPolyhedron, p: int | None = None,
     and every F_p.  The coefficients are reduced mod p once, so the rows go
     to the eliminator already normalized.
 
+    The columns are ordered by falling lead degree, the exponent sum on the
+    vertex's facets S = (s_1, ..., s_n), and then lexicographically: the
+    keys of ``SRKeys`` read the vector (-lead degree, t).  In the vertex's
+    basis c_k = Z_{s_k} + sum_{l not in S} w_lk Z_l, so in the row c_k * m
+    the product Z_{s_k} * m has one more lead degree than every other
+    entry: when it is a face monomial it is the row's least column, and its
+    coefficient is 1.  The rows go to the eliminator sorted by least column,
+    which pivots on the least unit entry.  A row whose lead product no
+    earlier row pivots on then holds no earlier pivot of such a row, as
+    those lie at smaller columns, and most rows become pivot rows on their
+    lead product with no reduction.  The rank, and so every reported
+    dimension, does not depend on the order of the rows or the columns.
+
     No slice past degree n+1 is ranked, for any ``maxdeg``.  On Delzant
     input the normals at every vertex form a Z-basis, so over Q and over
     every F_p the forms are a linear system of parameters (Kind and
@@ -440,11 +517,12 @@ def regular_sequence_check(P: DelzantPolyhedron, p: int | None = None,
 
     S, coords = vertex_coordinates(P, 0)
     weights = coords if p is None else [[x % p for x in w] for w in coords]
-    steps = [tuple(int(k == j) for k in range(N)) for j in range(N)]
-    slices = sr_slices(K, steps, min(maxdeg, n + 1))
+    keys = SRKeys([(-int(j + 1 in S), *(int(k == j) for k in range(N)))
+                   for j in range(N)], min(maxdeg, n + 1))
     dims = []
-    for index, rows in graded_rows(slices, steps, weights,
+    for index, rows in graded_rows(sr_slices(K, keys), keys.steps, weights,
                                    [s - 1 for s in S]):
+        rows.sort(key=min)
         elim = linalg.Eliminator(p)
         for row in rows:
             elim.add_row(row)

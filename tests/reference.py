@@ -1,0 +1,57 @@
+"""Reference implementations that the tests compare the package against.
+
+They are the plain versions the package replaced by faster ones, or helpers
+only tests need: a dense matrix product, the inverse of
+``presentation.reduce_to_basis``, and the composition search for divisor
+inverse certificates.
+"""
+
+from fractions import Fraction
+
+from toricqh.monoid import element_from_monomial, monoid_for
+
+
+def mat_mul(A, B):
+    """Product of two matrices (entries int or Fraction)."""
+    rows, inner, cols = len(A), len(B), len(B[0]) if B else 0
+    assert all(len(r) == inner for r in A) or inner == 0
+    return [[sum(A[i][k] * B[k][j] for k in range(inner)) for j in range(cols)]
+            for i in range(rows)]
+
+
+def recompose_from_basis(coords, Q):
+    """Inverse of ``presentation.reduce_to_basis`` up to an element of the
+    relation lattice."""
+    ctx = monoid_for(Q.normalized)
+    out = ctx.zero()
+    for g, poly in enumerate(coords):
+        e = ctx.from_exponents(Q.basis[g])
+        for exp, c in enumerate(poly):
+            if c:
+                out = out + element_from_monomial(ctx.t_power(exp) * e) * Fraction(c)
+    return out
+
+
+def compositions(total, parts):
+    """Weak compositions of `total` into `parts` parts, lexicographically."""
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
+def inverse_multiplicities(P, j):
+    """The multiplicities of the inverse certificate of facet j by the plain
+    search: exponent vectors m of growing total degree, each degree in
+    lexicographic order, the first with m_j >= 1 and sum m_k nu_k = 0;
+    None when no total below 40 * N has one."""
+    N, n = P.nfacets, P.dim
+    for total in range(2, 40 * N):
+        for m in compositions(total, N):
+            if m[j - 1] >= 1 and all(
+                    sum(mk * P.normals[k][i] for k, mk in enumerate(m)) == 0
+                    for i in range(n)):
+                return m
+    return None

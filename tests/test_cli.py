@@ -95,6 +95,20 @@ def test_cm_with_prime_field(capsys):
     assert "field: F2" in out
 
 
+def test_ring_with_a_large_prime(capsys):
+    # 10^18 + 3 is prime; more than 24 digits are refused as too large,
+    # before the digits are read as a number
+    code, out, _ = run(capsys, "--input", data_path("cp2"),
+                       "--command", "classical", "--ring",
+                       "fp:1000000000000000003")
+    assert code == 0
+    assert "F1000000000000000003" in out
+    code, out, err = run(capsys, "--input", data_path("cp2"),
+                         "--command", "classical", "--ring", "fp:" + "1" * 5000)
+    assert code == 2 and out == ""
+    assert "too large" in err and err.count("\n") == 1 and len(err) < 200
+
+
 def test_invert_compact(capsys):
     code, out, _ = run(capsys, "--input", data_path("cp1"),
                        "--command", "invert")
@@ -172,6 +186,7 @@ BAD_ARGUMENTS = [
     ("cp1", "jacobian", ("--cut", "2"), 2),
     ("non_delzant", "jacobian", ("--perturb", "NU_DOWN"), 3),
     ("cp2", "cm", ("--ring", "fp:²"), 2),
+    ("cp2", "classical", ("--ring", "fp:" + "1" * 5000), 2),
 ]
 
 # Files written into tmp_path; a row names one by its key, as the input or

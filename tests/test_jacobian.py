@@ -259,8 +259,9 @@ def _reference_attempt(P, ctx, levels, g, relations, cap, inner_cap, basis,
     monomials = []
     units = [tuple(int(i == j) for i in range(P.nfacets))
              for j in range(P.nfacets)]
-    for keys in topology.sr_slices(nerve, units, cap_s // min(weights)):
-        for t in keys:
+    code = topology.SRKeys(units, cap_s // min(weights))
+    for keyed in topology.sr_slices(nerve, code):
+        for t in map(code.decode, keyed):
             w, nu, th = key(t)
             assert min(th) == 0
             for h in heights:

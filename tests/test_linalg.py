@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from reference import mat_mul
 from toricqh import linalg
 
 
@@ -16,7 +17,7 @@ def test_snf_divisibility_fixup():
     M = [[2, 0], [0, 3]]
     S, U, V = linalg.smith_normal_form(M)
     assert [S[0][0], S[1][1]] == [1, 6]
-    assert linalg.mat_mul(linalg.mat_mul(U, M), V) == S
+    assert mat_mul(mat_mul(U, M), V) == S
 
 
 def test_snf_zero():
@@ -30,7 +31,7 @@ def test_normal_forms_random_recomposition(seed):
     m, n = rng.randrange(1, 5), rng.randrange(1, 5)
     M = [[rng.randrange(-9, 10) for _ in range(n)] for _ in range(m)]
     S, U2, V = linalg.smith_normal_form(M)
-    assert linalg.mat_mul(linalg.mat_mul(U2, M), V) == S
+    assert mat_mul(mat_mul(U2, M), V) == S
     assert abs(linalg.determinant(U2)) == 1
     assert abs(linalg.determinant(V)) == 1
     diag = [S[i][i] for i in range(min(m, n))]
@@ -194,7 +195,27 @@ def test_extend_to_basis_over_z_and_q():
     kept, T = linalg.extend_to_basis([[2, 3], [4, 6], [1, 1]], 2)
     assert kept == [0, 2]
     B = [[2, 3], [1, 1]]
-    assert linalg.mat_mul(B, linalg.transpose(T)) == linalg.identity(2)
+    assert mat_mul(B, linalg.transpose(T)) == linalg.identity(2)
+
+
+def test_is_prime_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    for p in range(10 ** 4 + 1):
+        assert linalg.is_prime(p) == sympy.isprime(p), p
+    # 10^18 + 3 and 2^64 - 59 are prime.  The composites: a Carmichael
+    # number, products of two large primes, a strong pseudoprime to the
+    # bases 2..37 (Sorenson and Webster) and one to the bases 2..23.
+    big = [10 ** 18 + 3, 2 ** 64 - 59, 561, 41041,
+           (10 ** 9 + 7) * (10 ** 9 + 9), (2 ** 61 - 1) * (2 ** 19 - 1),
+           318665857834031151167461, 3825123056546413051,
+           10 ** 24 - 1, 10 ** 24 + 7]
+    for p in big:
+        assert linalg.is_prime(p) == sympy.isprime(p), p
+    assert linalg.is_prime(10 ** 18 + 3) and linalg.is_prime(2 ** 64 - 59)
+    # exact only below the Miller-Rabin bound of its 13 bases
+    with pytest.raises(ValueError):
+        linalg.is_prime(sympy.nextprime(linalg.MILLER_RABIN_LIMIT))
+    assert 10 ** linalg.PRIME_DIGITS < linalg.MILLER_RABIN_LIMIT
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -207,11 +228,12 @@ def test_integral_rank_matches_prime_fields(seed):
     P = catalog.random_delzant(rng, dim, dim + 4)
     K = topology.build_nerve(P)
     N = P.nfacets
-    steps = [tuple(int(k == j) for k in range(N)) for j in range(N)]
-    slices = topology.sr_slices(K, steps, dim + 1)
+    keys = topology.SRKeys([tuple(int(k == j) for k in range(N))
+                            for j in range(N)], dim + 1)
+    slices = topology.sr_slices(K, keys)
     # no leads: every row of every degree
     for d, (index, rows) in enumerate(
-            topology.graded_rows(slices, steps, P.normals)):
+            topology.graded_rows(slices, keys.steps, P.normals)):
         elim = linalg.Eliminator(integral=True)
         for row in rows:
             elim.add_row(linalg.normalize(row))

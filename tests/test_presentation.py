@@ -3,12 +3,14 @@ from fractions import Fraction
 
 import pytest
 
+from reference import inverse_multiplicities, recompose_from_basis
 from toricqh import catalog, linalg, topology
 from toricqh import monoid as mo
 from toricqh import presentation as pr
 from toricqh.errors import PreconditionError
-from toricqh.polyhedra import (enumerate_vertices, monotone_normalization,
-                               polyhedron, relabel_lattice)
+from toricqh.polyhedra import (enumerate_vertices, is_compact,
+                               monotone_normalization, polyhedron,
+                               relabel_lattice)
 
 
 def elem(P, j):
@@ -67,10 +69,11 @@ def test_classical_quotient_vanishes_past_dim_plus_one(corpus):
     for P in [*corpus.values(), *randoms]:
         K = topology.build_nerve(P)
         n, N = P.dim, P.nfacets
-        steps = [tuple(int(k == j) for k in range(N)) for j in range(N)]
-        slices = topology.sr_slices(K, steps, 2 * n)[n:]
+        keys = topology.SRKeys([tuple(int(k == j) for k in range(N))
+                                for j in range(N)], 2 * n)
+        slices = topology.sr_slices(K, keys)[n:]
         # no leads: every row; the degree-n slice comes first, with none
-        walk = topology.graded_rows(slices, steps, P.normals)
+        walk = topology.graded_rows(slices, keys.steps, P.normals)
         next(walk)
         for d, (index, rows) in enumerate(walk, start=n + 1):
             assert linalg.rank(rows) == len(index), (P, d)
@@ -178,7 +181,8 @@ def test_quantum_slices_match_the_monoid_enumeration(corpus):
             continue
         Q = pr.quantum_presentation(P, margin=1)
         for k in range(2 * P.dim + 2):
-            assert list(Q.layers[k].index) == \
+            layer = Q.layers[k]
+            assert [layer.keys.decode(key) for key in layer.index] == \
                 [m.nu for m in mo.enumerate_gamma_degree(norm.rescaled, k)], \
                 (name, k)
 
@@ -364,7 +368,7 @@ def test_reduce_recompose_consistency(o_minus_1):
             m = ctx.from_exponents(t, height=rng.randrange(0, 5 - sum(t)))
             x = x + mo.element_from_monomial(m) * rng.randrange(-2, 3)
         coords = pr.reduce_to_basis(x, Q)
-        y = pr.recompose_from_basis(coords, Q)
+        y = recompose_from_basis(coords, Q)
         # the difference reduces to zero
         diff = x - y
         assert all(not p for p in pr.reduce_to_basis(diff, Q))
@@ -410,6 +414,38 @@ def test_divisor_inverse_certificates(corpus):
             for i in range(P.dim):
                 assert sum(m * P.normals[k][i]
                            for k, m in enumerate(cert.multiplicities)) == 0
+
+
+def test_divisor_inverse_certificates_match_the_composition_search(corpus):
+    # the vertex solve finds, for every facet, the vector that the plain
+    # search through compositions of growing total meets first: on the
+    # compact corpus, on a relabelled cube with two corners cut, and on 52
+    # random compact inputs of dimension 2-4, the last twelve relabelled
+    # once more.  In the cut cube facet 8 has two vectors of total 4, and
+    # the certificate (0, 1, 1, 0, 1, 0, 0, 1) is the one of larger free
+    # sum: a search stopping once every facet has some vector returns the
+    # other, (0, 2, 0, 0, 0, 0, 1, 1).
+    cut_cube = polyhedron(3, [
+        ((0, 0, 1), 1), ((0, 0, -1), 1), ((0, 1, 1), 1), ((0, -1, -1), 1),
+        ((-1, -2, -2), 1), ((1, 2, 2), 1), ((-1, -1, 0), Fraction(7, 3)),
+        ((1, 1, 2), Fraction(7, 3))])
+    assert pr.divisor_inverse_certificate(cut_cube, 8).multiplicities == \
+        (0, 1, 1, 0, 1, 0, 0, 1)
+    rng = random.Random(4242)
+    randoms = []
+    for dim, facets in [(d, d + 4) for d in (2, 3, 4)] * 14 + [(3, 8)] * 10:
+        P = catalog.random_delzant(rng, dim, facets)
+        while not is_compact(P):
+            P = catalog.random_delzant(rng, dim, facets)
+        randoms.append(P)
+    randoms[40:] = [relabel_lattice(P, linalg.random_unimodular(P.dim, rng))
+                    for P in randoms[40:]]
+    polys = [P for P in corpus.values() if is_compact(P)] + [cut_cube]
+    polys += randoms
+    for P in polys:
+        for j in range(1, P.nfacets + 1):
+            cert = pr.divisor_inverse_certificate(P, j)
+            assert cert.multiplicities == inverse_multiplicities(P, j), (P, j)
 
 
 def test_divisor_inverse_noncompact_rejected(corpus):

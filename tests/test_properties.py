@@ -107,11 +107,11 @@ def test_classical_ranks_agree_over_every_ring(seed, dim):
     # Each degree over each field: the Stanley-Reisner monomials modulo the
     # linear forms times the previous degree, ranked by that field alone.
     K = tp.build_nerve(P)
-    steps = [tuple(int(k == j) for k in range(P.nfacets))
-             for j in range(P.nfacets)]
-    slices = tp.sr_slices(K, steps, len(ranks["Z"]) - 1)
+    keys = tp.SRKeys([tuple(int(k == j) for k in range(P.nfacets))
+                      for j in range(P.nfacets)], len(ranks["Z"]) - 1)
+    slices = tp.sr_slices(K, keys)
     # no leads: every row of every degree
-    walk = tp.graded_rows(slices, steps, P.normals)
+    walk = tp.graded_rows(slices, keys.steps, P.normals)
     for d, (expected, (index, rows)) in enumerate(zip(ranks["Z"], walk)):
         for p in (None, 3, 32003):
             assert len(index) - linalg.rank(rows, p) == expected, (d, p)

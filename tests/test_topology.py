@@ -10,7 +10,8 @@ from toricqh import catalog, cli, linalg
 from toricqh import topology as tp
 from toricqh.errors import PreconditionError, VerificationError
 from toricqh.jacobian import jacobian_freeness
-from toricqh.polyhedra import is_compact, polyhedron, relabel_lattice
+from toricqh.polyhedra import (is_compact, polyhedron, relabel_lattice,
+                               vertex_coordinates)
 
 
 def brute_sr_monomials(K, d):
@@ -148,13 +149,14 @@ def test_sr_monomials_match_hilbert(corpus):
         values = tp.sr_hilbert_function(P, 3)
         units = [tuple(int(i == j) for i in range(P.nfacets))
                  for j in range(P.nfacets)]
-        assert [len(keys) for keys in tp.sr_slices(K, units, 3)] == values
+        assert [len(keyed) for keyed in
+                tp.sr_slices(K, tp.SRKeys(units, 3))] == values
 
 
 def test_sr_slices_match_brute_force(corpus):
-    # unit keys are the exponent vectors in lexicographic order, nu keys
-    # their sums of normals, sorted; the corpus includes the non-compact
-    # c1-c3 and o_minus_1
+    # sorted unit keys decode to the exponent vectors in lexicographic
+    # order, sorted nu keys to their sums of normals, sorted; the corpus
+    # includes the non-compact c1-c3 and o_minus_1
     rng = random.Random(1729)
     polys = list(corpus.items()) + [
         (f"random{i}", catalog.random_delzant(rng, rng.choice([2, 3]), 6))
@@ -162,22 +164,60 @@ def test_sr_slices_match_brute_force(corpus):
     for name, P in polys:
         K = tp.build_nerve(P)
         N, n = P.nfacets, P.dim
-        units = [tuple(int(i == j) for i in range(N)) for j in range(N)]
-        by_unit = tp.sr_slices(K, units, n + 2)
-        by_nu = tp.sr_slices(K, P.normals, n + 2)
+        units = tp.SRKeys([tuple(int(i == j) for i in range(N))
+                           for j in range(N)], n + 2)
+        nus = tp.SRKeys(P.normals, n + 2)
+        by_unit = tp.sr_slices(K, units)
+        by_nu = tp.sr_slices(K, nus)
         assert len(by_unit) == len(by_nu) == n + 3
         for d in range(n + 3):
             brute = brute_sr_monomials(K, d)
-            assert by_unit[d] == brute, (name, d)
-            assert by_nu[d] == sorted(
+            assert by_unit[d] == sorted(by_unit[d])
+            assert [units.decode(key) for key in by_unit[d]] == brute, \
+                (name, d)
+            assert by_unit[d] == [units.encode(t) for t in brute], (name, d)
+            assert by_nu[d] == sorted(by_nu[d])
+            assert [nus.decode(key) for key in by_nu[d]] == sorted(
                 tuple(sum(map(mul, t, col)) for col in zip(*P.normals))
                 for t in brute), (name, d)
+
+
+def test_sr_keys_round_trip_and_keep_the_order():
+    # mixed signs, a zero column and top 0, whose windows still hold the
+    # steps: the key of sum_j t_j * vectors[j] is sum_j t_j * steps[j], it
+    # decodes back, and keys sort as the vectors do
+    for vectors, top in (([(1, 0, -2), (0, 1, 3), (-1, -1, 0)], 3),
+                         ([(2, 0), (-3, 0)], 2), ([(1, 0), (0, 1)], 0),
+                         ([(-1, 1, 0, 0), (0, 0, 1, 0), (-1, 0, 0, 1)], 4)):
+        keys = tp.SRKeys(vectors, top)
+        width = len(vectors[0])
+        found = {}
+        for ts in itertools.product(range(max(top, 1) + 1),
+                                    repeat=len(vectors)):
+            if sum(ts) > max(top, 1):
+                continue
+            vec = tuple(sum(t * v[i] for t, v in zip(ts, vectors))
+                        for i in range(width))
+            key = keys.encode(vec)
+            assert key == sum(map(mul, ts, keys.steps)), (vectors, ts)
+            assert keys.decode(key) == vec, (vectors, ts)
+            found[vec] = key
+        assert sorted(found) == sorted(found, key=found.get)
+        assert len(set(found.values())) == len(found)
+        with pytest.raises(ValueError):
+            keys.encode([lo + keys.base for lo in keys.low])
+        with pytest.raises(ValueError):
+            keys.encode(vectors[0][1:])
+        for outside in (-1, keys.base ** width):
+            with pytest.raises(ValueError):
+                keys.decode(keys.encode(keys.low) + outside)
 
 
 def test_sr_walk_matches_the_degree_enumeration(corpus):
     # the weight-bounded walk yields exactly the Stanley-Reisner exponents
     # of weight <= cap that the degree loop and a weight filter yield, each
-    # once, with the summed generator vectors; the corpus includes the
+    # once, with the summed generator vectors; the exponents are read off
+    # the unit entries at the end of the vectors.  The corpus includes the
     # non-compact c1-c3 and o_minus_1
     rng = random.Random(1618)
     polys = list(corpus.items()) + [
@@ -185,8 +225,9 @@ def test_sr_walk_matches_the_degree_enumeration(corpus):
         for i in range(8)]
     for name, P in polys:
         K = tp.build_nerve(P)
+        N = P.nfacets
         D = lcm(*(lam.denominator for lam in P.offsets))
-        vectors = [(int(lam * D), *nu, j)
+        vectors = [(int(lam * D), *nu, j, *(int(i == j) for i in range(N)))
                    for j, (lam, nu) in enumerate(zip(P.offsets, P.normals))]
         least = min(v[0] for v in vectors)
         caps = (0, least - 1, least, 3 * least + 1,
@@ -198,7 +239,8 @@ def test_sr_walk_matches_the_degree_enumeration(corpus):
         for cap in caps:
             walked = list(tp.sr_walk(K, vectors, cap))
             found = {}
-            for t, acc in walked:
+            for acc in walked:
+                t = tuple(acc[-N:])
                 assert t not in found, (name, cap, t)
                 found[t] = acc
             want = {t for w, t in brute if w <= cap}
@@ -236,11 +278,13 @@ def _reference_regular_sequence(P, p, maxdeg):
     """Quotient dimensions from ranking every degree, no early stop."""
     K = tp.build_nerve(P)
     n, N = P.dim, P.nfacets
-    steps = [tuple(int(k == j) for k in range(N)) for j in range(N)]
-    slices = tp.sr_slices(K, steps, maxdeg)
-    # no leads: every row, in the ambient basis of the normals
+    keys = tp.SRKeys([tuple(int(k == j) for k in range(N))
+                      for j in range(N)], maxdeg)
+    slices = tp.sr_slices(K, keys)
+    # no leads, lexicographic columns: every row, in the ambient basis of
+    # the normals
     dims = [len(index) - linalg.rank(rows, p)
-            for index, rows in tp.graded_rows(slices, steps, P.normals)]
+            for index, rows in tp.graded_rows(slices, keys.steps, P.normals)]
     hilbert = tp.sr_hilbert_function(P, maxdeg)
     expected = [sum((-1) ** k * comb(n, k) * hilbert[d - k]
                     for k in range(min(d, n) + 1)) for d in range(maxdeg + 1)]
@@ -290,7 +334,7 @@ def test_regular_sequence_skips_koszul_rows(corpus, monkeypatch):
         K = tp.build_nerve(P)
         units = [tuple(int(i == j) for i in range(P.nfacets))
                  for j in range(P.nfacets)]
-        slices = tp.sr_slices(K, units, P.dim + 1)
+        slices = tp.sr_slices(K, tp.SRKeys(units, P.dim + 1))
         for p in (None, 2):
             ranked.clear()
             with monkeypatch.context() as m:
@@ -305,6 +349,81 @@ def test_regular_sequence_skips_koszul_rows(corpus, monkeypatch):
             for d, count in enumerate(ranked):
                 full = P.dim * len(slices[d - 1]) if d else 0
                 assert count < full if d >= 2 else count <= full, (P, p, d)
+
+
+def test_regular_sequence_ranks_rows_by_least_column(corpus, monkeypatch):
+    """The check's columns fall by lead degree, the exponent sum on the
+    first vertex's facets S, and then run lexicographically; the rows reach
+    ``add_row`` sorted by least column.  Every kept row c_k * m whose lead
+    product Z_{s_k} * m is a face monomial has that product as its least
+    column, with coefficient 1."""
+    sliced, walked, ranked = [], [], []
+    real_slices, real_rows = tp.sr_slices, tp.graded_rows
+    init, add_row = linalg.Eliminator.__init__, linalg.Eliminator.add_row
+
+    def recording_slices(K, keys):
+        sliced.append(keys)
+        return real_slices(K, keys)
+
+    def recording_rows(*args):
+        for index, rows in real_rows(*args):
+            walked.append((index, [dict(row) for row in rows]))
+            yield index, rows
+
+    def recording_init(self, *args, **kwargs):
+        ranked.append([])
+        init(self, *args, **kwargs)
+
+    def recording_add_row(self, row):
+        ranked[-1].append(dict(row))
+        return add_row(self, row)
+
+    for P in (corpus["cp3"], catalog.random_delzant(random.Random(31), 4, 7)):
+        S, coords = vertex_coordinates(P, 0)
+        for p in (None, 2):
+            sliced.clear()
+            walked.clear()
+            ranked.clear()
+            with monkeypatch.context() as m:
+                m.setattr(tp, "sr_slices", recording_slices)
+                m.setattr(tp, "graded_rows", recording_rows)
+                m.setattr(linalg.Eliminator, "__init__", recording_init)
+                m.setattr(linalg.Eliminator, "add_row", recording_add_row)
+                assert tp.regular_sequence_check(P, p).passed
+            (keys,) = sliced
+            assert len(walked) == len(ranked) >= 3
+            led = 0
+            prev = {}
+            for (index, rows), added in zip(walked, ranked):
+                # columns: sorted keys, decoding to (-lead degree, t)
+                vecs = [keys.decode(key) for key in index]
+                assert list(index.values()) == list(range(len(index)))
+                assert vecs == sorted(vecs)
+                assert all(v[0] == -sum(v[s] for s in S) for v in vecs)
+                assert added == sorted(rows, key=min), P
+                kept = {frozenset(row.items()) for row in rows}
+                for m_vec in prev:
+                    for k, s in enumerate(S):
+                        product = list(m_vec)
+                        product[0] -= 1
+                        product[s] += 1
+                        lead = index.get(keys.encode(product))
+                        if lead is None:
+                            continue
+                        row = {}
+                        for j, w in enumerate(coords):
+                            c = w[k] if p is None else w[k] % p
+                            vec = list(m_vec)
+                            vec[0] -= int(j + 1 in S)
+                            vec[j + 1] += 1
+                            col = index.get(keys.encode(vec))
+                            if c and col is not None:
+                                row[col] = c
+                        if frozenset(row.items()) in kept:
+                            assert min(row) == lead and row[lead] == 1
+                            led += 1
+                prev = dict.fromkeys(vecs)
+            assert led > 0, (P, p)
 
 
 def test_regular_sequence_raises_if_degree_n_plus_1_survives(
@@ -352,21 +471,27 @@ def test_koszul_limit_keeps_a_prefix_of_the_forms():
     # Over three variables with every weight nonzero and leads (1, 0, 2):
     # Z_2 keeps c_0 only, Z_1 keeps c_0 and c_1, Z_3 keeps all three, and
     # the empty monomial keeps all three.
-    steps = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    units = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    keys = tp.SRKeys(units, 2)
     slices = [[(0, 0, 0)], [(0, 0, 1), (0, 1, 0), (1, 0, 0)],
-              sorted({tuple(map(sum, zip(a, b))) for a in steps for b in steps})]
+              sorted({tuple(map(sum, zip(a, b))) for a in units for b in units})]
+    slices = [list(map(keys.encode, vecs)) for vecs in slices]
+    assert all(keyed == sorted(keyed) for keyed in slices)
     weights = [[1, 2, 3], [4, 5, 6], [7, 8, 9]]
-    _prefix_rows(slices, steps, weights, (1, 0, 2), [[], [3], [3, 1, 2]])
+    _prefix_rows(slices, keys.steps, weights, (1, 0, 2), [[], [3], [3, 1, 2]])
     assert sum(len(rows) for _, rows in
-               tp.graded_rows(slices, steps, weights, (1, 0, 2))) == 9
+               tp.graded_rows(slices, keys.steps, weights, (1, 0, 2))) == 9
     # nu keys: the monotone T-degree slices of CP^2, stepped by the normals
     # and with the forms of the vertex at facets 1, 2.  Slice 1 holds T (nu
     # 0) and v_1, v_2, v_3; v_1 keeps c_0 only, the others keep both.
     normals = [(1, 0), (0, 1), (-1, -1)]
+    keys = tp.SRKeys(normals, 2)
     slices = [[(0, 0)], [(-1, -1), (0, 0), (0, 1), (1, 0)],
               sorted({(0, 0), *normals, *(tuple(map(sum, zip(a, b)))
                                           for a in normals for b in normals)})]
-    _prefix_rows(slices, normals, normals, (0, 1), [[], [2], [2, 2, 2, 1]])
+    slices = [list(map(keys.encode, vecs)) for vecs in slices]
+    assert all(keyed == sorted(keyed) for keyed in slices)
+    _prefix_rows(slices, keys.steps, normals, (0, 1), [[], [2], [2, 2, 2, 1]])
 
 
 FIELD_TAKERS = {
@@ -383,6 +508,14 @@ FIELD_TAKERS = {
 def test_field_must_be_prime(cp2, name, p):
     with pytest.raises(PreconditionError, match="not a prime"):
         FIELD_TAKERS[name](cp2, p)
+
+
+def test_field_size_past_24_digits_is_too_large(cp2):
+    # refused by size, before any primality test: 2^89 - 1 is a prime
+    for p in (10 ** 24 + 7, 2 ** 89 - 1, 10 ** 5000 + 1):
+        with pytest.raises(PreconditionError, match="too large"):
+            tp.field_name(p)
+    assert tp.field_name(10 ** 18 + 3) == "F1000000000000000003"
 
 
 def test_field_names(cp2):
