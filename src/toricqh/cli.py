@@ -375,7 +375,7 @@ def cmd_cm(P, args):
         "regular_sequence": {"passed": regseq.passed,
                              "quotient_dims": list(regseq.quotient_dims),
                              "expected_dims": list(regseq.expected_dims)},
-        "sr_hilbert": tp.sr_hilbert_function(P, P.dim + 2),
+        "sr_hilbert": list(regseq.hilbert),
     }
     ok = cm.passed and profile.match and regseq.passed
     return report, (EXIT_OK if ok else EXIT_PROPERTY)

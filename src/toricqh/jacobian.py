@@ -20,12 +20,16 @@ not free.  Such a verdict can therefore be an artifact of too small a slice:
 at this cap", not a proof of non-freeness.
 
 The slice runs in integers: every weight and height is scaled by one common
-denominator, monomials are keyed by (scaled lam, nu), and the height of a
-product is read off the summed integer theta vectors of its factors.  The
+denominator D', and the monomial T^h * v^t is keyed by one integer of
+``topology.SRKeys`` (which owns the format) over the scaled vectors
+(theta_{v0}, lam, nu) of the N generators and of T, v0 being the first
+vertex.  The keys are linear, so the column of a product is found by adding
+two keys, and sorting them sorts the monomials by theta_{v0} first.  The
 slice is enumerated by ``topology.sr_walk``, which sums the generators'
-integer (weight, nu, theta) vectors face by face and stops at the cap; unit
-entries for the facets of the first vertex carry the exponents that the
-Koszul skip below reads.
+(weight, key) face by face and stops at the cap; unit entries for the
+facets of the first vertex carry the exponents that the Koszul skip below
+reads, and the theta_v of every vertex give the height of a product that
+the slice does not hold.
 
 Relation rows.  With h_j = rho_j v_j + perturbation_j the relations are
 written in the lattice basis of the first vertex v0, whose facets are
@@ -51,17 +55,28 @@ survives it, and rho_{s_t} is a unit over Q and, as checked on entry,
 modulo p.  Each relation is normalized once by ``linalg.normalize``
 (scaled to integers over Q, reduced to residues over F_p) and its rows go
 to the eliminator as they are.
+
+Lead order.  theta_{v0}(v_{s_k}) = 0, while every other term of c'_k has
+theta_{v0} > 0: the facets outside S miss v0, and every perturbation term
+has positive height.  So in the row c'_k * m the lead product v_{s_k} * m
+has the least theta_{v0}, hence the least key and the least column, when
+the slice holds it.  The rows reach the eliminator sorted by least column,
+which it pivots on where the entry is a unit; inside the Koszul window the
+kept rows have distinct lead products, so most rows become pivot rows on
+their lead with little reduction.  The rank, and every reported number,
+does not depend on the order of the rows or of the columns.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from operator import add
+from operator import add, itemgetter, mul
 
 from . import linalg, topology
-from .errors import PreconditionError
+from .errors import PreconditionError, VerificationError
 from .monoid import (build_height_monoid, element_from_monomial, monoid_for,
                      scaled)
 from .polyhedra import (DelzantPolyhedron, exact_parameter, require_delzant,
@@ -182,15 +197,34 @@ def jacobian_freeness(P: DelzantPolyhedron, perturbations=None, rho=None,
 
 def _attempt(P, ctx, levels, g, relations, cap, inner_cap, basis, p):
     """One elimination on the slice of T-weight <= cap: T^gamma * v^t over
-    the levels gamma and the Stanley-Reisner monomials v^t, each asserted to
-    have height zero (which holds exactly when the support of t is a face).
-    ``relations`` are the c'_k of the first vertex's basis, in order; the
-    Koszul skip of the module docstring needs that basis.
+    the levels gamma and the Stanley-Reisner monomials v^t, which have
+    height zero exactly when the support of t is a face.  ``relations`` are
+    the c'_k of the first vertex's basis, in order; the Koszul skip and the
+    lead order of the module docstring need that basis.
 
-    Everything is scaled by one integer D' (``scale``): a monomial is carried
-    as (height * D', lam * D', nu) with its integer vector of theta_v * D'.
-    theta_v is linear, so the height of a product is the least entry of the
-    summed vectors, and products never need a decomposition of their own.
+    Keys.  Everything is scaled by one integer D' (``scale``).  A monomial
+    is keyed by ``topology.SRKeys`` over the vectors (theta_{v0}, lam, nu)
+    * D' of the N generators and of T, one step of T per unit of D' *
+    height, with ``top`` the scaled cap.  Every generator has scaled weight
+    at least 1, so a monomial of T-weight at most the cap, in the slice or
+    a product that a row reaches, is a sum of at most ``top`` steps: its key
+    is unique and sorts as its vector does.  The walk carries the key, a
+    level adds a multiple of the step of T, and the column of the product
+    of m by a relation term is ``index.get(key(m) + key(term))``.
+
+    Truncation.  Every monomial of the slice has height below g, so a
+    product that the slice does not hold must have height at least g,
+    which makes it zero in the truncation.  That is checked on these misses
+    only, from the theta_v vectors of m (carried by the walk) and of the
+    term, and VerificationError is raised for a product of height below g.
+
+    Rows by lead.  The rows of c'_k come in the key order of m, and their
+    lead products v_{s_k} * m, each its row's least column, rise with m.  A
+    row whose lead product is cut by the truncation has its least column
+    at a larger theta_{v0} than the lead product of m and of every later
+    monomial, so it waits in a small heap until the stream reaches its
+    column.  The n streams, each sorted by least column, are merged into
+    the eliminator without storing the rows.
     """
     nerve = topology.build_nerve(P)
     rel_weight = max((mm.lam for rel in relations for mm in rel.terms),
@@ -200,72 +234,115 @@ def _attempt(P, ctx, levels, g, relations, cap, inner_cap, basis, p):
                 *(mm.lam.denominator for rel in relations for mm in rel.terms))
     k = scale // ctx.scale
     n = P.dim
+    v0 = ctx.scaled_points[0]
 
-    def carry(w, nu):  # (lam * D', nu, theta_v * D' for every vertex v)
-        return w, nu, [w + k * x for x in ctx.pairings(nu)]
+    def vector(w, nu):  # (theta_{v0}, lam, nu) * D' of (lam * D' = w, nu)
+        return (w + k * sum(map(mul, v0, nu)), w, *nu)
 
-    # generator v_j as one integer vector (lam, nu, theta_v for every v) * D'
-    vectors = [(w, *nu, *th) for w, nu, th in
-               (carry(k * lam, nu) for lam, nu in
-                zip(ctx.scaled_offsets, P.normals))]
     cap_s = scaled(cap, scale)
+    weights = [k * lam for lam in ctx.scaled_offsets]
+    keys = topology.SRKeys([*map(vector, weights, P.normals),
+                            vector(1, (0,) * n)], cap_s)
+    *steps, t_step = keys.steps
     rel_w = scaled(rel_weight, scale)
     w_max = cap_s - rel_w
-    # the walk also sums the exponents t_{s_1..s_n} of the facets s_t of
-    # the first vertex, from unit entries after the theta block
+    # The walk sums (weight, key), the exponents t_{s_1..s_n} of the first
+    # vertex's facets (unit entries) and theta_v * D' for every vertex v.
+    # In the Koszul window of the module docstring, v_{s_t} dividing m skips
+    # the rows c'_k * m with k > t when w(m) <= limit_t.
     lead = vertex_coordinates(P, 0)[0]
-    width = len(vectors[0])
-    labels = [(i, width + i, vectors[s - 1][0]) for i, s in enumerate(lead)]
-    heights = [scaled(gamma, scale) for gamma in levels]
-    monomials = []  # (height, lam, nu, theta, relations with a row here)
+    limits = [(t + 1, 2 + t, w_max - rel_w + weights[s - 1])
+              for t, s in enumerate(lead)]
+    heights = [(h, h * t_step) for h in (scaled(x, scale) for x in levels)]
+    # (key, weight, relations with a row here, height, theta_v * D' of v^t),
+    # weight and height scaled by D'
+    monomials = []
     for vec in topology.sr_walk(
-            nerve, [(*v, *(int(s == j + 1) for s in lead))
-                    for j, v in enumerate(vectors)], cap_s):
-        w, nu, th = vec[0], tuple(vec[1:n + 1]), vec[n + 1:width]
-        assert min(th) == 0, f"a monomial of nu {nu} is not of height zero"
-        for h in heights:  # ascending
-            if w + h > cap_s:
+            nerve, [(w, step, *(int(s == j + 1) for s in lead),
+                     *(w + k * x for x in ctx.pairings(nu)))
+                    for j, (w, step, nu) in enumerate(
+                        zip(weights, steps, P.normals))], cap_s):
+        w, key, th = vec[0], vec[1], vec[2 + n:]
+        assert min(th) == 0, f"the monomial of key {key} is not of height zero"
+        skips = [(t, limit) for t, pos, limit in limits if vec[pos]]
+        for h, lift in heights:  # ascending
+            x = w + h
+            if x > cap_s:
                 break
-            built = 0 if w + h > w_max else next(
-                (i + 1 for i, pos, lam in labels
-                 if vec[pos] and w + h - lam + rel_w <= w_max), n)
-            monomials.append((h, w + h, nu, [x + h for x in th], built))
-    monomials.sort(key=lambda x: x[:3])
-    index = {(w, nu): i for i, (_, w, nu, _, _) in enumerate(monomials)}
+            built = 0 if x > w_max else n
+            for t, limit in skips:
+                if x <= limit:
+                    built = t
+                    break
+            monomials.append((key + lift, x, built, h, th))
+    monomials.sort(key=itemgetter(0))
+    index = {key: i for i, (key, *_) in enumerate(monomials)}
     # canonical decompositions are unique: no two (level, t) share a key
     assert len(index) == len(monomials)
 
     g_s = scaled(g, scale)
-    elim = linalg.Eliminator(p)
-    for i, rel in enumerate(relations):
+
+    def vanishes(h, th, theta):
+        """Check that a product missing from the slice, of T^h * v^t (theta
+        vector ``th`` at h = 0) by a term (``theta``), has height >= g."""
+        height = h + min(map(add, th, theta))
+        if height < g_s:
+            raise VerificationError(
+                f"the Jacobian slice misses a product of height "
+                f"{Fraction(height, scale)} below the cutoff {g}")
+
+    def rows(i, rel):
+        """(least column, row) of the rows c'_i * m, by least column."""
         # distinct terms times one monomial land in distinct columns, so each
-        # normalized coefficient is a row entry as it is
-        terms = [(*carry(scaled(mm.lam, scale), mm.nu), c)
-                 for mm, c in linalg.normalize(rel.terms, p).items()]
-        for _, w, nu, th, built in monomials:
+        # normalized coefficient is a row entry as it is; the lead term
+        # v_{s_i}, at theta_{v0} = 0, has the least key
+        (first, a, lead_th), *terms = sorted(
+            (keys.encode(vector(w, mm.nu)), c,
+             [w + k * x for x in ctx.pairings(mm.nu)])
+            for mm, c in linalg.normalize(rel.terms, p).items()
+            for w in [scaled(mm.lam, scale)])
+        late = []  # (least column, key of m, row) of rows with their lead cut
+        for key, _, built, h, th in monomials:
             if i >= built:
                 continue
-            row = {index[(w + w1, tuple(map(add, nu, nu1)))]: c
-                   for w1, nu1, th1, c in terms
-                   if min(map(add, th, th1)) < g_s}
-            if row:
-                elim.add_row(row)
+            col = index.get(key + first)
+            row = {} if col is None else {col: a}
+            for step, c, theta in terms:
+                other = index.get(key + step)
+                if other is None:
+                    vanishes(h, th, theta)
+                else:
+                    row[other] = c
+            if col is None:
+                vanishes(h, th, lead_th)
+                if row:
+                    heapq.heappush(late, (min(row), key, row))
+                continue
+            while late and late[0][0] < col:
+                yield heapq.heappop(late)[::2]
+            yield col, row
+        while late:
+            yield heapq.heappop(late)[::2]
+
+    elim = linalg.Eliminator(p)
+    for _, row in heapq.merge(*(rows(i, rel) for i, rel in
+                                enumerate(relations)), key=itemgetter(0)):
+        elim.add_row(row)
 
     # The quotient dimension is measured on the inner window only: monomials
     # near the outer cap lack the products that would reduce them and must
     # not be counted.
     inner_w = scaled(inner_cap, scale)
-    inner_units = [{i: 1} for i, (_, w, _, _, _) in enumerate(monomials)
+    inner_units = [{i: 1} for i, (_, w, *_) in enumerate(monomials)
                    if w <= inner_w]
     dim_s = len(inner_units)
     window = elim.fork()
     dim_quotient = sum(window.add_row(u) for u in inner_units)
 
-    sums = [[sum(e * x for e, x in zip(t, col)) for col in zip(*vectors)]
+    sums = [(sum(map(mul, t, weights)), sum(map(mul, t, steps)))
             for t in basis]
-    keys = [(v[0] + h, tuple(v[1:n + 1])) for h in heights for v in sums]
-    assert all(w <= inner_w for w, _ in keys)
+    cols = [(w + h, key + lift) for h, lift in heights for w, key in sums]
+    assert all(w <= inner_w for w, _ in cols)
     with_basis = elim.fork()
-    independent = all(with_basis.add_row({index[c]: 1}) for c in keys)
+    independent = all(with_basis.add_row({index[key]: 1}) for _, key in cols)
     return dim_s, dim_quotient, independent
-

@@ -18,6 +18,7 @@ regular-sequence quotients.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from math import comb
@@ -386,16 +387,14 @@ def sr_slices(K: NerveComplex, keys: SRKeys) -> list[list[int]]:
 
 def sr_hilbert_function(P: DelzantPolyhedron, maxdeg: int) -> list[int]:
     """Dimensions of the Stanley-Reisner ring per degree, 0..maxdeg, counted
-    face by face: a face with k vertices carries C(d-1, k-1) monomials of
-    degree d."""
+    by face size: a face with k vertices carries C(d-1, k-1) monomials of
+    degree d, so each degree sums one binomial per size, times the number
+    of faces of that size."""
     if maxdeg < 0:
         raise PreconditionError("maxdeg must be non-negative")
-    K = build_nerve(P)
-    sizes = sorted(len(f) for f in K.faces() if f)
-    values = [1]
-    for d in range(1, maxdeg + 1):
-        values.append(sum(comb(d - 1, k - 1) for k in sizes))
-    return values
+    sizes = Counter(len(f) for f in build_nerve(P).faces() if f)
+    return [1] + [sum(count * comb(d - 1, k - 1) for k, count in sizes.items())
+                  for d in range(1, maxdeg + 1)]
 
 
 def graded_rows(slices, steps, weights, leads=()):
@@ -462,6 +461,7 @@ class RegSeqReport:
     field: str
     quotient_dims: tuple[int, ...]
     expected_dims: tuple[int, ...]
+    hilbert: tuple[int, ...]  # sr_hilbert_function values 0..maxdeg
 
 
 def regular_sequence_check(P: DelzantPolyhedron, p: int | None = None,
@@ -501,7 +501,8 @@ def regular_sequence_check(P: DelzantPolyhedron, p: int | None = None,
     ring is generated in degree 1, so once a degree is zero every higher
     one is, and slices are ranked only up to the first such degree.  The
     expected values are computed for every degree up to ``maxdeg``, so the
-    verdict compares the full sequences.
+    verdict compares the full sequences; the report keeps the Hilbert
+    function of the Stanley-Reisner ring they come from.
     """
     field = field_name(p)
     if maxdeg is None:
@@ -510,7 +511,7 @@ def regular_sequence_check(P: DelzantPolyhedron, p: int | None = None,
         raise PreconditionError(f"maxdeg must be at least the dimension {P.dim}")
     K = build_nerve(P)
     n, N = P.dim, P.nfacets
-    hilbert = sr_hilbert_function(P, maxdeg)
+    hilbert = tuple(sr_hilbert_function(P, maxdeg))
     expected = tuple(sum((-1) ** k * comb(n, k) * hilbert[d - k]
                          for k in range(min(d, n) + 1))
                      for d in range(maxdeg + 1))
@@ -533,4 +534,5 @@ def regular_sequence_check(P: DelzantPolyhedron, p: int | None = None,
         raise VerificationError(f"the regular-sequence quotient over {field} "
                                 f"does not vanish in degree {n + 1}")
     dims += [0] * (maxdeg + 1 - len(dims))
-    return RegSeqReport(tuple(dims) == expected, field, tuple(dims), expected)
+    return RegSeqReport(tuple(dims) == expected, field, tuple(dims), expected,
+                        hilbert)

@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction
 from math import lcm
-from operator import add, mul
+from operator import add, mul, sub
 from types import SimpleNamespace
 
 import pytest
@@ -9,10 +9,11 @@ import pytest
 from toricqh import jacobian, linalg, topology
 from toricqh import monoid as mo
 from toricqh import presentation as pr
-from toricqh.errors import PreconditionError
+from toricqh.errors import PreconditionError, VerificationError
 from toricqh.jacobian import jacobian_freeness
 from toricqh.monoid import scaled
-from toricqh.polyhedra import enumerate_vertices, polyhedron
+from toricqh.polyhedra import (enumerate_vertices, polyhedron,
+                               vertex_coordinates)
 
 
 def test_zero_perturbations_o_minus_1(o_minus_1):
@@ -394,3 +395,123 @@ def test_koszul_rows_match_every_row_mod_p(corpus, monkeypatch):
                for _ in range(P.nfacets)]
         _against_every_row(monkeypatch, P, 3, rho=rho, perturbations=perts,
                            p=1000003)
+
+
+def _recorded_rows(monkeypatch, P, g, perturbations=None, p=None):
+    """Run ``jacobian_freeness`` and return, per slice attempt, its
+    arguments and the relation rows in the order they reached
+    ``add_row``."""
+    fast = jacobian._attempt
+    attempts = []
+
+    class Recording(linalg.Eliminator):  # forks stay plain Eliminators
+        def add_row(self, row):
+            attempts[-1][1].append(dict(row))
+            return super().add_row(row)
+
+    def recorded(*args):
+        attempts.append((args, []))
+        return fast(*args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(jacobian, "_attempt", recorded)
+        patch.setattr(jacobian, "linalg", SimpleNamespace(
+            Eliminator=Recording, normalize=linalg.normalize))
+        jacobian_freeness(P, perturbations=perturbations, g=g, p=p)
+    return attempts
+
+
+def _slice_columns(P, ctx, levels, g, relations, cap, inner_cap):
+    """The slice monomials T^gamma * v^t as (lam, nu), lam scaled by the
+    attempt's D', in the documented column order: by (theta_{v0}, lam, nu).
+    Returns them with D'."""
+    scale = lcm(ctx.scale, g.denominator, cap.denominator,
+                inner_cap.denominator, *(x.denominator for x in levels),
+                *(mm.lam.denominator for rel in relations for mm in rel.terms))
+    k = scale // ctx.scale
+    weights = [k * w for w in ctx.scaled_offsets]
+    cap_s = scaled(cap, scale)
+    units = [tuple(int(i == j) for i in range(P.nfacets))
+             for j in range(P.nfacets)]
+    code = topology.SRKeys(units, cap_s // min(weights))
+    monomials = []
+    for keyed in topology.sr_slices(topology.build_nerve(P), code):
+        for t in map(code.decode, keyed):
+            w = sum(map(mul, t, weights))
+            nu = tuple(sum(map(mul, t, col)) for col in zip(*P.normals))
+            for gamma in levels:
+                lam = w + scaled(gamma, scale)
+                if lam <= cap_s:
+                    theta0 = lam + k * sum(map(mul, ctx.scaled_points[0], nu))
+                    monomials.append((theta0, lam, nu))
+    monomials.sort()
+    return [(lam, nu) for _, lam, nu in monomials], scale
+
+
+@pytest.mark.parametrize("p", [None, 1000003])
+@pytest.mark.parametrize("name", ["cp3", "hirzebruch_f2", "cp2_perturbed"])
+def test_rows_reach_the_eliminator_by_lead(corpus, monkeypatch, name, p):
+    # rows arrive in non-decreasing least column, and a row c'_k * m whose
+    # lead product v_{s_k} * m lies in the slice has it as least column
+    perts = None
+    if name == "cp2_perturbed":
+        name = "cp2"
+        perts = _random_perturbations(corpus[name], random.Random(3))
+        assert any(not x.is_zero() for x in perts)
+    P = corpus[name]
+    lead = vertex_coordinates(P, 0)[0]
+    cut_leads = 0
+    for args, rows in _recorded_rows(monkeypatch, P, 3, perts, p):
+        _, ctx, levels, g, relations, cap, inner_cap, _, _ = args
+        cols, scale = _slice_columns(P, ctx, levels, g, relations, cap,
+                                     inner_cap)
+        where = {c: i for i, c in enumerate(cols)}
+        terms = [[(scaled(mm.lam, scale), mm.nu) for mm in rel.terms]
+                 for rel in relations]
+        leads = [(scaled(P.offset(s), scale), P.normal(s)) for s in lead]
+
+        def times(a, b):
+            return a[0] + b[0], tuple(map(add, a[1], b[1]))
+
+        least = -1
+        for row in rows:
+            assert min(row) >= least
+            least = min(row)
+            x = cols[least]
+            found = False
+            for rel, lead_term in zip(terms, leads):
+                for tau in rel:
+                    m = (x[0] - tau[0], tuple(map(sub, x[1], tau[1])))
+                    if m not in where:
+                        continue
+                    products = (times(m, t) for t in rel)
+                    if {where[q] for q in products if q in where} != set(row):
+                        continue
+                    found = True  # the row is c'_k * m, reaching x by tau
+                    if times(m, lead_term) in where:
+                        assert tau == lead_term, (name, p, row)
+                    else:
+                        cut_leads += 1
+            assert found, (name, p, row)
+    # rows whose lead product is cut by the truncation occur and keep order
+    assert cut_leads > 0
+
+
+def test_slice_missing_a_monomial_of_height_zero_raises(cp2, monkeypatch):
+    # every monomial of the slice has height below g, so a product missing
+    # from it must have height at least g; drop the height-zero generator
+    # v_l for a facet l off the first vertex, which c'_k * 1 reaches, from
+    # the slice's walk only (the classical presentation walks too)
+    first = vertex_coordinates(cp2, 0)[0]
+    l = next(j for j in range(1, cp2.nfacets + 1) if j not in first)
+    walk = topology.sr_walk
+
+    def holed(K, vectors, cap):
+        return (vec for vec in walk(K, vectors, cap)
+                if vec != list(vectors[l - 1]))
+
+    monkeypatch.setattr(jacobian, "topology", SimpleNamespace(
+        **{**vars(topology), "sr_walk": holed}))
+    with pytest.raises(VerificationError,
+                       match="misses a product of height 0 "):
+        jacobian_freeness(cp2, g=1)
