@@ -12,9 +12,9 @@ reads off the coordinates of any vector in the quotient.  Over Q and F_p it
 is an incremental rank engine.
 
 ``cramer`` is a fraction-free (Bareiss) solve of a square integer system.
-It runs the vertex solves of ``polyhedra.enumerate_vertices`` and gives
-``determinant`` and, one solve per column, ``adjugate``: the integer
-inverse of a vertex's normals in ``polyhedra.vertex_basis``.
+It gives ``determinant`` and, one solve per column, ``adjugate``.  The
+vertex geometry needs neither: ``polyhedra.enumerate_vertices`` reads each
+vertex's determinant and adjugate off its own fraction-free tableau.
 
 The dense Smith form pivots naively on a smallest-nonzero entry.  It serves
 the residual blocks of ``Eliminator`` and ``integer_kernel``, where that

@@ -16,11 +16,12 @@ relations arise.
 The cone arithmetic runs in integers.  Each :class:`ConeMonoid` scales the
 vertex coordinates and the offsets by their common denominator D once, so
 theta_v(lam, nu) * D = lam * D + <v * D, nu> with an integer pairing, and
-takes the basis of each vertex from ``polyhedra.vertex_basis`` (the labels,
-integer adjugate and determinant of the normals it expresses in); a
-decomposition then costs integer dot products and one d x d integer
-matrix-vector product.  Public values (``lam``, ``height``) stay exact
-fractions.
+takes the basis of each vertex from the record that the vertex walk of
+``polyhedra.enumerate_vertices`` leaves on it (``polyhedra.vertex_basis``:
+the labels, integer adjugate and determinant of the normals it expresses
+in), so no solve runs here; a decomposition then costs integer dot products
+and one d x d integer matrix-vector product.  Public values (``lam``,
+``height``) stay exact fractions.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from . import lp
 from .errors import LatticeError, PreconditionError, SchemaError
 from .polyhedra import (DelzantPolyhedron, Vertex, enumerate_vertices,
                         exact_fraction, exact_parameter, format_point,
-                        is_integer, memoized, vertex_basis)
+                        is_integer, memoized)
 
 
 def scaled(x: Fraction, D: int) -> int:
@@ -103,8 +104,9 @@ class ConeMonoid:
     ``scale`` (D) of the offsets and the vertex coordinates, the scaled
     vertex points v * D (``scaled_points``) and offsets lambda_j * D
     (``scaled_offsets``), and for each vertex the lattice basis a
-    decomposition expresses in: ``polyhedra.vertex_basis``, the incident
-    labels with the integer adjugate and determinant of their normals.
+    decomposition expresses in: the vertex's basis record
+    (``polyhedra.vertex_basis``), the incident labels with the integer
+    adjugate and determinant of their normals.
     """
 
     def __init__(self, P: DelzantPolyhedron):
@@ -120,7 +122,7 @@ class ConeMonoid:
         self.scaled_points = [tuple(scaled(x, D) for x in v.point)
                               for v in self.vertices]
         self.scaled_offsets = tuple(scaled(lam, D) for lam in P.offsets)
-        self._bases = [vertex_basis(P, k) for k in range(len(self.vertices))]
+        self._bases = [v.basis for v in self.vertices]
         self._normal_columns = list(zip(*P.normals))
 
     def thetas(self, c) -> list[Fraction]:

@@ -14,12 +14,21 @@ every vertex is simple, so no LP is solved; an exact LP decides only the
 facets that meet no simple vertex.  ``is_compact`` likewise reads
 boundedness off the edges of simple vertices and solves its LP only on
 input with a non-simple vertex or none.
+
+Vertices come from one walk over the feasible bases by fraction-free
+simplex pivots on an integer tableau (``enumerate_vertices``; Avis and
+Fukuda, Discrete Comput. Geom. 8, 1992): from the origin to a vertex, then
+along the edges, with basis exchanges where more than dim facets meet.  It
+costs a pivot per basis met, not a solve per dim-subset of the facets, and
+records each vertex's basis, which ``vertex_basis`` and ``check_delzant``
+read.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
@@ -32,6 +41,8 @@ from .errors import PreconditionError, SchemaError
 class Vertex:
     point: tuple[Fraction, ...]
     incident: frozenset[int]  # 1-based facet labels active at the point
+    # (labels, adjugate, det) of the least basis, see ``vertex_basis``
+    basis: tuple = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -211,63 +222,174 @@ def polyhedron_to_json(P: DelzantPolyhedron) -> dict:
 
 @memoized
 def enumerate_vertices(P: DelzantPolyhedron) -> tuple[Vertex, ...]:
-    """All vertices, each listed once, sorted by coordinates.
+    """All vertices, each listed once, sorted by coordinates, each with
+    the basis record that ``vertex_basis`` reads.
 
-    Runs in integers.  With D the common denominator of the offsets and
-    L_j = lambda_j * D, each dim-subset S of facets is solved by one
-    fraction-free Cramer step, A_S * y = det * (-L_S) with det > 0, so the
-    candidate point is y / (det * D) and <nu_j, y> + L_j * det is det * D
-    times its slack in inequality j.  The point is feasible when every slack
-    is >= 0, and its incident set (every facet active at the point, so
-    degenerate vertices report all of them) is where the slack is 0.
+    One walk over the feasible bases, in integers.  With D the common
+    denominator of the offsets, L_j = lambda_j * D and y = x * D, facet j
+    reads <nu_j, y> + L_j >= 0.  A basis is a sorted list of n rows whose
+    normals are independent, and d = |det A| for A the matrix of their
+    normals.  The tableau has a row for every facet and for every unit
+    vector e_i: d times the coordinates of that vector on the basis
+    normals, then d times its slack at the point where every basis row is
+    tight (for e_i, d * y_i).  So the slacks, the point and the ratio test
+    are read off the tableau.  Replacing basis member k by row l
+    (``_pivot``) is one fraction-free step whose divisions are all exact.
+    The tableau is stored by columns, W[k][j] for row j, with the slacks
+    in W[n].
 
-    One vertex is kept per incident set: a feasible point found from S has
-    S among its active facets, whose normals have rank dim, so they fix the
-    point.  Distinct points therefore have distinct incident sets, and only
-    the kept vertices build their Fraction coordinates.
+    Start.  Every offset is positive, so the origin is interior.  The walk
+    starts there with the coordinate hyperplanes y_i = 0 as an artificial
+    basis: W is the normals and the unit vectors, d = 1, and the slacks
+    are the offsets.  Each artificial member in turn leaves by a ratio test
+    along its column, in whichever direction some facet blocks; after n
+    pivots the basis is n facets, all tight at a feasible point: a vertex.
+    A column that no facet blocks either way is a direction orthogonal to
+    every normal, so P holds a line and has no vertex: the result is ().
+
+    Walk.  Leaving a basis facet along its column, the facets whose entry
+    is negative block, the first at the least slack / |entry|, and none
+    means the edge is a ray.  A positive step reaches a neighbouring
+    vertex.  A zero step (an incident facet blocks) stays at the vertex and
+    is skipped; instead, where more than n facets meet, each basis member
+    is exchanged with every other incident facet whose entry in its column
+    is nonzero, which are the exchanges that keep the normals independent.
+    Degenerate input runs the same code.
+
+    Completeness.  The vertices and bounded edges of a pointed polyhedron
+    form a connected graph.  The bases at one vertex are the bases of the
+    matroid of its incident normals, which single exchanges connect, and
+    every edge leaving the vertex is a positive step from one of them: the
+    n - 1 facets tight along it and one more incident facet form a basis.
+    So the walk meets every basis of every vertex, and pivots to each once.
+
+    A vertex is identified by its incident set (every facet active there,
+    so a degenerate vertex reports all of them), since n of them fix the
+    point.  Its basis record comes from its least basis.
     """
+    n, N = P.dim, P.nfacets
     D = lcm(*(lam.denominator for lam in P.offsets))
-    L = [lam.numerator * (D // lam.denominator) for lam in P.offsets]
-    found = {}
-    for subset in itertools.combinations(range(P.nfacets), P.dim):
-        det, y = linalg.cramer([P.normals[j] for j in subset],
-                               [-L[j] for j in subset])
-        if det == 0:
-            continue
-        if det < 0:
-            det, y = -det, [-v for v in y]
-        slack = [_pairing(nu, y) + l * det for nu, l in zip(P.normals, L)]
-        if min(slack) < 0:
-            continue
-        incident = frozenset(j + 1 for j, s in enumerate(slack) if s == 0)
-        if incident not in found:
-            found[incident] = tuple(Fraction(v, det * D) for v in y)
-    return tuple(sorted((Vertex(pt, incident) for incident, pt in found.items()),
+    W = []
+    for k, column in enumerate(zip(*P.normals)):
+        W.append([*column, *[0] * n])
+        W[k][N + k] = 1
+    W.append([lam.numerator * (D // lam.denominator) for lam in P.offsets]
+             + [0] * n)
+    basis = list(range(N, N + n))
+    d, sign = 1, 1
+    for k in range(n):  # position k holds the artificial member N + k
+        l, _ = _ratio_test(W, N, k, 1)
+        if l is None:
+            l, _ = _ratio_test(W, N, k, -1)
+            if l is None:
+                return ()  # P holds a line
+        basis, W, d, sign = _pivot(basis, W, l, k, d, sign)
+    mask = sum(1 << b for b in basis)
+    seen = {mask}
+    stack = [(basis, W, d, sign, mask)]
+    found = {}  # incident rows -> [point, least basis, its record]
+    while stack:
+        basis, W, d, sign, mask = stack.pop()
+        slack = W[n]
+        incident = tuple([j for j in range(N) if not slack[j]])
+        vertex = found.get(incident)
+        if vertex is None:
+            scale = d * D
+            found[incident] = [tuple([Fraction(y, scale) for y in slack[N:]]),
+                               basis, _basis_record(basis, W, N, d, sign)]
+        elif basis < vertex[1]:
+            vertex[1:] = basis, _basis_record(basis, W, N, d, sign)
+        moves = []
+        for k in range(n):
+            l, step = _ratio_test(W, N, k, -1)
+            if step:  # a positive step to a neighbouring vertex
+                moves.append((l, k))
+        if len(incident) > n:
+            moves += [(l, k) for l in incident if not mask >> l & 1
+                      for k in range(n) if W[k][l]]
+        for l, k in moves:
+            key = mask ^ (1 << basis[k]) ^ (1 << l)
+            if key not in seen:
+                seen.add(key)
+                stack.append((*_pivot(basis, W, l, k, d, sign), key))
+    return tuple(sorted([Vertex(point, frozenset([j + 1 for j in incident]),
+                                record)
+                         for incident, (point, _, record) in found.items()],
                         key=lambda v: v.point))
 
 
-def _pairing(nu, x):
-    return sum(a * b for a, b in zip(nu, x))
+def _ratio_test(W, N, k, s):
+    """(l, slack): among the facet rows whose entry in column k has the
+    sign of s, the least l with the least slack / |entry|, and W's slack
+    at l; (None, None) when there is no such row."""
+    column, slacks = W[k], W[-1]
+    best = least = None
+    for j in range(N):
+        a = column[j] * s
+        if a > 0 and (best is None or slacks[j] * size < least * a):
+            best, size, least = j, a, slacks[j]
+    return best, least
 
 
-@memoized
+def _pivot(basis, W, l, k, d, sign):
+    """(basis, W, d, sign) after row l replaces basis member k.
+
+    With p = W[k][l], W'[c][j] = sgn(p) * (p * W[c][j] - W[k][j] * W[c][l])
+    / d for c != k, W'[k][j] = sgn(p) * W[k][j], and d' = |p|; columns that
+    do not change are shared.  Then l and its column move to l's place in
+    sorted order, so the basis stays sorted, and a move over m places
+    multiplies det A by (-1)^m.
+    """
+    pivot_column = W[k]
+    p = pivot_column[l]
+    s = 1 if p > 0 else -1
+    ap = s * p
+    out = []
+    for c, column in enumerate(W):
+        q = s * column[l]
+        if c == k:
+            out.append(column if s > 0 else [-x for x in column])
+        elif not q:
+            out.append(column if ap == d else [ap * x // d for x in column])
+        elif d == 1:
+            out.append([ap * x - q * y for x, y in zip(column, pivot_column)])
+        else:
+            out.append([(ap * x - q * y) // d
+                        for x, y in zip(column, pivot_column)])
+    basis = basis[:k] + basis[k + 1:]
+    at = bisect_left(basis, l)
+    basis.insert(at, l)
+    out.insert(at, out.pop(k))
+    if (k - at) % 2:
+        s = -s
+    return basis, out, ap, sign * s
+
+
+def _basis_record(basis, W, N, d, sign):
+    """(labels, adjugate, det) of a basis.
+
+    Column k of W on the unit-vector rows holds d times row k of A^-1, for
+    A the matrix whose columns are the basis normals in (sorted) basis
+    order, and det A = sign * d, so the adjugate, det A * A^-1, is read
+    off W.
+    """
+    adjugate = tuple([tuple(column[N:]) if sign > 0 else
+                      tuple([-x for x in column[N:]]) for column in W[:-1]])
+    return tuple([b + 1 for b in basis]), adjugate, sign * d
+
+
 def vertex_basis(P: DelzantPolyhedron, k: int):
     """(labels, adjugate, det) of the normals at vertex k of
-    ``enumerate_vertices(P)``.
+    ``enumerate_vertices(P)``, recorded on the vertex by the walk.
 
     labels are the sorted incident labels, or at a degenerate vertex the
-    first dim-subset of them with independent normals.  adjugate and det
-    belong to A, the matrix whose columns are their normals, so the
-    coordinates of nu in that basis are adjugate * nu / det.  On Delzant
-    input det is +-1, and det * adjugate is A^-1 in GL_n(Z).
+    least sorted dim-subset of them with independent normals (the first in
+    ``itertools.combinations`` order).  adjugate and det belong to A, the
+    matrix whose columns are their normals, so the coordinates of nu in
+    that basis are adjugate * nu / det.  On Delzant input det is +-1, and
+    det * adjugate is A^-1 in GL_n(Z).
     """
-    labels = sorted(enumerate_vertices(P)[k].incident)
-    if len(labels) > P.dim:
-        labels = next(
-            sub for sub in itertools.combinations(labels, P.dim)
-            if linalg.determinant([list(P.normal(j)) for j in sub]))
-    A = [[P.normal(j)[i] for j in labels] for i in range(P.dim)]
-    return tuple(labels), linalg.adjugate(A), linalg.determinant(A)
+    return enumerate_vertices(P)[k].basis
 
 
 @memoized
@@ -294,17 +416,17 @@ class DelzantReport:
 @memoized
 def check_delzant(P: DelzantPolyhedron) -> DelzantReport:
     """Delzant condition at every vertex: exactly dim incident facets whose
-    normals have determinant +-1.  Never raises; returns a structured report,
-    kept on P (``require_delzant`` asks for it on every public entry).
+    normals have determinant +-1, read off the vertex's basis record.  Never
+    raises; returns a structured report, kept on P (``require_delzant`` asks
+    for it on every public entry).
     """
     violations = []
     for v in enumerate_vertices(P):
-        labels = sorted(v.incident)
-        if len(labels) != P.dim:
-            violations.append(f"vertex {format_point(v.point)}: {len(labels)} facets "
-                              f"meet (expected {P.dim})")
+        if len(v.incident) != P.dim:
+            violations.append(f"vertex {format_point(v.point)}: {len(v.incident)} "
+                              f"facets meet (expected {P.dim})")
             continue
-        det = linalg.determinant([list(P.normal(j)) for j in labels])
+        det = v.basis[2]
         if det not in (1, -1):
             violations.append(f"vertex {format_point(v.point)}: normal determinant "
                               f"{det} is not a unit")

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 from math import gcd
@@ -6,10 +7,10 @@ from math import gcd
 import pytest
 
 from reference import mat_mul
-from toricqh import catalog, linalg, lp
+from toricqh import catalog, linalg, lp, polyhedra
 from toricqh.errors import PreconditionError, SchemaError
 from toricqh.linalg import random_unimodular
-from toricqh.polyhedra import (Vertex, check_delzant,
+from toricqh.polyhedra import (DelzantPolyhedron, Vertex, check_delzant,
                                check_vertex_and_splitting, enumerate_vertices,
                                facet_intersection_nonempty, is_compact,
                                minimal_nonfaces, monotone_normalization,
@@ -90,6 +91,145 @@ def test_vertices_match_fraction_reference():
     assert {is_compact(P) for P in randoms} == {True, False}
     for P in randoms:
         assert enumerate_vertices(P) == _reference_vertices(P), P
+
+
+def _random_arrangement(rng, dim, nfacets):
+    """Primitive normals in [-2, 2]^dim with offsets 1 or 2, unchecked:
+    redundant and repeated inequalities stay, as in ``polyhedron`` before
+    its irredundancy check."""
+    normals = tuple(_random_primitive(rng, dim) for _ in range(nfacets))
+    return DelzantPolyhedron(dim, normals, tuple(Fraction(rng.choice((1, 2)))
+                                                 for _ in normals))
+
+
+def _reference_basis(P, v):
+    """The first dim-subset of the sorted incident labels with independent
+    normals, with the adjugate and determinant of those normals as
+    columns."""
+    labels = next(sub for sub in itertools.combinations(sorted(v.incident),
+                                                        P.dim)
+                  if linalg.determinant([list(P.normal(j)) for j in sub]))
+    A = [[P.normal(j)[i] for j in labels] for i in range(P.dim)]
+    return labels, linalg.adjugate(A), linalg.determinant(A)
+
+
+def _reference_violations(P):
+    """``check_delzant``'s texts from the reference vertices and the
+    determinant of each simple vertex's sorted incident normals."""
+    out = []
+    for v in _reference_vertices(P):
+        labels = sorted(v.incident)
+        where = "vertex (" + ", ".join(map(str, v.point)) + ")"
+        if len(labels) != P.dim:
+            out.append(f"{where}: {len(labels)} facets meet (expected {P.dim})")
+            continue
+        det = linalg.determinant([list(P.normal(j)) for j in labels])
+        if det not in (1, -1):
+            out.append(f"{where}: normal determinant {det} is not a unit")
+    return tuple(out)
+
+
+def _assert_walk_matches_reference(P):
+    vertices = enumerate_vertices(P)
+    assert vertices == _reference_vertices(P), P
+    for k, v in enumerate(vertices):
+        labels, adj, det = vertex_basis(P, k)
+        ref_labels, ref_adj, ref_det = _reference_basis(P, v)
+        assert (labels, det) == (ref_labels, ref_det), (P, k)
+        assert [list(row) for row in adj] == ref_adj, (P, k)
+    assert check_delzant(P).violations == _reference_violations(P), P
+    return vertices
+
+
+def test_walk_matches_reference_at_degenerate_vertices():
+    # Random arrangements, until 25 of them have a vertex where more than
+    # dim facets meet: the vertices, the basis of each (the least sorted
+    # one at a degenerate vertex) and the Delzant violations all match the
+    # subset scan, on those and on every arrangement drawn before them.
+    rng = random.Random(18)
+    degenerate = 0
+    for trial in range(400):
+        dim = 2 + trial % 3
+        P = _random_arrangement(rng, dim, rng.randint(dim + 1, dim + 5))
+        vertices = _assert_walk_matches_reference(P)
+        degenerate += any(len(v.incident) > dim for v in vertices)
+        if degenerate == 25:
+            break
+    assert degenerate == 25
+
+
+@pytest.mark.parametrize("dim,facets,nvertices", [
+    (2, [((1, 0), 1), ((-1, 0), 1)], 0),
+    (2, [((1, 0), 1)], 0),
+    (3, [((1, 0, 0), 1), ((0, 1, 0), 1)], 0),
+    (1, [((1,), 1)], 1),
+    (1, [((-1,), Fraction(3, 2))], 1),
+    (1, [((1,), 1), ((-1,), 2)], 2),
+    (2, [((1, 0), 1), ((0, 1), 1), ((-1, -1), 1)], 3),
+    (2, [((1, 0), 1), ((0, 1), 1), ((-1, 1), 3)], 2),
+    (3, [((1, 0, 0), 1), ((0, 1, 0), 2), ((0, 0, 1), 3)], 1),
+    (3, [((0, 0, 1), 1), ((1, 0, 0), 1), ((0, 1, 0), 1),
+         ((1, 1, -1), Fraction(1, 2))], 2),
+    (3, [((-2, 0, -1), 1), ((2, 0, -1), 1), ((0, -2, -1), 1),
+         ((0, 2, -1), 1)], 1),
+], ids=["strip", "halfplane", "wedge_times_line", "halfline",
+        "negative_halfline", "segment", "triangle", "unbounded_2d",
+        "orthant_3d", "cut_orthant", "pyramid_cone"])
+def test_walk_without_vertices_in_one_dimension_and_with_rays(
+        dim, facets, nvertices):
+    P = polyhedron(dim, facets)
+    assert len(_assert_walk_matches_reference(P)) == nvertices
+
+
+def test_walk_pivots_instead_of_solving(monkeypatch):
+    # A relabelled 6-cube (C(12, 6) = 924 subsets) and a corner cut of it
+    # (C(13, 6) = 1716): no Cramer solve, and at most V * n pivots, plus
+    # one per basis at each degenerate vertex, as on the octahedron and
+    # the square pyramid.
+    rng = random.Random(6)
+    cube = [(tuple(s * (i == j) for i in range(6)), 1)
+            for j in range(6) for s in (1, -1)]
+    cube = relabel_lattice(polyhedron(6, cube), random_unimodular(6, rng))
+    cases = [cube, catalog.blow_up(cube, 5), polyhedron(3, OCTAHEDRON),
+             polyhedron(3, SQUARE_PYRAMID)]
+    counts = {"cramer": 0, "pivot": 0}
+
+    def counting(name, fn):
+        def wrapped(*args):
+            counts[name] += 1
+            return fn(*args)
+        return wrapped
+
+    monkeypatch.setattr(linalg, "cramer", counting("cramer", linalg.cramer))
+    monkeypatch.setattr(polyhedra, "_pivot", counting("pivot",
+                                                      polyhedra._pivot))
+    for P in cases:
+        fresh = DelzantPolyhedron(P.dim, P.normals, P.offsets)
+        counts.update(cramer=0, pivot=0)
+        vertices = enumerate_vertices(fresh)
+        assert vertices == enumerate_vertices(P)
+        exchanges = sum(math.comb(len(v.incident), P.dim) for v in vertices
+                        if len(v.incident) > P.dim)
+        assert counts["cramer"] == 0
+        assert 0 < counts["pivot"] <= len(vertices) * P.dim + exchanges
+    assert [math.comb(P.nfacets, P.dim) for P in cases[:2]] == [924, 1716]
+
+
+def test_check_delzant_violation_texts():
+    # Read off the basis records of the walk, word for word what the
+    # determinant of each simple vertex's sorted incident normals gives.
+    assert check_delzant(catalog.load_example("non_delzant")).violations == (
+        "vertex (-1, 1): normal determinant -2 is not a unit",)
+    assert check_delzant(polyhedron(3, OCTAHEDRON)).violations == tuple(
+        f"vertex {pt}: 4 facets meet (expected 3)"
+        for pt in ("(-1, 0, 0)", "(0, -1, 0)", "(0, 0, -1)", "(0, 0, 1)",
+                   "(0, 1, 0)", "(1, 0, 0)"))
+    assert check_delzant(polyhedron(3, SQUARE_PYRAMID)).violations == (
+        "vertex (-1, -1, -1): normal determinant 4 is not a unit",
+        "vertex (-1, 1, -1): normal determinant -4 is not a unit",
+        "vertex (0, 0, 1): 4 facets meet (expected 3)",
+        "vertex (1, -1, -1): normal determinant -4 is not a unit",
+        "vertex (1, 1, -1): normal determinant 4 is not a unit")
 
 
 def test_check_delzant_passes(o_minus_1, cp2):

@@ -7,7 +7,7 @@ from reference import inverse_multiplicities, recompose_from_basis
 from toricqh import catalog, linalg, topology
 from toricqh import monoid as mo
 from toricqh import presentation as pr
-from toricqh.errors import PreconditionError
+from toricqh.errors import PreconditionError, VerificationError
 from toricqh.polyhedra import (enumerate_vertices, is_compact,
                                monotone_normalization, polyhedron,
                                relabel_lattice)
@@ -446,6 +446,26 @@ def test_divisor_inverse_certificates_match_the_composition_search(corpus):
         for j in range(1, P.nfacets + 1):
             cert = pr.divisor_inverse_certificate(P, j)
             assert cert.multiplicities == inverse_multiplicities(P, j), (P, j)
+
+
+def test_divisor_inverse_certificate_checks_the_multiplicities(
+        cp2, monkeypatch):
+    # The identity is checked on m itself: a vector with sum m_k nu_k != 0,
+    # one with a negative entry and one with m_j = 0 are each refused.
+    for vector in [(1, 0, 0), (2, -1, 1), (0, 1, 1)]:
+        monkeypatch.setattr(pr, "_inverse_multiplicities",
+                            lambda P, m=vector: [m] * P.nfacets)
+        with pytest.raises(VerificationError, match="failed to verify"):
+            pr.divisor_inverse_certificate(cp2, 1)
+
+
+def test_divisor_inverse_certificate_builds_no_cone_monoid(corpus,
+                                                           monkeypatch):
+    monkeypatch.setattr(pr, "monoid_for", None)
+    for name in ("cp1", "cp2", "cp3", "cp1xcp1", "hirzebruch_f2"):
+        P = corpus[name]
+        for j in range(1, P.nfacets + 1):
+            pr.divisor_inverse_certificate(P, j)
 
 
 def test_divisor_inverse_noncompact_rejected(corpus):
