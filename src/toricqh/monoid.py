@@ -6,7 +6,15 @@ spanned by the facet data (lambda_j, nu_j) together with (1, 0).  Membership,
 heights and canonical intersecting-sum decompositions live on a
 :class:`ConeMonoid` bound to a fixed polyhedron; monomials certified by a
 decomposition support exact ring arithmetic through
-:class:`FilteredElement`.
+:class:`FilteredElement`.  lam must be exact and nu must be dim integers;
+anything else (a float or bool among them) raises PreconditionError.
+
+The cone is the dual of P homogenised: (t, x) pairs non-negatively with
+every (lambda_j, nu_j) and with (1, 0) iff t >= 0 and x lies in t * P
+(for t = 0, in the recession cone of P).  P is the hull of its vertices
+plus the cone of the rays that ``polyhedra.enumerate_vertices`` records on
+them, so (lam, nu) lies in the cone iff theta_v = lam + <v, nu> >= 0 at
+every vertex v and <nu, r> >= 0 for every ray r; no LP is solved.
 
 Monomial identity is the pair (lam, nu), never the exponent vector that
 happens to express it: two products of generators landing on the same cone
@@ -31,7 +39,6 @@ from fractions import Fraction
 from math import lcm
 from operator import mul
 
-from . import lp
 from .errors import LatticeError, PreconditionError, SchemaError
 from .polyhedra import (DelzantPolyhedron, Vertex, enumerate_vertices,
                         exact_fraction, exact_parameter, format_point,
@@ -44,15 +51,24 @@ def scaled(x: Fraction, D: int) -> int:
 
 
 def _lam_nu(c):
+    """(lam, nu) of a monomial or a pair, lam as a Fraction; a float or
+    bool lam raises PreconditionError."""
     if isinstance(c, Monomial):
         return c.lam, c.nu
     lam, nu = c
-    return lam if type(lam) is Fraction else Fraction(lam), tuple(nu)
+    return (lam if type(lam) is Fraction else exact_parameter(lam, "lambda"),
+            tuple(nu))
+
+
+def _check_nu(nu, n: int) -> None:
+    if len(nu) != n or not all(is_integer(x) for x in nu):
+        raise PreconditionError(f"nu must be {n} integers, got {nu!r}")
 
 
 def theta(v: Vertex, c) -> Fraction:
     """The linear functional lam + <v, nu> attached to a vertex."""
     lam, nu = _lam_nu(c)
+    _check_nu(nu, len(v.point))
     return lam + sum(a * b for a, b in zip(v.point, nu))
 
 
@@ -106,7 +122,8 @@ class ConeMonoid:
     (``scaled_offsets``), and for each vertex the lattice basis a
     decomposition expresses in: the vertex's basis record
     (``polyhedra.vertex_basis``), the incident labels with the integer
-    adjugate and determinant of their normals.
+    adjugate and determinant of their normals.  It also collects the rays
+    of P (``rays``) from the vertices.
     """
 
     def __init__(self, P: DelzantPolyhedron):
@@ -123,6 +140,7 @@ class ConeMonoid:
                               for v in self.vertices]
         self.scaled_offsets = tuple(scaled(lam, D) for lam in P.offsets)
         self._bases = [v.basis for v in self.vertices]
+        self.rays = tuple(sorted({r for v in self.vertices for r in v.rays}))
         self._normal_columns = list(zip(*P.normals))
 
     def thetas(self, c) -> list[Fraction]:
@@ -133,13 +151,12 @@ class ConeMonoid:
         return [sum(map(mul, pt, nu)) for pt in self.scaled_points]
 
     def contains(self, c) -> bool:
-        """Membership in the cone: all theta_v non-negative and nu a
-        non-negative rational combination of the facet normals."""
+        """Membership in the cone: theta_v >= 0 at every vertex v and
+        <nu, r> >= 0 for every ray r of P."""
         lam, nu = _lam_nu(c)
-        if lam * self.scale + min(self.pairings(nu)) < 0:
-            return False
-        return lp.nonnegative_combination_exists(
-            [list(n) for n in self.P.normals], list(nu))
+        _check_nu(nu, self.P.dim)
+        return (lam * self.scale + min(self.pairings(nu)) >= 0
+                and all(sum(map(mul, r, nu)) >= 0 for r in self.rays))
 
     def height(self, c) -> Fraction:
         s, _ = self.decompose(c)
@@ -151,10 +168,11 @@ class ConeMonoid:
 
         The expression is taken at the first vertex of least theta_v.  A
         successful expression is itself a membership certificate, so the
-        cone-membership LP only runs on the error path, to tell apart
+        ray test of ``contains`` only runs on the error path, to tell apart
         "outside the cone" from a lattice failure (non-Delzant input).
         """
         lam, nu = _lam_nu(c)
+        _check_nu(nu, self.P.dim)
         D = self.scale
         dots = self.pairings(nu)
         low = min(dots)
@@ -207,7 +225,7 @@ class ConeMonoid:
         return self.monomial(0, (0,) * self.P.dim)
 
     def t_power(self, q) -> Monomial:
-        q = Fraction(q)
+        q = exact_parameter(q, "T-exponent")
         if q < 0:
             raise PreconditionError("negative T-exponents are outside the monoid")
         return self.monomial(q, (0,) * self.P.dim)

@@ -7,21 +7,23 @@ labels throughout the public API (label j corresponds to index j-1 in the
 
 Positivity of every offset makes the origin an interior point, so the
 feasible set is always nonempty and full-dimensional; irredundancy of each
-inequality is verified exactly at construction time.  A facet through a
-simple vertex (exactly dim facets active) is irredundant by that vertex
-alone.  On Delzant input with a vertex every facet contains a vertex and
-every vertex is simple, so no LP is solved; an exact LP decides only the
-facets that meet no simple vertex.  ``is_compact`` likewise reads
-boundedness off the edges of simple vertices and solves its LP only on
-input with a non-simple vertex or none.
+inequality is verified exactly at construction time.
 
 Vertices come from one walk over the feasible bases by fraction-free
 simplex pivots on an integer tableau (``enumerate_vertices``; Avis and
 Fukuda, Discrete Comput. Geom. 8, 1992): from the origin to a vertex, then
 along the edges, with basis exchanges where more than dim facets meet.  It
 costs a pivot per basis met, not a solve per dim-subset of the facets, and
-records each vertex's basis, which ``vertex_basis`` and ``check_delzant``
-read.
+records on each vertex its basis, which ``vertex_basis`` and
+``check_delzant`` read, and the directions of the unbounded edges (rays)
+that leave it.  With a vertex, P is the convex hull of its vertices plus
+the cone of its rays, so every question about P is answered from them and
+no LP is solved: compactness (``is_compact``), irredundancy (a facet's face
+must have dimension dim - 1), facet intersections
+(``facet_intersection_nonempty``) and membership in the disc-area cone
+(``monoid.ConeMonoid.contains``).  Input without a vertex holds lines; it is
+answered from the pointed polyhedron that slabs across the lines cut out of
+it (``_pointed_vertices``).
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 
-from . import linalg, lp
+from . import linalg
 from .errors import PreconditionError, SchemaError
 
 
@@ -43,6 +45,8 @@ class Vertex:
     incident: frozenset[int]  # 1-based facet labels active at the point
     # (labels, adjugate, det) of the least basis, see ``vertex_basis``
     basis: tuple = field(default=None, compare=False, repr=False)
+    # sorted primitive directions of the unbounded edges leaving the point
+    rays: tuple = field(default=(), compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -62,10 +66,6 @@ class DelzantPolyhedron:
 
     def offset(self, label: int) -> Fraction:
         return self.offsets[label - 1]
-
-    def inequalities(self):
-        """Pairs (nu_j, -lambda_j) for the LP helpers."""
-        return [(list(nu), -lam) for nu, lam in zip(self.normals, self.offsets)]
 
 
 def memoized(fn):
@@ -150,31 +150,40 @@ def _check_irredundant(P: DelzantPolyhedron) -> None:
     """Raise SchemaError naming the first facet implied by the others.
 
     A facet containing a simple vertex v, where exactly dim facets are
-    active, is irredundant without an LP: their normals have rank dim, so
-    some direction d has <nu_j, d> < 0 and <nu_k, d> = 0 for the other
-    active facets k, and v + eps*d violates facet j alone.
+    active, is irredundant: their normals have rank dim, so some direction
+    d has <nu_j, d> < 0 and <nu_k, d> = 0 for the other active facets k,
+    and v + eps*d violates facet j alone.
 
-    Every other facet, in label order, is decided by an exact LP.  Facet j
-    is redundant iff min <nu_j, x> over the other inequalities is at least
-    -lambda_j.  That primal LP is feasible (the origin satisfies it), so by
-    strong duality it is bounded exactly when its dual
-    min sum_{k != j} lambda_k y_k  s.t.  sum y_k nu_k = nu_j, y >= 0
-    is feasible, with the negated optimum.  The dual has dim rows and N-1
-    columns, against N-1 rows and 2*dim+N-1 columns for the primal.
+    Every other facet j, in label order, is redundant iff it repeats the
+    (nu_j, lambda_j) of another facet or its face has dimension below
+    dim - 1.  If dropping j changes P, some y violates j alone; the segment
+    from the interior origin to y crosses facet j at a point where every
+    other inequality is strict, so the face is a facet of P.  Conversely
+    at a relative interior point of a facet only the inequalities with its
+    hyperplane are tight, and with primitive normals those repeat j.  The
+    face is the hull of the vertices on j plus the cone of the rays leaving
+    them along j (<nu_j, r> = 0), so its dimension is the rank of those
+    rays and of the differences of those vertices; with no vertex on j the
+    face is empty.  Without a vertex, the vertices and rays are those of P
+    cut by slabs across its lines (``_pointed_vertices``), whose face on
+    each facet of P has the dimension of P's.
     """
+    vertices = _pointed_vertices(P)
     certified = set()
-    for v in enumerate_vertices(P):
+    for v in vertices:
         if len(v.incident) == P.dim:
             certified |= v.incident
-    for j in range(P.nfacets):
-        if j + 1 in certified:
+    facets = list(zip(P.normals, P.offsets))
+    for j, (nu, lam) in enumerate(facets, start=1):
+        if j in certified:
             continue
-        others = [k for k in range(P.nfacets) if k != j]
-        A = [[P.normals[k][i] for k in others] for i in range(P.dim)]
-        c = [P.offsets[k] for k in others]
-        status, value = lp.solve(A, list(P.normals[j]), c)
-        if status == lp.OPTIMAL and value <= P.offsets[j]:
-            raise SchemaError(f"facet {j + 1} is redundant: dropping it does not "
+        on = [v for v in vertices if j in v.incident]
+        rows = [[a - b for a, b in zip(v.point, on[0].point)] for v in on[1:]]
+        rows += [r for v in on for r in v.rays
+                 if not sum(a * b for a, b in zip(nu, r))]
+        if (facets.count((nu, lam)) > 1 or not on
+                or linalg.rank(rows) < P.dim - 1):
+            raise SchemaError(f"facet {j} is redundant: dropping it does not "
                               f"change the polyhedron")
 
 
@@ -223,7 +232,7 @@ def polyhedron_to_json(P: DelzantPolyhedron) -> dict:
 @memoized
 def enumerate_vertices(P: DelzantPolyhedron) -> tuple[Vertex, ...]:
     """All vertices, each listed once, sorted by coordinates, each with
-    the basis record that ``vertex_basis`` reads.
+    the basis record that ``vertex_basis`` reads and the rays leaving it.
 
     One walk over the feasible bases, in integers.  With D the common
     denominator of the offsets, L_j = lambda_j * D and y = x * D, facet j
@@ -248,20 +257,27 @@ def enumerate_vertices(P: DelzantPolyhedron) -> tuple[Vertex, ...]:
     every normal, so P holds a line and has no vertex: the result is ().
 
     Walk.  Leaving a basis facet along its column, the facets whose entry
-    is negative block, the first at the least slack / |entry|, and none
-    means the edge is a ray.  A positive step reaches a neighbouring
-    vertex.  A zero step (an incident facet blocks) stays at the vertex and
-    is skipped; instead, where more than n facets meet, each basis member
-    is exchanged with every other incident facet whose entry in its column
-    is nonzero, which are the exchanges that keep the normals independent.
-    Degenerate input runs the same code.
+    is negative block, the first at the least slack / |entry|.  None
+    blocking means the edge is a ray: its direction r has <nu, r> = 1 for
+    the facet left and 0 for the other basis members, so r is row k of
+    A^-1, which column k holds d times on the unit-vector rows; it is
+    recorded, made primitive, on the vertex.  A positive step reaches a
+    neighbouring vertex.  A zero step (an incident facet blocks) stays at
+    the vertex and is skipped; instead, where more than n facets meet, each
+    basis member is exchanged with every other incident facet whose entry
+    in its column is nonzero, which are the exchanges that keep the normals
+    independent.  Degenerate input runs the same code.
 
     Completeness.  The vertices and bounded edges of a pointed polyhedron
     form a connected graph.  The bases at one vertex are the bases of the
     matroid of its incident normals, which single exchanges connect, and
-    every edge leaving the vertex is a positive step from one of them: the
-    n - 1 facets tight along it and one more incident facet form a basis.
-    So the walk meets every basis of every vertex, and pivots to each once.
+    every edge leaving the vertex is a positive step or a ray from one of
+    them: the n - 1 facets tight along it and one more incident facet form
+    a basis.  So the walk meets every basis of every vertex, and pivots to
+    each once, and it meets every unbounded edge.  The extreme rays of the
+    recession cone of a pointed polyhedron are the directions of its
+    unbounded edges, so P is the hull of the vertices plus the cone of the
+    recorded rays.
 
     A vertex is identified by its incident set (every facet active there,
     so a degenerate vertex reports all of them), since n of them fix the
@@ -287,7 +303,7 @@ def enumerate_vertices(P: DelzantPolyhedron) -> tuple[Vertex, ...]:
     mask = sum(1 << b for b in basis)
     seen = {mask}
     stack = [(basis, W, d, sign, mask)]
-    found = {}  # incident rows -> [point, least basis, its record]
+    found = {}  # incident rows -> [point, least basis, its record, rays]
     while stack:
         basis, W, d, sign, mask = stack.pop()
         slack = W[n]
@@ -295,15 +311,19 @@ def enumerate_vertices(P: DelzantPolyhedron) -> tuple[Vertex, ...]:
         vertex = found.get(incident)
         if vertex is None:
             scale = d * D
-            found[incident] = [tuple([Fraction(y, scale) for y in slack[N:]]),
-                               basis, _basis_record(basis, W, N, d, sign)]
+            vertex = found[incident] = [
+                tuple([Fraction(y, scale) for y in slack[N:]]), basis,
+                _basis_record(basis, W, N, d, sign), set()]
         elif basis < vertex[1]:
-            vertex[1:] = basis, _basis_record(basis, W, N, d, sign)
+            vertex[1:3] = basis, _basis_record(basis, W, N, d, sign)
         moves = []
         for k in range(n):
             l, step = _ratio_test(W, N, k, -1)
             if step:  # a positive step to a neighbouring vertex
                 moves.append((l, k))
+            elif l is None:  # a ray, along d times row k of A^-1
+                g = gcd(*W[k][N:])
+                vertex[3].add(tuple([x // g for x in W[k][N:]]))
         if len(incident) > n:
             moves += [(l, k) for l in incident if not mask >> l & 1
                       for k in range(n) if W[k][l]]
@@ -313,8 +333,9 @@ def enumerate_vertices(P: DelzantPolyhedron) -> tuple[Vertex, ...]:
                 seen.add(key)
                 stack.append((*_pivot(basis, W, l, k, d, sign), key))
     return tuple(sorted([Vertex(point, frozenset([j + 1 for j in incident]),
-                                record)
-                         for incident, (point, _, record) in found.items()],
+                                record, tuple(sorted(rays)))
+                         for incident, (point, _, record, rays)
+                         in found.items()],
                         key=lambda v: v.point))
 
 
@@ -468,52 +489,58 @@ def check_vertex_and_splitting(P: DelzantPolyhedron) -> SplittingReport:
 
 
 @memoized
-def is_compact(P: DelzantPolyhedron) -> bool:
-    """True iff the recession cone {x : <x, nu_j> >= 0 for all j} is {0}.
+def _pointed_vertices(P: DelzantPolyhedron) -> tuple[Vertex, ...]:
+    """The vertices of P; without one, those of P plus the slab facets
+    <x, +-w> >= -1 for w in ``check_vertex_and_splitting(P).annihilator_basis``.
 
-    When P has a vertex and every vertex is simple (exactly dim facets
-    active), boundedness is read off the edges.  At a simple vertex v the
-    facets I_v - {j} have independent normals, so they cut out a line
-    through v, and P meets it in an edge that leaves v: a segment or a ray.
-    A segment ends at another vertex w, whose incident set contains
-    I_v - {j}; conversely such a w is a vertex on the line, and a vertex
-    cannot lie inside an edge, so the edge is the segment [v, w].  P is
-    bounded iff no edge is a ray: maximizing a recession direction by the
-    simplex method along the edges from any vertex must leave by a ray when
-    P is unbounded (every vertex reached is better than the last, and a
-    simple vertex without an improving edge would be optimal).  So P is
-    compact iff every set I_v - {j} lies in two vertices' incident sets.
-
-    Otherwise, by Stiemke's lemma no x has all <x, nu_j> >= 0 with one of
-    them positive iff sum y_j nu_j = 0 for some y > 0, i.e. (after scaling)
-    some y >= 1.  With the normals spanning, that is the whole cone being
-    {0}.  One LP in z = y - 1 >= 0:  sum z_j nu_j = -sum nu_j.
+    P holds the lines along the span L of those w, which is orthogonal to
+    every normal, so each face F of P is a union of translates of L, and
+    the slabs cut L to a bounded box around the origin.  The cut polyhedron
+    is pointed, its face on a set of P's facets is F cut by the slabs, and
+    that is nonempty exactly when F is, with the same dimension: every
+    point of F moves along L to one with every <x, w> = 0.  Its facets past
+    P.nfacets are the slabs.
     """
     vertices = enumerate_vertices(P)
-    if vertices and all(len(v.incident) == P.dim for v in vertices):
-        ends = {}
-        for v in vertices:
-            for j in v.incident:
-                edge = v.incident - {j}
-                ends[edge] = ends.get(edge, 0) + 1
-        return min(ends.values()) == 2
-    if linalg.rank([list(nu) for nu in P.normals]) < P.dim:
-        return False
-    A = [[nu[i] for nu in P.normals] for i in range(P.dim)]
-    b = [-sum(nu[i] for nu in P.normals) for i in range(P.dim)]
-    status, _ = lp.solve(A, b, [0] * P.nfacets)
-    return status == lp.OPTIMAL
+    if vertices:
+        return vertices
+    slabs = [w for v in check_vertex_and_splitting(P).annihilator_basis
+             for w in (v, tuple(-x for x in v))]
+    return enumerate_vertices(DelzantPolyhedron(
+        P.dim, P.normals + tuple(slabs),
+        P.offsets + (Fraction(1),) * len(slabs)))
+
+
+@memoized
+def is_compact(P: DelzantPolyhedron) -> bool:
+    """True iff P has a vertex and no ray leaves a vertex.
+
+    Without a vertex P holds a line.  With one, P is the hull of its
+    vertices plus the cone of the rays the vertex walk records, since a
+    pointed unbounded polyhedron has an unbounded edge, and every unbounded
+    edge is a column that no facet blocks at some basis of its vertex.
+    """
+    vertices = enumerate_vertices(P)
+    return bool(vertices) and not any(v.rays for v in vertices)
 
 
 def facet_intersection_nonempty(P: DelzantPolyhedron, labels) -> bool:
-    """Exact LP feasibility of the face where the given facets are active."""
-    labels = set(labels)
+    """Do the facets with the given labels meet?
+
+    Every nonempty face of a pointed polyhedron contains a vertex, so they
+    meet iff their labels lie in the incident set of some vertex; without
+    a vertex, of some vertex of P cut by slabs (``_pointed_vertices``).
+    Raises PreconditionError unless the labels are a nonempty collection of
+    ints in 1..nfacets.
+    """
+    labels = list(labels)
     if not labels:
         raise PreconditionError("facet subset must be nonempty")
-    if not labels <= set(range(1, P.nfacets + 1)):
-        raise PreconditionError(f"unknown facet labels in {sorted(labels)}")
-    eqs = [(list(P.normal(j)), -P.offset(j)) for j in sorted(labels)]
-    return lp.feasible(P.inequalities(), eqs, P.dim)
+    if not all(is_integer(j) and 1 <= j <= P.nfacets for j in labels):
+        raise PreconditionError(f"facet labels must be integers in "
+                                f"1..{P.nfacets}, got {labels!r}")
+    labels = frozenset(labels)
+    return any(labels <= v.incident for v in _pointed_vertices(P))
 
 
 @memoized

@@ -1,18 +1,14 @@
-"""Exact rational linear programming.
+"""Exact rational linear programming, the reference the tests compare the
+package's LP-free answers against.
 
 A small dense two-phase simplex over fractions.Fraction with Bland's rule,
 which guarantees termination.  The instances are tiny (dim rows, tens of
 columns), so there is no attempt at revised-simplex sophistication.
 
-The package calls ``solve`` directly, in the small dual forms with dim rows:
-``polyhedra._check_irredundant`` (one LP per facet that meets no simple
-vertex, none on Delzant input with a vertex), ``polyhedra.is_compact`` (one
-LP, only on input with a non-simple vertex or none) and, through
-``nonnegative_combination_exists``, cone membership in ``monoid``.  Facet
-intersections are read off the vertices instead.
-``feasible`` and ``minimize`` take systems in free variables; they back the
-public ``polyhedra.facet_intersection_nonempty`` and serve the tests as the
-primal reference.
+``solve`` takes the standard form; ``feasible`` and ``minimize`` take
+systems in free variables (the primal forms of irredundancy, compactness
+and facet intersections), and ``nonnegative_combination_exists`` asks
+whether a vector lies in the cone of the facet normals.
 """
 
 from __future__ import annotations

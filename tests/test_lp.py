@@ -1,6 +1,6 @@
 from fractions import Fraction
 
-from toricqh import lp
+import lp
 
 
 def test_feasible_simple():

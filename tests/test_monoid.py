@@ -74,6 +74,27 @@ def test_cone_membership(o_minus_1):
     assert not mo.cone_membership(o_minus_1, (Fraction(5), (-1, 0)))
 
 
+@pytest.mark.parametrize("c", [
+    (1, ()), (Fraction(1), (0, 0, 0)), (0.1, (0, 0)), (1.0, (0, 0)),
+    (True, (0, 0)), (False, (1, 0)), (1, (0.5, 0)), (2, (1.0, 1)),
+    (1, (True, 0))],
+    ids=["short_nu", "long_nu", "float", "integral_float", "true", "false",
+         "float_in_nu", "integral_float_in_nu", "bool_in_nu"])
+def test_cone_api_rejects_inexact_or_wrong_length(o_minus_1, c):
+    # A fresh monoid: ``monomial`` checks nu when its cache misses.
+    ctx = mo.ConeMonoid(o_minus_1)
+    calls = [lambda: mo.cone_membership(o_minus_1, c),
+             lambda: mo.height(o_minus_1, c),
+             lambda: mo.intersecting_sum(o_minus_1, c),
+             lambda: mo.theta(ctx.vertices[0], c),
+             lambda: ctx.monomial(*c)]
+    for call in calls:
+        with pytest.raises(PreconditionError):
+            call()
+    with pytest.raises(PreconditionError):
+        ctx.t_power(0.5)
+
+
 def test_intersecting_sum_examples(o_minus_1, cp2):
     s, t = mo.intersecting_sum(o_minus_1, (Fraction(2), (1, 1)))
     assert (s, t) == (1, (0, 1, 0))  # v1*v3 = T*v2

@@ -1,3 +1,4 @@
+import importlib.util
 import itertools
 import math
 import random
@@ -6,8 +7,9 @@ from math import gcd
 
 import pytest
 
+import lp
 from reference import mat_mul
-from toricqh import catalog, linalg, lp, polyhedra
+from toricqh import catalog, linalg, monoid, polyhedra
 from toricqh.errors import PreconditionError, SchemaError
 from toricqh.linalg import random_unimodular
 from toricqh.polyhedra import (DelzantPolyhedron, Vertex, check_delzant,
@@ -353,6 +355,13 @@ def test_facet_intersections_o_minus_1(o_minus_1):
         facet_intersection_nonempty(o_minus_1, set())
 
 
+@pytest.mark.parametrize("labels", [[1.0, 2], {True}, [0], [4], ["1"]],
+                         ids=["float", "bool", "zero", "past_end", "string"])
+def test_facet_labels_must_be_integers_in_range(o_minus_1, labels):
+    with pytest.raises(PreconditionError):
+        facet_intersection_nonempty(o_minus_1, labels)
+
+
 def test_minimal_nonfaces(corpus):
     assert minimal_nonfaces(corpus["o_minus_1"]) == ((1, 3),)
     assert minimal_nonfaces(corpus["cp2"]) == ((1, 2, 3),)
@@ -566,10 +575,7 @@ def test_irredundancy_matches_primal_lp():
     assert min(verdicts.values()) >= 10, verdicts
 
 
-def test_is_compact_matches_recession_probes(corpus, monkeypatch):
-    # Simple vertices decide without an LP, Delzant input among them; a
-    # non-simple apex (the square pyramid, bounded or not) keeps the
-    # Stiemke LP, and vertexless input is decided by the normals' rank.
+def test_is_compact_matches_recession_probes(corpus):
     polys = list(corpus.values()) + [
         catalog.load_example("vertexless"), catalog.load_example("non_delzant"),
         polyhedron(3, SQUARE_PYRAMID), polyhedron(3, SQUARE_PYRAMID[1:]),
@@ -578,24 +584,7 @@ def test_is_compact_matches_recession_probes(corpus, monkeypatch):
     rng = random.Random(5)
     for trial in range(200):
         polys.append(catalog.random_delzant(rng, 1 + trial % 4, 7))
-    calls = []
-    solve = lp.solve
-
-    def counting_solve(*args):
-        calls.append(args)
-        return solve(*args)
-
-    verdicts = []
-    with monkeypatch.context() as m:
-        m.setattr(lp, "solve", counting_solve)
-        for P in polys:
-            calls.clear()
-            verdicts.append(is_compact(P))
-            vertices = enumerate_vertices(P)
-            simple = all(len(v.incident) == P.dim for v in vertices)
-            assert len(calls) == (bool(vertices) and not simple), P
-            if vertices and check_delzant(P).passed:
-                assert not calls, P
+    verdicts = [is_compact(P) for P in polys]
     assert verdicts == [_primal_is_compact(P) for P in polys]
     assert min(verdicts.count(True), verdicts.count(False)) >= 50
 
@@ -624,23 +613,105 @@ def test_irredundancy_beyond_simple_vertices(dim, facets, expected):
     assert _assert_irredundancy_matches_primal(dim, facets) == expected
 
 
-def test_simple_vertices_spare_the_lp(monkeypatch):
-    calls = []
-    solve = lp.solve
+def _unchecked_arrangement(rng):
+    """Random facets with normals in [-2, 2]^dim, dim 2 to 4, built without
+    the irredundancy check: one in twenty hold a line (every normal ends in
+    0), a tenth repeat an inequality, and offsets of one or two times a
+    common scale make degenerate vertices common."""
+    dim = rng.randint(2, 4)
+    line = rng.random() < 0.05
+    normals = [_random_primitive(rng, dim - line) + (0,) * line
+               for _ in range(rng.randint(dim, dim + 3))]
+    scale = Fraction(rng.choice([1, 2, 3]), rng.choice([1, 1, 2]))
+    offsets = [rng.choice([1, 1, 2]) * scale for _ in normals]
+    if rng.random() < 0.1:
+        k = rng.randrange(len(normals))
+        normals.append(normals[k])
+        offsets.append(offsets[k])
+    return DelzantPolyhedron(dim, tuple(normals), tuple(offsets))
 
-    def counting_solve(*args):
-        calls.append(args)
-        return solve(*args)
 
-    monkeypatch.setattr(lp, "solve", counting_solve)
+def _dual_first_redundant(P):
+    """Label of the first facet j with some y >= 0 on the other facets,
+    sum y_k nu_k = nu_j and sum y_k lambda_k <= lambda_j: the dual of
+    min <nu_j, x> over the others, which is then at least -lambda_j.  With
+    dim rows it is a few times faster than ``_primal_first_redundant``."""
+    for j in range(P.nfacets):
+        others = [k for k in range(P.nfacets) if k != j]
+        A = [[P.normals[k][i] for k in others] for i in range(P.dim)]
+        status, value = lp.solve(A, list(P.normals[j]),
+                                 [P.offsets[k] for k in others])
+        if status == lp.OPTIMAL and value <= P.offsets[j]:
+            return j + 1
+    return None
 
-    def lps(build, *args):
-        calls.clear()
-        build(*args)
-        return len(calls)
 
-    for name in catalog.VALID_EXAMPLES + ("non_delzant",):
-        assert lps(catalog.load_example, name) == 0, name
-    assert lps(polyhedron, 3, SQUARE_PYRAMID) == 0
-    assert lps(polyhedron, 3, OCTAHEDRON) == 8
-    assert lps(polyhedron, 2, STRIP) == 2
+def _dual_facets_meet(P, J):
+    """The facets J meet iff sum_J (<nu_j, x> + lambda_j), which is >= 0 on
+    P, reaches 0: by duality, iff min sum y_k lambda_k over y >= 0 with
+    sum y_k nu_k = sum_J nu_j is sum_J lambda_j (y = 1 on J attains it)."""
+    A = [[n[i] for n in P.normals] for i in range(P.dim)]
+    target = [sum(P.normal(j)[i] for j in J) for i in range(P.dim)]
+    _, value = lp.solve(A, target, list(P.offsets))
+    return value == sum(P.offset(j) for j in J)
+
+
+def _reference_contains(P, lam, nu):
+    """(lam, nu) = s * (1, 0) + sum y_j (lambda_j, nu_j) with s, y >= 0."""
+    A = [[n[i] for n in P.normals] for i in range(P.dim)]
+    status, value = lp.solve(A, list(nu), list(P.offsets))
+    return status == lp.OPTIMAL and value <= lam
+
+
+def test_vertex_walk_matches_lp_reference():
+    # Every LP question the package answers from vertices and rays, against
+    # the LP reference, on arrangements that may be redundant, degenerate,
+    # unbounded or hold a line.
+    rng = random.Random(19)
+    kinds = {"line": 0, "degenerate": 0, "ray": 0, "redundant": 0,
+             "ray_rejects": 0}
+    for _ in range(300):
+        P = _unchecked_arrangement(rng)
+        facets = list(zip(P.normals, P.offsets))
+        expected = _dual_first_redundant(P)
+        if expected is None:
+            polyhedron(P.dim, facets)
+        else:
+            kinds["redundant"] += 1
+            with pytest.raises(SchemaError, match=f"^facet {expected} is "):
+                polyhedron(P.dim, facets)
+        assert is_compact(P) == _primal_is_compact(P), P
+        for _ in range(4):
+            J = rng.sample(range(1, P.nfacets + 1),
+                           rng.randint(1, min(3, P.nfacets)))
+            assert (facet_intersection_nonempty(P, J)
+                    == _dual_facets_meet(P, J)), (P, J)
+        vertices = enumerate_vertices(P)
+        if not vertices:
+            kinds["line"] += 1
+            continue
+        kinds["degenerate"] += any(len(v.incident) > P.dim for v in vertices)
+        kinds["ray"] += any(v.rays for v in vertices)
+        ctx = monoid.ConeMonoid(P)
+        for _ in range(4):
+            nu = tuple(rng.randint(-3, 3) for _ in range(P.dim))
+            low = min(sum(a * b for a, b in zip(v.point, nu)) for v in vertices)
+            lam = -low + Fraction(rng.randint(-1, 2), 2)
+            expected = _reference_contains(P, lam, nu)
+            assert ctx.contains((lam, nu)) == expected, (P, lam, nu)
+            kinds["ray_rejects"] += lam + low >= 0 and not expected
+    assert kinds["line"] >= 10 and kinds["degenerate"] >= 50, kinds
+    assert kinds["ray"] >= 100 and kinds["ray_rejects"] >= 50, kinds
+    assert kinds["redundant"] >= 50, kinds
+
+
+def test_package_has_no_lp():
+    # Parsing, validating and deciding compactness of every corpus file
+    # leaves no LP module behind in the package.
+    for name in catalog.VALID_EXAMPLES + ("non_delzant", "vertexless"):
+        P = catalog.load_example(name)
+        check_delzant(P)
+        is_compact(P)
+    for build in ((3, SQUARE_PYRAMID), (3, OCTAHEDRON), (2, STRIP)):
+        is_compact(polyhedron(*build))
+    assert importlib.util.find_spec("toricqh.lp") is None
