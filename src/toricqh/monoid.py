@@ -207,6 +207,8 @@ class ConeMonoid:
 
     def monomial(self, lam, nu) -> Monomial:
         lam, nu = _lam_nu((lam, nu))
+        # checked before the lookup: (1, (True, 0)) equals a cached key
+        _check_nu(nu, self.P.dim)
         m = self._monomials.get((lam, nu))
         if m is None:
             s, t = self.decompose((lam, nu))

@@ -176,13 +176,17 @@ def classical_presentation(P: DelzantPolyhedron, ring: str = "Z",
                            _rho=None) -> RingPresentation:
     """Stanley-Reisner presentation of the classical cohomology.
 
-    Works degree by degree up to dim+1: the degree-d monomials with face
+    Works degree by degree up to dim = n: the degree-d monomials with face
     support, modulo the images of the linear forms c_i times degree d-1.
-    The quotient at degree dim+1 is verified to be 0.  The quotient ring is
-    generated in degree 1, so every higher degree is 0 as well, and a
-    product of two basis elements past degree dim+1 has structure constants
-    0 without a slice.  All quotients are verified torsion-free over Z; the
-    requested coefficient ring only changes how the table is reported.
+    The quotient at degree n+1 is 0, certified from the degree-n layer by
+    ``topology.top_class_certificate``: there the quotient is 0 or
+    generated, over Z, by the class of the first vertex's facet monomial,
+    and VerificationError is raised where the certificate fails.  The
+    quotient ring is generated in degree 1, so every higher degree is 0 as
+    well, and a product of two basis elements past degree n has structure
+    constants 0 without a slice.  All quotients are verified torsion-free
+    over Z; the requested coefficient ring only changes how the table is
+    reported.
 
     Under unit rescalings ``_rho`` the basis of the plain presentation is
     claimed in every degree and verified: v_j -> rho_j v_j maps the plain
@@ -196,8 +200,9 @@ def classical_presentation(P: DelzantPolyhedron, ring: str = "Z",
     K = topology.build_nerve(P)
     n, N = P.dim, P.nfacets
     keys = topology.SRKeys([tuple(int(k == j) for k in range(N))
-                            for j in range(N)], n + 1)
+                            for j in range(N)], n)
     S, coords = vertex_coordinates(P, 0)
+    leads = [s - 1 for s in S]
     weights = [[c * r for c in w] for w, r in zip(coords, rho)]
     # rows over Z go to the eliminator unnormalized, so their entries (here
     # and in quantum_presentation, which uses the same weights) are ints
@@ -207,17 +212,18 @@ def classical_presentation(P: DelzantPolyhedron, ring: str = "Z",
     layers = []
     basis = []
     for d, (index, rows) in enumerate(topology.graded_rows(
-            slices, keys.steps, weights, [s - 1 for s in S])):
+            slices, keys.steps, weights, leads)):
         claimed = None if plain is None else \
             [index[keys.encode(e)] for e in plain.basis if sum(e) == d]
         layer = _graded_layer(index, keys, rows, integral,
                               f"the classical quotient at degree {d}",
                               claimed, first_idx=len(basis))
-        if d > n and layer.basis_cols:
-            raise VerificationError(f"classical cohomology does not vanish in "
-                                    f"degree {d} > {n}")
         layers.append(layer)
         basis.extend(keys.decode(slices[d][col]) for col in layer.basis_cols)
+    if not topology.top_class_certificate(layer.echelon, layer.index,
+                                          keys.steps, leads):
+        raise VerificationError(f"classical cohomology is not certified to "
+                                f"vanish in degree {n + 1} > {n}")
 
     ranks = tuple(len(layers[d].basis_cols) for d in range(n + 1))
     nvertices = len(enumerate_vertices(P))

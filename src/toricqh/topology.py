@@ -13,6 +13,13 @@ degree slices (``sr_slices``) key each monomial by one integer of
 ``SRKeys``, linear in the exponents, and ``graded_rows`` builds the
 "linear form times monomial" rows over them for the classical, quantum and
 regular-sequence quotients.
+
+The classical and regular-sequence quotients vanish in degree n+1 on
+Delzant input.  ``top_class_certificate`` proves it from the degree-n
+elimination alone: there the quotient is 0, or spanned by the class of the
+first vertex's facet monomial Z_S.  So those quotients walk and rank their
+slices up to degree n only, and the degree-(n+1) slice, the largest, is
+never built; where the certificate fails, VerificationError is raised.
 """
 
 from __future__ import annotations
@@ -455,6 +462,36 @@ def graded_rows(slices, steps, weights, leads=()):
         prev = dict(zip(keys, forms))
 
 
+def top_class_certificate(elim: linalg.Eliminator, index, steps,
+                          face) -> bool:
+    """Certify that the quotient by the forms of ``graded_rows`` vanishes
+    one degree above the slice of ``index``, without that slice.
+
+    ``elim`` holds the rows into the slice, settled on its columns;
+    ``index`` and ``steps`` are the slice's columns and key steps as for
+    ``graded_rows``, and ``face`` are the leads s_0, s_1, ... there: the
+    facets of a vertex, so S = face is a maximal face, in whose basis
+    c_k = rho_k Z_{s_k} + sum_{l not in S} w_lk Z_l with rho_k a unit of
+    the ring.  Then Z_l Z_S lies in I_Delta for l not in S, and
+      Z_{s_k} Z_S = rho_k^-1 (c_k Z_S - sum_{l not in S} w_lk Z_l Z_S)
+    lies in (c) + I_Delta.  The quotient is generated in degree 1, so when
+    its piece in the slice's degree is 0 or spanned by the class of Z_S,
+    its next piece is 0.
+
+    The class spans when the quotient has dimension 1 and the coordinate
+    of Z_S there (``elim.reduce``) is nonzero over a field, +-1 over Z
+    (``elim.integral``), whether the quotient was settled by unit pivots
+    or through the Smith form.
+    """
+    if elim.dim == 0:
+        return True
+    col = index.get(sum(steps[j] for j in face))
+    if elim.dim != 1 or col is None:
+        return False
+    (x,) = elim.reduce({col: 1})
+    return x in (1, -1) if elim.integral else x != 0
+
+
 @dataclass(frozen=True)
 class RegSeqReport:
     passed: bool
@@ -492,17 +529,20 @@ def regular_sequence_check(P: DelzantPolyhedron, p: int | None = None,
     lead product with no reduction.  The rank, and so every reported
     dimension, does not depend on the order of the rows or the columns.
 
-    No slice past degree n+1 is ranked, for any ``maxdeg``.  On Delzant
-    input the normals at every vertex form a Z-basis, so over Q and over
-    every F_p the forms are a linear system of parameters (Kind and
-    Kleinschmidt, Math. Z. 167, 1979), and the quotient is spanned by the
-    face monomials, of degree at most n.  So the quotient vanishes in
-    degree n+1; if it does not, VerificationError is raised.  The quotient
-    ring is generated in degree 1, so once a degree is zero every higher
-    one is, and slices are ranked only up to the first such degree.  The
-    expected values are computed for every degree up to ``maxdeg``, so the
-    verdict compares the full sequences; the report keeps the Hilbert
-    function of the Stanley-Reisner ring they come from.
+    Slices are walked and ranked up to degree n only, for any ``maxdeg``.
+    On Delzant input the normals at every vertex form a Z-basis, so over Q
+    and over every F_p the forms are a linear system of parameters (Kind
+    and Kleinschmidt, Math. Z. 167, 1979), and the quotient is spanned by
+    the face monomials, of degree at most n.  So the quotient vanishes in
+    degree n+1.  That is certified from the degree-n elimination by
+    ``top_class_certificate``: the quotient is 0 there, or of dimension 1
+    and spanned by the class of Z_S.  If the certificate fails,
+    VerificationError is raised.  The quotient ring is generated in degree
+    1, so once a degree is zero every higher one is, and slices are ranked
+    only up to the first such degree.  The expected values are computed
+    for every degree up to ``maxdeg``, so the verdict compares the full
+    sequences; the report keeps the Hilbert function of the Stanley-Reisner
+    ring they come from.
     """
     field = field_name(p)
     if maxdeg is None:
@@ -518,11 +558,12 @@ def regular_sequence_check(P: DelzantPolyhedron, p: int | None = None,
 
     S, coords = vertex_coordinates(P, 0)
     weights = coords if p is None else [[x % p for x in w] for w in coords]
+    leads = [s - 1 for s in S]
     keys = SRKeys([(-int(j + 1 in S), *(int(k == j) for k in range(N)))
-                   for j in range(N)], min(maxdeg, n + 1))
+                   for j in range(N)], n)
     dims = []
     for index, rows in graded_rows(sr_slices(K, keys), keys.steps, weights,
-                                   [s - 1 for s in S]):
+                                   leads):
         rows.sort(key=min)
         elim = linalg.Eliminator(p)
         for row in rows:
@@ -530,9 +571,13 @@ def regular_sequence_check(P: DelzantPolyhedron, p: int | None = None,
         dims.append(len(index) - elim.rank)
         if dims[-1] == 0:
             break
-    if len(dims) > n + 1 and dims[-1]:
-        raise VerificationError(f"the regular-sequence quotient over {field} "
-                                f"does not vanish in degree {n + 1}")
+    # a zero degree below n+1 needs no certificate: every higher one is zero
+    if maxdeg > n and dims[-1]:
+        elim.settle(len(index))
+        if not top_class_certificate(elim, index, keys.steps, leads):
+            raise VerificationError(f"the regular-sequence quotient over "
+                                    f"{field} is not certified to vanish in "
+                                    f"degree {n + 1}")
     dims += [0] * (maxdeg + 1 - len(dims))
     return RegSeqReport(tuple(dims) == expected, field, tuple(dims), expected,
                         hilbert)

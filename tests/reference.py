@@ -2,8 +2,9 @@
 
 They are the plain versions the package replaced by faster ones, or helpers
 only tests need: a dense matrix product, the inverse of
-``presentation.reduce_to_basis``, and the composition search for divisor
-inverse certificates.
+``presentation.reduce_to_basis``, the composition search for divisor
+inverse certificates, and a ``topology.graded_rows`` that loses the rows
+into degree n.
 """
 
 from fractions import Fraction
@@ -55,3 +56,14 @@ def inverse_multiplicities(P, j):
                     for i in range(n)):
                 return m
     return None
+
+
+def dropping_rows_at_top(walk):
+    """``walk`` (``topology.graded_rows``) without the rows into the slice
+    of degree n, n the number of forms, so the quotient there is the whole
+    slice."""
+    def dropping(slices, steps, weights, leads=()):
+        n = len(weights[0])
+        for d, (index, rows) in enumerate(walk(slices, steps, weights, leads)):
+            yield index, ([] if d == n else rows)
+    return dropping

@@ -81,18 +81,23 @@ def test_cone_membership(o_minus_1):
     ids=["short_nu", "long_nu", "float", "integral_float", "true", "false",
          "float_in_nu", "integral_float_in_nu", "bool_in_nu"])
 def test_cone_api_rejects_inexact_or_wrong_length(o_minus_1, c):
-    # A fresh monoid: ``monomial`` checks nu when its cache misses.
-    ctx = mo.ConeMonoid(o_minus_1)
-    calls = [lambda: mo.cone_membership(o_minus_1, c),
-             lambda: mo.height(o_minus_1, c),
-             lambda: mo.intersecting_sum(o_minus_1, c),
-             lambda: mo.theta(ctx.vertices[0], c),
-             lambda: ctx.monomial(*c)]
-    for call in calls:
+    # A fresh monoid, and the session-wide one with a warm cache: a nu with
+    # an integral float or a bool equals a cached key, (1, (True, 0)) that
+    # of (1, (1, 0)), so ``monomial`` checks nu before the lookup.
+    warm = mo.monoid_for(o_minus_1)
+    for lam, nu in ((1, (1, 0)), (2, (1, 1)), (0, (0, 0))):
+        warm.monomial(lam, nu)
+    for ctx in (mo.ConeMonoid(o_minus_1), warm):
+        calls = [lambda: mo.cone_membership(o_minus_1, c),
+                 lambda: mo.height(o_minus_1, c),
+                 lambda: mo.intersecting_sum(o_minus_1, c),
+                 lambda: mo.theta(ctx.vertices[0], c),
+                 lambda: ctx.monomial(*c)]
+        for call in calls:
+            with pytest.raises(PreconditionError):
+                call()
         with pytest.raises(PreconditionError):
-            call()
-    with pytest.raises(PreconditionError):
-        ctx.t_power(0.5)
+            ctx.t_power(0.5)
 
 
 def test_intersecting_sum_examples(o_minus_1, cp2):

@@ -1,10 +1,12 @@
 import random
 from fractions import Fraction
+from importlib import resources
 
 import pytest
 
-from reference import inverse_multiplicities, recompose_from_basis
-from toricqh import catalog, linalg, topology
+from reference import (dropping_rows_at_top, inverse_multiplicities,
+                       recompose_from_basis)
+from toricqh import catalog, cli, linalg, topology
 from toricqh import monoid as mo
 from toricqh import presentation as pr
 from toricqh.errors import PreconditionError, VerificationError
@@ -62,8 +64,9 @@ def test_classical_rank_formulas(corpus):
 
 
 def test_classical_quotient_vanishes_past_dim_plus_one(corpus):
-    # classical_presentation stops at degree n+1; every degree up to 2n,
-    # where products of two basis elements land, is 0 over Q as well.
+    # classical_presentation stops at degree n and certifies degree n+1 to
+    # be 0; every degree from n+1 up to 2n, where products of two basis
+    # elements land, is 0 over Q as well.
     rng = random.Random(23)
     randoms = [catalog.random_delzant(rng, dim, dim + 3) for dim in (2, 3, 3, 4)]
     for P in [*corpus.values(), *randoms]:
@@ -201,7 +204,9 @@ def _simplex(n):
 
 def test_quantum_koszul_rows_span_every_row(monkeypatch):
     # Every walk the presentations make (the quantum slices and the
-    # classical ones under them) is checked against the walk without leads:
+    # classical ones under them, which stop at degree n, as the certificate
+    # of the vanishing in degree n + 1 needs no slice there) is checked
+    # against the walk without leads:
     # per slice the kept rows have the rank of every row over Q and F_2,
     # and from degree 2 on there are fewer of them, wherever there are two
     # forms to skip between.
@@ -227,7 +232,65 @@ def test_quantum_koszul_rows_span_every_row(monkeypatch):
     for P in polys:
         walks.clear()
         Q = pr.quantum_presentation(P)
-        assert walks == [P.dim + 2, Q.degree_bound + 1], P
+        assert walks == [P.dim + 1, Q.degree_bound + 1], P
+
+
+def _both_ways(monkeypatch, make, run):
+    """``run`` on a fresh polyhedron from ``make()``, once as it is and once
+    with the slices walked and eliminated up to degree n + 1, where the
+    quotient is 0 (the certificate then reads a layer of dimension 0); the
+    classical presentations must agree."""
+    want = run(make())
+    real = topology.SRKeys
+    with monkeypatch.context() as m:
+        m.setattr(topology, "SRKeys",
+                  lambda vectors, top: real(vectors, top + 1))
+        got = run(make())
+    assert (got.ranks, got.basis, got.structure) == \
+        (want.ranks, want.basis, want.structure)
+    return want
+
+
+def test_classical_presentation_matches_the_walk_to_degree_n_plus_1(
+        monkeypatch):
+    rng = random.Random(167)
+    units = (1, -1, 2, Fraction(1, 3))
+    for name in catalog.VALID_EXAMPLES:
+        def make():
+            return catalog.load_example(name)
+        _both_ways(monkeypatch, make, pr.classical_presentation)
+        for ring in ("Q", "F3"):
+            cp = _both_ways(monkeypatch, make,
+                            lambda P: pr.classical_presentation(P, ring))
+            assert cp.ring == ring
+        N = make().nfacets
+        for rho in ((-1,) * N, tuple(rng.choice(units) for _ in range(N))):
+            ring = "Z" if all(r in (1, -1) for r in rho) else "Q"
+            _both_ways(monkeypatch, make, lambda P: pr.classical_presentation(
+                P, ring, _rho=rho))
+        U = linalg.random_unimodular(make().dim, rng)
+        _both_ways(monkeypatch, lambda: relabel_lattice(make(), U),
+                   pr.classical_presentation)
+
+
+def test_classical_raises_if_degree_n_plus_1_is_not_certified(
+        monkeypatch, capsys):
+    """Without the rows into degree n the quotient there is the whole
+    slice, not spanned by the class of Z_S, so the vanishing in degree
+    n + 1 is not certified: the presentation raises, and ``classical``
+    exits 4 with one error line."""
+    monkeypatch.setattr(topology, "graded_rows",
+                        dropping_rows_at_top(topology.graded_rows))
+    for name in ("cp2", "cp3", "hirzebruch_f2", "o_minus_1"):
+        P = catalog.load_example(name)
+        with pytest.raises(VerificationError,
+                           match=f"vanish in degree {P.dim + 1}"):
+            pr.classical_presentation(P)
+        path = str(resources.files("toricqh").joinpath("data", f"{name}.json"))
+        code = cli.main(["--input", path, "--command", "classical"])
+        out, err = capsys.readouterr()
+        assert code == 4 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_relabelling_needs_no_smith_fallback(monkeypatch):

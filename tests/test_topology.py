@@ -6,7 +6,9 @@ from operator import mul
 
 import pytest
 
+from reference import dropping_rows_at_top
 from toricqh import catalog, cli, linalg
+from toricqh import presentation as pr
 from toricqh import topology as tp
 from toricqh.errors import PreconditionError, VerificationError
 from toricqh.jacobian import jacobian_freeness
@@ -313,12 +315,97 @@ def test_regular_sequence_early_stop_matches_every_degree(corpus):
             assert dims[-1] == 0, (P, p)
 
 
+def _top_degrees(monkeypatch, run):
+    """The ``keys.top`` of every ``sr_slices`` walk that ``run()`` makes."""
+    tops = []
+    real_slices = tp.sr_slices
+
+    def recording_slices(K, keys):
+        tops.append(keys.top)
+        return real_slices(K, keys)
+
+    with monkeypatch.context() as m:
+        m.setattr(tp, "sr_slices", recording_slices)
+        run()
+    return tops
+
+
+def test_vanishing_is_certified_at_degree_n(corpus, monkeypatch):
+    """On Delzant input, compact or not, neither the regular-sequence check
+    nor the classical presentation walks a slice past degree n: the
+    certificate of ``top_class_certificate`` holds at every one, over Q,
+    F_2, F_3 and Z, on the corpus, random inputs of dimension 1 to 5 and
+    relabellings, as neither raises."""
+    rng = random.Random(1979)
+    polys = [catalog.load_example(name) for name in catalog.VALID_EXAMPLES]
+    polys += [catalog.random_delzant(rng, dim, dim + rng.randrange(1, 4))
+              for dim in (1, 2, 2, 3, 3, 4, 4)]
+    polys.append(catalog.random_delzant(rng, 5, 7, allow_noncompact=False))
+    polys += [relabel_lattice(P, linalg.random_unimodular(P.dim, rng))
+              for P in corpus.values()]
+    assert any(is_compact(P) and P.dim == 5 for P in polys)
+    assert any(not is_compact(P) for P in polys)
+    for P in polys:
+        for p in (None, 2, 3):
+            tops = _top_degrees(
+                monkeypatch, lambda: tp.regular_sequence_check(P, p, P.dim + 4))
+            assert tops == [P.dim], (P, p)
+        tops = _top_degrees(monkeypatch, lambda: pr.classical_presentation(P))
+        assert tops == [P.dim], P
+
+
+def test_top_class_certificate_needs_a_generator_over_z(corpus):
+    """In degree 2 of hirzebruch_f2 the quotient is Z, and the class of
+    v4^2 is twice a generator (see the classical basis test): it spans
+    over Q but not over Z.  The first vertex's facet monomial spans over
+    both, and a quotient of dimension 2 (degree 1) is never certified."""
+    P = corpus["hirzebruch_f2"]
+    K = tp.build_nerve(P)
+    n, N = P.dim, P.nfacets
+    S, coords = vertex_coordinates(P, 0)
+    leads = [s - 1 for s in S]
+    keys = tp.SRKeys([tuple(int(k == j) for k in range(N))
+                      for j in range(N)], n)
+    for d, (index, rows) in enumerate(tp.graded_rows(
+            tp.sr_slices(K, keys), keys.steps, coords, leads)):
+        over_z, over_q = linalg.Eliminator(integral=True), linalg.Eliminator()
+        for row in rows:
+            over_z.add_row(dict(row))
+            over_q.add_row(dict(row))
+        assert over_z.settle(len(index)) and over_q.settle(len(index))
+        if d == 1:
+            assert over_z.dim == 2
+            assert not tp.top_class_certificate(over_z, index, keys.steps,
+                                                leads[:1])
+    assert d == n and over_z.dim == 1
+    assert tp.top_class_certificate(over_z, index, keys.steps, leads)
+    assert tp.top_class_certificate(over_q, index, keys.steps, leads)
+    square = [3, 3]  # v4^2
+    assert over_z.reduce({index[keys.encode((0, 0, 0, 2))]: 1}) in ([2], [-2])
+    assert not tp.top_class_certificate(over_z, index, keys.steps, square)
+    assert tp.top_class_certificate(over_q, index, keys.steps, square)
+
+
+def test_top_class_certificate_reads_a_smith_settled_quotient():
+    """Z^3 modulo the rows (2, 3, -31) and (3, 4, -43), which hold no unit
+    entry, is settled through the Smith form: it is Z, by (a, b, c) ->
+    5a + 7b + c.  The class of the third column generates it, that of the
+    first is 5 times a generator."""
+    elim = linalg.Eliminator(integral=True)
+    for row in ({0: 2, 1: 3, 2: -31}, {0: 3, 1: 4, 2: -43}):
+        elim.add_row(row)
+    assert elim.settle(3) and not elim.pivots and elim.dim == 1
+    index, steps = {0: 0, 1: 1, 2: 2}, [0, 1, 2]
+    assert tp.top_class_certificate(elim, index, steps, [2])
+    assert not tp.top_class_certificate(elim, index, steps, [0])
+
+
 def test_regular_sequence_skips_koszul_rows(corpus, monkeypatch):
     """In every degree d >= 2 the check ranks fewer than the n * |SR_{d-1}|
     rows of the standard basis, and gets the reference's dimensions.
 
-    The check makes one eliminator per degree and hands it every row of
-    that degree, so the rows are counted per eliminator."""
+    The check makes one eliminator per degree up to n and hands it every
+    row of that degree, so the rows are counted per eliminator."""
     ranked = []
     init, add_row = linalg.Eliminator.__init__, linalg.Eliminator.add_row
 
@@ -343,9 +430,8 @@ def test_regular_sequence_skips_koszul_rows(corpus, monkeypatch):
                 report = tp.regular_sequence_check(P, p, P.dim + 4)
             dims, _ = _reference_regular_sequence(P, p, P.dim + 4)
             assert report.quotient_dims == dims, (P, p)
-            assert len(ranked) >= 3
-            # no slice past degree n + 1, although maxdeg is n + 4
-            assert len(ranked) <= P.dim + 2
+            # no slice past degree n, although maxdeg is n + 4
+            assert len(ranked) == P.dim + 1
             for d, count in enumerate(ranked):
                 full = P.dim * len(slices[d - 1]) if d else 0
                 assert count < full if d >= 2 else count <= full, (P, p, d)
@@ -356,7 +442,7 @@ def test_regular_sequence_ranks_rows_by_least_column(corpus, monkeypatch):
     first vertex's facets S, and then run lexicographically; the rows reach
     ``add_row`` sorted by least column.  Every kept row c_k * m whose lead
     product Z_{s_k} * m is a face monomial has that product as its least
-    column, with coefficient 1."""
+    column, with coefficient 1.  The slices stop at degree n."""
     sliced, walked, ranked = [], [], []
     real_slices, real_rows = tp.sr_slices, tp.graded_rows
     init, add_row = linalg.Eliminator.__init__, linalg.Eliminator.add_row
@@ -391,7 +477,8 @@ def test_regular_sequence_ranks_rows_by_least_column(corpus, monkeypatch):
                 m.setattr(linalg.Eliminator, "add_row", recording_add_row)
                 assert tp.regular_sequence_check(P, p).passed
             (keys,) = sliced
-            assert len(walked) == len(ranked) >= 3
+            assert keys.top == P.dim
+            assert len(walked) == len(ranked) == P.dim + 1
             led = 0
             prev = {}
             for (index, rows), added in zip(walked, ranked):
@@ -428,17 +515,12 @@ def test_regular_sequence_ranks_rows_by_least_column(corpus, monkeypatch):
 
 def test_regular_sequence_raises_if_degree_n_plus_1_survives(
         corpus, monkeypatch, capsys):
-    """Without the rows into degree n + 1 the quotient there is the whole
-    slice; the check ranks no further degree and raises, and ``cm`` exits 4
-    with one error line."""
-    walk = tp.graded_rows
-
-    def dropping(slices, steps, weights, leads=()):
-        n = len(weights[0])
-        for d, (index, rows) in enumerate(walk(slices, steps, weights, leads)):
-            yield index, ([] if d == n + 1 else rows)
-
-    monkeypatch.setattr(tp, "graded_rows", dropping)
+    """Without the rows into degree n the quotient there is the whole
+    slice, not spanned by the class of Z_S, so the vanishing in degree
+    n + 1 is not certified: the check raises, and ``cm`` exits 4 with one
+    error line."""
+    monkeypatch.setattr(tp, "graded_rows",
+                        dropping_rows_at_top(tp.graded_rows))
     for name in ("cp2", "cp3", "hirzebruch_f2"):
         P = corpus[name]
         path = str(resources.files("toricqh").joinpath("data", f"{name}.json"))
