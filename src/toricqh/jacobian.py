@@ -61,7 +61,7 @@ theta_{v0} > 0: the facets outside S miss v0, and every perturbation term
 has positive height.  So in the row c'_k * m the lead product v_{s_k} * m
 has the least theta_{v0}, hence the least key and the least column, when
 the slice holds it.  The rows reach the eliminator sorted by least column,
-which it pivots on where the entry is a unit; inside the Koszul window the
+and it pivots every row on its least column; inside the Koszul window the
 kept rows have distinct lead products, so most rows become pivot rows on
 their lead with little reduction.  The rank, and every reported number,
 does not depend on the order of the rows or of the columns.

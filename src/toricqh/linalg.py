@@ -5,11 +5,11 @@ Matrices are plain lists of lists; integer matrices hold Python ints
 exact: no floats appear anywhere in this package.
 
 ``Eliminator`` is the one sparse elimination engine behind every graded
-quotient of the package.  Over Z it pivots only on entries +-1, so an
+quotient and every rank of the package.  Over Q and F_p it pivots each row
+on its least column.  Over Z it pivots only on entries +-1, so an
 elimination in which every pivot is a unit certifies a free quotient; only
-a residual block with no unit entry goes to the dense Smith form.  It then
-reads off the coordinates of any vector in the quotient.  Over Q and F_p it
-is an incremental rank engine.
+a residual block with no unit entry goes to the dense Smith form.  Over
+each ring it then reads off the coordinates of any vector in the quotient.
 
 ``cramer`` is a fraction-free (Bareiss) solve of a square integer system.
 It gives ``determinant`` and, one solve per column, ``adjugate``.  The
@@ -243,31 +243,38 @@ class Eliminator:
 
     ``add_row`` takes rows as ``normalize`` returns them: sparse dicts of
     nonzero ints, over F_p residues in 1..p-1.  It reduces a row against
-    every pivot row, in the order the pivots were made, and reports whether
-    it became a pivot row.  Its pivot is its smallest column holding +-1,
-    so reduction steps stay exact.  Over Q a row without such an entry
-    pivots on its smallest column and is combined fraction-free, over F_p
-    every entry is a unit.  ``fork`` snapshots the state so several
-    extensions can share one base elimination.
+    the pivot rows and reports whether it became a pivot row.  ``fork``
+    snapshots the state so several extensions can share one base
+    elimination.
 
-    Over Z a row without a unit entry waits in a residual block instead;
-    ``settle`` retries it against the later pivots and hands what is still
-    stuck to the Smith form.  The quotient Z^ncols / L by the row lattice is
-    certified free by unit pivots alone when the residual block ends empty,
-    and otherwise by the Smith form (Dumas, Saunders and Villard, J. Symb.
-    Comput. 32, 2001).
+    Over a field (F_p, or Q unless ``integral``) every nonzero entry is a
+    pivot, so a row pivots on its least column: while a pivot row sits
+    there, that row is subtracted (mod p, or fraction-free over Q), and
+    what is left is stored on its least column, over F_p scaled to lead 1,
+    over Q divided by its content with a positive lead.  A pivot row is
+    zero left of its pivot.
+
+    Over Z a row pivots only on an entry +-1, its least such column, and is
+    reduced against the pivot rows in the order they were made, so a pivot
+    row is zero on every earlier pivot column.  A row without a unit entry
+    waits in a residual block instead; ``settle`` retries it against the
+    later pivots and hands what is still stuck to the Smith form.  The
+    quotient Z^ncols / L by the row lattice is certified free by unit
+    pivots alone when the residual block ends empty, and otherwise by the
+    Smith form (Dumas, Saunders and Villard, J. Symb. Comput. 32, 2001).
 
     After ``settle(ncols)``, ``reduce`` maps a vector to its coordinates in
     the quotient (Z^dim, Q^dim or F_p^dim, dim = ncols - rank): a free column
     is one coordinate, and a pivot column's image is read off its pivot row
-    by back substitution, last pivot first.
+    by back substitution, over a field in descending pivot column, over Z
+    last pivot first.
     """
 
     def __init__(self, p: int | None = None, integral: bool = False):
         self.p = p
         self.integral = integral
         self.pivots: dict[int, dict[int, int]] = {}  # pivot column -> row
-        self.order: dict[int, int] = {}   # pivot column -> creation index
+        self.order: dict[int, int] = {}   # over Z: pivot column -> creation
         self.residual: list[dict[int, int]] = []
         self.rank = 0
         self.dim = 0
@@ -284,10 +291,52 @@ class Eliminator:
     def add_row(self, row: dict[int, int]) -> bool:
         """Reduce a normalized row (see ``normalize``), which the
         eliminator takes over, and report whether it became a pivot row."""
-        return self._insert(row)
+        if self.integral:
+            return self._insert_unit(row)
+        return self._insert_lead(row)
 
-    def _insert(self, cur: dict[int, int]) -> bool:
-        pivots, order, p = self.pivots, self.order, self.p
+    def _insert_lead(self, cur: dict[int, int]) -> bool:
+        pivots, p = self.pivots, self.p
+        while cur:
+            col = min(cur)
+            piv = pivots.get(col)
+            if piv is None:
+                break
+            f = cur[col]
+            if p is None and piv[col] != 1:  # fraction-free: a*cur - f*piv
+                a = piv[col]
+                g = gcd(a, f)
+                a, f = a // g, f // g
+                if a != 1:
+                    for c in cur:
+                        cur[c] *= a
+            for c, v in piv.items():
+                x = cur.get(c, 0) - f * v
+                if p is not None:
+                    x %= p
+                if x:
+                    cur[c] = x
+                else:
+                    del cur[c]
+        if not cur:
+            return False
+        a = cur[col]
+        if p is not None:
+            if a != 1:
+                inv = pow(a, -1, p)
+                cur = {c: v * inv % p for c, v in cur.items()}
+        else:
+            g = gcd(*cur.values())
+            if a < 0:
+                g = -g
+            if g != 1:
+                cur = {c: v // g for c, v in cur.items()}
+        pivots[col] = cur
+        self.rank += 1
+        return True
+
+    def _insert_unit(self, cur: dict[int, int]) -> bool:
+        pivots, order = self.pivots, self.order
         # Eliminate the pivot columns in the order the pivots were made: a
         # pivot row is zero on every earlier pivot column.
         heap = [(order[c], c) for c in cur if c in pivots]
@@ -297,15 +346,8 @@ class Eliminator:
             f = cur.get(c0)
             if not f:
                 continue
-            piv = pivots[c0]
-            a = piv[c0]
-            if a != 1:  # a non-unit pivot over Q: combine fraction-free
-                for c in cur:
-                    cur[c] *= a
-            for c, v in piv.items():
+            for c, v in pivots[c0].items():
                 x = cur.get(c, 0) - f * v
-                if p is not None:
-                    x %= p
                 if not x:
                     del cur[c]
                     continue
@@ -314,22 +356,12 @@ class Eliminator:
                 cur[c] = x
         if not cur:
             return False
-        if p is None and not self.integral:
-            g = gcd(*cur.values())
-            if g > 1:
-                cur = {c: v // g for c, v in cur.items()}
         col = min((c for c, v in cur.items() if v == 1 or v == -1),
                   default=None)
         if col is None:
-            if self.integral:
-                self.residual.append(cur)
-                return False
-            col = min(cur)
-        a = cur[col]
-        if p is not None and a != 1:
-            inv = pow(a, -1, p)
-            cur = {c: v * inv % p for c, v in cur.items()}
-        elif a == -1:
+            self.residual.append(cur)
+            return False
+        if cur[col] == -1:
             cur = {c: -v for c, v in cur.items()}
         pivots[col] = cur
         order[col] = len(order)
@@ -346,7 +378,7 @@ class Eliminator:
         if self.integral:
             while self.residual:
                 rows, self.residual = self.residual, []
-                if not any([self._insert(row) for row in rows]):
+                if not any([self._insert_unit(row) for row in rows]):
                     break
             if self.residual:
                 smith_cols = sorted({c for row in self.residual for c in row})
@@ -367,8 +399,8 @@ class Eliminator:
                   for k, c in enumerate(free)}
         for i, c in enumerate(smith_cols):
             images[c] = [0] * len(free) + V[i][s:]
-        for c in sorted(self.pivots, key=self.order.__getitem__,
-                        reverse=True):
+        for c in sorted(self.pivots, reverse=True, key=self.order.__getitem__
+                        if self.integral else None):
             row = self.pivots[c]
             acc = [0] * r
             for d, v in row.items():

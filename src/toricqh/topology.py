@@ -42,8 +42,8 @@ class NerveComplex:
     """Simplicial complex on facet labels 1..ground, stored by maximal faces.
 
     The face family is the downward closure; the empty face always belongs.
-    The complex is immutable, so its face set and sorted face list are
-    built on first use and kept on it.
+    The complex is immutable, so its face set, sorted face list and reduced
+    Betti numbers (per field) are built on first use and kept on it.
     """
 
     ground: int
@@ -84,6 +84,17 @@ class NerveComplex:
         for f in self.sorted_faces:
             by_size[len(f)].append(f)
         return by_size
+
+    @cached_property
+    def _betti(self) -> dict:
+        return {}
+
+    def reduced_betti(self, p: int | None = None) -> tuple[int, ...]:
+        """Reduced Betti numbers in degrees -1 .. dim over Q (p None) or
+        F_p.  Cached: ranked once per field and kept on the complex."""
+        if p not in self._betti:
+            self._betti[p] = _reduced_betti(self.faces_by_dim(), p)
+        return self._betti[p]
 
 
 def make_complex(ground: int, faces) -> NerveComplex:
@@ -135,9 +146,10 @@ class HomologyProfile:
 
 
 def reduced_homology(K: NerveComplex, p: int | None = None) -> HomologyProfile:
-    """Reduced simplicial homology ranks over Q (p None) or over F_p."""
+    """Reduced simplicial homology ranks over Q (p None) or over F_p, from
+    ``K.reduced_betti``, which ``reisner_cm_check`` shares."""
     field_name(p)
-    return HomologyProfile(K.dim, _reduced_betti(K.faces_by_dim(), p))
+    return HomologyProfile(K.dim, K.reduced_betti(p))
 
 
 def _reduced_betti(layers, p) -> tuple[int, ...]:
@@ -154,7 +166,8 @@ def _reduced_betti(layers, p) -> tuple[int, ...]:
         other edge's row is the signed sum of the forest path between its
         ends, so the incidence matrix of a graph has that rank over Q and
         over every F_p alike;
-      * ranks 3 and higher are exact ranks of the boundary matrices.
+      * ranks 3 and higher are exact ranks of the boundary matrices, whose
+        rows, +-1 (-1 as p - 1 over F_p), go to the eliminator as built.
     """
     branks = [0] * (len(layers) + 1)
     if len(layers) > 1 and layers[1]:
@@ -172,13 +185,14 @@ def _reduced_betti(layers, p) -> tuple[int, ...]:
             if a != b:
                 root[a] = b
                 branks[2] += 1
+    signs = (1, -1 if p is None else p - 1)
     for d in range(3, len(layers)):
         index = {f: i for i, f in enumerate(layers[d - 1])}
-        rows = []
+        elim = linalg.Eliminator(p)
         for f in layers[d]:
-            rows.append({index[f[:i] + f[i + 1:]]: (-1) ** i
-                         for i in range(len(f))})
-        branks[d] = linalg.rank(rows, p)
+            elim.add_row({index[f[:i] + f[i + 1:]]: signs[i % 2]
+                          for i in range(d)})
+        branks[d] = elim.rank
     return tuple(len(layer) - branks[d] - branks[d + 1]
                  for d, layer in enumerate(layers))
 
@@ -229,9 +243,11 @@ def reisner_cm_check(K: NerveComplex, p: int | None = None) -> CMReport:
     a (-1)-dimensional link has no degree below its dimension.  A
     0-dimensional link has only degree -1 below it, and that group is
     nonzero only for the complex {empty face}, while the link has a vertex.
-    The other links are listed together by one walk over
-    ``K.sorted_faces`` (G containing F gives G - F) and ranked by the
-    routine behind ``reduced_homology``.
+    The link of the empty face is K itself, whose Betti numbers
+    ``K.reduced_betti`` ranks once per field and shares with
+    ``reduced_homology``.  The other links are listed together by one walk
+    over ``K.sorted_faces`` (G containing F gives G - F) and ranked by the
+    same routine.
     Faces are visited in ``K.sorted_faces`` order and degrees upwards, so
     the witness is the first failure in that order.
     """
@@ -242,16 +258,19 @@ def reisner_cm_check(K: NerveComplex, p: int | None = None) -> CMReport:
         for size in range(len(m) - 1):
             for face in itertools.combinations(m, size):
                 dims[face] = max(dims.get(face, 0), len(m) - size - 1)
-    stars = _stars(K, dims)
+    stars = _stars(K, [face for face in dims if face])
     for face in K.sorted_faces:
         dim = dims.get(face)
         if dim is None:
             continue
-        layers = [[] for _ in range(dim + 2)]
-        for f in stars[face]:
-            layers[len(f)].append(f)
-        for degree, rank in enumerate(_reduced_betti(layers, p)[:dim + 1],
-                                      start=-1):
+        if face:
+            layers = [[] for _ in range(dim + 2)]
+            for f in stars[face]:
+                layers[len(f)].append(f)
+            betti = _reduced_betti(layers, p)
+        else:
+            betti = K.reduced_betti(p)
+        for degree, rank in enumerate(betti[:dim + 1], start=-1):
             if rank:
                 return CMReport(False, field,
                                 f"link of {list(face)} has reduced homology of "
@@ -523,11 +542,10 @@ def regular_sequence_check(P: DelzantPolyhedron, p: int | None = None,
     the product Z_{s_k} * m has one more lead degree than every other
     entry: when it is a face monomial it is the row's least column, and its
     coefficient is 1.  The rows go to the eliminator sorted by least column,
-    which pivots on the least unit entry.  A row whose lead product no
-    earlier row pivots on then holds no earlier pivot of such a row, as
-    those lie at smaller columns, and most rows become pivot rows on their
-    lead product with no reduction.  The rank, and so every reported
-    dimension, does not depend on the order of the rows or the columns.
+    and it pivots every row on its least column, so a row whose lead
+    product no earlier row pivots on becomes a pivot row there with no
+    reduction.  The rank, and so every reported dimension, does not depend
+    on the order of the rows or the columns.
 
     Slices are walked and ranked up to degree n only, for any ``maxdeg``.
     On Delzant input the normals at every vertex form a Z-basis, so over Q
@@ -539,10 +557,12 @@ def regular_sequence_check(P: DelzantPolyhedron, p: int | None = None,
     and spanned by the class of Z_S.  If the certificate fails,
     VerificationError is raised.  The quotient ring is generated in degree
     1, so once a degree is zero every higher one is, and slices are ranked
-    only up to the first such degree.  The expected values are computed
-    for every degree up to ``maxdeg``, so the verdict compares the full
-    sequences; the report keeps the Hilbert function of the Stanley-Reisner
-    ring they come from.
+    only up to the first such degree.  They are walked only up to the first
+    degree whose expected value is 0, at most n on non-compact input, and
+    walked again up to n only when the quotient there is not 0.  The
+    expected values are computed for every degree up to ``maxdeg``, so the
+    verdict compares the full sequences; the report keeps the Hilbert
+    function of the Stanley-Reisner ring they come from.
     """
     field = field_name(p)
     if maxdeg is None:
@@ -559,16 +579,22 @@ def regular_sequence_check(P: DelzantPolyhedron, p: int | None = None,
     S, coords = vertex_coordinates(P, 0)
     weights = coords if p is None else [[x % p for x in w] for w in coords]
     leads = [s - 1 for s in S]
-    keys = SRKeys([(-int(j + 1 in S), *(int(k == j) for k in range(N)))
-                   for j in range(N)], n)
-    dims = []
-    for index, rows in graded_rows(sr_slices(K, keys), keys.steps, weights,
-                                   leads):
-        rows.sort(key=min)
-        elim = linalg.Eliminator(p)
-        for row in rows:
-            elim.add_row(row)
-        dims.append(len(index) - elim.rank)
+    # walk up to the first degree expected to be 0, and on up to n only
+    # where the quotient is not 0 there
+    first_zero = next((d for d, e in enumerate(expected) if not e), n)
+    for top in sorted({min(first_zero, n), n}):
+        keys = SRKeys([(-int(j + 1 in S), *(int(k == j) for k in range(N)))
+                       for j in range(N)], top)
+        dims = []
+        for index, rows in graded_rows(sr_slices(K, keys), keys.steps,
+                                       weights, leads):
+            rows.sort(key=min)
+            elim = linalg.Eliminator(p)
+            for row in rows:
+                elim.add_row(row)
+            dims.append(len(index) - elim.rank)
+            if dims[-1] == 0:
+                break
         if dims[-1] == 0:
             break
     # a zero degree below n+1 needs no certificate: every higher one is zero

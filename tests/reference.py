@@ -1,7 +1,7 @@
 """Reference implementations that the tests compare the package against.
 
 They are the plain versions the package replaced by faster ones, or helpers
-only tests need: a dense matrix product, the inverse of
+only tests need: a dense matrix product, a dense Gaussian rank, the inverse of
 ``presentation.reduce_to_basis``, the composition search for divisor
 inverse certificates, and a ``topology.graded_rows`` that loses the rows
 into degree n.
@@ -18,6 +18,36 @@ def mat_mul(A, B):
     assert all(len(r) == inner for r in A) or inner == 0
     return [[sum(A[i][k] * B[k][j] for k in range(inner)) for j in range(cols)]
             for i in range(rows)]
+
+
+def rank(rows, p=None):
+    """Rank over Q (p None) or over F_p by dense Gaussian elimination, in
+    Fractions or residues mod p.  Rows are dense lists or sparse dicts
+    {column: value}, with int or Fraction entries."""
+    rows = [r if isinstance(r, dict) else dict(enumerate(r)) for r in rows]
+    width = 1 + max((c for r in rows for c in r), default=-1)
+
+    def entry(v):
+        v = Fraction(v)
+        return v if p is None else v.numerator * pow(v.denominator, -1, p) % p
+
+    M = [[entry(r.get(c, 0)) for c in range(width)] for r in rows]
+    done = 0
+    for c in range(width):
+        pivot = next((i for i in range(done, len(M)) if M[i][c]), None)
+        if pivot is None:
+            continue
+        M[done], M[pivot] = M[pivot], M[done]
+        top = M[done]
+        inv = 1 / top[c] if p is None else pow(top[c], -1, p)
+        for i in range(done + 1, len(M)):
+            f = M[i][c] * inv
+            if f:
+                M[i] = [x - f * y for x, y in zip(M[i], top)]
+                if p is not None:
+                    M[i] = [x % p for x in M[i]]
+        done += 1
+    return done
 
 
 def recompose_from_basis(coords, Q):

@@ -1,8 +1,10 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
+import reference
 from reference import mat_mul
 from toricqh import linalg
 
@@ -129,12 +131,12 @@ def test_adjugate_rejects_a_singular_matrix():
 
 
 def test_rank_rational_and_mod_p():
-    rows = [[2, 4], [1, 2]]
-    assert linalg.rank(rows) == 1
-    assert linalg.rank([{0: Fraction(1, 2), 1: 1}, {0: 1, 1: 2}]) == 1
-    # 2 == 0 mod 2 changes the rank
-    assert linalg.rank([[2, 1], [0, 3]], p=2) == 1
-    assert linalg.rank([[2, 1], [0, 3]]) == 2
+    for rank in (linalg.rank, reference.rank):
+        assert rank([[2, 4], [1, 2]]) == 1
+        assert rank([{0: Fraction(1, 2), 1: 1}, {0: 1, 1: 2}]) == 1
+        # 2 == 0 mod 2 changes the rank
+        assert rank([[2, 1], [0, 3]], p=2) == 1
+        assert rank([[2, 1], [0, 3]]) == 2
 
 
 def test_normalize_over_q_scales_to_integers_and_drops_zeros():
@@ -239,5 +241,57 @@ def test_integral_rank_matches_prime_fields(seed):
             elim.add_row(linalg.normalize(row))
         assert elim.settle(len(index))
         for p in (None, 2, 3, 32003):
-            assert linalg.rank(rows, p) == elim.rank, (d, p)
+            assert reference.rank(rows, p) == elim.rank, (d, p)
         assert all(not any(elim.reduce(row)) for row in rows)
+
+
+FIELDS = (None, 2, 3, 32003)
+
+
+def _random_sparse_rows(rng):
+    """1 to 40 sparse rows with entries in -3..3, so some are 0 mod p."""
+    ncols = rng.randrange(1, 25)
+    rows = []
+    for _ in range(rng.randrange(1, 41)):
+        cols = rng.sample(range(ncols), rng.randrange(1, min(ncols, 6) + 1))
+        rows.append({c: rng.choice([-3, -2, -1, 1, 2, 3]) for c in cols})
+    # a few combinations of earlier rows, so the rank falls short
+    for _ in range(rng.randrange(4)):
+        a, b = rng.choice(rows), rng.choice(rows)
+        f = rng.choice([-2, -1, 1, 3])
+        row = {c: a.get(c, 0) + f * b.get(c, 0) for c in set(a) | set(b)}
+        rows.append({c: v for c, v in row.items() if v})
+    return ncols, [row for row in rows if row]
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_field_elimination_matches_dense_reference(seed):
+    """Over Q and F_p a row pivots on its least column.  The rank agrees
+    with dense Gaussian elimination in any row order, the pivot rows are
+    in lead echelon form, and after ``settle`` every added row reduces to
+    0, every free column is a unit coordinate and dim = ncols - rank."""
+    rng = random.Random(900 + seed)
+    ncols, rows = _random_sparse_rows(rng)
+    for p in FIELDS:
+        expected = reference.rank(rows, p)
+        shuffled = rows[:]
+        rng.shuffle(shuffled)
+        for order in (rows, shuffled):
+            elim = linalg.Eliminator(p)
+            for row in order:
+                elim.add_row(linalg.normalize(row, p))
+            assert elim.rank == expected, (p, order)
+        for c, row in elim.pivots.items():
+            assert min(row) == c
+            if p is None:
+                assert row[c] > 0 and math.gcd(*row.values()) == 1
+            else:
+                assert row[c] == 1 and all(0 < v < p for v in row.values())
+        assert elim.settle(ncols)
+        assert elim.dim == ncols - elim.rank
+        for row in rows:
+            assert not any(elim.reduce(linalg.normalize(row, p))), (p, row)
+        free = [c for c in range(ncols) if c not in elim.pivots]
+        for t, c in enumerate(free):
+            assert elim.reduce({c: 1}) == [int(k == t)
+                                          for k in range(elim.dim)]

@@ -332,7 +332,8 @@ def _top_degrees(monkeypatch, run):
 
 def test_vanishing_is_certified_at_degree_n(corpus, monkeypatch):
     """On Delzant input, compact or not, neither the regular-sequence check
-    nor the classical presentation walks a slice past degree n: the
+    nor the classical presentation walks a slice past degree n, and the
+    check none past the first degree expected to be 0: the
     certificate of ``top_class_certificate`` holds at every one, over Q,
     F_2, F_3 and Z, on the corpus, random inputs of dimension 1 to 5 and
     relabellings, as neither raises."""
@@ -347,11 +348,83 @@ def test_vanishing_is_certified_at_degree_n(corpus, monkeypatch):
     assert any(not is_compact(P) for P in polys)
     for P in polys:
         for p in (None, 2, 3):
-            tops = _top_degrees(
-                monkeypatch, lambda: tp.regular_sequence_check(P, p, P.dim + 4))
-            assert tops == [P.dim], (P, p)
+            reports = []
+            tops = _top_degrees(monkeypatch, lambda: reports.append(
+                tp.regular_sequence_check(P, p, P.dim + 4)))
+            # one walk, up to degree n or the first degree expected to be 0
+            first_zero = reports[0].expected_dims.index(0)
+            assert tops == [min(first_zero, P.dim)], (P, p)
         tops = _top_degrees(monkeypatch, lambda: pr.classical_presentation(P))
         assert tops == [P.dim], P
+
+
+def _walked_monomials(monkeypatch, run):
+    """The number of monomials that ``sr_walk`` yields during ``run()``."""
+    walked = [0]
+    real_walk = tp.sr_walk
+
+    def counting_walk(*args):
+        for acc in real_walk(*args):
+            walked[0] += 1
+            yield acc
+
+    with monkeypatch.context() as m:
+        m.setattr(tp, "sr_walk", counting_walk)
+        run()
+    return walked[0]
+
+
+def test_regular_sequence_walks_only_to_the_first_zero_degree(
+        o_minus_1, monkeypatch):
+    """On non-compact input the quotient vanishes from a degree at most n
+    on, and the check walks no slice past it: fewer monomials than the
+    Stanley-Reisner ring has in degrees 0..n where that degree is below n
+    (o_minus_1's is n = 2), and it reports what ranking every degree
+    gives."""
+    rng = random.Random(60)
+
+    def first_zero(P):
+        return tp.regular_sequence_check(P).expected_dims.index(0)
+
+    early = next(P for P in iter(lambda: catalog.random_delzant(rng, 3, 6),
+                                 None)
+                 if not is_compact(P) and first_zero(P) < P.dim)
+    assert first_zero(o_minus_1) == o_minus_1.dim
+    for P in (o_minus_1, early):
+        for p in (None, 2):
+            reports = []
+            walked = _walked_monomials(monkeypatch, lambda: reports.append(
+                tp.regular_sequence_check(P, p, P.dim + 2)))
+            hilbert = tp.sr_hilbert_function(P, P.dim + 2)
+            assert walked == sum(hilbert[:first_zero(P) + 1]), (P, p)
+            if P is early:
+                assert walked < sum(hilbert[:P.dim + 1]), p
+            dims, expected = _reference_regular_sequence(P, p, P.dim + 2)
+            assert reports[0] == tp.RegSeqReport(
+                dims == expected, tp.field_name(p), dims, expected,
+                tuple(hilbert)), (P, p)
+
+
+def test_cm_ranks_the_nerve_once_per_field(monkeypatch):
+    """A ``cm`` run ranks the nerve's full face layers once per field:
+    ``reisner_cm_check`` (the link of the empty face) and
+    ``sphere_or_ball_profile`` share ``NerveComplex.reduced_betti``."""
+    full = tp.build_nerve(catalog.load_example("cp3")).faces_by_dim()
+    ranked = []
+    real_betti = tp._reduced_betti
+
+    def recording_betti(layers, p):
+        if layers == full:
+            ranked.append(p)
+        return real_betti(layers, p)
+
+    monkeypatch.setattr(tp, "_reduced_betti", recording_betti)
+    path = str(resources.files("toricqh").joinpath("data", "cp3.json"))
+    for ring, p in (("q", None), ("fp:2", 2)):
+        assert cli.main(["--input", path, "--command", "cm",
+                         "--ring", ring]) == 0
+        assert ranked == [p]
+        ranked.clear()
 
 
 def test_top_class_certificate_needs_a_generator_over_z(corpus):
