@@ -24,6 +24,7 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 from . import jacobian as jc
+from . import linalg
 from . import monoid as mo
 from . import presentation as pr
 from . import topology as tp
@@ -79,8 +80,9 @@ def parse_args(argv):
     """Reads ``--name value`` and ``--name=value`` for the options of
     ``OPTIONS``; names are spelled in full, a value may start with ``-``,
     and the last of repeated options wins.  Returns a namespace with one
-    attribute per option, or None when ``-h`` or ``--help`` is given.
-    Raises SchemaError on any other bad command line."""
+    attribute per option, ``ring`` parsed to (label, prime or None) for
+    every command, or None when ``-h`` or ``--help`` is given.  Raises
+    SchemaError on any other bad command line."""
     values = {}
     args = iter(argv)
     for arg in args:
@@ -108,11 +110,12 @@ def parse_args(argv):
             except ValueError:
                 raise SchemaError(f"--{name} expects an integer, "
                                   f"got {value!r}") from None
+    values["ring"] = _parse_ring(values["ring"])
     return SimpleNamespace(**values)
 
 
 def _parse_ring(text: str):
-    """Returns (label, prime or None); label in {Z, Q, Fp}."""
+    """Returns (label, prime or None); label in {Z, Q, F<p>}."""
     t = text.lower()
     if t == "z":
         return "Z", None
@@ -120,10 +123,10 @@ def _parse_ring(text: str):
         return "Q", None
     if t.startswith("fp:"):
         try:
-            label = pr._ring_label("F" + t[3:])
+            p = linalg.field_prime(t[3:])
         except PreconditionError as exc:
             raise SchemaError(f"--ring: {exc}") from None
-        return label, int(label[1:])
+        return f"F{p}", p
     raise SchemaError(f"unknown ring {text!r} (expected z, q, or fp:P)")
 
 
@@ -237,8 +240,7 @@ def cmd_validate(P, args):
 
 
 def cmd_classical(P, args):
-    label, _ = _parse_ring(args.ring)
-    cp = pr.classical_presentation(P, label)
+    cp = pr.classical_presentation(P, args.ring[0])
     names = cp.basis_names()
     report = {
         "command": "classical",
@@ -359,7 +361,7 @@ def cmd_quantum(P, args):
 
 
 def cmd_cm(P, args):
-    _, p = _parse_ring(args.ring) if args.ring != "z" else ("Q", None)
+    p = args.ring[1]
     K = tp.build_nerve(P)
     cm = tp.reisner_cm_check(K, p)
     profile = tp.sphere_or_ball_profile(P, p)
@@ -382,9 +384,7 @@ def cmd_cm(P, args):
 
 
 def cmd_jacobian(P, args):
-    label, p = _parse_ring(args.ring)
-    if label == "Z":
-        p = None  # freeness over a field; default to Q
+    p = args.ring[1]  # over Z, freeness is checked over Q
     rho = _parse_bfield(args.bfield, P.nfacets)
     g = _parse_cutoff(args.cutoff)
     perts = _load_perturbations(args.perturb, P)

@@ -331,18 +331,20 @@ def _attempt(P, ctx, levels, g, relations, cap, inner_cap, basis, p):
 
     # The quotient dimension is measured on the inner window only: monomials
     # near the outer cap lack the products that would reduce them and must
-    # not be counted.
+    # not be counted.  One fork takes the basis unit rows first (independent
+    # when each one pivots), then the rest of the window: the basis columns
+    # lie in the window, so its span is the same.
     inner_w = scaled(inner_cap, scale)
-    inner_units = [{i: 1} for i, (_, w, *_) in enumerate(monomials)
-                   if w <= inner_w]
-    dim_s = len(inner_units)
+    basis_keys = [sum(map(mul, t, steps)) for t in basis]
+    cols = [index[key + lift] for _, lift in heights for key in basis_keys]
+    assert all(monomials[c][1] <= inner_w for c in cols)
+    inner = [i for i, (_, w, *_) in enumerate(monomials) if w <= inner_w]
+    dim_s = len(inner)
     window = elim.fork()
-    dim_quotient = sum(window.add_row(u) for u in inner_units)
-
-    sums = [(sum(map(mul, t, weights)), sum(map(mul, t, steps)))
-            for t in basis]
-    cols = [(w + h, key + lift) for h, lift in heights for w, key in sums]
-    assert all(w <= inner_w for w, _ in cols)
-    with_basis = elim.fork()
-    independent = all(with_basis.add_row({index[key]: 1}) for _, key in cols)
+    independent = all([window.add_row({c: 1}) for c in cols])
+    taken = set(cols)
+    for i in inner:
+        if i not in taken:
+            window.add_row({i: 1})
+    dim_quotient = window.rank - elim.rank
     return dim_s, dim_quotient, independent

@@ -4,21 +4,19 @@ Matrices are plain lists of lists; integer matrices hold Python ints
 (arbitrary precision), rational ones hold fractions.Fraction.  Everything is
 exact: no floats appear anywhere in this package.
 
-``Eliminator`` is the one sparse elimination engine behind every graded
-quotient and every rank of the package.  Over Q and F_p it pivots each row
-on its least column.  Over Z it pivots only on entries +-1, so an
-elimination in which every pivot is a unit certifies a free quotient; only
-a residual block with no unit entry goes to the dense Smith form.  Over
-each ring it then reads off the coordinates of any vector in the quotient.
+``Eliminator`` is the one elimination engine of the package: every graded
+quotient, every rank and the one rational solve (the monotone
+normalization, ``polyhedra.monotone_normalization``) go through it.  Over
+Q and F_p it pivots each row on its least column.  Over Z it pivots only
+on entries +-1, so an elimination in which every pivot is a unit certifies
+a free quotient.  Over each ring it then reads off the coordinates of any
+vector in the quotient.
 
-``cramer`` is a fraction-free (Bareiss) solve of a square integer system.
-It gives ``determinant`` and, one solve per column, ``adjugate``.  The
-vertex geometry needs neither: ``polyhedra.enumerate_vertices`` reads each
-vertex's determinant and adjugate off its own fraction-free tableau.
-
-The dense Smith form pivots naively on a smallest-nonzero entry.  It serves
-the residual blocks of ``Eliminator`` and ``integer_kernel``, where that
-naive pivoting is cheap.
+The dense Smith form, which pivots naively on a smallest-nonzero entry,
+serves only the residual block of ``Eliminator.settle`` (the rows over Z
+without a unit entry) and ``integer_kernel``, where that naive pivoting is
+cheap.  ``extend_to_basis`` completes a greedy basis by column operations
+and returns its inverse with it.
 """
 
 from __future__ import annotations
@@ -27,6 +25,8 @@ import heapq
 import random
 from fractions import Fraction
 from math import gcd, lcm
+
+from .errors import PreconditionError
 
 IntMatrix = list[list[int]]
 
@@ -117,61 +117,6 @@ def smith_normal_form(M: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     return S, U, V
 
 
-def cramer(A: IntMatrix, b: list[int]) -> tuple[int, list[int] | None]:
-    """Fraction-free Cramer solve of a square integer system.
-
-    Returns (det, y) with det = det(A) and A*y = det*b, all in integers
-    (y = adjugate(A)*b), or (0, None) when A is singular.  One Bareiss
-    elimination of [A | b] (Bareiss, Math. Comp. 22, 1968), whose divisions
-    are exact, then back substitution: det*x is integral, so each of its
-    divisions is exact as well.
-    """
-    n = len(A)
-    M = [list(row) + [bi] for row, bi in zip(A, b)]
-    sign = 1
-    prev = 1
-    for k in range(n):
-        if M[k][k] == 0:
-            pivot = next((i for i in range(k + 1, n) if M[i][k] != 0), None)
-            if pivot is None:
-                return 0, None
-            _swap_rows(M, k, pivot)
-            sign = -sign
-        rk = M[k]
-        a = rk[k]
-        for i in range(k + 1, n):
-            ri = M[i]
-            f = ri[k]
-            for j in range(k + 1, n + 1):
-                ri[j] = (ri[j] * a - f * rk[j]) // prev
-            ri[k] = 0
-        prev = a
-    y = [0] * n
-    for i in range(n - 1, -1, -1):
-        ri = M[i]
-        s = prev * ri[n] - sum(ri[j] * y[j] for j in range(i + 1, n))
-        y[i] = s // ri[i]
-    if sign < 0:
-        y = [-v for v in y]
-    return sign * prev, y
-
-
-def determinant(M: IntMatrix) -> int:
-    """Exact determinant by fraction-free Bareiss elimination."""
-    return cramer(M, [0] * len(M))[0]
-
-
-def adjugate(M: IntMatrix) -> IntMatrix:
-    """Integer adjugate of a nonsingular square matrix, so that
-    M * adjugate(M) = det(M) * I.  Column k is the ``cramer`` solve of
-    M * y = det * e_k; a singular M raises ValueError."""
-    n = len(M)
-    cols = [cramer(M, [int(i == k) for i in range(n)])[1] for k in range(n)]
-    if n and cols[0] is None:
-        raise ValueError("a singular matrix has no adjugate here")
-    return transpose(cols)
-
-
 def random_unimodular(n: int, rng: random.Random) -> IntMatrix:
     """Random determinant +-1 matrix from a short word of elementary moves."""
     U = identity(n)
@@ -186,43 +131,13 @@ def random_unimodular(n: int, rng: random.Random) -> IntMatrix:
             U[i], U[jj] = U[jj], U[i]
         else:
             U[i] = [-x for x in U[i]]
-    assert determinant(U) in (1, -1)
+    # det U = +-1 exactly when the integral quotient Z^n / (row lattice)
+    # is free of dimension 0
+    check = Eliminator(integral=True)
+    for row in U:
+        check.add_row(normalize(row))
+    assert check.settle(n) and check.dim == 0
     return U
-
-
-def solve_rational(A, b) -> list[Fraction] | None:
-    """Solve A*x = b exactly over the rationals.
-
-    Returns one solution (free variables set to 0), or None if the system is
-    inconsistent.  A may be rectangular; entries int or Fraction.
-    """
-    m = len(A)
-    n = len(A[0]) if m else 0
-    aug = [[Fraction(x) for x in row] + [Fraction(bi)] for row, bi in zip(A, b)]
-    pivot_cols = []
-    r = 0
-    for c in range(n):
-        pivot = next((i for i in range(r, m) if aug[i][c] != 0), None)
-        if pivot is None:
-            continue
-        aug[r], aug[pivot] = aug[pivot], aug[r]
-        inv = 1 / aug[r][c]
-        aug[r] = [x * inv for x in aug[r]]
-        for i in range(m):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        pivot_cols.append(c)
-        r += 1
-        if r == m:
-            break
-    for i in range(r, m):
-        if aug[i][n] != 0:
-            return None
-    x = [Fraction(0)] * n
-    for row_idx, c in enumerate(pivot_cols):
-        x[c] = aug[row_idx][n]
-    return x
 
 
 def integer_kernel(M: IntMatrix) -> list[list[int]]:
@@ -521,6 +436,31 @@ def extend_to_basis(vectors, r: int, integral: bool = True):
 MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 MILLER_RABIN_LIMIT = 3317044064679887385961981
 PRIME_DIGITS = 24
+
+
+def field_prime(p: int | str) -> int:
+    """The size p of a prime field, an int or a string of ASCII digits.
+
+    Raises PreconditionError unless p is a prime of at most
+    ``PRIME_DIGITS`` decimal digits.  The digits of a string are counted
+    before ``int`` reads them: it is slow on long strings and refuses very
+    long ones."""
+    if isinstance(p, str):
+        if not (p.isascii() and p.isdigit()):
+            shown = p if len(p) <= 12 else p[:12] + "..."
+            raise PreconditionError(f"the field size {shown!r} is not a prime")
+        digits = p.lstrip("0") or "0"
+        if len(digits) > PRIME_DIGITS:
+            raise PreconditionError(
+                f"the field size is too large: {len(digits)} digits, at most "
+                f"{PRIME_DIGITS}")
+        p = int(digits)
+    elif isinstance(p, int) and p >= 10 ** PRIME_DIGITS:
+        raise PreconditionError(f"the field size is too large: more than "
+                                f"{PRIME_DIGITS} digits")
+    if not isinstance(p, int) or not is_prime(p):
+        raise PreconditionError(f"the field size {p!r} is not a prime")
+    return p
 
 
 def is_prime(p: int) -> bool:

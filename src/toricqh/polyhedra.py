@@ -592,15 +592,39 @@ def monotone_normalization(P: DelzantPolyhedron) -> MonotoneNormalization | None
     rescaled so the common offset is 1 (the scale is recorded in ``offset``).
     When every offset of P is already 1, ``rescaled`` is P itself.  Kept on
     P, so all callers share one rescaled polyhedron and what derives from it.
+
+    The unknowns (lambda, b) are columns 0..n and the constant is column
+    n + 1: one row (1, nu_j, -lambda_j) per facet goes to a rational
+    ``linalg.Eliminator``.  Its quotient coordinates are a basis of the
+    linear forms that vanish on every row, one per free column, so the
+    system is solvable exactly when the constant column is free.  The
+    coordinate t that it keeps is then the solution x_c = reduce(e_c)[t]
+    with every other free unknown 0.  The free columns are the same as
+    those of a Gauss-Jordan solve (the pivot columns of an echelon form
+    depend on the row space only), so this is the solution that solve
+    gives.  A system with a family of solutions (e.g. C^n) whose chosen
+    lambda is not positive is solved again with lambda = 1 pinned.
     """
-    A = [[1] + list(nu) for nu in P.normals]
-    b = list(P.offsets)
-    x = linalg.solve_rational(A, b)
+    rows = [[1, *nu, -lam] for nu, lam in zip(P.normals, P.offsets)]
+    x = _solve_homogenized(rows, P.dim + 1)
     if x is not None and x[0] <= 0:
-        # Underdetermined systems (e.g. C^n) admit a family; pin lambda = 1.
-        x = linalg.solve_rational(A + [[1] + [0] * P.dim], b + [Fraction(1)])
+        x = _solve_homogenized(rows + [[1] + [0] * P.dim + [-1]], P.dim + 1)
     if x is None or x[0] <= 0:
         return None
     if set(P.offsets) != {1}:
         P = DelzantPolyhedron(P.dim, P.normals, (Fraction(1),) * P.nfacets)
     return MonotoneNormalization(tuple(x[1:]), x[0], P)
+
+
+def _solve_homogenized(rows, m: int) -> list[Fraction] | None:
+    """The solution of A*x = b with every free unknown 0, or None, for the
+    rows (A | -b) of m unknowns and the constant column m."""
+    elim = linalg.Eliminator()
+    for row in rows:
+        elim.add_row(linalg.normalize(row))
+    elim.settle(m + 1)
+    e = elim.reduce({m: 1})
+    if not any(e):
+        return None
+    t = e.index(1)
+    return [Fraction(elim.reduce({c: 1})[t]) for c in range(m)]

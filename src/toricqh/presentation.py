@@ -272,24 +272,15 @@ def _coerce_ring(c, ring):
 
 
 def _ring_label(ring) -> str:
+    """"Z", "Q" or "F{p}" for the coefficient ring named "Z", "Q" or "Fp"
+    (either case); PreconditionError for any other name, or a p that
+    ``linalg.field_prime`` refuses."""
     if ring in ("Z", "z"):
         return "Z"
     if ring in ("Q", "q"):
         return "Q"
     if isinstance(ring, str) and ring.lower().startswith("f"):
-        digits = ring[1:]
-        if not (digits.isascii() and digits.isdigit()):
-            raise PreconditionError(f"bad prime in coefficient ring {ring!r}")
-        # count the digits before int() reads them: it is slow on long
-        # strings and refuses very long ones
-        digits = digits.lstrip("0") or "0"
-        if len(digits) > linalg.PRIME_DIGITS:
-            raise PreconditionError(
-                f"the prime of coefficient ring {ring[:12]}... is too large: "
-                f"{len(digits)} digits, at most {linalg.PRIME_DIGITS}")
-        if not linalg.is_prime(int(digits)):
-            raise PreconditionError(f"bad prime in coefficient ring {ring!r}")
-        return f"F{digits}"
+        return f"F{linalg.field_prime(ring[1:])}"
     raise PreconditionError(f"unknown coefficient ring {ring!r}")
 
 

@@ -121,17 +121,13 @@ def build_nerve(P: DelzantPolyhedron) -> NerveComplex:
 
 def field_name(p: int | None) -> str:
     """The report name of the coefficient field: "Q" for p None, else
-    "F{p}".  Raises PreconditionError unless p is None or a prime of at
-    most ``linalg.PRIME_DIGITS`` digits."""
+    "F{p}".  Raises PreconditionError unless p is None or an int that
+    ``linalg.field_prime`` accepts."""
     if p is None:
         return "Q"
-    if isinstance(p, int) and p >= 10 ** linalg.PRIME_DIGITS:
-        raise PreconditionError(f"the field size is too large: primes of "
-                                f"more than {linalg.PRIME_DIGITS} digits are "
-                                f"not supported")
-    if not isinstance(p, int) or not linalg.is_prime(p):
-        raise PreconditionError(f"the field size {p!r} is not a prime")
-    return f"F{p}"
+    if isinstance(p, str):  # a field is named by its size, not its digits
+        raise PreconditionError(f"the field size {p[:12]!r} is not a prime")
+    return f"F{linalg.field_prime(p)}"
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,9 @@
 """Reference implementations that the tests compare the package against.
 
 They are the plain versions the package replaced by faster ones, or helpers
-only tests need: a dense matrix product, a dense Gaussian rank, the inverse of
+only tests need: a dense matrix product, a dense Gaussian rank, a dense
+Gauss-Jordan solve, the fraction-free (Bareiss) determinant and adjugate,
+the monotone normalization by that solve, the inverse of
 ``presentation.reduce_to_basis``, the composition search for divisor
 inverse certificates, and a ``topology.graded_rows`` that loses the rows
 into degree n.
@@ -48,6 +50,105 @@ def rank(rows, p=None):
                     M[i] = [x % p for x in M[i]]
         done += 1
     return done
+
+
+def solve_rational(A, b):
+    """Solve A*x = b exactly over the rationals by Gauss-Jordan elimination.
+
+    Returns one solution (free variables set to 0), or None if the system is
+    inconsistent.  A may be rectangular; entries int or Fraction.
+    """
+    m = len(A)
+    n = len(A[0]) if m else 0
+    aug = [[Fraction(x) for x in row] + [Fraction(bi)] for row, bi in zip(A, b)]
+    pivot_cols = []
+    r = 0
+    for c in range(n):
+        pivot = next((i for i in range(r, m) if aug[i][c] != 0), None)
+        if pivot is None:
+            continue
+        aug[r], aug[pivot] = aug[pivot], aug[r]
+        inv = 1 / aug[r][c]
+        aug[r] = [x * inv for x in aug[r]]
+        for i in range(m):
+            if i != r and aug[i][c] != 0:
+                f = aug[i][c]
+                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
+        pivot_cols.append(c)
+        r += 1
+        if r == m:
+            break
+    if any(aug[i][n] != 0 for i in range(r, m)):
+        return None
+    x = [Fraction(0)] * n
+    for row_idx, c in enumerate(pivot_cols):
+        x[c] = aug[row_idx][n]
+    return x
+
+
+def cramer(A, b):
+    """Fraction-free Cramer solve of a square integer system: (det, y) with
+    det = det(A) and A*y = det*b in integers, or (0, None) when A is
+    singular.  One Bareiss elimination of [A | b] (Bareiss, Math. Comp. 22,
+    1968), whose divisions are exact, then back substitution."""
+    n = len(A)
+    M = [list(row) + [bi] for row, bi in zip(A, b)]
+    sign = 1
+    prev = 1
+    for k in range(n):
+        if M[k][k] == 0:
+            pivot = next((i for i in range(k + 1, n) if M[i][k] != 0), None)
+            if pivot is None:
+                return 0, None
+            M[k], M[pivot] = M[pivot], M[k]
+            sign = -sign
+        rk = M[k]
+        a = rk[k]
+        for i in range(k + 1, n):
+            ri = M[i]
+            f = ri[k]
+            for j in range(k + 1, n + 1):
+                ri[j] = (ri[j] * a - f * rk[j]) // prev
+            ri[k] = 0
+        prev = a
+    y = [0] * n
+    for i in range(n - 1, -1, -1):
+        ri = M[i]
+        s = prev * ri[n] - sum(ri[j] * y[j] for j in range(i + 1, n))
+        y[i] = s // ri[i]
+    if sign < 0:
+        y = [-v for v in y]
+    return sign * prev, y
+
+
+def determinant(M):
+    """Exact determinant of a square integer matrix."""
+    return cramer(M, [0] * len(M))[0]
+
+
+def adjugate(M):
+    """Integer adjugate of a nonsingular square matrix, one ``cramer``
+    solve per column; a singular M raises ValueError."""
+    n = len(M)
+    cols = [cramer(M, [int(i == k) for i in range(n)])[1] for k in range(n)]
+    if n and cols[0] is None:
+        raise ValueError("a singular matrix has no adjugate here")
+    return [list(row) for row in zip(*cols)]
+
+
+def monotone_normalization(P):
+    """(translation, offset) of ``polyhedra.monotone_normalization`` by the
+    dense solve of lambda_j = lambda + <b, nu_j>, again with lambda = 1
+    pinned when the first solution has lambda <= 0; None when no solution
+    has lambda > 0."""
+    A = [[1] + list(nu) for nu in P.normals]
+    b = list(P.offsets)
+    x = solve_rational(A, b)
+    if x is not None and x[0] <= 0:
+        x = solve_rational(A + [[1] + [0] * P.dim], b + [Fraction(1)])
+    if x is None or x[0] <= 0:
+        return None
+    return tuple(x[1:]), x[0]
 
 
 def recompose_from_basis(coords, Q):

@@ -231,6 +231,16 @@ def test_bad_arguments_exit_codes(tmp_path, capsys, name, command, args,
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("ring", ["bogus", "fp:4"])
+@pytest.mark.parametrize("command", cli.COMMANDS)
+def test_every_command_checks_the_ring(capsys, command, ring):
+    code, out, err = run(capsys, "--input", data_path("cp2"),
+                         "--command", command, "--ring", ring)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("argv", [[], ["--input", data_path("cp1")]])
 def test_missing_required_option(capsys, argv):
     code, out, err = run(capsys, *argv)

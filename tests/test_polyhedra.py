@@ -1,6 +1,7 @@
 import importlib.util
 import itertools
 import math
+import operator
 import random
 from fractions import Fraction
 from math import gcd
@@ -8,6 +9,7 @@ from math import gcd
 import pytest
 
 import lp
+import reference
 from reference import mat_mul
 from toricqh import catalog, linalg, monoid, polyhedra
 from toricqh.errors import PreconditionError, SchemaError
@@ -57,9 +59,9 @@ def _reference_vertices(P):
     points = set()
     for subset in itertools.combinations(range(P.nfacets), P.dim):
         A = [list(P.normals[j]) for j in subset]
-        if linalg.determinant(A) == 0:
+        if reference.determinant(A) == 0:
             continue
-        x = linalg.solve_rational(A, [-P.offsets[j] for j in subset])
+        x = reference.solve_rational(A, [-P.offsets[j] for j in subset])
         if all(pairing(nu, x) >= -lam for nu, lam in zip(P.normals, P.offsets)):
             points.add(tuple(x))
     return tuple(
@@ -110,9 +112,9 @@ def _reference_basis(P, v):
     columns."""
     labels = next(sub for sub in itertools.combinations(sorted(v.incident),
                                                         P.dim)
-                  if linalg.determinant([list(P.normal(j)) for j in sub]))
+                  if reference.determinant([list(P.normal(j)) for j in sub]))
     A = [[P.normal(j)[i] for j in labels] for i in range(P.dim)]
-    return labels, linalg.adjugate(A), linalg.determinant(A)
+    return labels, reference.adjugate(A), reference.determinant(A)
 
 
 def _reference_violations(P):
@@ -125,7 +127,7 @@ def _reference_violations(P):
         if len(labels) != P.dim:
             out.append(f"{where}: {len(labels)} facets meet (expected {P.dim})")
             continue
-        det = linalg.determinant([list(P.normal(j)) for j in labels])
+        det = reference.determinant([list(P.normal(j)) for j in labels])
         if det not in (1, -1):
             out.append(f"{where}: normal determinant {det} is not a unit")
     return tuple(out)
@@ -185,34 +187,33 @@ def test_walk_without_vertices_in_one_dimension_and_with_rays(
 
 def test_walk_pivots_instead_of_solving(monkeypatch):
     # A relabelled 6-cube (C(12, 6) = 924 subsets) and a corner cut of it
-    # (C(13, 6) = 1716): no Cramer solve, and at most V * n pivots, plus
-    # one per basis at each degenerate vertex, as on the octahedron and
-    # the square pyramid.
+    # (C(13, 6) = 1716): linalg has no dense solver left to call, and at
+    # most V * n pivots, plus one per basis at each degenerate vertex, as
+    # on the octahedron and the square pyramid.
     rng = random.Random(6)
     cube = [(tuple(s * (i == j) for i in range(6)), 1)
             for j in range(6) for s in (1, -1)]
     cube = relabel_lattice(polyhedron(6, cube), random_unimodular(6, rng))
     cases = [cube, catalog.blow_up(cube, 5), polyhedron(3, OCTAHEDRON),
              polyhedron(3, SQUARE_PYRAMID)]
-    counts = {"cramer": 0, "pivot": 0}
+    assert not any(hasattr(linalg, name) for name in (
+        "cramer", "determinant", "adjugate", "solve_rational"))
+    counts = {"pivot": 0}
 
-    def counting(name, fn):
+    def counting(fn):
         def wrapped(*args):
-            counts[name] += 1
+            counts["pivot"] += 1
             return fn(*args)
         return wrapped
 
-    monkeypatch.setattr(linalg, "cramer", counting("cramer", linalg.cramer))
-    monkeypatch.setattr(polyhedra, "_pivot", counting("pivot",
-                                                      polyhedra._pivot))
+    monkeypatch.setattr(polyhedra, "_pivot", counting(polyhedra._pivot))
     for P in cases:
         fresh = DelzantPolyhedron(P.dim, P.normals, P.offsets)
-        counts.update(cramer=0, pivot=0)
+        counts.update(pivot=0)
         vertices = enumerate_vertices(fresh)
         assert vertices == enumerate_vertices(P)
         exchanges = sum(math.comb(len(v.incident), P.dim) for v in vertices
                         if len(v.incident) > P.dim)
-        assert counts["cramer"] == 0
         assert 0 < counts["pivot"] <= len(vertices) * P.dim + exchanges
     assert [math.comb(P.nfacets, P.dim) for P in cases[:2]] == [924, 1716]
 
@@ -261,11 +262,11 @@ def test_vertex_basis(corpus):
         for k, v in enumerate(enumerate_vertices(P)):
             labels, adj, det = vertex_basis(P, k)
             first = next(sub for sub in itertools.combinations(
-                sorted(v.incident), P.dim) if linalg.determinant(
+                sorted(v.incident), P.dim) if reference.determinant(
                     [list(P.normal(j)) for j in sub]))
             assert labels == first
             A = [[P.normal(j)[i] for j in labels] for i in range(P.dim)]
-            assert det == linalg.determinant(A)
+            assert det == reference.determinant(A)
             assert mat_mul(A, adj) == [
                 [det * (i == j) for j in range(P.dim)] for i in range(P.dim)]
             if P is not pyramid:
@@ -423,6 +424,52 @@ def test_monotone_normalization_cp1_scaled():
 
 def test_monotone_normalization_hirzebruch_absent(corpus):
     assert monotone_normalization(corpus["hirzebruch_f2"]) is None
+
+
+def _translated_monotone(rng, P):
+    """P's normals with offsets 1 + <b, nu_j> for a random small rational b,
+    or None where one of them is not positive: the translate by -b of the
+    offsets-1 arrangement, left unchecked (the normalization reads only the
+    normals and offsets)."""
+    b = [Fraction(rng.randrange(-2, 3), rng.randrange(2, 7))
+         for _ in range(P.dim)]
+    offsets = tuple(1 + sum(map(operator.mul, b, nu)) for nu in P.normals)
+    if min(offsets) <= 0:
+        return None
+    return DelzantPolyhedron(P.dim, P.normals, offsets)
+
+
+def test_monotone_normalization_matches_dense_solve():
+    # The eliminator's solution is the dense Gauss-Jordan one: same None,
+    # same translation and offset, also where lambda = 1 is pinned, on every
+    # corpus file (vertexless and non_delzant included) and random input.
+    corpus = [catalog.load_example(name) for name in catalog.example_names()]
+    pinned = polyhedron(2, [((1, 0), 1), ((2, 1), 3)])
+    assert reference.solve_rational([[1, 1, 0], [1, 2, 1]], [1, 3])[0] == -1
+    assert reference.monotone_normalization(pinned) == (
+        (Fraction(0), Fraction(2)), Fraction(1))
+    assert reference.monotone_normalization(
+        catalog.load_example("hirzebruch_f2")) is None
+    rng = random.Random(22)
+    cases = [*corpus, pinned]
+    while len(cases) < len(corpus) + 1 + 240:
+        P = catalog.random_delzant(rng, 1 + len(cases) % 4,
+                                   3 + len(cases) % 6,
+                                   allow_noncompact=len(cases) % 3 != 0)
+        cases.append(P)
+        translated = _translated_monotone(rng, P)
+        if translated is not None:
+            cases.append(translated)
+    found = {True: 0, False: 0}
+    for P in cases:
+        norm = monotone_normalization(P)
+        got = None if norm is None else (norm.translation, norm.offset)
+        assert got == reference.monotone_normalization(P), P
+        found[norm is not None] += 1
+        if norm is not None:
+            assert all(type(x) is Fraction
+                       for x in (*norm.translation, norm.offset))
+    assert min(found.values()) >= 20, found
 
 
 def test_monotone_normalization_orthant_family(corpus):

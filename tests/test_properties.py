@@ -1,7 +1,7 @@
 """Property tests over seeded random Delzant polyhedra (hypothesis).
 
 The integer ``ConeMonoid.decompose`` is checked against a rational
-reference: ``linalg.solve_rational`` on the incident normals at the first
+reference: ``reference.solve_rational`` on the incident normals at the first
 vertex of least theta_v.  The classical structure constants over Z must
 make a commutative, associative ring with unit e_0, and the classical ranks
 must agree over Z, Q and F_p, since the cohomology is free.
@@ -13,6 +13,7 @@ from functools import cache
 
 import pytest
 
+import reference
 from toricqh import catalog, linalg
 from toricqh import presentation as pr
 from toricqh import topology as tp
@@ -34,7 +35,7 @@ def reference_decompose(ctx, lam, nu):
     v = ctx.vertices[ths.index(min(ths))]
     labels = sorted(v.incident)  # Delzant: exactly dim of them
     A = [[P.normal(j)[i] for j in labels] for i in range(P.dim)]
-    x = linalg.solve_rational(A, list(nu))
+    x = reference.solve_rational(A, list(nu))
     t = [0] * P.nfacets
     for xj, j in zip(x, labels):
         assert xj.denominator == 1 and xj >= 0
