@@ -21,11 +21,10 @@ at this cap", not a proof of non-freeness.
 
 The slice runs in integers: every weight and height is scaled by one common
 denominator D', and the monomial T^h * v^t is keyed by one integer of
-``topology.SRKeys`` (which owns the format) over the scaled vectors
-(theta_{v0}, lam, nu) of the N generators and of T, v0 being the first
-vertex.  The keys are linear, so the column of a product is found by adding
-two keys, and sorting them sorts the monomials by theta_{v0} first.  The
-slice is enumerated by ``topology.sr_walk``, which sums the generators'
+``topology.SRKeys`` over the scaled vectors (lam, nu) of the N generators
+and of T, ordered by theta_{v0}, v0 being the first vertex.  The keys are
+linear, so the column of a product is the sum of two keys.  The slice is
+enumerated by ``topology.sr_walk``, which sums the generators'
 (weight, key) face by face and stops at the cap; unit entries for the
 facets of the first vertex carry the exponents that the Koszul skip below
 reads, and the theta_v of every vertex give the height of a product that
@@ -56,15 +55,10 @@ modulo p.  Each relation is normalized once by ``linalg.normalize``
 (scaled to integers over Q, reduced to residues over F_p) and its rows go
 to the eliminator as they are.
 
-Lead order.  theta_{v0}(v_{s_k}) = 0, while every other term of c'_k has
-theta_{v0} > 0: the facets outside S miss v0, and every perturbation term
-has positive height.  So in the row c'_k * m the lead product v_{s_k} * m
-has the least theta_{v0}, hence the least key and the least column, when
-the slice holds it.  The rows reach the eliminator sorted by least column,
-and it pivots every row on its least column; inside the Koszul window the
-kept rows have distinct lead products, so most rows become pivot rows on
-their lead with little reduction.  The rank, and every reported number,
-does not depend on the order of the rows or of the columns.
+Lead order, as in ``topology.graded_rows``: theta_{v0} is 0 on v_{s_k}
+and positive on every other term of c'_k (the facets outside S miss v0,
+and every perturbation term has positive height), and the rows reach the
+eliminator sorted by least column.
 """
 
 from __future__ import annotations
@@ -203,14 +197,14 @@ def _attempt(P, ctx, levels, g, relations, cap, inner_cap, basis, p):
     lead order of the module docstring need that basis.
 
     Keys.  Everything is scaled by one integer D' (``scale``).  A monomial
-    is keyed by ``topology.SRKeys`` over the vectors (theta_{v0}, lam, nu)
-    * D' of the N generators and of T, one step of T per unit of D' *
-    height, with ``top`` the scaled cap.  Every generator has scaled weight
-    at least 1, so a monomial of T-weight at most the cap, in the slice or
-    a product that a row reaches, is a sum of at most ``top`` steps: its key
-    is unique and sorts as its vector does.  The walk carries the key, a
-    level adds a multiple of the step of T, and the column of the product
-    of m by a relation term is ``index.get(key(m) + key(term))``.
+    is keyed by ``topology.SRKeys`` over the vectors (lam, nu) * D' of the
+    N generators and of T, ordered by theta_{v0} * D', one step of T per
+    unit of D' * height, with ``top`` the scaled cap.  Every generator has
+    scaled weight at least 1, so a monomial of T-weight at most the cap, in
+    the slice or a product that a row reaches, is a sum of at most ``top``
+    steps: its key is unique and sorts as its vector does.  The walk
+    carries the key, a level adds a multiple of the step of T, and the
+    column of m times a relation term is ``index.get(key(m) + key(term))``.
 
     Truncation.  Every monomial of the slice has height below g, so a
     product that the slice does not hold must have height at least g,
@@ -218,13 +212,11 @@ def _attempt(P, ctx, levels, g, relations, cap, inner_cap, basis, p):
     only, from the theta_v vectors of m (carried by the walk) and of the
     term, and VerificationError is raised for a product of height below g.
 
-    Rows by lead.  The rows of c'_k come in the key order of m, and their
-    lead products v_{s_k} * m, each its row's least column, rise with m.  A
-    row whose lead product is cut by the truncation has its least column
-    at a larger theta_{v0} than the lead product of m and of every later
-    monomial, so it waits in a small heap until the stream reaches its
-    column.  The n streams, each sorted by least column, are merged into
-    the eliminator without storing the rows.
+    Rows by lead.  The rows of c'_k come in the key order of m, and so do
+    their lead products v_{s_k} * m, their least columns.  A row whose lead
+    is cut by the truncation has a later least column, so it waits in a
+    small heap until the stream reaches it.  The n streams, each sorted by
+    least column, are merged into the eliminator without storing the rows.
     """
     nerve = topology.build_nerve(P)
     rel_weight = max((mm.lam for rel in relations for mm in rel.terms),
@@ -234,15 +226,12 @@ def _attempt(P, ctx, levels, g, relations, cap, inner_cap, basis, p):
                 *(mm.lam.denominator for rel in relations for mm in rel.terms))
     k = scale // ctx.scale
     n = P.dim
-    v0 = ctx.scaled_points[0]
-
-    def vector(w, nu):  # (theta_{v0}, lam, nu) * D' of (lam * D' = w, nu)
-        return (w + k * sum(map(mul, v0, nu)), w, *nu)
-
     cap_s = scaled(cap, scale)
     weights = [k * lam for lam in ctx.scaled_offsets]
-    keys = topology.SRKeys([*map(vector, weights, P.normals),
-                            vector(1, (0,) * n)], cap_s)
+    # theta_{v0} * D' of (lam * D' = w, nu) is w + k * <v0 * D, nu>
+    keys = topology.SRKeys([*((w, *nu) for w, nu in zip(weights, P.normals)),
+                            (1,) + (0,) * n], cap_s,
+                           (1, *(k * x for x in ctx.scaled_points[0])))
     *steps, t_step = keys.steps
     rel_w = scaled(rel_weight, scale)
     w_max = cap_s - rel_w
@@ -297,7 +286,7 @@ def _attempt(P, ctx, levels, g, relations, cap, inner_cap, basis, p):
         # normalized coefficient is a row entry as it is; the lead term
         # v_{s_i}, at theta_{v0} = 0, has the least key
         (first, a, lead_th), *terms = sorted(
-            (keys.encode(vector(w, mm.nu)), c,
+            (keys.encode((w, *mm.nu)), c,
              [w + k * x for x in ctx.pairings(mm.nu)])
             for mm, c in linalg.normalize(rel.terms, p).items()
             for w in [scaled(mm.lam, scale)])

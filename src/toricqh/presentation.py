@@ -14,18 +14,18 @@ the relation rows from ``topology.graded_rows`` in the lattice basis of the
 first vertex, so they, and their cost, do not depend on the lattice basis
 of the input.  A slice monomial is keyed by an integer of
 ``topology.SRKeys``, which encodes its exponent vector (classical) or its
-nu (quantum) and sorts as that vector does lexicographically; each layer
-keeps its ``SRKeys`` to find the column of a vector.  Over Z the rows are
-nonzero ints and go to the eliminator as they are; over Q they are scaled
-to integers by ``linalg.normalize``.
+nu (quantum) in the first vertex's lead order (``topology.graded_rows``);
+each layer keeps its ``SRKeys`` to find the column of a vector.  Over Z
+the rows are nonzero ints and go to the eliminator as they are; over Q
+they are scaled to integers by ``linalg.normalize``.
 
 Basis convention: within each degree, monomials are scanned in ascending
-graded-lexicographic order on exponent vectors and picked greedily so that
-the picked classes extend to a free basis of the graded quotient.  The
-greedy rule runs on the images of the monomials in the quotient Z^r (r a
-Betti number); the inverse of the picked r x r matrix turns quotient
-coordinates into coefficients on the basis, so each structure constant is
-one sparse reduction.
+graded-lexicographic order on exponent vectors (``SRKeys.lex``, not the
+column order) and kept when their image modulo the kept ones in the
+quotient Z^r (r a Betti number) is nonzero and primitive.  No automorphism
+of Z^r changes that test, so the basis does not depend on the column
+order.  The inverse of the kept r x r matrix turns quotient coordinates
+into coefficients on the basis, so a structure constant is one reduction.
 """
 
 from __future__ import annotations
@@ -33,8 +33,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
-from operator import mul
+from operator import add, mul
 
 from . import linalg, topology
 from .errors import PreconditionError, VerificationError
@@ -116,26 +115,24 @@ class QuotientLayer:
         return out
 
 
-def _graded_layer(index, keys, rows, integral, where, claimed=None,
-                  first_idx=0) -> QuotientLayer:
+def _graded_layer(index, keys, rows, integral, where, candidates,
+                  claimed=False, first_idx=0) -> QuotientLayer:
     """Eliminate the relation rows of one slice and fix its basis.
 
-    Without ``claimed`` the basis is picked greedily: the first columns, in
-    slice order, whose classes extend to a free basis of the quotient (over
-    Z) or to a basis (over Q).  With ``claimed`` those columns must be such
-    a basis.  ``first_idx`` is the global index of the first basis element;
-    ``where`` names the slice in error messages.
+    Without ``claimed`` the basis is picked greedily: the first columns of
+    ``candidates``, in order, whose classes extend to a free basis of the
+    quotient (over Z) or to a basis (over Q).  With ``claimed`` the
+    candidates must be such a basis.  ``first_idx`` is the global index of
+    the first basis element; ``where`` names the slice in error messages.
     """
     elim = linalg.Eliminator(integral=integral)
     for row in rows:
         elim.add_row(row if integral else linalg.normalize(row))
     if not elim.settle(len(index)):
         raise VerificationError(f"torsion in {where}")
-    candidates = range(len(index)) if claimed is None else claimed
     kept, inverse = linalg.extend_to_basis(
         (elim.reduce({col: 1}) for col in candidates), elim.dim, integral)
-    if len(kept) != elim.dim or (claimed is not None and
-                                 len(claimed) != elim.dim):
+    if len(kept) != elim.dim or (claimed and len(candidates) != elim.dim):
         raise VerificationError(f"the {'claimed' if claimed else 'slice'} "
                                 f"monomials hold no basis of {where} (rank "
                                 f"{elim.dim})")
@@ -197,29 +194,25 @@ def classical_presentation(P: DelzantPolyhedron, ring: str = "Z",
     plain = None if _rho is None else classical_presentation(P)
     rho = _rho if _rho is not None else (1,) * P.nfacets
     integral = all(r in (1, -1) for r in rho)
-    K = topology.build_nerve(P)
-    n, N = P.dim, P.nfacets
-    keys = topology.SRKeys([tuple(int(k == j) for k in range(N))
-                            for j in range(N)], n)
-    S, coords = vertex_coordinates(P, 0)
-    leads = [s - 1 for s in S]
-    weights = [[c * r for c in w] for w, r in zip(coords, rho)]
     # rows over Z go to the eliminator unnormalized, so their entries (here
     # and in quantum_presentation, which uses the same weights) are ints
-    assert not integral or all(type(c) is int for w in weights for c in w)
-    slices = topology.sr_slices(K, keys)
+    assert not integral or all(type(r) is int for r in rho)
+    K = topology.build_nerve(P)
+    n = P.dim
+    keys, leads, walk = topology.vertex_rows(P, n, rho)
 
     layers = []
     basis = []
-    for d, (index, rows) in enumerate(topology.graded_rows(
-            slices, keys.steps, weights, leads)):
-        claimed = None if plain is None else \
-            [index[keys.encode(e)] for e in plain.basis if sum(e) == d]
+    for d, (index, rows) in enumerate(walk):
+        keyed = list(index)
+        scan = sorted(keyed, key=keys.lex) if plain is None else \
+            [keys.encode(e) for e in plain.basis if sum(e) == d]
         layer = _graded_layer(index, keys, rows, integral,
                               f"the classical quotient at degree {d}",
-                              claimed, first_idx=len(basis))
+                              [index[m] for m in scan], plain is not None,
+                              len(basis))
         layers.append(layer)
-        basis.extend(keys.decode(slices[d][col]) for col in layer.basis_cols)
+        basis.extend(keys.decode(keyed[col]) for col in layer.basis_cols)
     if not topology.top_class_certificate(layer.echelon, layer.index,
                                           keys.steps, leads):
         raise VerificationError(f"classical cohomology is not certified to "
@@ -242,11 +235,11 @@ def classical_presentation(P: DelzantPolyhedron, ring: str = "Z",
 
 
 def _classical_structure(K, layers, basis, ring):
-    table = []
-    for ea in basis:
-        row_tab = []
-        for eb in basis:
-            m = tuple(x + y for x, y in zip(ea, eb))
+    # e_a * e_b = e_b * e_a: one product per unordered pair
+    table = [[None] * len(basis) for _ in basis]
+    for a, ea in enumerate(basis):
+        for b in range(a, len(basis)):
+            m = tuple(map(add, ea, basis[b]))
             d = sum(m)
             coeffs = [0] * len(basis)
             support = frozenset(j + 1 for j, t in enumerate(m) if t)
@@ -254,9 +247,9 @@ def _classical_structure(K, layers, basis, ring):
                 layer = layers[d]
                 for g, c in layer.coords({layer.column(m): 1}).items():
                     coeffs[g] = c
-            row_tab.append(tuple(_coerce_ring(c, ring) for c in coeffs))
-        table.append(tuple(row_tab))
-    return tuple(table)
+            table[a][b] = table[b][a] = tuple(_coerce_ring(c, ring)
+                                              for c in coeffs)
+    return tuple(map(tuple, table))
 
 
 def _coerce_ring(c, ring):
@@ -381,23 +374,16 @@ def quantum_presentation(P: DelzantPolyhedron, margin: int = 0,
     basis_nu = [tuple(sum(map(mul, e, col)) for col in columns) for e in basis]
 
     bound = 2 * n + margin
-    S, coords = vertex_coordinates(Pn, 0)
-    weights = [[r * c for c in w] for w, r in zip(coords, rho_coeff)]
-    K = topology.build_nerve(Pn)
-    keys = topology.SRKeys(Pn.normals, bound)
-    # T * (slice k-1) and the height-zero monomials v^t of degree k, keyed
-    # by nu; by uniqueness of canonical decompositions no two t share a nu
-    slices = accumulate(topology.sr_slices(K, keys),
-                        lambda nus, new: sorted(nus + new))
+    keys, _, walk = topology.vertex_rows(Pn, bound, rho_coeff, by_nu=True)
     layers = []
-    for k, (index, rows) in enumerate(topology.graded_rows(
-            slices, keys.steps, weights, [s - 1 for s in S])):
+    for k, (index, rows) in enumerate(walk):
         # the basis is sorted by degree, so T^(k - deg e_g) * e_g for the
         # first len(claimed) indices g
         claimed = [index[keys.encode(nu)]
                    for nu, d in zip(basis_nu, degs) if d <= k]
         layer = _graded_layer(index, keys, rows, integral,
-                              f"the quantum quotient at T-degree {k}", claimed)
+                              f"the quantum quotient at T-degree {k}",
+                              claimed, True)
         layers.append(layer)
 
     qp = QuantumPresentation(
@@ -410,19 +396,19 @@ def quantum_presentation(P: DelzantPolyhedron, margin: int = 0,
 
 
 def _quantum_structure(Q: QuantumPresentation, basis_nu):
-    table = []
-    for a, da in enumerate(Q.basis_degrees):
-        row_tab = []
-        for b, db in enumerate(Q.basis_degrees):
-            k = da + db
+    # e_a * e_b = e_b * e_a: one product per unordered pair
+    degs = Q.basis_degrees
+    table = [[None] * len(degs) for _ in degs]
+    for a, da in enumerate(degs):
+        for b in range(a, len(degs)):
+            k = da + degs[b]
             layer = Q.layers[k]
-            nu = tuple(x + y for x, y in zip(basis_nu[a], basis_nu[b]))
-            coords = layer.coords({layer.column(nu): 1})
-            row_tab.append(tuple(
+            coords = layer.coords(
+                {layer.column(tuple(map(add, basis_nu[a], basis_nu[b]))): 1})
+            table[a][b] = table[b][a] = tuple(
                 _tpoly([(k - dg, _coerce_ring(coords[g], Q.ring))])
-                if g in coords else () for g, dg in enumerate(Q.basis_degrees)))
-        table.append(tuple(row_tab))
-    return tuple(table)
+                if g in coords else () for g, dg in enumerate(degs))
+    return tuple(map(tuple, table))
 
 
 def reduce_to_basis(x: FilteredElement, Q: QuantumPresentation):

@@ -11,8 +11,8 @@ every face link must vanish below the dimension of the respective complex.
 The Stanley-Reisner monomials are enumerated by ``sr_walk`` alone.  Its
 degree slices (``sr_slices``) key each monomial by one integer of
 ``SRKeys``, linear in the exponents, and ``graded_rows`` builds the
-"linear form times monomial" rows over them for the classical, quantum and
-regular-sequence quotients.
+"linear form times monomial" rows over them, in one lead order, for the
+classical, quantum and regular-sequence quotients.
 
 The classical and regular-sequence quotients vanish in degree n+1 on
 Delzant input.  ``top_class_certificate`` proves it from the degree-n
@@ -29,7 +29,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from math import comb
-from operator import add
+from operator import add, mul
 
 from . import linalg
 from .errors import PreconditionError, VerificationError
@@ -338,29 +338,37 @@ def sr_walk(K: NerveComplex, vectors, cap: int):
 
 class SRKeys:
     """Linear integer keys for the Stanley-Reisner monomials of degree at
-    most ``top``: the monomial v^t is keyed by the integer vector
-    sum_j t_j * vectors[j], written as the integer sum_j t_j * steps[j].
+    most ``top``, and the one owner of the column order of a slice.
 
-    Coordinate i of such a vector lies in the window [low_i, low_i + base),
-    fixed by ``top`` (taken as at least 1) and the signs of the entries of
-    the vectors, and the key reads the vector as base-``base`` digits, the
-    first coordinate most significant:
-    key = sum_i x_i * base^(width - 1 - i).  On vectors within the windows
-    this is injective and keeps their lexicographic order, so sorting keys
-    sorts the vectors; it is linear, so multiplying by Z_j adds ``steps[j]``
-    to every key.  ``encode`` and ``decode`` convert between vectors and
-    keys; nothing outside this class knows the format.
+    The monomial v^t is keyed by its vector x = sum_j t_j * vectors[j],
+    behind the digit <order, x> of a linear ``order`` functional if given
+    (the lead order of ``graded_rows``): the key reads (<order, x>, x) as
+    base-``base`` digits, the first most significant, each in a window
+    [low_i, low_i + base) fixed by ``top`` (taken as at least 1) and the
+    signs of the entries.  On vectors within the windows it is injective
+    and keeps their lexicographic order, and it is linear, so multiplying
+    by Z_j adds ``steps[j]`` to every key.  ``encode`` and ``decode`` take
+    and give x, and ``lex`` sorts keys as x does; nothing outside this
+    class knows the format.
     """
 
-    def __init__(self, vectors, top: int):
+    def __init__(self, vectors, top: int, order=None):
         # the steps are keys of degree 1, so the windows hold degree 1 too
         reach = max(top, 1)
-        columns = list(zip(*vectors))
+        self.order = order
+        full = list(map(self._digits, vectors))
+        columns = list(zip(*full))
         self.top = top
         self.low = tuple(reach * min(0, *col) for col in columns)
         self.base = 1 + max(reach * max(0, *col) - lo
                             for col, lo in zip(columns, self.low))
-        self.steps = tuple(map(self._horner, vectors))
+        self.steps = tuple(map(self._horner, full))
+        self._origin = self._horner(self.low)
+        self._plain = self.base ** len(vectors[0])
+
+    def _digits(self, vec) -> tuple:
+        order = () if self.order is None else (sum(map(mul, self.order, vec)),)
+        return (*order, *vec)
 
     def _horner(self, vec) -> int:
         key = 0
@@ -369,23 +377,30 @@ class SRKeys:
         return key
 
     def encode(self, vec) -> int:
-        """The key of an integer vector; ValueError outside the windows,
-        where keys would no longer be unique."""
+        """The key of a plain integer vector; ValueError outside the
+        windows, where keys would no longer be unique."""
+        vec = self._digits(vec)
         if len(vec) != len(self.low) or not all(
                 0 <= x - lo < self.base for x, lo in zip(vec, self.low)):
             raise ValueError(f"{tuple(vec)} is outside the key windows")
         return self._horner(vec)
 
     def decode(self, key: int) -> tuple[int, ...]:
-        """The vector of a key, as a tuple."""
-        rest = key - self._horner(self.low)
+        """The plain vector of a key, as a tuple."""
+        rest = key - self._origin
         digits = []
         for lo in reversed(self.low):
             rest, digit = divmod(rest, self.base)
             digits.append(lo + digit)
         if rest:
             raise ValueError(f"{key} is not a key of these windows")
-        return tuple(reversed(digits))
+        digits.reverse()
+        return tuple(digits if self.order is None else digits[1:])
+
+    def lex(self, key: int) -> int:
+        """An integer that sorts keys as their plain vectors sort
+        lexicographically: the key without its order digit."""
+        return (key - self._origin) % self._plain
 
 
 def sr_slices(K: NerveComplex, keys: SRKeys) -> list[list[int]]:
@@ -427,14 +442,22 @@ def graded_rows(slices, steps, weights, leads=()):
     Keys are the integers of ``SRKeys`` and each slice lists them in column
     order, so the column order is the key order.  Z_j adds ``steps[j]`` to
     a key, and the steps are distinct, so no two entries of a row add up.
-    Products missing from the next slice are 0 there and dropped.  Rows
-    come monomial by monomial in the order of the slice before, and for
-    each monomial form by form.
-
-    Koszul rule (Faugere's F5, ISSAC 2002).  ``leads`` are the variables
+    Products missing from the next slice are 0 there and dropped.  Each
+    slice's rows come sorted by least column.  ``leads`` are the variables
     s_0, s_1, ... of a vertex basis S, in which the forms read
-    c_k = rho_k Z_{s_k} + sum_{l not in S} w_lk Z_l with rho_k a unit
-    (+-1 over Z).  The row c_k * m is skipped when Z_{s_t} divides m for
+    c_k = rho_k Z_{s_k} + sum_{l not in S} w_lk Z_l, rho_k a unit.
+
+    Lead order (Faugere's F5, ISSAC 2002).  Let the ``SRKeys`` order
+    functional be smaller on every Z_s, s in S, than on every Z_l, l not in
+    S: -1 on S and 0 off it on exponents, <v0, nu> on nu at the first
+    vertex v0 of a normalized polyhedron, theta_{v0} in the Jacobian slice.
+    Then in the row c_k * m the lead product Z_{s_k} * m is the least
+    column when the slice holds it.  The eliminator pivots each row on its
+    least column, over Z its least unit entry, so a sorted row whose lead
+    lies past every earlier pivot becomes a pivot row with no reduction.
+    No rank or reported number depends on the order of rows or columns.
+
+    Koszul rule (F5).  The row c_k * m is skipped when Z_{s_t} divides m for
     some t < k; with no leads every row is kept.  m is divisible by Z_{s_t}
     exactly when a monomial of the slice before reaches it by step s_t, so
     the walk records that while it builds the rows into a slice.  This
@@ -473,8 +496,35 @@ def graded_rows(slices, steps, weights, leads=()):
                 row = {col: w[i] for col, w in cols if w[i]}
                 if row:
                     rows.append(row)
+        rows.sort(key=min)
         yield index, rows
         prev = dict(zip(keys, forms))
+
+
+def vertex_rows(P: DelzantPolyhedron, top: int, rho=None,
+                p: int | None = None, by_nu: bool = False):
+    """(keys, leads, walk): the ``graded_rows`` up to degree ``top``, in the
+    lead order, of the forms in the first vertex's basis, which Delzant
+    makes unimodular, times the units rho_j and mod p if given.  The slices
+    are the Stanley-Reisner ones keyed by exponents or, ``by_nu`` on a
+    normalized monotone P, the T-degree ones keyed by nu: T times the slice
+    before and the Stanley-Reisner slice (no two t share a nu)."""
+    S, coords = vertex_coordinates(P, 0)
+    N = P.nfacets
+    weights = [[c * r if p is None else c * r % p for c in w]
+               for w, r in zip(coords, rho or (1,) * N)]
+    leads = [s - 1 for s in S]
+    if by_nu:  # the offsets are 1, so v0 is integral
+        keys = SRKeys(P.normals, top,
+                      [int(x) for x in enumerate_vertices(P)[0].point])
+        slices = itertools.accumulate(sr_slices(build_nerve(P), keys),
+                                      lambda nus, new: sorted(nus + new))
+    else:
+        keys = SRKeys([tuple(int(k == j) for k in range(N))
+                       for j in range(N)], top,
+                      [-int(j in leads) for j in range(N)])
+        slices = sr_slices(build_nerve(P), keys)
+    return keys, leads, graded_rows(slices, keys.steps, weights, leads)
 
 
 def top_class_certificate(elim: linalg.Eliminator, index, steps,
@@ -483,11 +533,8 @@ def top_class_certificate(elim: linalg.Eliminator, index, steps,
     one degree above the slice of ``index``, without that slice.
 
     ``elim`` holds the rows into the slice, settled on its columns;
-    ``index`` and ``steps`` are the slice's columns and key steps as for
-    ``graded_rows``, and ``face`` are the leads s_0, s_1, ... there: the
-    facets of a vertex, so S = face is a maximal face, in whose basis
-    c_k = rho_k Z_{s_k} + sum_{l not in S} w_lk Z_l with rho_k a unit of
-    the ring.  Then Z_l Z_S lies in I_Delta for l not in S, and
+    ``index``, ``steps`` and the leads ``face`` = S, a maximal face, are
+    as for ``graded_rows``.  Then Z_l Z_S is in I_Delta for l not in S, and
       Z_{s_k} Z_S = rho_k^-1 (c_k Z_S - sum_{l not in S} w_lk Z_l Z_S)
     lies in (c) + I_Delta.  The quotient is generated in degree 1, so when
     its piece in the slice's degree is 0 or spanned by the class of Z_S,
@@ -525,66 +572,41 @@ def regular_sequence_check(P: DelzantPolyhedron, p: int | None = None,
     c_i * (degree d-1 slice) must have dimension equal to the d-th
     coefficient of (1-t)^n * H_SR(t).
 
-    The rows come from ``graded_rows``, in the lattice basis of the first
-    vertex (``polyhedra.vertex_coordinates(P, 0)``): Delzant makes the
-    change of basis unimodular, so the forms span the same ideal over Z, Q
-    and every F_p.  The coefficients are reduced mod p once, so the rows go
-    to the eliminator already normalized.
-
-    The columns are ordered by falling lead degree, the exponent sum on the
-    vertex's facets S = (s_1, ..., s_n), and then lexicographically: the
-    keys of ``SRKeys`` read the vector (-lead degree, t).  In the vertex's
-    basis c_k = Z_{s_k} + sum_{l not in S} w_lk Z_l, so in the row c_k * m
-    the product Z_{s_k} * m has one more lead degree than every other
-    entry: when it is a face monomial it is the row's least column, and its
-    coefficient is 1.  The rows go to the eliminator sorted by least column,
-    and it pivots every row on its least column, so a row whose lead
-    product no earlier row pivots on becomes a pivot row there with no
-    reduction.  The rank, and so every reported dimension, does not depend
-    on the order of the rows or the columns.
+    The rows and columns are the first vertex's (``vertex_rows``), in the
+    lead order of ``graded_rows``, reduced mod p once.
 
     Slices are walked and ranked up to degree n only, for any ``maxdeg``.
     On Delzant input the normals at every vertex form a Z-basis, so over Q
     and over every F_p the forms are a linear system of parameters (Kind
     and Kleinschmidt, Math. Z. 167, 1979), and the quotient is spanned by
     the face monomials, of degree at most n.  So the quotient vanishes in
-    degree n+1.  That is certified from the degree-n elimination by
-    ``top_class_certificate``: the quotient is 0 there, or of dimension 1
-    and spanned by the class of Z_S.  If the certificate fails,
-    VerificationError is raised.  The quotient ring is generated in degree
-    1, so once a degree is zero every higher one is, and slices are ranked
-    only up to the first such degree.  They are walked only up to the first
-    degree whose expected value is 0, at most n on non-compact input, and
-    walked again up to n only when the quotient there is not 0.  The
-    expected values are computed for every degree up to ``maxdeg``, so the
-    verdict compares the full sequences; the report keeps the Hilbert
-    function of the Stanley-Reisner ring they come from.
+    degree n+1, which ``top_class_certificate`` certifies from the degree-n
+    elimination, or VerificationError is raised.  The quotient ring is
+    generated in degree 1, so once a degree is zero every higher one is:
+    slices are ranked only up to the first such degree, and walked only up
+    to the first degree whose expected value is 0 (at most n), and again up
+    to n only when the quotient there is not 0.  The expected values are
+    computed for every degree up to ``maxdeg``, so the verdict compares the
+    full sequences; the report keeps the Hilbert function they come from.
     """
     field = field_name(p)
     if maxdeg is None:
         maxdeg = P.dim + 2
     if maxdeg < P.dim:
         raise PreconditionError(f"maxdeg must be at least the dimension {P.dim}")
-    K = build_nerve(P)
-    n, N = P.dim, P.nfacets
+    n = P.dim
     hilbert = tuple(sr_hilbert_function(P, maxdeg))
     expected = tuple(sum((-1) ** k * comb(n, k) * hilbert[d - k]
                          for k in range(min(d, n) + 1))
                      for d in range(maxdeg + 1))
 
-    S, coords = vertex_coordinates(P, 0)
-    weights = coords if p is None else [[x % p for x in w] for w in coords]
-    leads = [s - 1 for s in S]
     # walk up to the first degree expected to be 0, and on up to n only
     # where the quotient is not 0 there
     first_zero = next((d for d, e in enumerate(expected) if not e), n)
     for top in sorted({min(first_zero, n), n}):
-        keys = SRKeys([(-int(j + 1 in S), *(int(k == j) for k in range(N)))
-                       for j in range(N)], top)
+        keys, leads, walk = vertex_rows(P, top, p=p)
         dims = []
-        for index, rows in graded_rows(sr_slices(K, keys), keys.steps,
-                                       weights, leads):
-            rows.sort(key=min)
+        for index, rows in walk:
             elim = linalg.Eliminator(p)
             for row in rows:
                 elim.add_row(row)

@@ -1,6 +1,9 @@
+import heapq
 import random
 from fractions import Fraction
 from importlib import resources
+from operator import mul
+from types import SimpleNamespace
 
 import pytest
 
@@ -177,17 +180,22 @@ def test_quantum_cpn_rank_and_top_power(corpus):
 
 def test_quantum_slices_match_the_monoid_enumeration(corpus):
     # the columns are built from Stanley-Reisner monomials; the reference
-    # walks the monotone monoid by its definition
+    # walks the monotone monoid by its definition.  The columns run by
+    # <v0, nu> for the first vertex v0, and then by nu
     for name, P in corpus.items():
         norm = monotone_normalization(P)
         if norm is None:
             continue
         Q = pr.quantum_presentation(P, margin=1)
+        v0 = enumerate_vertices(norm.rescaled)[0].point
         for k in range(2 * P.dim + 2):
             layer = Q.layers[k]
-            assert [layer.keys.decode(key) for key in layer.index] == \
-                [m.nu for m in mo.enumerate_gamma_degree(norm.rescaled, k)], \
+            nus = [layer.keys.decode(key) for key in layer.index]
+            assert sorted(nus) == sorted(
+                m.nu for m in mo.enumerate_gamma_degree(norm.rescaled, k)), \
                 (name, k)
+            assert nus == sorted(nus, key=lambda nu: (
+                sum(map(mul, v0, nu)), nu)), (name, k)
 
 
 def _relabelled_cube():
@@ -200,6 +208,12 @@ def _relabelled_cube():
 def _simplex(n):
     return polyhedron(n, [(tuple(int(i == j) for i in range(n)), 1)
                           for j in range(n)] + [((-1,) * n, 1)])
+
+
+def _cube(n):
+    """(CP^1)^n, offsets 1."""
+    return polyhedron(n, [(tuple(s * int(i == j) for i in range(n)), 1)
+                          for j in range(n) for s in (1, -1)])
 
 
 def test_quantum_koszul_rows_span_every_row(monkeypatch):
@@ -244,7 +258,7 @@ def _both_ways(monkeypatch, make, run):
     real = topology.SRKeys
     with monkeypatch.context() as m:
         m.setattr(topology, "SRKeys",
-                  lambda vectors, top: real(vectors, top + 1))
+                  lambda vectors, top, *order: real(vectors, top + 1, *order))
         got = run(make())
     assert (got.ranks, got.basis, got.structure) == \
         (want.ranks, want.basis, want.structure)
@@ -297,23 +311,52 @@ def test_relabelling_needs_no_smith_fallback(monkeypatch):
     # The rows come from the first vertex's basis, so a relabelling of the
     # lattice does not change them: on the corpus and on relabellings of it
     # no residual block is left for the Smith form (the relabelled cube
-    # needed it 14 times with the rows of the ambient normals).
+    # needed it 14 times with the rows of the ambient normals).  CP^4, CP^5
+    # and (CP^1)^4 are keyed in the first vertex's lead order as well.
+    # Only the presentations are watched: ``random_unimodular`` checks its
+    # own output, which may take the Smith form.
+    rng = random.Random(61)
+    extra = [_relabelled_cube(), _simplex(4), _simplex(5), _cube(4)]
+    polys = [catalog.load_example(name) for name in catalog.VALID_EXAMPLES]
+    polys += extra
+    for P in [*map(catalog.load_example, ("cp1xcp1", "cp3", "o_minus_1")),
+              *extra]:
+        polys += [relabel_lattice(P, linalg.random_unimodular(P.dim, rng))
+                  for _ in range(3)]
     calls = []
     real = linalg.smith_normal_form
     monkeypatch.setattr(linalg, "smith_normal_form",
                         lambda M: calls.append(M) or real(M))
-    rng = random.Random(61)
-    polys = [catalog.load_example(name) for name in catalog.VALID_EXAMPLES]
-    polys.append(_relabelled_cube())
-    for name in ("cp1xcp1", "cp3", "o_minus_1", None):
-        P = _relabelled_cube() if name is None else catalog.load_example(name)
-        polys += [relabel_lattice(P, linalg.random_unimodular(P.dim, rng))
-                  for _ in range(3)]
     for P in polys:
         pr.classical_presentation(P)
         if monotone_normalization(P) is not None:
             pr.quantum_presentation(P)
         assert not calls, P
+
+
+def test_first_vertex_lead_order_needs_little_reduction(monkeypatch):
+    """With the columns in the first vertex's lead order and the rows
+    sorted by least column, nearly every row over Z lands on a fresh unit
+    lead: the integral eliminator pops its reduction heap 0 times for CP^4
+    quantum and CP^6, CP^7 classical, and at most 14,190 times for (CP^1)^4
+    quantum (84,711, 82,671, 1,077,135 and 181,845 in plain exponent and
+    nu order)."""
+    pops = []
+
+    def heappop(heap):
+        pops.append(None)
+        return heapq.heappop(heap)
+
+    monkeypatch.setattr(linalg, "heapq", SimpleNamespace(
+        heapify=heapq.heapify, heappush=heapq.heappush, heappop=heappop))
+    for make, run, most in ((lambda: _simplex(4), pr.quantum_presentation, 0),
+                            (lambda: _simplex(6), pr.classical_presentation, 0),
+                            (lambda: _simplex(7), pr.classical_presentation, 0),
+                            (lambda: _cube(4), pr.quantum_presentation, 14190)):
+        pops.clear()
+        P = make()
+        run(P)
+        assert len(pops) <= most, (P, len(pops))
 
 
 def test_quantum_shares_the_classical_presentation(corpus):

@@ -12,8 +12,8 @@ from toricqh import presentation as pr
 from toricqh import topology as tp
 from toricqh.errors import PreconditionError, VerificationError
 from toricqh.jacobian import jacobian_freeness
-from toricqh.polyhedra import (is_compact, polyhedron, relabel_lattice,
-                               vertex_coordinates)
+from toricqh.polyhedra import (is_compact, monotone_normalization,
+                               polyhedron, relabel_lattice, vertex_coordinates)
 
 
 def brute_sr_monomials(K, d):
@@ -555,18 +555,18 @@ def test_regular_sequence_ranks_rows_by_least_column(corpus, monkeypatch):
             led = 0
             prev = {}
             for (index, rows), added in zip(walked, ranked):
-                # columns: sorted keys, decoding to (-lead degree, t)
+                # columns: sorted keys, decoding to t, in the order of
+                # (-lead degree, t); graded_rows sorts the rows
                 vecs = [keys.decode(key) for key in index]
                 assert list(index.values()) == list(range(len(index)))
-                assert vecs == sorted(vecs)
-                assert all(v[0] == -sum(v[s] for s in S) for v in vecs)
-                assert added == sorted(rows, key=min), P
+                assert vecs == sorted(vecs, key=lambda t: (
+                    -sum(t[s - 1] for s in S), t))
+                assert added == rows == sorted(rows, key=min), P
                 kept = {frozenset(row.items()) for row in rows}
                 for m_vec in prev:
                     for k, s in enumerate(S):
                         product = list(m_vec)
-                        product[0] -= 1
-                        product[s] += 1
+                        product[s - 1] += 1
                         lead = index.get(keys.encode(product))
                         if lead is None:
                             continue
@@ -574,8 +574,7 @@ def test_regular_sequence_ranks_rows_by_least_column(corpus, monkeypatch):
                         for j, w in enumerate(coords):
                             c = w[k] if p is None else w[k] % p
                             vec = list(m_vec)
-                            vec[0] -= int(j + 1 in S)
-                            vec[j + 1] += 1
+                            vec[j] += 1
                             col = index.get(keys.encode(vec))
                             if c and col is not None:
                                 row[col] = c
@@ -620,6 +619,33 @@ def _prefix_rows(slices, steps, weights, leads, forms):
         assert len(full) == n * len(counts)
         assert rows == [row for i, c in enumerate(counts)
                         for row in full[n * i:n * i + c]]
+
+
+def test_graded_rows_sort_each_slice_by_least_column(corpus, monkeypatch):
+    """Every walk of the package hands out each slice's rows sorted by
+    least column, for the lead order of ``SRKeys``: the regular-sequence
+    check over Q and F_2 and the classical and quantum presentations, on
+    the corpus and on random input."""
+    real = tp.graded_rows
+    counted = []
+
+    def checked(*args):
+        for index, rows in real(*args):
+            assert rows == sorted(rows, key=min)
+            counted.append(len(rows))
+            yield index, rows
+
+    rng = random.Random(577)
+    polys = [*corpus.values(), *(catalog.random_delzant(rng, dim, dim + 4)
+                                 for dim in (2, 3, 3, 4))]
+    monkeypatch.setattr(tp, "graded_rows", checked)
+    for P in polys:
+        for p in (None, 2):
+            tp.regular_sequence_check(P, p)
+        pr.classical_presentation(P)
+        if monotone_normalization(P) is not None:
+            pr.quantum_presentation(P)
+    assert sum(counted) > 1000
 
 
 def test_koszul_limit_keeps_a_prefix_of_the_forms():
