@@ -80,9 +80,12 @@ def parse_args(argv):
     """Reads ``--name value`` and ``--name=value`` for the options of
     ``OPTIONS``; names are spelled in full, a value may start with ``-``,
     and the last of repeated options wins.  Returns a namespace with one
-    attribute per option, ``ring`` parsed to (label, prime or None) for
-    every command, or None when ``-h`` or ``--help`` is given.  Raises
-    SchemaError on any other bad command line."""
+    attribute per option, or None when ``-h`` or ``--help`` is given.
+    ``ring``, ``cutoff``, ``margin`` and ``bfield`` are parsed and checked
+    for every command, whether it reads them or not: ``ring`` to (label,
+    prime or None), ``cutoff`` to a Fraction, ``margin`` to an int at least
+    0 and ``bfield`` to a tuple of Fractions or None.  Raises SchemaError on
+    any other bad command line."""
     values = {}
     args = iter(argv)
     for arg in args:
@@ -111,6 +114,11 @@ def parse_args(argv):
                 raise SchemaError(f"--{name} expects an integer, "
                                   f"got {value!r}") from None
     values["ring"] = _parse_ring(values["ring"])
+    values["cutoff"] = _parse_cutoff(values["cutoff"])
+    if values["margin"] < 0:
+        raise SchemaError(f"--margin must be non-negative, "
+                          f"got {values['margin']}")
+    values["bfield"] = _parse_bfield(values["bfield"])
     return SimpleNamespace(**values)
 
 
@@ -130,16 +138,20 @@ def _parse_ring(text: str):
     raise SchemaError(f"unknown ring {text!r} (expected z, q, or fp:P)")
 
 
-def _parse_bfield(text: str | None, nfacets: int):
+def _parse_bfield(text: str | None):
     if text is None:
         return None
     try:
-        rho = tuple(Fraction(part) for part in text.split(","))
+        return tuple(Fraction(part) for part in text.split(","))
     except (ValueError, ZeroDivisionError) as exc:
         raise SchemaError(f"bad --bfield {text!r}: {exc}") from exc
-    if len(rho) != nfacets:
-        raise SchemaError(f"--bfield needs {nfacets} entries, got {len(rho)}")
-    return rho
+
+
+def _parse_cutoff(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise SchemaError(f"bad --cutoff {text!r}: {exc}") from exc
 
 
 # What reading a JSON file can raise on bad input: a missing file, bytes
@@ -169,13 +181,6 @@ def _load_perturbations(path: str | None, P):
     require_delzant(P)  # the terms decode through the cone monoid
     ctx = mo.monoid_for(P)
     return [mo.filtered_from_json(ctx, item) for item in data]
-
-
-def _parse_cutoff(text: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise SchemaError(f"bad --cutoff {text!r}: {exc}") from exc
 
 
 def _as_poly(entry):
@@ -331,10 +336,7 @@ def _match_generator(coords, reductions):
 
 
 def cmd_quantum(P, args):
-    if args.margin < 0:
-        raise SchemaError(f"--margin must be non-negative, got {args.margin}")
-    rho = _parse_bfield(args.bfield, P.nfacets)
-    Q = pr.quantum_presentation(P, margin=args.margin, _rho=rho)
+    Q = pr.quantum_presentation(P, margin=args.margin, _rho=args.bfield)
     names = Q.basis_names()
     ks = pr.kodaira_spencer_table(Q)
     report = {
@@ -385,10 +387,9 @@ def cmd_cm(P, args):
 
 def cmd_jacobian(P, args):
     p = args.ring[1]  # over Z, freeness is checked over Q
-    rho = _parse_bfield(args.bfield, P.nfacets)
-    g = _parse_cutoff(args.cutoff)
     perts = _load_perturbations(args.perturb, P)
-    rep = jc.jacobian_freeness(P, perturbations=perts, rho=rho, g=g, p=p)
+    rep = jc.jacobian_freeness(P, perturbations=perts, rho=args.bfield,
+                               g=args.cutoff, p=p)
     report = {
         "command": "jacobian",
         "cutoff": str(rep.cutoff),
@@ -495,6 +496,9 @@ def main(argv=None) -> int:
         if args is None:
             return _emit(usage(), EXIT_OK)
         P = parse_polyhedron(_read_json(args.input, "--input"))
+        if args.bfield is not None and len(args.bfield) != P.nfacets:
+            raise SchemaError(f"--bfield needs {P.nfacets} entries, "
+                              f"got {len(args.bfield)}")
         report, code = _DISPATCH[args.command](P, args)
     except SchemaError as exc:
         print(f"error: {exc}", file=sys.stderr)

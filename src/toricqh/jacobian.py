@@ -55,19 +55,30 @@ modulo p.  Each relation is normalized once by ``linalg.normalize``
 (scaled to integers over Q, reduced to residues over F_p) and its rows go
 to the eliminator as they are.
 
-Lead order, as in ``topology.graded_rows``: theta_{v0} is 0 on v_{s_k}
-and positive on every other term of c'_k (the facets outside S miss v0,
-and every perturbation term has positive height), and the rows reach the
-eliminator sorted by least column.
+The window by pivot count.  The quotient dimension is measured on an
+inner window, the monomials of T-weight at most n * max(lambda) + g: near
+the outer cap a monomial lacks the products that would reduce it.  The
+shifted basis T^gamma * e_i lies in the window.  The slice's columns run by
+region, then by key: first the monomials outside the window, then the rest
+of the window, then the basis.  Within a region they follow theta_{v0},
+which is 0 on v_{s_k} and positive on every other term of c'_k (the facets
+outside S miss v0, and every perturbation term has positive height), so a
+row's lead product v_{s_k} * m precedes its other terms there, as in
+``topology.graded_rows``.  Over Q and F_p the eliminator pivots each row on
+its least column, so a pivot row is zero left of its pivot.  Hence, for
+the span R of the relation rows and a set C of columns that come after all
+others, dim(R meet span C) is the number of pivots in C.  With C the
+window, dim_quotient is the window's size less its pivots; with C the
+basis, the basis is independent in the quotient exactly when no pivot lies
+on it.  One elimination of the relation rows gives both.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from operator import add, itemgetter, mul
+from operator import add, mul
 
 from . import linalg, topology
 from .errors import PreconditionError, VerificationError
@@ -212,11 +223,10 @@ def _attempt(P, ctx, levels, g, relations, cap, inner_cap, basis, p):
     only, from the theta_v vectors of m (carried by the walk) and of the
     term, and VerificationError is raised for a product of height below g.
 
-    Rows by lead.  The rows of c'_k come in the key order of m, and so do
-    their lead products v_{s_k} * m, their least columns.  A row whose lead
-    is cut by the truncation has a later least column, so it waits in a
-    small heap until the stream reaches it.  The n streams, each sorted by
-    least column, are merged into the eliminator without storing the rows.
+    Rows and window.  The columns run by (region, key) and the window is
+    read off the pivots, as the module docstring explains.  The rows
+    c'_k * m, for k below the Koszul bound of m, go to one eliminator in the
+    column order of m, without being stored.
     """
     nerve = topology.build_nerve(P)
     rel_weight = max((mm.lam for rel in relations for mm in rel.terms),
@@ -243,8 +253,13 @@ def _attempt(P, ctx, levels, g, relations, cap, inner_cap, basis, p):
     limits = [(t + 1, 2 + t, w_max - rel_w + weights[s - 1])
               for t, s in enumerate(lead)]
     heights = [(h, h * t_step) for h in (scaled(x, scale) for x in levels)]
-    # (key, weight, relations with a row here, height, theta_v * D' of v^t),
-    # weight and height scaled by D'
+    # The window holds the monomials of T-weight at most the inner cap; the
+    # basis columns T^gamma * e_i lie in it and come last.
+    inner_w = scaled(inner_cap, scale)
+    basis_cols = {sum(map(mul, t, steps)) + lift
+                  for _, lift in heights for t in basis}
+    # (region, key, weight, relations with a row here, height, theta_v * D'
+    # of v^t), weight and height scaled by D'
     monomials = []
     for vec in topology.sr_walk(
             nerve, [(w, step, *(int(s == j + 1) for s in lead),
@@ -263,9 +278,11 @@ def _attempt(P, ctx, levels, g, relations, cap, inner_cap, basis, p):
                 if x <= limit:
                     built = t
                     break
-            monomials.append((key + lift, x, built, h, th))
-    monomials.sort(key=itemgetter(0))
-    index = {key: i for i, (key, *_) in enumerate(monomials)}
+            shifted = key + lift
+            region = 2 if shifted in basis_cols else int(x <= inner_w)
+            monomials.append((region, shifted, x, built, h, th))
+    monomials.sort()
+    index = {key: i for i, (_, key, *_) in enumerate(monomials)}
     # canonical decompositions are unique: no two (level, t) share a key
     assert len(index) == len(monomials)
 
@@ -280,60 +297,33 @@ def _attempt(P, ctx, levels, g, relations, cap, inner_cap, basis, p):
                 f"the Jacobian slice misses a product of height "
                 f"{Fraction(height, scale)} below the cutoff {g}")
 
-    def rows(i, rel):
-        """(least column, row) of the rows c'_i * m, by least column."""
-        # distinct terms times one monomial land in distinct columns, so each
-        # normalized coefficient is a row entry as it is; the lead term
-        # v_{s_i}, at theta_{v0} = 0, has the least key
-        (first, a, lead_th), *terms = sorted(
-            (keys.encode((w, *mm.nu)), c,
-             [w + k * x for x in ctx.pairings(mm.nu)])
-            for mm, c in linalg.normalize(rel.terms, p).items()
-            for w in [scaled(mm.lam, scale)])
-        late = []  # (least column, key of m, row) of rows with their lead cut
-        for key, _, built, h, th in monomials:
-            if i >= built:
-                continue
-            col = index.get(key + first)
-            row = {} if col is None else {col: a}
-            for step, c, theta in terms:
-                other = index.get(key + step)
-                if other is None:
+    # distinct terms times one monomial land in distinct columns, so each
+    # normalized coefficient is a row entry as it is
+    terms = [[(keys.encode((w, *mm.nu)), c,
+               [w + k * x for x in ctx.pairings(mm.nu)])
+              for mm, c in linalg.normalize(rel.terms, p).items()
+              for w in [scaled(mm.lam, scale)]] for rel in relations]
+    elim = linalg.Eliminator(p)
+    for _, key, _, built, h, th in monomials:
+        for rel in terms[:built]:
+            row = {}
+            for step, c, theta in rel:
+                col = index.get(key + step)
+                if col is None:
                     vanishes(h, th, theta)
                 else:
-                    row[other] = c
-            if col is None:
-                vanishes(h, th, lead_th)
-                if row:
-                    heapq.heappush(late, (min(row), key, row))
-                continue
-            while late and late[0][0] < col:
-                yield heapq.heappop(late)[::2]
-            yield col, row
-        while late:
-            yield heapq.heappop(late)[::2]
+                    row[col] = c
+            if row:
+                elim.add_row(row)
 
-    elim = linalg.Eliminator(p)
-    for _, row in heapq.merge(*(rows(i, rel) for i, rel in
-                                enumerate(relations)), key=itemgetter(0)):
-        elim.add_row(row)
-
-    # The quotient dimension is measured on the inner window only: monomials
-    # near the outer cap lack the products that would reduce them and must
-    # not be counted.  One fork takes the basis unit rows first (independent
-    # when each one pivots), then the rest of the window: the basis columns
-    # lie in the window, so its span is the same.
-    inner_w = scaled(inner_cap, scale)
-    basis_keys = [sum(map(mul, t, steps)) for t in basis]
-    cols = [index[key + lift] for _, lift in heights for key in basis_keys]
-    assert all(monomials[c][1] <= inner_w for c in cols)
-    inner = [i for i, (_, w, *_) in enumerate(monomials) if w <= inner_w]
-    dim_s = len(inner)
-    window = elim.fork()
-    independent = all([window.add_row({c: 1}) for c in cols])
-    taken = set(cols)
-    for i in inner:
-        if i not in taken:
-            window.add_row({i: 1})
-    dim_quotient = window.rank - elim.rank
+    # A pivot row is zero left of its pivot, so the pivots in a tail of the
+    # columns count the relations that the tail spans.
+    placed = [x for region, _, x, *_ in monomials if region == 2]
+    assert len(placed) == len(basis) * len(heights) and \
+        max(placed) <= inner_w, "the basis columns must lie in the window"
+    first_window = sum(region == 0 for region, *_ in monomials)
+    first_basis = len(monomials) - len(placed)
+    dim_s = len(monomials) - first_window
+    dim_quotient = dim_s - sum(c >= first_window for c in elim.pivots)
+    independent = all(c < first_basis for c in elim.pivots)
     return dim_s, dim_quotient, independent

@@ -158,9 +158,7 @@ class Eliminator:
 
     ``add_row`` takes rows as ``normalize`` returns them: sparse dicts of
     nonzero ints, over F_p residues in 1..p-1.  It reduces a row against
-    the pivot rows and reports whether it became a pivot row.  ``fork``
-    snapshots the state so several extensions can share one base
-    elimination.
+    the pivot rows and reports whether it became a pivot row.
 
     Over a field (F_p, or Q unless ``integral``) every nonzero entry is a
     pivot, so a row pivots on its least column: while a pivot row sits
@@ -194,14 +192,6 @@ class Eliminator:
         self.rank = 0
         self.dim = 0
         self.images: dict[int, list] = {}
-
-    def fork(self) -> "Eliminator":
-        other = Eliminator(self.p, self.integral)
-        other.pivots = dict(self.pivots)
-        other.order = dict(self.order)
-        other.residual = list(self.residual)
-        other.rank = self.rank
-        return other
 
     def add_row(self, row: dict[int, int]) -> bool:
         """Reduce a normalized row (see ``normalize``), which the

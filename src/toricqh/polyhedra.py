@@ -71,11 +71,13 @@ class DelzantPolyhedron:
 def memoized(fn):
     """Compute ``fn(P, ...)`` once per polyhedron object and keep it on P,
     so it is freed with P.  The key is the function and its other arguments
-    as passed: ``f(P)`` and ``f(P, default)`` are separate entries, and a
+    as passed, each with its type: ``f(P)`` and ``f(P, default)`` are
+    separate entries, so are ``f(P, True)`` and ``f(P, 1)``, and a
     value-equal polyhedron built separately computes its own."""
     @functools.wraps(fn)
     def wrapper(P, *args, **kwargs):
-        key = (fn, args, tuple(sorted(kwargs.items())))
+        key = (fn, *((type(a), a) for a in args),
+               *sorted((k, type(v), v) for k, v in kwargs.items()))
         if key not in P._memo:
             P._memo[key] = fn(P, *args, **kwargs)
         return P._memo[key]

@@ -40,7 +40,7 @@ from .errors import PreconditionError, VerificationError
 from .monoid import (FilteredElement, element_from_monomial, format_monomial,
                      monoid_for)
 from .polyhedra import (DelzantPolyhedron, enumerate_vertices,
-                        exact_parameter, is_compact, memoized,
+                        exact_parameter, is_compact, is_integer, memoized,
                         minimal_nonfaces, monotone_normalization,
                         relabel_lattice, require_delzant, vertex_coordinates)
 
@@ -354,8 +354,9 @@ def quantum_presentation(P: DelzantPolyhedron, margin: int = 0,
     if norm is None:
         raise PreconditionError("polyhedron is not monotone: the offsets cannot "
                                 "be equalized by a translation")
-    if margin < 0:
-        raise PreconditionError("margin must be non-negative")
+    if not is_integer(margin) or margin < 0:
+        raise PreconditionError(f"margin must be a non-negative integer, "
+                                f"got {margin!r}")
     Pn = norm.rescaled
     N, n = Pn.nfacets, Pn.dim
     rho = tuple(Fraction(r) for r in (_rho if _rho is not None else (1,) * N))
@@ -484,8 +485,9 @@ def divisor_inverse_certificate(P: DelzantPolyhedron, j: int) -> InverseCertific
     when sum m_k nu_k = 0, every m_k >= 0 and m_j >= 1.
     """
     require_delzant(P)
-    if not 1 <= j <= P.nfacets:
-        raise PreconditionError(f"no facet labelled {j}")
+    if not (is_integer(j) and 1 <= j <= P.nfacets):
+        raise PreconditionError(f"facet label must be an integer in "
+                                f"1..{P.nfacets}, got {j!r}")
     if not is_compact(P):
         raise PreconditionError(
             "polyhedron is not compact: the toric divisor classes generate a "

@@ -34,7 +34,8 @@ from operator import add, mul
 from . import linalg
 from .errors import PreconditionError, VerificationError
 from .polyhedra import (DelzantPolyhedron, enumerate_vertices, is_compact,
-                        memoized, require_delzant, vertex_coordinates)
+                        is_integer, memoized, require_delzant,
+                        vertex_coordinates)
 
 
 @dataclass(frozen=True)
@@ -349,7 +350,9 @@ class SRKeys:
     and keeps their lexicographic order, and it is linear, so multiplying
     by Z_j adds ``steps[j]`` to every key.  ``encode`` and ``decode`` take
     and give x, and ``lex`` sorts keys as x does; nothing outside this
-    class knows the format.
+    class knows the format.  The Jacobian slice alone sorts by a region
+    first (``jacobian._attempt``: outside its window, inside, the basis)
+    and by key within each region.
     """
 
     def __init__(self, vectors, top: int, order=None):
@@ -592,8 +595,9 @@ def regular_sequence_check(P: DelzantPolyhedron, p: int | None = None,
     field = field_name(p)
     if maxdeg is None:
         maxdeg = P.dim + 2
-    if maxdeg < P.dim:
-        raise PreconditionError(f"maxdeg must be at least the dimension {P.dim}")
+    if not is_integer(maxdeg) or maxdeg < P.dim:
+        raise PreconditionError(f"maxdeg must be an integer at least the "
+                                f"dimension {P.dim}, got {maxdeg!r}")
     n = P.dim
     hilbert = tuple(sr_hilbert_function(P, maxdeg))
     expected = tuple(sum((-1) ** k * comb(n, k) * hilbert[d - k]

@@ -187,6 +187,11 @@ BAD_ARGUMENTS = [
     ("non_delzant", "jacobian", ("--perturb", "NU_DOWN"), 3),
     ("cp2", "cm", ("--ring", "fp:²"), 2),
     ("cp2", "classical", ("--ring", "fp:" + "1" * 5000), 2),
+    # options that the command does not read are checked all the same
+    ("cp2", "classical", ("--cutoff", "abc"), 2),
+    ("cp2", "validate", ("--margin", "-5"), 2),
+    ("cp2", "audit", ("--bfield", "x"), 2),
+    ("cp2", "classical", ("--bfield", "1,1"), 2),
 ]
 
 # Files written into tmp_path; a row names one by its key, as the input or

@@ -1,3 +1,4 @@
+import copy
 import random
 from fractions import Fraction
 from math import lcm
@@ -47,6 +48,28 @@ def test_inexact_parameters_rejected(name, cp1):
     # a float would be taken as its binary fraction and a bool as 0 or 1
     with pytest.raises(PreconditionError, match="must be exact"):
         INEXACT_PARAMETERS[name](cp1)
+
+
+NON_INTEGER_PARAMETERS = {
+    "divisor_j_float": lambda P: pr.divisor_inverse_certificate(P, 1.0),
+    "divisor_j_string": lambda P: pr.divisor_inverse_certificate(P, "1"),
+    "divisor_j_bool": lambda P: pr.divisor_inverse_certificate(P, True),
+    "quantum_margin_float": lambda P: pr.quantum_presentation(P, margin=1.0),
+    "quantum_margin_bool": lambda P: pr.quantum_presentation(P, margin=True),
+    "quantum_margin_negative": lambda P: pr.quantum_presentation(P, margin=-1),
+    "regseq_maxdeg_float": lambda P: topology.regular_sequence_check(
+        P, maxdeg=2.0),
+    "regseq_maxdeg_bool": lambda P: topology.regular_sequence_check(
+        P, maxdeg=True),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NON_INTEGER_PARAMETERS))
+def test_non_integer_parameters_rejected(name, cp1):
+    # a bool would count as 0 or 1 and share that value's cached result
+    pr.quantum_presentation(cp1, margin=1)
+    with pytest.raises(PreconditionError, match="integer"):
+        NON_INTEGER_PARAMETERS[name](cp1)
 
 
 def test_exact_parameters_accepted(cp1):
@@ -294,10 +317,10 @@ def _reference_attempt(P, ctx, levels, g, relations, cap, inner_cap, basis,
 
     inner_w = scaled(inner_cap, scale)
     inner = [i for i, (_, w, _, _) in enumerate(monomials) if w <= inner_w]
-    window = elim.fork()
+    window = copy.deepcopy(elim)
     dim_quotient = sum(window.add_row({i: 1}) for i in inner)
     keys = [(w + h, nu) for h in heights for w, nu, _ in map(key, basis)]
-    with_basis = elim.fork()
+    with_basis = copy.deepcopy(elim)
     independent = all(with_basis.add_row({index[c]: 1}) for c in keys)
     return (len(inner), dim_quotient, independent), elim.rank, built
 
@@ -312,7 +335,7 @@ def _against_every_row(monkeypatch, P, g, rho=None, perturbations=None,
     original = _definition_relations(P, rho, perturbations)
     rows = [0, 0]
 
-    class Counting(linalg.Eliminator):  # forks stay plain Eliminators
+    class Counting(linalg.Eliminator):  # patched into jacobian only
         def add_row(self, row):
             rows[0] += 1
             Counting.last = self
@@ -399,19 +422,20 @@ def test_koszul_rows_match_every_row_mod_p(corpus, monkeypatch):
 
 def _recorded_rows(monkeypatch, P, g, perturbations=None, p=None):
     """Run ``jacobian_freeness`` and return, per slice attempt, its
-    arguments and the relation rows in the order they reached
-    ``add_row``."""
+    arguments, the relation rows in the order they reached ``add_row`` and
+    its result."""
     fast = jacobian._attempt
     attempts = []
 
-    class Recording(linalg.Eliminator):  # forks stay plain Eliminators
+    class Recording(linalg.Eliminator):
         def add_row(self, row):
             attempts[-1][1].append(dict(row))
             return super().add_row(row)
 
     def recorded(*args):
-        attempts.append((args, []))
-        return fast(*args)
+        attempts.append([args, []])
+        attempts[-1].append(fast(*args))
+        return attempts[-1][2]
 
     with monkeypatch.context() as patch:
         patch.setattr(jacobian, "_attempt", recorded)
@@ -421,80 +445,91 @@ def _recorded_rows(monkeypatch, P, g, perturbations=None, p=None):
     return attempts
 
 
-def _slice_columns(P, ctx, levels, g, relations, cap, inner_cap):
+def _slice_columns(P, ctx, levels, g, relations, cap, inner_cap, basis):
     """The slice monomials T^gamma * v^t as (lam, nu), lam scaled by the
-    attempt's D', in the documented column order: by (theta_{v0}, lam, nu).
-    Returns them with D'."""
+    attempt's D', in the documented column order: by (region, theta_{v0},
+    lam, nu), region 0 outside the inner window, 1 inside it and 2 the
+    basis columns T^gamma * e_i, which must take the last m * dim_r
+    columns.  Returns them with D' and the number of columns in the
+    window, regions 1 and 2."""
     scale = lcm(ctx.scale, g.denominator, cap.denominator,
                 inner_cap.denominator, *(x.denominator for x in levels),
                 *(mm.lam.denominator for rel in relations for mm in rel.terms))
     k = scale // ctx.scale
     weights = [k * w for w in ctx.scaled_offsets]
     cap_s = scaled(cap, scale)
+    inner_w = scaled(inner_cap, scale)
+    heights = [scaled(gamma, scale) for gamma in levels]
+
+    def vector(t, h):
+        return (sum(map(mul, t, weights)) + h,
+                tuple(sum(map(mul, t, col)) for col in zip(*P.normals)))
+
+    shifted = {vector(t, h) for t in basis for h in heights}
     units = [tuple(int(i == j) for i in range(P.nfacets))
              for j in range(P.nfacets)]
     code = topology.SRKeys(units, cap_s // min(weights))
     monomials = []
     for keyed in topology.sr_slices(topology.build_nerve(P), code):
         for t in map(code.decode, keyed):
-            w = sum(map(mul, t, weights))
-            nu = tuple(sum(map(mul, t, col)) for col in zip(*P.normals))
-            for gamma in levels:
-                lam = w + scaled(gamma, scale)
+            for h in heights:
+                lam, nu = vector(t, h)
                 if lam <= cap_s:
                     theta0 = lam + k * sum(map(mul, ctx.scaled_points[0], nu))
-                    monomials.append((theta0, lam, nu))
+                    region = 2 if (lam, nu) in shifted else int(lam <= inner_w)
+                    monomials.append((region, theta0, lam, nu))
     monomials.sort()
-    return [(lam, nu) for _, lam, nu in monomials], scale
+    cols = [(lam, nu) for _, _, lam, nu in monomials]
+    assert len(shifted) == len(basis) * len(heights)
+    assert set(cols[-len(shifted):]) == shifted
+    return cols, scale, sum(x[0] > 0 for x in monomials)
 
 
 @pytest.mark.parametrize("p", [None, 1000003])
 @pytest.mark.parametrize("name", ["cp3", "hirzebruch_f2", "cp2_perturbed"])
-def test_rows_reach_the_eliminator_by_lead(corpus, monkeypatch, name, p):
-    # rows arrive in non-decreasing least column, and a row c'_k * m whose
-    # lead product v_{s_k} * m lies in the slice has it as least column
+def test_slice_columns_run_by_region_with_the_basis_last(corpus, monkeypatch,
+                                                         name, p):
+    # every row is c'_k * m read in the column order (region, theta_{v0},
+    # lam, nu), and the basis takes the last m * dim_r columns
     perts = None
     if name == "cp2_perturbed":
         name = "cp2"
         perts = _random_perturbations(corpus[name], random.Random(3))
         assert any(not x.is_zero() for x in perts)
     P = corpus[name]
-    lead = vertex_coordinates(P, 0)[0]
-    cut_leads = 0
-    for args, rows in _recorded_rows(monkeypatch, P, 3, perts, p):
-        _, ctx, levels, g, relations, cap, inner_cap, _, _ = args
-        cols, scale = _slice_columns(P, ctx, levels, g, relations, cap,
-                                     inner_cap)
+    for args, rows, result in _recorded_rows(monkeypatch, P, 3, perts, p):
+        _, ctx, levels, g, relations, cap, inner_cap, basis, _ = args
+        cols, scale, window = _slice_columns(P, ctx, levels, g, relations,
+                                             cap, inner_cap, basis)
+        assert window == result[0]
         where = {c: i for i, c in enumerate(cols)}
         terms = [[(scaled(mm.lam, scale), mm.nu) for mm in rel.terms]
                  for rel in relations]
-        leads = [(scaled(P.offset(s), scale), P.normal(s)) for s in lead]
 
         def times(a, b):
             return a[0] + b[0], tuple(map(add, a[1], b[1]))
 
-        least = -1
+        assert rows
         for row in rows:
-            assert min(row) >= least
-            least = min(row)
-            x = cols[least]
-            found = False
-            for rel, lead_term in zip(terms, leads):
-                for tau in rel:
-                    m = (x[0] - tau[0], tuple(map(sub, x[1], tau[1])))
-                    if m not in where:
-                        continue
-                    products = (times(m, t) for t in rel)
-                    if {where[q] for q in products if q in where} != set(row):
-                        continue
-                    found = True  # the row is c'_k * m, reaching x by tau
-                    if times(m, lead_term) in where:
-                        assert tau == lead_term, (name, p, row)
-                    else:
-                        cut_leads += 1
-            assert found, (name, p, row)
-    # rows whose lead product is cut by the truncation occur and keep order
-    assert cut_leads > 0
+            x = cols[min(row)]
+            assert any({where[q] for q in (times(m, t) for t in rel)
+                        if q in where} == set(row)
+                       for rel in terms for tau in rel
+                       for m in [(x[0] - tau[0], tuple(map(sub, x[1], tau[1])))]
+                       if m in where), (name, p, row)
+
+
+def test_dependent_basis_is_not_independent(cp1, monkeypatch):
+    # v1 = v2 in the classical ring of CP^1, so the shifted basis
+    # (v1, v2) is dependent in the quotient though it has the right count
+    fast = jacobian._attempt
+    calls = []
+    monkeypatch.setattr(jacobian, "_attempt",
+                        lambda *args: calls.append(args) or fast(*args))
+    jacobian_freeness(cp1, g=1)
+    args = calls[0]
+    assert fast(*args) == (5, 2, True)
+    assert fast(*args[:7], ((1, 0), (0, 1)), args[8]) == (5, 2, False)
 
 
 def test_slice_missing_a_monomial_of_height_zero_raises(cp2, monkeypatch):
