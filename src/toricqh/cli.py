@@ -52,7 +52,9 @@ OPTIONS = {
     "ring": ("z", None, "coefficient ring: z, q, or fp:P"),
     "cutoff": ("1", None, "jacobian: truncation cutoff g as an exact fraction"),
     "margin": (0, None, "quantum: extra T-degrees checked beyond 2*dim"),
-    "bfield": (None, None, "comma-separated unit rescalings, one per facet"),
+    "bfield": (None, None,
+               "quantum, jacobian: comma-separated unit rescalings, one per "
+               "facet"),
     "perturb": (None, None,
                 "jacobian: JSON file with one perturbation per facet"),
     "format": ("text", ("json", "text"), "report format"),
@@ -363,11 +365,26 @@ def cmd_quantum(P, args):
 
 
 def cmd_cm(P, args):
+    """Cohen-Macaulayness of the Stanley-Reisner ring A over the field, the
+    nerve's homology profile and the regular-sequence check.
+
+    The regular-sequence check runs first, and when it passes it proves
+    Cohen-Macaulayness: it certifies that A/(c) is finite-dimensional
+    (degree n+1 vanishes, or an earlier degree does), so the n forms c
+    are a homogeneous system of parameters of A, of Krull dimension n.
+    For such a system the Hilbert function of A/(c) equals that of
+    (1-t)^n H_A exactly when A is Cohen-Macaulay (Stanley, Combinatorics
+    and Commutative Algebra, I.5), and that is Reisner's criterion over the
+    same field (Reisner, Adv. Math. 21, 1976).  So the face links are
+    ranked by ``reisner_cm_check`` only when the check fails, to find a
+    witness; the nerve itself is ranked by the profile.
+    """
     p = args.ring[1]
     K = tp.build_nerve(P)
-    cm = tp.reisner_cm_check(K, p)
-    profile = tp.sphere_or_ball_profile(P, p)
     regseq = tp.regular_sequence_check(P, p)
+    cm = (tp.CMReport(True, regseq.field) if regseq.passed
+          else tp.reisner_cm_check(K, p))
+    profile = tp.sphere_or_ball_profile(P, p)
     report = {
         "command": "cm",
         "field": cm.field,

@@ -176,10 +176,12 @@ class Eliminator:
     pivots alone when the residual block ends empty, and otherwise by the
     Smith form (Dumas, Saunders and Villard, J. Symb. Comput. 32, 2001).
 
-    After ``settle(ncols)``, ``reduce`` maps a vector to its coordinates in
-    the quotient (Z^dim, Q^dim or F_p^dim, dim = ncols - rank): a free column
-    is one coordinate, and a pivot column's image is read off its pivot row
-    by back substitution, over a field in descending pivot column, over Z
+    Over a field, ``remainder`` decides whether a vector lies in the row
+    span from the pivot rows as they stand.  After ``settle(ncols)``,
+    ``reduce`` maps a vector to its coordinates in the quotient (Z^dim,
+    Q^dim or F_p^dim, dim = ncols - rank): a free column is one
+    coordinate, and a pivot column's image is read off its pivot row by
+    back substitution, over a field in descending pivot column, over Z
     last pivot first.
     """
 
@@ -200,13 +202,27 @@ class Eliminator:
             return self._insert_unit(row)
         return self._insert_lead(row)
 
-    def _insert_lead(self, cur: dict[int, int]) -> bool:
+    def remainder(self, row: dict[int, int]) -> dict[int, int]:
+        """Over a field: a copy of ``row`` reduced against the pivot rows
+        until its least column holds no pivot (over Q fraction-free, so
+        up to a nonzero integer factor).  It is {} exactly when the row
+        lies in their span: a nonzero combination of pivot rows has a pivot
+        as its least column.  Needs no ``settle`` and changes nothing."""
+        if self.integral:
+            raise PreconditionError("remainder reduces over a field only")
+        cur = dict(row)
+        self._reduce_lead(cur)
+        return cur
+
+    def _reduce_lead(self, cur: dict[int, int]) -> int | None:
+        """Reduce ``cur`` in place on its least column while a pivot row
+        sits there; return that column, None when ``cur`` becomes 0."""
         pivots, p = self.pivots, self.p
         while cur:
             col = min(cur)
             piv = pivots.get(col)
             if piv is None:
-                break
+                return col
             f = cur[col]
             if p is None and piv[col] != 1:  # fraction-free: a*cur - f*piv
                 a = piv[col]
@@ -223,9 +239,13 @@ class Eliminator:
                     cur[c] = x
                 else:
                     del cur[c]
-        if not cur:
+        return None
+
+    def _insert_lead(self, cur: dict[int, int]) -> bool:
+        col = self._reduce_lead(cur)
+        if col is None:
             return False
-        a = cur[col]
+        a, p = cur[col], self.p
         if p is not None:
             if a != 1:
                 inv = pow(a, -1, p)
@@ -236,7 +256,7 @@ class Eliminator:
                 g = -g
             if g != 1:
                 cur = {c: v // g for c, v in cur.items()}
-        pivots[col] = cur
+        self.pivots[col] = cur
         self.rank += 1
         return True
 

@@ -4,9 +4,13 @@ regular-sequence verification.
 Homology is computed over Q or over a prime field from the ranks of the
 boundary maps.  The two lowest ranks are read off the complex (a vertex
 exists; the 1-skeleton's components), and only the boundary maps of
-triangles and higher faces are ranked by exact elimination.  The
-Cohen-Macaulay check is Reisner's: reduced homology of the complex and of
-every face link must vanish below the dimension of the respective complex.
+triangles and higher faces are ranked by exact elimination.
+``reisner_cm_check`` is Reisner's Cohen-Macaulay criterion: reduced
+homology of the complex and of every face link must vanish below the
+dimension of the respective complex.  The ``cm`` command decides
+Cohen-Macaulayness by ``regular_sequence_check`` instead, which proves it
+when it passes (see ``cli.cmd_cm``); it ranks the links only when that
+check fails, to find a witness.
 
 The Stanley-Reisner monomials are enumerated by ``sr_walk`` alone.  Its
 degree slices (``sr_slices``) key each monomial by one integer of
@@ -535,26 +539,33 @@ def top_class_certificate(elim: linalg.Eliminator, index, steps,
     """Certify that the quotient by the forms of ``graded_rows`` vanishes
     one degree above the slice of ``index``, without that slice.
 
-    ``elim`` holds the rows into the slice, settled on its columns;
-    ``index``, ``steps`` and the leads ``face`` = S, a maximal face, are
-    as for ``graded_rows``.  Then Z_l Z_S is in I_Delta for l not in S, and
+    ``elim`` holds the rows into the slice, over Z (``elim.integral``)
+    settled on its columns; ``index``, ``steps`` and the leads ``face`` =
+    S, a maximal face, are as for ``graded_rows``.  Then Z_l Z_S is in
+    I_Delta for l not in S, and
       Z_{s_k} Z_S = rho_k^-1 (c_k Z_S - sum_{l not in S} w_lk Z_l Z_S)
     lies in (c) + I_Delta.  The quotient is generated in degree 1, so when
     its piece in the slice's degree is 0 or spanned by the class of Z_S,
     its next piece is 0.
 
-    The class spans when the quotient has dimension 1 and the coordinate
-    of Z_S there (``elim.reduce``) is nonzero over a field, +-1 over Z
-    (``elim.integral``), whether the quotient was settled by unit pivots
-    or through the Smith form.
+    The class spans when the quotient, of dimension len(index) - rank,
+    is 1-dimensional and the class is a generator.  Over a field that
+    means nonzero: e_{Z_S} does not reduce to 0 against the pivot rows
+    (``elim.remainder``), which needs no settled eliminator and leaves it
+    as it is.  Over Z the coordinate of Z_S (``elim.reduce``) must be +-1,
+    whether the quotient was settled by unit pivots or through the Smith
+    form.
     """
-    if elim.dim == 0:
+    dim = len(index) - elim.rank
+    if dim == 0:
         return True
     col = index.get(sum(steps[j] for j in face))
-    if elim.dim != 1 or col is None:
+    if dim != 1 or col is None:
         return False
-    (x,) = elim.reduce({col: 1})
-    return x in (1, -1) if elim.integral else x != 0
+    if elim.integral:
+        (x,) = elim.reduce({col: 1})
+        return x in (1, -1)
+    return bool(elim.remainder({col: 1}))
 
 
 @dataclass(frozen=True)
@@ -584,13 +595,16 @@ def regular_sequence_check(P: DelzantPolyhedron, p: int | None = None,
     and Kleinschmidt, Math. Z. 167, 1979), and the quotient is spanned by
     the face monomials, of degree at most n.  So the quotient vanishes in
     degree n+1, which ``top_class_certificate`` certifies from the degree-n
-    elimination, or VerificationError is raised.  The quotient ring is
-    generated in degree 1, so once a degree is zero every higher one is:
-    slices are ranked only up to the first such degree, and walked only up
-    to the first degree whose expected value is 0 (at most n), and again up
-    to n only when the quotient there is not 0.  The expected values are
-    computed for every degree up to ``maxdeg``, so the verdict compares the
-    full sequences; the report keeps the Hilbert function they come from.
+    pivots without settling them, or VerificationError is raised.  The
+    quotient ring is generated in degree 1, so once a degree is zero every
+    higher one is: slices are ranked only up to the first such degree, and
+    walked only up to the first degree whose expected value is 0 (at most
+    n), and again up to n only when the quotient there is not 0.  The
+    expected values are computed for every degree up to ``maxdeg``, so the
+    verdict compares the full sequences; the report keeps the Hilbert
+    function they come from.
+    For ``maxdeg`` > n a passed check thus proves the forms a regular
+    sequence on a Cohen-Macaulay ring, which ``cli.cmd_cm`` relies on.
     """
     field = field_name(p)
     if maxdeg is None:
@@ -621,7 +635,6 @@ def regular_sequence_check(P: DelzantPolyhedron, p: int | None = None,
             break
     # a zero degree below n+1 needs no certificate: every higher one is zero
     if maxdeg > n and dims[-1]:
-        elim.settle(len(index))
         if not top_class_certificate(elim, index, keys.steps, leads):
             raise VerificationError(f"the regular-sequence quotient over "
                                     f"{field} is not certified to vanish in "

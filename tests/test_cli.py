@@ -315,6 +315,21 @@ def test_quantum_bfield_keeps_the_basis(tmp_path, capsys):
                                     "v3^2*v5"]
 
 
+def test_only_quantum_and_jacobian_read_the_bfield_values(capsys):
+    """A well-formed ``--bfield`` of the right length that is no unit
+    rescaling is refused by the commands that read it (exit 3) and
+    ignored by the others, whose reports it leaves unchanged."""
+    for command in ("validate", "classical", "cm", "invert", "audit",
+                    "quantum", "jacobian"):
+        plain = run(capsys, "--input", data_path("cp2"), "--command", command)
+        code, out, err = run(capsys, "--input", data_path("cp2"),
+                             "--command", command, "--bfield=0,1,1")
+        if command in ("quantum", "jacobian"):
+            assert code == 3 and out == "" and err.count("\n") == 1
+        else:
+            assert (code, out, err) == plain and code == 0, command
+
+
 def test_bfield_wrong_length(capsys):
     code, _, err = run(capsys, "--input", data_path("cp1"),
                        "--command", "jacobian", "--bfield", "2")

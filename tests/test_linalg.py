@@ -7,6 +7,7 @@ import pytest
 import reference
 from reference import mat_mul
 from toricqh import linalg
+from toricqh.errors import PreconditionError
 
 
 def test_snf_identity():
@@ -302,3 +303,28 @@ def test_field_elimination_matches_dense_reference(seed):
         for t, c in enumerate(free):
             assert elim.reduce({c: 1}) == [int(k == t)
                                           for k in range(elim.dim)]
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_remainder_decides_span_membership_without_settling(seed):
+    """Over Q and F_p, ``remainder`` of a vector is nonzero exactly when the
+    vector raises the dense rank of the rows added so far, and it changes
+    neither the pivot rows nor the rank.  Over Z it is refused."""
+    rng = random.Random(1300 + seed)
+    ncols, rows = _random_sparse_rows(rng)
+    half = rows[:len(rows) // 2]
+    for p in FIELDS:
+        elim = linalg.Eliminator(p)
+        for row in half:
+            elim.add_row(linalg.normalize(row, p))
+        pivots = {c: dict(row) for c, row in elim.pivots.items()}
+        base = reference.rank(half, p)
+        probes = rows[len(half):] + [{c: 1} for c in range(ncols)]
+        for vec in probes:
+            vec = linalg.normalize(vec, p)
+            rest = elim.remainder(vec)
+            assert bool(rest) == (reference.rank(half + [vec], p) > base)
+            assert not rest or min(rest) not in elim.pivots
+        assert elim.pivots == pivots and elim.rank == base
+    with pytest.raises(PreconditionError):
+        linalg.Eliminator(integral=True).remainder({0: 1})

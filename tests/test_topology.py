@@ -1,4 +1,6 @@
+import dataclasses
 import itertools
+import json
 import random
 from importlib import resources
 from math import comb, lcm
@@ -406,9 +408,10 @@ def test_regular_sequence_walks_only_to_the_first_zero_degree(
 
 
 def test_cm_ranks_the_nerve_once_per_field(monkeypatch):
-    """A ``cm`` run ranks the nerve's full face layers once per field:
-    ``reisner_cm_check`` (the link of the empty face) and
-    ``sphere_or_ball_profile`` share ``NerveComplex.reduced_betti``."""
+    """A ``cm`` run ranks the nerve's full face layers once per field, for
+    ``sphere_or_ball_profile`` alone: the regular-sequence check passes,
+    so ``reisner_cm_check``, which would share
+    ``NerveComplex.reduced_betti`` with the profile, does not run."""
     full = tp.build_nerve(catalog.load_example("cp3")).faces_by_dim()
     ranked = []
     real_betti = tp._reduced_betti
@@ -425,6 +428,134 @@ def test_cm_ranks_the_nerve_once_per_field(monkeypatch):
                          "--ring", ring]) == 0
         assert ranked == [p]
         ranked.clear()
+
+
+def _cm_polyhedra(seed):
+    """The corpus and random Delzant polyhedra of dimensions 2 to 4, compact
+    and not."""
+    rng = random.Random(seed)
+    polys = [catalog.load_example(name) for name in catalog.VALID_EXAMPLES]
+    polys += [catalog.random_delzant(rng, dim, dim + rng.randrange(1, 4))
+              for dim in (2, 2, 3, 3, 4, 4)]
+    polys += [catalog.random_delzant(rng, dim, dim + 3, allow_noncompact=False)
+              for dim in (2, 3, 4)]
+    assert {P.dim for P in polys} >= {2, 3, 4}
+    assert any(is_compact(P) for P in polys if P.dim == 4)
+    assert any(not is_compact(P) for P in polys if P.dim >= 3)
+    return polys
+
+
+def test_reisner_and_regular_sequence_verdicts_agree():
+    """The oracle behind ``cm`` answering Cohen-Macaulayness from the
+    regular-sequence check: Reisner's criterion and the check agree over
+    Q, F_2 and F_3."""
+    for P in _cm_polyhedra(1976):
+        K = tp.build_nerve(P)
+        for p in (None, 2, 3):
+            assert (tp.reisner_cm_check(K, p).passed
+                    == tp.regular_sequence_check(P, p).passed), (P, p)
+
+
+def _cm_json(capsys, name, ring):
+    path = str(resources.files("toricqh").joinpath("data", f"{name}.json"))
+    code = cli.main(["--input", path, "--command", "cm", "--ring", ring,
+                     "--format", "json"])
+    return code, json.loads(capsys.readouterr().out)
+
+
+def test_cm_ranks_no_link_when_the_regular_sequence_passes(
+        corpus, monkeypatch, capsys):
+    """On the corpus the regular-sequence check passes, and ``cm`` reports
+    Reisner's verdict without calling ``reisner_cm_check``."""
+    verdicts = {(name, p): tp.reisner_cm_check(tp.build_nerve(P), p)
+                for name, P in corpus.items() for p in (None, 2)}
+
+    def no_links(K, p=None):
+        raise AssertionError("reisner_cm_check ran")
+
+    monkeypatch.setattr(tp, "reisner_cm_check", no_links)
+    for (name, p), verdict in verdicts.items():
+        code, report = _cm_json(capsys, name, "q" if p is None else f"fp:{p}")
+        assert code == 0 and verdict.passed, (name, p)
+        assert report["cohen_macaulay"] == {"passed": True, "witness": None}
+        assert report["field"] == verdict.field
+
+
+def test_cm_asks_reisner_when_the_regular_sequence_fails(monkeypatch, capsys):
+    """When the regular-sequence verdict fails, ``cm`` calls
+    ``reisner_cm_check`` on the nerve over the same field and reports its
+    verdict and witness as they are, and exits 4."""
+    real_check, real_reisner = tp.regular_sequence_check, tp.reisner_cm_check
+    calls = []
+
+    def failing_check(P, p=None, maxdeg=None):
+        report = real_check(P, p, maxdeg)
+        return dataclasses.replace(report, passed=False)
+
+    def recording_reisner(K, p=None):
+        calls.append((K, p))
+        return real_reisner(K, p)
+
+    monkeypatch.setattr(tp, "regular_sequence_check", failing_check)
+    monkeypatch.setattr(tp, "reisner_cm_check", recording_reisner)
+    for name, ring, p in (("cp3", "q", None), ("o_minus_1", "fp:3", 3)):
+        code, report = _cm_json(capsys, name, ring)
+        K = tp.build_nerve(catalog.load_example(name))
+        assert calls == [(K, p)]
+        calls.clear()
+        assert code == 4
+        assert report["cohen_macaulay"] == {"passed": True, "witness": None}
+        assert report["regular_sequence"]["passed"] is False
+
+    witness = "link of [1] has reduced homology of rank 1 in degree 0 < dim 1"
+    monkeypatch.setattr(tp, "reisner_cm_check", lambda K, p=None: tp.CMReport(
+        False, tp.field_name(p), witness))
+    code, report = _cm_json(capsys, "cp2", "fp:2")
+    assert code == 4 and report["field"] == "F2"
+    assert report["cohen_macaulay"] == {"passed": False, "witness": witness}
+
+
+def test_field_certificate_reads_the_pivots_alone(monkeypatch):
+    """Over Q, F_2 and F_3, on every monomial of every top slice (degree
+    n), the certificate of an unsettled field eliminator gives the answer
+    of the settled ``reduce`` reference, and leaves the pivot rows and the
+    rank as they were.  hirzebruch_f2's v4^2 is twice a generator over Z:
+    it spans over Q and F_3, not over F_2.  ``regular_sequence_check``
+    never settles."""
+    polys = _cm_polyhedra(2026)
+    hirzebruch, squares = catalog.load_example("hirzebruch_f2"), {}
+    for P in polys:
+        n = P.dim
+        for p in (None, 2, 3):
+            keys, leads, walk = tp.vertex_rows(P, n, p=p)
+            for index, rows in walk:
+                elim, ref = linalg.Eliminator(p), linalg.Eliminator(p)
+                for row in rows:
+                    elim.add_row(dict(row))
+                    ref.add_row(dict(row))
+            assert ref.settle(len(index))
+            pivots = {c: dict(row) for c, row in elim.pivots.items()}
+            rank = elim.rank
+            for key, col in index.items():
+                face = [j for j, e in enumerate(keys.decode(key))
+                        for _ in range(e)]
+                expected = ref.dim == 0 or (ref.dim == 1
+                                            and ref.reduce({col: 1}) != [0])
+                got = tp.top_class_certificate(elim, index, keys.steps, face)
+                assert got == expected, (P, p, face)
+                if P == hirzebruch and face == [3, 3]:
+                    squares[p] = got
+            assert tp.top_class_certificate(elim, index, keys.steps, leads)
+            assert elim.pivots == pivots and elim.rank == rank
+    assert squares == {None: True, 2: False, 3: True}
+
+    settled = []
+    monkeypatch.setattr(linalg.Eliminator, "settle",
+                        lambda self, ncols: settled.append(ncols))
+    for P in polys:
+        for p in (None, 2, 3):
+            assert tp.regular_sequence_check(P, p).passed
+    assert settled == []
 
 
 def test_top_class_certificate_needs_a_generator_over_z(corpus):
