@@ -84,8 +84,8 @@ from . import linalg, topology
 from .errors import PreconditionError, VerificationError
 from .monoid import (build_height_monoid, element_from_monomial, monoid_for,
                      scaled)
-from .polyhedra import (DelzantPolyhedron, exact_parameter, require_delzant,
-                        vertex_coordinates)
+from .polyhedra import (DelzantPolyhedron, exact_parameter, exact_units,
+                        require_delzant, vertex_coordinates)
 from .presentation import classical_presentation
 
 
@@ -122,10 +122,7 @@ def jacobian_freeness(P: DelzantPolyhedron, perturbations=None, rho=None,
         raise PreconditionError("cutoff must be positive")
     ctx = monoid_for(P)
     N, n = P.nfacets, P.dim
-    rho = tuple(exact_parameter(r, "B-field entry")
-                for r in (rho if rho is not None else (1,) * N))
-    if len(rho) != N or any(r == 0 for r in rho):
-        raise PreconditionError("need one nonzero unit per facet")
+    rho = exact_units(rho if rho is not None else (1,) * N, N)
     if p is not None:
         for j, r in enumerate(rho, start=1):
             if r.numerator % p == 0 or r.denominator % p == 0:

@@ -71,18 +71,24 @@ class DelzantPolyhedron:
 def memoized(fn):
     """Compute ``fn(P, ...)`` once per polyhedron object and keep it on P,
     so it is freed with P.  The key is the function and its other arguments
-    as passed, each with its type: ``f(P)`` and ``f(P, default)`` are
-    separate entries, so are ``f(P, True)`` and ``f(P, 1)``, and a
-    value-equal polyhedron built separately computes its own."""
+    as passed, each with its type and a tuple's entries with theirs:
+    ``f(P)`` and ``f(P, default)`` are separate entries, so are
+    ``f(P, True)`` and ``f(P, 1)`` or ``f(P, (True,))`` and ``f(P, (1,))``,
+    and a value-equal polyhedron built separately computes its own."""
     @functools.wraps(fn)
     def wrapper(P, *args, **kwargs):
-        key = (fn, *((type(a), a) for a in args),
-               *sorted((k, type(v), v) for k, v in kwargs.items()))
+        key = (fn, *map(_typed, args),
+               *sorted((k, _typed(v)) for k, v in kwargs.items()))
         if key not in P._memo:
             P._memo[key] = fn(P, *args, **kwargs)
         return P._memo[key]
 
     return wrapper
+
+
+def _typed(value):
+    return (type(value), tuple(map(_typed, value))
+            if type(value) is tuple else value)
 
 
 def is_integer(x) -> bool:
@@ -113,6 +119,18 @@ def exact_parameter(value, what: str) -> Fraction:
         raise PreconditionError(f"{what} must be exact (int, Fraction or "
                                 f"fraction string), got {value!r}")
     return Fraction(value)
+
+
+def exact_units(rho, nfacets: int) -> tuple[Fraction, ...]:
+    """B-field units as Fractions: one ``exact_parameter`` per facet, each
+    nonzero; PreconditionError otherwise."""
+    rho = tuple(exact_parameter(r, "B-field entry") for r in rho)
+    if len(rho) != nfacets:
+        raise PreconditionError(f"expected {nfacets} B-field entries, got "
+                                f"{len(rho)}")
+    if 0 in rho:
+        raise PreconditionError("B-field entries must be nonzero units")
+    return rho
 
 
 def polyhedron(dim: int, facets) -> DelzantPolyhedron:

@@ -8,7 +8,7 @@ torsion-free (a Smith form decides a residual block without unit entries),
 so that ranks and structure constants are simultaneously valid over any
 coefficient ring.  Torsion is a hard error; it would contradict the
 freeness facts these presentations rest on and therefore signals invalid
-input or an implementation bug.  With non-unit B-field rescalings the same
+input or an implementation bug.  Under a non-unit B-field the quantum
 elimination runs over Q.  The slices come from ``topology.sr_slices`` and
 the relation rows from ``topology.graded_rows`` in the lattice basis of the
 first vertex, so they, and their cost, do not depend on the lattice basis
@@ -31,18 +31,19 @@ into coefficients on the basis, so a structure constant is one reduction.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from math import prod
 from operator import add, mul
 
 from . import linalg, topology
 from .errors import PreconditionError, VerificationError
 from .monoid import (FilteredElement, element_from_monomial, format_monomial,
                      monoid_for)
-from .polyhedra import (DelzantPolyhedron, enumerate_vertices,
-                        exact_parameter, is_compact, is_integer, memoized,
-                        minimal_nonfaces, monotone_normalization,
-                        relabel_lattice, require_delzant, vertex_coordinates)
+from .polyhedra import (DelzantPolyhedron, enumerate_vertices, exact_units,
+                        is_compact, is_integer, memoized, minimal_nonfaces,
+                        monotone_normalization, relabel_lattice,
+                        require_delzant, vertex_coordinates)
 
 TPoly = tuple  # coefficient tuple, index = exponent of T
 
@@ -169,8 +170,8 @@ class RingPresentation:
 
 
 @memoized
-def classical_presentation(P: DelzantPolyhedron, ring: str = "Z",
-                           _rho=None) -> RingPresentation:
+def classical_presentation(P: DelzantPolyhedron,
+                           ring: str = "Z") -> RingPresentation:
     """Stanley-Reisner presentation of the classical cohomology.
 
     Works degree by degree up to dim = n: the degree-d monomials with face
@@ -183,34 +184,23 @@ def classical_presentation(P: DelzantPolyhedron, ring: str = "Z",
     well, and a product of two basis elements past degree n has structure
     constants 0 without a slice.  All quotients are verified torsion-free
     over Z; the requested coefficient ring only changes how the table is
-    reported.
-
-    Under unit rescalings ``_rho`` the basis of the plain presentation is
-    claimed in every degree and verified: v_j -> rho_j v_j maps the plain
-    quotient onto the deformed one, so the two share their basis.
+    reported.  Under a unit B-field the table is this one rescaled, as
+    ``apply_bfield`` states.
     """
     require_delzant(P)
     ring = _ring_label(ring)
-    plain = None if _rho is None else classical_presentation(P)
-    rho = _rho if _rho is not None else (1,) * P.nfacets
-    integral = all(r in (1, -1) for r in rho)
-    # rows over Z go to the eliminator unnormalized, so their entries (here
-    # and in quantum_presentation, which uses the same weights) are ints
-    assert not integral or all(type(r) is int for r in rho)
     K = topology.build_nerve(P)
     n = P.dim
-    keys, leads, walk = topology.vertex_rows(P, n, rho)
+    keys, leads, walk = topology.vertex_rows(P, n)
 
     layers = []
     basis = []
     for d, (index, rows) in enumerate(walk):
         keyed = list(index)
-        scan = sorted(keyed, key=keys.lex) if plain is None else \
-            [keys.encode(e) for e in plain.basis if sum(e) == d]
-        layer = _graded_layer(index, keys, rows, integral,
+        layer = _graded_layer(index, keys, rows, True,
                               f"the classical quotient at degree {d}",
-                              [index[m] for m in scan], plain is not None,
-                              len(basis))
+                              [index[m] for m in sorted(keyed, key=keys.lex)],
+                              first_idx=len(basis))
         layers.append(layer)
         basis.extend(keys.decode(keyed[col]) for col in layer.basis_cols)
     if not topology.top_class_certificate(layer.echelon, layer.index,
@@ -228,10 +218,9 @@ def classical_presentation(P: DelzantPolyhedron, ring: str = "Z",
                                 f"{P.nfacets - n}")
 
     structure = _classical_structure(K, layers, basis, ring)
-    linear = tuple(tuple(P.normals[j][i] * rho[j] for j in range(P.nfacets))
-                   for i in range(n))
-    return RingPresentation(ring, n, P.nfacets, nvertices, linear,
-                            minimal_nonfaces(P), ranks, tuple(basis), structure)
+    return RingPresentation(ring, n, P.nfacets, nvertices,
+                            tuple(zip(*P.normals)), minimal_nonfaces(P),
+                            ranks, tuple(basis), structure)
 
 
 def _classical_structure(K, layers, basis, ring):
@@ -250,6 +239,22 @@ def _classical_structure(K, layers, basis, ring):
             table[a][b] = table[b][a] = tuple(_coerce_ring(c, ring)
                                               for c in coeffs)
     return tuple(map(tuple, table))
+
+
+def _rescaled(plain: RingPresentation, rho) -> RingPresentation:
+    """The plain classical presentation in the generators rho_j * v_j, for
+    nonzero Fraction units rho, by the rule of ``apply_bfield``."""
+    ring = "Z" if all(abs(r) == 1 for r in rho) else "Q"
+    coeff = tuple(int(r) if r.denominator == 1 else r for r in rho)
+    weight = [prod(map(pow, rho, e)) for e in plain.basis]
+    structure = tuple(
+        tuple(tuple(_coerce_ring(c * weight[g] / (weight[a] * weight[b]), ring)
+                    for g, c in enumerate(cell)) for b, cell in enumerate(row))
+        for a, row in enumerate(plain.structure))
+    linear = tuple(tuple(map(mul, row, coeff))
+                   for row in plain.linear_relations)
+    return replace(plain, ring=ring, linear_relations=linear,
+                   structure=structure)
 
 
 def _coerce_ring(c, ring):
@@ -348,6 +353,9 @@ def quantum_presentation(P: DelzantPolyhedron, margin: int = 0,
     of the linear forms is verified to be a free Z-module whose rank counts
     the classical basis elements of degree at most k, with basis
     T^(k - deg e_i) * e_i.  Any torsion or rank mismatch is a hard error.
+    Units ``_rho`` (``exact_units``) rescale the generators: the classical
+    part as ``apply_bfield`` states, and the rows, which are then
+    eliminated over Q unless every unit is +-1.
     """
     require_delzant(P)
     norm = monotone_normalization(P)
@@ -359,16 +367,13 @@ def quantum_presentation(P: DelzantPolyhedron, margin: int = 0,
                                 f"got {margin!r}")
     Pn = norm.rescaled
     N, n = Pn.nfacets, Pn.dim
-    rho = tuple(Fraction(r) for r in (_rho if _rho is not None else (1,) * N))
-    if any(r == 0 for r in rho):
-        raise PreconditionError("unit rescalings must be nonzero")
-    integral = all(r.denominator == 1 and r.numerator in (1, -1) for r in rho)
-    ring = "Z" if integral else "Q"
+    rho = exact_units((1,) * N if _rho is None else _rho, N)
+    classical = classical_presentation(Pn)
+    if _rho is not None:
+        classical = _rescaled(classical, rho)
+    ring = classical.ring
     # keep the fast integer pipeline when the units are +-1
     rho_coeff = tuple(int(r) if r.denominator == 1 else r for r in rho)
-
-    classical = classical_presentation(Pn) if _rho is None else \
-        classical_presentation(Pn, ring, _rho=rho_coeff)
     basis = classical.basis
     degs = classical.basis_degrees()
     columns = list(zip(*Pn.normals))
@@ -382,7 +387,7 @@ def quantum_presentation(P: DelzantPolyhedron, margin: int = 0,
         # first len(claimed) indices g
         claimed = [index[keys.encode(nu)]
                    for nu, d in zip(basis_nu, degs) if d <= k]
-        layer = _graded_layer(index, keys, rows, integral,
+        layer = _graded_layer(index, keys, rows, ring == "Z",
                               f"the quantum quotient at T-degree {k}",
                               claimed, True)
         layers.append(layer)
@@ -570,52 +575,29 @@ class BFieldReport:
 
 
 def apply_bfield(P: DelzantPolyhedron, rho) -> BFieldReport:
-    """Rescale the generators by units rho_j and rebuild the presentations.
+    """Rescale the generators by units rho_j (``exact_units``).
 
-    The deformation is an automorphism at the level of the monomial ring, so
-    ranks and the monomial basis must come out unchanged; that is verified.
-    The quantum Stanley-Reisner relations pick up the scalar
-    prod_(j in J) rho_j / prod_j rho_j^(t_j) when written in the rescaled
-    generators.
+    v_j -> rho_j * v_j fixes the Stanley-Reisner ideal, so the classical
+    table is the plain one with entry (a, b; g) times rho^(e_g - e_a - e_b),
+    on the plain basis and ranks, over Z when every rho_j is +-1 and over Q
+    otherwise; the linear relations become nu_j * rho_j.  The quantum table
+    (monotone P) is no such rescaling and is eliminated with the units.  The
+    quantum Stanley-Reisner relations pick up the scalar
+    prod_(j in J) rho_j / prod_j rho_j^(t_j) in the rescaled generators.
     """
-    rho = tuple(exact_parameter(r, "unit coefficient") for r in rho)
-    if len(rho) != P.nfacets:
-        raise PreconditionError(f"expected {P.nfacets} unit coefficients")
-    if any(r == 0 for r in rho):
-        raise PreconditionError("unit coefficients must be nonzero")
-    integral = all(r.denominator == 1 and r.numerator in (1, -1) for r in rho)
-    ring = "Z" if integral else "Q"
-    rho_coeff = tuple(int(r) if r.denominator == 1 else r for r in rho)
-
-    plain = classical_presentation(P)
-    deformed = classical_presentation(P, ring, _rho=rho_coeff)
-    if deformed.ranks != plain.ranks or deformed.basis != plain.basis:
-        raise VerificationError("unit rescaling changed ranks or basis; it must "
-                                "act as an automorphism")
-
-    quantum = None
-    if monotone_normalization(P) is not None:
-        plain_q = quantum_presentation(P)
-        quantum = quantum_presentation(P, _rho=rho)
-        if quantum.basis != plain_q.basis or \
-                quantum.verified_ranks != plain_q.verified_ranks:
-            raise VerificationError("unit rescaling changed the quantum basis "
-                                    "or ranks")
+    rho = exact_units(rho, P.nfacets)
+    deformed = _rescaled(classical_presentation(P), rho)
+    quantum = quantum_presentation(P, _rho=rho) \
+        if monotone_normalization(P) is not None else None
 
     relations = []
     for rel in quantum_sr_relations(P):
-        num = _prod(rho[j - 1] for j in rel.nonface)
-        den = _prod(rho[j] ** t for j, t in enumerate(rel.target) if t)
+        num = prod(rho[j - 1] for j in rel.nonface)
+        den = prod(map(pow, rho, rel.target))
         relations.append(QuantumSRRelation(rel.nonface, rel.height, rel.target,
                                            num / den))
-    return BFieldReport(rho, ring, deformed, quantum, tuple(relations))
-
-
-def _prod(values):
-    out = Fraction(1)
-    for v in values:
-        out *= v
-    return out
+    return BFieldReport(rho, deformed.ring, deformed, quantum,
+                        tuple(relations))
 
 
 @dataclass(frozen=True)

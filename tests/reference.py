@@ -5,13 +5,19 @@ only tests need: a dense matrix product, a dense Gaussian rank, a dense
 Gauss-Jordan solve, the fraction-free (Bareiss) determinant and adjugate,
 the monotone normalization by that solve, the inverse of
 ``presentation.reduce_to_basis``, the composition search for divisor
-inverse certificates, and a ``topology.graded_rows`` that loses the rows
-into degree n.
+inverse certificates, a ``topology.graded_rows`` that loses the rows into
+degree n, the classical table under a B-field by an elimination over Q,
+an exact characteristic polynomial, and two surfaces outside the corpus:
+the hexagon and dP8.
 """
 
 from fractions import Fraction
+from operator import add
 
+from toricqh import topology
 from toricqh.monoid import element_from_monomial, monoid_for
+from toricqh.polyhedra import polyhedron
+from toricqh.presentation import classical_presentation
 
 
 def mat_mul(A, B):
@@ -198,3 +204,68 @@ def dropping_rows_at_top(walk):
         for d, (index, rows) in enumerate(walk(slices, steps, weights, leads)):
             yield index, ([] if d == n else rows)
     return dropping
+
+
+def deformed_classical_structure(P, rho):
+    """The classical structure constants of P in the generators rho_j * v_j
+    by an elimination over Q: in each degree the rho-weighted rows of
+    ``topology.vertex_rows``, on the plain basis, which dense ranks check
+    to be a basis of the quotient, and each product of two basis elements
+    solved on that basis and the rows by ``solve_rational``."""
+    plain = classical_presentation(P)
+    basis, n = plain.basis, P.dim
+    keys, _, walk = topology.vertex_rows(P, n, rho)
+    layers = []
+    for d, (index, rows) in enumerate(walk):
+        claimed = [{index[keys.encode(e)]: 1} for e in basis if sum(e) == d]
+        width = len(index)
+        assert rank(rows) + len(claimed) == width == rank(rows + claimed), d
+        A = [[v.get(c, 0) for v in claimed + rows] for c in range(width)]
+        first = sum(1 for e in basis if sum(e) < d)
+        layers.append((index, A, range(first, first + len(claimed))))
+    K = topology.build_nerve(P)
+    table = []
+    for ea in basis:
+        row = []
+        for eb in basis:
+            m = tuple(map(add, ea, eb))
+            coeffs = [Fraction(0)] * len(basis)
+            support = frozenset(j + 1 for j, t in enumerate(m) if t)
+            if sum(m) <= n and K.is_face(support):
+                index, A, idx = layers[sum(m)]
+                col = index[keys.encode(m)]
+                x = solve_rational(A, [int(c == col) for c in range(len(A))])
+                for g, c in zip(idx, x):
+                    coeffs[g] = c
+            row.append(tuple(coeffs))
+        table.append(tuple(row))
+    return tuple(table)
+
+
+def charpoly(M):
+    """Coefficients of det(x I - M), highest degree first, by the
+    Faddeev-LeVerrier recursion in exact arithmetic: with A_0 = 0 and
+    c_0 = 1, A_k = M A_(k-1) + c_(k-1) I and c_k = -tr(M A_k) / k."""
+    n = len(M)
+    coeffs = [Fraction(1)]
+    A = [[Fraction(0)] * n for _ in range(n)]
+    for k in range(1, n + 1):
+        A = mat_mul(M, A)
+        for i in range(n):
+            A[i][i] += coeffs[-1]
+        MA = mat_mul(M, A)
+        coeffs.append(-sum(MA[i][i] for i in range(n)) / k)
+    return coeffs
+
+
+def hexagon():
+    """The hexagon, every offset 1: the toric del Pezzo surface of degree
+    6."""
+    return polyhedron(2, [(nu, 1) for nu in ((1, 0), (1, 1), (0, 1), (-1, 0),
+                                             (-1, -1), (0, -1))])
+
+
+def dp8():
+    """CP^2 blown up at one point, every offset 1."""
+    return polyhedron(2, [(nu, 1) for nu in ((1, 0), (0, 1), (-1, -1),
+                                             (1, 1))])

@@ -72,8 +72,8 @@ def test_bfield_builds_one_monoid_per_polyhedron(monkeypatch):
 
     monkeypatch.setattr(ConeMonoid, "__init__", counting_init)
     pr.apply_bfield(P, (2, 1, 1))
-    # one for P and one for its normalization, shared by both quantum
-    # presentations
+    # one for the normalization, built by the one quantum presentation, and
+    # one for P, built by the deformed quantum Stanley-Reisner relations
     assert len(built) == 2
     assert built[0] is monotone_normalization(P).rescaled and built[1] is P
 

@@ -7,12 +7,14 @@ from types import SimpleNamespace
 
 import pytest
 
-from reference import (dropping_rows_at_top, inverse_multiplicities,
-                       recompose_from_basis)
+from reference import (charpoly, deformed_classical_structure, determinant,
+                       dp8, dropping_rows_at_top, hexagon,
+                       inverse_multiplicities, recompose_from_basis)
 from toricqh import catalog, cli, linalg, topology
 from toricqh import monoid as mo
 from toricqh import presentation as pr
 from toricqh.errors import PreconditionError, VerificationError
+from toricqh.jacobian import jacobian_freeness
 from toricqh.polyhedra import (enumerate_vertices, is_compact,
                                monotone_normalization, polyhedron,
                                relabel_lattice)
@@ -268,7 +270,6 @@ def _both_ways(monkeypatch, make, run):
 def test_classical_presentation_matches_the_walk_to_degree_n_plus_1(
         monkeypatch):
     rng = random.Random(167)
-    units = (1, -1, 2, Fraction(1, 3))
     for name in catalog.VALID_EXAMPLES:
         def make():
             return catalog.load_example(name)
@@ -277,11 +278,6 @@ def test_classical_presentation_matches_the_walk_to_degree_n_plus_1(
             cp = _both_ways(monkeypatch, make,
                             lambda P: pr.classical_presentation(P, ring))
             assert cp.ring == ring
-        N = make().nfacets
-        for rho in ((-1,) * N, tuple(rng.choice(units) for _ in range(N))):
-            ring = "Z" if all(r in (1, -1) for r in rho) else "Q"
-            _both_ways(monkeypatch, make, lambda P: pr.classical_presentation(
-                P, ring, _rho=rho))
         U = linalg.random_unimodular(make().dim, rng)
         _both_ways(monkeypatch, lambda: relabel_lattice(make(), U),
                    pr.classical_presentation)
@@ -432,16 +428,72 @@ def _check_algebra_laws(Q):
 
 def test_quantum_t_zero_is_classical(corpus):
     for name in ("cp1", "cp2", "cp3", "cp1xcp1", "o_minus_1", "c2"):
-        Q = pr.quantum_presentation(corpus[name])
-        cp = Q.classical
-        assert Q.basis == cp.basis
-        m = len(Q.basis)
-        for a in range(m):
-            for b in range(m):
-                for k in range(m):
-                    poly = Q.structure[a][b][k]
-                    constant = poly[0] if poly else 0
-                    assert constant == cp.structure[a][b][k]
+        _assert_t_zero_is_classical(pr.quantum_presentation(corpus[name]))
+
+
+def test_quantum_t_zero_is_classical_under_a_bfield(corpus):
+    # the quantum slices are eliminated over Q with the units, while the
+    # classical table is the plain one rescaled; on the corpus every
+    # nonzero constant has e_g = e_a + e_b, so the surfaces test the factor
+    rng = random.Random(433)
+    units = (1, -1, 2, Fraction(1, 3), Fraction(-3, 2))
+    polys = {name: P for name, P in corpus.items()
+             if monotone_normalization(P) is not None}
+    polys.update(hexagon=hexagon(), dp8=dp8())
+    for name, P in polys.items():
+        for _ in range(2):
+            rho = (rng.choice(units[2:]),) + tuple(
+                rng.choice(units) for _ in range(P.nfacets - 1))
+            Q = pr.quantum_presentation(P, _rho=rho)
+            assert Q.ring == Q.classical.ring == "Q"
+            _assert_t_zero_is_classical(Q)
+
+
+def _assert_t_zero_is_classical(Q):
+    cp = Q.classical
+    assert Q.basis == cp.basis
+    m = len(Q.basis)
+    for a in range(m):
+        for b in range(m):
+            for k in range(m):
+                poly = Q.structure[a][b][k]
+                constant = poly[0] if poly else 0
+                assert constant == cp.structure[a][b][k]
+
+
+MIRROR_CHARPOLYS = {
+    "cp2": [1, 0, 0, -27],
+    "cp3": [1, 0, 0, 0, -256],
+    "cp1xcp1": [1, 0, -16, 0, 0],
+    # (x - 6)(x + 2)^3(x + 3)^2
+    "hexagon": [1, 6, -15, -208, -648, -864, -432],
+}
+
+
+@pytest.mark.parametrize("name", sorted(MIRROR_CHARPOLYS))
+def test_c1_multiplication_has_the_mirror_critical_values(name):
+    """At T = 1 the eigenvalues of multiplication by c_1 = sum_j v_j are the
+    critical values of the mirror potential sum_j x^(nu_j) (Batyrev)."""
+    P = hexagon() if name == "hexagon" else catalog.load_example(name)
+    Q = pr.quantum_presentation(P)
+    c1 = [0] * len(Q.basis)
+    for j in range(1, P.nfacets + 1):
+        for b, poly in enumerate(pr.reduce_to_basis(elem(Q.normalized, j), Q)):
+            c1[b] += sum(poly)
+    M = [[sum(c1[b] * sum(Q.structure[b][a][g]) for b in range(len(c1)))
+          for a in range(len(c1))] for g in range(len(c1))]
+    assert charpoly(M) == MIRROR_CHARPOLYS[name]
+
+
+def test_poincare_pairing_is_unimodular(corpus):
+    polys = {name: P for name, P in corpus.items() if is_compact(P)}
+    polys.update(hexagon=hexagon(), dp8=dp8())
+    for name, P in polys.items():
+        cp = pr.classical_presentation(P)
+        assert cp.ranks[-1] == 1, name
+        top = cp.basis_degrees().index(P.dim)
+        pairing = [[cell[top] for cell in row] for row in cp.structure]
+        assert determinant(pairing) in (1, -1), name
 
 
 def test_quantum_requires_monotone(corpus):
@@ -624,6 +676,48 @@ def test_bfield_keeps_the_plain_basis(corpus):
 def test_bfield_rejects_zero(o_minus_1):
     with pytest.raises(PreconditionError):
         pr.apply_bfield(o_minus_1, [0, 1, 1])
+
+
+def test_bfield_classical_is_an_elimination_over_q(corpus):
+    # on the corpus only hirzebruch_f2 has a constant with e_g != e_a + e_b
+    rng = random.Random(27)
+    units = (1, -1, 2, Fraction(1, 3), Fraction(-3, 2))
+    for name, P in dict(corpus, hexagon=hexagon(), dp8=dp8()).items():
+        plain = pr.classical_presentation(P)
+        N = P.nfacets
+        for rho in ((-1,) * N, tuple(units[j % 5] for j in range(N)),
+                    tuple(rng.choice(units) for _ in range(N))):
+            rep = pr.apply_bfield(P, rho)
+            cp = rep.classical
+            assert rep.ring == cp.ring == \
+                ("Z" if all(r in (1, -1) for r in rho) else "Q"), name
+            assert (cp.ranks, cp.basis) == (plain.ranks, plain.basis), name
+            assert cp.linear_relations == tuple(
+                tuple(nu[i] * r for nu, r in zip(P.normals, rho))
+                for i in range(P.dim)), name
+            assert cp.structure == deformed_classical_structure(
+                P, tuple(map(Fraction, rho))), (name, rho)
+
+
+BFIELD_ENTRY_POINTS = {
+    "quantum": lambda P, rho: pr.quantum_presentation(P, _rho=rho),
+    "apply_bfield": pr.apply_bfield,
+    "jacobian": lambda P, rho: jacobian_freeness(P, rho=rho),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(BFIELD_ENTRY_POINTS))
+@pytest.mark.parametrize("rho", [(2,), (2, 1, 1, 1), (0.5, 1, 1),
+                                 (True, 1, 1), (0, 1, 1)],
+                         ids=["short", "long", "float", "bool", "zero"])
+def test_bfield_units_follow_one_rule(entry, rho):
+    # one exact nonzero entry per facet, whichever entry point reads them;
+    # an equal exact rho computed before does not let an inexact one in
+    P = catalog.load_example("cp2")
+    run = BFIELD_ENTRY_POINTS[entry]
+    run(P, (1, 1, 1))
+    with pytest.raises(PreconditionError):
+        run(P, rho)
 
 
 def test_basis_independence_audit(corpus):
