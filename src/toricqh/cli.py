@@ -262,7 +262,7 @@ def cmd_classical(P, args):
         "basis": list(names),
         "structure_constants": _structure_json(cp.structure),
         "relations_text": [
-            " + ".join(_term(c, f"v{j + 1}")
+            " + ".join(pr.tpoly_str((c,), f"v{j + 1}")
                        for j, c in enumerate(row) if c).replace("+ -", "- ")
             + " = 0"
             for row in cp.linear_relations
@@ -270,14 +270,6 @@ def cmd_classical(P, args):
         "structure_text": _structure_entries(names, cp.structure),
     }
     return report, EXIT_OK
-
-
-def _term(c, name):
-    if c == 1:
-        return name
-    if c == -1:
-        return f"-{name}"
-    return f"{c}*{name}"
 
 
 def _generator_products(Q):
@@ -328,13 +320,7 @@ def _match_generator(coords, reductions):
     if not matches:
         return None
     _, _, l, shift, scalar = min(matches)
-    t = "" if shift == 0 else ("T" if shift == 1 else f"T^{shift}")
-    body = "*".join(x for x in (t, f"v{l + 1}") if x)
-    if scalar == 1:
-        return body
-    if scalar == -1:
-        return f"-{body}"
-    return f"{scalar}*{body}"
+    return pr.tpoly_str((0,) * shift + (scalar,), f"v{l + 1}")
 
 
 def cmd_quantum(P, args):

@@ -19,16 +19,20 @@ not free.  Such a verdict can therefore be an artifact of too small a slice:
 ``escalations == 2`` together with ``free == False`` means "not confirmed
 at this cap", not a proof of non-freeness.
 
-The slice runs in integers: every weight and height is scaled by one common
-denominator D', and the monomial T^h * v^t is keyed by one integer of
-``topology.SRKeys`` over the scaled vectors (lam, nu) of the N generators
-and of T, ordered by theta_{v0}, v0 being the first vertex.  The keys are
-linear, so the column of a product is the sum of two keys.  The slice is
-enumerated by ``topology.sr_walk``, which sums the generators'
-(weight, key) face by face and stops at the cap; unit entries for the
-facets of the first vertex carry the exponents that the Koszul skip below
-reads, and the theta_v of every vertex give the height of a product that
-the slice does not hold.
+The slice runs in integers: weights and heights are scaled by one common
+denominator D', and T^h * v^t is keyed by one integer of
+``topology.SRKeys`` over the scaled (lam, nu) of the N generators and of T
+(one step per unit of D' * height), ordered by theta_{v0}, v0 the first
+vertex, with ``top`` the largest scaled cap.  Every generator has scaled
+weight at least 1, so every monomial that a row reaches is a sum of at most
+``top`` steps: its key is unique and sorts as its vector does, and keys are
+linear, so the key of a product is the sum of two keys.
+``topology.sr_walk`` enumerates the slice face by face up to the cap,
+summing (weight, key), unit entries for the first vertex's facets, which
+the Koszul skip below reads, and theta_v for every vertex v.  Every slice
+monomial has height below g, so a product that the slice does not hold must
+have height at least g, which makes it zero in the truncation; each miss is
+checked, and VerificationError is raised for one of height below g.
 
 Relation rows.  With h_j = rho_j v_j + perturbation_j the relations are
 written in the lattice basis of the first vertex v0, whose facets are
@@ -59,18 +63,30 @@ The window by pivot count.  The quotient dimension is measured on an
 inner window, the monomials of T-weight at most n * max(lambda) + g: near
 the outer cap a monomial lacks the products that would reduce it.  The
 shifted basis T^gamma * e_i lies in the window.  The slice's columns run by
-region, then by key: first the monomials outside the window, then the rest
-of the window, then the basis.  Within a region they follow theta_{v0},
-which is 0 on v_{s_k} and positive on every other term of c'_k (the facets
-outside S miss v0, and every perturbation term has positive height), so a
-row's lead product v_{s_k} * m precedes its other terms there, as in
-``topology.graded_rows``.  Over Q and F_p the eliminator pivots each row on
-its least column, so a pivot row is zero left of its pivot.  Hence, for
-the span R of the relation rows and a set C of columns that come after all
-others, dim(R meet span C) is the number of pivots in C.  With C the
-window, dim_quotient is the window's size less its pivots; with C the
-basis, the basis is independent in the quotient exactly when no pivot lies
-on it.  One elimination of the relation rows gives both.
+region, then by key (``SRKeys.column``): first the monomials outside the
+window, then the rest of the window, then the basis.  Within a region they
+follow theta_{v0}, which is 0 on v_{s_k} and positive on every other term
+of c'_k (the facets outside S miss v0, and every perturbation term has
+positive height), so a row's lead product v_{s_k} * m precedes its other
+terms there, as in ``topology.graded_rows``.  Over Q and F_p the
+eliminator pivots each row on its least column, so a pivot row is zero
+left of its pivot.  Hence, for the span R of the relation rows and a set C
+of columns that come after all others, dim(R meet span C) is the number of
+pivots in C.  With C the window, dim_quotient is the window's size less its
+pivots; with C the basis, the basis is independent in the quotient exactly
+when no pivot lies on it.  One elimination of the relation rows gives both.
+
+Growth.  One slice serves a call: keyed for the largest cap the call may
+reach, its columns never move, and each escalation adds to the same
+eliminator only the rows c'_k * m of the monomials above the last cap's
+w_max; one below it has its rows, as every Koszul limit rises with the cap.
+The counts equal those of a slice built fresh at the new cap, as both span
+the same R and dim(R meet span C) depends on R alone: a row added at a
+smaller cap is the same vector at the larger one (its products lie within
+the smaller cap, where the slices agree, or have height at least g at
+both), every row either slice adds is c'_k * m with w(m) <= w_max at the
+larger cap, and one that the larger cap's Koszul bound skips lies, by the
+identity above, in the span of the rows that it keeps.
 """
 
 from __future__ import annotations
@@ -78,7 +94,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from operator import add, mul
+from operator import add, itemgetter, mul
 
 from . import linalg, topology
 from .errors import PreconditionError, VerificationError
@@ -157,37 +173,27 @@ def jacobian_freeness(P: DelzantPolyhedron, perturbations=None, rho=None,
     levels = G.elements
     dim_r = len(levels)
 
-    cp = classical_presentation(P)
-    basis = cp.basis
+    basis = classical_presentation(P).basis
     m = len(basis)
 
     hs = [element_from_monomial(ctx.generator(j + 1)) * rho[j]
           + perturbations[j] for j in range(N)]
     _, coords = vertex_coordinates(P, 0)
-    relations = []  # c'_k in the basis of the first vertex
-    for k in range(n):
-        rel = ctx.zero()
-        for h, w in zip(hs, coords):
-            if w[k]:
-                rel = rel + h * w[k]
-        relations.append(rel)
+    relations = [sum((h * w[k] for h, w in zip(hs, coords) if w[k]),
+                     ctx.zero()) for k in range(n)]  # the c'_k
 
-    lam_max = max(P.offsets)
-    lam_min = min(P.offsets)
+    lam_max, lam_min = max(P.offsets), min(P.offsets)
     step = max(lam_max, pert_weight)
     inner_cap = n * lam_max + g
-    cap = inner_cap + (dim_r - 1) * max(Fraction(0), step - lam_min) + \
+    first = inner_cap + (dim_r - 1) * max(Fraction(0), step - lam_min) + \
         max(Fraction(0), pert_weight - lam_min)
-
-    escalations = 0
-    while True:
-        result = _attempt(P, ctx, levels, g, relations, cap, inner_cap, basis, p)
-        dim_s, dim_quotient, independent = result
+    caps = [first + i * (inner_cap + (dim_r - 1) * step) for i in range(3)]
+    piece = _Slice(P, ctx, levels, g, relations, caps, inner_cap, basis, p)
+    for escalations, cap in enumerate(caps):  # at most two escalations
+        dim_s, dim_quotient, independent = piece.grow(cap)
         free = dim_quotient == m * dim_r and independent
-        if free or escalations >= 2:
+        if free:
             break
-        cap = cap + inner_cap + (dim_r - 1) * step
-        escalations += 1
 
     note = ("dim_s counts the monomials of T-weight at most the inner window "
             f"{inner_cap}; dim_quotient is the dimension of their span in the "
@@ -197,130 +203,129 @@ def jacobian_freeness(P: DelzantPolyhedron, perturbations=None, rho=None,
                           dim_r, m, dim_s, dim_quotient, basis, free, note)
 
 
-def _attempt(P, ctx, levels, g, relations, cap, inner_cap, basis, p):
-    """One elimination on the slice of T-weight <= cap: T^gamma * v^t over
-    the levels gamma and the Stanley-Reisner monomials v^t, which have
-    height zero exactly when the support of t is a face.  ``relations`` are
-    the c'_k of the first vertex's basis, in order; the Koszul skip and the
-    lead order of the module docstring need that basis.
+class _Slice:
+    """The slice of one call, grown by ``grow`` to each of ``caps`` in
+    turn.  ``relations`` are the c'_k of the first vertex's basis, in
+    order; the Koszul skip and the lead order need that basis.  ``columns``
+    maps the key of a monomial to its column."""
 
-    Keys.  Everything is scaled by one integer D' (``scale``).  A monomial
-    is keyed by ``topology.SRKeys`` over the vectors (lam, nu) * D' of the
-    N generators and of T, ordered by theta_{v0} * D', one step of T per
-    unit of D' * height, with ``top`` the scaled cap.  Every generator has
-    scaled weight at least 1, so a monomial of T-weight at most the cap, in
-    the slice or a product that a row reaches, is a sum of at most ``top``
-    steps: its key is unique and sorts as its vector does.  The walk
-    carries the key, a level adds a multiple of the step of T, and the
-    column of m times a relation term is ``index.get(key(m) + key(term))``.
+    def __init__(self, P, ctx, levels, g, relations, caps, inner_cap, basis,
+                 p):
+        self.nerve = topology.build_nerve(P)
+        self.scale = scale = lcm(
+            ctx.scale, g.denominator, inner_cap.denominator,
+            *(x.denominator for x in (*caps, *levels)),
+            *(mm.lam.denominator for rel in relations for mm in rel.terms))
+        k = scale // ctx.scale
+        weights = [k * lam for lam in ctx.scaled_offsets]
+        # theta_{v0} * D' of (lam * D' = w, nu) is w + k * <v0 * D, nu>
+        self.keys = keys = topology.SRKeys(
+            [*((w, *nu) for w, nu in zip(weights, P.normals)),
+             (1,) + (0,) * P.dim], scaled(max(caps), scale),
+            (1, *(k * x for x in ctx.scaled_points[0])))
+        *steps, t_step = keys.steps
+        self.rel_w = max((scaled(mm.lam, scale) for rel in relations
+                          for mm in rel.terms), default=0)
+        # The walk sums (weight, key), the exponents t_{s_1..s_n} of the
+        # first vertex's facets (unit entries) and theta_v * D' for every
+        # vertex v.  In the Koszul window, v_{s_t} dividing m skips the rows
+        # c'_k * m with k > t when w(m) <= w_max - rel_weight + lambda_{s_t}.
+        lead = vertex_coordinates(P, 0)[0]
+        self.leads = [(t + 1, 2 + t, weights[s - 1])
+                      for t, s in enumerate(lead)]
+        self.vectors = [(w, step, *(int(s == j + 1) for s in lead),
+                         *(w + k * x for x in ctx.pairings(nu)))
+                        for j, (w, step, nu) in enumerate(
+                            zip(weights, steps, P.normals))]
+        self.heights = [(h, h * t_step)
+                        for h in (scaled(x, scale) for x in levels)]
+        # the window: T-weight at most the inner cap; the basis lies in it
+        self.inner_w = scaled(inner_cap, scale)
+        self.basis_keys = {sum(map(mul, t, steps)) + lift
+                           for _, lift in self.heights for t in basis}
+        assert len(self.basis_keys) == len(basis) * len(levels)
+        self.g_s = scaled(g, scale)
+        # distinct terms times one monomial land in distinct columns, so
+        # each normalized coefficient is a row entry as it is
+        self.terms = [[(keys.encode((w, *mm.nu)), c,
+                        [w + k * x for x in ctx.pairings(mm.nu)])
+                       for mm, c in linalg.normalize(rel.terms, p).items()
+                       for w in [scaled(mm.lam, scale)]]
+                      for rel in relations]
+        self.elim = linalg.Eliminator(p)
+        self.columns = {}
+        # the last cap, scaled, and the number of columns in each region
+        self.cap, self.sizes = -1, [0, 0, 0]
 
-    Truncation.  Every monomial of the slice has height below g, so a
-    product that the slice does not hold must have height at least g,
-    which makes it zero in the truncation.  That is checked on these misses
-    only, from the theta_v vectors of m (carried by the walk) and of the
-    term, and VerificationError is raised for a product of height below g.
+    def grow(self, cap: Fraction) -> tuple[int, int, bool]:
+        """Grow the slice to the T-weight ``cap``, one of its caps and at
+        least the last, and return (dim_s, dim_quotient, independent)."""
+        columns, g_s, n = self.columns, self.g_s, len(self.leads)
+        for _, key, h, vec, built in self._walk(scaled(cap, self.scale)):
+            for rel in self.terms[:built]:
+                row = {}
+                for step, c, theta in rel:
+                    col = columns.get(key + step)
+                    if col is not None:
+                        row[col] = c
+                    elif (low := h + min(map(add, vec[2 + n:], theta))) < g_s:
+                        raise VerificationError(
+                            f"the Jacobian slice misses a product of height "
+                            f"{Fraction(low, self.scale)} below the cutoff "
+                            f"{Fraction(g_s, self.scale)}")
+                if row:
+                    self.elim.add_row(row)
+        sizes, keys = self.sizes, self.keys
+        assert sizes[2] == len(self.basis_keys), \
+            "the basis columns must lie in the window"
 
-    Rows and window.  The columns run by (region, key) and the window is
-    read off the pivots, as the module docstring explains.  The rows
-    c'_k * m, for k below the Koszul bound of m, go to one eliminator in the
-    column order of m, without being stored.
-    """
-    nerve = topology.build_nerve(P)
-    rel_weight = max((mm.lam for rel in relations for mm in rel.terms),
-                     default=Fraction(0))
-    scale = lcm(ctx.scale, g.denominator, cap.denominator,
-                inner_cap.denominator, *(x.denominator for x in levels),
-                *(mm.lam.denominator for rel in relations for mm in rel.terms))
-    k = scale // ctx.scale
-    n = P.dim
-    cap_s = scaled(cap, scale)
-    weights = [k * lam for lam in ctx.scaled_offsets]
-    # theta_{v0} * D' of (lam * D' = w, nu) is w + k * <v0 * D, nu>
-    keys = topology.SRKeys([*((w, *nu) for w, nu in zip(weights, P.normals)),
-                            (1,) + (0,) * n], cap_s,
-                           (1, *(k * x for x in ctx.scaled_points[0])))
-    *steps, t_step = keys.steps
-    rel_w = scaled(rel_weight, scale)
-    w_max = cap_s - rel_w
-    # The walk sums (weight, key), the exponents t_{s_1..s_n} of the first
-    # vertex's facets (unit entries) and theta_v * D' for every vertex v.
-    # In the Koszul window of the module docstring, v_{s_t} dividing m skips
-    # the rows c'_k * m with k > t when w(m) <= limit_t.
-    lead = vertex_coordinates(P, 0)[0]
-    limits = [(t + 1, 2 + t, w_max - rel_w + weights[s - 1])
-              for t, s in enumerate(lead)]
-    heights = [(h, h * t_step) for h in (scaled(x, scale) for x in levels)]
-    # The window holds the monomials of T-weight at most the inner cap; the
-    # basis columns T^gamma * e_i lie in it and come last.
-    inner_w = scaled(inner_cap, scale)
-    basis_cols = {sum(map(mul, t, steps)) + lift
-                  for _, lift in heights for t in basis}
-    # (region, key, weight, relations with a row here, height, theta_v * D'
-    # of v^t), weight and height scaled by D'
-    monomials = []
-    for vec in topology.sr_walk(
-            nerve, [(w, step, *(int(s == j + 1) for s in lead),
-                     *(w + k * x for x in ctx.pairings(nu)))
-                    for j, (w, step, nu) in enumerate(
-                        zip(weights, steps, P.normals))], cap_s):
-        w, key, th = vec[0], vec[1], vec[2 + n:]
-        assert min(th) == 0, f"the monomial of key {key} is not of height zero"
-        skips = [(t, limit) for t, pos, limit in limits if vec[pos]]
-        for h, lift in heights:  # ascending
-            x = w + h
-            if x > cap_s:
-                break
-            built = 0 if x > w_max else n
-            for t, limit in skips:
-                if x <= limit:
-                    built = t
+        # A pivot row is zero left of its pivot, so the pivots in a tail of
+        # the columns count the relations that the tail spans.
+        window, basis = (keys.column(keys.origin, r) for r in (1, 2))
+        pivots, dim_s = self.elim.pivots, sizes[1] + sizes[2]
+        return (dim_s, dim_s - sum(c >= window for c in pivots),
+                max(pivots, default=0) < basis)
+
+    def _walk(self, cap_s: int) -> list:
+        """Walk the slice to the scaled cap ``cap_s``, give its new
+        monomials their columns, and return, in the column order of m,
+        (column, key, height, walk vector, k bound) for every m above the
+        last w_max, whose rows c'_k * m the cap adds."""
+        old, w_max = self.cap, cap_s - self.rel_w
+        old_w_max, self.cap = old - self.rel_w, cap_s
+        columns, sizes = self.columns, self.sizes
+        basis_keys, inner_w, n = self.basis_keys, self.inner_w, len(self.leads)
+        shifts = [self.keys.column(0, r) for r in range(3)]
+        limits = [(t, pos, w_max - self.rel_w + w)
+                  for t, pos, w in self.leads]
+        pending = []
+        for vec in topology.sr_walk(self.nerve, self.vectors, cap_s):
+            w, key = vec[0], vec[1]
+            assert w <= old or min(vec[2 + n:]) == 0, \
+                f"the monomial of key {key} is not of height zero"
+            for h, lift in self.heights:  # ascending
+                x = w + h
+                if x > cap_s:
                     break
-            shifted = key + lift
-            region = 2 if shifted in basis_cols else int(x <= inner_w)
-            monomials.append((region, shifted, x, built, h, th))
-    monomials.sort()
-    index = {key: i for i, (_, key, *_) in enumerate(monomials)}
-    # canonical decompositions are unique: no two (level, t) share a key
-    assert len(index) == len(monomials)
-
-    g_s = scaled(g, scale)
-
-    def vanishes(h, th, theta):
-        """Check that a product missing from the slice, of T^h * v^t (theta
-        vector ``th`` at h = 0) by a term (``theta``), has height >= g."""
-        height = h + min(map(add, th, theta))
-        if height < g_s:
-            raise VerificationError(
-                f"the Jacobian slice misses a product of height "
-                f"{Fraction(height, scale)} below the cutoff {g}")
-
-    # distinct terms times one monomial land in distinct columns, so each
-    # normalized coefficient is a row entry as it is
-    terms = [[(keys.encode((w, *mm.nu)), c,
-               [w + k * x for x in ctx.pairings(mm.nu)])
-              for mm, c in linalg.normalize(rel.terms, p).items()
-              for w in [scaled(mm.lam, scale)]] for rel in relations]
-    elim = linalg.Eliminator(p)
-    for _, key, _, built, h, th in monomials:
-        for rel in terms[:built]:
-            row = {}
-            for step, c, theta in rel:
-                col = index.get(key + step)
-                if col is None:
-                    vanishes(h, th, theta)
+                if x <= old_w_max:
+                    continue
+                built = 0 if x > w_max else n
+                for t, pos, limit in limits:
+                    if vec[pos] and x <= limit:
+                        built = t
+                        break
+                shifted = key + lift
+                if x > old:  # new: 0 outside the window, 1 in it, 2 basis
+                    region = (x <= inner_w) + (shifted in basis_keys)
+                    col = columns[shifted] = shifted + shifts[region]
+                    sizes[region] += 1
                 else:
-                    row[col] = c
-            if row:
-                elim.add_row(row)
-
-    # A pivot row is zero left of its pivot, so the pivots in a tail of the
-    # columns count the relations that the tail spans.
-    placed = [x for region, _, x, *_ in monomials if region == 2]
-    assert len(placed) == len(basis) * len(heights) and \
-        max(placed) <= inner_w, "the basis columns must lie in the window"
-    first_window = sum(region == 0 for region, *_ in monomials)
-    first_basis = len(monomials) - len(placed)
-    dim_s = len(monomials) - first_window
-    dim_quotient = dim_s - sum(c >= first_window for c in elim.pivots)
-    independent = all(c < first_basis for c in elim.pivots)
-    return dim_s, dim_quotient, independent
+                    col = columns[shifted]
+                if built:
+                    pending.append((col, shifted, h, vec, built))
+        # canonical decompositions are unique: no two (level, t) share a key
+        assert len(columns) == sum(sizes)
+        # in the column order of m, as in ``topology.graded_rows``: in the
+        # walk's order, some inputs touched 4 times the pivot-row entries
+        pending.sort(key=itemgetter(0))
+        return pending

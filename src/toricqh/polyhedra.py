@@ -113,12 +113,17 @@ def exact_fraction(value, what: str) -> Fraction:
 def exact_parameter(value, what: str) -> Fraction:
     """A library parameter as a Fraction.
 
-    Floats and bools raise PreconditionError: neither is an exact input.
+    Floats and bools raise PreconditionError, as neither is an exact input,
+    and so does anything that ``Fraction`` cannot read, such as a malformed
+    string or a zero denominator.
     """
-    if isinstance(value, (float, bool)):
-        raise PreconditionError(f"{what} must be exact (int, Fraction or "
-                                f"fraction string), got {value!r}")
-    return Fraction(value)
+    try:
+        if not isinstance(value, (float, bool)):
+            return Fraction(value)
+    except (TypeError, ValueError, ZeroDivisionError):
+        pass
+    raise PreconditionError(f"{what} must be exact (int, Fraction or "
+                            f"fraction string), got {value!r}")
 
 
 def exact_units(rho, nfacets: int) -> tuple[Fraction, ...]:

@@ -354,9 +354,9 @@ class SRKeys:
     and keeps their lexicographic order, and it is linear, so multiplying
     by Z_j adds ``steps[j]`` to every key.  ``encode`` and ``decode`` take
     and give x, and ``lex`` sorts keys as x does; nothing outside this
-    class knows the format.  The Jacobian slice alone sorts by a region
-    first (``jacobian._attempt``: outside its window, inside, the basis)
-    and by key within each region.
+    class knows the format.  A slice whose columns run by region, then by
+    key, takes ``column(key, region)``, linear in the key, from
+    ``column(origin, r)`` on for region r (``origin`` is the least key).
     """
 
     def __init__(self, vectors, top: int, order=None):
@@ -370,8 +370,9 @@ class SRKeys:
         self.base = 1 + max(reach * max(0, *col) - lo
                             for col, lo in zip(columns, self.low))
         self.steps = tuple(map(self._horner, full))
-        self._origin = self._horner(self.low)
+        self.origin = self._horner(self.low)
         self._plain = self.base ** len(vectors[0])
+        self._span = self.base ** len(self.low)
 
     def _digits(self, vec) -> tuple:
         order = () if self.order is None else (sum(map(mul, self.order, vec)),)
@@ -394,7 +395,7 @@ class SRKeys:
 
     def decode(self, key: int) -> tuple[int, ...]:
         """The plain vector of a key, as a tuple."""
-        rest = key - self._origin
+        rest = key - self.origin
         digits = []
         for lo in reversed(self.low):
             rest, digit = divmod(rest, self.base)
@@ -407,7 +408,10 @@ class SRKeys:
     def lex(self, key: int) -> int:
         """An integer that sorts keys as their plain vectors sort
         lexicographically: the key without its order digit."""
-        return (key - self._origin) % self._plain
+        return (key - self.origin) % self._plain
+
+    def column(self, key: int, region: int) -> int:
+        return key - self.origin + region * self._span
 
 
 def sr_slices(K: NerveComplex, keys: SRKeys) -> list[list[int]]:

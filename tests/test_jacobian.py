@@ -72,6 +72,26 @@ def test_non_integer_parameters_rejected(name, cp1):
         NON_INTEGER_PARAMETERS[name](cp1)
 
 
+MALFORMED_PARAMETERS = {
+    "bfield_string": (lambda P: pr.apply_bfield(P, ("abc", 1, 1)),
+                      "B-field entry"),
+    "quantum_rho_string": (
+        lambda P: pr.quantum_presentation(P, _rho=("x", 1, 1)),
+        "B-field entry"),
+    "cutoff_zero_denominator": (lambda P: jacobian_freeness(P, g="1/0"),
+                                "cutoff"),
+    "cutoff_string": (lambda P: jacobian_freeness(P, g="abc"), "cutoff"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_PARAMETERS))
+def test_malformed_exact_parameters_rejected(name, cp2):
+    # a string that Fraction cannot read names the parameter, as a float does
+    call, what = MALFORMED_PARAMETERS[name]
+    with pytest.raises(PreconditionError, match=f"^{what} must be exact"):
+        call(cp2)
+
+
 def test_exact_parameters_accepted(cp1):
     reports = [jacobian_freeness(cp1, g=g, rho=rho) for g, rho in
                [(1, (1, 1)), (Fraction(1), (Fraction(1), 1)), ("1", ("1", 1))]]
@@ -219,12 +239,15 @@ def test_rational_and_prime_field_agree(corpus):
             (over_p.dim_s, over_p.dim_quotient, over_p.free), name
 
 
-@pytest.mark.parametrize("name, offsets, expected", [
+SKEWED = [
     ("cp2", (1, 1, 3), ((48, 3, True, 1), (61, 3, True, 1))),
     ("cp1xcp1", (1, 4, 1, 4), ((72, 4, True, 1), (87, 4, True, 1))),
     ("hirzebruch_f2", (1, 1, Fraction(5, 2), 1),
      ((59, 4, True, 1), (122, 8, True, 1))),
-])
+]
+
+
+@pytest.mark.parametrize("name, offsets, expected", SKEWED)
 def test_skewed_offsets_slices(corpus, name, offsets, expected):
     # (dim_s, dim_quotient, free, escalations) at g = 1 and g = 2 on offsets
     # far apart, where the slice reaches Stanley-Reisner monomials of high
@@ -327,31 +350,36 @@ def _reference_attempt(P, ctx, levels, g, relations, cap, inner_cap, basis,
 
 def _against_every_row(monkeypatch, P, g, rho=None, perturbations=None,
                        p=None):
-    """Run ``jacobian_freeness`` with each slice attempt checked against
-    ``_reference_attempt`` on the relations as defined: the same
-    (dim_s, dim_quotient, independent) and the same rank of the relation
-    rows.  Returns the report and the relation rows built by each side."""
-    fast = jacobian._attempt
+    """Run ``jacobian_freeness`` with its slice checked, at every cap it
+    grows to, against ``_reference_attempt`` on the relations as defined:
+    the same (dim_s, dim_quotient, independent) and the same rank of the
+    relation rows.  Returns the report, the relation rows that reached the
+    eliminator and the reference's rows summed over the caps."""
     original = _definition_relations(P, rho, perturbations)
     rows = [0, 0]
 
     class Counting(linalg.Eliminator):  # patched into jacobian only
         def add_row(self, row):
             rows[0] += 1
-            Counting.last = self
             return super().add_row(row)
 
-    def both(P_, ctx, levels, g_, relations, cap, inner_cap, basis, p_):
-        got = fast(P_, ctx, levels, g_, relations, cap, inner_cap, basis, p_)
-        want, rank, built = _reference_attempt(
-            P_, ctx, levels, g_, original, cap, inner_cap, basis, p_)
-        assert got == want, (cap, got, want)
-        assert Counting.last.rank == rank
-        rows[1] += built
-        return got
+    class Checked(jacobian._Slice):
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.args = args
+
+        def grow(self, cap):
+            got = super().grow(cap)
+            P_, ctx, levels, g_, _, _, inner_cap, basis, p_ = self.args
+            want, rank, built = _reference_attempt(
+                P_, ctx, levels, g_, original, cap, inner_cap, basis, p_)
+            assert got == want, (cap, got, want)
+            assert self.elim.rank == rank, cap
+            rows[1] += built
+            return got
 
     with monkeypatch.context() as patch:
-        patch.setattr(jacobian, "_attempt", both)
+        patch.setattr(jacobian, "_Slice", Checked)
         patch.setattr(jacobian, "linalg", SimpleNamespace(
             Eliminator=Counting, normalize=linalg.normalize))
         report = jacobian_freeness(P, perturbations=perturbations, rho=rho,
@@ -421,40 +449,39 @@ def test_koszul_rows_match_every_row_mod_p(corpus, monkeypatch):
 
 
 def _recorded_rows(monkeypatch, P, g, perturbations=None, p=None):
-    """Run ``jacobian_freeness`` and return, per slice attempt, its
-    arguments, the relation rows in the order they reached ``add_row`` and
-    its result."""
-    fast = jacobian._attempt
-    attempts = []
+    """Run ``jacobian_freeness`` and return, per growth step of its slice,
+    the slice, the cap, the relation rows in the order they reached
+    ``add_row`` and the step's result."""
+    steps = []
 
     class Recording(linalg.Eliminator):
         def add_row(self, row):
-            attempts[-1][1].append(dict(row))
+            steps[-1][2].append(dict(row))
             return super().add_row(row)
 
-    def recorded(*args):
-        attempts.append([args, []])
-        attempts[-1].append(fast(*args))
-        return attempts[-1][2]
+    class Recorded(jacobian._Slice):
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.args = args
+
+        def grow(self, cap):
+            steps.append([self, cap, []])
+            steps[-1].append(super().grow(cap))
+            return steps[-1][3]
 
     with monkeypatch.context() as patch:
-        patch.setattr(jacobian, "_attempt", recorded)
+        patch.setattr(jacobian, "_Slice", Recorded)
         patch.setattr(jacobian, "linalg", SimpleNamespace(
             Eliminator=Recording, normalize=linalg.normalize))
         jacobian_freeness(P, perturbations=perturbations, g=g, p=p)
-    return attempts
+    return steps
 
 
-def _slice_columns(P, ctx, levels, g, relations, cap, inner_cap, basis):
-    """The slice monomials T^gamma * v^t as (lam, nu), lam scaled by the
-    attempt's D', in the documented column order: by (region, theta_{v0},
-    lam, nu), region 0 outside the inner window, 1 inside it and 2 the
-    basis columns T^gamma * e_i, which must take the last m * dim_r
-    columns.  Returns them with D' and the number of columns in the
-    window, regions 1 and 2."""
-    scale = lcm(ctx.scale, g.denominator, cap.denominator,
-                inner_cap.denominator, *(x.denominator for x in levels),
-                *(mm.lam.denominator for rel in relations for mm in rel.terms))
+def _slice_monomials(P, ctx, levels, cap, inner_cap, basis, scale):
+    """The slice monomials T^gamma * v^t of T-weight at most ``cap`` as
+    (region, theta_{v0}, lam, nu), lam scaled by D' = ``scale``: region 0
+    outside the inner window, 1 inside it and 2 the basis columns
+    T^gamma * e_i, all of which must be in the slice."""
     k = scale // ctx.scale
     weights = [k * w for w in ctx.scaled_offsets]
     cap_s = scaled(cap, scale)
@@ -478,58 +505,172 @@ def _slice_columns(P, ctx, levels, g, relations, cap, inner_cap, basis):
                     theta0 = lam + k * sum(map(mul, ctx.scaled_points[0], nu))
                     region = 2 if (lam, nu) in shifted else int(lam <= inner_w)
                     monomials.append((region, theta0, lam, nu))
-    monomials.sort()
-    cols = [(lam, nu) for _, _, lam, nu in monomials]
     assert len(shifted) == len(basis) * len(heights)
-    assert set(cols[-len(shifted):]) == shifted
-    return cols, scale, sum(x[0] > 0 for x in monomials)
+    assert sum(x[0] == 2 for x in monomials) == len(shifted)
+    return monomials
 
 
 @pytest.mark.parametrize("p", [None, 1000003])
 @pytest.mark.parametrize("name", ["cp3", "hirzebruch_f2", "cp2_perturbed"])
 def test_slice_columns_run_by_region_with_the_basis_last(corpus, monkeypatch,
                                                          name, p):
-    # every row is c'_k * m read in the column order (region, theta_{v0},
-    # lam, nu), and the basis takes the last m * dim_r columns
+    # at every cap, every row is c'_k * m read in the column order (region,
+    # theta_{v0}, lam, nu), and the basis takes the last m * dim_r columns
     perts = None
     if name == "cp2_perturbed":
         name = "cp2"
         perts = _random_perturbations(corpus[name], random.Random(3))
         assert any(not x.is_zero() for x in perts)
     P = corpus[name]
-    for args, rows, result in _recorded_rows(monkeypatch, P, 3, perts, p):
-        _, ctx, levels, g, relations, cap, inner_cap, basis, _ = args
-        cols, scale, window = _slice_columns(P, ctx, levels, g, relations,
-                                             cap, inner_cap, basis)
-        assert window == result[0]
-        where = {c: i for i, c in enumerate(cols)}
-        terms = [[(scaled(mm.lam, scale), mm.nu) for mm in rel.terms]
+    steps = _recorded_rows(monkeypatch, P, 3, perts, p)
+    assert len({id(piece) for piece, *_ in steps}) == 1
+    for piece, cap, rows, result in steps:
+        _, ctx, levels, _, relations, _, inner_cap, basis, _ = piece.args
+        keys = piece.keys
+        monomials = sorted(_slice_monomials(P, ctx, levels, cap, inner_cap,
+                                            basis, piece.scale))
+        assert sum(x[0] > 0 for x in monomials) == result[0]
+        where = {(lam, nu): keys.column(keys.encode((lam, *nu)), region)
+                 for region, _, lam, nu in monomials}
+        cols = [where[lam, nu] for _, _, lam, nu in monomials]
+        assert cols == sorted(set(cols))
+        basis_count = len(basis) * len(levels)
+        assert all(x[0] == 2 for x in monomials[-basis_count:])
+        terms = [[(scaled(mm.lam, piece.scale), mm.nu) for mm in rel.terms]
                  for rel in relations]
 
         def times(a, b):
             return a[0] + b[0], tuple(map(add, a[1], b[1]))
 
+        starts = [keys.column(keys.origin, r) for r in (1, 2)]
+
+        def decoded(col):
+            # the monomial of a column, which must sit in its region
+            region = sum(col >= start for start in starts)
+            lam, *nu = keys.decode(col - keys.column(0, region))
+            assert where[lam, tuple(nu)] == col
+            return lam, tuple(nu)
+
         assert rows
         for row in rows:
-            x = cols[min(row)]
-            assert any({where[q] for q in (times(m, t) for t in rel)
-                        if q in where} == set(row)
+            got = set(map(decoded, row))
+            x = decoded(min(row))
+            assert any({q for q in (times(m, t) for t in rel)
+                        if q in where} == got
                        for rel in terms for tau in rel
                        for m in [(x[0] - tau[0], tuple(map(sub, x[1], tau[1])))]
-                       if m in where), (name, p, row)
+                       if m in where), (name, p, cap, row)
+
+
+def _slice_args(monkeypatch, P, **kwargs):
+    """The arguments of the one slice that ``jacobian_freeness`` builds."""
+    calls = []
+
+    class Recorded(jacobian._Slice):
+        def __init__(self, *args):
+            calls.append(args)
+            super().__init__(*args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(jacobian, "_Slice", Recorded)
+        jacobian_freeness(P, **kwargs)
+    assert len(calls) == 1
+    return calls[0]
 
 
 def test_dependent_basis_is_not_independent(cp1, monkeypatch):
     # v1 = v2 in the classical ring of CP^1, so the shifted basis
     # (v1, v2) is dependent in the quotient though it has the right count
-    fast = jacobian._attempt
-    calls = []
-    monkeypatch.setattr(jacobian, "_attempt",
-                        lambda *args: calls.append(args) or fast(*args))
-    jacobian_freeness(cp1, g=1)
-    args = calls[0]
-    assert fast(*args) == (5, 2, True)
-    assert fast(*args[:7], ((1, 0), (0, 1)), args[8]) == (5, 2, False)
+    args = _slice_args(monkeypatch, cp1, g=1)
+    plain = jacobian._Slice(*args)
+    dependent = jacobian._Slice(*args[:7], ((1, 0), (0, 1)), args[8])
+    for cap in args[5]:
+        assert plain.grow(cap) == (5, 2, True)
+        assert dependent.grow(cap) == (5, 2, False)
+
+
+def _growth_cases(corpus):
+    """(polyhedron, keyword arguments of ``jacobian_freeness``) for the
+    grown-slice test, over Q and F_1000003."""
+    cases = [(corpus["hirzebruch_f2"], {"g": g}) for g in (1, 2, 3)]
+    for name, offsets, _ in SKEWED:
+        base = corpus[name]
+        P = polyhedron(base.dim, list(zip(base.normals, offsets)))
+        cases += [(P, {"g": g}) for g in (1, 2)]
+    cp2 = corpus["cp2"]
+    cases.append((cp2, {"g": 3, "perturbations": _random_perturbations(
+        cp2, random.Random(3))}))
+    cases.append((corpus["cp1xcp1"], {"g": 2, "rho": (2, -1, Fraction(1, 3),
+                                                      1)}))
+    return [(P, {**kwargs, "p": p}) for P, kwargs in cases
+            for p in (None, 1000003)]
+
+
+def test_grown_slice_counts_equal_a_fresh_slice(corpus, monkeypatch):
+    # one slice grown through the call's three caps has, at each cap, the
+    # counts of a slice built for that cap alone and of every row
+    escalated = 0
+    for P, kwargs in _growth_cases(corpus):
+        args = _slice_args(monkeypatch, P, **kwargs)
+        P_, ctx, levels, g, _, caps, inner_cap, basis, p = args
+        original = _definition_relations(P, kwargs.get("rho"),
+                                         kwargs.get("perturbations"))
+        grown = jacobian._Slice(*args)
+        counts = []
+        for cap in caps:
+            fresh = jacobian._Slice(*args[:5], (cap,), *args[6:]).grow(cap)
+            want = _reference_attempt(P, ctx, levels, g, original, cap,
+                                      inner_cap, basis, p)[0]
+            counts.append(grown.grow(cap))
+            assert counts[-1] == fresh == want, (kwargs, cap)
+        escalated += counts[0] != counts[1]
+    # every unperturbed, unrescaled case confirms only at a larger cap, so
+    # the counts there come from a grown slice
+    assert escalated == 18
+
+
+def test_no_row_reaches_the_eliminator_twice(corpus, monkeypatch):
+    # one eliminator per call, and one add_row per distinct row c'_k * m:
+    # an escalation adds only the rows that the larger cap adds, so the
+    # call's rows are those of fresh slices at the two caps it tries
+    P = corpus["hirzebruch_f2"]
+    made, rows, pairs = [], [], []
+
+    class Recording(linalg.Eliminator):
+        def __init__(self, p=None):
+            made.append(self)
+            super().__init__(p)
+
+        def add_row(self, row):
+            rows.append(frozenset(row.items()))
+            return super().add_row(row)
+
+    class Walked(jacobian._Slice):
+        def _walk(self, cap_s):
+            # the (key of m, k) of every nonempty row c'_k * m to be added
+            pending = super()._walk(cap_s)
+            pairs.extend((key, k) for _, key, _, _, built in pending
+                         for k in range(built)
+                         if any(key + step in self.columns
+                                for step, _, _ in self.terms[k]))
+            return pending
+
+    monkeypatch.setattr(jacobian, "linalg", SimpleNamespace(
+        Eliminator=Recording, normalize=linalg.normalize))
+    monkeypatch.setattr(jacobian, "_Slice", Walked)
+    args = _slice_args(monkeypatch, P, g=3)
+    assert len(made) == 1
+    call, call_pairs = rows[:], pairs[:]
+    assert len(call) == len(call_pairs) == len(set(call_pairs)) == 2029
+    fresh_pairs, fresh_rows = set(), set()
+    for cap in args[5][:2]:  # the call escalates once; the rebuild made 2,309
+        rows.clear()
+        pairs.clear()
+        Walked(*args).grow(cap)
+        fresh_pairs.update(pairs)
+        fresh_rows.update(rows)
+    assert set(call_pairs) == fresh_pairs
+    assert set(call) == fresh_rows
 
 
 def test_slice_missing_a_monomial_of_height_zero_raises(cp2, monkeypatch):
