@@ -21,6 +21,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from operator import add
 from types import SimpleNamespace
 
 from . import jacobian as jc
@@ -164,9 +165,12 @@ _UNREADABLE = (OSError, UnicodeDecodeError, json.JSONDecodeError,
 
 
 def _read_json(path: str, option: str):
+    """The JSON value in the file at ``path``, read as bytes and decoded
+    as UTF-8 once; a byte-order mark is malformed JSON, as it is to
+    ``json.loads`` of a string."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+        with open(path, "rb") as fh:
+            return json.loads(fh.read().decode("utf-8"))
     except _UNREADABLE as exc:
         raise SchemaError(f"cannot read {option} {path}: {exc}") from exc
 
@@ -208,18 +212,8 @@ def _structure_entries(names, structure):
 
 
 def _structure_json(structure):
-    return [[[_stringify(list(_as_poly(entry))) for entry in row_b]
-             for row_b in row_a] for row_a in structure]
-
-
-def _stringify(obj):
-    if isinstance(obj, Fraction):
-        return str(obj) if obj.denominator != 1 else obj.numerator
-    if isinstance(obj, (list, tuple)):
-        return [_stringify(x) for x in obj]
-    if isinstance(obj, dict):
-        return {k: _stringify(v) for k, v in obj.items()}
-    return obj
+    return [[[_as_poly(entry) for entry in cell] for cell in row]
+            for row in structure]
 
 
 def cmd_validate(P, args):
@@ -253,7 +247,7 @@ def cmd_classical(P, args):
         "command": "classical",
         "ring": cp.ring,
         "generators": [f"v{j}" for j in range(1, P.nfacets + 1)],
-        "linear_relations": _stringify(cp.linear_relations),
+        "linear_relations": [list(row) for row in cp.linear_relations],
         "monomial_relations": [list(J) for J in cp.nonfaces],
         "ranks_by_monomial_degree": list(cp.ranks),
         "ranks_by_cohomological_degree": {str(2 * d): r
@@ -273,17 +267,17 @@ def cmd_classical(P, args):
 
 
 def _generator_products(Q):
-    """Products of generator classes, re-expressed through a generator class
-    when the reduction is a scalar T-power multiple of one."""
-    ctx = mo.monoid_for(Q.normalized)
-    gens = [mo.element_from_monomial(ctx.generator(j))
-            for j in range(1, Q.normalized.nfacets + 1)]
-    reductions = [pr.reduce_to_basis(v, Q) for v in gens]
+    """Products v_a*v_b of the generator classes, named through a generator
+    class when their coordinates are a scalar T-power multiple of its, else
+    by their coordinates: those of nu_a + nu_b at T-degree 2, against those
+    of nu_l at T-degree 1."""
+    normals = Q.normalized.normals
+    reductions = [Q.monomial_coords(1, nu) for nu in normals]
     names = Q.basis_names()
     lines = []
-    for a in range(len(gens)):
-        for b in range(a, len(gens)):
-            coords = pr.reduce_to_basis(gens[a] * gens[b], Q)
+    for a, nu_a in enumerate(normals):
+        for b in range(a, len(normals)):
+            coords = Q.monomial_coords(2, tuple(map(add, nu_a, normals[b])))
             lhs = f"v{a + 1}^2" if a == b else f"v{a + 1}*v{b + 1}"
             rhs = _match_generator(coords, reductions)
             if rhs is None:
@@ -294,32 +288,32 @@ def _generator_products(Q):
 
 
 def _match_generator(coords, reductions):
-    matches = []
+    """``c*T^s*v_l`` when ``coords`` is c * T^s times ``reductions[l]`` for
+    one scalar c and one shift s >= 0, preferring c = 1, then c = -1, then
+    the least l; None when no nonzero reduction matches.  Each T-polynomial
+    has at most one term, its last (``QuantumPresentation.monomial_coords``),
+    so scalars are compared by cross-multiplication."""
+    best = None
     for l, red in enumerate(reductions):
-        if all(not p for p in red):
-            continue
-        # is coords == c * T^shift * red for a single scalar and shift?
-        shifts = set()
-        scalars = set()
-        ok = True
+        shift = None
         for poly, rpoly in zip(coords, red):
-            nz = [(e, c) for e, c in enumerate(poly) if c]
-            rnz = [(e, c) for e, c in enumerate(rpoly) if c]
-            if len(nz) != len(rnz) or len(nz) > 1:
-                ok = False
+            if not poly or not rpoly:
+                if poly or rpoly:
+                    break
+                continue
+            if shift is None:
+                shift, num, den = len(poly) - len(rpoly), poly[-1], rpoly[-1]
+            elif (len(poly) - len(rpoly) != shift
+                  or poly[-1] * den != num * rpoly[-1]):
                 break
-            if nz:
-                shifts.add(nz[0][0] - rnz[0][0])
-                scalars.add(Fraction(nz[0][1], 1) / Fraction(rnz[0][1], 1))
-        if not ok or len(shifts) != 1 or len(scalars) != 1:
-            continue
-        shift = shifts.pop()
-        scalar = scalars.pop()
-        if shift >= 0:
-            matches.append((scalar != 1, scalar != -1, l, shift, scalar))
-    if not matches:
+        else:
+            if shift is not None and shift >= 0:
+                key = (num != den, num != -den, l)
+                if best is None or key < best[0]:
+                    best = key, shift, Fraction(num, den)
+    if best is None:
         return None
-    _, _, l, shift, scalar = min(matches)
+    (_, _, l), shift, scalar = best
     return pr.tpoly_str((0,) * shift + (scalar,), f"v{l + 1}")
 
 
@@ -334,7 +328,7 @@ def cmd_quantum(P, args):
         "normalization": {"translation": [str(x) for x in Q.translation],
                           "scale": str(Q.scale)},
         "generators": [f"v{j}" for j in range(1, P.nfacets + 1)],
-        "linear_relations": _stringify(Q.linear_relations),
+        "linear_relations": [list(row) for row in Q.linear_relations],
         "quantum_sr_relations": [str(r) for r in Q.qsr_relations],
         "basis": list(names),
         "basis_size": len(names),
@@ -343,7 +337,7 @@ def cmd_quantum(P, args):
         "structure_text": _structure_entries(names, Q.structure),
         "generator_products": _generator_products(Q),
         "kodaira_spencer": {
-            "generators": {k: _stringify([list(p) for p in v])
+            "generators": {k: [list(p) for p in v]
                            for k, v in ks["generators"].items()},
         },
     }
@@ -461,11 +455,73 @@ _DISPATCH = {
 }
 
 
+# JSON's string escape with every non-ASCII character escaped, in C where
+# the interpreter has it.
+_escape = json.encoder.encode_basestring_ascii
+
+
+def _fraction_json(x):
+    """A Fraction as a report writes it: its integer, or its "p/q" string;
+    TypeError for any other type, as ``json.dumps`` raises it."""
+    if type(x) is Fraction:
+        return x.numerator if x.denominator == 1 else str(x)
+    raise TypeError(f"Object of type {type(x).__name__} is not JSON "
+                    f"serializable")
+
+
+def _json_text(report) -> str:
+    """``json.dumps(report, indent=2, sort_keys=True,
+    default=_fraction_json) + "\n"``, written in one pass.  The report
+    holds dicts with string keys, lists, tuples, strings, ints, bools, None
+    and Fractions."""
+    out = []
+    put = out.append
+
+    def write(x, pad):
+        t = type(x)
+        if t is int:
+            put(str(x))
+        elif t is str:
+            put(_escape(x))
+        elif t is list or t is tuple:
+            if not x:
+                put("[]")
+                return
+            inner = pad + "  "
+            sep, comma = "[\n" + inner, ",\n" + inner
+            for item in x:
+                put(sep)
+                write(item, inner)
+                sep = comma
+            put("\n" + pad + "]")
+        elif t is dict:
+            if not x:
+                put("{}")
+                return
+            inner = pad + "  "
+            sep, comma = "{\n" + inner, ",\n" + inner
+            for key in sorted(x):
+                put(f"{sep}{_escape(key)}: ")
+                write(x[key], inner)
+                sep = comma
+            put("\n" + pad + "}")
+        elif x is None:
+            put("null")
+        elif t is bool:
+            put("true" if x else "false")
+        else:
+            write(_fraction_json(x), pad)
+
+    write(report, "")
+    put("\n")
+    return "".join(out)
+
+
 def _render_text(report) -> str:
     lines = []
 
     def compact(v):
-        return json.dumps(_stringify(v), separators=(",", ":"))
+        return json.dumps(v, separators=(",", ":"), default=_fraction_json)
 
     def walk(obj, indent=""):
         if isinstance(obj, dict):
@@ -515,7 +571,7 @@ def main(argv=None) -> int:
 
     report["input"] = polyhedron_to_json(P)
     if args.format == "json":
-        text = json.dumps(_stringify(report), indent=2, sort_keys=True) + "\n"
+        text = _json_text(report)
     else:
         text = _render_text(report)
     return _emit(text, code)

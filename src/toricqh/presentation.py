@@ -38,8 +38,7 @@ from operator import add, mul
 
 from . import linalg, topology
 from .errors import PreconditionError, VerificationError
-from .monoid import (FilteredElement, element_from_monomial, format_monomial,
-                     monoid_for)
+from .monoid import FilteredElement, format_monomial, monoid_for
 from .polyhedra import (DelzantPolyhedron, enumerate_vertices, exact_units,
                         is_compact, is_integer, memoized, minimal_nonfaces,
                         monotone_normalization, relabel_lattice,
@@ -341,6 +340,16 @@ class QuantumPresentation:
     def basis_names(self) -> tuple[str, ...]:
         return tuple(format_monomial(Fraction(0), e) for e in self.basis)
 
+    def monomial_coords(self, k: int, nu, c=1) -> list:
+        """Coordinates as T-polynomials on the basis of c times the monomial
+        of T-weight k and lattice part ``nu`` of the normalized monoid, read
+        off the layer of T-degree k: what ``reduce_to_basis`` gives for that
+        one term, each T-polynomial with one term at most."""
+        layer = self.layers[k]
+        coords = layer.coords({layer.column(nu): c})
+        return [(0,) * (k - d) + (coords[g],) if g in coords else ()
+                for g, d in enumerate(self.basis_degrees)]
+
 
 @memoized
 def quantum_presentation(P: DelzantPolyhedron, margin: int = 0,
@@ -407,13 +416,11 @@ def _quantum_structure(Q: QuantumPresentation, basis_nu):
     table = [[None] * len(degs) for _ in degs]
     for a, da in enumerate(degs):
         for b in range(a, len(degs)):
-            k = da + degs[b]
-            layer = Q.layers[k]
-            coords = layer.coords(
-                {layer.column(tuple(map(add, basis_nu[a], basis_nu[b]))): 1})
+            coords = Q.monomial_coords(
+                da + degs[b], tuple(map(add, basis_nu[a], basis_nu[b])))
             table[a][b] = table[b][a] = tuple(
-                _tpoly([(k - dg, _coerce_ring(coords[g], Q.ring))])
-                if g in coords else () for g, dg in enumerate(degs))
+                poly[:-1] + (_coerce_ring(poly[-1], Q.ring),) if poly else ()
+                for poly in coords)
     return tuple(map(tuple, table))
 
 
@@ -448,12 +455,12 @@ def reduce_to_basis(x: FilteredElement, Q: QuantumPresentation):
 def kodaira_spencer_table(Q: QuantumPresentation) -> dict:
     """Coordinates of the images of the divisor classes and of the classical
     basis monomials: a complete description of the presentation isomorphism
-    on generators."""
-    ctx = monoid_for(Q.normalized)
+    on generators.  The image H_j = rho_j * v_j is read off the layer of
+    T-degree 1 at nu_j."""
     table = {"generators": {}, "basis_monomials": {}}
-    for j in range(1, Q.normalized.nfacets + 1):
-        image = element_from_monomial(ctx.generator(j)) * Q.rho[j - 1]
-        table["generators"][f"H{j}"] = reduce_to_basis(image, Q)
+    for j, (nu, r) in enumerate(zip(Q.normalized.normals, Q.rho), 1):
+        table["generators"][f"H{j}"] = Q.monomial_coords(
+            1, nu, int(r) if r.denominator == 1 else r)
     for g, e in enumerate(Q.basis):
         coords = [() for _ in Q.basis]
         coords[g] = (1,)

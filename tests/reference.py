@@ -7,17 +7,22 @@ the monotone normalization by that solve, the inverse of
 ``presentation.reduce_to_basis``, the composition search for divisor
 inverse certificates, a ``topology.graded_rows`` that loses the rows into
 degree n, the classical table under a B-field by an elimination over Q,
-an exact characteristic polynomial, and two surfaces outside the corpus:
-the hexagon and dP8.
+an exact characteristic polynomial, two surfaces outside the corpus (the
+hexagon and dP8) and the product of two polyhedra; for the CLI, the report
+writers that ``json.dumps`` and a pass turning Fractions into numbers and
+strings make, and the generator coordinates and products of a quantum
+report by ``reduce_to_basis`` of ``FilteredElement`` products.
 """
 
+import json
 from fractions import Fraction
 from operator import add
 
 from toricqh import topology
 from toricqh.monoid import element_from_monomial, monoid_for
 from toricqh.polyhedra import polyhedron
-from toricqh.presentation import classical_presentation
+from toricqh.presentation import (classical_presentation, reduce_to_basis,
+                                  tpoly_str)
 
 
 def mat_mul(A, B):
@@ -269,3 +274,125 @@ def dp8():
     """CP^2 blown up at one point, every offset 1."""
     return polyhedron(2, [(nu, 1) for nu in ((1, 0), (0, 1), (-1, -1),
                                              (1, 1))])
+
+
+def product(P, Q):
+    """P x Q: the facets of P on the first coordinates and those of Q on
+    the last, with their offsets."""
+    return polyhedron(P.dim + Q.dim,
+                      [(tuple(nu) + (0,) * Q.dim, lam)
+                       for nu, lam in zip(P.normals, P.offsets)]
+                      + [((0,) * P.dim + tuple(nu), lam)
+                         for nu, lam in zip(Q.normals, Q.offsets)])
+
+
+def stringify(obj):
+    """A report with every Fraction turned into its integer or its "p/q"
+    string and every tuple into a list."""
+    if isinstance(obj, Fraction):
+        return str(obj) if obj.denominator != 1 else obj.numerator
+    if isinstance(obj, (list, tuple)):
+        return [stringify(x) for x in obj]
+    if isinstance(obj, dict):
+        return {k: stringify(v) for k, v in obj.items()}
+    return obj
+
+
+def json_report(report):
+    """The JSON text of a report."""
+    return json.dumps(stringify(report), indent=2, sort_keys=True) + "\n"
+
+
+def text_report(report):
+    """The text form of a report: a key and its value per line, nested
+    dicts indented, lists of scalars joined by commas, other lists in
+    compact JSON, on one line up to 100 characters or one item a line."""
+    lines = []
+
+    def compact(v):
+        return json.dumps(stringify(v), separators=(",", ":"))
+
+    def walk(obj, indent=""):
+        for k, v in obj.items():
+            if isinstance(v, dict):
+                lines.append(f"{indent}{k}:")
+                walk(v, indent + "  ")
+            elif isinstance(v, list):
+                if all(not isinstance(x, (dict, list)) for x in v):
+                    lines.append(f"{indent}{k}: "
+                                 + (", ".join(str(x) for x in v) or "[]"))
+                elif len(compact(v)) <= 100:
+                    lines.append(f"{indent}{k}: {compact(v)}")
+                else:
+                    lines.append(f"{indent}{k}:")
+                    for item in v:
+                        if isinstance(item, dict):
+                            walk(item, indent + "    ")
+                        else:
+                            lines.append(f"{indent}  - {compact(item)}")
+            else:
+                lines.append(f"{indent}{k}: {v}")
+
+    walk(report)
+    return "\n".join(lines) + "\n"
+
+
+def kodaira_spencer_generators(Q):
+    """{"H<j>": coordinates of rho_j * v_j}, each by ``reduce_to_basis`` of
+    the generator's filtered element times rho_j."""
+    ctx = monoid_for(Q.normalized)
+    return {f"H{j}": reduce_to_basis(
+                element_from_monomial(ctx.generator(j)) * Q.rho[j - 1], Q)
+            for j in range(1, Q.normalized.nfacets + 1)}
+
+
+def generator_products(Q):
+    """The "v_a*v_b = ..." lines of a quantum report, from ``reduce_to_basis``
+    of the filtered products, each named c*T^s*v_l when it is that multiple
+    of a generator's coordinates (c = 1 first, then c = -1, then the least
+    l), else by its coordinates."""
+    ctx = monoid_for(Q.normalized)
+    gens = [element_from_monomial(ctx.generator(j))
+            for j in range(1, Q.normalized.nfacets + 1)]
+    reductions = [reduce_to_basis(v, Q) for v in gens]
+    names = Q.basis_names()
+    lines = []
+    for a in range(len(gens)):
+        for b in range(a, len(gens)):
+            coords = reduce_to_basis(gens[a] * gens[b], Q)
+            lhs = f"v{a + 1}^2" if a == b else f"v{a + 1}*v{b + 1}"
+            rhs = _match_generator(coords, reductions)
+            if rhs is None:
+                rhs = " + ".join(tpoly_str(poly, names[i])
+                                 for i, poly in enumerate(coords) if poly) or "0"
+            lines.append(f"{lhs} = {rhs}")
+    return lines
+
+
+def _match_generator(coords, reductions):
+    matches = []
+    for l, red in enumerate(reductions):
+        if all(not p for p in red):
+            continue
+        shifts = set()
+        scalars = set()
+        ok = True
+        for poly, rpoly in zip(coords, red):
+            nz = [(e, c) for e, c in enumerate(poly) if c]
+            rnz = [(e, c) for e, c in enumerate(rpoly) if c]
+            if len(nz) != len(rnz) or len(nz) > 1:
+                ok = False
+                break
+            if nz:
+                shifts.add(nz[0][0] - rnz[0][0])
+                scalars.add(Fraction(nz[0][1]) / Fraction(rnz[0][1]))
+        if not ok or len(shifts) != 1 or len(scalars) != 1:
+            continue
+        shift = shifts.pop()
+        scalar = scalars.pop()
+        if shift >= 0:
+            matches.append((scalar != 1, scalar != -1, l, shift, scalar))
+    if not matches:
+        return None
+    _, _, l, shift, scalar = min(matches)
+    return tpoly_str((0,) * shift + (scalar,), f"v{l + 1}")

@@ -3,12 +3,16 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
 import pytest
 
-from toricqh import cli
+import reference
+from toricqh import catalog, cli
+from toricqh.errors import PreconditionError, VerificationError
+from toricqh.polyhedra import parse_polyhedron, polyhedron_to_json
 
 
 def data_path(name):
@@ -192,12 +196,14 @@ BAD_ARGUMENTS = [
     ("cp2", "validate", ("--margin", "-5"), 2),
     ("cp2", "audit", ("--bfield", "x"), 2),
     ("cp2", "classical", ("--bfield", "1,1"), 2),
+    ("BOM", "validate", (), 2),
+    ("cp1", "jacobian", ("--perturb", "BOM"), 2),
 ]
 
 # Files written into tmp_path; a row names one by its key, as the input or
 # as an argument.  JSON true is not an integer and floats are not exact.
-# Bytes are written as they are: not UTF-8, or nested past the decoder's
-# recursion limit.
+# Bytes are written as they are: not UTF-8, valid JSON after a UTF-8
+# byte-order mark, or nested past the decoder's recursion limit.
 SEGMENT = [{"normal": [1], "offset": 1}, {"normal": [-1], "offset": 1}]
 FILES = {
     # a perturbation of cp1 with coefficient 1/3, undefined modulo 3
@@ -213,6 +219,8 @@ FILES = {
     # a perturbation of non_delzant whose nu no vertex cone spans over Z
     "NU_DOWN": [[{"lambda": "2", "nu": [0, -1], "coeff": "1"}], [], []],
     "NOT_UTF8": b"\xff\xfe",
+    "BOM": b"\xef\xbb\xbf" + json.dumps(
+        {"dim": 1, "facets": SEGMENT}).encode(),
     "DEEP": b"[" * 100_000 + b"]" * 100_000,
 }
 
@@ -459,3 +467,72 @@ def test_closed_stdout_keeps_the_exit_code(name, command, fmt, expected):
         os.close(w)
     assert proc.returncode == expected
     assert proc.stderr == b""
+
+
+# The report writers against the reference ones (``reference.json_report``
+# and ``reference.text_report``), byte for byte, on the report the command
+# line asks for.
+def reference_outputs(argv):
+    """(JSON text, text form) of the report of ``argv`` by the reference
+    writers, or ("", "") when the command raises."""
+    args = cli.parse_args(argv)
+    P = parse_polyhedron(json.loads(Path(args.input).read_text()))
+    try:
+        report, _ = cli._DISPATCH[args.command](P, args)
+    except (PreconditionError, VerificationError):
+        return "", ""
+    report["input"] = polyhedron_to_json(P)
+    return reference.json_report(report), reference.text_report(report)
+
+
+def assert_reports_match_the_reference(capsys, argv):
+    outs = [run(capsys, *argv, "--format", fmt)[1] for fmt in ("json", "text")]
+    assert tuple(outs) == reference_outputs(argv)
+
+
+@pytest.mark.parametrize("command", cli.COMMANDS)
+@pytest.mark.parametrize("name", catalog.VALID_EXAMPLES)
+def test_reports_match_the_reference_writers(capsys, name, command):
+    assert_reports_match_the_reference(
+        capsys, ["--input", data_path(name), "--command", command])
+
+
+@pytest.mark.parametrize("args", [
+    ("--input", data_path("cp2"), "--command", "quantum", "--bfield=2,-1,1/3"),
+    ("--input", data_path("cp2"), "--command", "quantum", "--margin", "1"),
+    ("--input", data_path("cp3"), "--command", "quantum",
+     "--bfield=2,-1,1/3,1", "--ring", "q"),
+    ("--input", data_path("cp2"), "--command", "jacobian", "--cutoff", "3",
+     "--perturb", "PERTURB"),
+])
+def test_option_reports_match_the_reference_writers(tmp_path, capsys, args):
+    perturb = tmp_path / "perturb.json"
+    perturb.write_text(json.dumps(
+        [[], [{"lambda": "3", "nu": [1, 1], "coeff": "1/2"}], []]))
+    assert_reports_match_the_reference(
+        capsys, [str(perturb) if a == "PERTURB" else a for a in args])
+
+
+HAND_BUILT_REPORTS = [
+    {},
+    {"empty": [], "nested": [[], {}, [[]], {"a": {}}], "none": None},
+    {"H10": [Fraction(-3, 4), Fraction(4, 2), Fraction(-6, 3), Fraction(5)],
+     "H2": {"x": Fraction(1, 3), "y": [Fraction(-7, 2), 0]}},
+    {"flags": [True, 1, False, 0], "flag": True, "count": -12},
+    {"text": "h\u00e9llo \u2603 \U0001f600 \x00\x1f\n\t\"\\ /",
+     "caf\u00e9": ["\x7f", "", "p/q"]},
+    {"rows": [[1, -2, Fraction(1, 3)], [Fraction(0)]],
+     "table": [[{"k": [Fraction(2, 4)]}]], "tuples": [(1, (2, ()))]},
+]
+
+
+@pytest.mark.parametrize("report", HAND_BUILT_REPORTS)
+def test_hand_built_reports_match_the_reference_writers(report):
+    assert cli._json_text(report) == reference.json_report(report)
+    assert cli._render_text(report) == reference.text_report(report)
+
+
+def test_writer_refuses_what_a_report_cannot_hold():
+    for value in (0.5, {1: 2}, {"a"}):
+        with pytest.raises(TypeError):
+            cli._json_text({"x": [value]})

@@ -2,14 +2,16 @@ import heapq
 import random
 from fractions import Fraction
 from importlib import resources
+from math import comb
 from operator import mul
 from types import SimpleNamespace
 
 import pytest
 
+import reference
 from reference import (charpoly, deformed_classical_structure, determinant,
                        dp8, dropping_rows_at_top, hexagon,
-                       inverse_multiplicities, recompose_from_basis)
+                       inverse_multiplicities, product, recompose_from_basis)
 from toricqh import catalog, cli, linalg, topology
 from toricqh import monoid as mo
 from toricqh import presentation as pr
@@ -554,6 +556,114 @@ def test_kodaira_spencer_table(o_minus_1, cp2):
     Qc = pr.quantum_presentation(cp2)
     gens = pr.kodaira_spencer_table(Qc)["generators"]
     assert gens["H1"] == gens["H2"] == gens["H3"]
+
+
+def coordinate_inputs():
+    """The monotone corpus, the hexagon, dP8 and CP^2 x CP^1."""
+    polys = {name: P for name, P in catalog.load_valid_examples().items()
+             if monotone_normalization(P) is not None}
+    polys.update(hexagon=hexagon(), dp8=dp8(),
+                 cp2xcp1=product(catalog.load_example("cp2"),
+                                 catalog.load_example("cp1")))
+    return polys
+
+
+def quantum_case(P, case):
+    """The quantum presentation of P plain, under the units (2, -1, 1/3)
+    repeated over the facets, or with margin 1."""
+    if case == "bfield":
+        return pr.quantum_presentation(
+            P, _rho=tuple((2, -1, Fraction(1, 3))[j % 3]
+                          for j in range(P.nfacets)))
+    return pr.quantum_presentation(P, margin=int(case == "margin"))
+
+
+def coordinate_mismatches(case):
+    """(input, part) for every part of a quantum report's coordinates that
+    differs from ``reduce_to_basis`` of the filtered products: the
+    Kodaira-Spencer images of the generators and the generator products."""
+    out = []
+    for name, P in coordinate_inputs().items():
+        Q = quantum_case(P, case)
+        if (pr.kodaira_spencer_table(Q)["generators"]
+                != reference.kodaira_spencer_generators(Q)):
+            out.append((name, "kodaira_spencer"))
+        if cli._generator_products(Q) != reference.generator_products(Q):
+            out.append((name, "generator_products"))
+    return out
+
+
+@pytest.mark.parametrize("case", ["plain", "bfield", "margin"])
+def test_report_coordinates_match_reduce_to_basis(case):
+    assert coordinate_mismatches(case) == []
+
+
+def test_report_coordinates_catch_an_off_by_one(monkeypatch):
+    # one coordinate one too large: the unit's, in T-degree k
+    read = pr.QuantumPresentation.monomial_coords
+
+    def planted(Q, k, nu, c=1):
+        coords = read(Q, k, nu, c)
+        coords[0] = (0,) * k + ((coords[0][-1] if coords[0] else 0) + 1,)
+        return coords
+
+    monkeypatch.setattr(pr.QuantumPresentation, "monomial_coords", planted)
+    found = coordinate_mismatches("plain")
+    names = set(coordinate_inputs())
+    assert {name for name, part in found if part == "kodaira_spencer"} == names
+    assert any(part == "generator_products" for _, part in found)
+
+
+def c1_traces(Q, structure, top):
+    """tr(M^k) for k = 0..top, M the matrix of multiplication at T = 1 by
+    c_1, the sum of the Kodaira-Spencer images of the generators, under the
+    structure constants ``structure``."""
+    n = len(Q.basis)
+    c1 = [0] * n
+    for coords in pr.kodaira_spencer_table(Q)["generators"].values():
+        for b, poly in enumerate(coords):
+            c1[b] += sum(poly)
+    M = [[sum(c1[b] * sum(structure[b][a][g]) for b in range(n))
+          for a in range(n)] for g in range(n)]
+    power = [[int(i == j) for j in range(n)] for i in range(n)]
+    traces = []
+    for _ in range(top + 1):
+        traces.append(sum(power[i][i] for i in range(n)))
+        power = reference.mat_mul(M, power)
+    return traces
+
+
+def kunneth_mismatches(X, Y, structure=None):
+    """The k <= rank + 1 at which tr(M_{XxY}^k) differs from
+    sum_i C(k, i) tr(M_X^i) tr(M_Y^(k-i)), QH(X x Y) = QH(X) (x) QH(Y);
+    ``structure`` replaces the product's structure constants."""
+    QX, QY = pr.quantum_presentation(X), pr.quantum_presentation(Y)
+    QXY = pr.quantum_presentation(product(X, Y))
+    top = len(QXY.basis) + 1
+    tx, ty = c1_traces(QX, QX.structure, top), c1_traces(QY, QY.structure, top)
+    txy = c1_traces(QXY, structure or QXY.structure, top)
+    return [k for k in range(top + 1)
+            if txy[k] != sum(comb(k, i) * tx[i] * ty[k - i]
+                             for i in range(k + 1))]
+
+
+@pytest.mark.parametrize("x, y", [("hexagon", "cp1"), ("dp8", "cp2")])
+def test_quantum_kunneth_traces(x, y):
+    X = hexagon() if x == "hexagon" else dp8()
+    assert kunneth_mismatches(X, catalog.load_example(y)) == []
+
+
+def test_quantum_kunneth_catches_a_flipped_structure_constant():
+    X, Y = hexagon(), catalog.load_example("cp1")
+    Q = pr.quantum_presentation(product(X, Y))
+    table = [[list(cell) for cell in row] for row in Q.structure]
+    # the product of the first two degree-1 classes gains one T^0 term on
+    # the first degree-2 class
+    a, b = [i for i, d in enumerate(Q.basis_degrees) if d == 1][:2]
+    g = Q.basis_degrees.index(2)
+    cell = table[a][b][g]
+    table[a][b][g] = table[b][a][g] = (cell[0] + 1,) + cell[1:] if cell else (1,)
+    assert kunneth_mismatches(X, Y, table)
 
 
 def test_divisor_inverse_certificates(corpus):
