@@ -42,7 +42,7 @@ from operator import mul
 from .errors import LatticeError, PreconditionError, SchemaError
 from .polyhedra import (DelzantPolyhedron, Vertex, enumerate_vertices,
                         exact_fraction, exact_parameter, format_point,
-                        is_integer, memoized)
+                        integer_parameter, is_integer, memoized)
 
 
 def scaled(x: Fraction, D: int) -> int:
@@ -60,9 +60,9 @@ def _lam_nu(c):
             tuple(nu))
 
 
-def _check_nu(nu, n: int) -> None:
+def _check_nu(nu, n: int, what: str = "nu") -> None:
     if len(nu) != n or not all(is_integer(x) for x in nu):
-        raise PreconditionError(f"nu must be {n} integers, got {nu!r}")
+        raise PreconditionError(f"{what} must be {n} integers, got {nu!r}")
 
 
 def theta(v: Vertex, c) -> Fraction:
@@ -233,10 +233,10 @@ class ConeMonoid:
         return self.monomial(q, (0,) * self.P.dim)
 
     def from_exponents(self, t, height=0) -> Monomial:
-        h = height if type(height) is Fraction else Fraction(height)
-        w = sum(map(mul, t, self.scaled_offsets))
-        lam = Fraction(h.numerator * self.scale + w * h.denominator,
-                       h.denominator * self.scale)
+        """T^height * prod_j v_j^t_j, for N integers t and an exact height."""
+        _check_nu(t, self.P.nfacets, "exponents")
+        h = exact_parameter(height, "height")
+        lam = h + Fraction(sum(map(mul, t, self.scaled_offsets)), self.scale)
         return self.monomial(lam, tuple(sum(map(mul, t, col))
                                         for col in self._normal_columns))
 
@@ -410,8 +410,9 @@ class HeightMonoid:
 
 
 def build_height_monoid(P: DelzantPolyhedron, extra, g) -> HeightMonoid:
-    """Monoid generated by all values theta_v(lambda_j, nu_j) plus the given
-    extra heights, enumerated on [0, g)."""
+    """Monoid generated by all values theta_v(lambda_j, nu_j), read off the
+    cone monoid's integers, plus the given extra heights, enumerated on
+    [0, g)."""
     g = exact_parameter(g, "cutoff")
     if g <= 0:
         raise PreconditionError("cutoff must be positive")
@@ -419,9 +420,9 @@ def build_height_monoid(P: DelzantPolyhedron, extra, g) -> HeightMonoid:
     if any(x < 0 for x in extra):
         raise PreconditionError("extra heights must be non-negative")
     ctx = monoid_for(P)
-    gens = {theta(v, (lam, nu))
-            for v in ctx.vertices
-            for lam, nu in zip(P.offsets, P.normals)}
+    gens = {Fraction(lam + dot, ctx.scale)
+            for lam, nu in zip(ctx.scaled_offsets, P.normals)
+            for dot in ctx.pairings(nu)}
     gens.update(extra)
     positive = sorted(x for x in gens if x > 0)
     elements = {Fraction(0)}
@@ -443,8 +444,7 @@ def enumerate_gamma_degree(P: DelzantPolyhedron, k: int) -> list[Monomial]:
     if any(lam != 1 for lam in P.offsets):
         raise PreconditionError("degree slices need a normalized monotone "
                                 "polyhedron (all offsets 1)")
-    if k < 0:
-        raise PreconditionError("degree must be non-negative")
+    integer_parameter(k, "degree", 0)
     ctx = monoid_for(P)
     reachable = {(0,) * P.dim}
     for _ in range(k):

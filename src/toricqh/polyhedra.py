@@ -96,6 +96,15 @@ def is_integer(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def integer_parameter(value, what: str, low: int, high: int | None = None):
+    """An int library parameter in low..high (high None: no upper bound);
+    anything else, a bool among them, raises PreconditionError naming it."""
+    if is_integer(value) and low <= value and (high is None or value <= high):
+        return value
+    bound = f"at least {low}" if high is None else f"in {low}..{high}"
+    raise PreconditionError(f"{what} must be an integer {bound}, got {value!r}")
+
+
 def exact_fraction(value, what: str) -> Fraction:
     """An int, Fraction or fraction string as a Fraction.
 
@@ -499,18 +508,19 @@ class SplittingReport:
     annihilator_basis: tuple[tuple[int, ...], ...]
 
 
+@memoized
 def check_vertex_and_splitting(P: DelzantPolyhedron) -> SplittingReport:
     """Vertex existence and the torus factor split off when there is none.
 
-    split_rank k is dim minus the rank of the normal matrix; when k > 0 the
-    polyhedron is a product of an affine R^k (direction lattice reported as
-    the annihilator basis) with a lower-dimensional one that has a vertex.
+    P has a vertex exactly when the normals span: when the walk finds one.
+    Otherwise split_rank k is dim minus their rank, and P is a product of
+    an affine R^k, along the annihilator basis of the lattice orthogonal to
+    the normals, with a polyhedron that has a vertex.  Kept on P.
     """
-    M = [list(nu) for nu in P.normals]
-    k = P.dim - linalg.rank(M)
-    basis = tuple(tuple(row) for row in linalg.integer_kernel(M)) if k else ()
-    assert len(basis) == k
-    return SplittingReport(k == 0, k, basis)
+    if enumerate_vertices(P):
+        return SplittingReport(True, 0, ())
+    basis = tuple(map(tuple, linalg.integer_kernel(P.normals)))
+    return SplittingReport(False, len(basis), basis)
 
 
 @memoized
@@ -558,13 +568,10 @@ def facet_intersection_nonempty(P: DelzantPolyhedron, labels) -> bool:
     Raises PreconditionError unless the labels are a nonempty collection of
     ints in 1..nfacets.
     """
-    labels = list(labels)
+    labels = frozenset([integer_parameter(j, "facet label", 1, P.nfacets)
+                        for j in labels])
     if not labels:
         raise PreconditionError("facet subset must be nonempty")
-    if not all(is_integer(j) and 1 <= j <= P.nfacets for j in labels):
-        raise PreconditionError(f"facet labels must be integers in "
-                                f"1..{P.nfacets}, got {labels!r}")
-    labels = frozenset(labels)
     return any(labels <= v.incident for v in _pointed_vertices(P))
 
 

@@ -40,9 +40,9 @@ from . import linalg, topology
 from .errors import PreconditionError, VerificationError
 from .monoid import FilteredElement, format_monomial, monoid_for
 from .polyhedra import (DelzantPolyhedron, enumerate_vertices, exact_units,
-                        is_compact, is_integer, memoized, minimal_nonfaces,
-                        monotone_normalization, relabel_lattice,
-                        require_delzant, vertex_coordinates)
+                        integer_parameter, is_compact, memoized,
+                        minimal_nonfaces, monotone_normalization,
+                        relabel_lattice, require_delzant, vertex_coordinates)
 
 TPoly = tuple  # coefficient tuple, index = exponent of T
 
@@ -188,7 +188,6 @@ def classical_presentation(P: DelzantPolyhedron,
     """
     require_delzant(P)
     ring = _ring_label(ring)
-    K = topology.build_nerve(P)
     n = P.dim
     keys, leads, walk = topology.vertex_rows(P, n)
 
@@ -216,25 +215,27 @@ def classical_presentation(P: DelzantPolyhedron,
         raise VerificationError(f"degree-1 rank {ranks[1]} != N - n = "
                                 f"{P.nfacets - n}")
 
-    structure = _classical_structure(K, layers, basis, ring)
+    structure = _classical_structure(layers, basis, ring)
     return RingPresentation(ring, n, P.nfacets, nvertices,
                             tuple(zip(*P.normals)), minimal_nonfaces(P),
                             ranks, tuple(basis), structure)
 
 
-def _classical_structure(K, layers, basis, ring):
-    # e_a * e_b = e_b * e_a: one product per unordered pair
+def _classical_structure(layers, basis, ring):
+    # e_a * e_b = e_b * e_a: one product per unordered pair; the degree-d
+    # slice holds every face-supported monomial, so a product outside is 0
     table = [[None] * len(basis) for _ in basis]
     for a, ea in enumerate(basis):
         for b in range(a, len(basis)):
             m = tuple(map(add, ea, basis[b]))
             d = sum(m)
             coeffs = [0] * len(basis)
-            support = frozenset(j + 1 for j, t in enumerate(m) if t)
-            if d < len(layers) and K.is_face(support):
+            if d < len(layers):
                 layer = layers[d]
-                for g, c in layer.coords({layer.column(m): 1}).items():
-                    coeffs[g] = c
+                col = layer.index.get(layer.keys.encode(m))
+                if col is not None:
+                    for g, c in layer.coords({col: 1}).items():
+                        coeffs[g] = c
             table[a][b] = table[b][a] = tuple(_coerce_ring(c, ring)
                                               for c in coeffs)
     return tuple(map(tuple, table))
@@ -371,9 +372,7 @@ def quantum_presentation(P: DelzantPolyhedron, margin: int = 0,
     if norm is None:
         raise PreconditionError("polyhedron is not monotone: the offsets cannot "
                                 "be equalized by a translation")
-    if not is_integer(margin) or margin < 0:
-        raise PreconditionError(f"margin must be a non-negative integer, "
-                                f"got {margin!r}")
+    integer_parameter(margin, "margin", 0)
     Pn = norm.rescaled
     N, n = Pn.nfacets, Pn.dim
     rho = exact_units((1,) * N if _rho is None else _rho, N)
@@ -497,9 +496,7 @@ def divisor_inverse_certificate(P: DelzantPolyhedron, j: int) -> InverseCertific
     when sum m_k nu_k = 0, every m_k >= 0 and m_j >= 1.
     """
     require_delzant(P)
-    if not (is_integer(j) and 1 <= j <= P.nfacets):
-        raise PreconditionError(f"facet label must be an integer in "
-                                f"1..{P.nfacets}, got {j!r}")
+    integer_parameter(j, "facet label", 1, P.nfacets)
     if not is_compact(P):
         raise PreconditionError(
             "polyhedron is not compact: the toric divisor classes generate a "
@@ -620,6 +617,7 @@ def basis_independence_audit(P: DelzantPolyhedron, seed: int = 0,
     lattice basis; ranks, basis exponent vectors and structure constants must
     be identical (exponent vectors are written in the facet generators, which
     do not move)."""
+    integer_parameter(trials, "trials", 1)
     rng = random.Random(seed)
     base = classical_presentation(P)
     base_q = quantum_presentation(P) if monotone_normalization(P) else None

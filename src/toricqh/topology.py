@@ -37,9 +37,9 @@ from operator import add, mul
 
 from . import linalg
 from .errors import PreconditionError, VerificationError
-from .polyhedra import (DelzantPolyhedron, enumerate_vertices, is_compact,
-                        is_integer, memoized, require_delzant,
-                        vertex_coordinates)
+from .polyhedra import (DelzantPolyhedron, enumerate_vertices,
+                        integer_parameter, is_compact, memoized,
+                        require_delzant, vertex_coordinates)
 
 
 @dataclass(frozen=True)
@@ -47,8 +47,8 @@ class NerveComplex:
     """Simplicial complex on facet labels 1..ground, stored by maximal faces.
 
     The face family is the downward closure; the empty face always belongs.
-    The complex is immutable, so its face set, sorted face list and reduced
-    Betti numbers (per field) are built on first use and kept on it.
+    The complex is immutable, so its sorted face list and reduced Betti
+    numbers (per field) are built on first use and kept on it.
     """
 
     ground: int
@@ -63,24 +63,15 @@ class NerveComplex:
         return any(J <= m for m in self.maximal) or not J
 
     @cached_property
-    def _face_set(self) -> frozenset[frozenset[int]]:
-        out = {frozenset()}
-        for m in self.maximal:
-            for k in range(1, len(m) + 1):
-                out.update(map(frozenset, itertools.combinations(sorted(m), k)))
-        return frozenset(out)
-
-    @cached_property
     def sorted_faces(self) -> tuple[tuple[int, ...], ...]:
         """Every face as a sorted label tuple, ordered by size and then
         lexicographically, so entry 0 is the empty face.  Cached."""
-        return tuple(sorted((tuple(sorted(f)) for f in self._face_set),
-                            key=lambda f: (len(f), f)))
-
-    def faces(self) -> frozenset[frozenset[int]]:
-        """The face set, empty face included.  Cached: built once per
-        complex, and the same frozenset is returned on every call."""
-        return self._face_set
+        faces = {()}
+        for m in self.maximal:
+            labels = sorted(m)
+            for k in range(1, len(labels) + 1):
+                faces.update(itertools.combinations(labels, k))
+        return tuple(sorted(faces, key=lambda f: (len(f), f)))
 
     def faces_by_dim(self) -> list[list[tuple[int, ...]]]:
         """Entry d holds the sorted (d-1)-dimensional faces as sorted tuples,
@@ -438,9 +429,8 @@ def sr_hilbert_function(P: DelzantPolyhedron, maxdeg: int) -> list[int]:
     by face size: a face with k vertices carries C(d-1, k-1) monomials of
     degree d, so each degree sums one binomial per size, times the number
     of faces of that size."""
-    if maxdeg < 0:
-        raise PreconditionError("maxdeg must be non-negative")
-    sizes = Counter(len(f) for f in build_nerve(P).faces() if f)
+    integer_parameter(maxdeg, "maxdeg", 0)
+    sizes = Counter(len(f) for f in build_nerve(P).sorted_faces if f)
     return [1] + [sum(count * comb(d - 1, k - 1) for k, count in sizes.items())
                   for d in range(1, maxdeg + 1)]
 
@@ -613,9 +603,7 @@ def regular_sequence_check(P: DelzantPolyhedron, p: int | None = None,
     field = field_name(p)
     if maxdeg is None:
         maxdeg = P.dim + 2
-    if not is_integer(maxdeg) or maxdeg < P.dim:
-        raise PreconditionError(f"maxdeg must be an integer at least the "
-                                f"dimension {P.dim}, got {maxdeg!r}")
+    integer_parameter(maxdeg, "maxdeg", P.dim)
     n = P.dim
     hilbert = tuple(sr_hilbert_function(P, maxdeg))
     expected = tuple(sum((-1) ** k * comb(n, k) * hilbert[d - k]

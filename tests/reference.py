@@ -8,7 +8,9 @@ the monotone normalization by that solve, the inverse of
 inverse certificates, a ``topology.graded_rows`` that loses the rows into
 degree n, the classical table under a B-field by an elimination over Q,
 an exact characteristic polynomial, two surfaces outside the corpus (the
-hexagon and dP8) and the product of two polyhedra; for the CLI, the report
+hexagon and dP8) and the product of two polyhedra, the classical ranks by
+a Morse count on the vertices, the mirror potential in exact Q(omega)
+arithmetic; for the CLI, the report
 writers that ``json.dumps`` and a pass turning Fractions into numbers and
 strings make, and the generator coordinates and products of a quantum
 report by ``reduce_to_basis`` of ``FilteredElement`` products.
@@ -16,11 +18,11 @@ report by ``reduce_to_basis`` of ``FilteredElement`` products.
 
 import json
 from fractions import Fraction
-from operator import add
+from operator import add, mul
 
 from toricqh import topology
 from toricqh.monoid import element_from_monomial, monoid_for
-from toricqh.polyhedra import polyhedron
+from toricqh.polyhedra import enumerate_vertices, polyhedron, vertex_basis
 from toricqh.presentation import (classical_presentation, reduce_to_basis,
                                   tpoly_str)
 
@@ -284,6 +286,65 @@ def product(P, Q):
                        for nu, lam in zip(P.normals, P.offsets)]
                       + [((0,) * P.dim + tuple(nu), lam)
                          for nu, lam in zip(Q.normals, Q.offsets)])
+
+
+def morse_ranks(P):
+    """Per-degree ranks of the cohomology of X_P by Morse theory of the
+    moment map paired with xi = sum_j nu_j, made generic by breaking ties
+    lexicographically by the coordinates (xi + eps e_1 + eps^2 e_2 + ...):
+    degree d counts the vertices with exactly d edges along which it
+    decreases.  xi is positive on every nonzero direction of the recession
+    cone, so the function is proper and bounded below.  At a vertex the
+    edge leaving facet s_k is row k of A^-1, the adjugate's row k over det
+    (``vertex_basis``); rays count as edges."""
+    xi = [sum(col) for col in zip(*P.normals)]
+    ranks = [0] * (P.dim + 1)
+    for k in range(len(enumerate_vertices(P))):
+        _, adjugate, det = vertex_basis(P, k)
+        down = 0
+        for row in adjugate:
+            edge = [Fraction(x, det) for x in row]
+            down += (sum(map(mul, xi, edge)), *edge) < (0,) * (P.dim + 1)
+        ranks[down] += 1
+    return tuple(ranks)
+
+
+def omega_mul(x, y):
+    """(a + b w)(c + d w) in Q(w) for w a primitive cube root of unity,
+    w^2 = -1 - w; an element is the pair (a, b)."""
+    (a, b), (c, d) = x, y
+    return (a * c - b * d, a * d + b * c - b * d)
+
+
+def omega_pow(x, e):
+    """x^e in Q(w) for x nonzero and any integer e: x^-1 is the conjugate
+    a + b w^2 = (a - b) - b w over the norm a^2 - ab + b^2."""
+    if e < 0:
+        a, b = x
+        norm = a * a - a * b + b * b
+        x, e = (Fraction(a - b, norm), Fraction(-b, norm)), -e
+    out = (1, 0)
+    for _ in range(e):
+        out = omega_mul(out, x)
+    return out
+
+
+def mirror_potential(P, point):
+    """(W(p), [x_i dW/dx_i (p)]) for the mirror potential W = sum_j x^nu_j
+    at a point p of (Q(w)^*)^n; p is critical when every log derivative
+    sum_j nu_ji x^nu_j is 0."""
+    terms = []
+    for nu in P.normals:
+        term = (1, 0)
+        for x, e in zip(point, nu):
+            term = omega_mul(term, omega_pow(x, e))
+        terms.append(term)
+    weights = [[1] * len(terms)] + [[nu[i] for nu in P.normals]
+                                    for i in range(P.dim)]
+    value, *derivatives = [
+        tuple(sum(w * t[c] for w, t in zip(ws, terms)) for c in (0, 1))
+        for ws in weights]
+    return value, derivatives
 
 
 def stringify(obj):

@@ -40,6 +40,8 @@ INEXACT_PARAMETERS = {
         lambda P: mo.build_height_monoid(P, [True], 2),
     "truncate_g_float": lambda P: mo.truncate(mo.monoid_for(P).zero(), 0.5),
     "truncate_g_bool": lambda P: mo.truncate(mo.monoid_for(P).zero(), True),
+    "from_exponents_height_float":
+        lambda P: mo.monoid_for(P).from_exponents((1, 0), height=1.5),
 }
 
 
@@ -61,15 +63,29 @@ NON_INTEGER_PARAMETERS = {
         P, maxdeg=2.0),
     "regseq_maxdeg_bool": lambda P: topology.regular_sequence_check(
         P, maxdeg=True),
+    "hilbert_maxdeg_float": lambda P: topology.sr_hilbert_function(P, 1.5),
+    "hilbert_maxdeg_string": lambda P: topology.sr_hilbert_function(P, "2"),
+    "hilbert_maxdeg_bool": lambda P: topology.sr_hilbert_function(P, True),
+    "gamma_degree_float": lambda P: mo.enumerate_gamma_degree(P, 1.5),
+    "audit_trials_float":
+        lambda P: pr.basis_independence_audit(P, trials=1.5),
+    "audit_trials_zero": lambda P: pr.basis_independence_audit(P, trials=0),
+    "audit_trials_negative":
+        lambda P: pr.basis_independence_audit(P, trials=-1),
+    "from_exponents_too_few": lambda P: mo.monoid_for(P).from_exponents((1,)),
+    "from_exponents_too_many":
+        lambda P: mo.monoid_for(P).from_exponents((1, 0, 0, 5)),
+    "from_exponents_float":
+        lambda P: mo.monoid_for(P).from_exponents((1.5, 0, 0)),
 }
 
 
 @pytest.mark.parametrize("name", sorted(NON_INTEGER_PARAMETERS))
-def test_non_integer_parameters_rejected(name, cp1):
+def test_non_integer_parameters_rejected(name, cp2):
     # a bool would count as 0 or 1 and share that value's cached result
-    pr.quantum_presentation(cp1, margin=1)
+    pr.quantum_presentation(cp2, margin=1)
     with pytest.raises(PreconditionError, match="integer"):
-        NON_INTEGER_PARAMETERS[name](cp1)
+        NON_INTEGER_PARAMETERS[name](cp2)
 
 
 MALFORMED_PARAMETERS = {

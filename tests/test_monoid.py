@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from toricqh import catalog
 from toricqh import monoid as mo
 from toricqh.errors import LatticeError, PreconditionError
 from toricqh.polyhedra import enumerate_vertices, polyhedron
@@ -250,6 +251,20 @@ def test_height_monoid_tiny_cutoff(cp2):
 def test_height_monoid_cp1_with_extra(cp1):
     hm = mo.build_height_monoid(cp1, [Fraction(1, 2)], 2)
     assert hm.elements == (0, Fraction(1, 2), 1, Fraction(3, 2))
+
+
+def test_height_generators_are_the_vertex_thetas(corpus):
+    rng = random.Random(71)
+    randoms = []
+    while len(randoms) < 20:
+        P = catalog.random_delzant(rng, 2 + len(randoms) % 2, 6)
+        if any(lam.denominator > 1 for lam in P.offsets):
+            randoms.append(P)
+    for P in [*corpus.values(), *randoms]:
+        thetas = {mo.theta(v, (lam, nu)) for v in enumerate_vertices(P)
+                  for lam, nu in zip(P.offsets, P.normals)}
+        hm = mo.build_height_monoid(P, [], Fraction(1, 2))
+        assert hm.generators == tuple(sorted(thetas))
 
 
 def test_height_monoid_rejects_negative(cp1):

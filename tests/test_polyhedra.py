@@ -339,6 +339,54 @@ def test_splitting_line_in_1d():
     assert (rep.has_vertex, rep.split_rank) == (True, 0)
 
 
+def splitting_by_rank(P):
+    """(has_vertex, split_rank, annihilator_basis) by their definition: the
+    split rank is dim minus the rank of the normals, and the basis is that
+    of the kernel lattice of the normals."""
+    M = [list(nu) for nu in P.normals]
+    k = P.dim - reference.rank(M)
+    return k == 0, k, tuple(map(tuple, linalg.integer_kernel(M))) if k else ()
+
+
+def strips_and_slabs(rng):
+    """Polyhedra without a vertex of dimension 2-4 and split rank k = 1 and
+    2: strips -1 <= x_i <= 1/2 (or half-spaces x_i >= -1) across the first
+    dim - k coordinates, in a random lattice basis."""
+    out = []
+    for dim, k in ((2, 1), (3, 1), (3, 2), (4, 1), (4, 2)):
+        facets = []
+        for i in range(dim - k):
+            e = tuple(int(j == i) for j in range(dim))
+            facets.append((e, 1))
+            if i != 1:
+                facets.append((tuple(-x for x in e), Fraction(1, 2)))
+        out.append(relabel_lattice(polyhedron(dim, facets),
+                                   random_unimodular(dim, rng)))
+    return out
+
+
+def test_splitting_is_the_rank_of_the_normals(corpus, monkeypatch):
+    rng = random.Random(61)
+    lines = strips_and_slabs(rng)
+    assert sorted(splitting_by_rank(P)[1] for P in lines) == [1, 1, 1, 2, 2]
+    randoms = [catalog.random_delzant(rng, 2 + i % 3, 7) for i in range(40)]
+    inputs = [*corpus.values(), catalog.load_example("vertexless"), *lines]
+    for P in inputs + randoms:
+        rep = check_vertex_and_splitting(P)
+        assert (rep.has_vertex, rep.split_rank,
+                rep.annihilator_basis) == splitting_by_rank(P)
+        assert rep is check_vertex_and_splitting(P)
+
+    def eliminate(*args):
+        raise AssertionError("input with a vertex was eliminated")
+
+    for name in ("rank", "integer_kernel", "smith_normal_form"):
+        monkeypatch.setattr(linalg, name, eliminate)
+    for P in randoms:
+        Q = polyhedron(P.dim, zip(P.normals, P.offsets))
+        assert check_vertex_and_splitting(Q).has_vertex
+
+
 def test_compactness(corpus):
     expected = {"c1": False, "c2": False, "c3": False, "cp1": True,
                 "cp2": True, "cp3": True, "cp1xcp1": True,

@@ -11,7 +11,8 @@ import pytest
 import reference
 from reference import (charpoly, deformed_classical_structure, determinant,
                        dp8, dropping_rows_at_top, hexagon,
-                       inverse_multiplicities, product, recompose_from_basis)
+                       inverse_multiplicities, mirror_potential, omega_mul,
+                       product, recompose_from_basis)
 from toricqh import catalog, cli, linalg, topology
 from toricqh import monoid as mo
 from toricqh import presentation as pr
@@ -467,24 +468,116 @@ MIRROR_CHARPOLYS = {
     "cp2": [1, 0, 0, -27],
     "cp3": [1, 0, 0, 0, -256],
     "cp1xcp1": [1, 0, -16, 0, 0],
-    # (x - 6)(x + 2)^3(x + 3)^2
-    "hexagon": [1, 6, -15, -208, -648, -864, -432],
 }
 
+# Critical points of the hexagon's mirror potential, coordinates in Q(w)
+# as pairs (a, b) = a + b w for a primitive cube root of unity w:
+# (1, 1), (-1, -1), (1, -1), (-1, 1), (w, w) and (w^2, w^2), w^2 = -1 - w.
+# There are as many as the rank of the cohomology, so there are no others.
+HEXAGON_CRITICAL_POINTS = (((1, 0), (1, 0)), ((-1, 0), (-1, 0)),
+                           ((1, 0), (-1, 0)), ((-1, 0), (1, 0)),
+                           ((0, 1), (0, 1)), ((-1, -1), (-1, -1)))
 
-@pytest.mark.parametrize("name", sorted(MIRROR_CHARPOLYS))
-def test_c1_multiplication_has_the_mirror_critical_values(name):
-    """At T = 1 the eigenvalues of multiplication by c_1 = sum_j v_j are the
-    critical values of the mirror potential sum_j x^(nu_j) (Batyrev)."""
-    P = hexagon() if name == "hexagon" else catalog.load_example(name)
+
+def c1_matrix(P):
+    """The matrix at T = 1 of multiplication by c_1 = sum_j v_j on the
+    quantum basis."""
     Q = pr.quantum_presentation(P)
     c1 = [0] * len(Q.basis)
     for j in range(1, P.nfacets + 1):
         for b, poly in enumerate(pr.reduce_to_basis(elem(Q.normalized, j), Q)):
             c1[b] += sum(poly)
-    M = [[sum(c1[b] * sum(Q.structure[b][a][g]) for b in range(len(c1)))
-          for a in range(len(c1))] for g in range(len(c1))]
-    assert charpoly(M) == MIRROR_CHARPOLYS[name]
+    return [[sum(c1[b] * sum(Q.structure[b][a][g]) for b in range(len(c1)))
+             for a in range(len(c1))] for g in range(len(c1))]
+
+
+def poly_with_roots(roots):
+    """Coefficients of prod (x - r), highest degree first, for roots r in
+    Q(w); the coefficients must be rational."""
+    poly = [(1, 0)]
+    for r in roots:
+        shifted = [(0, 0)] + [omega_mul(r, c) for c in poly]
+        poly = [(a - c, b - d)
+                for (a, b), (c, d) in zip(poly + [(0, 0)], shifted)]
+    assert all(b == 0 for _, b in poly)
+    return [a for a, _ in poly]
+
+
+def mirror_charpoly(P, points):
+    """prod (x - W(p)) over the points p, each checked to be critical."""
+    values = []
+    for p in points:
+        value, derivatives = mirror_potential(P, p)
+        assert derivatives == [(0, 0)] * P.dim, p
+        values.append(value)
+    return poly_with_roots(values)
+
+
+@pytest.mark.parametrize("name", sorted([*MIRROR_CHARPOLYS, "hexagon"]))
+def test_c1_multiplication_has_the_mirror_critical_values(name):
+    """At T = 1 the eigenvalues of multiplication by c_1 = sum_j v_j are the
+    critical values of the mirror potential sum_j x^(nu_j) (Batyrev)."""
+    if name == "hexagon":
+        P = hexagon()
+        expected = mirror_charpoly(P, HEXAGON_CRITICAL_POINTS)
+    else:
+        P = catalog.load_example(name)
+        expected = MIRROR_CHARPOLYS[name]
+    assert charpoly(c1_matrix(P)) == expected
+
+
+def test_hexagon_mirror_critical_points_in_q_omega():
+    P = hexagon()
+    assert len(set(HEXAGON_CRITICAL_POINTS)) == 6
+    assert pr.classical_presentation(P).total_rank == 6
+    values = [mirror_potential(P, p) for p in HEXAGON_CRITICAL_POINTS]
+    assert [v for v, _ in values] == [(6, 0), (-2, 0), (-2, 0), (-2, 0),
+                                      (-3, 0), (-3, 0)]
+    assert all(d == [(0, 0), (0, 0)] for _, d in values)
+
+
+def test_mirror_check_catches_a_changed_critical_value():
+    P = hexagon()
+    M = charpoly(c1_matrix(P))
+    values = [mirror_potential(P, p)[0] for p in HEXAGON_CRITICAL_POINTS]
+    assert poly_with_roots(values) == M
+    for k, (a, b) in enumerate(values):
+        planted = values[:k] + [(a + 1, b)] + values[k + 1:]
+        assert poly_with_roots(planted) != M
+    _, derivatives = mirror_potential(P, ((1, 0), (0, 1)))  # (1, w)
+    assert derivatives != [(0, 0), (0, 0)]
+
+
+def morse_inputs(corpus):
+    """The corpus, the hexagon, dP8, three products and 40 random inputs of
+    dimension 2-4, compact and not."""
+    cp1, c1, o_minus_1 = (corpus[n] for n in ("cp1", "c1", "o_minus_1"))
+    inputs = {**corpus, "hexagon": hexagon(), "dp8": dp8(),
+              "hexagon x cp1": product(hexagon(), cp1),
+              "dp8 x c1": product(dp8(), c1),
+              "o_minus_1 x cp1": product(o_minus_1, cp1)}
+    rng = random.Random(73)
+    for i in range(40):
+        dim = 2 + i % 3
+        inputs[f"random {i}"] = catalog.random_delzant(rng, dim, dim + 4)
+    return inputs
+
+
+def test_classical_ranks_are_the_morse_count(corpus):
+    inputs = morse_inputs(corpus)
+    assert {is_compact(P) for P in inputs.values()} == {True, False}
+    for name, P in inputs.items():
+        assert reference.morse_ranks(P) == \
+            pr.classical_presentation(P).ranks, name
+
+
+def test_morse_count_catches_an_off_by_one_rank(corpus):
+    for name, P in morse_inputs(corpus).items():
+        ranks = list(pr.classical_presentation(P).ranks)
+        for d in range(len(ranks)):
+            for delta in (1, -1):
+                planted = ranks[:d] + [ranks[d] + delta] + ranks[d + 1:]
+                assert reference.morse_ranks(P) != tuple(planted), name
 
 
 def test_poincare_pairing_is_unimodular(corpus):

@@ -81,7 +81,7 @@ def test_homology_euler_characteristic(corpus):
     for P in corpus.values():
         K = tp.build_nerve(P)
         profile = tp.reduced_homology(K)
-        face_chi = sum((-1) ** (len(f) - 1) for f in K.faces())
+        face_chi = sum((-1) ** (len(f) - 1) for f in K.sorted_faces)
         betti_chi = sum((-1) ** (i - 1) * r for i, r in enumerate(profile.ranks))
         assert face_chi == betti_chi
 
@@ -837,11 +837,24 @@ def test_field_names(cp2):
     assert tp.regular_sequence_check(cp2, 3).field == "F3"
 
 
+def test_sorted_faces_are_every_subset_of_a_maximal_face(corpus):
+    rng = random.Random(67)
+    inputs = [*corpus.values(),
+              *(catalog.random_delzant(rng, 2 + i % 3, 8) for i in range(20))]
+    for P in inputs:
+        K = tp.build_nerve(P)
+        labels = range(1, K.ground + 1)
+        brute = [S for k in range(K.ground + 1)
+                 for S in itertools.combinations(labels, k)
+                 if any(set(S) <= m for m in K.maximal)]
+        assert K.sorted_faces == tuple(brute)
+
+
 def test_faces_are_cached(cp2):
     K = tp.build_nerve(cp2)
-    assert K.faces() is K.faces()
-    assert isinstance(K.faces(), frozenset)
-    assert K.sorted_faces[0] == () and len(K.sorted_faces) == len(K.faces())
+    assert K.sorted_faces is K.sorted_faces
+    assert K.sorted_faces[0] == () and len(set(K.sorted_faces)) == len(
+        K.sorted_faces)
     assert K.sorted_faces == tuple(sorted(K.sorted_faces,
                                           key=lambda f: (len(f), f)))
 
