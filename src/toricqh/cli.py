@@ -30,9 +30,9 @@ from . import monoid as mo
 from . import presentation as pr
 from . import topology as tp
 from .errors import PreconditionError, SchemaError, VerificationError
-from .polyhedra import (check_delzant, check_vertex_and_splitting, is_compact,
-                        monotone_normalization, parse_polyhedron,
-                        polyhedron_to_json, require_delzant)
+from .polyhedra import (check_delzant, check_vertex_and_splitting,
+                        exact_fraction, is_compact, monotone_normalization,
+                        parse_polyhedron, polyhedron_to_json, require_delzant)
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -117,11 +117,13 @@ def parse_args(argv):
                 raise SchemaError(f"--{name} expects an integer, "
                                   f"got {value!r}") from None
     values["ring"] = _parse_ring(values["ring"])
-    values["cutoff"] = _parse_cutoff(values["cutoff"])
+    values["cutoff"] = exact_fraction(values["cutoff"], "--cutoff")
     if values["margin"] < 0:
         raise SchemaError(f"--margin must be non-negative, "
                           f"got {values['margin']}")
-    values["bfield"] = _parse_bfield(values["bfield"])
+    if values["bfield"] is not None:
+        values["bfield"] = tuple(exact_fraction(part, "--bfield entry")
+                                 for part in values["bfield"].split(","))
     return SimpleNamespace(**values)
 
 
@@ -139,22 +141,6 @@ def _parse_ring(text: str):
             raise SchemaError(f"--ring: {exc}") from None
         return f"F{p}", p
     raise SchemaError(f"unknown ring {text!r} (expected z, q, or fp:P)")
-
-
-def _parse_bfield(text: str | None):
-    if text is None:
-        return None
-    try:
-        return tuple(Fraction(part) for part in text.split(","))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise SchemaError(f"bad --bfield {text!r}: {exc}") from exc
-
-
-def _parse_cutoff(text: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise SchemaError(f"bad --cutoff {text!r}: {exc}") from exc
 
 
 # What reading a JSON file can raise on bad input: a missing file, bytes

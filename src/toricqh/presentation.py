@@ -39,10 +39,10 @@ from operator import add, mul
 from . import linalg, topology
 from .errors import PreconditionError, VerificationError
 from .monoid import FilteredElement, format_monomial, monoid_for
-from .polyhedra import (DelzantPolyhedron, enumerate_vertices, exact_units,
-                        integer_parameter, is_compact, memoized,
-                        minimal_nonfaces, monotone_normalization,
-                        relabel_lattice, require_delzant, vertex_coordinates)
+from .polyhedra import (DelzantPolyhedron, exact_units, integer_parameter,
+                        is_compact, memoized, minimal_nonfaces,
+                        monotone_normalization, relabel_lattice,
+                        require_delzant, vertex_coordinates)
 
 TPoly = tuple  # coefficient tuple, index = exponent of T
 
@@ -150,7 +150,6 @@ class RingPresentation:
     ring: str
     dim: int
     nfacets: int
-    nvertices: int
     linear_relations: tuple[tuple[int, ...], ...]   # rows: coefficients of Z_j
     nonfaces: tuple[tuple[int, ...], ...]           # monomial relations (labels)
     ranks: tuple[int, ...]                          # ranks in degrees 0..dim
@@ -182,9 +181,10 @@ def classical_presentation(P: DelzantPolyhedron,
     quotient ring is generated in degree 1, so every higher degree is 0 as
     well, and a product of two basis elements past degree n has structure
     constants 0 without a slice.  All quotients are verified torsion-free
-    over Z; the requested coefficient ring only changes how the table is
-    reported.  Under a unit B-field the table is this one rescaled, as
-    ``apply_bfield`` states.
+    over Z, and the rank in every degree must equal the nerve's h-vector
+    (``topology.h_vector``), or VerificationError is raised; the requested
+    coefficient ring only changes how the table is reported.  Under a unit
+    B-field the table is this one rescaled, as ``apply_bfield`` states.
     """
     require_delzant(P)
     ring = _ring_label(ring)
@@ -207,18 +207,15 @@ def classical_presentation(P: DelzantPolyhedron,
                                 f"vanish in degree {n + 1} > {n}")
 
     ranks = tuple(len(layers[d].basis_cols) for d in range(n + 1))
-    nvertices = len(enumerate_vertices(P))
-    if sum(ranks) != nvertices:
-        raise VerificationError(f"total rank {sum(ranks)} != number of vertices "
-                                f"{nvertices}")
-    if n >= 1 and ranks[1] != P.nfacets - n:
-        raise VerificationError(f"degree-1 rank {ranks[1]} != N - n = "
-                                f"{P.nfacets - n}")
+    h = topology.h_vector(topology.sr_hilbert_function(P, n), n)
+    if ranks != h:
+        raise VerificationError(f"classical ranks {list(ranks)} != h-vector "
+                                f"{list(h)} of the nerve")
 
     structure = _classical_structure(layers, basis, ring)
-    return RingPresentation(ring, n, P.nfacets, nvertices,
-                            tuple(zip(*P.normals)), minimal_nonfaces(P),
-                            ranks, tuple(basis), structure)
+    return RingPresentation(ring, n, P.nfacets, tuple(zip(*P.normals)),
+                            minimal_nonfaces(P), ranks, tuple(basis),
+                            structure)
 
 
 def _classical_structure(layers, basis, ring):
@@ -322,7 +319,6 @@ def quantum_sr_relations(P: DelzantPolyhedron) -> tuple[QuantumSRRelation, ...]:
 
 @dataclass(frozen=True)
 class QuantumPresentation:
-    source: DelzantPolyhedron
     normalized: DelzantPolyhedron
     translation: tuple[Fraction, ...]
     scale: Fraction
@@ -401,7 +397,7 @@ def quantum_presentation(P: DelzantPolyhedron, margin: int = 0,
         layers.append(layer)
 
     qp = QuantumPresentation(
-        P, Pn, norm.translation, norm.offset, ring, rho, bound, classical,
+        Pn, norm.translation, norm.offset, ring, rho, bound, classical,
         classical.linear_relations, quantum_sr_relations(Pn), basis, degs,
         tuple(len(layer.basis_cols) for layer in layers), (), tuple(layers))
     structure = _quantum_structure(qp, basis_nu)
@@ -618,7 +614,7 @@ def basis_independence_audit(P: DelzantPolyhedron, seed: int = 0,
     be identical (exponent vectors are written in the facet generators, which
     do not move)."""
     integer_parameter(trials, "trials", 1)
-    rng = random.Random(seed)
+    rng = random.Random(integer_parameter(seed, "seed", 0))
     base = classical_presentation(P)
     base_q = quantum_presentation(P) if monotone_normalization(P) else None
     details = []

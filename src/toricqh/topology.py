@@ -29,11 +29,10 @@ never built; where the certificate fails, VerificationError is raised.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from math import comb
-from operator import add, mul
+from operator import add, mul, sub
 
 from . import linalg
 from .errors import PreconditionError, VerificationError
@@ -430,9 +429,22 @@ def sr_hilbert_function(P: DelzantPolyhedron, maxdeg: int) -> list[int]:
     degree d, so each degree sums one binomial per size, times the number
     of faces of that size."""
     integer_parameter(maxdeg, "maxdeg", 0)
-    sizes = Counter(len(f) for f in build_nerve(P).sorted_faces if f)
-    return [1] + [sum(count * comb(d - 1, k - 1) for k, count in sizes.items())
+    sizes = list(map(len, build_nerve(P).sorted_faces))  # sorted by size
+    return [1] + [sum(sizes.count(k) * comb(d - 1, k - 1)
+                      for k in range(1, sizes[-1] + 1))
                   for d in range(1, maxdeg + 1)]
+
+
+def h_vector(hilbert, n: int) -> tuple[int, ...]:
+    """The coefficients of (1-t)^n * H(t) in degrees 0..len(hilbert) - 1,
+    for the values ``hilbert`` of ``sr_hilbert_function`` and n = dim P:
+    the h-vector of the nerve, then 0.  The quotient by a regular sequence
+    of n linear forms has these dimensions, so the classical ranks and the
+    quotients of ``regular_sequence_check`` are checked against them."""
+    h = list(hilbert)
+    for _ in range(n):  # times (1 - t)
+        h = h[:1] + list(map(sub, h[1:], h))
+    return tuple(h)
 
 
 def graded_rows(slices, steps, weights, leads=()):
@@ -578,25 +590,24 @@ def regular_sequence_check(P: DelzantPolyhedron, p: int | None = None,
 
     For each degree d the quotient of the degree-d slice by the images
     c_i * (degree d-1 slice) must have dimension equal to the d-th
-    coefficient of (1-t)^n * H_SR(t).
+    coefficient of (1-t)^n * H_SR(t), ``h_vector``.
 
     The rows and columns are the first vertex's (``vertex_rows``), in the
     lead order of ``graded_rows``, reduced mod p once.
 
-    Slices are walked and ranked up to degree n only, for any ``maxdeg``.
-    On Delzant input the normals at every vertex form a Z-basis, so over Q
-    and over every F_p the forms are a linear system of parameters (Kind
-    and Kleinschmidt, Math. Z. 167, 1979), and the quotient is spanned by
-    the face monomials, of degree at most n.  So the quotient vanishes in
-    degree n+1, which ``top_class_certificate`` certifies from the degree-n
-    pivots without settling them, or VerificationError is raised.  The
-    quotient ring is generated in degree 1, so once a degree is zero every
-    higher one is: slices are ranked only up to the first such degree, and
-    walked only up to the first degree whose expected value is 0 (at most
-    n), and again up to n only when the quotient there is not 0.  The
-    expected values are computed for every degree up to ``maxdeg``, so the
-    verdict compares the full sequences; the report keeps the Hilbert
-    function they come from.
+    One walk builds the slices up to degree n, for any ``maxdeg``, and
+    they are ranked up to the first degree whose quotient is 0: the
+    quotient ring is generated in degree 1, so every higher degree is 0
+    too.  On Delzant input the normals at every vertex form a Z-basis, so
+    over Q and over every F_p the forms are a linear system of parameters
+    (Kind and Kleinschmidt, Math. Z. 167, 1979), and the quotient is
+    spanned by the face monomials, of degree at most n.  So the quotient
+    vanishes in degree n+1, which, where degree n is not 0 and ``maxdeg``
+    > n, ``top_class_certificate`` certifies from the degree-n pivots
+    without settling them, or VerificationError is raised.  The expected
+    values are computed for every degree up to ``maxdeg``, so the verdict
+    compares the full sequences; the report keeps the Hilbert function
+    they come from.
     For ``maxdeg`` > n a passed check thus proves the forms a regular
     sequence on a Cohen-Macaulay ring, which ``cli.cmd_cm`` relies on.
     """
@@ -606,23 +617,15 @@ def regular_sequence_check(P: DelzantPolyhedron, p: int | None = None,
     integer_parameter(maxdeg, "maxdeg", P.dim)
     n = P.dim
     hilbert = tuple(sr_hilbert_function(P, maxdeg))
-    expected = tuple(sum((-1) ** k * comb(n, k) * hilbert[d - k]
-                         for k in range(min(d, n) + 1))
-                     for d in range(maxdeg + 1))
+    expected = h_vector(hilbert, n)
 
-    # walk up to the first degree expected to be 0, and on up to n only
-    # where the quotient is not 0 there
-    first_zero = next((d for d, e in enumerate(expected) if not e), n)
-    for top in sorted({min(first_zero, n), n}):
-        keys, leads, walk = vertex_rows(P, top, p=p)
-        dims = []
-        for index, rows in walk:
-            elim = linalg.Eliminator(p)
-            for row in rows:
-                elim.add_row(row)
-            dims.append(len(index) - elim.rank)
-            if dims[-1] == 0:
-                break
+    keys, leads, walk = vertex_rows(P, n, p=p)
+    dims = []
+    for index, rows in walk:
+        elim = linalg.Eliminator(p)
+        for row in rows:
+            elim.add_row(row)
+        dims.append(len(index) - elim.rank)
         if dims[-1] == 0:
             break
     # a zero degree below n+1 needs no certificate: every higher one is zero

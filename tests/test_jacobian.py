@@ -72,6 +72,10 @@ NON_INTEGER_PARAMETERS = {
     "audit_trials_zero": lambda P: pr.basis_independence_audit(P, trials=0),
     "audit_trials_negative":
         lambda P: pr.basis_independence_audit(P, trials=-1),
+    "audit_seed_float": lambda P: pr.basis_independence_audit(P, seed=1.5),
+    "audit_seed_string": lambda P: pr.basis_independence_audit(P, seed="x"),
+    "audit_seed_bool": lambda P: pr.basis_independence_audit(P, seed=True),
+    "audit_seed_negative": lambda P: pr.basis_independence_audit(P, seed=-1),
     "from_exponents_too_few": lambda P: mo.monoid_for(P).from_exponents((1,)),
     "from_exponents_too_many":
         lambda P: mo.monoid_for(P).from_exponents((1, 0, 0, 5)),

@@ -564,11 +564,28 @@ def morse_inputs(corpus):
 
 
 def test_classical_ranks_are_the_morse_count(corpus):
+    """The classical ranks are the Morse count of the tests' reference and
+    the nerve's h-vector, which ``classical_presentation`` checks."""
     inputs = morse_inputs(corpus)
     assert {is_compact(P) for P in inputs.values()} == {True, False}
     for name, P in inputs.items():
+        h = topology.h_vector(topology.sr_hilbert_function(P, P.dim), P.dim)
         assert reference.morse_ranks(P) == \
-            pr.classical_presentation(P).ranks, name
+            pr.classical_presentation(P).ranks == h, name
+
+
+def test_classical_ranks_are_checked_in_every_degree(cp1, monkeypatch):
+    """Planted h-vector (1, 4, 5, 5, 1) for (CP^1)^4: its total is the
+    vertex count 16 and its degree-1 entry N - n = 4, as in the true
+    (1, 4, 6, 4, 1), so only a check of every degree rejects the ranks."""
+    def cube4():
+        return product(product(cp1, cp1), product(cp1, cp1))
+
+    assert pr.classical_presentation(cube4()).ranks == (1, 4, 6, 4, 1)
+    monkeypatch.setattr(topology, "h_vector",
+                        lambda hilbert, n: (1, 4, 5, 5, 1))
+    with pytest.raises(VerificationError, match="h-vector"):
+        pr.classical_presentation(cube4())
 
 
 def test_morse_count_catches_an_off_by_one_rank(corpus):
