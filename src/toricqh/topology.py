@@ -7,10 +7,10 @@ exists; the 1-skeleton's components), and only the boundary maps of
 triangles and higher faces are ranked by exact elimination.
 ``reisner_cm_check`` is Reisner's Cohen-Macaulay criterion: reduced
 homology of the complex and of every face link must vanish below the
-dimension of the respective complex.  The ``cm`` command decides
-Cohen-Macaulayness by ``regular_sequence_check`` instead, which proves it
-when it passes (see ``cli.cmd_cm``); it ranks the links only when that
-check fails, to find a witness.
+dimension of the respective complex; it stays the library's search for a
+witness.  The ``cm`` command decides Cohen-Macaulayness by
+``regular_sequence_check`` alone, whose verdict is Reisner's both ways (see
+``cli.cmd_cm``), and ranks no link.
 
 The Stanley-Reisner monomials are enumerated by ``sr_walk`` alone.  Its
 degree slices (``sr_slices``) key each monomial by one integer of
@@ -46,8 +46,8 @@ class NerveComplex:
     """Simplicial complex on facet labels 1..ground, stored by maximal faces.
 
     The face family is the downward closure; the empty face always belongs.
-    The complex is immutable, so its sorted face list and reduced Betti
-    numbers (per field) are built on first use and kept on it.
+    The complex is immutable, so its sorted face list is built on first
+    use and kept on it.
     """
 
     ground: int
@@ -79,17 +79,6 @@ class NerveComplex:
         for f in self.sorted_faces:
             by_size[len(f)].append(f)
         return by_size
-
-    @cached_property
-    def _betti(self) -> dict:
-        return {}
-
-    def reduced_betti(self, p: int | None = None) -> tuple[int, ...]:
-        """Reduced Betti numbers in degrees -1 .. dim over Q (p None) or
-        F_p.  Cached: ranked once per field and kept on the complex."""
-        if p not in self._betti:
-            self._betti[p] = _reduced_betti(self.faces_by_dim(), p)
-        return self._betti[p]
 
 
 def make_complex(ground: int, faces) -> NerveComplex:
@@ -137,10 +126,10 @@ class HomologyProfile:
 
 
 def reduced_homology(K: NerveComplex, p: int | None = None) -> HomologyProfile:
-    """Reduced simplicial homology ranks over Q (p None) or over F_p, from
-    ``K.reduced_betti``, which ``reisner_cm_check`` shares."""
+    """Reduced simplicial homology ranks over Q (p None) or over F_p, of
+    the face layers ``K.faces_by_dim``."""
     field_name(p)
-    return HomologyProfile(K.dim, K.reduced_betti(p))
+    return HomologyProfile(K.dim, _reduced_betti(K.faces_by_dim(), p))
 
 
 def _reduced_betti(layers, p) -> tuple[int, ...]:
@@ -234,11 +223,9 @@ def reisner_cm_check(K: NerveComplex, p: int | None = None) -> CMReport:
     a (-1)-dimensional link has no degree below its dimension.  A
     0-dimensional link has only degree -1 below it, and that group is
     nonzero only for the complex {empty face}, while the link has a vertex.
-    The link of the empty face is K itself, whose Betti numbers
-    ``K.reduced_betti`` ranks once per field and shares with
-    ``reduced_homology``.  The other links are listed together by one walk
-    over ``K.sorted_faces`` (G containing F gives G - F) and ranked by the
-    same routine.
+    Every other link, K itself for the empty face included, is listed by
+    one walk over ``K.sorted_faces`` (G containing F gives G - F, so the
+    star of the empty face is K's face list) and ranked by one routine.
     Faces are visited in ``K.sorted_faces`` order and degrees upwards, so
     the witness is the first failure in that order.
     """
@@ -249,19 +236,16 @@ def reisner_cm_check(K: NerveComplex, p: int | None = None) -> CMReport:
         for size in range(len(m) - 1):
             for face in itertools.combinations(m, size):
                 dims[face] = max(dims.get(face, 0), len(m) - size - 1)
-    stars = _stars(K, [face for face in dims if face])
+    stars = _stars(K, dims)
     for face in K.sorted_faces:
         dim = dims.get(face)
         if dim is None:
             continue
-        if face:
-            layers = [[] for _ in range(dim + 2)]
-            for f in stars[face]:
-                layers[len(f)].append(f)
-            betti = _reduced_betti(layers, p)
-        else:
-            betti = K.reduced_betti(p)
-        for degree, rank in enumerate(betti[:dim + 1], start=-1):
+        layers = [[] for _ in range(dim + 2)]
+        for f in stars[face]:
+            layers[len(f)].append(f)
+        for degree, rank in enumerate(_reduced_betti(layers, p)[:dim + 1],
+                                      start=-1):
             if rank:
                 return CMReport(False, field,
                                 f"link of {list(face)} has reduced homology of "
@@ -608,8 +592,10 @@ def regular_sequence_check(P: DelzantPolyhedron, p: int | None = None,
     values are computed for every degree up to ``maxdeg``, so the verdict
     compares the full sequences; the report keeps the Hilbert function
     they come from.
-    For ``maxdeg`` > n a passed check thus proves the forms a regular
-    sequence on a Cohen-Macaulay ring, which ``cli.cmd_cm`` relies on.
+    For ``maxdeg`` > n every report thus proves the forms a system of
+    parameters, so a passed check proves them a regular sequence on a
+    Cohen-Macaulay ring and a failed one proves the ring not
+    Cohen-Macaulay, which ``cli.cmd_cm`` relies on.
     """
     field = field_name(p)
     if maxdeg is None:

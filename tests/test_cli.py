@@ -198,6 +198,17 @@ BAD_ARGUMENTS = [
     ("cp2", "classical", ("--bfield", "1,1"), 2),
     ("BOM", "validate", (), 2),
     ("cp1", "jacobian", ("--perturb", "BOM"), 2),
+    # every schema branch of parse_polyhedron and polyhedron
+    ("TOP_LIST", "validate", (), 2),
+    ("NO_FACETS_KEY", "validate", (), 2),
+    ("FACETS_NOT_LIST", "validate", (), 2),
+    ("NO_OFFSET", "validate", (), 2),
+    ("DIM_ZERO", "validate", (), 2),
+    ("SHORT_NORMAL", "validate", (), 2),
+    ("EMPTY_FACETS", "validate", (), 2),
+    # a perturbation file is a list with one entry per facet, nothing else
+    ("cp2", "jacobian", ("--cutoff", "3", "--perturb", "WRAPPED"), 2),
+    ("cp2", "jacobian", ("--cutoff", "3", "--perturb", "TWO_OF_THREE"), 2),
 ]
 
 # Files written into tmp_path; a row names one by its key, as the input or
@@ -205,6 +216,7 @@ BAD_ARGUMENTS = [
 # Bytes are written as they are: not UTF-8, valid JSON after a UTF-8
 # byte-order mark, or nested past the decoder's recursion limit.
 SEGMENT = [{"normal": [1], "offset": 1}, {"normal": [-1], "offset": 1}]
+PERTURB_CP2 = [[], [{"lambda": "3", "nu": [1, 1], "coeff": "1/2"}], []]
 FILES = {
     # a perturbation of cp1 with coefficient 1/3, undefined modulo 3
     "THIRD": [[{"lambda": "2", "nu": [0], "coeff": "1/3"}], []],
@@ -222,6 +234,16 @@ FILES = {
     "BOM": b"\xef\xbb\xbf" + json.dumps(
         {"dim": 1, "facets": SEGMENT}).encode(),
     "DEEP": b"[" * 100_000 + b"]" * 100_000,
+    "TOP_LIST": [{"dim": 1, "facets": SEGMENT}],
+    "NO_FACETS_KEY": {"dim": 2},
+    "FACETS_NOT_LIST": {"dim": 1, "facets": 3},
+    "NO_OFFSET": {"dim": 1, "facets": [{"normal": [1]}, SEGMENT[1]]},
+    "DIM_ZERO": {"dim": 0, "facets": SEGMENT},
+    "SHORT_NORMAL": {"dim": 2, "facets": SEGMENT},
+    "EMPTY_FACETS": {"dim": 2, "facets": []},
+    # a valid perturbation of cp2, wrapped in an object
+    "WRAPPED": {"perturbations": PERTURB_CP2},
+    "TWO_OF_THREE": PERTURB_CP2[:2],
 }
 
 

@@ -7,10 +7,11 @@ from types import SimpleNamespace
 
 import pytest
 
-from toricqh import jacobian, linalg, topology
+from toricqh import catalog, jacobian, linalg, topology
 from toricqh import monoid as mo
 from toricqh import presentation as pr
-from toricqh.errors import PreconditionError, VerificationError
+from toricqh.errors import (PreconditionError, SchemaError,
+                            VerificationError)
 from toricqh.jacobian import jacobian_freeness
 from toricqh.monoid import scaled
 from toricqh.polyhedra import (enumerate_vertices, polyhedron,
@@ -109,6 +110,76 @@ def test_malformed_exact_parameters_rejected(name, cp2):
     # a string that Fraction cannot read names the parameter, as a float does
     call, what = MALFORMED_PARAMETERS[name]
     with pytest.raises(PreconditionError, match=f"^{what} must be exact"):
+        call(cp2)
+
+
+def _twin_monoid():
+    """The monoid of a cp2 built separately: value-equal to the fixture's,
+    yet a context of its own."""
+    return mo.monoid_for(catalog.load_example("cp2"))
+
+
+def _unit(ctx, lam=1):
+    return mo.element_from_monomial(ctx.t_power(lam))
+
+
+TERM = {"lambda": "1", "nu": [0, 0], "coeff": "1"}
+# Library preconditions on cp2, each with the error it raises and its
+# message.
+LIBRARY_PRECONDITIONS = {
+    "jacobian_too_few_perturbations": (
+        lambda P: jacobian_freeness(P, perturbations=[mo.monoid_for(P).zero()]
+                                    * (P.nfacets - 1)),
+        PreconditionError, "expected 3 perturbations"),
+    "jacobian_perturbation_over_a_twin": (
+        lambda P: jacobian_freeness(P, perturbations=[
+            _unit(_twin_monoid())] + [mo.monoid_for(P).zero()] * 2),
+        PreconditionError, "this polyhedron's monoid"),
+    "reduce_over_a_twin": (
+        lambda P: pr.reduce_to_basis(_unit(_twin_monoid()),
+                                     pr.quantum_presentation(P)),
+        PreconditionError, "normalized monotone monoid"),
+    "reduce_fractional_t_weight": (
+        lambda P: pr.reduce_to_basis(
+            _unit(mo.monoid_for(pr.quantum_presentation(P).normalized), "3/2"),
+            pr.quantum_presentation(P)),
+        PreconditionError, "non-integral T-weight 3/2"),
+    "cone_monoid_vertexless": (
+        lambda P: mo.ConeMonoid(catalog.load_example("vertexless")),
+        PreconditionError, "no vertex"),
+    "t_power_negative": (lambda P: mo.monoid_for(P).t_power(-1),
+                         PreconditionError, "negative T-exponents"),
+    "multiply_across_monoids": (
+        lambda P: mo.multiply(mo.monoid_for(P).zero(),
+                              _twin_monoid().zero()),
+        PreconditionError, "different monoid contexts"),
+    "truncate_zero": (lambda P: mo.truncate(mo.monoid_for(P).zero(), 0),
+                      PreconditionError, "must be positive"),
+    "height_monoid_zero_cutoff": (
+        lambda P: mo.build_height_monoid(P, [], 0),
+        PreconditionError, "must be positive"),
+    "filtered_from_a_dict": (
+        lambda P: mo.filtered_from_json(mo.monoid_for(P), {}),
+        SchemaError, "must be a list of terms"),
+    "filtered_repeated_monomial": (
+        lambda P: mo.filtered_from_json(mo.monoid_for(P), [TERM, TERM]),
+        SchemaError, "duplicate monomial"),
+    "monotone_membership_unnormalized": (
+        lambda P: mo.monotone_gamma_membership(
+            catalog.load_example("hirzebruch_f2"), (1, (0, 0))),
+        PreconditionError, "offsets equal to 1"),
+    "decompose_below_the_cone": (
+        lambda P: mo.monoid_for(P).decompose((-5, (0, 0))),
+        PreconditionError, "not in the cone"),
+    "field_named_by_digits": (lambda P: topology.field_name("7"),
+                              PreconditionError, "not a prime"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LIBRARY_PRECONDITIONS))
+def test_library_preconditions_raise(name, cp2):
+    call, error, match = LIBRARY_PRECONDITIONS[name]
+    with pytest.raises(error, match=match):
         call(cp2)
 
 

@@ -402,9 +402,8 @@ def test_regular_sequence_walks_only_to_the_first_zero_degree(
 
 def test_cm_ranks_the_nerve_once_per_field(monkeypatch):
     """A ``cm`` run ranks the nerve's full face layers once per field, for
-    ``sphere_or_ball_profile`` alone: the regular-sequence check passes,
-    so ``reisner_cm_check``, which would share
-    ``NerveComplex.reduced_betti`` with the profile, does not run."""
+    ``sphere_or_ball_profile`` alone: ``cm`` takes its verdict from the
+    regular-sequence check and ranks no link."""
     full = tp.build_nerve(catalog.load_example("cp3")).faces_by_dim()
     ranked = []
     real_betti = tp._reduced_betti
@@ -474,38 +473,29 @@ def test_cm_ranks_no_link_when_the_regular_sequence_passes(
         assert report["field"] == verdict.field
 
 
-def test_cm_asks_reisner_when_the_regular_sequence_fails(monkeypatch, capsys):
-    """When the regular-sequence verdict fails, ``cm`` calls
-    ``reisner_cm_check`` on the nerve over the same field and reports its
-    verdict and witness as they are, and exits 4."""
-    real_check, real_reisner = tp.regular_sequence_check, tp.reisner_cm_check
-    calls = []
+def test_cm_reports_a_failing_regular_sequence_verdict_as_it_is(
+        monkeypatch, capsys):
+    """When the regular-sequence verdict fails, ``cm`` reports the ring as
+    not Cohen-Macaulay with no witness and exits 4, without calling
+    ``reisner_cm_check``: every report of the check proves the forms a
+    system of parameters, so its verdict holds both ways."""
+    real_check = tp.regular_sequence_check
 
     def failing_check(P, p=None, maxdeg=None):
         report = real_check(P, p, maxdeg)
         return dataclasses.replace(report, passed=False)
 
-    def recording_reisner(K, p=None):
-        calls.append((K, p))
-        return real_reisner(K, p)
+    def no_links(K, p=None):
+        raise AssertionError("reisner_cm_check ran")
 
     monkeypatch.setattr(tp, "regular_sequence_check", failing_check)
-    monkeypatch.setattr(tp, "reisner_cm_check", recording_reisner)
-    for name, ring, p in (("cp3", "q", None), ("o_minus_1", "fp:3", 3)):
+    monkeypatch.setattr(tp, "reisner_cm_check", no_links)
+    for name, ring, field in (("cp3", "q", "Q"), ("o_minus_1", "fp:3", "F3")):
         code, report = _cm_json(capsys, name, ring)
-        K = tp.build_nerve(catalog.load_example(name))
-        assert calls == [(K, p)]
-        calls.clear()
-        assert code == 4
-        assert report["cohen_macaulay"] == {"passed": True, "witness": None}
+        assert code == 4 and report["field"] == field
+        assert report["cohen_macaulay"] == {"passed": False, "witness": None}
         assert report["regular_sequence"]["passed"] is False
-
-    witness = "link of [1] has reduced homology of rank 1 in degree 0 < dim 1"
-    monkeypatch.setattr(tp, "reisner_cm_check", lambda K, p=None: tp.CMReport(
-        False, tp.field_name(p), witness))
-    code, report = _cm_json(capsys, "cp2", "fp:2")
-    assert code == 4 and report["field"] == "F2"
-    assert report["cohen_macaulay"] == {"passed": False, "witness": witness}
+        assert report["profile"]["match"] is True
 
 
 def test_field_certificate_reads_the_pivots_alone(monkeypatch):
