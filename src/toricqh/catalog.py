@@ -15,10 +15,11 @@ import random
 from fractions import Fraction
 from importlib import resources
 
-from .errors import SchemaError
+from .errors import PreconditionError, SchemaError
 from .linalg import random_unimodular
 from .polyhedra import (DelzantPolyhedron, check_delzant, enumerate_vertices,
-                        parse_polyhedron, polyhedron, relabel_lattice)
+                        exact_parameter, integer_parameter, parse_polyhedron,
+                        polyhedron, relabel_lattice)
 
 VALID_EXAMPLES = ("c1", "c2", "c3", "cp1", "cp2", "cp3", "cp1xcp1",
                   "o_minus_1", "hirzebruch_f2")
@@ -30,8 +31,11 @@ def example_names() -> tuple[str, ...]:
 
 
 def load_example(name: str) -> DelzantPolyhedron:
+    """The bundled example ``name``, one of ``example_names()``; any other
+    name raises PreconditionError."""
     if name not in example_names():
-        raise KeyError(f"unknown example {name!r}; known: {example_names()}")
+        raise PreconditionError(f"unknown example {name!r}; known: "
+                                f"{example_names()}")
     text = resources.files("toricqh").joinpath("data", f"{name}.json").read_text()
     return parse_polyhedron(json.loads(text))
 
@@ -51,12 +55,17 @@ def blow_up(P: DelzantPolyhedron, vertex_index: int,
     The cut is placed a rational fraction of the way towards the nearest
     other vertex (or towards the origin when that is closer), so the new
     facet meets every edge at the vertex in its interior and the result is
-    again Delzant with positive offsets.
+    again Delzant with positive offsets.  ``vertex_index`` indexes
+    ``enumerate_vertices(P)`` (``integer_parameter``) and ``fraction`` is
+    exact (``exact_parameter``) and strictly between 0 and 1; anything else
+    raises PreconditionError.
     """
-    fraction = Fraction(fraction)
-    if not 0 < fraction < 1:
-        raise ValueError("cut fraction must be strictly between 0 and 1")
     vertices = enumerate_vertices(P)
+    integer_parameter(vertex_index, "vertex_index", 0, len(vertices) - 1)
+    fraction = exact_parameter(fraction, "cut fraction")
+    if not 0 < fraction < 1:
+        raise PreconditionError(f"cut fraction must be strictly between 0 "
+                                f"and 1, got {fraction}")
     v = vertices[vertex_index]
     labels = sorted(v.incident)
     nu0 = tuple(sum(P.normal(j)[i] for j in labels) for i in range(P.dim))
@@ -81,7 +90,11 @@ _SEEDS = {
 
 def random_delzant(rng: random.Random, dim: int, max_facets: int,
                    allow_noncompact: bool = True) -> DelzantPolyhedron:
-    """A random Delzant polyhedron with at most max_facets facets."""
+    """A random Delzant polyhedron: a seed shape (a simplex, a cube or an
+    orthant, as ``allow_noncompact`` permits) with n + 1, 2n or n facets,
+    then random vertex cuts, each adding one facet, made only while it has
+    fewer than ``max_facets`` facets.  So ``max_facets`` bounds the cuts,
+    not the seed: ``random_delzant(Random(1), 2, 1)`` is a triangle."""
     kinds = list(_SEEDS) if allow_noncompact else ["simplex", "cube"]
     kind = rng.choice(kinds)
     scale = Fraction(rng.randrange(1, 4), rng.randrange(1, 3))

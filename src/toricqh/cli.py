@@ -344,11 +344,27 @@ def cmd_cm(P, args):
     * so Reisner's criterion over the same field (Reisner, Adv. Math. 21,
       1976) can never disagree with the check, and only its witness string
       could.  No link is ranked, and the witness is null.
+
+    A passing check also fixes the nerve's homology, which is then read off
+    the h-vector instead of ranked.  Every vertex of a Delzant P meets
+    exactly n facets, so the nerve K is pure of dimension n - 1, and
+    Reisner's criterion at the empty face gives reduced homology 0 below
+    degree n - 1.  So the Betti number in degree n - 1 is (-1)^(n-1) times
+    the reduced Euler characteristic of K, which is h_n (Stanley, II.4),
+    the expected quotient dimension in degree n.  A failing check ranks the
+    face layers (``sphere_or_ball_profile``).
     """
     p = args.ring[1]
     K = tp.build_nerve(P)
+    n = P.dim
     regseq = tp.regular_sequence_check(P, p)
-    profile = tp.sphere_or_ball_profile(P, p)
+    if not regseq.passed:
+        profile = tp.sphere_or_ball_profile(P, p)
+    elif K.dim != n - 1:
+        raise VerificationError(f"the nerve has dimension {K.dim}, not "
+                                f"{n - 1}")
+    else:
+        profile = tp._sphere_or_ball(P, (0,) * n + (regseq.expected_dims[n],))
     report = {
         "command": "cm",
         "field": regseq.field,

@@ -246,11 +246,11 @@ class Eliminator:
         if col is None:
             return False
         a, p = cur[col], self.p
-        if p is not None:
-            if a != 1:
-                inv = pow(a, -1, p)
-                cur = {c: v * inv % p for c, v in cur.items()}
-        else:
+        # a row with lead 1 is stored as it is: over Q its content is 1
+        if a != 1 and p is not None:
+            inv = pow(a, -1, p)
+            cur = {c: v * inv % p for c, v in cur.items()}
+        elif a != 1:
             g = gcd(*cur.values())
             if a < 0:
                 g = -g

@@ -10,13 +10,16 @@ homology of the complex and of every face link must vanish below the
 dimension of the respective complex; it stays the library's search for a
 witness.  The ``cm`` command decides Cohen-Macaulayness by
 ``regular_sequence_check`` alone, whose verdict is Reisner's both ways (see
-``cli.cmd_cm``), and ranks no link.
+``cli.cmd_cm``), and ranks no link.  Where the check passes it ranks no
+face layer of the nerve either: the h-vector gives the nerve's homology.
 
-The Stanley-Reisner monomials are enumerated by ``sr_walk`` alone.  Its
-degree slices (``sr_slices``) key each monomial by one integer of
-``SRKeys``, linear in the exponents, and ``graded_rows`` builds the
-"linear form times monomial" rows over them, in one lead order, for the
-classical, quantum and regular-sequence quotients.
+The Stanley-Reisner monomials are enumerated by two walks of one shape.
+``sr_slices`` walks integer keys of ``SRKeys``, linear in the exponents,
+into degree slices, over which ``graded_rows`` builds the "linear form
+times monomial" rows, in one lead order, for the classical, quantum and
+regular-sequence quotients.  ``sr_walk`` walks integer vectors bounded by
+their first entry, for the Jacobian slice, which reads each monomial's
+T-weight and heights off its vector.
 
 The classical and regular-sequence quotients vanish in degree n+1 on
 Delzant input.  ``top_class_certificate`` proves it from the degree-n
@@ -265,17 +268,17 @@ def sphere_or_ball_profile(P: DelzantPolyhedron, p: int | None = None) -> Profil
     """Compare the nerve's homology with that of S^(n-1) (compact case) or of
     a point (non-compact case).  Homology-level only: homeomorphism itself is
     not decided."""
-    K = build_nerve(P)
-    profile = reduced_homology(K, p)
-    compact = is_compact(P)
-    n = P.dim
-    if compact:
-        expected = f"S^{n - 1}"
-        ok = profile.nonzero() == ({n - 1: 1} if n >= 1 else {-1: 1})
-    else:
-        expected = f"B^{n - 1}"
-        ok = profile.nonzero() == {}
-    return ProfileReport(compact, expected, ok, profile.ranks)
+    return _sphere_or_ball(P, reduced_homology(build_nerve(P), p).ranks)
+
+
+def _sphere_or_ball(P: DelzantPolyhedron, ranks) -> ProfileReport:
+    """The ``sphere_or_ball_profile`` of P whose nerve has the reduced Betti
+    numbers ``ranks`` in degrees -1 .. n-1 (n = dim P, at least 1)."""
+    n, ranks = P.dim, tuple(ranks)
+    nonzero = HomologyProfile(n - 1, ranks).nonzero()
+    if is_compact(P):
+        return ProfileReport(True, f"S^{n - 1}", nonzero == {n - 1: 1}, ranks)
+    return ProfileReport(False, f"B^{n - 1}", nonzero == {}, ranks)
 
 
 def sr_walk(K: NerveComplex, vectors, cap: int):
@@ -283,11 +286,10 @@ def sr_walk(K: NerveComplex, vectors, cap: int):
     weight sum_j t_j * vectors[j][0] is at most ``cap``, the summed vector
     sum_j t_j * vectors[j] as a new list.
 
-    This is the one enumerator of Stanley-Reisner monomials: the degree
-    slices of the classical, regular-sequence and quantum quotients come
-    from it through ``sr_slices`` (weight 1 per label), and the Jacobian
-    slice, bounded by T-weight, directly.  A caller that needs some
-    exponents of t puts unit entries for their labels into the vectors.
+    This is the walk of the Jacobian slice, bounded by T-weight, which
+    reads more than a key off each monomial; ``sr_slices`` makes the same
+    walk on integer keys.  A caller that needs some exponents of t puts
+    unit entries for their labels into the vectors.
 
     ``vectors[j]`` is an integer vector for label j + 1 whose first entry,
     the weight, is positive.  One walk per face of ``K.sorted_faces``
@@ -394,14 +396,28 @@ def sr_slices(K: NerveComplex, keys: SRKeys) -> list[list[int]]:
     support is a face.
 
     Sorted keys are the vectors sum_j t_j * vectors[j] in lexicographic
-    order; unit vectors give the exponent vectors themselves.  One
-    ``sr_walk`` with weight 1 per label covers every degree, and it adds
-    two integers per monomial.
+    order; unit vectors give the exponent vectors themselves.  The walk is
+    ``sr_walk``'s with weight 1 per label, on plain integers: a face of at
+    most ``keys.top`` labels starts at the sum of its steps, and each
+    stack entry (degree, key, first) raises one exponent, at label
+    position ``first`` or later, by one integer addition.  The faces come
+    by size, so the walk stops at the first face larger than the top.
     """
-    slices = [[] for _ in range(keys.top + 1)]
-    for degree, key in sr_walk(K, [(1, step) for step in keys.steps],
-                               keys.top):
-        slices[degree].append(key)
+    top = keys.top
+    slices = [[] for _ in range(top + 1)]
+    for labels in K.sorted_faces:
+        size = len(labels)
+        if size > top:
+            break
+        face = [keys.steps[lbl - 1] for lbl in labels]
+        stack = [(size, sum(face), 0)]
+        while stack:
+            degree, key, first = stack.pop()
+            slices[degree].append(key)
+            if degree < top:
+                degree += 1
+                for pos in range(first, size):
+                    stack.append((degree, key + face[pos], pos))
     for keyed in slices:
         keyed.sort()
     return slices
@@ -472,9 +488,11 @@ def graded_rows(slices, steps, weights, leads=()):
     """
     n = len(weights[0])
     assert len(set(steps)) == len(steps)
-    lead = {j: t + 1 for t, j in enumerate(leads)}
-    moves = [(step, weights[j], lead.get(j, n))
-             for j, step in enumerate(steps) if any(weights[j])]
+    # Z_{s_t} keeps the forms c_0 .. c_t of the monomials it reaches
+    limits = [(steps[j], t + 1) for t, j in enumerate(leads)]
+    # each form's nonzero terms (Z_j's step, w_jk), by label
+    terms = [[(step, w[k]) for step, w in zip(steps, weights) if w[k]]
+             for k in range(n)]
     prev = {}  # key of the slice before -> number of forms it keeps
     for keys in slices:
         index = {m: i for i, m in enumerate(keys)}
@@ -482,15 +500,16 @@ def graded_rows(slices, steps, weights, leads=()):
         forms = [n] * len(keys)
         rows = []
         for m, kept in prev.items():
-            cols = []
-            for step, w, limit in moves:
+            for step, limit in limits:
                 col = index.get(m + step)
-                if col is not None:
-                    cols.append((col, w))
-                    if limit < forms[col]:
-                        forms[col] = limit
-            for i in range(kept):
-                row = {col: w[i] for col, w in cols if w[i]}
+                if col is not None and limit < forms[col]:
+                    forms[col] = limit
+            for form in terms[:kept]:
+                row = {}
+                for step, w in form:
+                    col = index.get(m + step)
+                    if col is not None:
+                        row[col] = w
                 if row:
                     rows.append(row)
         rows.sort(key=min)

@@ -5,8 +5,9 @@ only tests need: a dense matrix product, a dense Gaussian rank, a dense
 Gauss-Jordan solve, the fraction-free (Bareiss) determinant and adjugate,
 the monotone normalization by that solve, the inverse of
 ``presentation.reduce_to_basis``, the composition search for divisor
-inverse certificates, a ``topology.graded_rows`` that loses the rows into
-degree n, the classical table under a B-field by an elimination over Q,
+inverse certificates, the "linear form times monomial" loop that
+``topology.graded_rows`` replaced and a ``topology.graded_rows`` that loses
+the rows into degree n, the classical table under a B-field by an elimination over Q,
 an exact characteristic polynomial, two surfaces outside the corpus (the
 hexagon and dP8) and the product of two polyhedra, the classical ranks by
 a Morse count on the vertices, the mirror potential in exact Q(omega)
@@ -200,6 +201,37 @@ def inverse_multiplicities(P, j):
                     for i in range(n)):
                 return m
     return None
+
+
+def graded_rows(slices, steps, weights, leads=()):
+    """``topology.graded_rows`` as one loop over the monomials of the slice
+    before: every move Z_j, with its weights and its Koszul limit, is looked
+    up once per monomial, and each kept form's row is read off the moves
+    found."""
+    n = len(weights[0])
+    lead = {j: t + 1 for t, j in enumerate(leads)}
+    moves = [(step, weights[j], lead.get(j, n))
+             for j, step in enumerate(steps) if any(weights[j])]
+    prev = {}  # key of the slice before -> number of forms it keeps
+    for keys in slices:
+        index = {m: i for i, m in enumerate(keys)}
+        forms = [n] * len(keys)
+        rows = []
+        for m, kept in prev.items():
+            cols = []
+            for step, w, limit in moves:
+                col = index.get(m + step)
+                if col is not None:
+                    cols.append((col, w))
+                    if limit < forms[col]:
+                        forms[col] = limit
+            for i in range(kept):
+                row = {col: w[i] for col, w in cols if w[i]}
+                if row:
+                    rows.append(row)
+        rows.sort(key=min)
+        yield index, rows
+        prev = dict(zip(keys, forms))
 
 
 def dropping_rows_at_top(walk):

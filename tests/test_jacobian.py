@@ -173,6 +173,23 @@ LIBRARY_PRECONDITIONS = {
         PreconditionError, "not in the cone"),
     "field_named_by_digits": (lambda P: topology.field_name("7"),
                               PreconditionError, "not a prime"),
+    "blow_up_past_the_last_vertex": (
+        lambda P: catalog.blow_up(P, 5),
+        PreconditionError, r"vertex_index must be an integer in 0\.\.2"),
+    "blow_up_negative_vertex": (
+        lambda P: catalog.blow_up(P, -1),
+        PreconditionError, r"vertex_index must be an integer in 0\.\.2"),
+    "blow_up_bool_vertex": (
+        lambda P: catalog.blow_up(P, True),
+        PreconditionError, r"vertex_index must be an integer in 0\.\.2"),
+    "blow_up_float_fraction": (
+        lambda P: catalog.blow_up(P, 0, 0.5),
+        PreconditionError, "cut fraction must be exact"),
+    "blow_up_fraction_past_one": (
+        lambda P: catalog.blow_up(P, 0, "3/2"),
+        PreconditionError, "strictly between 0 and 1"),
+    "load_unknown_example": (lambda P: catalog.load_example("bogus"),
+                             PreconditionError, "unknown example 'bogus'"),
 }
 
 

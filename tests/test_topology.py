@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import json
 import random
+from fractions import Fraction
 from importlib import resources
 from math import comb, lcm
 from operator import mul
@@ -9,13 +10,15 @@ from operator import mul
 import pytest
 
 from reference import dropping_rows_at_top
+from reference import graded_rows as loop_rows
 from toricqh import catalog, cli, linalg
 from toricqh import presentation as pr
 from toricqh import topology as tp
 from toricqh.errors import PreconditionError, VerificationError
 from toricqh.jacobian import jacobian_freeness
 from toricqh.polyhedra import (is_compact, monotone_normalization,
-                               polyhedron, relabel_lattice, vertex_coordinates)
+                               polyhedron, polyhedron_to_json, relabel_lattice,
+                               vertex_coordinates)
 
 
 def brute_sr_monomials(K, d):
@@ -357,17 +360,18 @@ def test_vanishing_is_certified_at_degree_n(corpus, monkeypatch):
 
 
 def _walked_monomials(monkeypatch, run):
-    """The number of monomials that ``sr_walk`` yields during ``run()``."""
+    """The number of monomials in the slices that ``sr_slices`` returns
+    during ``run()``."""
     walked = [0]
-    real_walk = tp.sr_walk
+    real_slices = tp.sr_slices
 
-    def counting_walk(*args):
-        for acc in real_walk(*args):
-            walked[0] += 1
-            yield acc
+    def counting_slices(K, keys):
+        slices = real_slices(K, keys)
+        walked[0] += sum(map(len, slices))
+        return slices
 
     with monkeypatch.context() as m:
-        m.setattr(tp, "sr_walk", counting_walk)
+        m.setattr(tp, "sr_slices", counting_slices)
         run()
     return walked[0]
 
@@ -398,28 +402,6 @@ def test_regular_sequence_walks_only_to_the_first_zero_degree(
             assert reports[0] == tp.RegSeqReport(
                 dims == expected, tp.field_name(p), dims, expected,
                 tuple(hilbert)), (P, p)
-
-
-def test_cm_ranks_the_nerve_once_per_field(monkeypatch):
-    """A ``cm`` run ranks the nerve's full face layers once per field, for
-    ``sphere_or_ball_profile`` alone: ``cm`` takes its verdict from the
-    regular-sequence check and ranks no link."""
-    full = tp.build_nerve(catalog.load_example("cp3")).faces_by_dim()
-    ranked = []
-    real_betti = tp._reduced_betti
-
-    def recording_betti(layers, p):
-        if layers == full:
-            ranked.append(p)
-        return real_betti(layers, p)
-
-    monkeypatch.setattr(tp, "_reduced_betti", recording_betti)
-    path = str(resources.files("toricqh").joinpath("data", "cp3.json"))
-    for ring, p in (("q", None), ("fp:2", 2)):
-        assert cli.main(["--input", path, "--command", "cm",
-                         "--ring", ring]) == 0
-        assert ranked == [p]
-        ranked.clear()
 
 
 def _cm_polyhedra(seed):
@@ -473,22 +455,27 @@ def test_cm_ranks_no_link_when_the_regular_sequence_passes(
         assert report["field"] == verdict.field
 
 
-def test_cm_reports_a_failing_regular_sequence_verdict_as_it_is(
-        monkeypatch, capsys):
-    """When the regular-sequence verdict fails, ``cm`` reports the ring as
-    not Cohen-Macaulay with no witness and exits 4, without calling
-    ``reisner_cm_check``: every report of the check proves the forms a
-    system of parameters, so its verdict holds both ways."""
+def _plant_failing_check(monkeypatch):
+    """Make every regular-sequence check report a failure."""
     real_check = tp.regular_sequence_check
 
     def failing_check(P, p=None, maxdeg=None):
         report = real_check(P, p, maxdeg)
         return dataclasses.replace(report, passed=False)
 
+    monkeypatch.setattr(tp, "regular_sequence_check", failing_check)
+
+
+def test_cm_reports_a_failing_regular_sequence_verdict_as_it_is(
+        monkeypatch, capsys):
+    """When the regular-sequence verdict fails, ``cm`` reports the ring as
+    not Cohen-Macaulay with no witness and exits 4, without calling
+    ``reisner_cm_check``: every report of the check proves the forms a
+    system of parameters, so its verdict holds both ways."""
     def no_links(K, p=None):
         raise AssertionError("reisner_cm_check ran")
 
-    monkeypatch.setattr(tp, "regular_sequence_check", failing_check)
+    _plant_failing_check(monkeypatch)
     monkeypatch.setattr(tp, "reisner_cm_check", no_links)
     for name, ring, field in (("cp3", "q", "Q"), ("o_minus_1", "fp:3", "F3")):
         code, report = _cm_json(capsys, name, ring)
@@ -496,6 +483,66 @@ def test_cm_reports_a_failing_regular_sequence_verdict_as_it_is(
         assert report["cohen_macaulay"] == {"passed": False, "witness": None}
         assert report["regular_sequence"]["passed"] is False
         assert report["profile"]["match"] is True
+
+
+def _profile_block(P, p):
+    """The ``profile`` block of a ``cm`` report, from the ranked nerve."""
+    ref = tp.sphere_or_ball_profile(P, p)
+    return {"compact": ref.compact, "expected": ref.expected,
+            "match": ref.match,
+            "reduced_betti_from_degree_minus_1": list(ref.actual)}
+
+
+def test_cm_ranks_the_nerve_only_when_the_check_fails(monkeypatch, capsys):
+    """A passing ``cm`` reads the nerve's homology off the h-vector and
+    ranks no face layer.  With the planted failing check of
+    ``test_cm_reports_a_failing_regular_sequence_verdict_as_it_is`` it
+    ranks the nerve's full face layers once per field and reports the
+    ranked profile."""
+    P = catalog.load_example("cp3")
+    full = tp.build_nerve(P).faces_by_dim()
+    fields = (("q", None), ("fp:2", 2))
+    blocks = {p: _profile_block(P, p) for _, p in fields}
+    ranked = []
+    real_betti = tp._reduced_betti
+
+    def recording_betti(layers, p):
+        ranked.append((layers == full, p))
+        return real_betti(layers, p)
+
+    monkeypatch.setattr(tp, "_reduced_betti", recording_betti)
+    for ring, p in fields:
+        code, report = _cm_json(capsys, "cp3", ring)
+        assert code == 0 and ranked == []
+        assert report["profile"] == blocks[p]
+    _plant_failing_check(monkeypatch)
+    for ring, p in fields:
+        code, report = _cm_json(capsys, "cp3", ring)
+        assert code == 4 and ranked == [(True, p)]
+        assert report["profile"] == blocks[p]
+        ranked.clear()
+
+
+def test_cm_profile_from_the_check_matches_the_ranked_nerve(tmp_path,
+                                                            capsys):
+    """Differential: on the corpus (dimensions 1 to 3) and random inputs of
+    dimensions 2 to 4, compact and not, over Q, F_2 and F_3, the check
+    passes and the ``profile`` block that ``cm`` reads off it equals
+    ``sphere_or_ball_profile``, which ranks the nerve."""
+    rng = random.Random(1006)
+    polys = _cm_polyhedra(1976) + [
+        catalog.random_delzant(rng, dim, dim + 4, allow_noncompact=any_kind)
+        for dim in (2, 3, 4) for any_kind in (False, True, True)]
+    for i, P in enumerate(polys):
+        path = tmp_path / f"p{i}.json"
+        path.write_text(json.dumps(polyhedron_to_json(P)))
+        for ring, p in (("q", None), ("fp:2", 2), ("fp:3", 3)):
+            code = cli.main(["--input", str(path), "--command", "cm",
+                             "--ring", ring, "--format", "json"])
+            report = json.loads(capsys.readouterr().out)
+            assert report["regular_sequence"]["passed"], (P, p)
+            assert report["profile"] == _profile_block(P, p), (P, p)
+            assert code == (0 if report["profile"]["match"] else 4), (P, p)
 
 
 def test_field_certificate_reads_the_pivots_alone(monkeypatch):
@@ -760,6 +807,48 @@ def test_graded_rows_sort_each_slice_by_least_column(corpus, monkeypatch):
         if monotone_normalization(P) is not None:
             pr.quantum_presentation(P)
     assert sum(counted) > 1000
+
+
+def test_graded_rows_match_the_loop_they_replaced(corpus, monkeypatch):
+    """``graded_rows`` gives the index and the rows, entry order included,
+    of the loop it replaced (``reference.graded_rows``) for every slice
+    that ``vertex_rows`` walks: classical keys over Z, under units rho and
+    mod p, and quantum keys by nu, on the corpus and 20 random inputs (for
+    nu keys, 20 relabellings of the monotone corpus)."""
+    rng = random.Random(3141)
+    randoms = [catalog.random_delzant(rng, dim, dim + rng.randrange(1, 4))
+               for dim in (2, 3, 4) * 6 + (2, 3)]
+    monotone = [monotone_normalization(P).rescaled for P in corpus.values()
+                if monotone_normalization(P) is not None]
+    relabelled = [relabel_lattice(P, linalg.random_unimodular(P.dim, rng))
+                  for P in rng.choices(monotone, k=20)]
+    calls = []
+    real = tp.graded_rows
+
+    def recording(slices, steps, weights, leads=()):
+        calls.append((list(slices), steps, weights, leads))
+        return real(*calls[-1])
+
+    def rows_with_order(walk):
+        return [(list(index.items()), [list(row.items()) for row in rows])
+                for index, rows in walk]
+
+    monkeypatch.setattr(tp, "graded_rows", recording)
+    for P in [*corpus.values(), *randoms]:
+        rho = [rng.choice((1, -1, 2, Fraction(-1, 3), Fraction(5, 2)))
+               for _ in range(P.nfacets)]
+        for kwargs in ({}, {"rho": rho}, {"p": 3}):
+            calls.clear()
+            list(tp.vertex_rows(P, P.dim, **kwargs)[2])
+            (args,) = calls
+            assert (rows_with_order(real(*args))
+                    == rows_with_order(loop_rows(*args))), (P, kwargs)
+    for P in [*monotone, *relabelled]:
+        calls.clear()
+        list(tp.vertex_rows(P, 2 * P.dim, by_nu=True)[2])
+        (args,) = calls
+        assert (rows_with_order(real(*args))
+                == rows_with_order(loop_rows(*args))), P
 
 
 def test_koszul_limit_keeps_a_prefix_of_the_forms():
