@@ -9,15 +9,27 @@ so that ranks and structure constants are simultaneously valid over any
 coefficient ring.  Torsion is a hard error; it would contradict the
 freeness facts these presentations rest on and therefore signals invalid
 input or an implementation bug.  Under a non-unit B-field the quantum
-elimination runs over Q.  The slices come from ``topology.sr_slices`` and
-the relation rows from ``topology.graded_rows`` in the lattice basis of the
-first vertex, so they, and their cost, do not depend on the lattice basis
-of the input.  A slice monomial is keyed by an integer of
-``topology.SRKeys``, which encodes its exponent vector (classical) or its
-nu (quantum) in the first vertex's lead order (``topology.graded_rows``);
-each layer keeps its ``SRKeys`` to find the column of a vector.  Over Z
-the rows are nonzero ints and go to the eliminator as they are; over Q
-they are scaled to integers by ``linalg.normalize``.
+elimination runs over Q.
+
+The quantum presentation eliminates one layer, the top T-degree
+bound = 2n + margin, and its T-degree k pieces A_k below follow from it
+(``quantum_presentation``): (1) A/TA is the classical ring, verified free
+on the basis e_g, so by induction on k, A_k is spanned by the
+T^(k - deg e_g) * e_g with deg e_g <= k; (2) multiplying by T^(bound - k)
+maps that set into the verified basis of A_bound, so it is independent
+and A_k is free on it; (3) the column of nu in A_bound is T^(bound - k)
+times the monomial of T-degree k at nu, so that monomial's coordinates
+are the column's, 0 on every e_g of degree above k.
+
+The slices come from ``topology.sr_slices`` and the relation rows from
+``topology.graded_rows`` in the lattice basis of the first vertex, so
+they, and their cost, do not depend on the lattice basis of the input.
+A slice monomial is keyed by an integer of ``topology.SRKeys``, which
+encodes its exponent vector (classical) or its nu (quantum) in the first
+vertex's lead order (``topology.graded_rows``); each layer keeps its
+``SRKeys`` to find the column of a vector.  Over Z the rows are nonzero
+ints and go to the eliminator as they are; over Q they are scaled to
+integers by ``linalg.normalize``.
 
 Basis convention: within each degree, monomials are scanned in ascending
 graded-lexicographic order on exponent vectors (``SRKeys.lex``, not the
@@ -332,20 +344,40 @@ class QuantumPresentation:
     basis_degrees: tuple[int, ...]
     verified_ranks: tuple[int, ...]
     structure: tuple                         # structure[a][b][i] = TPoly
-    layers: tuple[QuotientLayer, ...]      # one per T-degree 0..degree_bound
+    layer: QuotientLayer                     # T-degree degree_bound
 
     def basis_names(self) -> tuple[str, ...]:
         return tuple(format_monomial(Fraction(0), e) for e in self.basis)
 
     def monomial_coords(self, k: int, nu, c=1) -> list:
         """Coordinates as T-polynomials on the basis of c times the monomial
-        of T-weight k and lattice part ``nu`` of the normalized monoid, read
-        off the layer of T-degree k: what ``reduce_to_basis`` gives for that
-        one term, each T-polynomial with one term at most."""
-        layer = self.layers[k]
-        coords = layer.coords({layer.column(nu): c})
-        return [(0,) * (k - d) + (coords[g],) if g in coords else ()
-                for g, d in enumerate(self.basis_degrees)]
+        of T-degree k and lattice part ``nu`` of the normalized monoid: what
+        ``reduce_to_basis`` gives for that one term, each T-polynomial with
+        one term at most.  They are read off the one layer, of T-degree
+        ``degree_bound``, whose column at nu is that monomial times
+        T^(degree_bound - k) (``quantum_presentation``, step 3).
+        PreconditionError for a k outside 0..degree_bound or a (k, nu)
+        that is no monomial of the monoid."""
+        integer_parameter(k, "T-degree", 0, self.degree_bound)
+        if not monoid_for(self.normalized).contains((k, nu)):
+            raise PreconditionError(f"no monomial of T-degree {k} has lattice "
+                                    f"part {tuple(nu)}")
+        return _top_coords(self.layer, self.basis_degrees, k, {tuple(nu): c})
+
+
+def _top_coords(layer, degs, k, terms) -> list:
+    """The coordinates as T-polynomials on the basis, of degrees ``degs``,
+    of the element x = sum of the c * (k, nu) over ``terms`` {nu: c} of
+    T-degree k: c' * T^(k - deg e_g) for the coefficient c' on e_g of
+    T^(bound - k) * x in the top ``layer``.  VerificationError for a
+    c' != 0 with deg e_g > k, which step 3 of ``quantum_presentation``
+    rules out."""
+    coords = layer.coords({layer.column(nu): c for nu, c in terms.items()})
+    if any(degs[g] > k for g in coords):
+        raise VerificationError(f"the top layer puts an element of T-degree "
+                                f"{k} on a basis element of higher degree")
+    return [(0,) * (k - d) + (coords[g],) if g in coords else ()
+            for g, d in enumerate(degs)]
 
 
 @memoized
@@ -354,11 +386,29 @@ def quantum_presentation(P: DelzantPolyhedron, margin: int = 0,
     """Monotone quantum cohomology presentation with integer structure
     constants.
 
-    Normalizes the polyhedron first (all offsets 1).  Per T-degree k up to
-    2*dim + margin, the quotient of the degree-k monomial slice by the images
-    of the linear forms is verified to be a free Z-module whose rank counts
-    the classical basis elements of degree at most k, with basis
-    T^(k - deg e_i) * e_i.  Any torsion or rank mismatch is a hard error.
+    Normalizes the polyhedron first (all offsets 1).  The quotient A_k of
+    the T-degree k slice by the images of the linear forms is free of rank
+    #{g : deg e_g <= k}, on the T^(k - deg e_g) * e_g, for every k up to
+    bound = 2*dim + margin; only A_bound is eliminated.  The walk of
+    ``topology.vertex_rows`` still runs through every slice, as the Koszul
+    limits of the top one need the keys below it.  Slice k sits in slice
+    k + 1 as T times it, under the same nu keys, which makes this a
+    theorem about the input:
+
+    1. A/TA is the classical ring, which ``classical_presentation`` has
+       verified free on the e_g over Z (over Q under a non-unit B-field).
+       So by induction on k, A_k is spanned by the T^(k - deg e_g) * e_g
+       with deg e_g <= k.
+    2. The elimination verifies the T^(bound - deg e_g) * e_g to be a
+       basis of A_bound; torsion or another rank is a hard error.
+       Multiplying by T^(bound - k) maps the spanning set of A_k into that
+       basis, so the set is independent and A_k is free of the rank listed
+       in ``verified_ranks``.
+    3. The column of nu in A_bound is T^(bound - k) * x for the monomial x
+       of T-degree k and lattice part nu, so the coordinates of x are
+       those of that column, 0 on every e_g with deg e_g > k (checked:
+       VerificationError otherwise).
+
     Units ``_rho`` (``exact_units``) rescale the generators: the classical
     part as ``apply_bfield`` states, and the rows, which are then
     eliminated over Q unless every unit is +-1.
@@ -385,43 +435,36 @@ def quantum_presentation(P: DelzantPolyhedron, margin: int = 0,
 
     bound = 2 * n + margin
     keys, _, walk = topology.vertex_rows(Pn, bound, rho_coeff, by_nu=True)
-    layers = []
-    for k, (index, rows) in enumerate(walk):
-        # the basis is sorted by degree, so T^(k - deg e_g) * e_g for the
-        # first len(claimed) indices g
-        claimed = [index[keys.encode(nu)]
-                   for nu, d in zip(basis_nu, degs) if d <= k]
-        layer = _graded_layer(index, keys, rows, ring == "Z",
-                              f"the quantum quotient at T-degree {k}",
-                              claimed, True)
-        layers.append(layer)
-
-    qp = QuantumPresentation(
+    for index, rows in walk:  # the top slice's Koszul limits need the rest
+        pass
+    layer = _graded_layer(index, keys, rows, ring == "Z",
+                          f"the quantum quotient at T-degree {bound}",
+                          [index[keys.encode(nu)] for nu in basis_nu], True)
+    return QuantumPresentation(
         Pn, norm.translation, norm.offset, ring, rho, bound, classical,
         classical.linear_relations, quantum_sr_relations(Pn), basis, degs,
-        tuple(len(layer.basis_cols) for layer in layers), (), tuple(layers))
-    structure = _quantum_structure(qp, basis_nu)
-    object.__setattr__(qp, "structure", structure)
-    return qp
+        tuple(sum(d <= k for d in degs) for k in range(bound + 1)),
+        _quantum_structure(layer, degs, basis_nu, ring), layer)
 
 
-def _quantum_structure(Q: QuantumPresentation, basis_nu):
+def _quantum_structure(layer, degs, basis_nu, ring):
     # e_a * e_b = e_b * e_a: one product per unordered pair
-    degs = Q.basis_degrees
     table = [[None] * len(degs) for _ in degs]
     for a, da in enumerate(degs):
         for b in range(a, len(degs)):
-            coords = Q.monomial_coords(
-                da + degs[b], tuple(map(add, basis_nu[a], basis_nu[b])))
+            nu = tuple(map(add, basis_nu[a], basis_nu[b]))
+            coords = _top_coords(layer, degs, da + degs[b], {nu: 1})
             table[a][b] = table[b][a] = tuple(
-                poly[:-1] + (_coerce_ring(poly[-1], Q.ring),) if poly else ()
+                poly[:-1] + (_coerce_ring(poly[-1], ring),) if poly else ()
                 for poly in coords)
     return tuple(map(tuple, table))
 
 
 def reduce_to_basis(x: FilteredElement, Q: QuantumPresentation):
     """Exact coordinates of a filtered element (over the normalized monoid) as
-    T-polynomials on the quantum basis."""
+    T-polynomials on the quantum basis, read off the one layer: the terms
+    of each T-degree k as one vector, at T-power k - deg e_g
+    (``QuantumPresentation.monomial_coords``)."""
     if x.monoid is not monoid_for(Q.normalized):
         raise PreconditionError("element must live over the normalized "
                                 "monotone monoid of this presentation")
@@ -437,10 +480,9 @@ def reduce_to_basis(x: FilteredElement, Q: QuantumPresentation):
         by_degree.setdefault(k, {})[m.nu] = c
     pairs = [[] for _ in Q.basis]
     for k, terms in sorted(by_degree.items()):
-        layer = Q.layers[k]
-        vec = {layer.column(nu): c for nu, c in terms.items()}
-        for g, c in layer.coords(vec).items():
-            pairs[g].append((k - Q.basis_degrees[g], c))
+        for p, poly in zip(pairs, _top_coords(Q.layer, Q.basis_degrees, k,
+                                              terms)):
+            p.extend(enumerate(poly))
     return [_tpoly(p) for p in pairs]
 
 
@@ -450,8 +492,9 @@ def reduce_to_basis(x: FilteredElement, Q: QuantumPresentation):
 def kodaira_spencer_table(Q: QuantumPresentation) -> dict:
     """Coordinates of the images of the divisor classes and of the classical
     basis monomials: a complete description of the presentation isomorphism
-    on generators.  The image H_j = rho_j * v_j is read off the layer of
-    T-degree 1 at nu_j."""
+    on generators.  The image H_j = rho_j * v_j is the monomial of T-degree
+    1 at nu_j times rho_j, read off the one layer
+    (``QuantumPresentation.monomial_coords``)."""
     table = {"generators": {}, "basis_monomials": {}}
     for j, (nu, r) in enumerate(zip(Q.normalized.normals, Q.rho), 1):
         table["generators"][f"H{j}"] = Q.monomial_coords(

@@ -14,18 +14,24 @@ a Morse count on the vertices, the mirror potential in exact Q(omega)
 arithmetic; for the CLI, the report
 writers that ``json.dumps`` and a pass turning Fractions into numbers and
 strings make, and the generator coordinates and products of a quantum
-report by ``reduce_to_basis`` of ``FilteredElement`` products.
+report by ``reduce_to_basis`` of ``FilteredElement`` products; the
+quantum presentation by one elimination per T-degree, the method the
+one-layer ``presentation.quantum_presentation`` replaced.
 """
 
 import json
 from fractions import Fraction
 from operator import add, mul
 
-from toricqh import topology
-from toricqh.monoid import element_from_monomial, monoid_for
-from toricqh.polyhedra import enumerate_vertices, polyhedron, vertex_basis
-from toricqh.presentation import (classical_presentation, reduce_to_basis,
-                                  tpoly_str)
+from toricqh import polyhedra, topology
+from toricqh import presentation as pr
+from toricqh.monoid import element_from_monomial, format_monomial, monoid_for
+from toricqh.polyhedra import (enumerate_vertices, exact_units, polyhedron,
+                               vertex_basis)
+# bound here, so a fault planted in ``presentation._graded_layer`` by a test
+# does not reach ``quantum_by_layers``
+from toricqh.presentation import (_graded_layer, classical_presentation,
+                                  reduce_to_basis, tpoly_str)
 
 
 def mat_mul(A, B):
@@ -279,6 +285,85 @@ def deformed_classical_structure(P, rho):
             row.append(tuple(coeffs))
         table.append(tuple(row))
     return tuple(table)
+
+
+class LayeredQuantum:
+    """A quantum presentation with one verified layer per T-degree
+    0..``degree_bound`` (``quantum_by_layers``): the parts of
+    ``presentation.QuantumPresentation`` that the Kodaira-Spencer table and
+    the report's generator products read, and ``reduce``, the per-degree
+    ``reduce_to_basis``."""
+
+    def __init__(self, normalized, rho, ring, basis, layers, basis_nu):
+        self.normalized, self.rho, self.ring = normalized, rho, ring
+        self.basis = basis
+        self.basis_degrees = tuple(sum(e) for e in basis)
+        self.degree_bound = len(layers) - 1
+        self.layers = layers
+        self.verified_ranks = tuple(len(layer.basis_cols) for layer in layers)
+        table = [[None] * len(basis) for _ in basis]
+        for a, da in enumerate(self.basis_degrees):
+            for b, db in enumerate(self.basis_degrees):
+                coords = self.monomial_coords(
+                    da + db, tuple(map(add, basis_nu[a], basis_nu[b])))
+                table[a][b] = tuple(
+                    poly[:-1] + (pr._coerce_ring(poly[-1], ring),) if poly
+                    else () for poly in coords)
+        self.structure = tuple(map(tuple, table))
+
+    def basis_names(self):
+        return tuple(format_monomial(Fraction(0), e) for e in self.basis)
+
+    def monomial_coords(self, k, nu, c=1):
+        """Coordinates of c * (k, nu), read off the layer of T-degree k."""
+        layer = self.layers[k]
+        coords = layer.coords({layer.column(nu): c})
+        return [(0,) * (k - d) + (coords[g],) if g in coords else ()
+                for g, d in enumerate(self.basis_degrees)]
+
+    def reduce(self, x):
+        """``reduce_to_basis`` of the filtered element x: the terms of each
+        T-degree k reduced together on the layer of T-degree k."""
+        by_degree = {}
+        for m, c in x.terms.items():
+            by_degree.setdefault(int(m.lam), {})[m.nu] = c
+        pairs = [[] for _ in self.basis]
+        for k, terms in by_degree.items():
+            layer = self.layers[k]
+            vec = {layer.column(nu): c for nu, c in terms.items()}
+            for g, c in layer.coords(vec).items():
+                pairs[g].append((k - self.basis_degrees[g], c))
+        return [pr._tpoly(p) for p in pairs]
+
+
+def quantum_by_layers(P, margin=0, rho=None):
+    """The quantum presentation of a monotone P by one elimination per
+    T-degree k = 0..2n + margin, each claiming its own basis
+    T^(k - deg e_g) * e_g, deg e_g <= k, on the slice of
+    ``topology.vertex_rows``: the oracle for the one-layer
+    ``presentation.quantum_presentation``, which must agree with it on
+    every rank, structure constant and coordinate."""
+    Pn = polyhedra.monotone_normalization(P).rescaled
+    N = Pn.nfacets
+    units = exact_units((1,) * N if rho is None else rho, N)
+    classical = classical_presentation(Pn)
+    if rho is not None:
+        classical = pr._rescaled(classical, units)
+    coeff = tuple(int(r) if r.denominator == 1 else r for r in units)
+    degs = classical.basis_degrees()
+    basis_nu = [tuple(sum(map(mul, e, col)) for col in zip(*Pn.normals))
+                for e in classical.basis]
+    keys, _, walk = topology.vertex_rows(Pn, 2 * Pn.dim + margin, coeff,
+                                         by_nu=True)
+    layers = []
+    for k, (index, rows) in enumerate(walk):
+        claimed = [index[keys.encode(nu)]
+                   for nu, d in zip(basis_nu, degs) if d <= k]
+        layers.append(_graded_layer(
+            index, keys, rows, classical.ring == "Z",
+            f"the quantum quotient at T-degree {k}", claimed, True))
+    return LayeredQuantum(Pn, units, classical.ring, classical.basis,
+                          layers, basis_nu)
 
 
 def charpoly(M):

@@ -124,6 +124,13 @@ def _unit(ctx, lam=1):
 
 
 TERM = {"lambda": "1", "nu": [0, 0], "coeff": "1"}
+
+
+def _coords(P, k, nu=None):
+    """``monomial_coords`` at T-degree k of P's quantum presentation, by
+    default at the first normal: T-degree 1 and up."""
+    Q = pr.quantum_presentation(P)
+    return Q.monomial_coords(k, Q.normalized.normals[0] if nu is None else nu)
 # Library preconditions on cp2, each with the error it raises and its
 # message.
 LIBRARY_PRECONDITIONS = {
@@ -190,6 +197,24 @@ LIBRARY_PRECONDITIONS = {
         PreconditionError, "strictly between 0 and 1"),
     "load_unknown_example": (lambda P: catalog.load_example("bogus"),
                              PreconditionError, "unknown example 'bogus'"),
+    "coords_negative_t_degree": (
+        lambda P: _coords(P, -1),
+        PreconditionError, r"T-degree must be an integer in 0\.\.4, got -1"),
+    "coords_past_the_bound": (
+        lambda P: _coords(P, 9),
+        PreconditionError, r"T-degree must be an integer in 0\.\.4, got 9"),
+    "coords_bool_t_degree": (
+        lambda P: _coords(P, True),
+        PreconditionError, r"T-degree must be an integer in 0\.\.4, got True"),
+    "coords_below_the_slice": (
+        lambda P: _coords(P, 0),
+        PreconditionError, r"no monomial of T-degree 0 has lattice part"),
+    "coords_outside_the_key_windows": (
+        lambda P: _coords(P, 4, (50, -50)),
+        PreconditionError, r"no monomial of T-degree 4 has lattice part"),
+    "coords_short_lattice_part": (
+        lambda P: _coords(P, 2, (1,)),
+        PreconditionError, "nu must be 2 integers"),
 }
 
 

@@ -1,5 +1,6 @@
 import heapq
 import random
+from dataclasses import replace
 from fractions import Fraction
 from importlib import resources
 from math import comb
@@ -186,21 +187,45 @@ def test_quantum_cpn_rank_and_top_power(corpus):
 def test_quantum_slices_match_the_monoid_enumeration(corpus):
     # the columns are built from Stanley-Reisner monomials; the reference
     # walks the monotone monoid by its definition.  The columns run by
-    # <v0, nu> for the first vertex v0, and then by nu
+    # <v0, nu> for the first vertex v0, and then by nu.  Every slice of the
+    # walk is checked, although the presentation eliminates only the last
     for name, P in corpus.items():
         norm = monotone_normalization(P)
         if norm is None:
             continue
-        Q = pr.quantum_presentation(P, margin=1)
+        keys, _, walk = topology.vertex_rows(norm.rescaled, 2 * P.dim + 1,
+                                             by_nu=True)
         v0 = enumerate_vertices(norm.rescaled)[0].point
-        for k in range(2 * P.dim + 2):
-            layer = Q.layers[k]
-            nus = [layer.keys.decode(key) for key in layer.index]
+        for k, (index, _) in enumerate(walk):
+            nus = [keys.decode(key) for key in index]
             assert sorted(nus) == sorted(
                 m.nu for m in mo.enumerate_gamma_degree(norm.rescaled, k)), \
                 (name, k)
             assert nus == sorted(nus, key=lambda nu: (
                 sum(map(mul, v0, nu)), nu)), (name, k)
+
+
+def test_quantum_eliminates_one_quantum_layer(monkeypatch):
+    """The classical presentation eliminates its n + 1 degrees, and the
+    quantum one a single layer, at T-degree 2n + margin: the lower ones
+    follow from the classical ring (``quantum_presentation``)."""
+    real = pr._graded_layer
+    where = []
+    monkeypatch.setattr(pr, "_graded_layer",
+                        lambda *args, **kw: where.append(args[4])
+                        or real(*args, **kw))
+    for make in (lambda: catalog.load_example("cp2"), hexagon,
+                 lambda: _cube(3)):
+        for margin in (0, 2):
+            where.clear()
+            P = make()
+            Q = pr.quantum_presentation(P, margin)
+            n = P.dim
+            assert where == [f"the classical quotient at degree {d}"
+                             for d in range(n + 1)] + [
+                f"the quantum quotient at T-degree {2 * n + margin}"], where
+            assert Q.layer.basis_idx == tuple(range(len(Q.basis)))
+            assert not hasattr(Q, "layers")
 
 
 def _relabelled_cube():
@@ -652,6 +677,21 @@ def test_reduce_degree_overflow(o_minus_1):
         pr.reduce_to_basis(big, Q)
 
 
+def test_coordinates_above_the_t_degree_raise(cp2):
+    # a top layer naming e_1, of degree 1, where e_0 is: the unit, of
+    # T-degree 0, would read as e_1 at T-power -1
+    Q = pr.quantum_presentation(cp2)
+    assert Q.monomial_coords(0, (0, 0)) == [(1,), (), ()]
+    idx = Q.layer.basis_idx
+    bad = replace(Q, layer=replace(Q.layer,
+                                   basis_idx=(idx[1], idx[0], *idx[2:])))
+    unit = mo.element_from_monomial(mo.monoid_for(Q.normalized).t_power(0))
+    with pytest.raises(VerificationError, match="higher degree"):
+        bad.monomial_coords(0, (0, 0))
+    with pytest.raises(VerificationError, match="higher degree"):
+        pr.reduce_to_basis(unit, bad)
+
+
 def test_kodaira_spencer_table(o_minus_1, cp2):
     Q = pr.quantum_presentation(o_minus_1)
     table = pr.kodaira_spencer_table(Q)
@@ -722,6 +762,107 @@ def test_report_coordinates_catch_an_off_by_one(monkeypatch):
     names = set(coordinate_inputs())
     assert {name for name, part in found if part == "kodaira_spencer"} == names
     assert any(part == "generator_products" for _, part in found)
+
+
+def layered_inputs():
+    """``coordinate_inputs`` with CP^4, (CP^1)^3, hexagon x CP^1 and
+    dP8 x CP^1."""
+    polys = coordinate_inputs()
+    cp1 = catalog.load_example("cp1")
+    polys.update(cp4=_simplex(4), cube3=_cube(3),
+                 hexxcp1=product(hexagon(), cp1), dp8xcp1=product(dp8(), cp1))
+    return polys
+
+
+def layered_case(P, case):
+    """(margin, units) for a case: plain, margin 2, the units
+    (2, -1, 1/3, 5) repeated over the facets, or the units +-1
+    alternating."""
+    cycle = {"bfield": (2, -1, Fraction(1, 3), 5), "signs": (1, -1)}.get(case)
+    rho = cycle and tuple(cycle[j % len(cycle)] for j in range(P.nfacets))
+    return 2 * (case == "margin"), rho
+
+
+def layered_mismatches(case, inputs):
+    """(input, part) for every part of the one-layer quantum presentation
+    that differs from the per-layer reference: the verified ranks, the
+    structure constants, the Kodaira-Spencer images of the generators, the
+    report's generator products, and the coordinates of every monomial of
+    every slice, by ``monomial_coords`` and by ``reduce_to_basis`` of all
+    the monomials of the slice of each T-degree at once."""
+    out = []
+    for name, P in inputs.items():
+        margin, rho = layered_case(P, case)
+        Q = pr.quantum_presentation(P, margin, _rho=rho)
+        R = reference.quantum_by_layers(P, margin, rho)
+        ctx = mo.monoid_for(Q.normalized)
+        got, want, reduced = [], [], []
+        for k, layer in enumerate(R.layers):
+            nus = [layer.keys.decode(key) for key in layer.index]
+            got.extend(Q.monomial_coords(k, nu) for nu in nus)
+            want.extend(R.monomial_coords(k, nu) for nu in nus)
+            x = mo.FilteredElement(ctx, {ctx.monomial(k, nu): 1 + i % 3
+                                         for i, nu in enumerate(nus)})
+            reduced.append(pr.reduce_to_basis(x, Q) == R.reduce(x))
+        for part, ours, theirs in (
+                ("ranks", Q.verified_ranks, R.verified_ranks),
+                ("structure", Q.structure, R.structure),
+                ("kodaira_spencer",
+                 pr.kodaira_spencer_table(Q)["generators"],
+                 pr.kodaira_spencer_table(R)["generators"]),
+                ("generator_products", cli._generator_products(Q),
+                 cli._generator_products(R)),
+                ("monomial_coords", got, want),
+                ("reduce_to_basis", all(reduced), True)):
+            if ours != theirs:
+                out.append((name, part))
+    return out
+
+
+@pytest.mark.parametrize("case", ["plain", "margin", "bfield", "signs"])
+def test_one_layer_matches_the_per_layer_reference(case):
+    assert layered_mismatches(case, layered_inputs()) == []
+
+
+def test_per_layer_reference_catches_planted_faults(monkeypatch):
+    # one top-layer coordinate one too large, or two claimed basis elements
+    # of the top layer swapped: with equal degrees the coordinates differ
+    # from the reference, and with degrees 0 and 1 the degree check raises
+    names = ("cp1xcp1", "hexagon", "cube3", "dp8xcp1")
+
+    def fresh():
+        return {name: layered_inputs()[name] for name in names}
+
+    top = pr._top_coords
+
+    def plus_one(layer, degs, k, terms):
+        coords = top(layer, degs, k, terms)
+        coords[0] = (0,) * k + ((coords[0][-1] if coords[0] else 0) + 1,)
+        return coords
+
+    monkeypatch.setattr(pr, "_top_coords", plus_one)
+    assert {name for name, _ in layered_mismatches("plain", fresh())} == \
+        set(names)
+    monkeypatch.undo()
+    graded = pr._graded_layer
+    pair = []
+
+    def swapped(index, keys, rows, integral, where, candidates, *args, **kw):
+        if "quantum" in where:
+            candidates = list(candidates)
+            a, b = pair
+            candidates[a], candidates[b] = candidates[b], candidates[a]
+        return graded(index, keys, rows, integral, where, candidates, *args,
+                      **kw)
+
+    monkeypatch.setattr(pr, "_graded_layer", swapped)
+    pair[:] = 1, 2  # e_1 and e_2 have degree 1 on these inputs
+    assert {name for name, _ in layered_mismatches("plain", fresh())} == \
+        set(names)
+    pair[:] = 0, 1
+    for name, P in fresh().items():
+        with pytest.raises(VerificationError, match="higher degree"):
+            layered_mismatches("plain", {name: P})
 
 
 def c1_traces(Q, structure, top):
