@@ -11,8 +11,9 @@ prints the usage text built from the table.  A bad command line is an input
 error like any other: one ``error:`` line on stderr and exit 2.
 
 Exit codes: 0 success, 2 input/schema error, 3 precondition violation,
-4 verified-property failure.  A reader that closes stdout before the report
-is written does not change the exit code.
+4 verified-property failure.  Running out of memory is a precondition
+violation: one ``error:`` line and exit 3.  A reader that closes stdout
+before the report is written does not change the exit code.
 """
 
 from __future__ import annotations
@@ -240,9 +241,7 @@ def cmd_classical(P, args):
         "basis": list(names),
         "structure_constants": _structure_json(cp.structure),
         "relations_text": [
-            " + ".join(pr.tpoly_str((c,), f"v{j + 1}")
-                       for j, c in enumerate(row) if c).replace("+ -", "- ")
-            + " = 0"
+            mo.signed_sum((c, f"v{j}") for j, c in enumerate(row, 1)) + " = 0"
             for row in cp.linear_relations
         ] + ["*".join(f"v{j}" for j in J) + " = 0" for J in cp.nonfaces],
         "structure_text": _structure_entries(names, cp.structure),
@@ -568,6 +567,14 @@ def main(argv=None) -> int:
     except VerificationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PROPERTY
+    except MemoryError:
+        # leaving this block frees the traceback and what its frames hold,
+        # so the error line below has memory to be written with
+        report = None
+    if report is None:
+        print("error: out of memory: the input needs more memory than this "
+              "process may use", file=sys.stderr)
+        return EXIT_PRECONDITION
 
     report["input"] = polyhedron_to_json(P)
     if args.format == "json":

@@ -113,6 +113,16 @@ def format_monomial(height, exponents) -> str:
     return "*".join(parts) if parts else "1"
 
 
+def signed_sum(terms) -> str:
+    """The sum of the (coefficient, monomial string) pairs ``terms``, with
+    the monomial "1" for a constant: c * m as "m", "-m", "c" (m "1") or
+    "c*m", zero terms left out, " + -" written " - ", and "0" when no term
+    is left.  Every sum of terms in a report is written by this rule."""
+    parts = [m if c == 1 else f"-{m}" if c == -1 else f"{c}" if m == "1"
+             else f"{c}*{m}" for c, m in terms if c]
+    return " + ".join(parts).replace("+ -", "- ") if parts else "0"
+
+
 class ConeMonoid:
     """Cone membership, heights and decompositions for one polyhedron.
 
@@ -323,17 +333,7 @@ class FilteredElement:
         return hash(frozenset(self.terms.items()))
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for m, c in self.sorted_terms():
-            if c == 1:
-                parts.append(str(m))
-            elif c == -1:
-                parts.append(f"-{m}")
-            else:
-                parts.append(f"{c}*{m}")
-        return " + ".join(parts).replace("+ -", "- ")
+        return signed_sum((c, str(m)) for m, c in self.sorted_terms())
 
 
 def element_from_monomial(m: Monomial) -> FilteredElement:

@@ -24,6 +24,8 @@ are the column's, 0 on every e_g of degree above k.
 The slices come from ``topology.sr_slices`` and the relation rows from
 ``topology.graded_rows`` in the lattice basis of the first vertex, so
 they, and their cost, do not depend on the lattice basis of the input.
+The rows of a slice are built only when they are read: the classical
+presentation reads its n + 1 slices, the quantum one its top slice alone.
 A slice monomial is keyed by an integer of ``topology.SRKeys``, which
 encodes its exponent vector (classical) or its nu (quantum) in the first
 vertex's lead order (``topology.graded_rows``); each layer keeps its
@@ -50,7 +52,7 @@ from operator import add, mul
 
 from . import linalg, topology
 from .errors import PreconditionError, VerificationError
-from .monoid import FilteredElement, format_monomial, monoid_for
+from .monoid import FilteredElement, format_monomial, monoid_for, signed_sum
 from .polyhedra import (DelzantPolyhedron, exact_units, integer_parameter,
                         is_compact, memoized, minimal_nonfaces,
                         monotone_normalization, relabel_lattice,
@@ -71,23 +73,25 @@ def _tpoly(pairs) -> TPoly:
 
 
 def tpoly_str(p: TPoly, unit: str = "") -> str:
-    parts = []
-    if unit == "1":
-        unit = ""
+    """The T-polynomial p times the monomial string ``unit`` ("" or "1"
+    for none), as a ``signed_sum``."""
+    unit = "" if unit == "1" else unit
+    terms = []
     for e, c in enumerate(p):
-        if not c:
-            continue
         t = "" if e == 0 else "T" if e == 1 else f"T^{e}"
-        body = "*".join(x for x in (t, unit) if x)
-        if not body:
-            body = "1"
-        if c == 1:
-            parts.append(body)
-        elif c == -1:
-            parts.append(f"-{body}")
-        else:
-            parts.append(f"{c}*{body}" if body != "1" else f"{c}")
-    return " + ".join(parts).replace("+ -", "- ") if parts else "0"
+        terms.append((c, "*".join(x for x in (t, unit) if x) or "1"))
+    return signed_sum(terms)
+
+
+def _symmetric(r, cell):
+    """The r x r table, as tuples, whose entries (a, b) and (b, a) are
+    cell(a, b) for a <= b: one product per unordered pair of a
+    commutative ring's basis."""
+    table = [[None] * r for _ in range(r)]
+    for a in range(r):
+        for b in range(a, r):
+            table[a][b] = table[b][a] = cell(a, b)
+    return tuple(map(tuple, table))
 
 
 # ---------------------------------------------------------------------------
@@ -231,23 +235,20 @@ def classical_presentation(P: DelzantPolyhedron,
 
 
 def _classical_structure(layers, basis, ring):
-    # e_a * e_b = e_b * e_a: one product per unordered pair; the degree-d
-    # slice holds every face-supported monomial, so a product outside is 0
-    table = [[None] * len(basis) for _ in basis]
-    for a, ea in enumerate(basis):
-        for b in range(a, len(basis)):
-            m = tuple(map(add, ea, basis[b]))
-            d = sum(m)
-            coeffs = [0] * len(basis)
-            if d < len(layers):
-                layer = layers[d]
-                col = layer.index.get(layer.keys.encode(m))
-                if col is not None:
-                    for g, c in layer.coords({col: 1}).items():
-                        coeffs[g] = c
-            table[a][b] = table[b][a] = tuple(_coerce_ring(c, ring)
-                                              for c in coeffs)
-    return tuple(map(tuple, table))
+    # the degree-d slice holds every face-supported monomial, so a product
+    # outside it is 0
+    def cell(a, b):
+        m = tuple(map(add, basis[a], basis[b]))
+        d = sum(m)
+        coeffs = [0] * len(basis)
+        if d < len(layers):
+            layer = layers[d]
+            col = layer.index.get(layer.keys.encode(m))
+            if col is not None:
+                for g, c in layer.coords({col: 1}).items():
+                    coeffs[g] = c
+        return tuple(_coerce_ring(c, ring) for c in coeffs)
+    return _symmetric(len(basis), cell)
 
 
 def _rescaled(plain: RingPresentation, rho) -> RingPresentation:
@@ -256,10 +257,9 @@ def _rescaled(plain: RingPresentation, rho) -> RingPresentation:
     ring = "Z" if all(abs(r) == 1 for r in rho) else "Q"
     coeff = tuple(int(r) if r.denominator == 1 else r for r in rho)
     weight = [prod(map(pow, rho, e)) for e in plain.basis]
-    structure = tuple(
-        tuple(tuple(_coerce_ring(c * weight[g] / (weight[a] * weight[b]), ring)
-                    for g, c in enumerate(cell)) for b, cell in enumerate(row))
-        for a, row in enumerate(plain.structure))
+    structure = _symmetric(len(weight), lambda a, b: tuple(
+        _coerce_ring(c * weight[g] / (weight[a] * weight[b]), ring)
+        for g, c in enumerate(plain.structure[a][b])))
     linear = tuple(tuple(map(mul, row, coeff))
                    for row in plain.linear_relations)
     return replace(plain, ring=ring, linear_relations=linear,
@@ -303,9 +303,8 @@ class QuantumSRRelation:
 
     def __str__(self) -> str:
         lhs = "*".join(f"v{j}" for j in self.nonface)
-        rhs = format_monomial(self.height, self.target)
-        if self.coefficient != 1:
-            rhs = f"{self.coefficient}*{rhs}" if rhs != "1" else f"{self.coefficient}"
+        rhs = signed_sum([(self.coefficient,
+                           format_monomial(self.height, self.target))])
         return f"{lhs} = {rhs}"
 
 
@@ -390,10 +389,11 @@ def quantum_presentation(P: DelzantPolyhedron, margin: int = 0,
     the T-degree k slice by the images of the linear forms is free of rank
     #{g : deg e_g <= k}, on the T^(k - deg e_g) * e_g, for every k up to
     bound = 2*dim + margin; only A_bound is eliminated.  The walk of
-    ``topology.vertex_rows`` still runs through every slice, as the Koszul
-    limits of the top one need the keys below it.  Slice k sits in slice
-    k + 1 as T times it, under the same nu keys, which makes this a
-    theorem about the input:
+    ``topology.vertex_rows`` steps through the keys of every slice, and
+    builds the relation rows of the top one alone, whose Koszul bounds
+    read the keys of the slice two below it.  Slice k sits in slice k + 1
+    as T times it, under the same nu keys, which makes this a theorem
+    about the input:
 
     1. A/TA is the classical ring, which ``classical_presentation`` has
        verified free on the e_g over Z (over Q under a non-unit B-field).
@@ -435,7 +435,7 @@ def quantum_presentation(P: DelzantPolyhedron, margin: int = 0,
 
     bound = 2 * n + margin
     keys, _, walk = topology.vertex_rows(Pn, bound, rho_coeff, by_nu=True)
-    for index, rows in walk:  # the top slice's Koszul limits need the rest
+    for index, rows in walk:  # only the top slice's rows are read, and built
         pass
     layer = _graded_layer(index, keys, rows, ring == "Z",
                           f"the quantum quotient at T-degree {bound}",
@@ -448,16 +448,12 @@ def quantum_presentation(P: DelzantPolyhedron, margin: int = 0,
 
 
 def _quantum_structure(layer, degs, basis_nu, ring):
-    # e_a * e_b = e_b * e_a: one product per unordered pair
-    table = [[None] * len(degs) for _ in degs]
-    for a, da in enumerate(degs):
-        for b in range(a, len(degs)):
-            nu = tuple(map(add, basis_nu[a], basis_nu[b]))
-            coords = _top_coords(layer, degs, da + degs[b], {nu: 1})
-            table[a][b] = table[b][a] = tuple(
-                poly[:-1] + (_coerce_ring(poly[-1], ring),) if poly else ()
-                for poly in coords)
-    return tuple(map(tuple, table))
+    def cell(a, b):
+        nu = tuple(map(add, basis_nu[a], basis_nu[b]))
+        coords = _top_coords(layer, degs, degs[a] + degs[b], {nu: 1})
+        return tuple(poly[:-1] + (_coerce_ring(poly[-1], ring),) if poly
+                     else () for poly in coords)
+    return _symmetric(len(degs), cell)
 
 
 def reduce_to_basis(x: FilteredElement, Q: QuantumPresentation):
@@ -513,10 +509,8 @@ class InverseCertificate:
     t_exponent: Fraction              # sum m_k lambda_k
 
     def __str__(self) -> str:
-        lhs = format_monomial(Fraction(0), self.multiplicities)
-        exp = self.t_exponent
-        t = "T" if exp == 1 else (f"T^{exp}" if exp.denominator == 1 else f"T^({exp})")
-        return f"{lhs} = {t}"
+        return (f"{format_monomial(Fraction(0), self.multiplicities)} = "
+                f"{format_monomial(self.t_exponent, ())}")
 
 
 def divisor_inverse_certificate(P: DelzantPolyhedron, j: int) -> InverseCertificate:

@@ -17,9 +17,13 @@ The Stanley-Reisner monomials are enumerated by two walks of one shape.
 ``sr_slices`` walks integer keys of ``SRKeys``, linear in the exponents,
 into degree slices, over which ``graded_rows`` builds the "linear form
 times monomial" rows, in one lead order, for the classical, quantum and
-regular-sequence quotients.  ``sr_walk`` walks integer vectors bounded by
-their first entry, for the Jacobian slice, which reads each monomial's
-T-weight and heights off its vector.
+regular-sequence quotients.  It hands out each slice's rows as a one-pass
+iterator that builds them when first read, and reads each monomial's
+Koszul bound backwards, off the keys of the slice two below; so the
+quantum presentation, which eliminates its top slice alone, builds no
+other rows.  ``sr_walk`` walks integer vectors bounded by their first
+entry, for the Jacobian slice, which reads each monomial's T-weight and
+heights off its vector.
 
 The classical and regular-sequence quotients vanish in degree n+1 on
 Delzant input.  ``top_class_certificate`` proves it from the degree-n
@@ -452,6 +456,12 @@ def graded_rows(slices, steps, weights, leads=()):
     and the rows c_k * m over it, for the forms c_k = sum_j weights[j][k] Z_j
     and the monomials m of the slice before (none for the first).
 
+    The rows of a slice are a one-pass iterator that builds them when it is
+    first read, so a caller that reads only the top slice (the quantum
+    presentation) builds no other rows; a caller that reads every slice
+    makes one pass over each slice before.  The iterator reads the indices
+    of its slice and of the two below, so callers leave them as yielded.
+
     Keys are the integers of ``SRKeys`` and each slice lists them in column
     order, so the column order is the key order.  Z_j adds ``steps[j]`` to
     a key, and the steps are distinct, so no two entries of a row add up.
@@ -472,10 +482,11 @@ def graded_rows(slices, steps, weights, leads=()):
 
     Koszul rule (F5).  The row c_k * m is skipped when Z_{s_t} divides m for
     some t < k; with no leads every row is kept.  m is divisible by Z_{s_t}
-    exactly when a monomial of the slice before reaches it by step s_t, so
-    the walk records that while it builds the rows into a slice.  This
-    needs slices closed under division, as the Stanley-Reisner slices and
-    the monotone T-degree slices are, keyed by exponents or by nu alike.
+    exactly when m - step(s_t) is a key of the slice two below, so each m
+    is read backwards: c_k * m is kept for k <= t at the least such t, and
+    for every k where there is none.  This needs slices closed under
+    division, as the Stanley-Reisner slices and the monotone T-degree
+    slices are, keyed by exponents or by nu alike.
 
     Sound: with m = Z_{s_t} * m',
       rho_t c_k m = c_t (c_k m') - sum_{l not in S} w_lt c_k (Z_l m').
@@ -486,35 +497,40 @@ def graded_rows(slices, steps, weights, leads=()):
     ones, over Z, Q and F_p, in the Stanley-Reisner ring and in the
     monotone monoid ring alike.
     """
-    n = len(weights[0])
     assert len(set(steps)) == len(steps)
-    # Z_{s_t} keeps the forms c_0 .. c_t of the monomials it reaches
-    limits = [(steps[j], t + 1) for t, j in enumerate(leads)]
+    divisors = [steps[j] for j in leads]
     # each form's nonzero terms (Z_j's step, w_jk), by label
     terms = [[(step, w[k]) for step, w in zip(steps, weights) if w[k]]
-             for k in range(n)]
-    prev = {}  # key of the slice before -> number of forms it keeps
+             for k in range(len(weights[0]))]
+    below = before = {}  # the indices of the slices two below and before
     for keys in slices:
         index = {m: i for i, m in enumerate(keys)}
         assert len(index) == len(keys)
-        forms = [n] * len(keys)
-        rows = []
-        for m, kept in prev.items():
-            for step, limit in limits:
+        yield index, _slice_rows(index, before, below, divisors, terms)
+        below, before = before, index
+
+
+def _slice_rows(index, before, below, divisors, terms):
+    """The rows of ``graded_rows`` into the slice of ``index``, built on
+    the first read: c_k * m for the keys m of ``before``, keeping c_0 ..
+    c_t at the least t with m - divisors[t] in ``below``."""
+    rows = []
+    for m in before:
+        kept = len(terms)
+        for t, step in enumerate(divisors, 1):
+            if m - step in below:
+                kept = t
+                break
+        for form in terms[:kept]:
+            row = {}
+            for step, w in form:
                 col = index.get(m + step)
-                if col is not None and limit < forms[col]:
-                    forms[col] = limit
-            for form in terms[:kept]:
-                row = {}
-                for step, w in form:
-                    col = index.get(m + step)
-                    if col is not None:
-                        row[col] = w
-                if row:
-                    rows.append(row)
-        rows.sort(key=min)
-        yield index, rows
-        prev = dict(zip(keys, forms))
+                if col is not None:
+                    row[col] = w
+            if row:
+                rows.append(row)
+    rows.sort(key=min)
+    yield from rows
 
 
 def vertex_rows(P: DelzantPolyhedron, top: int, rho=None,

@@ -262,6 +262,7 @@ def deformed_classical_structure(P, rho):
     keys, _, walk = topology.vertex_rows(P, n, rho)
     layers = []
     for d, (index, rows) in enumerate(walk):
+        rows = list(rows)
         claimed = [{index[keys.encode(e)]: 1} for e in basis if sum(e) == d]
         width = len(index)
         assert rank(rows) + len(claimed) == width == rank(rows + claimed), d

@@ -558,3 +558,60 @@ def test_writer_refuses_what_a_report_cannot_hold():
     for value in (0.5, {1: 2}, {"a"}):
         with pytest.raises(TypeError):
             cli._json_text({"x": [value]})
+
+
+def test_cm_refuses_a_nerve_of_the_wrong_dimension(cp2, monkeypatch, capsys):
+    """A passing regular-sequence check reads the nerve's homology off the
+    h-vector only for a nerve of dimension n - 1 (planted: the nerve is
+    the full simplex on the facets, with the passing check of CP^2)."""
+    from toricqh import topology as tp
+    passing = tp.regular_sequence_check(cp2)
+    monkeypatch.setattr(tp, "regular_sequence_check", lambda P, p: passing)
+    monkeypatch.setattr(tp, "build_nerve", lambda P: tp.make_complex(
+        P.nfacets, [range(1, P.nfacets + 1)]))
+    args = cli.parse_args(["--input", data_path("cp2"), "--command", "cm"])
+    with pytest.raises(VerificationError,
+                       match="the nerve has dimension 2, not 1"):
+        cli.cmd_cm(cp2, args)
+    code, out, err = run(capsys, "--input", data_path("cp2"), "--command",
+                         "cm")
+    assert (code, out) == (4, "")
+    assert err == "error: the nerve has dimension 2, not 1\n"
+
+
+OUT_OF_MEMORY = ("error: out of memory: the input needs more memory than "
+                 "this process may use\n")
+
+
+def test_out_of_memory_is_one_error_line(monkeypatch, capsys):
+    def exhausted(P, args):
+        raise MemoryError
+    monkeypatch.setitem(cli._DISPATCH, "jacobian", exhausted)
+    code, out, err = run(capsys, "--input", data_path("cp2"), "--command",
+                         "jacobian")
+    assert (code, out, err) == (3, "", OUT_OF_MEMORY)
+
+
+def test_unbounded_jacobian_slice_ends_cleanly_out_of_memory(tmp_path):
+    """The 3-d, 6-facet input whose first slice at cutoff 2 walks about
+    2.7 M monomials: under a 300 MB address-space limit it runs out of
+    memory and exits 3 with one error line, not a traceback."""
+    import resource
+    import toricqh
+    facets = [((0, 0, 1), "1/2"), ((0, -1, -2), "1/2"), ((1, 0, 0), "1/2"),
+              ((1, -1, -1), "1"), ((2, -1, 0), "15/8"),
+              ((4, -2, -1), "53/16")]
+    path = tmp_path / "unbounded.json"
+    path.write_text(json.dumps({"dim": 3, "facets": [
+        {"normal": list(nu), "offset": lam} for nu, lam in facets]}))
+    limit = 300 << 20
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(toricqh.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "toricqh", "--input", str(path), "--command",
+         "jacobian", "--cutoff", "2"],
+        capture_output=True, text=True, env=env, timeout=120,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS,
+                                              (limit, limit)))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (3, "",
+                                                          OUT_OF_MEMORY)

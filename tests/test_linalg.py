@@ -244,6 +244,7 @@ def test_integral_rank_matches_prime_fields(seed):
     # no leads: every row of every degree
     for d, (index, rows) in enumerate(
             topology.graded_rows(slices, keys.steps, P.normals)):
+        rows = list(rows)
         elim = linalg.Eliminator(integral=True)
         for row in rows:
             elim.add_row(linalg.normalize(row))

@@ -338,3 +338,24 @@ def test_serialization_round_trip(o_minus_1):
     y = mo.filtered_from_json(ctx, data)
     assert y == x
     assert mo.filtered_to_json(y) == data
+
+
+def test_signed_sum_writes_each_term_once():
+    assert mo.signed_sum([]) == mo.signed_sum([(0, "v1")]) == "0"
+    assert mo.signed_sum([(1, "1")]) == "1"
+    assert mo.signed_sum([(-1, "1")]) == "-1"
+    assert mo.signed_sum([(2, "1"), (0, "v1"), (-1, "v2"),
+                          (Fraction(-1, 3), "T*v3"), (1, "v4")]) == \
+        "2 - v2 - 1/3*T*v3 + v4"
+    assert mo.signed_sum([(-2, "v1"), (Fraction(5, 2), "1")]) == "-2*v1 + 5/2"
+
+
+def test_filtered_element_text_writes_a_constant_as_its_value(cp2):
+    # a constant term is its coefficient, never "2*1"
+    ctx = mo.monoid_for(cp2)
+    one, T, v1 = ctx.one(), ctx.t_power(1), ctx.generator(1)
+    assert str(ctx.element({one: 2})) == "2"
+    assert str(ctx.element({one: -1})) == "-1"
+    assert str(ctx.element({one: Fraction(-3, 2)})) == "-3/2"
+    assert str(ctx.element({one: 2, T: -1, v1: 3})) == "2 + 3*v1 - T"
+    assert str(ctx.zero()) == "0"

@@ -1,5 +1,7 @@
 import heapq
+import json
 import random
+import re
 from dataclasses import replace
 from fractions import Fraction
 from importlib import resources
@@ -263,6 +265,7 @@ def test_quantum_koszul_rows_span_every_row(monkeypatch):
         walks.append(len(slices))
         for d, ((index, rows), (_, full)) in enumerate(
                 zip(real(slices, steps, weights, leads), every)):
+            rows, full = list(rows), list(full)
             for p in (None, 2):
                 assert linalg.rank(rows, p) == linalg.rank(full, p), (d, p)
             if d >= 2 and len(leads) >= 2:
@@ -1132,3 +1135,161 @@ def test_del_pezzo_one_full_pipeline():
     v4 = mo.element_from_monomial(ctx.generator(4))
     coords = pr.reduce_to_basis(v4, Q)
     assert sum(1 for p in coords if p) == 1
+
+
+# Planted faults: each error path of the presentations, in the library and
+# through the command line, which prints one error line and exits 4.
+
+def _failing_cli(capsys, name, command):
+    """The error line of ``command`` on the corpus file ``name``, which
+    must exit 4 with no report."""
+    path = str(resources.files("toricqh").joinpath("data", f"{name}.json"))
+    code = cli.main(["--input", path, "--command", command])
+    out, err = capsys.readouterr()
+    assert (code, out) == (4, ""), err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    return err
+
+
+def test_torsion_in_a_graded_quotient_is_an_error(monkeypatch, capsys):
+    # twice every linear form: the degree-1 quotient gains Z/2 summands
+    real = topology.graded_rows
+
+    def doubled(*args):
+        for d, (index, rows) in enumerate(real(*args)):
+            if d == 1:
+                rows = ({c: 2 * v for c, v in row.items()} for row in rows)
+            yield index, rows
+
+    monkeypatch.setattr(topology, "graded_rows", doubled)
+    message = "torsion in the classical quotient at degree 1"
+    with pytest.raises(VerificationError, match=message):
+        pr.classical_presentation(catalog.load_example("cp2"))
+    assert message in _failing_cli(capsys, "cp2", "classical")
+
+
+def test_a_slice_without_a_basis_is_an_error(monkeypatch, capsys):
+    # the greedy basis loses its last class, and the claimed quantum basis
+    # loses its last element
+    real_extend, real_layer = linalg.extend_to_basis, pr._graded_layer
+
+    def losing_the_last(*args):
+        kept, inverse = real_extend(*args)
+        return kept[:-1], inverse
+
+    with monkeypatch.context() as m:
+        m.setattr(linalg, "extend_to_basis", losing_the_last)
+        message = ("the slice monomials hold no basis of the classical "
+                   "quotient at degree 0 (rank 1)")
+        with pytest.raises(VerificationError, match=re.escape(message)):
+            pr.classical_presentation(catalog.load_example("cp2"))
+        assert message in _failing_cli(capsys, "cp2", "classical")
+
+    def short_claim(index, keys, rows, integral, where, candidates,
+                    claimed=False, first_idx=0):
+        if claimed:
+            candidates = candidates[:-1]
+        return real_layer(index, keys, rows, integral, where, candidates,
+                          claimed, first_idx)
+
+    monkeypatch.setattr(pr, "_graded_layer", short_claim)
+    message = ("the claimed monomials hold no basis of the quantum quotient "
+               "at T-degree 4 (rank 3)")
+    with pytest.raises(VerificationError, match=re.escape(message)):
+        pr.quantum_presentation(catalog.load_example("cp2"))
+    assert message in _failing_cli(capsys, "cp2", "quantum")
+
+
+def test_a_fractional_coefficient_over_z_is_an_error(monkeypatch, capsys):
+    real = pr.QuotientLayer.coords
+    monkeypatch.setattr(pr.QuotientLayer, "coords", lambda self, vec: {
+        g: Fraction(c, 2) for g, c in real(self, vec).items()})
+    message = "non-integral coefficient 1/2 over Z"
+    with pytest.raises(VerificationError, match=message):
+        pr.classical_presentation(catalog.load_example("cp2"))
+    assert message in _failing_cli(capsys, "cp2", "classical")
+    assert pr._coerce_ring(Fraction(4, 2), "Z") == 2
+
+
+def test_a_quantum_relation_of_height_zero_is_an_error(monkeypatch, capsys):
+    # every height comes out 0
+    real = mo.ConeMonoid.decompose
+    monkeypatch.setattr(mo.ConeMonoid, "decompose",
+                        lambda self, c: (Fraction(0), real(self, c)[1]))
+    message = ("nonface (1, 2, 3) produced height 0; expected a strictly "
+               "positive height")
+    with pytest.raises(VerificationError, match=re.escape(message)):
+        pr.quantum_sr_relations(catalog.load_example("cp2"))
+    assert message in _failing_cli(capsys, "cp2", "quantum")
+
+
+def test_a_facet_without_a_certificate_is_an_error(monkeypatch, capsys):
+    monkeypatch.setattr(pr, "_inverse_multiplicities",
+                        lambda P: (None,) * P.nfacets)
+    message = "no inverse certificate found for facet 1 within the search"
+    with pytest.raises(VerificationError, match=message):
+        pr.divisor_inverse_certificate(catalog.load_example("cp2"), 1)
+    assert message in _failing_cli(capsys, "cp2", "invert")
+
+
+def _audit_report(capsys):
+    path = str(resources.files("toricqh").joinpath("data", "cp2.json"))
+    code = cli.main(["--input", path, "--command", "audit", "--format",
+                     "json"])
+    out, err = capsys.readouterr()
+    assert (code, err) == (4, "")
+    report = json.loads(out)["basis_independence"]
+    assert report["passed"] is False
+    return report["details"]
+
+
+def test_audit_reports_a_presentation_that_moves(monkeypatch, capsys):
+    """An audit trial fails when the classical presentation of the
+    relabelled polyhedron changes (planted: the relabelling returns
+    CP^1 x CP^1), and, with the classical one intact, when the quantum one
+    does (planted: every quantum presentation after the first has its
+    table dropped); ``audit`` then exits 4."""
+    with monkeypatch.context() as m:
+        m.setattr(pr, "relabel_lattice",
+                  lambda P, U: catalog.load_example("cp1xcp1"))
+        report = pr.basis_independence_audit(catalog.load_example("cp2"))
+        assert not report.passed and report.trials == 3
+        assert all(line.startswith(f"trial {t}: classical presentation "
+                                   f"changed under relabeling [[")
+                   for t, line in enumerate(report.details))
+        assert report.details == tuple(_audit_report(capsys))
+
+    real, calls = pr.quantum_presentation, []
+
+    def moving(P, *args, **kwargs):
+        calls.append(P)
+        Q = real(P, *args, **kwargs)
+        return Q if len(calls) == 1 else replace(Q, structure=())
+
+    for run in (lambda: pr.basis_independence_audit(
+            catalog.load_example("cp2")).details, lambda: _audit_report(capsys)):
+        calls.clear()
+        with monkeypatch.context() as m:
+            m.setattr(pr, "quantum_presentation", moving)
+            details = run()
+        assert len(details) == 3
+        assert all(line.startswith(f"trial {t}: quantum presentation "
+                                   f"changed under relabeling [[")
+                   for t, line in enumerate(details))
+
+
+def test_relation_text_writes_a_minus_one_as_a_sign(o_minus_1):
+    # rho = (-1, 1, 1) puts -1 on v1*v3 = T*v2: a sign, never "-1*"
+    rep = pr.apply_bfield(o_minus_1, [-1, 1, 1])
+    assert [str(r) for r in rep.deformed_relations] == ["v1*v3 = -T*v2"]
+    rel = pr.QuantumSRRelation((1, 2), Fraction(2), (0, 0), Fraction(-1))
+    assert str(rel) == "v1*v2 = -T^2"
+    assert str(replace(rel, height=Fraction(0))) == "v1*v2 = -1"
+    assert str(replace(rel, coefficient=Fraction(2, 3))) == "v1*v2 = 2/3*T^2"
+    assert str(replace(rel, coefficient=Fraction(1))) == "v1*v2 = T^2"
+
+
+def test_certificate_text_takes_the_t_power_of_a_monomial():
+    for exponent, power in ((1, "T"), (3, "T^3"), (Fraction(3, 2), "T^(3/2)")):
+        cert = pr.InverseCertificate(2, (1, 2, 0), Fraction(exponent))
+        assert str(cert) == f"v1*v2^2 = {power}"

@@ -687,6 +687,7 @@ def test_regular_sequence_ranks_rows_by_least_column(corpus, monkeypatch):
 
     def recording_rows(*args):
         for index, rows in real_rows(*args):
+            rows = list(rows)
             walked.append((index, [dict(row) for row in rows]))
             yield index, rows
 
@@ -773,8 +774,10 @@ def _prefix_rows(slices, steps, weights, leads, forms):
     monomial of slice d - 1; every product is in its slice, so each
     monomial has one row per form."""
     n = len(weights[0])
-    kept = list(tp.graded_rows(slices, steps, weights, leads))
-    every = list(tp.graded_rows(slices, steps, weights))
+    kept = [(index, list(rows)) for index, rows in
+            tp.graded_rows(slices, steps, weights, leads)]
+    every = [(index, list(rows)) for index, rows in
+             tp.graded_rows(slices, steps, weights)]
     assert [index for index, _ in kept] == [index for index, _ in every]
     for (_, rows), (_, full), counts in zip(kept, every, forms):
         assert len(full) == n * len(counts)
@@ -792,6 +795,7 @@ def test_graded_rows_sort_each_slice_by_least_column(corpus, monkeypatch):
 
     def checked(*args):
         for index, rows in real(*args):
+            rows = list(rows)
             assert rows == sorted(rows, key=min)
             counted.append(len(rows))
             yield index, rows
@@ -863,7 +867,7 @@ def test_koszul_limit_keeps_a_prefix_of_the_forms():
     assert all(keyed == sorted(keyed) for keyed in slices)
     weights = [[1, 2, 3], [4, 5, 6], [7, 8, 9]]
     _prefix_rows(slices, keys.steps, weights, (1, 0, 2), [[], [3], [3, 1, 2]])
-    assert sum(len(rows) for _, rows in
+    assert sum(len(list(rows)) for _, rows in
                tp.graded_rows(slices, keys.steps, weights, (1, 0, 2))) == 9
     # nu keys: the monotone T-degree slices of CP^2, stepped by the normals
     # and with the forms of the vertex at facets 1, 2.  Slice 1 holds T (nu
@@ -1038,3 +1042,56 @@ def test_betti_numbers_match_the_boundary_ranks():
     projective = tp.make_complex(6, RP2)
     assert tp.reduced_homology(projective).nonzero() == {}
     assert tp.reduced_homology(projective, 2).nonzero() == {1: 1, 2: 1}
+
+
+def test_sr_slices_stop_below_the_largest_face(corpus):
+    """With ``top`` below the size of the largest face the walk stops at
+    the first face that is too large, and each slice still holds every
+    face-supported exponent vector of its degree."""
+    rng = random.Random(881)
+    polys = [corpus["cp3"], corpus["c3"],
+             catalog.random_delzant(rng, 4, 7)]
+    for P in polys:
+        K = tp.build_nerve(P)
+        N = P.nfacets
+        assert K.dim + 1 == P.dim
+        for top in range(P.dim):
+            keys = tp.SRKeys([tuple(int(i == j) for i in range(N))
+                              for j in range(N)], top)
+            slices = tp.sr_slices(K, keys)
+            assert len(slices) == top + 1
+            for d, keyed in enumerate(slices):
+                assert [keys.decode(key) for key in keyed] == \
+                    brute_sr_monomials(K, d), (P, top, d)
+
+
+def test_each_walk_builds_only_the_rows_it_reads(corpus, monkeypatch):
+    """``quantum_presentation`` builds the rows of its top slice alone, the
+    one it eliminates; ``classical_presentation`` builds the n + 1 slices
+    of degrees 0..n; ``regular_sequence_check`` stops at its first zero
+    degree, which on the orthant c3 (h-vector 1, 0, 0, 0) is degree 1.
+    ``built`` gets the index of a slice when its rows are first read."""
+    built = []
+    real = tp._slice_rows
+
+    def counting(index, *rest):
+        built.append(index)
+        yield from real(index, *rest)
+
+    monkeypatch.setattr(tp, "_slice_rows", counting)
+    for name in ("cp1", "cp2", "cp3", "cp1xcp1", "o_minus_1"):
+        P = catalog.load_example(name)
+        Pn = monotone_normalization(P).rescaled
+        built.clear()
+        cp = pr.classical_presentation(Pn)
+        assert len(built) == P.dim + 1 == len(cp.ranks), name
+        built.clear()
+        Q = pr.quantum_presentation(P)
+        assert built == [Q.layer.index], name
+        built.clear()
+        assert tp.regular_sequence_check(P).passed
+        assert len(built) == P.dim + 1, name
+    built.clear()
+    report = tp.regular_sequence_check(corpus["c3"])
+    assert report.passed and report.quotient_dims[:2] == (1, 0)
+    assert len(built) == 2
