@@ -94,7 +94,13 @@ def random_delzant(rng: random.Random, dim: int, max_facets: int,
     orthant, as ``allow_noncompact`` permits) with n + 1, 2n or n facets,
     then random vertex cuts, each adding one facet, made only while it has
     fewer than ``max_facets`` facets.  So ``max_facets`` bounds the cuts,
-    not the seed: ``random_delzant(Random(1), 2, 1)`` is a triangle."""
+    not the seed: ``random_delzant(Random(1), 2, 1)`` is a triangle.
+    PreconditionError unless ``rng`` is a ``random.Random``, ``dim`` an
+    integer at least 1 and ``max_facets`` one at least 0."""
+    if not isinstance(rng, random.Random):
+        raise PreconditionError(f"rng must be a random.Random, got {rng!r}")
+    integer_parameter(dim, "dim", 1)
+    integer_parameter(max_facets, "max_facets", 0)
     kinds = list(_SEEDS) if allow_noncompact else ["simplex", "cube"]
     kind = rng.choice(kinds)
     scale = Fraction(rng.randrange(1, 4), rng.randrange(1, 3))

@@ -13,7 +13,9 @@ error like any other: one ``error:`` line on stderr and exit 2.
 Exit codes: 0 success, 2 input/schema error, 3 precondition violation,
 4 verified-property failure.  Running out of memory is a precondition
 violation: one ``error:`` line and exit 3.  A reader that closes stdout
-before the report is written does not change the exit code.
+before the report is written does not change the exit code.  Integers and
+fractions of any size are read and written exactly: ``main`` lifts the
+interpreter's limit on int-to-decimal conversions for its process.
 """
 
 from __future__ import annotations
@@ -549,6 +551,8 @@ def _render_text(report) -> str:
 
 
 def main(argv=None) -> int:
+    if hasattr(sys, "set_int_max_str_digits"):  # Python 3.10.7 and later
+        sys.set_int_max_str_digits(0)
     try:
         args = parse_args(sys.argv[1:] if argv is None else argv)
         if args is None:

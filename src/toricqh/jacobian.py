@@ -28,8 +28,8 @@ weight at least 1, so every monomial that a row reaches is a sum of at most
 ``top`` steps: its key is unique and sorts as its vector does, and keys are
 linear, so the key of a product is the sum of two keys.
 ``topology.sr_walk`` enumerates the slice face by face up to the cap,
-summing (weight, key), unit entries for the first vertex's facets, which
-the Koszul skip below reads, and theta_v for every vertex v.  Every slice
+summing (weight, key) and theta_v for every vertex v, and names the face
+of each monomial, which the Koszul skip below reads.  Every slice
 monomial has height below g, so a product that the slice does not hold must
 have height at least g, which makes it zero in the truncation; each miss is
 checked, and VerificationError is raised for one of height below g.
@@ -98,8 +98,8 @@ from operator import add, itemgetter, mul
 
 from . import linalg, topology
 from .errors import PreconditionError, VerificationError
-from .monoid import (build_height_monoid, element_from_monomial, monoid_for,
-                     scaled)
+from .monoid import (FilteredElement, build_height_monoid,
+                     element_from_monomial, monoid_for, scaled)
 from .polyhedra import (DelzantPolyhedron, exact_parameter, exact_units,
                         require_delzant, vertex_coordinates)
 from .presentation import classical_presentation
@@ -128,8 +128,9 @@ def jacobian_freeness(P: DelzantPolyhedron, perturbations=None, rho=None,
     """Verify freeness of the truncated generalised Jacobian quotient.
 
     perturbations: optional list of N filtered elements of strictly positive
-    height, added to the rescaled generators rho_j * v_j.  g: truncation
-    cutoff.  p: None for Q, else a prime.
+    height, added to the rescaled generators rho_j * v_j; anything else in
+    it raises PreconditionError.  g: truncation cutoff.  p: None for Q,
+    else a prime.
     """
     field = topology.field_name(p)
     require_delzant(P)
@@ -153,6 +154,9 @@ def jacobian_freeness(P: DelzantPolyhedron, perturbations=None, rho=None,
     pert_heights = []
     pert_weight = Fraction(0)
     for j, pert in enumerate(perturbations):
+        if not isinstance(pert, FilteredElement):
+            raise PreconditionError(f"perturbation {j + 1} must be a filtered "
+                                    f"element, got {pert!r}")
         if pert.is_zero():
             continue
         if pert.monoid is not ctx:
@@ -226,17 +230,14 @@ class _Slice:
         *steps, t_step = keys.steps
         self.rel_w = max((scaled(mm.lam, scale) for rel in relations
                           for mm in rel.terms), default=0)
-        # The walk sums (weight, key), the exponents t_{s_1..s_n} of the
-        # first vertex's facets (unit entries) and theta_v * D' for every
-        # vertex v.  In the Koszul window, v_{s_t} dividing m skips the rows
-        # c'_k * m with k > t when w(m) <= w_max - rel_weight + lambda_{s_t}.
-        lead = vertex_coordinates(P, 0)[0]
-        self.leads = [(t + 1, 2 + t, weights[s - 1])
-                      for t, s in enumerate(lead)]
-        self.vectors = [(w, step, *(int(s == j + 1) for s in lead),
-                         *(w + k * x for x in ctx.pairings(nu)))
-                        for j, (w, step, nu) in enumerate(
-                            zip(weights, steps, P.normals))]
+        # The walk sums (weight, key) and theta_v * D' for every vertex v.
+        # In the Koszul window, v_{s_t} dividing m (s_t in the face of m)
+        # skips the rows c'_k * m with k > t when
+        # w(m) <= w_max - rel_weight + lambda_{s_t}.
+        self.leads = [(t + 1, s, weights[s - 1])
+                      for t, s in enumerate(vertex_coordinates(P, 0)[0])]
+        self.vectors = [(w, step, *(w + k * x for x in ctx.pairings(nu)))
+                        for w, step, nu in zip(weights, steps, P.normals)]
         self.heights = [(h, h * t_step)
                         for h in (scaled(x, scale) for x in levels)]
         # the window: T-weight at most the inner cap; the basis lies in it
@@ -260,7 +261,7 @@ class _Slice:
     def grow(self, cap: Fraction) -> tuple[int, int, bool]:
         """Grow the slice to the T-weight ``cap``, one of its caps and at
         least the last, and return (dim_s, dim_quotient, independent)."""
-        columns, g_s, n = self.columns, self.g_s, len(self.leads)
+        columns, g_s = self.columns, self.g_s
         for _, key, h, vec, built in self._walk(scaled(cap, self.scale)):
             for rel in self.terms[:built]:
                 row = {}
@@ -268,7 +269,7 @@ class _Slice:
                     col = columns.get(key + step)
                     if col is not None:
                         row[col] = c
-                    elif (low := h + min(map(add, vec[2 + n:], theta))) < g_s:
+                    elif (low := h + min(map(add, vec[2:], theta))) < g_s:
                         raise VerificationError(
                             f"the Jacobian slice misses a product of height "
                             f"{Fraction(low, self.scale)} below the cutoff "
@@ -296,12 +297,11 @@ class _Slice:
         columns, sizes = self.columns, self.sizes
         basis_keys, inner_w, n = self.basis_keys, self.inner_w, len(self.leads)
         shifts = [self.keys.column(0, r) for r in range(3)]
-        limits = [(t, pos, w_max - self.rel_w + w)
-                  for t, pos, w in self.leads]
+        limits = [(t, s, w_max - self.rel_w + w) for t, s, w in self.leads]
         pending = []
-        for vec in topology.sr_walk(self.nerve, self.vectors, cap_s):
+        for face, vec in topology.sr_walk(self.nerve, self.vectors, cap_s):
             w, key = vec[0], vec[1]
-            assert w <= old or min(vec[2 + n:]) == 0, \
+            assert w <= old or min(vec[2:]) == 0, \
                 f"the monomial of key {key} is not of height zero"
             for h, lift in self.heights:  # ascending
                 x = w + h
@@ -310,8 +310,8 @@ class _Slice:
                 if x <= old_w_max:
                     continue
                 built = 0 if x > w_max else n
-                for t, pos, limit in limits:
-                    if vec[pos] and x <= limit:
+                for t, s, limit in limits:
+                    if s in face and x <= limit:
                         built = t
                         break
                 shifted = key + lift

@@ -158,7 +158,9 @@ class Eliminator:
 
     ``add_row`` takes rows as ``normalize`` returns them: sparse dicts of
     nonzero ints, over F_p residues in 1..p-1.  It reduces a row against
-    the pivot rows and reports whether it became a pivot row.
+    the pivot rows and reports whether it became a pivot row.  ``p`` is a
+    prime that ``field_prime`` accepts, and ``integral`` takes none;
+    anything else raises PreconditionError.
 
     Over a field (F_p, or Q unless ``integral``) every nonzero entry is a
     pivot, so a row pivots on its least column: while a pivot row sits
@@ -186,7 +188,10 @@ class Eliminator:
     """
 
     def __init__(self, p: int | None = None, integral: bool = False):
-        self.p = p
+        if integral and p is not None:
+            raise PreconditionError(f"an eliminator over Z takes no field "
+                                    f"size, got {p!r}")
+        self.p = p if p is None else field_prime(p)
         self.integral = integral
         self.pivots: dict[int, dict[int, int]] = {}  # pivot column -> row
         self.order: dict[int, int] = {}   # over Z: pivot column -> creation
@@ -389,11 +394,12 @@ def rank(rows, p: int | None = None) -> int:
     """Exact matrix rank over Q (p None) or over the field with p elements.
 
     Rows may be dense lists or sparse dicts {column: value}; values int or
-    Fraction (over F_p, denominators must be prime to p).
+    Fraction (over F_p, denominators must be prime to p).  A p that is no
+    prime raises PreconditionError (``Eliminator``).
     """
     elim = Eliminator(p)
     for row in rows:
-        elim.add_row(normalize(row, p))
+        elim.add_row(normalize(row, elim.p))
     return elim.rank
 
 

@@ -577,35 +577,30 @@ def facet_intersection_nonempty(P: DelzantPolyhedron, labels) -> bool:
 
 @memoized
 def minimal_nonfaces(P: DelzantPolyhedron) -> tuple[tuple[int, ...], ...]:
-    """Inclusion-minimal facet subsets with empty common intersection.
+    """Inclusion-minimal facet subsets with empty common intersection, as
+    sorted label tuples in (size, lex) order.
 
-    Breadth-first over subset sizes; a size-k candidate is only tested when
-    all of its (k-1)-subsets intersect, which prunes everything that already
-    contains a smaller nonface.  Every nonempty face of a polyhedron with a
-    vertex contains a vertex, so a facet set meets iff it lies in the
-    incident set of some vertex; no LP is solved.  Raises PreconditionError
-    when P has no vertex.
+    Every nonempty face of a polyhedron with a vertex contains a vertex, so
+    a facet set meets iff it lies in the incident set of some vertex; no LP
+    is solved.  The faces, the subsets of those incident sets, are built
+    once.  A minimal nonface S is F + (j,) for its largest label j and the
+    face F = S - {j}, so the candidates are the faces extended by one
+    larger label; S is kept when it is no face while every S - {i} is.
+    Raises PreconditionError when P has no vertex.
     """
     vertices = enumerate_vertices(P)
     if not vertices:
         raise PreconditionError("polyhedron has no vertex")
-    N = P.nfacets
-    faces_prev = {frozenset()}
-    result = []
-    for k in range(1, N + 1):
-        faces_here = set()
-        for J in itertools.combinations(range(1, N + 1), k):
-            S = frozenset(J)
-            if not all(S - {j} in faces_prev for j in S):
-                continue
-            if any(S <= v.incident for v in vertices):
-                faces_here.add(S)
-            else:
-                result.append(J)
-        if not faces_here:
-            break
-        faces_prev = faces_here
-    return tuple(result)
+    faces = {F for v in vertices for k in range(len(v.incident) + 1)
+             for F in itertools.combinations(sorted(v.incident), k)}
+    nonfaces = []
+    for F in faces:
+        for j in range(F[-1] + 1 if F else 1, P.nfacets + 1):
+            S = F + (j,)
+            if S not in faces and all(S[:i] + S[i + 1:] in faces
+                                      for i in range(len(S) - 1)):
+                nonfaces.append(S)
+    return tuple(sorted(nonfaces, key=lambda S: (len(S), S)))
 
 
 @dataclass(frozen=True)

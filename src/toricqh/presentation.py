@@ -53,10 +53,10 @@ from operator import add, mul
 from . import linalg, topology
 from .errors import PreconditionError, VerificationError
 from .monoid import FilteredElement, format_monomial, monoid_for, signed_sum
-from .polyhedra import (DelzantPolyhedron, exact_units, integer_parameter,
-                        is_compact, memoized, minimal_nonfaces,
-                        monotone_normalization, relabel_lattice,
-                        require_delzant, vertex_coordinates)
+from .polyhedra import (DelzantPolyhedron, exact_parameter, exact_units,
+                        integer_parameter, is_compact, is_integer, memoized,
+                        minimal_nonfaces, monotone_normalization,
+                        relabel_lattice, require_delzant, vertex_coordinates)
 
 TPoly = tuple  # coefficient tuple, index = exponent of T
 
@@ -355,9 +355,12 @@ class QuantumPresentation:
         one term at most.  They are read off the one layer, of T-degree
         ``degree_bound``, whose column at nu is that monomial times
         T^(degree_bound - k) (``quantum_presentation``, step 3).
-        PreconditionError for a k outside 0..degree_bound or a (k, nu)
-        that is no monomial of the monoid."""
+        PreconditionError for a k outside 0..degree_bound, a (k, nu)
+        that is no monomial of the monoid or a c that is not exact
+        (``exact_parameter``); an int c stays an int."""
         integer_parameter(k, "T-degree", 0, self.degree_bound)
+        if not is_integer(c):
+            c = exact_parameter(c, "coefficient")
         if not monoid_for(self.normalized).contains((k, nu)):
             raise PreconditionError(f"no monomial of T-degree {k} has lattice "
                                     f"part {tuple(nu)}")

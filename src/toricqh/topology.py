@@ -2,9 +2,7 @@
 regular-sequence verification.
 
 Homology is computed over Q or over a prime field from the ranks of the
-boundary maps.  The two lowest ranks are read off the complex (a vertex
-exists; the 1-skeleton's components), and only the boundary maps of
-triangles and higher faces are ranked by exact elimination.
+boundary maps, each ranked by exact elimination (``linalg.Eliminator``).
 ``reisner_cm_check`` is Reisner's Cohen-Macaulay criterion: reduced
 homology of the complex and of every face link must vanish below the
 dimension of the respective complex; it stays the library's search for a
@@ -23,7 +21,7 @@ Koszul bound backwards, off the keys of the slice two below; so the
 quantum presentation, which eliminates its top slice alone, builds no
 other rows.  ``sr_walk`` walks integer vectors bounded by their first
 entry, for the Jacobian slice, which reads each monomial's T-weight and
-heights off its vector.
+heights off its vector and its Koszul skip off its face.
 
 The classical and regular-sequence quotients vanish in degree n+1 on
 Delzant input.  ``top_class_certificate`` proves it from the degree-n
@@ -144,36 +142,14 @@ def _reduced_betti(layers, p) -> tuple[int, ...]:
     whose faces of size d, as sorted tuples, are ``layers[d]``.
 
     The Betti number in degree d - 1 is |layers[d]| minus the ranks of the
-    boundary maps out of and into layer d.  Rank d below is that of the map
-    from layer d to layer d - 1:
-      * rank 1 is 1 when a vertex exists: every vertex maps to the empty face;
-      * rank 2 is #vertices - #components of the 1-skeleton, by union-find.
-        The rows of a spanning forest are independent over every field (a
-        leaf's edge is the only row that is nonzero on the leaf), and every
-        other edge's row is the signed sum of the forest path between its
-        ends, so the incidence matrix of a graph has that rank over Q and
-        over every F_p alike;
-      * ranks 3 and higher are exact ranks of the boundary matrices, whose
-        rows, +-1 (-1 as p - 1 over F_p), go to the eliminator as built.
+    boundary maps out of and into layer d.  Rank d, that of the map from
+    layer d to layer d - 1, is the eliminator's rank of its matrix, whose
+    rows, +-1 (-1 as p - 1 over F_p), go to it as built; the vertices' rows
+    hit the empty face.
     """
     branks = [0] * (len(layers) + 1)
-    if len(layers) > 1 and layers[1]:
-        branks[1] = 1
-    if len(layers) > 2:
-        root = {v: v for (v,) in layers[1]}
-
-        def find(v):
-            while root[v] != v:
-                root[v] = v = root[root[v]]
-            return v
-
-        for a, b in layers[2]:
-            a, b = find(a), find(b)
-            if a != b:
-                root[a] = b
-                branks[2] += 1
     signs = (1, -1 if p is None else p - 1)
-    for d in range(3, len(layers)):
+    for d in range(1, len(layers)):
         index = {f: i for i, f in enumerate(layers[d - 1])}
         elim = linalg.Eliminator(p)
         for f in layers[d]:
@@ -224,32 +200,27 @@ def reisner_cm_check(K: NerveComplex, p: int | None = None) -> CMReport:
     """Reisner's criterion: reduced homology of the complex and of every face
     link vanishes in all degrees strictly below the dimension of that complex.
 
-    The link of F has dimension max |M| - |F| - 1 over the maximal faces M
-    containing F, read off ``K.maximal``.  Links of dimension <= 0 cannot
-    fail, so they are not built.  Reduced homology starts in degree -1, so
+    Every link, K itself for the empty face included, is listed by one
+    walk over ``K.sorted_faces`` (G containing F gives G - F, so the star
+    of the empty face is K's face list), which lists it by size, so its
+    dimension is that of its last face.  Links of dimension <= 0 cannot
+    fail, so they are not ranked.  Reduced homology starts in degree -1, so
     a (-1)-dimensional link has no degree below its dimension.  A
     0-dimensional link has only degree -1 below it, and that group is
     nonzero only for the complex {empty face}, while the link has a vertex.
-    Every other link, K itself for the empty face included, is listed by
-    one walk over ``K.sorted_faces`` (G containing F gives G - F, so the
-    star of the empty face is K's face list) and ranked by one routine.
-    Faces are visited in ``K.sorted_faces`` order and degrees upwards, so
-    the witness is the first failure in that order.
+    Every other link is ranked by one routine.  Faces are visited in
+    ``K.sorted_faces`` order and degrees upwards, so the witness is the
+    first failure in that order.
     """
     field = field_name(p)
-    dims = {}
-    for m in K.maximal:
-        m = sorted(m)
-        for size in range(len(m) - 1):
-            for face in itertools.combinations(m, size):
-                dims[face] = max(dims.get(face, 0), len(m) - size - 1)
-    stars = _stars(K, dims)
+    stars = _stars(K, K.sorted_faces)
     for face in K.sorted_faces:
-        dim = dims.get(face)
-        if dim is None:
+        star = stars[face]
+        dim = len(star[-1]) - 1
+        if dim <= 0:
             continue
         layers = [[] for _ in range(dim + 2)]
-        for f in stars[face]:
+        for f in star:
             layers[len(f)].append(f)
         for degree, rank in enumerate(_reduced_betti(layers, p)[:dim + 1],
                                       start=-1):
@@ -287,13 +258,14 @@ def _sphere_or_ball(P: DelzantPolyhedron, ranks) -> ProfileReport:
 
 def sr_walk(K: NerveComplex, vectors, cap: int):
     """Yield, for every exponent vector t whose support is a face and whose
-    weight sum_j t_j * vectors[j][0] is at most ``cap``, the summed vector
-    sum_j t_j * vectors[j] as a new list.
+    weight sum_j t_j * vectors[j][0] is at most ``cap``, the pair (face,
+    vector): the support of t as a sorted label tuple, and the summed
+    vector sum_j t_j * vectors[j] as a new list.
 
     This is the walk of the Jacobian slice, bounded by T-weight, which
     reads more than a key off each monomial; ``sr_slices`` makes the same
-    walk on integer keys.  A caller that needs some exponents of t puts
-    unit entries for their labels into the vectors.
+    walk on integer keys.  The exponent of a label is positive exactly
+    when the label is in the face.
 
     ``vectors[j]`` is an integer vector for label j + 1 whose first entry,
     the weight, is positive.  One walk per face of ``K.sorted_faces``
@@ -314,7 +286,7 @@ def sr_walk(K: NerveComplex, vectors, cap: int):
         stack = [(acc, 0)]
         while stack:
             acc, first = stack.pop()
-            yield acc
+            yield labels, acc
             room = cap - acc[0]
             for pos in range(first, len(face)):
                 if face[pos][0] <= room:

@@ -615,3 +615,83 @@ def test_unbounded_jacobian_slice_ends_cleanly_out_of_memory(tmp_path):
                                               (limit, limit)))
     assert (proc.returncode, proc.stdout, proc.stderr) == (3, "",
                                                           OUT_OF_MEMORY)
+
+
+# Python caps int <-> decimal string conversions at 4,300 digits by default
+# (from 3.10.7 on); ``cli.main`` lifts the cap for its process.
+BIG_A = 7 ** 2959   # 2,501 digits each, coprime, so a/b and b/a are reduced
+BIG_B = 3 ** 5240
+BIG_NORMAL = "1" + "0" * 5000
+
+
+@pytest.fixture
+def digit_limit():
+    """The default cap, as in a fresh process, whatever an earlier
+    ``cli.main`` in this process set; the cap before is restored after."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+    yield
+    sys.set_int_max_str_digits(limit)
+
+
+def _big_offset_triangle(tmp_path):
+    path = tmp_path / "big_offsets.json"
+    path.write_text(json.dumps({"dim": 2, "facets": [
+        {"normal": [1, 0], "offset": f"{BIG_A}/{BIG_B}"},
+        {"normal": [0, 1], "offset": f"{BIG_B}/{BIG_A}"},
+        {"normal": [-1, -1], "offset": 1}]}))
+    return path
+
+
+def _big_normal(tmp_path):
+    path = tmp_path / "big_normal.json"
+    path.write_text('{"dim": 1, "facets": [{"normal": [%s], "offset": 1}, '
+                    '{"normal": [-1], "offset": 1}]}' % BIG_NORMAL)
+    return path
+
+
+def test_values_past_the_digit_limit_are_exact(tmp_path, capsys,
+                                               digit_limit):
+    # offsets a/b, b/a, 1: lambda + <b, nu_j> = lambda_j gives the common
+    # offset (a/b + b/a + 1) / 3, of more than 4,300 digits
+    assert len(str(BIG_A)) == len(str(BIG_B)) == 2501
+    path = _big_offset_triangle(tmp_path)
+    lam1, lam2 = Fraction(BIG_A, BIG_B), Fraction(BIG_B, BIG_A)
+    code, out, err = run(capsys, "--input", str(path), "--command",
+                         "validate", "--format", "json")
+    assert (code, err) == (0, "")
+    offset = (lam1 + lam2 + 1) / 3
+    assert len(str(offset.numerator)) > 4300
+    mono = json.loads(out)["monotone"]
+    assert Fraction(mono["offset"]) == offset
+    assert [Fraction(x) for x in mono["translation"]] == [lam1 - offset,
+                                                         lam2 - offset]
+    for command in ("quantum", "invert", "jacobian"):
+        code, out, err = run(capsys, "--input", str(path), "--command",
+                             command, "--format", "json")
+        assert (code, err) == (0, ""), command
+        assert json.loads(out)["input"]["facets"][0]["offset"] == \
+            f"{BIG_A}/{BIG_B}"
+    code, out, err = run(capsys, "--input", str(_big_normal(tmp_path)),
+                         "--command", "validate")
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and err.startswith("error: facet 1: normal")
+
+
+@pytest.mark.parametrize("make, code, errors", [(_big_offset_triangle, 0, 0),
+                                                (_big_normal, 2, 1)])
+def test_values_past_the_digit_limit_in_a_new_process(tmp_path, make, code,
+                                                      errors):
+    import toricqh
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(toricqh.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "toricqh", "--input", str(make(tmp_path)),
+         "--command", "validate", "--format", "json"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == code
+    assert proc.stderr.count("\n") == errors
+    assert "Traceback" not in proc.stderr

@@ -215,6 +215,35 @@ LIBRARY_PRECONDITIONS = {
     "coords_short_lattice_part": (
         lambda P: _coords(P, 2, (1,)),
         PreconditionError, "nu must be 2 integers"),
+    "coords_float_coefficient": (
+        lambda P: pr.quantum_presentation(P).monomial_coords(
+            1, pr.quantum_presentation(P).normalized.normals[0], 1.5),
+        PreconditionError, "coefficient must be exact"),
+    "jacobian_int_perturbations": (
+        lambda P: jacobian_freeness(P, perturbations=[1, 2, 3]),
+        PreconditionError, "perturbation 1 must be a filtered element"),
+    "random_delzant_dim_zero": (
+        lambda P: catalog.random_delzant(random.Random(0), 0, 5),
+        PreconditionError, "dim must be an integer at least 1, got 0"),
+    "random_delzant_bool_dim": (
+        lambda P: catalog.random_delzant(random.Random(0), True, 5),
+        PreconditionError, "dim must be an integer at least 1, got True"),
+    "random_delzant_float_dim": (
+        lambda P: catalog.random_delzant(random.Random(0), 1.5, 5),
+        PreconditionError, "dim must be an integer at least 1, got 1.5"),
+    "random_delzant_string_max_facets": (
+        lambda P: catalog.random_delzant(random.Random(0), 2, "x"),
+        PreconditionError, "max_facets must be an integer at least 0"),
+    "random_delzant_without_rng": (
+        lambda P: catalog.random_delzant(None, 2, 5),
+        PreconditionError, "rng must be a random.Random, got None"),
+    "rank_over_four": (lambda P: linalg.rank([[1, 2], [3, 4]], 4),
+                       PreconditionError, "field size 4 is not a prime"),
+    "rank_over_one": (lambda P: linalg.rank([[1, 2], [3, 4]], 1),
+                      PreconditionError, "field size 1 is not a prime"),
+    "integral_eliminator_with_a_prime": (
+        lambda P: linalg.Eliminator(p=7, integral=True),
+        PreconditionError, "over Z takes no field size, got 7"),
 }
 
 
@@ -816,7 +845,7 @@ def test_slice_missing_a_monomial_of_height_zero_raises(cp2, monkeypatch):
     walk = topology.sr_walk
 
     def holed(K, vectors, cap):
-        return (vec for vec in walk(K, vectors, cap)
+        return ((face, vec) for face, vec in walk(K, vectors, cap)
                 if vec != list(vectors[l - 1]))
 
     monkeypatch.setattr(jacobian, "topology", SimpleNamespace(

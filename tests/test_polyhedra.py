@@ -418,6 +418,38 @@ def test_minimal_nonfaces(corpus):
     assert minimal_nonfaces(corpus["cp1xcp1"]) == ((1, 2), (3, 4))
 
 
+def _brute_minimal_nonfaces(P):
+    """Every facet subset, smallest first and then lexicographically, that
+    no vertex's incident set holds while each of its one-smaller subsets
+    lies in one."""
+    incident = [v.incident for v in enumerate_vertices(P)]
+    subsets = [S for k in range(1, P.nfacets + 1)
+               for S in itertools.combinations(range(1, P.nfacets + 1), k)]
+    face = {S: any(set(S) <= inc for inc in incident) for S in subsets}
+    face[()] = True
+    return tuple(S for S in subsets if not face[S] and all(
+        face[S[:i] + S[i + 1:]] for i in range(len(S))))
+
+
+def test_minimal_nonfaces_match_the_definition(corpus):
+    # the corpus with non_delzant, two polytopes whose apex or vertices meet
+    # four facets (an octahedron, a square pyramid), and random inputs
+    octahedron = polyhedron(3, [((a, b, c), 1) for a in (1, -1)
+                                for b in (1, -1) for c in (1, -1)])
+    pyramid = polyhedron(3, [((0, 0, 1), 1), ((1, 0, -1), 1),
+                             ((-1, 0, -1), 1), ((0, 1, -1), 1),
+                             ((0, -1, -1), 1)])
+    assert max(len(v.incident) for P in (octahedron, pyramid)
+               for v in enumerate_vertices(P)) == 4
+    rng = random.Random(2024)
+    polys = [*corpus.values(), catalog.load_example("non_delzant"),
+             octahedron, pyramid]
+    polys += [catalog.random_delzant(rng, dim, 2 * dim + 2)
+              for dim in (2, 3, 4, 5) for _ in range(25)]
+    for P in polys:
+        assert minimal_nonfaces(P) == _brute_minimal_nonfaces(P), P
+
+
 def test_minimal_nonfaces_needs_a_vertex():
     with pytest.raises(PreconditionError):
         minimal_nonfaces(catalog.load_example("vertexless"))

@@ -695,6 +695,19 @@ def test_coordinates_above_the_t_degree_raise(cp2):
         pr.reduce_to_basis(unit, bad)
 
 
+def test_coordinates_keep_an_exact_coefficient(cp2):
+    # an int coefficient stays an int and a fraction string is read
+    # exactly; a float is refused (LIBRARY_PRECONDITIONS)
+    Q = pr.quantum_presentation(cp2)
+    nu = Q.normalized.normals[0]
+    one = Q.monomial_coords(1, nu)
+    ints = Q.monomial_coords(1, nu, -3)
+    assert ints == [tuple(-3 * x for x in c) for c in one]
+    assert all(type(x) is int for c in ints for x in c)
+    assert Q.monomial_coords(1, nu, "1/2") == \
+        [tuple(Fraction(x, 2) for x in c) for c in one]
+
+
 def test_kodaira_spencer_table(o_minus_1, cp2):
     Q = pr.quantum_presentation(o_minus_1)
     table = pr.kodaira_spencer_table(Q)

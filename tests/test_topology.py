@@ -246,7 +246,7 @@ def test_sr_walk_matches_the_degree_enumeration(corpus):
         for cap in caps:
             walked = list(tp.sr_walk(K, vectors, cap))
             found = {}
-            for acc in walked:
+            for _, acc in walked:
                 t = tuple(acc[-N:])
                 assert t not in found, (name, cap, t)
                 found[t] = acc
@@ -255,6 +255,17 @@ def test_sr_walk_matches_the_degree_enumeration(corpus):
             for t, acc in found.items():
                 assert acc == [sum(map(mul, t, col))
                                for col in zip(*vectors)], (name, t)
+
+
+def test_sr_walk_names_the_support_of_each_monomial(corpus):
+    # the face yielded with each vector is the support of its exponents,
+    # read off unit entries
+    for P in corpus.values():
+        K = tp.build_nerve(P)
+        N = P.nfacets
+        vectors = [(1, *(int(i == j) for i in range(N))) for j in range(N)]
+        for face, acc in tp.sr_walk(K, vectors, N + 1):
+            assert face == tuple(j + 1 for j in range(N) if acc[1 + j])
 
 
 def test_regular_sequence_o_minus_1(o_minus_1):
@@ -1035,7 +1046,7 @@ def test_reisner_matches_the_link_by_link_reference():
 
 def test_betti_numbers_match_the_boundary_ranks():
     for K in _reisner_cases():
-        for p in (None, 2):
+        for p in (None, 2, 3):
             profile = tp.reduced_homology(K, p)
             assert profile == tp.HomologyProfile(
                 K.dim, _boundary_rank_homology(K, p)), (K, p)
