@@ -12,10 +12,11 @@ on entries +-1, so an elimination in which every pivot is a unit certifies
 a free quotient.  Over each ring it then reads off the coordinates of any
 vector in the quotient.
 
-The dense Smith form, which pivots naively on a smallest-nonzero entry,
-serves only the residual block of ``Eliminator.settle`` (the rows over Z
-without a unit entry) and ``integer_kernel``, where that naive pivoting is
-cheap.  ``extend_to_basis`` completes a greedy basis by column operations
+``column_echelon`` is the one dense integer reduction: Euclid on columns,
+row after row.  Its unimodular T gives ``integer_kernel`` (the columns of T
+past the rank), the residual certificate of ``Eliminator.settle`` over Z
+(the rows left without a unit entry) and the Euclid step of
+``extend_to_basis``, which completes a greedy basis by column operations
 and returns its inverse with it.
 """
 
@@ -25,6 +26,7 @@ import heapq
 import random
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 from .errors import PreconditionError
 
@@ -37,84 +39,6 @@ def identity(k: int) -> IntMatrix:
 
 def mat_vec(A, x):
     return [sum(a * b for a, b in zip(row, x)) for row in A]
-
-
-def transpose(A):
-    return [list(col) for col in zip(*A)] if A else []
-
-
-def _swap_rows(M, i, j):
-    M[i], M[j] = M[j], M[i]
-
-
-def _add_multiple_of_row(M, target, source, factor):
-    M[target] = [t + factor * s for t, s in zip(M[target], M[source])]
-
-
-def smith_normal_form(M: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
-    """Smith normal form: (S, U, V) with U, V unimodular and U*M*V = S.
-
-    S is diagonal with non-negative entries d_1 | d_2 | ... .
-    """
-    m = len(M)
-    n = len(M[0]) if m else 0
-    S = [list(row) for row in M]
-    U = identity(m)
-    V = identity(n)
-
-    def swap_cols(i, j):
-        for row in S:
-            row[i], row[j] = row[j], row[i]
-        for row in V:
-            row[i], row[j] = row[j], row[i]
-
-    def add_col(target, source, factor):
-        for row in S:
-            row[target] += factor * row[source]
-        for row in V:
-            row[target] += factor * row[source]
-
-    t = 0
-    while True:
-        entries = [(abs(S[i][j]), i, j) for i in range(t, m) for j in range(t, n)
-                   if S[i][j] != 0]
-        if not entries:
-            break
-        _, pi, pj = min(entries)
-        _swap_rows(S, t, pi)
-        _swap_rows(U, t, pi)
-        swap_cols(t, pj)
-
-        dirty = False
-        for i in range(t + 1, m):
-            if S[i][t] != 0:
-                q = S[i][t] // S[t][t]
-                _add_multiple_of_row(S, i, t, -q)
-                _add_multiple_of_row(U, i, t, -q)
-                if S[i][t] != 0:
-                    dirty = True
-        for j in range(t + 1, n):
-            if S[t][j] != 0:
-                q = S[t][j] // S[t][t]
-                add_col(j, t, -q)
-                if S[t][j] != 0:
-                    dirty = True
-        if dirty:
-            continue
-
-        # Row and column are clear; enforce divisibility of the remaining block.
-        d = S[t][t]
-        offender = next(((i, j) for i in range(t + 1, m) for j in range(t + 1, n)
-                         if S[i][j] % d != 0), None)
-        if offender is not None:
-            _add_multiple_of_row(S, t, offender[0], 1)
-            _add_multiple_of_row(U, t, offender[0], 1)
-            continue
-        if d < 0:
-            S[t] = [-x for x in S[t]]
-            U[t] = [-x for x in U[t]]
-        t += 1
-    return S, U, V
 
 
 def random_unimodular(n: int, rng: random.Random) -> IntMatrix:
@@ -140,16 +64,45 @@ def random_unimodular(n: int, rng: random.Random) -> IntMatrix:
     return U
 
 
+def column_echelon(rows, cols):
+    """Column Euclid of integer ``rows`` against the columns ``cols`` of a
+    unimodular T: returns the columns of T * E, E unimodular, and the rank
+    s of the rows, with rows * T * E zero from column s on.
+
+    Each row in turn is reduced on the columns s..: while two of its
+    entries there are nonzero, the least in absolute value reduces the
+    others (with the same column operations on T).  The one left, their
+    gcd up to sign, is moved to column s, and s grows by one.  A row that
+    made column j is zero past j, so the first s columns of rows * T * E
+    are independent.
+    """
+    cols, s = list(cols), 0
+    for v in rows:
+        w = [0] * s + [sum(map(mul, v, col)) for col in cols[s:]]
+        tail = [j for j in range(s, len(cols)) if w[j]]
+        while len(tail) > 1:
+            i = min(tail, key=lambda j: abs(w[j]))
+            for j in tail:
+                if j != i:
+                    q = w[j] // w[i]
+                    w[j] -= q * w[i]
+                    cols[j] = [a - q * b for a, b in zip(cols[j], cols[i])]
+            tail = [j for j in tail if w[j]]
+        if tail:
+            cols[s], cols[tail[0]] = cols[tail[0]], cols[s]
+            s += 1
+    return cols, s
+
+
 def integer_kernel(M: IntMatrix) -> list[list[int]]:
     """Basis of the saturated lattice {x in Z^cols : M*x = 0}.
 
-    Read off the Smith form U*M*V = S: x = V*y is in the kernel iff S*y = 0,
-    i.e. iff y vanishes on the r nonzero diagonal entries, and V is
-    unimodular, so its columns past r = rank(M) are a basis of the lattice.
+    By ``column_echelon``, M * T is zero past its rank s and independent
+    before it, so x = T*y is in the kernel iff y vanishes before s, and T
+    is unimodular: its columns past s are a basis of the lattice.
     """
-    S, _, V = smith_normal_form(M)
-    r = sum(1 for i in range(min(len(S), len(V))) if S[i][i])
-    return transpose(V)[r:]
+    cols, s = column_echelon(M, identity(len(M[0]) if M else 0))
+    return cols[s:]
 
 
 class Eliminator:
@@ -173,10 +126,14 @@ class Eliminator:
     reduced against the pivot rows in the order they were made, so a pivot
     row is zero on every earlier pivot column.  A row without a unit entry
     waits in a residual block instead; ``settle`` retries it against the
-    later pivots and hands what is still stuck to the Smith form.  The
+    later pivots and hands what is still stuck to ``column_echelon``.  The
     quotient Z^ncols / L by the row lattice is certified free by unit
-    pivots alone when the residual block ends empty, and otherwise by the
-    Smith form (Dumas, Saunders and Villard, J. Symb. Comput. 32, 2001).
+    pivots alone when the residual block ends empty (Dumas, Saunders and
+    Villard, J. Symb. Comput. 32, 2001).  Otherwise the block's rows * T
+    are zero past its rank s, so the block's part of the quotient is
+    Z^s / C plus Z^(cols - s), for C the row lattice of the first s
+    columns: it is free iff those s independent columns are saturated,
+    that is iff ``extend_to_basis`` keeps all of them.
 
     Over a field, ``remainder`` decides whether a vector lies in the row
     span from the pivot rows as they stand.  After ``settle(ncols)``,
@@ -302,33 +259,33 @@ class Eliminator:
         """Finish the echelon on columns 0..ncols-1 after the last row.
 
         Returns the freeness certificate of the quotient (always True over
-        a field) and, when it holds, prepares ``reduce``.
+        a field) and, when it holds, prepares ``reduce``.  Either way
+        ``rank`` is then the rank of the rows.
         """
-        smith_cols, V, s = [], [], 0
+        block = []
         if self.integral:
             while self.residual:
                 rows, self.residual = self.residual, []
                 if not any([self._insert_unit(row) for row in rows]):
                     break
             if self.residual:
-                smith_cols = sorted({c for row in self.residual for c in row})
-                S, _, V = smith_normal_form(
-                    [[row.get(c, 0) for c in smith_cols]
-                     for row in self.residual])
-                diag = [S[i][i] for i in range(min(len(S), len(smith_cols)))
-                        if S[i][i]]
-                if any(d != 1 for d in diag):
-                    return False
-                s = len(diag)
+                block = sorted({c for row in self.residual for c in row})
+                rows = [[row.get(c, 0) for c in block]
+                        for row in self.residual]
+                T, s = column_echelon(rows, identity(len(block)))
                 self.rank += s
+                image = [[sum(map(mul, row, col)) for row in rows]
+                         for col in T[:s]]
+                if len(extend_to_basis(image, len(rows))[0]) != s:
+                    return False
         self.dim = r = ncols - self.rank
-        skip = set(smith_cols)
+        skip = set(block)
         free = [c for c in range(ncols) if c not in self.pivots
                 and c not in skip]
         images = {c: [int(k == t) for t in range(r)]
                   for k, c in enumerate(free)}
-        for i, c in enumerate(smith_cols):
-            images[c] = [0] * len(free) + V[i][s:]
+        for i, c in enumerate(block):
+            images[c] = [0] * len(free) + [col[i] for col in T[s:]]
         for c in sorted(self.pivots, reverse=True, key=self.order.__getitem__
                         if self.integral else None):
             row = self.pivots[c]
@@ -413,35 +370,35 @@ def extend_to_basis(vectors, r: int, integral: bool = True):
     B the kept vectors as rows, so x * T are the coordinates of x on them.
 
     T is built by column operations: after k vectors are kept they map to
-    the first k unit vectors, and columns k.. span their quotient.
+    the first k unit vectors, and columns k.. span their quotient.  Over Z
+    the ``column_echelon`` of a vector on those columns leaves the gcd of
+    its image on column k, and the vector is kept when that is +-1.
     """
-    cols = [[int(i == j) for i in range(r)] for j in range(r)]
+    cols = identity(r)
     kept = []
     for idx, v in enumerate(vectors):
         k = len(kept)
         if k == r:
             break
-        w = [sum(a * b for a, b in zip(v, col)) for col in cols]
-        tail = [j for j in range(k, r) if w[j]]
-        if not tail or (integral and gcd(*(w[j] for j in tail)) != 1):
-            continue
-        while integral and len(tail) > 1:  # Euclid on the columns
-            i = min(tail, key=lambda j: abs(w[j]))
-            for j in tail:
-                if j != i:
-                    q = w[j] // w[i]
-                    w[j] -= q * w[i]
-                    cols[j] = [a - q * b for a, b in zip(cols[j], cols[i])]
-            tail = [j for j in tail if w[j]]
-        t = tail[0]
-        cols[t] = [a * w[t] if integral else Fraction(a) / w[t]
-                   for a in cols[t]]
-        w[t] = 1
-        cols[k], cols[t] = cols[t], cols[k]
-        w[k], w[t] = w[t], w[k]
-        for j in range(r):
-            if j != k and w[j]:
-                cols[j] = [a - w[j] * b for a, b in zip(cols[j], cols[k])]
+        if integral:
+            tail, s = column_echelon([v], cols[k:])
+            g = s and sum(map(mul, v, tail[0]))
+            if g not in (1, -1):
+                continue
+            cols[k:] = tail
+            cols[k] = [g * x for x in cols[k]]
+            w = [sum(map(mul, v, col)) for col in cols[:k]]
+        else:
+            w = [sum(map(mul, v, col)) for col in cols]
+            t = next((j for j in range(k, r) if w[j]), None)
+            if t is None:
+                continue
+            pivot = [Fraction(x) / w[t] for x in cols[t]]
+            cols[t], w[t] = cols[k], w[k]
+            cols[k] = pivot
+        for j, x in enumerate(w):
+            if j != k and x:
+                cols[j] = [a - x * b for a, b in zip(cols[j], cols[k])]
         kept.append(idx)
     return kept, cols
 

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 from operator import mul
 
@@ -404,8 +405,9 @@ class HeightMonoid:
     cutoff: Fraction
     elements: tuple[Fraction, ...]
 
-    @property
+    @cached_property
     def element_set(self) -> frozenset[Fraction]:
+        """The elements as a set, for membership tests.  Cached."""
         return frozenset(self.elements)
 
 

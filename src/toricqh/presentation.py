@@ -4,9 +4,9 @@ quantum Stanley-Reisner relations, divisor-inverse certificates, unit
 
 All graded verification is done over the integers: each graded quotient is
 eliminated once by ``linalg.Eliminator``, whose unit pivots certify it
-torsion-free (a Smith form decides a residual block without unit entries),
-so that ranks and structure constants are simultaneously valid over any
-coefficient ring.  Torsion is a hard error; it would contradict the
+torsion-free (a column echelon decides a residual block without unit
+entries), so that ranks and structure constants are simultaneously valid
+over any coefficient ring.  Torsion is a hard error; it would contradict the
 freeness facts these presentations rest on and therefore signals invalid
 input or an implementation bug.  Under a non-unit B-field the quantum
 elimination runs over Q.

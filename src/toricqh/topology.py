@@ -550,8 +550,8 @@ def top_class_certificate(elim: linalg.Eliminator, index, steps,
     means nonzero: e_{Z_S} does not reduce to 0 against the pivot rows
     (``elim.remainder``), which needs no settled eliminator and leaves it
     as it is.  Over Z the coordinate of Z_S (``elim.reduce``) must be +-1,
-    whether the quotient was settled by unit pivots or through the Smith
-    form.
+    whether the quotient was settled by unit pivots or through the column
+    echelon of a residual block.
     """
     dim = len(index) - elim.rank
     if dim == 0:

@@ -3,7 +3,8 @@
 They are the plain versions the package replaced by faster ones, or helpers
 only tests need: a dense matrix product, a dense Gaussian rank, a dense
 Gauss-Jordan solve, the fraction-free (Bareiss) determinant and adjugate,
-the monotone normalization by that solve, the inverse of
+the monotone normalization by that solve, the dense Smith normal form
+that ``linalg.column_echelon`` replaced, the inverse of
 ``presentation.reduce_to_basis``, the composition search for divisor
 inverse certificates, the "linear form times monomial" loop that
 ``topology.graded_rows`` replaced and a ``topology.graded_rows`` that loses
@@ -154,6 +155,66 @@ def adjugate(M):
     if n and cols[0] is None:
         raise ValueError("a singular matrix has no adjugate here")
     return [list(row) for row in zip(*cols)]
+
+
+def smith_normal_form(M):
+    """Smith normal form: (S, U, V) with U, V unimodular and U*M*V = S.
+
+    S is diagonal with non-negative entries d_1 | d_2 | ... ; it pivots
+    naively on a smallest nonzero entry.
+    """
+    m = len(M)
+    n = len(M[0]) if m else 0
+    S = [list(row) for row in M]
+    U = [[int(i == j) for j in range(m)] for i in range(m)]
+    V = [[int(i == j) for j in range(n)] for i in range(n)]
+
+    def add_row(target, source, factor):
+        for A in (S, U):
+            A[target] = [t + factor * s for t, s in zip(A[target], A[source])]
+
+    def add_col(target, source, factor):
+        for A in (S, V):
+            for row in A:
+                row[target] += factor * row[source]
+
+    t = 0
+    while True:
+        entries = [(abs(S[i][j]), i, j) for i in range(t, m)
+                   for j in range(t, n) if S[i][j] != 0]
+        if not entries:
+            break
+        _, pi, pj = min(entries)
+        for A in (S, U):
+            A[t], A[pi] = A[pi], A[t]
+        for A in (S, V):
+            for row in A:
+                row[t], row[pj] = row[pj], row[t]
+
+        dirty = False
+        for i in range(t + 1, m):
+            if S[i][t] != 0:
+                add_row(i, t, -(S[i][t] // S[t][t]))
+                dirty = dirty or S[i][t] != 0
+        for j in range(t + 1, n):
+            if S[t][j] != 0:
+                add_col(j, t, -(S[t][j] // S[t][t]))
+                dirty = dirty or S[t][j] != 0
+        if dirty:
+            continue
+
+        # Row and column are clear; enforce divisibility of the remaining block.
+        d = S[t][t]
+        offender = next(((i, j) for i in range(t + 1, m) for j in range(t + 1, n)
+                         if S[i][j] % d != 0), None)
+        if offender is not None:
+            add_row(t, offender[0], 1)
+            continue
+        if d < 0:
+            S[t] = [-x for x in S[t]]
+            U[t] = [-x for x in U[t]]
+        t += 1
+    return S, U, V
 
 
 def monotone_normalization(P):

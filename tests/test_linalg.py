@@ -11,20 +11,20 @@ from toricqh.errors import PreconditionError
 
 
 def test_snf_identity():
-    S, U, V = linalg.smith_normal_form([[1, 0], [0, 1]])
+    S, U, V = reference.smith_normal_form([[1, 0], [0, 1]])
     assert S == [[1, 0], [0, 1]]
 
 
 def test_snf_divisibility_fixup():
     # elementary reduction by hand: diag(2, 3) has invariant factors (1, 6)
     M = [[2, 0], [0, 3]]
-    S, U, V = linalg.smith_normal_form(M)
+    S, U, V = reference.smith_normal_form(M)
     assert [S[0][0], S[1][1]] == [1, 6]
     assert mat_mul(mat_mul(U, M), V) == S
 
 
 def test_snf_zero():
-    S, U, V = linalg.smith_normal_form([[0]])
+    S, U, V = reference.smith_normal_form([[0]])
     assert S == [[0]]
 
 
@@ -33,7 +33,7 @@ def test_normal_forms_random_recomposition(seed):
     rng = random.Random(seed)
     m, n = rng.randrange(1, 5), rng.randrange(1, 5)
     M = [[rng.randrange(-9, 10) for _ in range(n)] for _ in range(m)]
-    S, U2, V = linalg.smith_normal_form(M)
+    S, U2, V = reference.smith_normal_form(M)
     assert mat_mul(mat_mul(U2, M), V) == S
     assert abs(reference.determinant(U2)) == 1
     assert abs(reference.determinant(V)) == 1
@@ -89,7 +89,7 @@ def test_integer_kernel_line():
     x = basis[0]
     assert x[0] + x[1] == 0
     # primitive generator of the kernel lattice
-    S, _, _ = linalg.smith_normal_form([x])
+    S, _, _ = reference.smith_normal_form([x])
     assert S[0][0] == 1
 
 
@@ -99,18 +99,29 @@ def test_integer_kernel_zero_matrix():
     assert abs(reference.determinant(basis)) == 1
 
 
+def _smith_kernel(M):
+    """The columns of V past the rank, for the Smith form U*M*V = S."""
+    S, _, V = reference.smith_normal_form(M)
+    r = sum(1 for i in range(min(len(S), len(V))) if S[i][i])
+    return [list(col) for col in zip(*V)][r:]
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_integer_kernel_saturated(seed):
+    # A saturated basis of the lattice the Smith form gives: both bases are
+    # saturated, of the same rank and together span no more.
     rng = random.Random(200 + seed)
-    m, n = rng.randrange(1, 4), rng.randrange(1, 5)
-    M = [[rng.randrange(-4, 5) for _ in range(n)] for _ in range(m)]
-    basis = linalg.integer_kernel(M)
-    for x in basis:
-        assert all(v == 0 for v in linalg.mat_vec(M, x))
-    assert len(basis) == n - linalg.rank(M)
-    if basis:
-        S, _, _ = linalg.smith_normal_form(basis)
-        assert all(S[i][i] == 1 for i in range(len(basis)))
+    for _ in range(40):
+        m, n = rng.randrange(1, 4), rng.randrange(1, 5)
+        M = [[rng.randrange(-4, 5) for _ in range(n)] for _ in range(m)]
+        basis = linalg.integer_kernel(M)
+        for x in basis:
+            assert all(v == 0 for v in linalg.mat_vec(M, x))
+        assert len(basis) == n - linalg.rank(M)
+        if basis:
+            S, _, _ = reference.smith_normal_form(basis)
+            assert all(S[i][i] == 1 for i in range(len(basis)))
+            assert reference.rank(basis + _smith_kernel(M)) == len(basis)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -171,12 +182,12 @@ def test_normalize_rejects_denominators():
 
 @pytest.mark.parametrize("row,free", [([2, 3], True), ([2, 4], False)])
 def test_integral_certificate_smith_fallback(row, free):
-    # No entry is a unit, so the row waits in the residual block and the
-    # Smith form decides: Z^2 / (2, 3) is free, Z^2 / (2, 4) has torsion.
+    # No entry is a unit, so the row waits in the residual block and its
+    # column echelon decides: Z^2 / (2, 3) is free, Z^2 / (2, 4) has torsion.
     elim = linalg.Eliminator(integral=True)
     assert not elim.add_row(linalg.normalize(row))
     assert elim.settle(2) is free
-    S, _, _ = linalg.smith_normal_form([row])
+    S, _, _ = reference.smith_normal_form([row])
     assert (S[0][0] == 1) is free
     if free:
         assert (elim.rank, elim.dim) == (1, 1)
@@ -195,6 +206,98 @@ def test_integral_certificate_matches_sympy(row, free):
     assert elim.settle(2) is (S[0, 0] == 1)
 
 
+def _settle_against_smith(rows, n):
+    """Settle ``rows`` (dense, n columns) over Z and check the verdict and
+    the rank against the reference Smith form and, for a free quotient,
+    that the coordinates kill every row and map onto Z^dim.  Returns the
+    verdict and whether a residual block was left."""
+    elim = linalg.Eliminator(integral=True)
+    for row in rows:
+        elim.add_row(linalg.normalize(row))
+    free = elim.settle(n)
+    S, _, _ = reference.smith_normal_form(rows)
+    diag = [S[i][i] for i in range(min(len(S), n)) if S[i][i]]
+    assert free is all(d == 1 for d in diag), rows
+    assert elim.rank == len(diag), rows
+    if free:
+        assert elim.dim == n - elim.rank
+        for row in rows:
+            assert not any(elim.reduce(dict(enumerate(row)))), rows
+        images = [elim.reduce({c: 1}) for c in range(n)]
+        S, _, _ = reference.smith_normal_form(images)
+        assert [S[i][i] for i in range(elim.dim)] == [1] * elim.dim, rows
+    return free, bool(elim.residual)
+
+
+def _unitless_matrix(rng):
+    """A random integer matrix with few unit entries, so that its rows wait
+    in the residual block, and rank-deficient a third of the time."""
+    m, n = rng.randrange(1, 5), rng.randrange(1, 6)
+    pool = (0, 0, 2, -2, 3, -3, 4, 5, -6, 9)
+    M = [[rng.choice(pool) for _ in range(n)] for _ in range(m)]
+    if m > 1 and rng.random() < 0.3:
+        a, b = rng.choice((1, -2, 3)), rng.choice((0, 1, -1))
+        M[-1] = [a * x + b * y for x, y in zip(M[0], M[-2])]
+    if rng.random() < 0.2:
+        M[rng.randrange(m)][rng.randrange(n)] = rng.choice((1, -1))
+    return M
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_residual_certificate_matches_smith(seed):
+    # Free and torsion quotients both occur, through the residual block.
+    rng = random.Random(400 + seed)
+    seen = {_settle_against_smith(M, len(M[0]))
+            for M in (_unitless_matrix(rng) for _ in range(750))}
+    assert {(True, True), (False, True)} <= seen
+
+
+def test_residual_certificate_matches_sympy():
+    normalforms = pytest.importorskip("sympy.matrices.normalforms")
+    from sympy import ZZ, Matrix
+    rng = random.Random(404)
+    for _ in range(120):
+        M = _unitless_matrix(rng)
+        elim = linalg.Eliminator(integral=True)
+        for row in M:
+            elim.add_row(linalg.normalize(row))
+        factors = normalforms.invariant_factors(Matrix(M), domain=ZZ)
+        nonzero = [d for d in factors if d]
+        assert elim.settle(len(M[0])) is all(abs(d) == 1 for d in nonzero), M
+        assert elim.rank == len(nonzero), M
+
+
+def test_residual_blocks_of_random_presentations(monkeypatch):
+    # The blocks that the presentations of random Delzant polyhedra leave
+    # after the retry against later pivots, checked as matrices of their own.
+    from toricqh import catalog
+    from toricqh import presentation as pr
+    from toricqh.polyhedra import monotone_normalization
+    rng = random.Random(23)
+    polys = [catalog.random_delzant(rng, 2 + i % 3, 7 + i % 3)
+             for i in range(200)]
+    blocks = []
+    real = linalg.Eliminator.settle
+
+    def watching(self, ncols):
+        free = real(self, ncols)
+        if self.residual:
+            cols = sorted({c for row in self.residual for c in row})
+            blocks.append([[row.get(c, 0) for c in cols]
+                           for row in self.residual])
+        return free
+
+    monkeypatch.setattr(linalg.Eliminator, "settle", watching)
+    for P in polys:
+        pr.classical_presentation(P)
+        if monotone_normalization(P) is not None:
+            pr.quantum_presentation(P)
+    monkeypatch.undo()
+    assert len(blocks) >= 5
+    for M in blocks:
+        assert _settle_against_smith(M, len(M[0])) == (True, True)
+
+
 def test_extend_to_basis_over_z_and_q():
     # 2 and 3 span Q^1 but are not primitive in Z^1; 1 is.
     kept, T = linalg.extend_to_basis([[2], [3], [1]], 1, integral=True)
@@ -205,7 +308,7 @@ def test_extend_to_basis_over_z_and_q():
     kept, T = linalg.extend_to_basis([[2, 3], [4, 6], [1, 1]], 2)
     assert kept == [0, 2]
     B = [[2, 3], [1, 1]]
-    assert mat_mul(B, linalg.transpose(T)) == linalg.identity(2)
+    assert mat_mul(B, [list(row) for row in zip(*T)]) == linalg.identity(2)
 
 
 def test_is_prime_matches_sympy():

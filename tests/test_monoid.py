@@ -243,6 +243,15 @@ def test_height_monoid_o_minus_1(o_minus_1):
     assert hm.elements == (0, 1, 2)
 
 
+def test_height_monoid_element_set_is_built_once(o_minus_1):
+    hm = mo.build_height_monoid(o_minus_1, [], Fraction(5, 2))
+    assert hm.element_set is hm.element_set
+    assert hm.element_set == frozenset(hm.elements)
+    # the cached set is no field: equality and hashing see the fields only
+    other = mo.build_height_monoid(o_minus_1, [], Fraction(5, 2))
+    assert other == hm and hash(other) == hash(hm)
+
+
 def test_height_monoid_tiny_cutoff(cp2):
     hm = mo.build_height_monoid(cp2, [], Fraction(1, 10))
     assert hm.elements == (0,)

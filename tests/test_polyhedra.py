@@ -303,8 +303,7 @@ def test_splitting_vertexless():
     rep = check_vertex_and_splitting(P)
     assert not rep.has_vertex
     assert rep.split_rank == 1
-    (basis_vec,) = rep.annihilator_basis
-    assert basis_vec in ((0, 1), (0, -1))
+    assert rep.annihilator_basis == ((0, 1),)
     assert enumerate_vertices(P) == ()
 
 
@@ -323,7 +322,8 @@ def test_splitting_basis_of_relabelled_strips_and_slabs(seed):
     assert k > 0 and (rep.has_vertex, rep.split_rank) == (False, k)
     for x in rep.annihilator_basis:
         assert all(sum(a * b for a, b in zip(nu, x)) == 0 for nu in P.normals)
-    S, _, _ = linalg.smith_normal_form([list(x) for x in rep.annihilator_basis])
+    S, _, _ = reference.smith_normal_form(
+        [list(x) for x in rep.annihilator_basis])
     assert all(S[i][i] == 1 for i in range(k))
 
 
@@ -380,7 +380,7 @@ def test_splitting_is_the_rank_of_the_normals(corpus, monkeypatch):
     def eliminate(*args):
         raise AssertionError("input with a vertex was eliminated")
 
-    for name in ("rank", "integer_kernel", "smith_normal_form"):
+    for name in ("rank", "integer_kernel", "column_echelon"):
         monkeypatch.setattr(linalg, name, eliminate)
     for P in randoms:
         Q = polyhedron(P.dim, zip(P.normals, P.offsets))

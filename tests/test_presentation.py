@@ -334,14 +334,14 @@ def test_classical_raises_if_degree_n_plus_1_is_not_certified(
         assert err.startswith("error: ") and err.count("\n") == 1
 
 
-def test_relabelling_needs_no_smith_fallback(monkeypatch):
+def test_relabelling_leaves_no_residual_block(monkeypatch):
     # The rows come from the first vertex's basis, so a relabelling of the
     # lattice does not change them: on the corpus and on relabellings of it
-    # no residual block is left for the Smith form (the relabelled cube
-    # needed it 14 times with the rows of the ambient normals).  CP^4, CP^5
-    # and (CP^1)^4 are keyed in the first vertex's lead order as well.
-    # Only the presentations are watched: ``random_unimodular`` checks its
-    # own output, which may take the Smith form.
+    # every integral elimination settles on unit pivots, with no residual
+    # block left (the relabelled cube left one 14 times with the rows of
+    # the ambient normals).  CP^4, CP^5 and (CP^1)^4 are keyed in the first
+    # vertex's lead order as well.  Only the presentations are watched:
+    # ``random_unimodular`` checks its own output, which may leave one.
     rng = random.Random(61)
     extra = [_relabelled_cube(), _simplex(4), _simplex(5), _cube(4)]
     polys = [catalog.load_example(name) for name in catalog.VALID_EXAMPLES]
@@ -350,15 +350,22 @@ def test_relabelling_needs_no_smith_fallback(monkeypatch):
               *extra]:
         polys += [relabel_lattice(P, linalg.random_unimodular(P.dim, rng))
                   for _ in range(3)]
-    calls = []
-    real = linalg.smith_normal_form
-    monkeypatch.setattr(linalg, "smith_normal_form",
-                        lambda M: calls.append(M) or real(M))
+    blocks, settled = [], []
+    real = linalg.Eliminator.settle
+
+    def watching(self, ncols):
+        free = real(self, ncols)
+        settled.append(ncols)
+        blocks.extend(self.residual)
+        return free
+
+    monkeypatch.setattr(linalg.Eliminator, "settle", watching)
     for P in polys:
         pr.classical_presentation(P)
         if monotone_normalization(P) is not None:
             pr.quantum_presentation(P)
-        assert not calls, P
+        assert not blocks, P
+    assert len(settled) > len(polys)
 
 
 def test_first_vertex_lead_order_needs_little_reduction(monkeypatch):

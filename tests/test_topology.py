@@ -633,7 +633,7 @@ def test_top_class_certificate_needs_a_generator_over_z(corpus):
 
 def test_top_class_certificate_reads_a_smith_settled_quotient():
     """Z^3 modulo the rows (2, 3, -31) and (3, 4, -43), which hold no unit
-    entry, is settled through the Smith form: it is Z, by (a, b, c) ->
+    entry, is settled through the residual block: it is Z, by (a, b, c) ->
     5a + 7b + c.  The class of the third column generates it, that of the
     first is 5 times a generator."""
     elim = linalg.Eliminator(integral=True)
