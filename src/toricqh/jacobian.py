@@ -44,9 +44,14 @@ with w_l the integer coordinates of nu_l in the basis nu_{s_1..s_n}.  The
 change of basis lies in GL_n(Z), so the c'_k generate the same ideal as the
 n components of sum_j nu_j h_j, over Z, Q and every F_p, and have the same
 monomials: rel_weight, the largest T-weight of a relation term, is
-unchanged.  Every row c'_k * m with w(m) <= w_max = cap - rel_weight would
-span the relations inside the slice.  Rows are skipped by the Koszul rule
-of ``topology.graded_rows`` (c'_k * m when v_{s_t} divides m for some
+unchanged.  Each c'_k is a map {(lam, nu): coefficient}, summed from the
+w_l, the units rho_j on v_j = (lambda_j, nu_j) and the perturbations'
+terms (``_relations``): a row needs only (lam, nu), so no monomial is
+decomposed.  The candidate basis is the classical one, read from the
+certified layers (``presentation.classical_layers``) without the
+structure table.  Every row c'_k * m with w(m) <= w_max = cap - rel_weight
+would span the relations inside the slice.  Rows are skipped by the Koszul
+rule of ``topology.graded_rows`` (c'_k * m when v_{s_t} divides m for some
 t < k), whose identity and induction on (k, -theta_{v0}) carry over with
 c'_t = rho_{s_t} v_{s_t} + r_t: every perturbation term has positive
 height, so theta_{v0} still grows on the rows c'_k * y.  This slice is
@@ -98,11 +103,10 @@ from operator import add, itemgetter, mul
 
 from . import linalg, topology
 from .errors import PreconditionError, VerificationError
-from .monoid import (FilteredElement, build_height_monoid,
-                     element_from_monomial, monoid_for, scaled)
+from .monoid import FilteredElement, build_height_monoid, monoid_for, scaled
 from .polyhedra import (DelzantPolyhedron, exact_parameter, exact_units,
                         require_delzant, vertex_coordinates)
-from .presentation import classical_presentation
+from .presentation import classical_layers
 
 
 @dataclass(frozen=True)
@@ -177,14 +181,9 @@ def jacobian_freeness(P: DelzantPolyhedron, perturbations=None, rho=None,
     levels = G.elements
     dim_r = len(levels)
 
-    basis = classical_presentation(P).basis
+    basis = classical_layers(P).basis
     m = len(basis)
-
-    hs = [element_from_monomial(ctx.generator(j + 1)) * rho[j]
-          + perturbations[j] for j in range(N)]
-    _, coords = vertex_coordinates(P, 0)
-    relations = [sum((h * w[k] for h, w in zip(hs, coords) if w[k]),
-                     ctx.zero()) for k in range(n)]  # the c'_k
+    relations = _relations(P, rho, perturbations)
 
     lam_max, lam_min = max(P.offsets), min(P.offsets)
     step = max(lam_max, pert_weight)
@@ -207,11 +206,36 @@ def jacobian_freeness(P: DelzantPolyhedron, perturbations=None, rho=None,
                           dim_r, m, dim_s, dim_quotient, basis, free, note)
 
 
+def _relations(P, rho, perturbations) -> list[dict]:
+    """The c'_k = sum_j w_jk h_j of the first vertex's basis, in order, as
+    maps {(lam, nu): coefficient} with the zero terms left out, for
+    h_j = rho_j v_j + perturbation_j and v_j = (lambda_j, nu_j)."""
+    _, coords = vertex_coordinates(P, 0)
+    hs = [[((lam, nu), r), *(((mm.lam, mm.nu), c)
+                             for mm, c in pert.terms.items())]
+          for lam, nu, r, pert in zip(P.offsets, P.normals, rho,
+                                      perturbations)]
+    relations = []
+    for k in range(P.dim):
+        rel = {}
+        for h, w in zip(hs, coords):
+            if w[k]:
+                for key, c in h:
+                    total = rel.get(key, 0) + c * w[k]
+                    if total:
+                        rel[key] = total
+                    else:
+                        rel.pop(key, None)
+        relations.append(rel)
+    return relations
+
+
 class _Slice:
     """The slice of one call, grown by ``grow`` to each of ``caps`` in
     turn.  ``relations`` are the c'_k of the first vertex's basis, in
-    order; the Koszul skip and the lead order need that basis.  ``columns``
-    maps the key of a monomial to its column."""
+    order, as the maps of ``_relations``; the Koszul skip and the lead
+    order need that basis.  ``columns`` maps the key of a monomial to its
+    column."""
 
     def __init__(self, P, ctx, levels, g, relations, caps, inner_cap, basis,
                  p):
@@ -219,7 +243,7 @@ class _Slice:
         self.scale = scale = lcm(
             ctx.scale, g.denominator, inner_cap.denominator,
             *(x.denominator for x in (*caps, *levels)),
-            *(mm.lam.denominator for rel in relations for mm in rel.terms))
+            *(lam.denominator for rel in relations for lam, _ in rel))
         k = scale // ctx.scale
         weights = [k * lam for lam in ctx.scaled_offsets]
         # theta_{v0} * D' of (lam * D' = w, nu) is w + k * <v0 * D, nu>
@@ -228,8 +252,8 @@ class _Slice:
              (1,) + (0,) * P.dim], scaled(max(caps), scale),
             (1, *(k * x for x in ctx.scaled_points[0])))
         *steps, t_step = keys.steps
-        self.rel_w = max((scaled(mm.lam, scale) for rel in relations
-                          for mm in rel.terms), default=0)
+        self.rel_w = max((scaled(lam, scale) for rel in relations
+                          for lam, _ in rel), default=0)
         # The walk sums (weight, key) and theta_v * D' for every vertex v.
         # In the Koszul window, v_{s_t} dividing m (s_t in the face of m)
         # skips the rows c'_k * m with k > t when
@@ -248,10 +272,10 @@ class _Slice:
         self.g_s = scaled(g, scale)
         # distinct terms times one monomial land in distinct columns, so
         # each normalized coefficient is a row entry as it is
-        self.terms = [[(keys.encode((w, *mm.nu)), c,
-                        [w + k * x for x in ctx.pairings(mm.nu)])
-                       for mm, c in linalg.normalize(rel.terms, p).items()
-                       for w in [scaled(mm.lam, scale)]]
+        self.terms = [[(keys.encode((w, *nu)), c,
+                        [w + k * x for x in ctx.pairings(nu)])
+                       for (lam, nu), c in linalg.normalize(rel, p).items()
+                       for w in [scaled(lam, scale)]]
                       for rel in relations]
         self.elim = linalg.Eliminator(p)
         self.columns = {}

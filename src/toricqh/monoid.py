@@ -414,7 +414,8 @@ class HeightMonoid:
 def build_height_monoid(P: DelzantPolyhedron, extra, g) -> HeightMonoid:
     """Monoid generated by all values theta_v(lambda_j, nu_j), read off the
     cone monoid's integers, plus the given extra heights, enumerated on
-    [0, g)."""
+    [0, g).  The levels are walked as integers over the common denominator
+    of the generators and g."""
     g = exact_parameter(g, "cutoff")
     if g <= 0:
         raise PreconditionError("cutoff must be positive")
@@ -426,17 +427,22 @@ def build_height_monoid(P: DelzantPolyhedron, extra, g) -> HeightMonoid:
             for lam, nu in zip(ctx.scaled_offsets, P.normals)
             for dot in ctx.pairings(nu)}
     gens.update(extra)
-    positive = sorted(x for x in gens if x > 0)
-    elements = {Fraction(0)}
-    frontier = [Fraction(0)]
+    D = lcm(g.denominator, *(x.denominator for x in gens))
+    positive = sorted(scaled(x, D) for x in gens if x > 0)
+    top = scaled(g, D)
+    elements = {0}
+    frontier = [0]
     while frontier:
         base = frontier.pop()
         for x in positive:
             s = base + x
-            if s < g and s not in elements:
+            if s >= top:
+                break
+            if s not in elements:
                 elements.add(s)
                 frontier.append(s)
-    return HeightMonoid(tuple(sorted(gens)), g, tuple(sorted(elements)))
+    return HeightMonoid(tuple(sorted(gens)), g,
+                        tuple(Fraction(s, D) for s in sorted(elements)))
 
 
 def enumerate_gamma_degree(P: DelzantPolyhedron, k: int) -> list[Monomial]:

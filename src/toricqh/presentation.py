@@ -25,7 +25,7 @@ The slices come from ``topology.sr_slices`` and the relation rows from
 ``topology.graded_rows`` in the lattice basis of the first vertex, so
 they, and their cost, do not depend on the lattice basis of the input.
 The rows of a slice are built only when they are read: the classical
-presentation reads its n + 1 slices, the quantum one its top slice alone.
+layers read their n + 1 slices, the quantum one its top slice alone.
 A slice monomial is keyed by an integer of ``topology.SRKeys``, which
 encodes its exponent vector (classical) or its nu (quantum) in the first
 vertex's lead order (``topology.graded_rows``); each layer keeps its
@@ -183,27 +183,33 @@ class RingPresentation:
         return tuple(format_monomial(Fraction(0), e) for e in self.basis)
 
 
+@dataclass(frozen=True)
+class ClassicalLayers:
+    """The certified graded quotients of the classical presentation: one
+    ``QuotientLayer`` per degree 0..dim, the greedy basis (exponent
+    vectors, by degree) and the rank in each degree."""
+    layers: tuple[QuotientLayer, ...]
+    basis: tuple[tuple[int, ...], ...]
+    ranks: tuple[int, ...]
+
+
 @memoized
-def classical_presentation(P: DelzantPolyhedron,
-                           ring: str = "Z") -> RingPresentation:
-    """Stanley-Reisner presentation of the classical cohomology.
+def classical_layers(P: DelzantPolyhedron) -> ClassicalLayers:
+    """The graded quotients of the classical cohomology, certified.
 
     Works degree by degree up to dim = n: the degree-d monomials with face
-    support, modulo the images of the linear forms c_i times degree d-1.
-    The quotient at degree n+1 is 0, certified from the degree-n layer by
-    ``topology.top_class_certificate``: there the quotient is 0 or
-    generated, over Z, by the class of the first vertex's facet monomial,
-    and VerificationError is raised where the certificate fails.  The
-    quotient ring is generated in degree 1, so every higher degree is 0 as
-    well, and a product of two basis elements past degree n has structure
-    constants 0 without a slice.  All quotients are verified torsion-free
-    over Z, and the rank in every degree must equal the nerve's h-vector
-    (``topology.h_vector``), or VerificationError is raised; the requested
-    coefficient ring only changes how the table is reported.  Under a unit
-    B-field the table is this one rescaled, as ``apply_bfield`` states.
+    support, modulo the images of the linear forms c_i times degree d-1
+    (``topology.vertex_rows``).  The quotient at degree n+1 is 0, certified
+    from the degree-n layer by ``topology.top_class_certificate``: there the
+    quotient is 0 or generated, over Z, by the class of the first vertex's
+    facet monomial, and VerificationError is raised where the certificate
+    fails.  The quotient ring is generated in degree 1, so every higher
+    degree is 0 as well.  All quotients are verified torsion-free over Z,
+    and the rank in every degree must equal the nerve's h-vector
+    (``topology.h_vector``), or VerificationError is raised.  Kept on P, so
+    the classical, quantum and Jacobian calls on one polyhedron share it.
+    P must pass ``require_delzant``, which the callers check.
     """
-    require_delzant(P)
-    ring = _ring_label(ring)
     n = P.dim
     keys, leads, walk = topology.vertex_rows(P, n)
 
@@ -227,11 +233,29 @@ def classical_presentation(P: DelzantPolyhedron,
     if ranks != h:
         raise VerificationError(f"classical ranks {list(ranks)} != h-vector "
                                 f"{list(h)} of the nerve")
+    return ClassicalLayers(tuple(layers), tuple(basis), ranks)
 
-    structure = _classical_structure(layers, basis, ring)
-    return RingPresentation(ring, n, P.nfacets, tuple(zip(*P.normals)),
-                            minimal_nonfaces(P), ranks, tuple(basis),
-                            structure)
+
+@memoized
+def classical_presentation(P: DelzantPolyhedron,
+                           ring: str = "Z") -> RingPresentation:
+    """Stanley-Reisner presentation of the classical cohomology.
+
+    The basis and ranks are those of the certified layers of
+    ``classical_layers``; this adds the structure table and the minimal
+    nonfaces.  A product of two basis elements past degree n has structure
+    constants 0 without a slice, as the quotient vanishes there.  The
+    requested coefficient ring only changes how the table is reported.
+    Under a unit B-field the table is this one rescaled, as
+    ``apply_bfield`` states.
+    """
+    require_delzant(P)
+    ring = _ring_label(ring)
+    classical = classical_layers(P)
+    structure = _classical_structure(classical.layers, classical.basis, ring)
+    return RingPresentation(ring, P.dim, P.nfacets, tuple(zip(*P.normals)),
+                            minimal_nonfaces(P), classical.ranks,
+                            classical.basis, structure)
 
 
 def _classical_structure(layers, basis, ring):

@@ -17,7 +17,11 @@ writers that ``json.dumps`` and a pass turning Fractions into numbers and
 strings make, and the generator coordinates and products of a quantum
 report by ``reduce_to_basis`` of ``FilteredElement`` products; the
 quantum presentation by one elimination per T-degree, the method the
-one-layer ``presentation.quantum_presentation`` replaced.
+one-layer ``presentation.quantum_presentation`` replaced; the relations
+c'_k of ``jacobian_freeness`` by ``FilteredElement`` arithmetic and the
+admissible height levels by a walk on Fractions, which the integer
+versions of ``jacobian._relations`` and ``monoid.build_height_monoid``
+replaced.
 """
 
 import json
@@ -26,7 +30,8 @@ from operator import add, mul
 
 from toricqh import polyhedra, topology
 from toricqh import presentation as pr
-from toricqh.monoid import element_from_monomial, format_monomial, monoid_for
+from toricqh.monoid import (element_from_monomial, format_monomial, monoid_for,
+                            theta)
 from toricqh.polyhedra import (enumerate_vertices, exact_units, polyhedron,
                                vertex_basis)
 # bound here, so a fault planted in ``presentation._graded_layer`` by a test
@@ -636,3 +641,41 @@ def _match_generator(coords, reductions):
         return None
     _, _, l, shift, scalar = min(matches)
     return tpoly_str((0,) * shift + (scalar,), f"v{l + 1}")
+
+
+def jacobian_relations(P, rho=None, perturbations=None):
+    """The c'_k = sum_j w_jk h_j of ``jacobian_freeness``, with
+    h_j = rho_j * v_j + perturbation_j and w_j the coordinates of nu_j at
+    the first vertex, as sums of ``FilteredElement`` products of the
+    generator monomials."""
+    ctx = monoid_for(P)
+    N = P.nfacets
+    rho = exact_units(rho if rho is not None else (1,) * N, N)
+    perturbations = perturbations or [ctx.zero()] * N
+    hs = [element_from_monomial(ctx.generator(j + 1)) * rho[j]
+          + perturbations[j] for j in range(N)]
+    _, coords = polyhedra.vertex_coordinates(P, 0)
+    return [sum((h * w[k] for h, w in zip(hs, coords) if w[k]), ctx.zero())
+            for k in range(P.dim)]
+
+
+def height_levels(P, extra, g):
+    """(generators, elements) of the height monoid below g: the values
+    theta_v(lambda_j, nu_j) over the vertices v and facets j, with the
+    extra heights, and every sum of positive ones below g, by a
+    breadth-first walk on Fractions."""
+    g = Fraction(g)
+    gens = {theta(v, (lam, nu)) for v in enumerate_vertices(P)
+            for lam, nu in zip(P.offsets, P.normals)}
+    gens.update(Fraction(x) for x in extra)
+    positive = sorted(x for x in gens if x > 0)
+    elements = {Fraction(0)}
+    frontier = [Fraction(0)]
+    while frontier:
+        base = frontier.pop()
+        for x in positive:
+            s = base + x
+            if s < g and s not in elements:
+                elements.add(s)
+                frontier.append(s)
+    return tuple(sorted(gens)), tuple(sorted(elements))

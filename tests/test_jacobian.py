@@ -1,13 +1,16 @@
 import copy
+import json
 import random
 from fractions import Fraction
+from importlib import resources
 from math import lcm
 from operator import add, mul, sub
 from types import SimpleNamespace
 
 import pytest
 
-from toricqh import catalog, jacobian, linalg, topology
+import reference
+from toricqh import catalog, cli, jacobian, linalg, topology
 from toricqh import monoid as mo
 from toricqh import presentation as pr
 from toricqh.errors import (PreconditionError, SchemaError,
@@ -698,7 +701,7 @@ def test_slice_columns_run_by_region_with_the_basis_last(corpus, monkeypatch,
         assert cols == sorted(set(cols))
         basis_count = len(basis) * len(levels)
         assert all(x[0] == 2 for x in monomials[-basis_count:])
-        terms = [[(scaled(mm.lam, piece.scale), mm.nu) for mm in rel.terms]
+        terms = [[(scaled(lam, piece.scale), nu) for lam, nu in rel]
                  for rel in relations]
 
         def times(a, b):
@@ -853,3 +856,151 @@ def test_slice_missing_a_monomial_of_height_zero_raises(cp2, monkeypatch):
     with pytest.raises(VerificationError,
                        match="misses a product of height 0 "):
         jacobian_freeness(cp2, g=1)
+
+
+def _benchmark_perturbations(P, rng, terms, degree, height):
+    """Perturbations of the benchmark's shape: ``terms`` nonzero entries on
+    random facets, each one monomial T^height * v^t with |t| = degree and
+    a small rational coefficient."""
+    ctx = mo.monoid_for(P)
+    perts = [ctx.zero()] * P.nfacets
+    for j in rng.sample(range(P.nfacets), min(terms, P.nfacets)):
+        t = [0] * P.nfacets
+        for _ in range(degree):
+            t[rng.randrange(P.nfacets)] += 1
+        coeff = Fraction(rng.choice((-5, -4, -3, -2, -1, 1, 2, 3, 4, 5)),
+                         rng.randrange(1, 4))
+        perts[j] = ctx.element({ctx.from_exponents(t, height): coeff})
+    return perts
+
+
+class _SliceReached(Exception):
+    pass
+
+
+def _slice_relations(monkeypatch, P, **kwargs):
+    """The relations that ``jacobian_freeness`` hands its slice, which is
+    then not built."""
+    got = []
+
+    class Stopped(jacobian._Slice):
+        def __init__(self, *args):
+            got.append(args[4])
+            raise _SliceReached
+
+    with monkeypatch.context() as patch:
+        patch.setattr(jacobian, "_Slice", Stopped)
+        with pytest.raises(_SliceReached):
+            jacobian_freeness(P, **kwargs)
+    return got[0]
+
+
+def _check_relations(monkeypatch, P, **kwargs):
+    # the maps hold the FilteredElement sums' terms, in their order, with
+    # the same exact coefficients
+    got = _slice_relations(monkeypatch, P, **kwargs)
+    want = reference.jacobian_relations(P, kwargs.get("rho"),
+                                        kwargs.get("perturbations"))
+    assert [list(rel.items()) for rel in got] == \
+        [[((mm.lam, mm.nu), c) for mm, c in rel.terms.items()]
+         for rel in want]
+    assert all(type(c) is Fraction for rel in got for c in rel.values())
+
+
+def test_relation_maps_match_filtered_element_sums(corpus, monkeypatch):
+    rng = random.Random(39)
+    units = (1, -1, 2, Fraction(1, 3))
+    for name, P in corpus.items():
+        for p in (None, 7, 1000003):
+            _check_relations(monkeypatch, P, g=2, p=p)
+        for shape in ((1, 1, 1), (2, 2, 1), (2, 3, 1), (3, 2, 2)):
+            perts = _benchmark_perturbations(P, rng, *shape)
+            for p in (None, 7):
+                _check_relations(monkeypatch, P, g=3, perturbations=perts,
+                                 p=p)
+        rho = [rng.choice(units) for _ in range(P.nfacets)]
+        _check_relations(monkeypatch, P, g=2, rho=rho)
+        perts = _benchmark_perturbations(P, rng, 2, 2, 1)
+        _check_relations(monkeypatch, P, g=3, rho=rho, perturbations=perts,
+                         p=1000003)
+
+
+def test_relation_maps_match_on_random_polyhedra(monkeypatch):
+    rng = random.Random(3939)
+    units = (1, -1, 2, Fraction(1, 3))
+    for i in range(40):
+        P = catalog.random_delzant(rng, 1 + i % 3, 7)
+        rho = [rng.choice(units) for _ in range(P.nfacets)] \
+            if i % 2 else None
+        perts = _benchmark_perturbations(P, rng, rng.randrange(4),
+                                         rng.randrange(1, 4), 1)
+        _check_relations(monkeypatch, P, g=2, rho=rho, perturbations=perts,
+                         p=None if i % 4 < 2 else 1000003)
+
+
+def test_jacobian_builds_no_structure_table_and_no_nonfaces(corpus,
+                                                            monkeypatch):
+    # the report reads the classical basis alone: with the table and the
+    # nonfaces made to raise, fresh copies of the corpus give the reports
+    # the corpus gives
+    def unread(*args):
+        raise AssertionError("the Jacobian check built what it does not read")
+
+    rng = random.Random(17)
+    cases = []
+    for name, P in corpus.items():
+        perts = _benchmark_perturbations(P, rng, 2, 2, 1)
+        cases += [(name, {"g": g}) for g in (1, 2)]
+        cases.append((name, {"g": 3, "perturbations": perts, "p": 7}))
+    want = [jacobian_freeness(corpus[name], **kwargs)
+            for name, kwargs in cases]
+    fresh = catalog.load_valid_examples()
+    with monkeypatch.context() as patch:
+        patch.setattr(pr, "_classical_structure", unread)
+        patch.setattr(pr, "minimal_nonfaces", unread)
+        with pytest.raises(AssertionError, match="does not read"):
+            pr.classical_presentation(catalog.load_example("cp2"))
+        got = []
+        for name, kwargs in cases:
+            P = fresh[name]
+            if "perturbations" in kwargs:  # over the fresh copy's monoid
+                ctx = mo.monoid_for(P)
+                kwargs = {**kwargs, "perturbations": [
+                    ctx.element({ctx.monomial(mm.lam, mm.nu): c
+                                 for mm, c in pert.terms.items()})
+                    for pert in kwargs["perturbations"]]}
+            got.append(jacobian_freeness(P, **kwargs))
+    assert got == want
+
+
+def test_classical_layers_are_built_once_per_polyhedron(monkeypatch,
+                                                        tmp_path):
+    # audit's classical, quantum and jacobian calls, and classical tables
+    # over other rings, share one build of the classical layers
+    built = []
+    real = topology.vertex_rows
+
+    def counting(P, top, *args, **kwargs):
+        if not args and not kwargs:  # the classical walk, not the quantum
+            built.append(P)
+        return real(P, top, *args, **kwargs)
+
+    monkeypatch.setattr(topology, "vertex_rows", counting)
+    cp2 = catalog.load_example("cp2")
+    doubled = tmp_path / "cp2_doubled.json"
+    doubled.write_text(json.dumps({"dim": 2, "facets": [
+        {"normal": list(nu), "offset": 2} for nu in cp2.normals]}))
+    path = str(resources.files("toricqh").joinpath("data", "cp2.json"))
+    for source in (path, str(doubled)):
+        built.clear()
+        assert cli.main(["--input", source, "--command", "audit"]) == 0
+        # P and the three relabelled copies, and their normalizations
+        assert len(built) == (4 if source == path else 8)
+        assert len({id(P) for P in built}) == len(built)
+    built.clear()
+    P = catalog.load_example("cp2")
+    for ring in ("Z", "Q", "F7"):
+        pr.classical_presentation(P, ring)
+    jacobian_freeness(P, g=2)
+    pr.quantum_presentation(P)
+    assert built == [P]

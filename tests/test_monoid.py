@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import reference
 from toricqh import catalog
 from toricqh import monoid as mo
 from toricqh.errors import LatticeError, PreconditionError
@@ -274,6 +275,22 @@ def test_height_generators_are_the_vertex_thetas(corpus):
                   for lam, nu in zip(P.offsets, P.normals)}
         hm = mo.build_height_monoid(P, [], Fraction(1, 2))
         assert hm.generators == tuple(sorted(thetas))
+
+
+def test_height_levels_match_the_fraction_walk(corpus):
+    # the integer walk over one common denominator gives the generators
+    # and levels of the walk on Fractions
+    rng = random.Random(393)
+    randoms = [catalog.random_delzant(rng, 1 + i % 3, 7) for i in range(40)]
+    cutoffs = (Fraction(1, 2), 1, 2, 3, Fraction(7, 3))
+    for P in [*corpus.values(), *randoms]:
+        for extra in ((), (Fraction(1, 3), Fraction(5, 2))):
+            for g in cutoffs:
+                hm = mo.build_height_monoid(P, extra, g)
+                assert (hm.generators, hm.elements) == \
+                    reference.height_levels(P, extra, g), (P, extra, g)
+                assert all(type(x) is Fraction
+                           for x in (*hm.generators, *hm.elements))
 
 
 def test_height_monoid_rejects_negative(cp1):
