@@ -3,9 +3,12 @@
 The input is a Delzant polyhedron (primitive integer facet normals, positive
 rational offsets).  All arithmetic is exact: integers, rationals and finite
 prime fields only.
+
+``toricqh.catalog`` (the example corpus and random inputs) is imported on
+first use, so that importing the package, or the command line, does not
+load it and ``importlib.resources``.
 """
 
-from . import catalog
 from .errors import (LatticeError, PreconditionError, SchemaError,
                      VerificationError)
 from .jacobian import JacobianReport, jacobian_freeness
@@ -31,3 +34,11 @@ from .topology import (NerveComplex, build_nerve, link, reduced_homology,
                        sphere_or_ball_profile, sr_hilbert_function)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    """``toricqh.catalog``, imported on first access (PEP 562)."""
+    if name == "catalog":
+        import importlib
+        return importlib.import_module(".catalog", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

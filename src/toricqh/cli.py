@@ -403,7 +403,7 @@ def cmd_jacobian(P, args):
         "dim_quotient": rep.dim_quotient,
         "expected_dim": rep.rank * rep.dim_r,
         "free": rep.free,
-        "basis": [pr.format_monomial(Fraction(0), e) for e in rep.basis],
+        "basis": [pr.format_monomial(0, e) for e in rep.basis],
         "note": rep.note,
     }
     return report, (EXIT_OK if rep.free else EXIT_PROPERTY)

@@ -43,7 +43,8 @@ from operator import mul
 from .errors import LatticeError, PreconditionError, SchemaError
 from .polyhedra import (DelzantPolyhedron, Vertex, enumerate_vertices,
                         exact_fraction, exact_parameter, format_point,
-                        integer_parameter, is_integer, memoized)
+                        integer_offsets, integer_parameter, is_integer,
+                        memoized)
 
 
 def scaled(x: Fraction, D: int) -> int:
@@ -130,7 +131,9 @@ class ConeMonoid:
     Construction computes, once and in integers: the common denominator
     ``scale`` (D) of the offsets and the vertex coordinates, the scaled
     vertex points v * D (``scaled_points``) and offsets lambda_j * D
-    (``scaled_offsets``), and for each vertex the lattice basis a
+    (``scaled_offsets``), from the integers over a common denominator that
+    ``polyhedra.integer_offsets`` and each vertex (``Vertex.scaled``) hold,
+    with no Fraction read; and for each vertex the lattice basis a
     decomposition expresses in: the vertex's basis record
     (``polyhedra.vertex_basis``), the incident labels with the integer
     adjugate and determinant of their normals.  It also collects the rays
@@ -144,12 +147,11 @@ class ConeMonoid:
             raise PreconditionError("polyhedron has no vertex; the cone machinery "
                                     "needs the standing vertex assumption")
         self._monomials: dict[tuple[Fraction, tuple[int, ...]], Monomial] = {}
-        self.scale = D = lcm(*(lam.denominator for lam in P.offsets),
-                             *(x.denominator for v in self.vertices
-                               for x in v.point))
-        self.scaled_points = [tuple(scaled(x, D) for x in v.point)
-                              for v in self.vertices]
-        self.scaled_offsets = tuple(scaled(lam, D) for lam in P.offsets)
+        D0, L = integer_offsets(P)
+        self.scale = D = lcm(D0, *(v.scaled[1] for v in self.vertices))
+        self.scaled_points = [tuple([x * (D // q) for x in y])
+                              for y, q in (v.scaled for v in self.vertices)]
+        self.scaled_offsets = tuple([x * (D // D0) for x in L])
         self._bases = [v.basis for v in self.vertices]
         self.rays = tuple(sorted({r for v in self.vertices for r in v.rays}))
         self._normal_columns = list(zip(*P.normals))

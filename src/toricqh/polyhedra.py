@@ -24,6 +24,17 @@ must have dimension dim - 1), facet intersections
 (``monoid.ConeMonoid.contains``).  Input without a vertex holds lines; it is
 answered from the pointed polyhedron that slabs across the lines cut out of
 it (``_pointed_vertices``).
+
+The working form is integers over one denominator.  The offsets are read
+once per polyhedron as integers L_j over their least common denominator D
+(``integer_offsets``); the walk runs on them, each vertex keeps its point as
+integers over its least common denominator (``Vertex.scaled``), and the
+vertices are sorted on integers.  ``monoid.ConeMonoid`` and the inverse
+certificates of ``presentation`` read those integers too.  Fractions are
+the public values: the offsets, ``Vertex.point`` and what reports print.
+Exact inputs are read by ``exact_fraction`` and ``exact_parameter``, which
+take a plain ASCII fraction string with ``int`` and hand every other
+string to ``Fraction``.
 """
 
 from __future__ import annotations
@@ -34,6 +45,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
+from operator import itemgetter
 
 from . import linalg
 from .errors import PreconditionError, SchemaError
@@ -47,6 +59,8 @@ class Vertex:
     basis: tuple = field(default=None, compare=False, repr=False)
     # sorted primitive directions of the unbounded edges leaving the point
     rays: tuple = field(default=(), compare=False, repr=False)
+    # (y, q): point = y / q, integers over the least common denominator q
+    scaled: tuple = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -105,6 +119,33 @@ def integer_parameter(value, what: str, low: int, high: int | None = None):
     raise PreconditionError(f"{what} must be an integer {bound}, got {value!r}")
 
 
+def _read_fraction(value) -> Fraction:
+    """``Fraction(value)``: the same value, or the same exception.
+
+    A Fraction is returned as it is, and a plain ASCII string
+    [+-]digits[/digits] with a nonzero denominator is read by ``int``;
+    every other value goes to ``Fraction``, whose string parser (a regular
+    expression, after abstract-base-class checks) costs several times
+    more.  A string past the interpreter's int/str digit limit goes there
+    too, and raises its ValueError.
+    """
+    if type(value) is Fraction:
+        return value
+    if type(value) is str:
+        num, slash, den = value.partition("/")
+        digits = num[1:] if num[:1] in ("+", "-") else num
+        if (digits.isascii() and digits.isdigit()
+                and (not slash or den.isascii() and den.isdigit())):
+            try:
+                n, d = int(digits), int(den) if slash else 1
+            except ValueError:
+                pass
+            else:
+                if d:
+                    return Fraction(-n if num[0] == "-" else n, d)
+    return Fraction(value)
+
+
 def exact_fraction(value, what: str) -> Fraction:
     """An int, Fraction or fraction string as a Fraction.
 
@@ -114,7 +155,7 @@ def exact_fraction(value, what: str) -> Fraction:
         raise SchemaError(f"{what} must be exact (int or fraction string), "
                           f"got {value!r}")
     try:
-        return Fraction(value)
+        return _read_fraction(value)
     except (ValueError, TypeError, ZeroDivisionError) as exc:
         raise SchemaError(f"bad {what} {value!r}: {exc}") from exc
 
@@ -128,7 +169,7 @@ def exact_parameter(value, what: str) -> Fraction:
     """
     try:
         if not isinstance(value, (float, bool)):
-            return Fraction(value)
+            return _read_fraction(value)
     except (TypeError, ValueError, ZeroDivisionError):
         pass
     raise PreconditionError(f"{what} must be exact (int, Fraction or "
@@ -169,7 +210,7 @@ def polyhedron(dim: int, facets) -> DelzantPolyhedron:
         if g != 1:
             raise SchemaError(f"facet {k}: normal {nu} is not primitive (gcd {g})")
         lam = exact_fraction(lam, f"facet {k}: offset")
-        if lam <= 0:
+        if lam.numerator <= 0:
             raise SchemaError(f"facet {k}: offset must be positive, got {lam}")
         normals.append(nu)
         offsets.append(lam)
@@ -264,15 +305,25 @@ def polyhedron_to_json(P: DelzantPolyhedron) -> dict:
 
 
 @memoized
+def integer_offsets(P: DelzantPolyhedron) -> tuple[int, tuple[int, ...]]:
+    """(D, L): the least common denominator D of the offsets and the
+    integer offsets L_j = lambda_j * D, so that with y = x * D facet j reads
+    <nu_j, y> + L_j >= 0.  Kept on P: the vertex walk, the cone monoid and
+    the inverse certificates work on them instead of on the Fractions."""
+    D = lcm(*(lam.denominator for lam in P.offsets))
+    return D, tuple([lam.numerator * (D // lam.denominator)
+                     for lam in P.offsets])
+
+
+@memoized
 def enumerate_vertices(P: DelzantPolyhedron) -> tuple[Vertex, ...]:
     """All vertices, each listed once, sorted by coordinates, each with
     the basis record that ``vertex_basis`` reads and the rays leaving it.
 
-    One walk over the feasible bases, in integers.  With D the common
-    denominator of the offsets, L_j = lambda_j * D and y = x * D, facet j
-    reads <nu_j, y> + L_j >= 0.  A basis is a sorted list of n rows whose
-    normals are independent, and d = |det A| for A the matrix of their
-    normals.  The tableau has a row for every facet and for every unit
+    One walk over the feasible bases, in integers.  With D and the L_j of
+    ``integer_offsets`` and y = x * D, facet j reads <nu_j, y> + L_j >= 0.
+    A basis is a sorted list of n rows whose normals are independent, and
+    d = |det A| for A the matrix of their normals.  The tableau has a row for every facet and for every unit
     vector e_i: d times the coordinates of that vector on the basis
     normals, then d times its slack at the point where every basis row is
     tight (for e_i, d * y_i).  So the slacks, the point and the ratio test
@@ -315,16 +366,19 @@ def enumerate_vertices(P: DelzantPolyhedron) -> tuple[Vertex, ...]:
 
     A vertex is identified by its incident set (every facet active there,
     so a degenerate vertex reports all of them), since n of them fix the
-    point.  Its basis record comes from its least basis.
+    point.  Its basis record comes from its least basis.  It keeps its
+    point as integers y over their least common denominator q (``scaled``)
+    beside the Fractions y_i / q, and the vertices are sorted by the
+    integers y * (Q / q), Q the lcm of every q, which order them as their
+    points do.
     """
     n, N = P.dim, P.nfacets
-    D = lcm(*(lam.denominator for lam in P.offsets))
+    D, L = integer_offsets(P)
     W = []
     for k, column in enumerate(zip(*P.normals)):
         W.append([*column, *[0] * n])
         W[k][N + k] = 1
-    W.append([lam.numerator * (D // lam.denominator) for lam in P.offsets]
-             + [0] * n)
+    W.append([*L, *[0] * n])
     basis = list(range(N, N + n))
     d, sign = 1, 1
     for k in range(n):  # position k holds the artificial member N + k
@@ -337,16 +391,17 @@ def enumerate_vertices(P: DelzantPolyhedron) -> tuple[Vertex, ...]:
     mask = sum(1 << b for b in basis)
     seen = {mask}
     stack = [(basis, W, d, sign, mask)]
-    found = {}  # incident rows -> [point, least basis, its record, rays]
+    found = {}  # incident rows -> [(y, q), least basis, its record, rays]
     while stack:
         basis, W, d, sign, mask = stack.pop()
         slack = W[n]
         incident = tuple([j for j in range(N) if not slack[j]])
         vertex = found.get(incident)
         if vertex is None:
-            scale = d * D
+            y = slack[N:]
+            g = gcd(d * D, *y)
             vertex = found[incident] = [
-                tuple([Fraction(y, scale) for y in slack[N:]]), basis,
+                (tuple([x // g for x in y]), d * D // g), basis,
                 _basis_record(basis, W, N, d, sign), set()]
         elif basis < vertex[1]:
             vertex[1:3] = basis, _basis_record(basis, W, N, d, sign)
@@ -366,11 +421,14 @@ def enumerate_vertices(P: DelzantPolyhedron) -> tuple[Vertex, ...]:
             if key not in seen:
                 seen.add(key)
                 stack.append((*_pivot(basis, W, l, k, d, sign), key))
-    return tuple(sorted([Vertex(point, frozenset([j + 1 for j in incident]),
-                                record, tuple(sorted(rays)))
-                         for incident, (point, _, record, rays)
-                         in found.items()],
-                        key=lambda v: v.point))
+    Q = lcm(*(q for (_, q), *_ in found.values()))
+    keyed = [(tuple([x * (Q // q) for x in y]),
+              Vertex(tuple([Fraction(x, q) for x in y]),
+                     frozenset([j + 1 for j in incident]), record,
+                     tuple(sorted(rays)), (y, q)))
+             for incident, ((y, q), _, record, rays) in found.items()]
+    keyed.sort(key=itemgetter(0))
+    return tuple([v for _, v in keyed])
 
 
 def _ratio_test(W, N, k, s):
@@ -621,7 +679,8 @@ def monotone_normalization(P: DelzantPolyhedron) -> MonotoneNormalization | None
     P, so all callers share one rescaled polyhedron and what derives from it.
 
     The unknowns (lambda, b) are columns 0..n and the constant is column
-    n + 1: one row (1, nu_j, -lambda_j) per facet goes to a rational
+    n + 1: one row (1, nu_j, -lambda_j) per facet, times the denominator of
+    lambda_j so that its entries are integers, goes to a rational
     ``linalg.Eliminator``.  Its quotient coordinates are a basis of the
     linear forms that vanish on every row, one per free column, so the
     system is solvable exactly when the constant column is free.  The
@@ -632,13 +691,14 @@ def monotone_normalization(P: DelzantPolyhedron) -> MonotoneNormalization | None
     gives.  A system with a family of solutions (e.g. C^n) whose chosen
     lambda is not positive is solved again with lambda = 1 pinned.
     """
-    rows = [[1, *nu, -lam] for nu, lam in zip(P.normals, P.offsets)]
+    rows = [[lam.denominator, *[lam.denominator * x for x in nu],
+             -lam.numerator] for nu, lam in zip(P.normals, P.offsets)]
     x = _solve_homogenized(rows, P.dim + 1)
-    if x is not None and x[0] <= 0:
+    if x is not None and x[0].numerator <= 0:
         x = _solve_homogenized(rows + [[1] + [0] * P.dim + [-1]], P.dim + 1)
-    if x is None or x[0] <= 0:
+    if x is None or x[0].numerator <= 0:
         return None
-    if set(P.offsets) != {1}:
+    if integer_offsets(P) != (1, (1,) * P.nfacets):
         P = DelzantPolyhedron(P.dim, P.normals, (Fraction(1),) * P.nfacets)
     return MonotoneNormalization(tuple(x[1:]), x[0], P)
 

@@ -54,9 +54,10 @@ from . import linalg, topology
 from .errors import PreconditionError, VerificationError
 from .monoid import FilteredElement, format_monomial, monoid_for, signed_sum
 from .polyhedra import (DelzantPolyhedron, exact_parameter, exact_units,
-                        integer_parameter, is_compact, is_integer, memoized,
-                        minimal_nonfaces, monotone_normalization,
-                        relabel_lattice, require_delzant, vertex_coordinates)
+                        integer_offsets, integer_parameter, is_compact,
+                        is_integer, memoized, minimal_nonfaces,
+                        monotone_normalization, relabel_lattice,
+                        require_delzant, vertex_coordinates)
 
 TPoly = tuple  # coefficient tuple, index = exponent of T
 
@@ -180,7 +181,7 @@ class RingPresentation:
         return tuple(sum(e) for e in self.basis)
 
     def basis_names(self) -> tuple[str, ...]:
-        return tuple(format_monomial(Fraction(0), e) for e in self.basis)
+        return tuple(format_monomial(0, e) for e in self.basis)
 
 
 @dataclass(frozen=True)
@@ -370,7 +371,7 @@ class QuantumPresentation:
     layer: QuotientLayer                     # T-degree degree_bound
 
     def basis_names(self) -> tuple[str, ...]:
-        return tuple(format_monomial(Fraction(0), e) for e in self.basis)
+        return tuple(format_monomial(0, e) for e in self.basis)
 
     def monomial_coords(self, k: int, nu, c=1) -> list:
         """Coordinates as T-polynomials on the basis of c times the monomial
@@ -525,7 +526,7 @@ def kodaira_spencer_table(Q: QuantumPresentation) -> dict:
     for g, e in enumerate(Q.basis):
         coords = [() for _ in Q.basis]
         coords[g] = (1,)
-        table["basis_monomials"][format_monomial(Fraction(0), e)] = coords
+        table["basis_monomials"][format_monomial(0, e)] = coords
     return table
 
 
@@ -536,7 +537,7 @@ class InverseCertificate:
     t_exponent: Fraction              # sum m_k lambda_k
 
     def __str__(self) -> str:
-        return (f"{format_monomial(Fraction(0), self.multiplicities)} = "
+        return (f"{format_monomial(0, self.multiplicities)} = "
                 f"{format_monomial(self.t_exponent, ())}")
 
 
@@ -553,7 +554,9 @@ def divisor_inverse_certificate(P: DelzantPolyhedron, j: int) -> InverseCertific
     The identity v_j * prod v_k^(m_k - delta_jk) = T^(sum m_k lambda_k) is
     then verified in integers: the product of the v_k^(m_k) is the cone
     point (sum m_k lambda_k, sum m_k nu_k), which is that power of T exactly
-    when sum m_k nu_k = 0, every m_k >= 0 and m_j >= 1.
+    when sum m_k nu_k = 0, every m_k >= 0 and m_j >= 1.  The exponent is
+    one Fraction, (sum m_k L_k) / D over the integer offsets L of
+    ``polyhedra.integer_offsets``.
     """
     require_delzant(P)
     integer_parameter(j, "facet label", 1, P.nfacets)
@@ -570,8 +573,8 @@ def divisor_inverse_certificate(P: DelzantPolyhedron, j: int) -> InverseCertific
             or any(sum(map(mul, m, column)) for column in zip(*P.normals))):
         raise VerificationError("certificate failed to verify as a monoid "
                                 "identity")
-    exponent = sum((mk * lam for mk, lam in zip(m, P.offsets)), Fraction(0))
-    return InverseCertificate(j, m, exponent)
+    D, L = integer_offsets(P)
+    return InverseCertificate(j, m, Fraction(sum(map(mul, m, L)), D))
 
 
 @memoized

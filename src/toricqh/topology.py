@@ -518,9 +518,8 @@ def vertex_rows(P: DelzantPolyhedron, top: int, rho=None,
     weights = [[c * r if p is None else c * r % p for c in w]
                for w, r in zip(coords, rho or (1,) * N)]
     leads = [s - 1 for s in S]
-    if by_nu:  # the offsets are 1, so v0 is integral
-        keys = SRKeys(P.normals, top,
-                      [int(x) for x in enumerate_vertices(P)[0].point])
+    if by_nu:  # the offsets are 1, so v0 is integral: y over q = 1
+        keys = SRKeys(P.normals, top, list(enumerate_vertices(P)[0].scaled[0]))
         slices = itertools.accumulate(sr_slices(build_nerve(P), keys),
                                       lambda nus, new: sorted(nus + new))
     else:

@@ -21,15 +21,19 @@ one-layer ``presentation.quantum_presentation`` replaced; the relations
 c'_k of ``jacobian_freeness`` by ``FilteredElement`` arithmetic and the
 admissible height levels by a walk on Fractions, which the integer
 versions of ``jacobian._relations`` and ``monoid.build_height_monoid``
-replaced.
+replaced; the readers of exact values by ``Fraction`` alone, the vertex
+order by Fraction points and the cone monoid's scaling from the Fraction
+points and offsets, which the integers over a common denominator replaced.
 """
 
 import json
 from fractions import Fraction
+from math import lcm
 from operator import add, mul
 
 from toricqh import polyhedra, topology
 from toricqh import presentation as pr
+from toricqh.errors import PreconditionError, SchemaError
 from toricqh.monoid import (element_from_monomial, format_monomial, monoid_for,
                             theta)
 from toricqh.polyhedra import (enumerate_vertices, exact_units, polyhedron,
@@ -235,6 +239,51 @@ def monotone_normalization(P):
     if x is None or x[0] <= 0:
         return None
     return tuple(x[1:]), x[0]
+
+
+def exact_fraction(value, what):
+    """``polyhedra.exact_fraction`` with every value read by ``Fraction``."""
+    if isinstance(value, (float, bool)):
+        raise SchemaError(f"{what} must be exact (int or fraction string), "
+                          f"got {value!r}")
+    try:
+        return Fraction(value)
+    except (ValueError, TypeError, ZeroDivisionError) as exc:
+        raise SchemaError(f"bad {what} {value!r}: {exc}") from exc
+
+
+def exact_parameter(value, what):
+    """``polyhedra.exact_parameter`` with every value read by ``Fraction``."""
+    try:
+        if not isinstance(value, (float, bool)):
+            return Fraction(value)
+    except (TypeError, ValueError, ZeroDivisionError):
+        pass
+    raise PreconditionError(f"{what} must be exact (int, Fraction or "
+                            f"fraction string), got {value!r}")
+
+
+def vertices_by_points(P):
+    """The vertices of ``enumerate_vertices``, taken in reverse and sorted
+    by their Fraction points, each as (point, incident, basis record,
+    rays)."""
+    return [(v.point, v.incident, v.basis, v.rays)
+            for v in sorted(enumerate_vertices(P)[::-1], key=lambda v: v.point)]
+
+
+def cone_scaling(P):
+    """(scale, scaled_points, scaled_offsets) of ``monoid.ConeMonoid``
+    from the Fractions: the lcm D of the denominators of the offsets and of
+    every vertex coordinate, and the points and offsets times D."""
+    vertices = enumerate_vertices(P)
+    D = lcm(*(lam.denominator for lam in P.offsets),
+            *(x.denominator for v in vertices for x in v.point))
+
+    def scaled(x):
+        return x.numerator * (D // x.denominator)
+
+    return (D, [tuple(scaled(x) for x in v.point) for v in vertices],
+            tuple(scaled(lam) for lam in P.offsets))
 
 
 def recompose_from_basis(coords, Q):

@@ -329,6 +329,28 @@ def test_cli_does_not_import_argparse():
     assert proc.stdout == "0 []\n", proc.stderr
 
 
+def test_cli_does_not_import_catalog():
+    # the command line never reads the example corpus, so importing it
+    # leaves toricqh.catalog (and importlib.resources with it) unloaded;
+    # the package still gives it, and every public name, on access
+    import toricqh
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(toricqh.__file__).resolve().parents[1]))
+    code = ("import sys\n"
+            "import toricqh.cli\n"
+            "loaded = 'toricqh.catalog' in sys.modules\n"
+            "import toricqh\n"
+            "names = [toricqh.catalog.example_names()[0], "
+            "toricqh.polyhedron.__name__]\n"
+            "from toricqh import catalog\n"
+            "print(loaded, names, catalog is toricqh.catalog)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.stdout == "False ['c1', 'polyhedron'] True\n", proc.stderr
+    with pytest.raises(AttributeError, match="no attribute 'bogus'"):
+        toricqh.bogus
+
+
 def test_quantum_bfield_keeps_the_basis(tmp_path, capsys):
     # P(O + O(2)) over the projective plane
     path = tmp_path / "p_o_o2.json"

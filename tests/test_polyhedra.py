@@ -3,6 +3,7 @@ import itertools
 import math
 import operator
 import random
+import sys
 from fractions import Fraction
 from math import gcd
 
@@ -95,6 +96,112 @@ def test_vertices_match_fraction_reference():
     assert {is_compact(P) for P in randoms} == {True, False}
     for P in randoms:
         assert enumerate_vertices(P) == _reference_vertices(P), P
+
+
+# Strings that the plain [+-]digits[/digits] reader takes, and strings that
+# only ``Fraction`` reads or that it rejects: spaces, decimals, exponents,
+# underscores, non-ASCII digits, a zero denominator, stray signs and slashes,
+# and a numerator past the default int/str digit limit.
+FRACTION_STRINGS = [
+    "0", "-0", "+7", "007", "1/2", "-3/4", "+5/10", "1/007", "1/0", "1/-2",
+    "+-1", "1//2", "", "/", "3/", "-", " 1/2", "1/2 ", "1.5", "1e3", "1_000",
+    "\u0661/\u0662", "\u00b2", "9" * 5000 + "/7"]
+
+
+def _outcome(read, value):
+    try:
+        x = read(value, "w")
+    except Exception as exc:
+        return "raises", type(exc), str(exc)
+    return "gives", type(x), x
+
+
+@pytest.mark.parametrize("limit", ["default", "lifted"])
+def test_exact_readers_match_the_fraction_parser(limit):
+    # exact_fraction and exact_parameter give Fraction(str)'s value for
+    # every string it accepts and, for every other, the exception type and
+    # message of a reader that hands the string to Fraction; under the
+    # default digit limit the 5,000-digit numerator is one of those.
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("no int/str digit limit in this Python")
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(
+        sys.int_info.default_max_str_digits if limit == "default" else 0)
+    try:
+        outcomes = {}
+        for text in FRACTION_STRINGS:
+            for read, oracle in [
+                    (polyhedra.exact_fraction, reference.exact_fraction),
+                    (polyhedra.exact_parameter, reference.exact_parameter)]:
+                outcome = _outcome(read, text)
+                assert outcome == _outcome(oracle, text), (read, text[:20])
+                outcomes[text] = outcome[0]
+                if outcome[0] == "gives":
+                    assert outcome[2] == Fraction(text)
+    finally:
+        sys.set_int_max_str_digits(before)
+    assert outcomes["9" * 5000 + "/7"] == (
+        "raises" if limit == "default" else "gives")
+    assert outcomes["\u0661/\u0662"] == outcomes["1.5"] == "gives"
+    assert outcomes["1/0"] == outcomes["+-1"] == "raises"
+
+
+def test_exact_readers_return_a_fraction_as_it_is():
+    x = Fraction(-7, 3)
+    assert polyhedra.exact_fraction(x, "w") is x
+    assert polyhedra.exact_parameter(x, "w") is x
+    assert polyhedra.exact_fraction(5, "w") == Fraction(5)
+    with pytest.raises(SchemaError, match="must be exact"):
+        polyhedra.exact_fraction(True, "w")
+    with pytest.raises(PreconditionError, match="must be exact"):
+        polyhedra.exact_parameter(0.5, "w")
+
+
+# A triangle with a vertex of determinant 3, at (-1, 2/3).
+THIRDS_TRIANGLE = [((1, 0), 1), ((0, 1), 1), ((-1, -3), 1)]
+
+
+def _vertex_inputs():
+    """The corpus, the octahedron, the square pyramid, the thirds triangle
+    and 40 random Delzant inputs of dimension 2-4, compact and not."""
+    polys = [catalog.load_example(name) for name in catalog.example_names()]
+    polys += [polyhedron(3, OCTAHEDRON), polyhedron(3, SQUARE_PYRAMID),
+              polyhedron(2, THIRDS_TRIANGLE)]
+    rng = random.Random(40)
+    polys += [catalog.random_delzant(rng, 2 + t % 3, 4 + t % 5,
+                                     allow_noncompact=t % 2 == 0)
+              for t in range(40)]
+    return polys
+
+
+def test_vertices_are_sorted_as_their_fraction_points():
+    # The integer sort key orders the vertices as their Fraction points do,
+    # and each vertex keeps its point as integers over the least common
+    # denominator; in the thirds triangle and in 15 of the random inputs the
+    # vertex denominators differ.
+    polys = _vertex_inputs()
+    assert {is_compact(P) for P in polys[14:]} == {True, False}
+    mixed = []
+    for P in polys:
+        vertices = enumerate_vertices(P)
+        assert [(v.point, v.incident, v.basis, v.rays) for v in vertices] \
+            == reference.vertices_by_points(P), P
+        for v in vertices:
+            y, q = v.scaled
+            assert math.gcd(q, *y) == 1 and q > 0
+            assert v.point == tuple(Fraction(x, q) for x in y)
+        mixed.append(len({v.scaled[1] for v in vertices}) > 1)
+    assert mixed[13] and not check_delzant(polys[13]).passed
+    assert sum(mixed[14:]) == 15
+
+
+def test_cone_scaling_matches_the_fraction_scaling():
+    for P in _vertex_inputs():
+        if not enumerate_vertices(P):
+            continue
+        ctx = monoid.ConeMonoid(P)
+        assert (ctx.scale, ctx.scaled_points, ctx.scaled_offsets) == \
+            reference.cone_scaling(P), P
 
 
 def _random_arrangement(rng, dim, nfacets):

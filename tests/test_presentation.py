@@ -990,6 +990,32 @@ def test_divisor_inverse_certificates_match_the_composition_search(corpus):
             assert cert.multiplicities == inverse_multiplicities(P, j), (P, j)
 
 
+def test_inverse_exponent_matches_the_fraction_sum(corpus):
+    # t_exponent, one Fraction over the integer offsets, equals the sum of
+    # m_k * lambda_k in Fractions: on the compact corpus, on 40 compact
+    # random inputs (some with non-integer offsets) and on CP^4 with its
+    # last vertex cut three times at 1/3.
+    nested = polyhedron(4, [(tuple(int(i == k) for i in range(4)), 1)
+                            for k in range(4)] + [((-1, -1, -1, -1), 1)])
+    for _ in range(3):
+        nested = catalog.blow_up(nested, len(enumerate_vertices(nested)) - 1,
+                                 Fraction(1, 3))
+    rng = random.Random(77)
+    randoms = [catalog.random_delzant(rng, 2 + t % 3, 7, allow_noncompact=False)
+               for t in range(40)]
+    assert all(is_compact(P) for P in randoms)
+    assert any(lam.denominator > 1 for P in randoms for lam in P.offsets)
+    polys = [P for P in corpus.values() if is_compact(P)] + randoms + [nested]
+    assert nested.nfacets == 8
+    for P in polys:
+        for j in range(1, P.nfacets + 1):
+            cert = pr.divisor_inverse_certificate(P, j)
+            assert cert.t_exponent == sum(
+                (m * lam for m, lam in zip(cert.multiplicities, P.offsets)),
+                Fraction(0)), (P, j)
+            assert type(cert.t_exponent) is Fraction
+
+
 def test_divisor_inverse_certificate_checks_the_multiplicities(
         cp2, monkeypatch):
     # The identity is checked on m itself: a vector with sum m_k nu_k != 0,
