@@ -19,8 +19,20 @@ not free.  Such a verdict can therefore be an artifact of too small a slice:
 ``escalations == 2`` together with ``free == False`` means "not confirmed
 at this cap", not a proof of non-freeness.
 
-The slice runs in integers: weights and heights are scaled by one common
-denominator D', and T^h * v^t is keyed by one integer of
+The set-up runs in integers.  The cutoff, the offsets, rho and the
+perturbations' coefficients, T-weights and heights are read through their
+numerators and denominators, over one common denominator L of the offsets,
+the vertices, g and the perturbation T-weights: the height levels
+(``monoid.scaled_height_levels``, the integer core of
+``build_height_monoid``), the inner window and the three caps (``_caps``)
+and the relations (``_relations``).  D' is the least common denominator of
+what the slice reads (the cone monoid's scale, g, the window, the caps, the
+levels and the relation weights): L over the gcd of those values times L.
+The slice takes them times D' (``_SetUp``), and only the values that the
+report carries are made Fractions.
+
+The slice runs in integers: weights and heights are scaled by D', and
+T^h * v^t is keyed by one integer of
 ``topology.SRKeys`` over the scaled (lam, nu) of the N generators and of T
 (one step per unit of D' * height), ordered by theta_{v0}, v0 the first
 vertex, with ``top`` the largest scaled cap.  Every generator has scaled
@@ -44,8 +56,8 @@ with w_l the integer coordinates of nu_l in the basis nu_{s_1..s_n}.  The
 change of basis lies in GL_n(Z), so the c'_k generate the same ideal as the
 n components of sum_j nu_j h_j, over Z, Q and every F_p, and have the same
 monomials: rel_weight, the largest T-weight of a relation term, is
-unchanged.  Each c'_k is a map {(lam, nu): coefficient}, summed from the
-w_l, the units rho_j on v_j = (lambda_j, nu_j) and the perturbations'
+unchanged.  Each c'_k is a map {(lam * D', nu): coefficient}, summed from
+the w_l, the units rho_j on v_j = (lambda_j, nu_j) and the perturbations'
 terms (``_relations``): a row needs only (lam, nu), so no monomial is
 decomposed.  The candidate basis is the classical one, read from the
 certified layers (``presentation.classical_layers``) without the
@@ -60,9 +72,10 @@ identity stays inside the window: its rows are relations times monomials
 of weight at most w(m) - lambda_{s_t} + rel_weight, which must be at most
 w_max.  Truncation at height g is a ring quotient, so the identity
 survives it, and rho_{s_t} is a unit over Q and, as checked on entry,
-modulo p.  Each relation is normalized once by ``linalg.normalize``
-(scaled to integers over Q, reduced to residues over F_p) and its rows go
-to the eliminator as they are.
+modulo p.  Each relation is normalized once, to the integers that
+``linalg.normalize`` makes of its rational coefficients (scaled to
+integers over Q, reduced to residues over F_p), and its rows go to the
+eliminator as they are.
 
 The window by pivot count.  The quotient dimension is measured on an
 inner window, the monomials of T-weight at most n * max(lambda) + g: near
@@ -98,14 +111,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import add, itemgetter, mul
 
 from . import linalg, topology
 from .errors import PreconditionError, VerificationError
-from .monoid import FilteredElement, build_height_monoid, monoid_for, scaled
+from .monoid import (FilteredElement, monoid_for, scaled,
+                     scaled_height_levels)
 from .polyhedra import (DelzantPolyhedron, exact_parameter, exact_units,
-                        require_delzant, vertex_coordinates)
+                        is_integer, require_delzant, vertex_coordinates)
 from .presentation import classical_layers
 
 
@@ -132,14 +146,14 @@ def jacobian_freeness(P: DelzantPolyhedron, perturbations=None, rho=None,
     """Verify freeness of the truncated generalised Jacobian quotient.
 
     perturbations: optional list of N filtered elements of strictly positive
-    height, added to the rescaled generators rho_j * v_j; anything else in
-    it raises PreconditionError.  g: truncation cutoff.  p: None for Q,
-    else a prime.
+    height, with exact coefficients, added to the rescaled generators
+    rho_j * v_j; anything else in it raises PreconditionError.  g:
+    truncation cutoff.  p: None for Q, else a prime.
     """
     field = topology.field_name(p)
     require_delzant(P)
     g = exact_parameter(g, "cutoff")
-    if g <= 0:
+    if g.numerator <= 0:
         raise PreconditionError("cutoff must be positive")
     ctx = monoid_for(P)
     N, n = P.nfacets, P.dim
@@ -149,72 +163,128 @@ def jacobian_freeness(P: DelzantPolyhedron, perturbations=None, rho=None,
             if r.numerator % p == 0 or r.denominator % p == 0:
                 raise PreconditionError(f"B-field entry {j} ({r}) is not a "
                                         f"unit modulo {p}")
+    terms = _perturbation_terms(ctx, perturbations, p)
+    monomials = [mm for pert in terms for mm, _ in pert]
 
-    if perturbations is None:
-        perturbations = [ctx.zero()] * N
-    perturbations = list(perturbations)
-    if len(perturbations) != N:
-        raise PreconditionError(f"expected {N} perturbations")
-    pert_heights = []
-    pert_weight = Fraction(0)
-    for j, pert in enumerate(perturbations):
-        if not isinstance(pert, FilteredElement):
-            raise PreconditionError(f"perturbation {j + 1} must be a filtered "
-                                    f"element, got {pert!r}")
-        if pert.is_zero():
-            continue
-        if pert.monoid is not ctx:
-            raise PreconditionError("perturbations must live over this "
-                                    "polyhedron's monoid")
-        if p is not None and any(c.denominator % p == 0
-                                 for c in pert.terms.values()):
-            raise PreconditionError(f"perturbation {j + 1} has a coefficient "
-                                    f"with denominator divisible by {p}")
-        h = pert.height()
-        if h <= 0:
-            raise PreconditionError(f"perturbation {j + 1} has height {h}; the "
-                                    f"leading-term condition needs height > 0")
-        pert_heights.extend(m.height for m in pert.terms)
-        pert_weight = max(pert_weight, max(m.lam for m in pert.terms))
-
-    G = build_height_monoid(P, pert_heights, g)
-    levels = G.elements
+    # The set-up runs in integers over L, the common denominator of the
+    # offsets, the vertices, g and the perturbation terms' T-weights.
+    L = lcm(ctx.scale, g.denominator, *(mm.lam.denominator
+                                        for mm in monomials))
+    g_L = scaled(g, L)
+    generators, levels = scaled_height_levels(
+        ctx, [scaled(mm.height, L) for mm in monomials], g_L, L)
     dim_r = len(levels)
 
     basis = classical_layers(P).basis
     m = len(basis)
-    relations = _relations(P, rho, perturbations)
+    relations = _relations(ctx, rho, terms, L, p)
 
-    lam_max, lam_min = max(P.offsets), min(P.offsets)
-    step = max(lam_max, pert_weight)
-    inner_cap = n * lam_max + g
-    first = inner_cap + (dim_r - 1) * max(Fraction(0), step - lam_min) + \
-        max(Fraction(0), pert_weight - lam_min)
-    caps = [first + i * (inner_cap + (dim_r - 1) * step) for i in range(3)]
-    piece = _Slice(P, ctx, levels, g, relations, caps, inner_cap, basis, p)
-    for escalations, cap in enumerate(caps):  # at most two escalations
+    pert_weight = max((scaled(mm.lam, L) for mm in monomials), default=0)
+    inner, caps = _caps(n, [L // ctx.scale * x for x in ctx.scaled_offsets],
+                        pert_weight, g_L, dim_r)
+    # D' = L / stride, the least common denominator of what the slice reads
+    stride = gcd(L // ctx.scale, g_L, inner, *caps, *levels,
+                 *(w for rel in relations for w, _ in rel))
+    set_up = _SetUp(L // stride, g_L // stride, inner // stride,
+                    tuple(c // stride for c in caps),
+                    tuple(h // stride for h in levels),
+                    tuple({(w // stride, nu): c for (w, nu), c in rel.items()}
+                          for rel in relations))
+    piece = _Slice(P, ctx, set_up, basis, p)
+    for escalations, cap in enumerate(set_up.caps):  # at most two escalations
         dim_s, dim_quotient, independent = piece.grow(cap)
         free = dim_quotient == m * dim_r and independent
         if free:
             break
 
     note = ("dim_s counts the monomials of T-weight at most the inner window "
-            f"{inner_cap}; dim_quotient is the dimension of their span in the "
-            "quotient, computed with reduction slack up to the weight cap.  "
-            "Freeness is verified at this finite cutoff only.")
-    return JacobianReport(g, field, rho, G.generators, levels, cap, escalations,
-                          dim_r, m, dim_s, dim_quotient, basis, free, note)
+            f"{Fraction(inner, L)}; dim_quotient is the dimension of their "
+            "span in the quotient, computed with reduction slack up to the "
+            "weight cap.  Freeness is verified at this finite cutoff only.")
+    return JacobianReport(g, field, rho,
+                          tuple(Fraction(x, L) for x in generators),
+                          tuple(Fraction(h, L) for h in levels),
+                          Fraction(cap, set_up.scale), escalations, dim_r, m,
+                          dim_s, dim_quotient, basis, free, note)
 
 
-def _relations(P, rho, perturbations) -> list[dict]:
+def _caps(n: int, offsets, pert_weight: int, g: int, dim_r: int):
+    """(inner window, caps) in the integers of the scaled ``offsets``: the
+    inner window n * max(lambda) + g, and three caps, the first with room
+    beyond it for dim_r - 1 steps of the largest offset or perturbation
+    T-weight over the least offset, each next one an inner window and
+    dim_r - 1 such steps more."""
+    lam_max, lam_min = max(offsets), min(offsets)
+    step = max(lam_max, pert_weight)
+    inner = n * lam_max + g
+    first = inner + (dim_r - 1) * max(0, step - lam_min) + \
+        max(0, pert_weight - lam_min)
+    return inner, [first + i * (inner + (dim_r - 1) * step) for i in range(3)]
+
+
+def _perturbation_terms(ctx, perturbations, p) -> list[tuple]:
+    """The (monomial, coefficient) terms of each perturbation, for None no
+    terms, after the checks of ``jacobian_freeness``: N filtered elements
+    over ``ctx``, each coefficient an int or a Fraction (over F_p with a
+    denominator prime to p), each term of positive height."""
+    N = ctx.P.nfacets
+    if perturbations is None:
+        return [()] * N
+    try:
+        perturbations = list(perturbations)
+    except TypeError:
+        raise PreconditionError(f"perturbations must be a list of {N} "
+                                f"filtered elements, got {perturbations!r}"
+                                ) from None
+    if len(perturbations) != N:
+        raise PreconditionError(f"expected {N} perturbations")
+    terms = []
+    for j, pert in enumerate(perturbations, start=1):
+        if not isinstance(pert, FilteredElement):
+            raise PreconditionError(f"perturbation {j} must be a filtered "
+                                    f"element, got {pert!r}")
+        terms.append(tuple(pert.terms.items()))
+        if pert.is_zero():
+            continue
+        if pert.monoid is not ctx:
+            raise PreconditionError("perturbations must live over this "
+                                    "polyhedron's monoid")
+        for c in pert.terms.values():
+            if type(c) is not Fraction and not is_integer(c):
+                raise PreconditionError(f"perturbation {j} has the "
+                                        f"coefficient {c!r}, which is not "
+                                        f"exact (int or Fraction)")
+            if p is not None and c.denominator % p == 0:
+                raise PreconditionError(f"perturbation {j} has a coefficient "
+                                        f"with denominator divisible by {p}")
+        if not all(mm.height.numerator > 0 for mm in pert.terms):
+            raise PreconditionError(f"perturbation {j} has height "
+                                    f"{pert.height()}; the leading-term "
+                                    f"condition needs height > 0")
+    return terms
+
+
+def _relations(ctx, rho, terms, L: int, p) -> list[dict]:
     """The c'_k = sum_j w_jk h_j of the first vertex's basis, in order, as
-    maps {(lam, nu): coefficient} with the zero terms left out, for
-    h_j = rho_j v_j + perturbation_j and v_j = (lambda_j, nu_j)."""
+    maps {(lam * L, nu): coefficient} with the zero terms left out, for
+    h_j = rho_j v_j + perturbation_j, v_j = (lambda_j, nu_j) and the terms
+    ``terms`` of the perturbations.
+
+    The coefficients are summed as integers over E, the common denominator
+    of rho and the perturbations' coefficients, so a term is left out
+    exactly where its rational sum is zero, and come out as
+    ``linalg.normalize`` makes them from the rational sums: over Q divided
+    by the gcd G of E and the relation's sums (the relation times E / G),
+    over F_p as residues in 1..p-1 (E is a unit modulo p)."""
+    P = ctx.P
     _, coords = vertex_coordinates(P, 0)
-    hs = [[((lam, nu), r), *(((mm.lam, mm.nu), c)
-                             for mm, c in pert.terms.items())]
-          for lam, nu, r, pert in zip(P.offsets, P.normals, rho,
-                                      perturbations)]
+    E = lcm(*(r.denominator for r in rho),
+            *(c.denominator for pert in terms for _, c in pert))
+    hs = [[((L // ctx.scale * lam, nu), r.numerator * (E // r.denominator)),
+           *(((scaled(mm.lam, L), mm.nu), c.numerator * (E // c.denominator))
+             for mm, c in pert)]
+          for lam, nu, r, pert in zip(ctx.scaled_offsets, P.normals, rho,
+                                      terms)]
     relations = []
     for k in range(P.dim):
         rel = {}
@@ -226,34 +296,49 @@ def _relations(P, rho, perturbations) -> list[dict]:
                         rel[key] = total
                     else:
                         rel.pop(key, None)
-        relations.append(rel)
+        if p is None:
+            G = gcd(E, *rel.values())
+            relations.append({key: c // G for key, c in rel.items()})
+        else:
+            inverse = pow(E, -1, p)
+            relations.append({key: r for key, c in rel.items()
+                              if (r := c * inverse % p)})
     return relations
 
 
-class _Slice:
-    """The slice of one call, grown by ``grow`` to each of ``caps`` in
-    turn.  ``relations`` are the c'_k of the first vertex's basis, in
-    order, as the maps of ``_relations``; the Koszul skip and the lead
-    order need that basis.  ``columns`` maps the key of a monomial to its
-    column."""
+@dataclass(frozen=True)
+class _SetUp:
+    """What the slice of one call reads, in integers over the common
+    denominator ``scale`` (D'): the cutoff g, the inner window, the caps in
+    order and the levels, each times D', and the relations c'_k as maps
+    {(lam * D', nu): row coefficient} (``_relations``)."""
+    scale: int
+    g: int
+    inner: int
+    caps: tuple[int, ...]
+    levels: tuple[int, ...]
+    relations: tuple[dict, ...]
 
-    def __init__(self, P, ctx, levels, g, relations, caps, inner_cap, basis,
-                 p):
+
+class _Slice:
+    """The slice of one call, grown by ``grow`` to each of the set-up's
+    caps in turn.  Its relations are the c'_k of the first vertex's basis,
+    in order; the Koszul skip and the lead order need that basis.
+    ``columns`` maps the key of a monomial to its column."""
+
+    def __init__(self, P, ctx, set_up: _SetUp, basis, p):
         self.nerve = topology.build_nerve(P)
-        self.scale = scale = lcm(
-            ctx.scale, g.denominator, inner_cap.denominator,
-            *(x.denominator for x in (*caps, *levels)),
-            *(lam.denominator for rel in relations for lam, _ in rel))
-        k = scale // ctx.scale
+        self.scale = set_up.scale
+        k = set_up.scale // ctx.scale
         weights = [k * lam for lam in ctx.scaled_offsets]
         # theta_{v0} * D' of (lam * D' = w, nu) is w + k * <v0 * D, nu>
         self.keys = keys = topology.SRKeys(
             [*((w, *nu) for w, nu in zip(weights, P.normals)),
-             (1,) + (0,) * P.dim], scaled(max(caps), scale),
+             (1,) + (0,) * P.dim], max(set_up.caps),
             (1, *(k * x for x in ctx.scaled_points[0])))
         *steps, t_step = keys.steps
-        self.rel_w = max((scaled(lam, scale) for rel in relations
-                          for lam, _ in rel), default=0)
+        self.rel_w = max((w for rel in set_up.relations for w, _ in rel),
+                         default=0)
         # The walk sums (weight, key) and theta_v * D' for every vertex v.
         # In the Koszul window, v_{s_t} dividing m (s_t in the face of m)
         # skips the rows c'_k * m with k > t when
@@ -262,31 +347,30 @@ class _Slice:
                       for t, s in enumerate(vertex_coordinates(P, 0)[0])]
         self.vectors = [(w, step, *(w + k * x for x in ctx.pairings(nu)))
                         for w, step, nu in zip(weights, steps, P.normals)]
-        self.heights = [(h, h * t_step)
-                        for h in (scaled(x, scale) for x in levels)]
+        self.heights = [(h, h * t_step) for h in set_up.levels]
         # the window: T-weight at most the inner cap; the basis lies in it
-        self.inner_w = scaled(inner_cap, scale)
+        self.inner_w = set_up.inner
         self.basis_keys = {sum(map(mul, t, steps)) + lift
                            for _, lift in self.heights for t in basis}
-        assert len(self.basis_keys) == len(basis) * len(levels)
-        self.g_s = scaled(g, scale)
+        assert len(self.basis_keys) == len(basis) * len(set_up.levels)
+        self.g_s = set_up.g
         # distinct terms times one monomial land in distinct columns, so
-        # each normalized coefficient is a row entry as it is
+        # each coefficient is a row entry as it is
         self.terms = [[(keys.encode((w, *nu)), c,
                         [w + k * x for x in ctx.pairings(nu)])
-                       for (lam, nu), c in linalg.normalize(rel, p).items()
-                       for w in [scaled(lam, scale)]]
-                      for rel in relations]
+                       for (w, nu), c in rel.items()]
+                      for rel in set_up.relations]
         self.elim = linalg.Eliminator(p)
         self.columns = {}
         # the last cap, scaled, and the number of columns in each region
         self.cap, self.sizes = -1, [0, 0, 0]
 
-    def grow(self, cap: Fraction) -> tuple[int, int, bool]:
-        """Grow the slice to the T-weight ``cap``, one of its caps and at
-        least the last, and return (dim_s, dim_quotient, independent)."""
+    def grow(self, cap: int) -> tuple[int, int, bool]:
+        """Grow the slice to the T-weight ``cap`` (times D'), one of its
+        caps and at least the last, and return (dim_s, dim_quotient,
+        independent)."""
         columns, g_s = self.columns, self.g_s
-        for _, key, h, vec, built in self._walk(scaled(cap, self.scale)):
+        for _, key, h, vec, built in self._walk(cap):
             for rel in self.terms[:built]:
                 row = {}
                 for step, c, theta in rel:

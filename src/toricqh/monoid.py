@@ -28,8 +28,10 @@ takes the basis of each vertex from the record that the vertex walk of
 ``polyhedra.enumerate_vertices`` leaves on it (``polyhedra.vertex_basis``:
 the labels, integer adjugate and determinant of the normals it expresses
 in), so no solve runs here; a decomposition then costs integer dot products
-and one d x d integer matrix-vector product.  Public values (``lam``,
-``height``) stay exact fractions.
+and one d x d integer matrix-vector product.  Membership and the sign test
+of a decomposition read lam through its numerator and denominator, and the
+height levels are walked in integers (``scaled_height_levels``).  Public
+values (``lam``, ``height``) stay exact fractions.
 """
 
 from __future__ import annotations
@@ -53,13 +55,20 @@ def scaled(x: Fraction, D: int) -> int:
 
 
 def _lam_nu(c):
-    """(lam, nu) of a monomial or a pair, lam as a Fraction; a float or
-    bool lam raises PreconditionError."""
+    """(lam, nu) of a monomial or a pair, lam a Fraction or an int that is
+    no bool, read through ``numerator`` and ``denominator``; a float or bool
+    lam, or a value that is no pair, raises PreconditionError."""
     if isinstance(c, Monomial):
         return c.lam, c.nu
-    lam, nu = c
-    return (lam if type(lam) is Fraction else exact_parameter(lam, "lambda"),
-            tuple(nu))
+    try:
+        lam, nu = c
+        nu = tuple(nu)
+    except (TypeError, ValueError):
+        raise PreconditionError(f"a cone element is a pair (lam, nu), got "
+                                f"{c!r}") from None
+    if type(lam) is not Fraction and not is_integer(lam):
+        lam = exact_parameter(lam, "lambda")
+    return lam, nu
 
 
 def _check_nu(nu, n: int, what: str = "nu") -> None:
@@ -168,7 +177,8 @@ class ConeMonoid:
         <nu, r> >= 0 for every ray r of P."""
         lam, nu = _lam_nu(c)
         _check_nu(nu, self.P.dim)
-        return (lam * self.scale + min(self.pairings(nu)) >= 0
+        return (lam.numerator * self.scale
+                + min(self.pairings(nu)) * lam.denominator >= 0
                 and all(sum(map(mul, r, nu)) >= 0 for r in self.rays))
 
     def height(self, c) -> Fraction:
@@ -189,10 +199,10 @@ class ConeMonoid:
         D = self.scale
         dots = self.pairings(nu)
         low = min(dots)
-        s = Fraction(lam.numerator * D + low * lam.denominator,
-                     lam.denominator * D)
-        if s < 0:
+        num = lam.numerator * D + low * lam.denominator
+        if num < 0:
             raise PreconditionError(f"({lam}, {nu}) is not in the cone")
+        s = Fraction(num, lam.denominator * D)
         k = dots.index(low)
         t = self._express_at_vertex(k, nu)
         if t is None:
@@ -222,6 +232,8 @@ class ConeMonoid:
         lam, nu = _lam_nu((lam, nu))
         # checked before the lookup: (1, (True, 0)) equals a cached key
         _check_nu(nu, self.P.dim)
+        if type(lam) is not Fraction:
+            lam = Fraction(lam)
         m = self._monomials.get((lam, nu))
         if m is None:
             s, t = self.decompose((lam, nu))
@@ -257,8 +269,11 @@ class ConeMonoid:
         return FilteredElement(self, {})
 
     def element(self, terms) -> "FilteredElement":
-        """Build a filtered element from {monomial: coefficient}."""
-        return FilteredElement(self, {m: Fraction(c) for m, c in terms.items() if c})
+        """Build a filtered element from {monomial: coefficient}, each
+        coefficient exact (``exact_parameter``), the zero ones left out."""
+        terms = {m: exact_parameter(c, "coefficient") for m, c in terms.items()}
+        return FilteredElement(self, {m: c for m, c in terms.items()
+                                      if c.numerator})
 
 
 @memoized
@@ -416,22 +431,39 @@ class HeightMonoid:
 def build_height_monoid(P: DelzantPolyhedron, extra, g) -> HeightMonoid:
     """Monoid generated by all values theta_v(lambda_j, nu_j), read off the
     cone monoid's integers, plus the given extra heights, enumerated on
-    [0, g).  The levels are walked as integers over the common denominator
-    of the generators and g."""
+    [0, g).  The values are integers over one common denominator of the
+    cone monoid's scale, g and the extra heights
+    (``scaled_height_levels``); only the result is made Fractions."""
     g = exact_parameter(g, "cutoff")
-    if g <= 0:
+    if g.numerator <= 0:
         raise PreconditionError("cutoff must be positive")
-    extra = [exact_parameter(x, "extra height") for x in extra]
-    if any(x < 0 for x in extra):
+    try:
+        extra = [exact_parameter(x, "extra height") for x in extra]
+    except TypeError:
+        raise PreconditionError(f"the extra heights must be a list of exact "
+                                f"values, got {extra!r}") from None
+    if any(x.numerator < 0 for x in extra):
         raise PreconditionError("extra heights must be non-negative")
     ctx = monoid_for(P)
-    gens = {Fraction(lam + dot, ctx.scale)
-            for lam, nu in zip(ctx.scaled_offsets, P.normals)
+    D = lcm(ctx.scale, g.denominator, *(x.denominator for x in extra))
+    gens, elements = scaled_height_levels(
+        ctx, [scaled(x, D) for x in extra], scaled(g, D), D)
+    return HeightMonoid(tuple(Fraction(x, D) for x in gens), g,
+                        tuple(Fraction(s, D) for s in elements))
+
+
+def scaled_height_levels(ctx: ConeMonoid, extra, top: int, D: int):
+    """(generators, elements) of the height monoid as sorted integers over
+    D, a multiple of ``ctx.scale``: the values theta_v(lambda_j, nu_j) * D
+    and the ``extra`` heights, already scaled by D, and every sum of
+    positive ones below ``top`` (the cutoff times D), walked depth first."""
+    k = D // ctx.scale
+    gens = {k * (lam + dot)
+            for lam, nu in zip(ctx.scaled_offsets, ctx.P.normals)
             for dot in ctx.pairings(nu)}
     gens.update(extra)
-    D = lcm(g.denominator, *(x.denominator for x in gens))
-    positive = sorted(scaled(x, D) for x in gens if x > 0)
-    top = scaled(g, D)
+    gens = sorted(gens)
+    positive = [x for x in gens if x > 0]
     elements = {0}
     frontier = [0]
     while frontier:
@@ -443,8 +475,7 @@ def build_height_monoid(P: DelzantPolyhedron, extra, g) -> HeightMonoid:
             if s not in elements:
                 elements.add(s)
                 frontier.append(s)
-    return HeightMonoid(tuple(sorted(gens)), g,
-                        tuple(Fraction(s, D) for s in sorted(elements)))
+    return tuple(gens), tuple(sorted(elements))
 
 
 def enumerate_gamma_degree(P: DelzantPolyhedron, k: int) -> list[Monomial]:

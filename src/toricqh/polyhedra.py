@@ -178,12 +178,16 @@ def exact_parameter(value, what: str) -> Fraction:
 
 def exact_units(rho, nfacets: int) -> tuple[Fraction, ...]:
     """B-field units as Fractions: one ``exact_parameter`` per facet, each
-    nonzero; PreconditionError otherwise."""
-    rho = tuple(exact_parameter(r, "B-field entry") for r in rho)
+    nonzero, zero tested on the numerator; PreconditionError otherwise."""
+    try:
+        rho = tuple(exact_parameter(r, "B-field entry") for r in rho)
+    except TypeError:
+        raise PreconditionError(f"the B-field must be {nfacets} units, got "
+                                f"{rho!r}") from None
     if len(rho) != nfacets:
         raise PreconditionError(f"expected {nfacets} B-field entries, got "
                                 f"{len(rho)}")
-    if 0 in rho:
+    if not all(r.numerator for r in rho):
         raise PreconditionError("B-field entries must be nonzero units")
     return rho
 

@@ -18,10 +18,12 @@ strings make, and the generator coordinates and products of a quantum
 report by ``reduce_to_basis`` of ``FilteredElement`` products; the
 quantum presentation by one elimination per T-degree, the method the
 one-layer ``presentation.quantum_presentation`` replaced; the relations
-c'_k of ``jacobian_freeness`` by ``FilteredElement`` arithmetic and the
-admissible height levels by a walk on Fractions, which the integer
-versions of ``jacobian._relations`` and ``monoid.build_height_monoid``
-replaced; the readers of exact values by ``Fraction`` alone, the vertex
+c'_k of ``jacobian_freeness`` by ``FilteredElement`` arithmetic, the
+admissible height levels by a walk on Fractions and the whole Fraction
+set-up of the Jacobian slice (caps, inner window, D', levels, relation
+maps), which the integer versions of ``jacobian._relations``,
+``monoid.build_height_monoid`` and ``jacobian_freeness`` replaced; the
+readers of exact values by ``Fraction`` alone, the vertex
 order by Fraction points and the cone monoid's scaling from the Fraction
 points and offsets, which the integers over a common denominator replaced.
 """
@@ -30,12 +32,13 @@ import json
 from fractions import Fraction
 from math import lcm
 from operator import add, mul
+from types import SimpleNamespace
 
-from toricqh import polyhedra, topology
+from toricqh import linalg, polyhedra, topology
 from toricqh import presentation as pr
 from toricqh.errors import PreconditionError, SchemaError
 from toricqh.monoid import (element_from_monomial, format_monomial, monoid_for,
-                            theta)
+                            scaled, theta)
 from toricqh.polyhedra import (enumerate_vertices, exact_units, polyhedron,
                                vertex_basis)
 # bound here, so a fault planted in ``presentation._graded_layer`` by a test
@@ -728,3 +731,41 @@ def height_levels(P, extra, g):
                 elements.add(s)
                 frontier.append(s)
     return tuple(sorted(gens)), tuple(sorted(elements))
+
+
+def jacobian_set_up(P, g, rho=None, perturbations=None, p=None):
+    """What ``jacobian_freeness`` hands its slice, computed as it was on
+    Fractions: the caps and the inner window from the offsets, g and the
+    perturbations' largest T-weight, the levels by ``height_levels``, the
+    relations by ``jacobian_relations`` and ``linalg.normalize``, and D' as
+    the lcm of every denominator the slice reads.  Returns D' (``scale``),
+    g, the inner window, the caps and the levels each times D', the
+    relations as {(lam * D', nu): row coefficient} maps, and the height
+    monoid's generators as Fractions."""
+    ctx = monoid_for(P)
+    g = Fraction(g)
+    terms = [pert.terms for pert in perturbations or () if not pert.is_zero()]
+    pert_weight = max((mm.lam for pert in terms for mm in pert),
+                      default=Fraction(0))
+    generators, levels = height_levels(
+        P, [mm.height for pert in terms for mm in pert], g)
+    dim_r = len(levels)
+    lam_max, lam_min = max(P.offsets), min(P.offsets)
+    step = max(lam_max, pert_weight)
+    inner = P.dim * lam_max + g
+    first = inner + (dim_r - 1) * max(Fraction(0), step - lam_min) + \
+        max(Fraction(0), pert_weight - lam_min)
+    caps = [first + i * (inner + (dim_r - 1) * step) for i in range(3)]
+    relations = [{(mm.lam, mm.nu): c for mm, c in rel.terms.items()}
+                 for rel in jacobian_relations(P, rho, perturbations)]
+    D = lcm(ctx.scale, g.denominator, inner.denominator,
+            *(x.denominator for x in (*caps, *levels)),
+            *(lam.denominator for rel in relations for lam, _ in rel))
+    return SimpleNamespace(
+        scale=D, g=scaled(g, D), inner=scaled(inner, D),
+        caps=tuple(scaled(x, D) for x in caps),
+        levels=tuple(scaled(x, D) for x in levels),
+        relations=tuple({(scaled(lam, D), nu): c for (lam, nu), c
+                         in linalg.normalize(rel, p).items()}
+                        for rel in relations),
+        generators=generators)

@@ -1,6 +1,8 @@
+import collections
 import copy
 import json
 import random
+from dataclasses import replace
 from fractions import Fraction
 from importlib import resources
 from math import lcm
@@ -222,6 +224,27 @@ LIBRARY_PRECONDITIONS = {
         lambda P: pr.quantum_presentation(P).monomial_coords(
             1, pr.quantum_presentation(P).normalized.normals[0], 1.5),
         PreconditionError, "coefficient must be exact"),
+    "jacobian_perturbations_not_a_list": (
+        lambda P: jacobian_freeness(P, perturbations=5),
+        PreconditionError, "perturbations must be a list of 3 filtered"),
+    "jacobian_rho_not_a_list": (
+        lambda P: jacobian_freeness(P, rho=5),
+        PreconditionError, "the B-field must be 3 units, got 5"),
+    "jacobian_float_perturbation_coefficient": (
+        lambda P: jacobian_freeness(P, perturbations=[mo.FilteredElement(
+            mo.monoid_for(P), {mo.monoid_for(P).t_power(1): 1.5})]
+            + [mo.monoid_for(P).zero()] * 2),
+        PreconditionError, "perturbation 1 has the coefficient 1.5, which is "
+                           "not exact"),
+    "element_float_coefficient": (
+        lambda P: mo.monoid_for(P).element({mo.monoid_for(P).one(): 1.5}),
+        PreconditionError, "coefficient must be exact"),
+    "height_monoid_extra_not_a_list": (
+        lambda P: mo.build_height_monoid(P, 5, 1),
+        PreconditionError, "extra heights must be a list"),
+    "contains_not_a_pair": (
+        lambda P: mo.monoid_for(P).contains(5),
+        PreconditionError, r"a cone element is a pair \(lam, nu\), got 5"),
     "jacobian_int_perturbations": (
         lambda P: jacobian_freeness(P, perturbations=[1, 2, 3]),
         PreconditionError, "perturbation 1 must be a filtered element"),
@@ -442,6 +465,14 @@ def _definition_relations(P, rho, perturbations):
     return relations
 
 
+def _fractions(set_up):
+    """(g, inner window, caps, levels) of a slice's set-up as Fractions."""
+    D = set_up.scale
+    return (Fraction(set_up.g, D), Fraction(set_up.inner, D),
+            [Fraction(c, D) for c in set_up.caps],
+            tuple(Fraction(h, D) for h in set_up.levels))
+
+
 def _reference_attempt(P, ctx, levels, g, relations, cap, inner_cap, basis,
                        p):
     """Every row rel_i * m with w(m) <= w_max, the slice from the
@@ -535,9 +566,11 @@ def _against_every_row(monkeypatch, P, g, rho=None, perturbations=None,
 
         def grow(self, cap):
             got = super().grow(cap)
-            P_, ctx, levels, g_, _, _, inner_cap, basis, p_ = self.args
+            P_, ctx, set_up, basis, p_ = self.args
+            g_, inner_cap, _, levels = _fractions(set_up)
             want, rank, built = _reference_attempt(
-                P_, ctx, levels, g_, original, cap, inner_cap, basis, p_)
+                P_, ctx, levels, g_, original, Fraction(cap, set_up.scale),
+                inner_cap, basis, p_)
             assert got == want, (cap, got, want)
             assert self.elim.rank == rank, cap
             rows[1] += built
@@ -642,16 +675,15 @@ def _recorded_rows(monkeypatch, P, g, perturbations=None, p=None):
     return steps
 
 
-def _slice_monomials(P, ctx, levels, cap, inner_cap, basis, scale):
-    """The slice monomials T^gamma * v^t of T-weight at most ``cap`` as
-    (region, theta_{v0}, lam, nu), lam scaled by D' = ``scale``: region 0
-    outside the inner window, 1 inside it and 2 the basis columns
-    T^gamma * e_i, all of which must be in the slice."""
-    k = scale // ctx.scale
+def _slice_monomials(P, ctx, set_up, cap_s, basis):
+    """The slice monomials T^gamma * v^t of T-weight at most ``cap_s`` as
+    (region, theta_{v0}, lam, nu), lam, ``cap_s`` and the set-up's levels
+    and inner window scaled by its D': region 0 outside the inner window, 1
+    inside it and 2 the basis columns T^gamma * e_i, all of which must be
+    in the slice."""
+    k = set_up.scale // ctx.scale
     weights = [k * w for w in ctx.scaled_offsets]
-    cap_s = scaled(cap, scale)
-    inner_w = scaled(inner_cap, scale)
-    heights = [scaled(gamma, scale) for gamma in levels]
+    inner_w, heights = set_up.inner, set_up.levels
 
     def vector(t, h):
         return (sum(map(mul, t, weights)) + h,
@@ -690,19 +722,17 @@ def test_slice_columns_run_by_region_with_the_basis_last(corpus, monkeypatch,
     steps = _recorded_rows(monkeypatch, P, 3, perts, p)
     assert len({id(piece) for piece, *_ in steps}) == 1
     for piece, cap, rows, result in steps:
-        _, ctx, levels, _, relations, _, inner_cap, basis, _ = piece.args
+        _, ctx, set_up, basis, _ = piece.args
         keys = piece.keys
-        monomials = sorted(_slice_monomials(P, ctx, levels, cap, inner_cap,
-                                            basis, piece.scale))
+        monomials = sorted(_slice_monomials(P, ctx, set_up, cap, basis))
         assert sum(x[0] > 0 for x in monomials) == result[0]
         where = {(lam, nu): keys.column(keys.encode((lam, *nu)), region)
                  for region, _, lam, nu in monomials}
         cols = [where[lam, nu] for _, _, lam, nu in monomials]
         assert cols == sorted(set(cols))
-        basis_count = len(basis) * len(levels)
+        basis_count = len(basis) * len(set_up.levels)
         assert all(x[0] == 2 for x in monomials[-basis_count:])
-        terms = [[(scaled(lam, piece.scale), nu) for lam, nu in rel]
-                 for rel in relations]
+        terms = [list(rel) for rel in set_up.relations]
 
         def times(a, b):
             return a[0] + b[0], tuple(map(add, a[1], b[1]))
@@ -748,8 +778,8 @@ def test_dependent_basis_is_not_independent(cp1, monkeypatch):
     # (v1, v2) is dependent in the quotient though it has the right count
     args = _slice_args(monkeypatch, cp1, g=1)
     plain = jacobian._Slice(*args)
-    dependent = jacobian._Slice(*args[:7], ((1, 0), (0, 1)), args[8])
-    for cap in args[5]:
+    dependent = jacobian._Slice(*args[:3], ((1, 0), (0, 1)), args[4])
+    for cap in args[2].caps:
         assert plain.grow(cap) == (5, 2, True)
         assert dependent.grow(cap) == (5, 2, False)
 
@@ -777,16 +807,18 @@ def test_grown_slice_counts_equal_a_fresh_slice(corpus, monkeypatch):
     escalated = 0
     for P, kwargs in _growth_cases(corpus):
         args = _slice_args(monkeypatch, P, **kwargs)
-        P_, ctx, levels, g, _, caps, inner_cap, basis, p = args
+        P_, ctx, set_up, basis, p = args
+        g, inner_cap, caps, levels = _fractions(set_up)
         original = _definition_relations(P, kwargs.get("rho"),
                                          kwargs.get("perturbations"))
         grown = jacobian._Slice(*args)
         counts = []
-        for cap in caps:
-            fresh = jacobian._Slice(*args[:5], (cap,), *args[6:]).grow(cap)
+        for cap, cap_s in zip(caps, set_up.caps):
+            fresh = jacobian._Slice(P_, ctx, replace(set_up, caps=(cap_s,)),
+                                    basis, p).grow(cap_s)
             want = _reference_attempt(P, ctx, levels, g, original, cap,
                                       inner_cap, basis, p)[0]
-            counts.append(grown.grow(cap))
+            counts.append(grown.grow(cap_s))
             assert counts[-1] == fresh == want, (kwargs, cap)
         escalated += counts[0] != counts[1]
     # every unperturbed, unrescaled case confirms only at a larger cap, so
@@ -828,7 +860,8 @@ def test_no_row_reaches_the_eliminator_twice(corpus, monkeypatch):
     call, call_pairs = rows[:], pairs[:]
     assert len(call) == len(call_pairs) == len(set(call_pairs)) == 2029
     fresh_pairs, fresh_rows = set(), set()
-    for cap in args[5][:2]:  # the call escalates once; the rebuild made 2,309
+    # the call escalates once; the rebuild made 2,309
+    for cap in args[2].caps[:2]:
         rows.clear()
         pairs.clear()
         Walked(*args).grow(cap)
@@ -878,33 +911,49 @@ class _SliceReached(Exception):
     pass
 
 
-def _slice_relations(monkeypatch, P, **kwargs):
-    """The relations that ``jacobian_freeness`` hands its slice, which is
-    then not built."""
+def _call_set_up(monkeypatch, P, **kwargs):
+    """The set-up that ``jacobian_freeness`` hands its slice, which is then
+    not built, and the height monoid's generators that it read, as
+    Fractions."""
     got = []
+    real = jacobian.scaled_height_levels
+
+    def recorded(ctx, extra, top, D):
+        generators, levels = real(ctx, extra, top, D)
+        got.append(tuple(Fraction(x, D) for x in generators))
+        return generators, levels
 
     class Stopped(jacobian._Slice):
-        def __init__(self, *args):
-            got.append(args[4])
+        def __init__(self, P, ctx, set_up, basis, p):
+            got.append(set_up)
             raise _SliceReached
 
     with monkeypatch.context() as patch:
         patch.setattr(jacobian, "_Slice", Stopped)
+        patch.setattr(jacobian, "scaled_height_levels", recorded)
         with pytest.raises(_SliceReached):
             jacobian_freeness(P, **kwargs)
-    return got[0]
+    generators, set_up = got
+    return set_up, generators
 
 
-def _check_relations(monkeypatch, P, **kwargs):
-    # the maps hold the FilteredElement sums' terms, in their order, with
-    # the same exact coefficients
-    got = _slice_relations(monkeypatch, P, **kwargs)
-    want = reference.jacobian_relations(P, kwargs.get("rho"),
-                                        kwargs.get("perturbations"))
-    assert [list(rel.items()) for rel in got] == \
-        [[((mm.lam, mm.nu), c) for mm, c in rel.terms.items()]
-         for rel in want]
-    assert all(type(c) is Fraction for rel in got for c in rel.values())
+def _check_set_up(monkeypatch, P, **kwargs):
+    # the integer set-up is the one computed on Fractions: the same D', the
+    # same scaled cutoff, window, caps and levels, the same generators, and
+    # relation maps with the FilteredElement sums' terms, in their order,
+    # at the same scaled weights and with the same row coefficients
+    set_up, generators = _call_set_up(monkeypatch, P, **kwargs)
+    want = reference.jacobian_set_up(
+        P, kwargs.get("g", 1), kwargs.get("rho"), kwargs.get("perturbations"),
+        kwargs.get("p"))
+    assert (set_up.scale, set_up.g, set_up.inner, set_up.caps,
+            set_up.levels) == (want.scale, want.g, want.inner, want.caps,
+                               want.levels)
+    assert [list(rel.items()) for rel in set_up.relations] == \
+        [list(rel.items()) for rel in want.relations]
+    assert all(type(c) is int for rel in set_up.relations
+               for c in rel.values())
+    assert generators == want.generators
 
 
 def test_relation_maps_match_filtered_element_sums(corpus, monkeypatch):
@@ -912,17 +961,16 @@ def test_relation_maps_match_filtered_element_sums(corpus, monkeypatch):
     units = (1, -1, 2, Fraction(1, 3))
     for name, P in corpus.items():
         for p in (None, 7, 1000003):
-            _check_relations(monkeypatch, P, g=2, p=p)
+            _check_set_up(monkeypatch, P, g=2, p=p)
         for shape in ((1, 1, 1), (2, 2, 1), (2, 3, 1), (3, 2, 2)):
             perts = _benchmark_perturbations(P, rng, *shape)
             for p in (None, 7):
-                _check_relations(monkeypatch, P, g=3, perturbations=perts,
-                                 p=p)
+                _check_set_up(monkeypatch, P, g=3, perturbations=perts, p=p)
         rho = [rng.choice(units) for _ in range(P.nfacets)]
-        _check_relations(monkeypatch, P, g=2, rho=rho)
+        _check_set_up(monkeypatch, P, g=2, rho=rho)
         perts = _benchmark_perturbations(P, rng, 2, 2, 1)
-        _check_relations(monkeypatch, P, g=3, rho=rho, perturbations=perts,
-                         p=1000003)
+        _check_set_up(monkeypatch, P, g=3, rho=rho, perturbations=perts,
+                      p=1000003)
 
 
 def test_relation_maps_match_on_random_polyhedra(monkeypatch):
@@ -934,8 +982,74 @@ def test_relation_maps_match_on_random_polyhedra(monkeypatch):
             if i % 2 else None
         perts = _benchmark_perturbations(P, rng, rng.randrange(4),
                                          rng.randrange(1, 4), 1)
-        _check_relations(monkeypatch, P, g=2, rho=rho, perturbations=perts,
-                         p=None if i % 4 < 2 else 1000003)
+        _check_set_up(monkeypatch, P, g=2, rho=rho, perturbations=perts,
+                      p=None if i % 4 < 2 else 1000003)
+
+
+CUTOFFS = (Fraction(1, 2), 1, 2, 3, Fraction(7, 3))
+
+
+def test_set_up_matches_the_fraction_reference(corpus, monkeypatch):
+    rng = random.Random(41)
+    units = (1, -1, 2, Fraction(1, 3))
+    for name, P in corpus.items():
+        rho = [rng.choice(units) for _ in range(P.nfacets)]
+        rho[0] = Fraction(1, 3)  # one non-unit entry at least
+        for g in CUTOFFS:
+            for p in (None, 7, 1000003):
+                perts = _benchmark_perturbations(P, rng, *rng.choice(
+                    ((1, 1, 1), (2, 2, 1), (2, 3, 1), (3, 2, 2))))
+                for kwargs in ({}, {"rho": rho}, {"perturbations": perts},
+                               {"rho": rho, "perturbations": perts}):
+                    _check_set_up(monkeypatch, P, g=g, p=p, **kwargs)
+
+
+def test_set_up_check_catches_a_planted_mutation(corpus, monkeypatch):
+    # the inner window without g, planted in the integer set-up, must fail
+    # the comparison with the Fraction set-up on every input
+    real = jacobian._caps
+    monkeypatch.setattr(jacobian, "_caps", lambda n, offsets, weight, g, r:
+                        real(n, offsets, weight, 0, r))
+    for name, P in corpus.items():
+        for g in CUTOFFS:
+            with pytest.raises(AssertionError):
+                _check_set_up(monkeypatch, P, g=g)
+
+
+FRACTION_METHODS = [name for name in (
+    "__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+    "__truediv__", "__rtruediv__", "__floordiv__", "__rfloordiv__",
+    "__mod__", "__rmod__", "__divmod__", "__rdivmod__", "__pow__",
+    "__rpow__", "__pos__", "__neg__", "__abs__", "__trunc__", "__floor__",
+    "__ceil__", "__round__", "__int__", "__eq__", "__lt__", "__gt__",
+    "__le__", "__ge__", "__hash__", "__bool__") if name in vars(Fraction)]
+
+
+def test_unperturbed_jacobian_makes_no_fraction_arithmetic(monkeypatch):
+    # the set-up runs in integers: on polyhedra fresh from their files, so
+    # that nothing is memoized yet, an unperturbed call does no Fraction
+    # arithmetic, comparison, hashing or truth test
+    calls = collections.Counter()
+
+    def counted(name, method):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return method(*args, **kwargs)
+        return wrapper
+
+    for name in FRACTION_METHODS:
+        monkeypatch.setattr(Fraction, name, counted(name,
+                                                     vars(Fraction)[name]))
+    checked = 0
+    for p in (None, 7, 1000003):
+        for name, P in catalog.load_valid_examples().items():
+            rho = [(2, Fraction(1, 3), -1)[j % 3] for j in range(P.nfacets)]
+            for kwargs in ({}, {"rho": rho}, {"g": Fraction(7, 3)}):
+                calls.clear()
+                report = jacobian_freeness(P, p=p, **kwargs)
+                assert not calls, (name, p, kwargs, dict(calls))
+                checked += report.free
+    assert checked == 81
 
 
 def test_jacobian_builds_no_structure_table_and_no_nonfaces(corpus,
