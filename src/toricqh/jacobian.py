@@ -25,17 +25,15 @@ numerators and denominators, over one common denominator L of the offsets,
 the vertices, g and the perturbation T-weights: the height levels
 (``monoid.scaled_height_levels``, the integer core of
 ``build_height_monoid``), the inner window and the three caps (``_caps``)
-and the relations (``_relations``).  D' is the least common denominator of
-what the slice reads (the cone monoid's scale, g, the window, the caps, the
-levels and the relation weights): L over the gcd of those values times L.
-The slice takes them times D' (``_SetUp``), and only the values that the
-report carries are made Fractions.
+and the relations (``_relations``).  The slice takes them times L
+(``_SetUp``), and only the values that the report carries are made
+Fractions.
 
-The slice runs in integers: weights and heights are scaled by D', and
-T^h * v^t is keyed by one integer of
-``topology.SRKeys`` over the scaled (lam, nu) of the N generators and of T
-(one step per unit of D' * height), ordered by theta_{v0}, v0 the first
-vertex, with ``top`` the largest scaled cap.  Every generator has scaled
+The slice runs in integers: weights and heights are scaled by L, and
+T^h * v^t is keyed by one integer of ``topology.SRKeys`` over the scaled
+(lam, nu) of the N generators and of T (one step per unit of L * height),
+ordered by theta_{v0}, v0 the first vertex, with ``top`` the largest
+scaled cap.  Every generator has scaled
 weight at least 1, so every monomial that a row reaches is a sum of at most
 ``top`` steps: its key is unique and sorts as its vector does, and keys are
 linear, so the key of a product is the sum of two keys.
@@ -56,7 +54,7 @@ with w_l the integer coordinates of nu_l in the basis nu_{s_1..s_n}.  The
 change of basis lies in GL_n(Z), so the c'_k generate the same ideal as the
 n components of sum_j nu_j h_j, over Z, Q and every F_p, and have the same
 monomials: rel_weight, the largest T-weight of a relation term, is
-unchanged.  Each c'_k is a map {(lam * D', nu): coefficient}, summed from
+unchanged.  Each c'_k is a map {(lam * L, nu): coefficient}, summed from
 the w_l, the units rho_j on v_j = (lambda_j, nu_j) and the perturbations'
 terms (``_relations``): a row needs only (lam, nu), so no monomial is
 decomposed.  The candidate basis is the classical one, read from the
@@ -182,14 +180,7 @@ def jacobian_freeness(P: DelzantPolyhedron, perturbations=None, rho=None,
     pert_weight = max((scaled(mm.lam, L) for mm in monomials), default=0)
     inner, caps = _caps(n, [L // ctx.scale * x for x in ctx.scaled_offsets],
                         pert_weight, g_L, dim_r)
-    # D' = L / stride, the least common denominator of what the slice reads
-    stride = gcd(L // ctx.scale, g_L, inner, *caps, *levels,
-                 *(w for rel in relations for w, _ in rel))
-    set_up = _SetUp(L // stride, g_L // stride, inner // stride,
-                    tuple(c // stride for c in caps),
-                    tuple(h // stride for h in levels),
-                    tuple({(w // stride, nu): c for (w, nu), c in rel.items()}
-                          for rel in relations))
+    set_up = _SetUp(L, g_L, inner, tuple(caps), levels, tuple(relations))
     piece = _Slice(P, ctx, set_up, basis, p)
     for escalations, cap in enumerate(set_up.caps):  # at most two escalations
         dim_s, dim_quotient, independent = piece.grow(cap)
@@ -204,7 +195,7 @@ def jacobian_freeness(P: DelzantPolyhedron, perturbations=None, rho=None,
     return JacobianReport(g, field, rho,
                           tuple(Fraction(x, L) for x in generators),
                           tuple(Fraction(h, L) for h in levels),
-                          Fraction(cap, set_up.scale), escalations, dim_r, m,
+                          Fraction(cap, L), escalations, dim_r, m,
                           dim_s, dim_quotient, basis, free, note)
 
 
@@ -309,9 +300,9 @@ def _relations(ctx, rho, terms, L: int, p) -> list[dict]:
 @dataclass(frozen=True)
 class _SetUp:
     """What the slice of one call reads, in integers over the common
-    denominator ``scale`` (D'): the cutoff g, the inner window, the caps in
-    order and the levels, each times D', and the relations c'_k as maps
-    {(lam * D', nu): row coefficient} (``_relations``)."""
+    denominator ``scale`` (L): the cutoff g, the inner window, the caps in
+    order and the levels, each times L, and the relations c'_k as maps
+    {(lam * L, nu): row coefficient} (``_relations``)."""
     scale: int
     g: int
     inner: int
@@ -331,7 +322,7 @@ class _Slice:
         self.scale = set_up.scale
         k = set_up.scale // ctx.scale
         weights = [k * lam for lam in ctx.scaled_offsets]
-        # theta_{v0} * D' of (lam * D' = w, nu) is w + k * <v0 * D, nu>
+        # theta_{v0} * L of (lam * L = w, nu) is w + k * <v0 * D, nu>
         self.keys = keys = topology.SRKeys(
             [*((w, *nu) for w, nu in zip(weights, P.normals)),
              (1,) + (0,) * P.dim], max(set_up.caps),
@@ -339,7 +330,7 @@ class _Slice:
         *steps, t_step = keys.steps
         self.rel_w = max((w for rel in set_up.relations for w, _ in rel),
                          default=0)
-        # The walk sums (weight, key) and theta_v * D' for every vertex v.
+        # The walk sums (weight, key) and theta_v * L for every vertex v.
         # In the Koszul window, v_{s_t} dividing m (s_t in the face of m)
         # skips the rows c'_k * m with k > t when
         # w(m) <= w_max - rel_weight + lambda_{s_t}.
@@ -366,7 +357,7 @@ class _Slice:
         self.cap, self.sizes = -1, [0, 0, 0]
 
     def grow(self, cap: int) -> tuple[int, int, bool]:
-        """Grow the slice to the T-weight ``cap`` (times D'), one of its
+        """Grow the slice to the T-weight ``cap`` (times L), one of its
         caps and at least the last, and return (dim_s, dim_quotient,
         independent)."""
         columns, g_s = self.columns, self.g_s

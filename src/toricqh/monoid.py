@@ -271,9 +271,8 @@ class ConeMonoid:
     def element(self, terms) -> "FilteredElement":
         """Build a filtered element from {monomial: coefficient}, each
         coefficient exact (``exact_parameter``), the zero ones left out."""
-        terms = {m: exact_parameter(c, "coefficient") for m, c in terms.items()}
-        return FilteredElement(self, {m: c for m, c in terms.items()
-                                      if c.numerator})
+        return FilteredElement(self, {m: exact_parameter(c, "coefficient")
+                                      for m, c in terms.items()})
 
 
 @memoized
@@ -284,13 +283,25 @@ def monoid_for(P: DelzantPolyhedron) -> ConeMonoid:
 
 
 class FilteredElement:
-    """Finite sum of rational coefficients times monomials of one monoid."""
+    """Finite sum of rational coefficients times monomials of one monoid.
+
+    Each key must be a monomial of ``monoid`` and each coefficient an int
+    (no bool) or a Fraction; anything else raises PreconditionError.  The
+    zero coefficients are left out.  ``+``, ``-`` and ``*`` of elements
+    of two monoids raise PreconditionError."""
 
     __slots__ = ("monoid", "terms")
 
     def __init__(self, monoid: ConeMonoid, terms: dict[Monomial, Fraction]):
+        for m, c in terms.items():
+            if not (isinstance(m, Monomial) and m.monoid is monoid):
+                raise PreconditionError(f"the term {m!r} is not a monomial "
+                                        f"of this monoid")
+            if type(c) is not Fraction and not is_integer(c):
+                raise PreconditionError(f"the coefficient {c!r} is not exact "
+                                        f"(int or Fraction)")
         self.monoid = monoid
-        self.terms = terms
+        self.terms = {m: c for m, c in terms.items() if c.numerator}
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -303,9 +314,15 @@ class FilteredElement:
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda kv: (kv[0].height, kv[0].nu))
 
+    def _same_monoid(self, other) -> None:
+        if other.monoid is not self.monoid:
+            raise PreconditionError("operands live in different monoid "
+                                    "contexts")
+
     def __add__(self, other):
         if not isinstance(other, FilteredElement):
             return NotImplemented
+        self._same_monoid(other)
         terms = dict(self.terms)
         for m, c in other.terms.items():
             c = terms.get(m, 0) + c
@@ -331,6 +348,7 @@ class FilteredElement:
             other = FilteredElement(self.monoid, {other: Fraction(1)})
         if not isinstance(other, FilteredElement):
             return NotImplemented
+        self._same_monoid(other)
         terms: dict[Monomial, Fraction] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
@@ -400,8 +418,6 @@ def monotone_gamma_membership(P: DelzantPolyhedron, c) -> bool:
 
 
 def multiply(x: FilteredElement, y: FilteredElement) -> FilteredElement:
-    if x.monoid is not y.monoid:
-        raise PreconditionError("operands live in different monoid contexts")
     return x * y
 
 
@@ -528,6 +544,5 @@ def filtered_from_json(ctx: ConeMonoid, data) -> FilteredElement:
         m = ctx.monomial(lam, nu)
         if m in terms:
             raise SchemaError(f"duplicate monomial ({lam}, {nu}) in serialized element")
-        if coeff:
-            terms[m] = coeff
+        terms[m] = coeff
     return FilteredElement(ctx, terms)

@@ -630,8 +630,12 @@ def facet_intersection_nonempty(P: DelzantPolyhedron, labels) -> bool:
     Raises PreconditionError unless the labels are a nonempty collection of
     ints in 1..nfacets.
     """
-    labels = frozenset([integer_parameter(j, "facet label", 1, P.nfacets)
-                        for j in labels])
+    try:
+        labels = frozenset([integer_parameter(j, "facet label", 1,
+                                              P.nfacets) for j in labels])
+    except TypeError:
+        raise PreconditionError(f"facet labels must be a collection of "
+                                f"ints, got {labels!r}") from None
     if not labels:
         raise PreconditionError("facet subset must be nonempty")
     return any(labels <= v.incident for v in _pointed_vertices(P))

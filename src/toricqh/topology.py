@@ -182,8 +182,14 @@ def _stars(K: NerveComplex, wanted) -> dict[tuple[int, ...], list]:
 
 
 def link(K: NerveComplex, J) -> NerveComplex:
-    """The link of a face: all faces disjoint from J whose union with J is a face."""
-    J = tuple(sorted(set(J)))
+    """The link of a face: all faces disjoint from J whose union with J is
+    a face.  Raises PreconditionError unless J is a face, given as a
+    collection of labels."""
+    try:
+        J = tuple(sorted(set(J)))
+    except TypeError:
+        raise PreconditionError(f"a face must be a collection of labels, "
+                                f"got {J!r}") from None
     if not K.is_face(J):
         raise PreconditionError(f"{list(J)} is not a face of the complex")
     return make_complex(K.ground, _stars(K, [J])[J])

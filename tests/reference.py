@@ -20,7 +20,7 @@ quantum presentation by one elimination per T-degree, the method the
 one-layer ``presentation.quantum_presentation`` replaced; the relations
 c'_k of ``jacobian_freeness`` by ``FilteredElement`` arithmetic, the
 admissible height levels by a walk on Fractions and the whole Fraction
-set-up of the Jacobian slice (caps, inner window, D', levels, relation
+set-up of the Jacobian slice (caps, inner window, L, levels, relation
 maps), which the integer versions of ``jacobian._relations``,
 ``monoid.build_height_monoid`` and ``jacobian_freeness`` replaced; the
 readers of exact values by ``Fraction`` alone, the vertex
@@ -737,11 +737,12 @@ def jacobian_set_up(P, g, rho=None, perturbations=None, p=None):
     """What ``jacobian_freeness`` hands its slice, computed as it was on
     Fractions: the caps and the inner window from the offsets, g and the
     perturbations' largest T-weight, the levels by ``height_levels``, the
-    relations by ``jacobian_relations`` and ``linalg.normalize``, and D' as
-    the lcm of every denominator the slice reads.  Returns D' (``scale``),
-    g, the inner window, the caps and the levels each times D', the
-    relations as {(lam * D', nu): row coefficient} maps, and the height
-    monoid's generators as Fractions."""
+    relations by ``jacobian_relations`` and ``linalg.normalize``, and L as
+    the lcm of the cone monoid's scale, g's denominator and the
+    perturbation terms' T-weight denominators.  Returns L (``scale``), g,
+    the inner window, the caps and the levels each times L, the relations
+    as {(lam * L, nu): row coefficient} maps, and the height monoid's
+    generators as Fractions."""
     ctx = monoid_for(P)
     g = Fraction(g)
     terms = [pert.terms for pert in perturbations or () if not pert.is_zero()]
@@ -758,14 +759,17 @@ def jacobian_set_up(P, g, rho=None, perturbations=None, p=None):
     caps = [first + i * (inner + (dim_r - 1) * step) for i in range(3)]
     relations = [{(mm.lam, mm.nu): c for mm, c in rel.terms.items()}
                  for rel in jacobian_relations(P, rho, perturbations)]
-    D = lcm(ctx.scale, g.denominator, inner.denominator,
-            *(x.denominator for x in (*caps, *levels)),
-            *(lam.denominator for rel in relations for lam, _ in rel))
+    L = lcm(ctx.scale, g.denominator,
+            *(mm.lam.denominator for pert in terms for mm in pert))
+
+    def times_L(x):
+        assert L % x.denominator == 0, f"{x} is not an integer over {L}"
+        return scaled(x, L)
+
     return SimpleNamespace(
-        scale=D, g=scaled(g, D), inner=scaled(inner, D),
-        caps=tuple(scaled(x, D) for x in caps),
-        levels=tuple(scaled(x, D) for x in levels),
-        relations=tuple({(scaled(lam, D), nu): c for (lam, nu), c
+        scale=L, g=times_L(g), inner=times_L(inner),
+        caps=tuple(map(times_L, caps)), levels=tuple(map(times_L, levels)),
+        relations=tuple({(times_L(lam), nu): c for (lam, nu), c
                          in linalg.normalize(rel, p).items()}
                         for rel in relations),
         generators=generators)

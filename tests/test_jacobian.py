@@ -19,7 +19,8 @@ from toricqh.errors import (PreconditionError, SchemaError,
                             VerificationError)
 from toricqh.jacobian import jacobian_freeness
 from toricqh.monoid import scaled
-from toricqh.polyhedra import (enumerate_vertices, polyhedron,
+from toricqh.polyhedra import (enumerate_vertices,
+                               facet_intersection_nonempty, polyhedron,
                                vertex_coordinates)
 
 
@@ -128,6 +129,14 @@ def _unit(ctx, lam=1):
     return mo.element_from_monomial(ctx.t_power(lam))
 
 
+def _planted(x, c):
+    """x with the coefficient of each term set to ``c`` after construction,
+    past the constructor's checks: ``terms`` is a plain dict."""
+    for m in x.terms:
+        x.terms[m] = c
+    return x
+
+
 TERM = {"lambda": "1", "nu": [0, 0], "coeff": "1"}
 
 
@@ -231,11 +240,45 @@ LIBRARY_PRECONDITIONS = {
         lambda P: jacobian_freeness(P, rho=5),
         PreconditionError, "the B-field must be 3 units, got 5"),
     "jacobian_float_perturbation_coefficient": (
-        lambda P: jacobian_freeness(P, perturbations=[mo.FilteredElement(
-            mo.monoid_for(P), {mo.monoid_for(P).t_power(1): 1.5})]
+        lambda P: jacobian_freeness(P, perturbations=[
+            _planted(_unit(mo.monoid_for(P)), 1.5)]
             + [mo.monoid_for(P).zero()] * 2),
         PreconditionError, "perturbation 1 has the coefficient 1.5, which is "
                            "not exact"),
+    "filtered_float_coefficient": (
+        lambda P: mo.FilteredElement(mo.monoid_for(P),
+                                     {mo.monoid_for(P).one(): 1.5}),
+        PreconditionError, "the coefficient 1.5 is not exact"),
+    "filtered_string_coefficient": (
+        lambda P: mo.FilteredElement(mo.monoid_for(P),
+                                     {mo.monoid_for(P).one(): "abc"}),
+        PreconditionError, "the coefficient 'abc' is not exact"),
+    "filtered_int_key": (
+        lambda P: mo.FilteredElement(mo.monoid_for(P), {5: 1}),
+        PreconditionError, "the term 5 is not a monomial of this monoid"),
+    "filtered_key_of_a_twin": (
+        lambda P: mo.FilteredElement(mo.monoid_for(P),
+                                     {_twin_monoid().one(): 1}),
+        PreconditionError, "is not a monomial of this monoid"),
+    "add_across_monoids": (
+        lambda P: _unit(mo.monoid_for(P), 0) + _unit(_twin_monoid()),
+        PreconditionError, "different monoid contexts"),
+    "subtract_across_monoids": (
+        lambda P: _unit(mo.monoid_for(P), 0) - _unit(_twin_monoid()),
+        PreconditionError, "different monoid contexts"),
+    "times_across_monoids": (
+        lambda P: _unit(mo.monoid_for(P), 0) * _unit(_twin_monoid()),
+        PreconditionError, "different monoid contexts"),
+    "filtered_repeated_monomial_after_a_zero": (
+        lambda P: mo.filtered_from_json(mo.monoid_for(P),
+                                        [{**TERM, "coeff": "0"}, TERM]),
+        SchemaError, "duplicate monomial"),
+    "facet_intersection_labels_not_a_collection": (
+        lambda P: facet_intersection_nonempty(P, 5),
+        PreconditionError, "facet labels must be a collection of ints, got 5"),
+    "link_of_a_non_collection": (
+        lambda P: topology.link(topology.build_nerve(P), 5),
+        PreconditionError, "a face must be a collection of labels, got 5"),
     "element_float_coefficient": (
         lambda P: mo.monoid_for(P).element({mo.monoid_for(P).one(): 1.5}),
         PreconditionError, "coefficient must be exact"),
@@ -678,7 +721,7 @@ def _recorded_rows(monkeypatch, P, g, perturbations=None, p=None):
 def _slice_monomials(P, ctx, set_up, cap_s, basis):
     """The slice monomials T^gamma * v^t of T-weight at most ``cap_s`` as
     (region, theta_{v0}, lam, nu), lam, ``cap_s`` and the set-up's levels
-    and inner window scaled by its D': region 0 outside the inner window, 1
+    and inner window scaled by its L: region 0 outside the inner window, 1
     inside it and 2 the basis columns T^gamma * e_i, all of which must be
     in the slice."""
     k = set_up.scale // ctx.scale
@@ -938,7 +981,7 @@ def _call_set_up(monkeypatch, P, **kwargs):
 
 
 def _check_set_up(monkeypatch, P, **kwargs):
-    # the integer set-up is the one computed on Fractions: the same D', the
+    # the integer set-up is the one computed on Fractions: the same L, the
     # same scaled cutoff, window, caps and levels, the same generators, and
     # relation maps with the FilteredElement sums' terms, in their order,
     # at the same scaled weights and with the same row coefficients
@@ -1014,6 +1057,30 @@ def test_set_up_check_catches_a_planted_mutation(corpus, monkeypatch):
         for g in CUTOFFS:
             with pytest.raises(AssertionError):
                 _check_set_up(monkeypatch, P, g=g)
+
+
+@pytest.mark.parametrize("p", [None, 7])
+def test_slice_runs_over_l_when_a_perturbation_cancels(cp1, monkeypatch, p):
+    # on cp1 the one relation is h_1 - h_2, so T^(5/2) cancels and no value
+    # the slice reads needs the denominator 2 of L; the slice still runs
+    # over L = 2, with the report of a slice over 1
+    ctx = mo.monoid_for(cp1)
+    half = ctx.t_power(Fraction(5, 2))
+    perts = [ctx.element({half: 1, ctx.t_power(3): 1}), ctx.element({half: 1})]
+    _check_set_up(monkeypatch, cp1, g=1, perturbations=perts, p=p)
+    scales = []
+
+    class Recorded(jacobian._Slice):
+        def __init__(self, P, ctx, set_up, basis, p):
+            scales.append(set_up.scale)
+            super().__init__(P, ctx, set_up, basis, p)
+
+    monkeypatch.setattr(jacobian, "_Slice", Recorded)
+    rep = jacobian_freeness(cp1, perturbations=perts, g=1, p=p)
+    assert scales == [2]
+    assert rep.monoid_generators == (0, 2, Fraction(5, 2), 3)
+    assert (rep.weight_cap, rep.escalations, rep.dim_s, rep.dim_quotient,
+            rep.free) == (4, 0, 5, 2, True)
 
 
 FRACTION_METHODS = [name for name in (

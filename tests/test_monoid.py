@@ -385,3 +385,20 @@ def test_filtered_element_text_writes_a_constant_as_its_value(cp2):
     assert str(ctx.element({one: Fraction(-3, 2)})) == "-3/2"
     assert str(ctx.element({one: 2, T: -1, v1: 3})) == "2 + 3*v1 - T"
     assert str(ctx.zero()) == "0"
+
+
+def test_filtered_element_leaves_zero_coefficients_out(cp2):
+    # a zero coefficient makes no term: the element is the zero element,
+    # of no height, and writes no term
+    ctx = mo.monoid_for(cp2)
+    one, T = ctx.one(), ctx.t_power(1)
+    zero = mo.FilteredElement(ctx, {one: 0})
+    assert zero.is_zero() and zero.height() is None and zero == ctx.zero()
+    assert mo.filtered_to_json(zero) == [] and str(zero) == "0"
+    assert mo.filtered_from_json(
+        ctx, [{"lambda": "0", "nu": [0, 0], "coeff": "0"}]) == zero
+    x = mo.FilteredElement(ctx, {one: Fraction(0), T: Fraction(3, 2)})
+    assert x.terms == {T: Fraction(3, 2)} and x.height() == 1
+    assert mo.filtered_to_json(x) == [
+        {"lambda": "1", "nu": [0, 0], "coeff": "3/2"}]
+
